@@ -141,6 +141,7 @@ class _BlockTape:
 
 
 def _core_forward_tape(down: np.ndarray, params: AdapterParams) -> tuple[np.ndarray, dict]:
+    """Core forward over ``[..., T, d']`` with the intermediates backward needs."""
     cfg = params.config
     if cfg.kind == "vanilla":
         return gelu(down), {}
@@ -154,13 +155,13 @@ def _core_forward_tape(down: np.ndarray, params: AdapterParams) -> tuple[np.ndar
         h, _ = kernels.fo_pool(s, f, np.zeros(cfg.d_prime))
         return h, {"s": s, "f": f, "h": h}
     # retention (parallel form)
-    n = down.shape[0]
+    n = down.shape[-2]
     pos = np.arange(n)
     q = kernels._rotate(down @ params.w_q, pos, cfg.theta)
     k = kernels._rotate(down @ params.w_k, pos, cfg.theta)
     v = down @ params.w_v
     decay = kernels.decay_matrix(n, cfg.gamma)
-    scores = (q @ k.T) * decay
+    scores = (q @ k.swapaxes(-1, -2)) * decay
     return scores @ v, {"q": q, "k": k, "v": v, "decay": decay, "scores": scores, "pos": pos}
 
 
@@ -187,18 +188,21 @@ def _forward_stack(model: DetectorModel, embeddings: np.ndarray, record: bool = 
 
 
 def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Cosine of each frame output ``[..., T, d]`` with its query ``[..., d]``."""
     global ZERO_NORM_COUNT
-    qnorm = float(np.linalg.norm(query))
-    if qnorm <= 0:
+    # a dot product, as np.linalg.norm takes for one vector: batched and
+    # single-query norms agree bitwise
+    qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0]
+    if (qnorm <= 0).any():
         raise ConfigError("query embedding must have positive norm")
     qn = query / qnorm
-    unorm = np.linalg.norm(out, axis=1)
+    unorm = np.linalg.norm(out, axis=-1)
     zero = unorm < _NORM_EPS
     if zero.any():
         ZERO_NORM_COUNT += int(zero.sum())
         logger.warning("%d zero-norm frame output(s); scoring them as sigmoid(0)", int(zero.sum()))
     safe = np.where(zero, 1.0, unorm)
-    s = np.where(zero, 0.0, (out @ qn) / safe)
+    s = np.where(zero, 0.0, (out @ qn[..., None])[..., 0] / safe)
     return s, {"out": out, "qn": qn, "unorm": safe, "s": s, "zero": zero}
 
 
@@ -273,11 +277,16 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray, cap: float) -> tuple[LossBrea
 # -- backward ---------------------------------------------------------------------
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``[..., T, d]`` as ``[B*T, d]``: one row per frame of every window."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _conv_backward(
     d_y: np.ndarray, x: np.ndarray, w: np.ndarray, lookback: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """VJP of causal_conv w.r.t. its input and filter bank (dense or depthwise)."""
-    n = x.shape[0]
+    n = x.shape[-2]
     depthwise = w.ndim == 2
     d_x = np.zeros_like(x)
     g_w = np.zeros_like(w)
@@ -286,29 +295,34 @@ def _conv_backward(
         lo = max(0, -off)
         hi = min(n, n - off)
         if lo < hi:
+            x_j, d_y_j = x[..., lo + off : hi + off, :], d_y[..., lo:hi, :]
             if depthwise:
-                d_x[lo + off : hi + off] += d_y[lo:hi] * w[j]
-                g_w[j] = (x[lo + off : hi + off] * d_y[lo:hi]).sum(axis=0)
+                d_x[..., lo + off : hi + off, :] += d_y_j * w[j]
+                g_w[j] = _rows(x_j * d_y_j).sum(axis=0)
             else:
-                d_x[lo + off : hi + off] += d_y[lo:hi] @ w[j].T
-                g_w[j] = x[lo + off : hi + off].T @ d_y[lo:hi]
+                d_x[..., lo + off : hi + off, :] += d_y_j @ w[j].T
+                g_w[j] = _rows(x_j).T @ _rows(d_y_j)
     return d_x, g_w
 
 
 def _fo_pool_backward(
     d_h: np.ndarray, s: np.ndarray, f: np.ndarray, h: np.ndarray, h_init: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """VJP of h_t = f_t h_{t-1} + (1 - f_t) s_t for d/ds and d/df."""
-    d_s = np.zeros_like(s)
-    d_f = np.zeros_like(f)
-    carry = np.zeros(s.shape[1])
-    for t in range(s.shape[0] - 1, -1, -1):
-        g = d_h[t] + carry
-        d_s[t] = g * (1.0 - f[t])
-        h_prev = h[t - 1] if t > 0 else h_init
-        d_f[t] = g * (h_prev - s[t])
-        carry = g * f[t]
-    return d_s, d_f
+    """VJP of h_t = f_t h_{t-1} + (1 - f_t) s_t for d/ds and d/df.
+
+    Only the carried gradient g_t = d_h_t + f_{t+1} g_{t+1} runs over time;
+    d/ds = g (1 - f) and d/df = g (h_{t-1} - s) follow for all steps at once.
+    """
+    g = np.empty_like(d_h)
+    g_t, d_h_t, f_t = (a.swapaxes(0, -2) for a in (g, d_h, f))  # time-major views
+    carry = 0.0
+    for t in range(len(f_t) - 1, -1, -1):
+        carry = d_h_t[t] + carry
+        g_t[t] = carry
+        carry = carry * f_t[t]
+    first = np.broadcast_to(h_init, h[..., :1, :].shape)
+    h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
+    return g * (1.0 - f), g * (h_prev - s)
 
 
 def _core_backward(
@@ -330,24 +344,24 @@ def _core_backward(
         d_down_s, g_ws = _conv_backward(d_sp, down, params.w_s, cfg.lookback)
         d_down_f, g_wf = _conv_backward(d_fp, down, params.w_f, cfg.lookback)
         grads[f"{prefix}.w_s"] += g_ws
-        grads[f"{prefix}.b_s"] += d_sp.sum(axis=0)
+        grads[f"{prefix}.b_s"] += _rows(d_sp).sum(axis=0)
         grads[f"{prefix}.w_f"] += g_wf
-        grads[f"{prefix}.b_f"] += d_fp.sum(axis=0)
+        grads[f"{prefix}.b_f"] += _rows(d_fp).sum(axis=0)
         return d_down_s + d_down_f
     # retention
     q, k, v = tape.extra["q"], tape.extra["k"], tape.extra["v"]
     decay, pos = tape.extra["decay"], tape.extra["pos"]
     scores = tape.extra["scores"]
-    d_v = scores.T @ d_core
-    d_scores = d_core @ v.T
+    d_v = scores.swapaxes(-1, -2) @ d_core
+    d_scores = d_core @ v.swapaxes(-1, -2)
     d_raw = d_scores * decay
     d_q = d_raw @ k
-    d_k = d_raw.T @ q
+    d_k = d_raw.swapaxes(-1, -2) @ q
     d_q0 = kernels._rotate(d_q, pos, -cfg.theta)
     d_k0 = kernels._rotate(d_k, pos, -cfg.theta)
-    grads[f"{prefix}.w_q"] += down.T @ d_q0
-    grads[f"{prefix}.w_k"] += down.T @ d_k0
-    grads[f"{prefix}.w_v"] += down.T @ d_v
+    grads[f"{prefix}.w_q"] += _rows(down).T @ _rows(d_q0)
+    grads[f"{prefix}.w_k"] += _rows(down).T @ _rows(d_k0)
+    grads[f"{prefix}.w_v"] += _rows(down).T @ _rows(d_v)
     return d_q0 @ params.w_q.T + d_k0 @ params.w_k.T + d_v @ params.w_v.T
 
 
@@ -368,11 +382,11 @@ def _block_backward(
     # adapter: u = x + core @ w_up + b_up
     d_x += d_u
     d_core = d_u @ adapter.w_up.T
-    grads[f"{prefix}.w_up"] += tape.core.T @ d_u
-    grads[f"{prefix}.b_up"] += d_u.sum(axis=0)
+    grads[f"{prefix}.w_up"] += _rows(tape.core).T @ _rows(d_u)
+    grads[f"{prefix}.b_up"] += _rows(d_u).sum(axis=0)
     d_down = _core_backward(d_core, tape, adapter, grads, prefix)
-    grads[f"{prefix}.w_down"] += tape.x.T @ d_down
-    grads[f"{prefix}.b_down"] += d_down.sum(axis=0)
+    grads[f"{prefix}.w_down"] += _rows(tape.x).T @ _rows(d_down)
+    grads[f"{prefix}.b_down"] += _rows(d_down).sum(axis=0)
     d_x += d_down @ adapter.w_down.T
     return d_x
 
@@ -381,8 +395,8 @@ def _score_head_backward(dz: np.ndarray, cache: dict, tau: float) -> np.ndarray:
     out, qn = cache["out"], cache["qn"]
     unorm, s, zero = cache["unorm"], cache["s"], cache["zero"]
     ds = dz / tau
-    uhat = out / unorm[:, None]
-    d_out = ds[:, None] * (qn[None, :] - s[:, None] * uhat) / unorm[:, None]
+    uhat = out / unorm[..., None]
+    d_out = ds[..., None] * (qn[..., None, :] - s[..., None] * uhat) / unorm[..., None]
     d_out[zero] = 0.0
     return d_out
 
@@ -400,34 +414,29 @@ def backward(
 ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
     """Loss over the batch and gradients for every trainable parameter.
 
+    The batch runs forward and backward as one ``[B, T, d]`` tensor, so all
+    windows must share one length T; mixed lengths raise ConfigError.
     Frozen parameters (input map, block sublayers) receive no gradient
     entries. The positive weight is computed over all frames of the batch.
     Raises NumericError naming the parameter if any gradient is non-finite.
     """
     if not batch:
         raise ConfigError("backward needs a non-empty batch")
-    runs = []
-    zs, ys = [], []
-    for ex in batch:
-        out, tapes = _forward_stack(model, np.asarray(ex.embeddings, dtype=float), record=True)
-        s, cache = _cosine_scores(out, np.asarray(ex.query, dtype=float))
-        runs.append((tapes, cache))
-        zs.append(s / model.config.tau_sim)
-        ys.append(np.asarray(ex.labels, dtype=float))
-    z = np.concatenate(zs)
-    y = np.concatenate(ys)
-    lb, dz = _bce_from_logits(z, y, cap)
+    lengths = sorted({n for ex in batch for n in (len(ex.embeddings), len(ex.labels))})
+    if len(lengths) > 1:
+        raise ConfigError(f"backward needs windows of one length, got lengths {lengths}")
+    embeddings = np.stack([np.asarray(ex.embeddings, dtype=float) for ex in batch])
+    labels = np.stack([np.asarray(ex.labels, dtype=float) for ex in batch])
+    query = np.stack([np.asarray(ex.query, dtype=float) for ex in batch])
+    out, tapes = _forward_stack(model, embeddings, record=True)
+    s, cache = _cosine_scores(out, query)
+    lb, dz = _bce_from_logits((s / model.config.tau_sim).ravel(), labels.ravel(), cap)
 
     grads = zero_grads(model)
-    offset = 0
-    for (tapes, cache), ex in zip(runs, batch):
-        n = len(ex.labels)
-        d_out = _score_head_backward(dz[offset : offset + n], cache, model.config.tau_sim)
-        offset += n
-        d_x = d_out
-        for i in range(len(model.blocks) - 1, -1, -1):
-            adapter, block = model.blocks[i]
-            d_x = _block_backward(d_x, tapes[i], adapter, block, grads, f"blocks.{i}")
+    d_x = _score_head_backward(dz.reshape(s.shape), cache, model.config.tau_sim)
+    for i in range(len(model.blocks) - 1, -1, -1):
+        adapter, block = model.blocks[i]
+        d_x = _block_backward(d_x, tapes[i], adapter, block, grads, f"blocks.{i}")
 
     for name, g in grads.items():
         if not np.isfinite(g).all():

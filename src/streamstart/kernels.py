@@ -270,29 +270,33 @@ def causal_conv(
 ) -> np.ndarray:
     """Masked temporal convolution: y_t = sum_j x_{t - lookback + j} @ w[j].
 
-    Positions outside [0, n_t) contribute zero, so the output has the input
-    length. With lookahead = 0 the output at t never reads frames after t.
-    A 2-D filter bank ``[k, d]`` applies depth-wise (per-channel) taps
-    instead of the dense ``[k, d_in, d_out]`` mixing.
+    ``x`` is ``[..., n_t, d_in]``: time on axis -2, any leading axes batch
+    independent sequences. Positions outside [0, n_t) contribute zero, so
+    the output has the input length. With lookahead = 0 the output at t
+    never reads frames after t. A 2-D filter bank ``[k, d]`` applies
+    depth-wise (per-channel) taps instead of the dense ``[k, d_in, d_out]``
+    mixing.
     """
     k = w.shape[0]
     if lookback + lookahead != k - 1:
         raise ConfigError(f"lookback + lookahead must equal k - 1 = {k - 1}")
     depthwise = w.ndim == 2
-    n = x.shape[0]
+    n = x.shape[-2]
+    sequences = math.prod(x.shape[:-2])
     d_out = w.shape[1] if depthwise else w.shape[2]
-    y = np.zeros((n, d_out), dtype=np.result_type(x, w))
+    y = np.zeros(x.shape[:-1] + (d_out,), dtype=np.result_type(x, w))
     for j in range(k):
         off = j - lookback  # tap j reads x[t + off]
         lo = max(0, -off)
         hi = min(n, n - off)
         if lo < hi:
+            y_j = y[..., lo:hi, :]  # a view: in-place adds skip an indexed store
             if depthwise:
-                y[lo:hi] += x[lo + off : hi + off] * w[j]
-                _count((hi - lo) * d_out)
+                y_j += x[..., lo + off : hi + off, :] * w[j]
+                _count(sequences * (hi - lo) * d_out)
             else:
-                y[lo:hi] += x[lo + off : hi + off] @ w[j]
-                _count((hi - lo) * w.shape[1] * d_out)
+                y_j += x[..., lo + off : hi + off, :] @ w[j]
+                _count(sequences * (hi - lo) * w.shape[1] * d_out)
     if bias is not None:
         y = y + bias
     return y
@@ -301,18 +305,25 @@ def causal_conv(
 def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gated recurrent pooling h_t = f_t * h_{t-1} + (1 - f_t) * s_t.
 
-    Returns the full output sequence and the final hidden state. Gates must
-    lie strictly inside (0, 1).
+    ``s`` and ``f`` are ``[..., n_t, d]``: time on axis -2, any leading axes
+    batch independent sequences, and ``h_init`` broadcasts against one time
+    step. Returns the full output sequence and the final hidden state.
+    Gates must lie strictly inside (0, 1); a non-finite input is reported
+    as such.
     """
     if s.shape != f.shape:
         raise ConfigError(f"s and f must share a shape, got {s.shape} vs {f.shape}")
     if f.size and not ((f > 0.0).all() and (f < 1.0).all()):
+        if not (np.isfinite(f).all() and np.isfinite(s).all()):
+            raise NumericError("fo_pool inputs are not finite (a non-finite frame or parameter upstream)")
         raise NumericError("fo_pool gates must lie strictly in (0, 1)")
     h = np.empty_like(s, dtype=float)
+    # time-major views, so each step is a plain index
+    f_t, drive_t, h_t = (a.swapaxes(0, -2) for a in (f, (1.0 - f) * s, h))
     prev = np.asarray(h_init, dtype=float)
-    for t in range(s.shape[0]):
-        prev = f[t] * prev + (1.0 - f[t]) * s[t]
-        h[t] = prev
+    for t in range(len(f_t)):
+        prev = f_t[t] * prev + drive_t[t]
+        h_t[t] = prev
     _count(2 * s.size)
     return h, prev
 
@@ -346,25 +357,22 @@ def _rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     """Rotate consecutive channel pairs of each row by position * theta.
 
     Real-valued realization of the complex positional factor e^{i n theta};
-    an odd final channel is left unrotated.
+    an odd final channel is left unrotated. ``x`` is ``[..., n_t, d]`` with
+    one position per time step (axis -2), or a single row ``[d]`` with a
+    scalar position; any further leading axes share the positions.
     """
-    out = x.astype(float).copy()
+    out = x.astype(float)
     d = x.shape[-1]
     pairs = d // 2
     if pairs == 0 or theta == 0.0:
         return out
     ang = np.asarray(positions, dtype=float) * theta
     c, s = np.cos(ang), np.sin(ang)
-    if x.ndim == 1:
-        c, s = float(c), float(s)
-        a, b = x[0 : 2 * pairs : 2].copy(), x[1 : 2 * pairs : 2].copy()
-        out[0 : 2 * pairs : 2] = c * a - s * b
-        out[1 : 2 * pairs : 2] = s * a + c * b
-        return out
-    a = x[:, 0 : 2 * pairs : 2].copy()
-    b = x[:, 1 : 2 * pairs : 2].copy()
-    out[:, 0 : 2 * pairs : 2] = c[:, None] * a - s[:, None] * b
-    out[:, 1 : 2 * pairs : 2] = s[:, None] * a + c[:, None] * b
+    if ang.ndim:
+        c, s = c[:, None], s[:, None]
+    a, b = x[..., 0 : 2 * pairs : 2], x[..., 1 : 2 * pairs : 2]
+    out[..., 0 : 2 * pairs : 2] = c * a - s * b
+    out[..., 1 : 2 * pairs : 2] = s * a + c * b
     return out
 
 
@@ -390,7 +398,7 @@ def retention_parallel(
     cfg = params.config
     gamma = cfg.gamma if gamma is None else gamma
     theta = cfg.theta if theta is None else theta
-    n = x.shape[0]
+    n = x.shape[-2]
     cap = stability_cap
     if cap is None and np.asarray(x).dtype == np.float32:
         cap = SINGLE_PRECISION_CAP
@@ -403,8 +411,9 @@ def retention_parallel(
     q = _rotate(x @ params.w_q, pos, theta)
     k = _rotate(x @ params.w_k, pos, theta)
     v = x @ params.w_v
-    scores = (q @ k.T) * decay_matrix(n, gamma)
-    _count(3 * n * x.shape[1] * cfg.d_prime + 2 * n * n * cfg.d_prime)
+    scores = (q @ k.swapaxes(-1, -2)) * decay_matrix(n, gamma)
+    sequences = math.prod(x.shape[:-2])
+    _count(sequences * (3 * n * x.shape[-1] * cfg.d_prime + 2 * n * n * cfg.d_prime))
     return scores @ v
 
 
@@ -613,29 +622,37 @@ def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
+    """Config and arrays of a checkpoint; a truncated file or bytes after
+    the last array raise ConfigError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
     off = 4
-    (version,) = struct.unpack_from("<I", raw, off)
-    off += 4
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(raw):
+            raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {off + size}")
+        chunk = raw[off : off + size]
+        off += size
+        return chunk
+
+    def u32s(count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    (version,) = u32s(1)
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"unsupported checkpoint version {version}")
-    (blob_len,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    config = json.loads(raw[off : off + blob_len].decode("utf-8"))
-    off += blob_len
-    (n_arrays,) = struct.unpack_from("<I", raw, off)
-    off += 4
+    (blob_len,) = u32s(1)
+    config = json.loads(take(blob_len).decode("utf-8"))
+    (n_arrays,) = u32s(1)
     arrays = []
     for _ in range(n_arrays):
-        (rank,) = struct.unpack_from("<I", raw, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}I", raw, off)
-        off += 4 * rank
-        size = int(np.prod(shape)) if rank else 1
-        arr = np.frombuffer(raw, dtype="<f4", count=size, offset=off).reshape(shape)
-        off += 4 * size
+        (rank,) = u32s(1)
+        shape = u32s(rank)
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
         arrays.append(arr.astype(float))
+    if off != len(raw):
+        raise ConfigError(f"{path} has {len(raw) - off} trailing bytes after its last array")
     return config, arrays

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IdMismatchError, SchemaError
+from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
 
 MODES = ("rising_edge", "every_frame")
 
@@ -59,7 +59,14 @@ class ScoreSeries:
             raise ConfigError(f"fps must be positive, got {self.fps}")
         if scores.ndim != 1:
             raise ConfigError(f"scores must be 1-D, got shape {scores.shape}")
-        if scores.size and (scores.min() < 0.0 or scores.max() > 1.0):
+        # NaN fails both comparisons, so finiteness is only diagnosed on failure
+        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
+            bad = int((~np.isfinite(scores)).sum())
+            if bad:
+                raise NumericError(
+                    f"scores of ({self.video_uid}, {self.query_id}) must be finite, "
+                    f"got {bad} non-finite value(s)"
+                )
             raise ConfigError("scores must lie in [0, 1]")
 
     @property

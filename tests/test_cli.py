@@ -147,6 +147,38 @@ class TestTrainScoreEval:
         for adapter, _ in model.blocks:
             assert not adapter.w_up.any()
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:-3], "truncated"),
+        (lambda raw: raw + b"\x00" * 8, "trailing bytes"),
+    ])
+    def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
+        corpus, run, _ = pipeline
+        bad = tmp_path / "bad.sdqk"
+        bad.write_bytes(damage((run / "checkpoint.sdqk").read_bytes()))
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+
+    def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
+        corpus, _, scores = pipeline
+        copied = tmp_path / "scores"
+        copied.mkdir()
+        for i, path in enumerate(sorted((scores / "scores").glob("*.csv"))):
+            text = path.read_text()
+            if i == 0:
+                header, first, *rest = text.splitlines()
+                text = "\n".join([header, first.rsplit(",", 1)[0] + ",nan", *rest]) + "\n"
+            (copied / path.name).write_text(text)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
+                       "--split", "val"])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "finite" in err and err.count("\n") == 1
+
     def test_unknown_flag_exit_config(self):
         assert cli.main(["eval", "--nope"]) == cli.EXIT_CONFIG
 

@@ -197,6 +197,49 @@ class TestBackward:
             backward(model, tiny_batch(8))
 
 
+class TestBatchAxis:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_shared_labels_batch_is_mean_of_windows(self, kind):
+        # with one label vector the positive weight is the same for the batch
+        # and for each window, so the batch loss and gradients are the mean of
+        # the single-window ones; anything mixing windows breaks the equality
+        model = oracles.randomize_adapters(tiny_model(kind), seed=50)
+        rng = np.random.default_rng(51)
+        labels = np.array([0, 0, 1, 1, 1, 0, 0], dtype=bool)
+        batch = [
+            TrainingExample(embeddings=rng.normal(size=(7, 8)), labels=labels, query=rng.normal(size=8))
+            for _ in range(4)
+        ]
+        grads, lb = backward(model, batch)
+        singles = [backward(model, [ex]) for ex in batch]
+        assert lb.total == pytest.approx(np.mean([l.total for _, l in singles]), rel=1e-12)
+        for name, g in grads.items():
+            mean = np.mean([g1[name] for g1, _ in singles], axis=0)
+            assert np.abs(g - mean).max() <= 1e-12 * max(1.0, np.abs(mean).max()), name
+
+    def test_mixed_window_lengths_rejected(self):
+        batch = tiny_batch(52, n=6) + tiny_batch(53, n=5)
+        with pytest.raises(ConfigError, match=r"lengths \[5, 6\]") as err:
+            backward(tiny_model("qrnn"), batch)
+        assert "\n" not in str(err.value)
+
+
+class TestNonFiniteInput:
+    def test_qrnn_nan_frame_scored(self):
+        model = oracles.randomize_adapters(tiny_model("qrnn"), seed=54)
+        frames = np.random.default_rng(55).normal(size=(6, 8))
+        frames[3, 2] = np.nan
+        with pytest.raises(NumericError, match="not finite"):
+            score_frames(model, frames, np.ones(8))
+
+    def test_qrnn_nan_frame_in_backward(self):
+        model = oracles.randomize_adapters(tiny_model("qrnn"), seed=56)
+        batch = tiny_batch(57)
+        batch[1].embeddings[2, 0] = np.nan
+        with pytest.raises(NumericError, match="not finite"):
+            backward(model, batch)
+
+
 class TestTrain:
     def test_zero_steps_identical(self):
         model = tiny_model("qrnn")

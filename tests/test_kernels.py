@@ -176,6 +176,65 @@ class TestFoPool:
             assert np.abs(h).max() <= bound + 1e-12
 
 
+def counted(fn, *args):
+    """Result of fn(*args) and the MACs it executed."""
+    counter = OpCounter()
+    kernels.set_op_counter(counter)
+    try:
+        return fn(*args), counter.total
+    finally:
+        kernels.set_op_counter(None)
+
+
+class TestBatchAxes:
+    """Leading axes batch independent sequences: slice b of a [B, T, d] call
+    equals the [T, d] call on slice b, and the executed MACs scale by B."""
+
+    B = 3
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("lookback, lookahead", [(2, 0), (1, 1)])
+    def test_causal_conv(self, depthwise, lookback, lookahead):
+        rng = np.random.default_rng(60)
+        x = rng.normal(size=(self.B, 7, 4))
+        w = rng.normal(size=(3, 4) if depthwise else (3, 4, 5))
+        bias = rng.normal(size=w.shape[-1])
+        y, macs = counted(causal_conv, x, w, lookback, lookahead, bias)
+        for b in range(self.B):
+            y_b, macs_b = counted(causal_conv, x[b], w, lookback, lookahead, bias)
+            assert np.array_equal(y[b], y_b)
+        assert macs == self.B * macs_b > 0
+
+    def test_fo_pool(self):
+        rng = np.random.default_rng(61)
+        s = rng.normal(size=(self.B, 9, 4))
+        f = rng.uniform(0.05, 0.95, size=s.shape)
+        h_init = rng.normal(size=(self.B, 4))
+        (h, last), macs = counted(fo_pool, s, f, h_init)
+        for b in range(self.B):
+            (h_b, last_b), macs_b = counted(fo_pool, s[b], f[b], h_init[b])
+            assert np.array_equal(h[b], h_b)
+            assert np.array_equal(last[b], last_b)
+        assert macs == self.B * macs_b > 0
+
+    def test_retention_parallel(self):
+        p = randomized(init_params(AdapterConfig(d=6, d_prime=6, kind="retention"), 0), seed=62)
+        x = np.random.default_rng(63).normal(size=(self.B, 8, 6))
+        out, macs = counted(retention_parallel, x, p)
+        for b in range(self.B):
+            out_b, macs_b = counted(retention_parallel, x[b], p)
+            assert np.array_equal(out[b], out_b)
+        assert macs == self.B * macs_b > 0
+
+    def test_rotate(self):
+        x = np.random.default_rng(64).normal(size=(self.B, 5, 7))  # odd width: last channel kept
+        pos = np.arange(5) + 3
+        out = kernels._rotate(x, pos, 0.3)
+        for b in range(self.B):
+            assert np.array_equal(out[b], kernels._rotate(x[b], pos, 0.3))
+        assert np.array_equal(out[..., -1], x[..., -1])
+
+
 class TestQrnn:
     def test_chunked_equals_batch(self):
         rng = np.random.default_rng(11)
@@ -457,6 +516,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.sdqk"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ConfigError, match="magic"):
+            kernels.read_checkpoint(path)
+
+    def test_truncated_rejected(self, tmp_path):
+        path = tmp_path / "m.sdqk"
+        kernels.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
+        raw = path.read_bytes()
+        for cut in (6, len(raw) - 4, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ConfigError, match="truncated"):
+                kernels.read_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "m.sdqk"
+        kernels.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
+        path.write_bytes(path.read_bytes() + b"\x00" * 4)
+        with pytest.raises(ConfigError, match="4 trailing bytes"):
             kernels.read_checkpoint(path)
 
     def test_magic_bytes(self, tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamstart import metrics
-from streamstart.errors import ConfigError, IdMismatchError
+from streamstart.errors import ConfigError, IdMismatchError, NumericError
 from streamstart.metrics import ScoreSeries, ToleranceWindow
 
 import oracles
@@ -299,6 +299,11 @@ class TestValidation:
     def test_scores_outside_unit_interval(self):
         with pytest.raises(ConfigError):
             series([1.2, 0.3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores(self, bad):
+        with pytest.raises(NumericError, match="finite"):
+            series([0.2, bad])
 
     def test_negative_window(self):
         with pytest.raises(ConfigError):
