@@ -220,8 +220,6 @@ def bench_latency(
     times, excluding the first `warmup` frames from the summary statistics,
     then re-scores the last `window` frames per arrival on the same weights.
     Benchmarks are single-worker and must not run concurrently in-process.
-    If timer resolution is too coarse for single frames, timing is amortized
-    over small batches of frames.
     """
     global _BENCH_ACTIVE
     if _BENCH_ACTIVE:
@@ -245,26 +243,6 @@ def bench_latency(
             runs.append(times)
 
         timed = np.concatenate([r[warmup:] for r in runs])
-        resolution = _timer_resolution()
-        amortized = False
-        if np.median(timed) < 10.0 * resolution:
-            # per-frame intervals too close to timer resolution: report
-            # per-batch amortized times instead
-            amortized = True
-            batch = 16
-            runs = []
-            for _ in range(repetitions):
-                scorer = StreamingScorer(model, query)
-                times = np.empty(n_frames)
-                for start in range(0, n_frames, batch):
-                    stop = min(n_frames, start + batch)
-                    t0 = time.perf_counter_ns()
-                    for i in range(start, stop):
-                        scorer.push(frames[i])
-                    per = (time.perf_counter_ns() - t0) / 1e9 / (stop - start)
-                    times[start:stop] = per
-                runs.append(times)
-            timed = np.concatenate([r[warmup:] for r in runs])
 
         # sliding-window baseline: every arrival re-runs the single-frame model
         # over the last `window` frames from a fresh state, so each arrival
@@ -285,7 +263,6 @@ def bench_latency(
             "repetitions": repetitions,
             "warmup": warmup,
             "window": window,
-            "amortized": amortized,
             "streaming": {
                 "mean": float(np.mean(timed)),
                 "p50": float(np.percentile(timed, 50)),
@@ -318,13 +295,3 @@ def frame_time_at(result: dict, frame: int, halfwidth: int = 5) -> float:
         per_rep.append(float(np.median(times[lo:hi])))
     return min(per_rep)
 
-
-def _timer_resolution() -> float:
-    deltas = []
-    for _ in range(50):
-        a = time.perf_counter_ns()
-        b = time.perf_counter_ns()
-        while b == a:
-            b = time.perf_counter_ns()
-        deltas.append(b - a)
-    return float(np.min(deltas)) / 1e9

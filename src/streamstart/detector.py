@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, NumericError
-from .kernels import AdapterConfig, AdapterParams, BlockParams, gelu, gelu_grad, sigmoid
+from .kernels import AdapterConfig, AdapterParams, BlockParams, gelu_grad, sigmoid
 from .metrics import ScoreSeries
 
 logger = logging.getLogger(__name__)
@@ -126,64 +126,17 @@ def build_model(config: ModelConfig) -> DetectorModel:
     return DetectorModel(config=config, w_in=w_in, b_in=b_in, blocks=blocks)
 
 
-# -- forward with optional tape -------------------------------------------------
-
-
-@dataclass
-class _BlockTape:
-    x: np.ndarray
-    down: np.ndarray
-    core: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    h1_pre: np.ndarray
-    extra: dict
-
-
-def _core_forward_tape(down: np.ndarray, params: AdapterParams) -> tuple[np.ndarray, dict]:
-    """Core forward over ``[..., T, d']`` with the intermediates backward needs."""
-    cfg = params.config
-    if cfg.kind == "vanilla":
-        return gelu(down), {}
-    if cfg.kind == "st_conv":
-        return kernels.causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead), {}
-    if cfg.kind == "qrnn":
-        sp = kernels.causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead, params.b_s)
-        fp = kernels.causal_conv(down, params.w_f, cfg.lookback, cfg.lookahead, params.b_f)
-        s = np.tanh(sp)
-        f = np.clip(sigmoid(fp), 1e-15, 1.0 - 1e-15)
-        h, _ = kernels.fo_pool(s, f, np.zeros(cfg.d_prime))
-        return h, {"s": s, "f": f, "h": h}
-    # retention (parallel form)
-    n = down.shape[-2]
-    pos = np.arange(n)
-    q = kernels._rotate(down @ params.w_q, pos, cfg.theta)
-    k = kernels._rotate(down @ params.w_k, pos, cfg.theta)
-    v = down @ params.w_v
-    decay = kernels.decay_matrix(n, cfg.gamma)
-    scores = (q @ k.swapaxes(-1, -2)) * decay
-    return scores @ v, {"q": q, "k": k, "v": v, "decay": decay, "scores": scores, "pos": pos}
-
-
-def _block_forward_tape(
-    x: np.ndarray, adapter: AdapterParams, block: BlockParams
-) -> tuple[np.ndarray, _BlockTape]:
-    down = x @ adapter.w_down + adapter.b_down
-    core, extra = _core_forward_tape(down, adapter)
-    u = x + core @ adapter.w_up + adapter.b_up
-    v = u @ block.w_sp + block.b_sp + x
-    h1_pre = v @ block.w1 + block.b1
-    out = gelu(h1_pre) @ block.w2 + block.b2 + v
-    return out, _BlockTape(x=x, down=down, core=core, u=u, v=v, h1_pre=h1_pre, extra=extra)
+# -- forward ------------------------------------------------------------------
 
 
 def _forward_stack(model: DetectorModel, embeddings: np.ndarray, record: bool = False):
+    """Batch-mode stack output ``[..., T, d]``, and one tape per block if ``record``."""
     x = embeddings @ model.w_in + model.b_in
     tapes = []
     for adapter, block in model.blocks:
-        x, tape = _block_forward_tape(x, adapter, block)
-        if record:
-            tapes.append(tape)
+        tape = {} if record else None
+        x, _ = kernels.block_forward(x, adapter, block, tape=tape)
+        tapes.append(tape)
     return x, tapes
 
 
@@ -326,10 +279,10 @@ def _fo_pool_backward(
 
 
 def _core_backward(
-    d_core: np.ndarray, tape: _BlockTape, params: AdapterParams, grads: dict, prefix: str
+    d_core: np.ndarray, tape: dict, params: AdapterParams, grads: dict, prefix: str
 ) -> np.ndarray:
     cfg = params.config
-    down = tape.down
+    down = tape["down"]
     if cfg.kind == "vanilla":
         return d_core * gelu_grad(down)
     if cfg.kind == "st_conv":
@@ -337,7 +290,7 @@ def _core_backward(
         grads[f"{prefix}.w_s"] += g_w
         return d_down
     if cfg.kind == "qrnn":
-        s, f, h = tape.extra["s"], tape.extra["f"], tape.extra["h"]
+        s, f, h = tape["s"], tape["f"], tape["core"]
         d_s, d_f = _fo_pool_backward(d_core, s, f, h, np.zeros(cfg.d_prime))
         d_sp = d_s * (1.0 - s * s)
         d_fp = d_f * f * (1.0 - f)
@@ -349,9 +302,8 @@ def _core_backward(
         grads[f"{prefix}.b_f"] += _rows(d_fp).sum(axis=0)
         return d_down_s + d_down_f
     # retention
-    q, k, v = tape.extra["q"], tape.extra["k"], tape.extra["v"]
-    decay, pos = tape.extra["decay"], tape.extra["pos"]
-    scores = tape.extra["scores"]
+    q, k, v = tape["q"], tape["k"], tape["v"]
+    decay, pos, scores = tape["decay"], tape["pos"], tape["scores"]
     d_v = scores.swapaxes(-1, -2) @ d_core
     d_scores = d_core @ v.swapaxes(-1, -2)
     d_raw = d_scores * decay
@@ -367,14 +319,14 @@ def _core_backward(
 
 def _block_backward(
     d_out: np.ndarray,
-    tape: _BlockTape,
+    tape: dict,
     adapter: AdapterParams,
     block: BlockParams,
     grads: dict,
     prefix: str,
 ) -> np.ndarray:
     d_hidden = d_out @ block.w2.T
-    d_h1 = d_hidden * gelu_grad(tape.h1_pre)
+    d_h1 = d_hidden * gelu_grad(tape["h1_pre"])
     d_v = d_out + d_h1 @ block.w1.T
     d_u = d_v @ block.w_sp.T
     d_x = d_v.copy()
@@ -382,10 +334,10 @@ def _block_backward(
     # adapter: u = x + core @ w_up + b_up
     d_x += d_u
     d_core = d_u @ adapter.w_up.T
-    grads[f"{prefix}.w_up"] += _rows(tape.core).T @ _rows(d_u)
+    grads[f"{prefix}.w_up"] += _rows(tape["core"]).T @ _rows(d_u)
     grads[f"{prefix}.b_up"] += _rows(d_u).sum(axis=0)
     d_down = _core_backward(d_core, tape, adapter, grads, prefix)
-    grads[f"{prefix}.w_down"] += _rows(tape.x).T @ _rows(d_down)
+    grads[f"{prefix}.w_down"] += _rows(tape["x"]).T @ _rows(d_down)
     grads[f"{prefix}.b_down"] += _rows(d_down).sum(axis=0)
     d_x += d_down @ adapter.w_down.T
     return d_x
@@ -593,11 +545,15 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
         },
         "array_order": _array_order(model),
     }
+    kernels.write_checkpoint(path, config, _model_arrays(model))
+
+
+def _model_arrays(model: DetectorModel) -> list[np.ndarray]:
     arrays = [model.w_in, model.b_in]
     for adapter_params, block in model.blocks:
         arrays.extend(adapter_params.arrays().values())
         arrays.extend(block.arrays().values())
-    kernels.write_checkpoint(path, config, arrays)
+    return arrays
 
 
 def _array_order(model: DetectorModel) -> list[str]:
@@ -609,6 +565,8 @@ def _array_order(model: DetectorModel) -> list[str]:
 
 
 def load_model(path: str | Path) -> DetectorModel:
+    """Model of a checkpoint; an array count or shape that does not fit its
+    config raises ConfigError."""
     raw_config, arrays = kernels.read_checkpoint(path)
     adapter_cfg = AdapterConfig(**raw_config["adapter"])
     config = ModelConfig(
@@ -620,9 +578,15 @@ def load_model(path: str | Path) -> DetectorModel:
         tau_sim=raw_config["tau_sim"],
         seed=raw_config["seed"],
     )
+    template = build_model(config)
+    expected = _model_arrays(template)
+    if len(arrays) != len(expected):
+        raise ConfigError(f"{path} holds {len(arrays)} arrays, its config needs {len(expected)}")
+    for name, got, want in zip(_array_order(template), arrays, expected):
+        if got.shape != want.shape:
+            raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
     it = iter(arrays)
     w_in, b_in = next(it), next(it)
-    template = build_model(config)
     blocks = []
     for adapter_params, block in template.blocks:
         adapter_updates = {name: next(it) for name in adapter_params.arrays()}

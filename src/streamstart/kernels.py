@@ -1,8 +1,9 @@
 """Streaming temporal-aggregation kernels with carried recurrent state.
 
 Four adapter kinds share a down-project / core / up-project / residual
-layout over sequences shaped ``[n_t, d]`` (one tubelet; callers fold any
-patch dimensions into the batch):
+layout over sequences shaped ``[..., n_t, d]`` (time on axis -2; leading
+axes batch independent sequences, and callers fold any patch dimensions
+into them):
 
 * ``vanilla``   - pointwise GELU, no temporal mixing
 * ``st_conv``   - masked (causal) temporal convolution
@@ -10,10 +11,13 @@ patch dimensions into the batch):
 * ``retention`` - decayed linear attention with equivalent parallel and
   recurrent forms
 
-Each temporal kind carries a small fixed-size ``StreamState`` so that a
-sequence processed in chunks produces outputs identical to a single pass,
-at constant per-frame cost. Up-projections are zero-initialized, so a
-freshly initialized adapter is exactly the identity.
+One forward serves every caller. Batch mode (no state) runs whole
+sequences from a fresh start and can record a tape of the intermediates
+that the trainer's backward reads. Streaming mode takes one stream
+``[n_t, d]`` and a small fixed-size ``StreamState``, so that a sequence
+processed in chunks produces outputs identical to a single pass, at
+constant per-frame cost. Up-projections are zero-initialized, so a freshly
+initialized adapter is exactly the identity.
 """
 
 from __future__ import annotations
@@ -267,6 +271,7 @@ def causal_conv(
     lookback: int,
     lookahead: int = 0,
     bias: np.ndarray | None = None,
+    context: np.ndarray | None = None,
 ) -> np.ndarray:
     """Masked temporal convolution: y_t = sum_j x_{t - lookback + j} @ w[j].
 
@@ -276,6 +281,11 @@ def causal_conv(
     never reads frames after t. A 2-D filter bank ``[k, d]`` applies
     depth-wise (per-channel) taps instead of the dense ``[k, d_in, d_out]``
     mixing.
+
+    ``context`` ``[..., c, d_in]`` holds the rows just before ``x[0]`` (a
+    stream's carried buffer). The taps read them, but they get no output
+    row: the result is the last n_t rows of the convolution over
+    ``[context; x]``, and only those rows are computed and counted.
     """
     k = w.shape[0]
     if lookback + lookahead != k - 1:
@@ -283,12 +293,15 @@ def causal_conv(
     depthwise = w.ndim == 2
     n = x.shape[-2]
     sequences = math.prod(x.shape[:-2])
+    c = 0 if context is None else context.shape[-2]
+    if c:
+        x = np.concatenate([context, x], axis=-2)
     d_out = w.shape[1] if depthwise else w.shape[2]
-    y = np.zeros(x.shape[:-1] + (d_out,), dtype=np.result_type(x, w))
+    y = np.zeros(x.shape[:-2] + (n, d_out), dtype=np.result_type(x, w))
     for j in range(k):
-        off = j - lookback  # tap j reads x[t + off]
+        off = c + j - lookback  # tap j reads output row t from x[t + off]
         lo = max(0, -off)
-        hi = min(n, n - off)
+        hi = min(n, c + n - off)
         if lo < hi:
             y_j = y[..., lo:hi, :]  # a view: in-place adds skip an indexed store
             if depthwise:
@@ -328,29 +341,46 @@ def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarra
     return h, prev
 
 
+def _carry(buffer: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The conv context after ``x``: the last ``len(buffer)`` rows of ``[buffer; x]``,
+    copied so that the state does not keep the whole chunk alive."""
+    return np.concatenate([buffer, x])[len(x) :].copy()
+
+
 def qrnn_forward(
-    x: np.ndarray, params: AdapterParams, state: QrnnState
-) -> tuple[np.ndarray, QrnnState]:
+    x: np.ndarray,
+    params: AdapterParams,
+    state: QrnnState | None = None,
+    tape: dict | None = None,
+) -> tuple[np.ndarray, QrnnState | None]:
     """Reduced-dim QRNN core: gated pooling of tanh'd causal convolutions.
 
-    ``s = tanh(W_s * x)`` and ``f = sigmoid(W_f * x)`` share one ring buffer
-    of left context; the carried hidden state seeds the pooling recurrence.
+    ``s = tanh(W_s * x)`` and ``f = sigmoid(W_f * x)``. With ``state=None``
+    whole sequences ``[..., n_t, d']`` run from a zero hidden state and no
+    state is returned. A ``QrnnState`` continues one stream: its buffer is
+    the left context of both convolutions and its hidden state seeds the
+    pooling recurrence. A ``tape`` receives the pooling inputs ``s`` and ``f``.
     """
-    if not isinstance(state, QrnnState):
-        raise ConfigError(f"qrnn_forward needs a QrnnState, got {type(state).__name__}")
     cfg = params.config
-    if cfg.lookahead != 0:
-        raise ConfigError("streaming qrnn requires lookahead = 0")
-    ctx = np.vstack([state.buffer, x]) if cfg.k > 1 else x
-    skip = state.buffer.shape[0]
-    s = np.tanh(causal_conv(ctx, params.w_s, cfg.lookback, 0, params.b_s)[skip:])
-    f = sigmoid(causal_conv(ctx, params.w_f, cfg.lookback, 0, params.b_f)[skip:])
+    if state is None:
+        context, h_init = None, np.zeros(cfg.d_prime)
+    else:
+        if not isinstance(state, QrnnState):
+            raise ConfigError(f"qrnn_forward needs a QrnnState, got {type(state).__name__}")
+        if cfg.lookahead != 0:
+            raise ConfigError("streaming qrnn requires lookahead = 0")
+        context, h_init = state.buffer, state.h
+    s = np.tanh(causal_conv(x, params.w_s, cfg.lookback, cfg.lookahead, params.b_s, context))
+    f = sigmoid(causal_conv(x, params.w_f, cfg.lookback, cfg.lookahead, params.b_f, context))
     # sigmoid output saturating to float 0/1 is a rounding artifact; keep the
     # gates inside the open interval fo_pool requires
     f = np.clip(f, 1e-15, 1.0 - 1e-15)
-    h, h_last = fo_pool(s, f, state.h)
-    new_buffer = ctx[len(ctx) - skip :] if skip else state.buffer
-    return h, QrnnState(buffer=new_buffer.copy(), h=h_last)
+    h, h_last = fo_pool(s, f, h_init)
+    if tape is not None:
+        tape.update(s=s, f=f)
+    if state is None:
+        return h, None
+    return h, QrnnState(buffer=_carry(state.buffer, x), h=h_last)
 
 
 def _rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -389,11 +419,13 @@ def retention_parallel(
     theta: float | None = None,
     pos_offset: int = 0,
     stability_cap: int | None = None,
+    tape: dict | None = None,
 ) -> np.ndarray:
     """Parallel-form retention: ((Q K^T) . D) V with rotated Q, K.
 
     Exact peer of the recurrent form. Single-precision inputs longer than
     the stability cap are refused; use chunked/recurrent processing instead.
+    A ``tape`` receives ``q``, ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
     gamma = cfg.gamma if gamma is None else gamma
@@ -411,22 +443,13 @@ def retention_parallel(
     q = _rotate(x @ params.w_q, pos, theta)
     k = _rotate(x @ params.w_k, pos, theta)
     v = x @ params.w_v
-    scores = (q @ k.swapaxes(-1, -2)) * decay_matrix(n, gamma)
+    decay = decay_matrix(n, gamma)
+    scores = (q @ k.swapaxes(-1, -2)) * decay
     sequences = math.prod(x.shape[:-2])
     _count(sequences * (3 * n * x.shape[-1] * cfg.d_prime + 2 * n * n * cfg.d_prime))
+    if tape is not None:
+        tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
     return scores @ v
-
-
-def _retention_final_state(
-    x: np.ndarray, params: AdapterParams, gamma: float, theta: float, pos_offset: int
-) -> RetentionState:
-    n = x.shape[0]
-    pos = pos_offset + np.arange(n)
-    k = _rotate(x @ params.w_k, pos, theta)
-    v = x @ params.w_v
-    weights = gamma ** np.arange(n - 1, -1, -1, dtype=float)
-    s = (k * weights[:, None]).T @ v
-    return RetentionState(s=s, n=pos_offset + n)
 
 
 def retention_recurrent(
@@ -463,71 +486,61 @@ def receptive_field(m: int, k: int) -> int:
 # -- adapter ------------------------------------------------------------------
 
 
-def _conv_core(
-    x: np.ndarray, params: AdapterParams, state: ConvState
-) -> tuple[np.ndarray, ConvState]:
-    cfg = params.config
-    if cfg.lookahead != 0:
-        raise ConfigError("streaming st_conv requires lookahead = 0")
-    ctx = np.vstack([state.buffer, x]) if cfg.k > 1 else x
-    skip = state.buffer.shape[0]
-    y = causal_conv(ctx, params.w_s, cfg.lookback, 0)[skip:]
-    new_buffer = ctx[len(ctx) - skip :] if skip else state.buffer
-    return y, ConvState(buffer=new_buffer.copy())
-
-
 def adapter_forward(
-    x: np.ndarray, params: AdapterParams, state: StreamState | None = None
+    x: np.ndarray,
+    params: AdapterParams,
+    state: StreamState | None = None,
+    tape: dict | None = None,
 ) -> tuple[np.ndarray, StreamState | None]:
     """Residual adapter: y = x + Up(core(Down(x))).
 
-    ``state=None`` runs in batch mode over the whole sequence (a fresh
-    stream); passing the returned state continues the same stream, and any
-    partition into chunks reproduces the batch output. A freshly
-    initialized adapter returns ``x`` unchanged.
+    ``state=None`` runs in batch mode: ``x`` is ``[..., n, d]``, every
+    sequence starts fresh, and the returned state is None. Passing a state
+    runs in streaming mode on one stream ``[n, d]`` and returns the state
+    that continues it; any partition into chunks reproduces the batch
+    output. A ``tape`` (batch mode only) receives ``x``, ``down`` and
+    ``core`` plus the core's own intermediates, which is what the trainer's
+    backward reads. A freshly initialized adapter returns ``x`` unchanged.
     """
     cfg = params.config
-    if x.ndim != 2 or x.shape[1] != cfg.d:
-        raise ConfigError(f"input must be [n, d={cfg.d}], got shape {x.shape}")
     streaming = state is not None
+    if x.ndim < 2 or x.shape[-1] != cfg.d or (streaming and x.ndim != 2):
+        shape = "[n, d]" if streaming else "[..., n, d]"
+        raise ConfigError(f"input must be {shape} with d={cfg.d}, got shape {x.shape}")
     if streaming:
         _check_state(cfg, state)
         if cfg.lookahead != 0:
             raise ConfigError("streaming mode requires lookahead = 0")
-    else:
-        if cfg.kind != "vanilla" and cfg.lookahead == 0:
-            state = fresh_state(cfg)
+        if tape is not None:
+            raise ConfigError("a tape records batch mode only")
+    frames = math.prod(x.shape[:-1])
 
     down = x @ params.w_down + params.b_down
-    _count(x.shape[0] * cfg.d * cfg.d_prime)
+    _count(frames * cfg.d * cfg.d_prime)
 
-    new_state: StreamState | None = state
+    new_state = state
     if cfg.kind == "vanilla":
         core = gelu(down)
-        new_state = VanillaState() if streaming else state
     elif cfg.kind == "st_conv":
-        if state is None:  # batch with lookahead > 0: no carried state
-            core = causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead)
-            new_state = None
-        else:
-            core, new_state = _conv_core(down, params, state)
-    elif cfg.kind == "qrnn":
-        core, new_state = qrnn_forward(down, params, state)
-    else:  # retention
+        context = state.buffer if streaming else None
+        core = causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead, context=context)
         if streaming:
-            rows = []
-            st = state
-            for t in range(down.shape[0]):
-                out, st = retention_recurrent(down[t], params, state=st)
-                rows.append(out)
-            core = np.stack(rows) if rows else down[:0]
-            new_state = st
-        else:
-            core = retention_parallel(params=params, x=down)
-            new_state = _retention_final_state(down, params, cfg.gamma, cfg.theta, 0)
+            new_state = ConvState(buffer=_carry(state.buffer, down))
+    elif cfg.kind == "qrnn":
+        core, new_state = qrnn_forward(down, params, state, tape)
+    elif streaming:  # retention, recurrent form
+        rows = []
+        for t in range(down.shape[0]):
+            out, new_state = retention_recurrent(down[t], params, state=new_state)
+            rows.append(out)
+        core = np.stack(rows) if rows else down[:0]
+    else:  # retention, parallel form
+        core = retention_parallel(down, params, tape=tape)
 
     y = x + core @ params.w_up + params.b_up
-    _count(x.shape[0] * cfg.d_prime * cfg.d)
+    _count(frames * cfg.d_prime * cfg.d)
+    if tape is not None:
+        tape.update(x=x, down=down, core=core)
     return y, new_state
 
 
@@ -579,18 +592,23 @@ def block_forward(
     adapter_params: AdapterParams,
     block_params: BlockParams,
     state: StreamState | None = None,
+    tape: dict | None = None,
 ) -> tuple[np.ndarray, StreamState | None]:
     """Temporal adapter, then frozen spatial and MLP sublayers with residuals.
 
     y_temp = adapter(x); v = spatial(y_temp) + x; out = mlp(v) + v.
+    Modes and ``tape`` as in ``adapter_forward``; the tape also receives
+    the MLP's pre-activation ``h1_pre``.
     """
-    u, new_state = adapter_forward(x, adapter_params, state)
+    u, new_state = adapter_forward(x, adapter_params, state, tape)
     v = u @ block_params.w_sp + block_params.b_sp + x
-    hidden = gelu(v @ block_params.w1 + block_params.b1)
-    out = hidden @ block_params.w2 + block_params.b2 + v
-    n = x.shape[0]
+    h1_pre = v @ block_params.w1 + block_params.b1
+    out = gelu(h1_pre) @ block_params.w2 + block_params.b2 + v
+    if tape is not None:
+        tape["h1_pre"] = h1_pre
+    frames = math.prod(x.shape[:-1])
     d, d_mlp = block_params.w1.shape
-    _count(n * d * d + 2 * n * d * d_mlp)
+    _count(frames * d * d + 2 * frames * d * d_mlp)
     return out, new_state
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart import cli, detector, metrics
+from streamstart import cli, detector, kernels, metrics
 
 HEADER = ",".join(ann.COLUMNS)
 GOOD_ROW = "train,moments,v1,c1,a1,0,boil kettle,ok,10.0,12.0,30.0,100.0"
@@ -161,6 +161,25 @@ class TestTrainScoreEval:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda arrays, i: arrays[:-1], "holds {n_less} arrays, its config needs {n}"),
+        (lambda arrays, i: arrays + [arrays[-1]], "holds {n_more} arrays, its config needs {n}"),
+        (lambda arrays, i: arrays[:i] + [np.zeros((3, 3))] + arrays[i + 1 :],
+         "blocks.0.w_down has shape (3, 3), its config needs (8, 8)"),
+    ], ids=["one_too_few", "one_too_many", "wrong_shape"])
+    def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
+        corpus, run, _ = pipeline
+        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        bad = tmp_path / "bad.sdqk"
+        kernels.write_checkpoint(bad, config, edit(arrays, config["array_order"].index("blocks.0.w_down")))
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        n = len(arrays)
+        assert message.format(n=n, n_less=n - 1, n_more=n + 1) in err and err.count("\n") == 1
 
     def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
         corpus, _, scores = pipeline

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from streamstart import costmodel as cm
-from streamstart import detector
+from streamstart import detector, kernels
 from streamstart.errors import ConfigError
 from streamstart.kernels import AdapterConfig
 
@@ -71,6 +71,26 @@ class TestCountMacs:
     def test_retention_step_formula(self):
         stack = [cm.LayerSpec(kind="retention_step", d_in=24, d_out=24)]
         assert cm.count_macs(stack, tokens=3) == (3 * 24 * 24 + 2 * 24 * 24) * 3
+
+
+class TestMacReconciliation:
+    @pytest.mark.parametrize("kind", ["st_conv", "qrnn"])
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_streamed_frame_executes_the_sheet(self, kind, depthwise, k):
+        cfg = AdapterConfig(d=32, d_prime=16, kind=kind, k=k, depthwise=depthwise)
+        params = kernels.init_params(cfg, seed=0)
+        state = kernels.fresh_state(cfg)
+        sheet = cm.count_macs(cm.adapter_stack(kind, 32, 16, k=k, depthwise=depthwise))
+        rng = np.random.default_rng(0)
+        for _ in range(k + 1):  # from a fresh buffer through a full one
+            counter = kernels.OpCounter()
+            kernels.set_op_counter(counter)
+            try:
+                _, state = kernels.adapter_forward(rng.normal(size=(1, 32)), params, state)
+            finally:
+                kernels.set_op_counter(None)
+            assert counter.total == sheet
 
 
 class TestSlidingWindowOverhead:

@@ -442,13 +442,38 @@ class TestModelCheckpoint:
             assert not adapter.w_up.any() and not adapter.b_up.any()
 
 
+class _ReadLog(dict):
+    """A tape that records which keys are read from it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
 class TestTapeConsistency:
     @pytest.mark.parametrize("kind", KINDS)
     def test_taped_forward_matches_kernels_block(self, kind):
         model = oracles.randomize_adapters(tiny_model(kind, blocks=1), seed=33)
-        rng = np.random.default_rng(34)
-        x = rng.normal(size=(9, 8))
+        x = np.random.default_rng(34).normal(size=(3, 9, 8))
         adapter, block = model.blocks[0]
-        via_tape, _ = detector._block_forward_tape(x, adapter, block)
-        via_kernels, _ = kernels.block_forward(x, adapter, block)
-        assert np.array_equal(via_tape, via_kernels)
+        with_tape, _ = kernels.block_forward(x, adapter, block, tape={})
+        without, _ = kernels.block_forward(x, adapter, block)
+        assert np.array_equal(with_tape, without)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_tape_holds_every_key_backward_reads(self, kind):
+        model = oracles.randomize_adapters(tiny_model(kind, blocks=1), seed=35)
+        rng = np.random.default_rng(36)
+        x = rng.normal(size=(3, 9, 8))
+        adapter, block = model.blocks[0]
+        tape = {}
+        out, _ = kernels.block_forward(x, adapter, block, tape=tape)
+        log = _ReadLog(tape)
+        detector._block_backward(rng.normal(size=out.shape), log, adapter, block,
+                                 detector.zero_grads(model), "blocks.0")
+        core_keys = {"qrnn": {"s", "f"}, "retention": {"q", "k", "v", "decay", "scores", "pos"}}
+        assert log.read == {"x", "down", "core", "h1_pre"} | core_keys.get(kind, set())

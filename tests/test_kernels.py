@@ -235,6 +235,77 @@ class TestBatchAxes:
         assert np.array_equal(out[..., -1], x[..., -1])
 
 
+class TestOneForward:
+    """Batch mode takes leading axes and returns no state; streaming mode is
+    one stream; a conv's carried context is read but gets no output row."""
+
+    B = 3
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_axes_equal_slices(self, kind):
+        rng = np.random.default_rng(65)
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3)
+        p = randomized(init_params(cfg, 0), 66)
+        block = kernels.make_block_params(8, 16, seed=67)
+        x = rng.normal(size=(self.B, 7, 8))
+        y, state = adapter_forward(x, p)
+        out, block_state = block_forward(x, p, block)
+        assert state is None and block_state is None
+        for b in range(self.B):
+            assert np.array_equal(y[b], adapter_forward(x[b], p)[0])
+            assert np.array_equal(out[b], block_forward(x[b], p, block)[0])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_axes_with_state_rejected(self, kind):
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind)
+        p = init_params(cfg, 0)
+        with pytest.raises(ConfigError, match=r"\[n, d\]"):
+            adapter_forward(np.zeros((2, 3, 8)), p, fresh_state(cfg))
+        with pytest.raises(ConfigError, match=r"\[n, d\]"):
+            block_forward(np.zeros((2, 3, 8)), p, kernels.make_block_params(8, 16, seed=0), fresh_state(cfg))
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("lookback, lookahead", [(2, 0), (1, 1), (0, 2)])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_causal_conv_context(self, depthwise, lookback, lookahead, lead):
+        rng = np.random.default_rng(68)
+        w = rng.normal(size=(3, 4) if depthwise else (3, 4, 5))
+        bias = rng.normal(size=w.shape[-1])
+        n, c = 5, 2
+        x = rng.normal(size=lead + (n, 4))
+        context = rng.normal(size=lead + (c, 4))
+        y, macs = counted(lambda: causal_conv(x, w, lookback, lookahead, bias, context=context))
+        full = causal_conv(np.concatenate([context, x], axis=-2), w, lookback, lookahead, bias)
+        assert np.array_equal(y, full[..., c:, :])
+        # one count per (output row, tap) that lands inside [context; x]
+        taps = sum(0 <= c + t + j - lookback < c + n for t in range(n) for j in range(3))
+        per_tap = w.shape[-1] if depthwise else w.shape[1] * w.shape[2]
+        assert macs == math.prod(lead) * taps * per_tap
+
+    def test_causal_conv_empty_context_is_no_context(self):
+        rng = np.random.default_rng(69)
+        x, w = rng.normal(size=(6, 4)), rng.normal(size=(1, 4, 4))
+        y, macs = counted(lambda: causal_conv(x, w, 0, context=np.zeros((0, 4))))
+        y0, macs0 = counted(lambda: causal_conv(x, w, 0))
+        assert np.array_equal(y, y0) and macs == macs0
+
+    def test_qrnn_batch_runs_from_zero_state(self):
+        rng = np.random.default_rng(70)
+        cfg = AdapterConfig(d=8, d_prime=4, kind="qrnn", k=3)
+        p = randomized(init_params(cfg, 0), 71)
+        x = rng.normal(size=(self.B, 9, 4))
+        h, state = qrnn_forward(x, p)
+        assert state is None
+        for b in range(self.B):
+            streamed, _ = qrnn_forward(x[b], p, fresh_state(cfg))
+            assert np.abs(h[b] - streamed).max() <= 1e-12
+
+    def test_tape_only_in_batch_mode(self):
+        cfg = AdapterConfig(d=8, d_prime=4, kind="qrnn")
+        with pytest.raises(ConfigError, match="tape"):
+            adapter_forward(np.zeros((2, 8)), init_params(cfg, 0), fresh_state(cfg), tape={})
+
+
 class TestQrnn:
     def test_chunked_equals_batch(self):
         rng = np.random.default_rng(11)
