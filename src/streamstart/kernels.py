@@ -406,21 +406,13 @@ def _rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     return out
 
 
-def decay_matrix(n: int, gamma: float, dtype=float) -> np.ndarray:
+def decay_matrix(n: int, gamma: float) -> np.ndarray:
     """Lower-triangular decay D[n, m] = gamma^(n-m) for n >= m, else exact 0."""
     delta = np.arange(n)[:, None] - np.arange(n)[None, :]
-    return np.where(delta >= 0, gamma ** np.maximum(delta, 0).astype(dtype), 0.0)
+    return np.where(delta >= 0, gamma ** np.maximum(delta, 0).astype(float), 0.0)
 
 
-def retention_parallel(
-    x: np.ndarray,
-    params: AdapterParams,
-    gamma: float | None = None,
-    theta: float | None = None,
-    pos_offset: int = 0,
-    stability_cap: int | None = None,
-    tape: dict | None = None,
-) -> np.ndarray:
+def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None = None) -> np.ndarray:
     """Parallel-form retention: ((Q K^T) . D) V with rotated Q, K.
 
     Exact peer of the recurrent form. Single-precision inputs longer than
@@ -428,22 +420,17 @@ def retention_parallel(
     A ``tape`` receives ``q``, ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
-    gamma = cfg.gamma if gamma is None else gamma
-    theta = cfg.theta if theta is None else theta
     n = x.shape[-2]
-    cap = stability_cap
-    if cap is None and np.asarray(x).dtype == np.float32:
-        cap = SINGLE_PRECISION_CAP
-    if cap is not None and n > cap:
+    if np.asarray(x).dtype == np.float32 and n > SINGLE_PRECISION_CAP:
         raise NumericError(
-            f"parallel retention over {n} frames exceeds the stability cap {cap}; "
+            f"parallel retention over {n} frames exceeds the stability cap {SINGLE_PRECISION_CAP}; "
             "process the stream in chunks or use the recurrent form"
         )
-    pos = pos_offset + np.arange(n)
-    q = _rotate(x @ params.w_q, pos, theta)
-    k = _rotate(x @ params.w_k, pos, theta)
+    pos = np.arange(n)
+    q = _rotate(x @ params.w_q, pos, cfg.theta)
+    k = _rotate(x @ params.w_k, pos, cfg.theta)
     v = x @ params.w_v
-    decay = decay_matrix(n, gamma)
+    decay = decay_matrix(n, cfg.gamma)
     scores = (q @ k.swapaxes(-1, -2)) * decay
     sequences = math.prod(x.shape[:-2])
     _count(sequences * (3 * n * x.shape[-1] * cfg.d_prime + 2 * n * n * cfg.d_prime))
@@ -453,26 +440,20 @@ def retention_parallel(
 
 
 def retention_recurrent(
-    x_n: np.ndarray,
-    params: AdapterParams,
-    gamma: float | None = None,
-    theta: float | None = None,
-    state: RetentionState | None = None,
+    x_n: np.ndarray, params: AdapterParams, state: RetentionState | None = None
 ) -> tuple[np.ndarray, RetentionState]:
     """Constant-cost retention step: S_n = gamma S_{n-1} + K_n^T V_n, out = Q_n S_n."""
     cfg = params.config
-    gamma = cfg.gamma if gamma is None else gamma
-    theta = cfg.theta if theta is None else theta
     if state is None:
         state = RetentionState(s=np.zeros((cfg.d_prime, cfg.d_prime)), n=0)
     if not isinstance(state, RetentionState):
         raise ConfigError(f"retention_recurrent needs a RetentionState, got {type(state).__name__}")
-    q = _rotate(x_n @ params.w_q, state.n, theta)
-    k = _rotate(x_n @ params.w_k, state.n, theta)
+    q = _rotate(x_n @ params.w_q, state.n, cfg.theta)
+    k = _rotate(x_n @ params.w_k, state.n, cfg.theta)
     v = x_n @ params.w_v
-    s = gamma * state.s + np.outer(k, v)
+    s = cfg.gamma * state.s + np.outer(k, v)
     out = q @ s
-    _count(6 * cfg.d_prime * cfg.d_prime)
+    _count(5 * cfg.d_prime * cfg.d_prime)  # as in the formula sheet: scaling by gamma is not a MAC
     return out, RetentionState(s=s, n=state.n + 1)
 
 
@@ -521,6 +502,7 @@ def adapter_forward(
     new_state = state
     if cfg.kind == "vanilla":
         core = gelu(down)
+        _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
         context = state.buffer if streaming else None
         core = causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead, context=context)

@@ -15,8 +15,6 @@ import csv
 import io
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -117,37 +115,46 @@ def default_query_id(annotation) -> str:
     return f"{annotation.annotator_uid}-{annotation.ann_idx}"
 
 
+def _check_evaluation(thresholds, mode: str, ks) -> None:
+    for threshold in thresholds:
+        if not 0.0 <= threshold <= 1.0:
+            raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    for k in ks:
+        if k < 1:
+            raise ConfigError(f"k must be >= 1, got {k}")
+
+
+def _prediction_mask(scores: np.ndarray, thresholds: np.ndarray, mode: str) -> np.ndarray:
+    """``[C, T]`` mask of the frames that emit a prediction at each of C thresholds."""
+    above = scores >= thresholds[:, None]
+    if mode == "rising_edge":
+        above[:, 1:] &= ~above[:, :-1]
+    return above
+
+
 def extract_predictions(series: ScoreSeries, threshold: float, mode: str = "rising_edge") -> np.ndarray:
     """Turn a score series into an increasing array of prediction times.
 
     ``rising_edge`` emits ``i / fps`` whenever the score crosses the
     threshold from below; ``every_frame`` emits every frame at or above it.
     """
-    if not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    s = series.scores
-    above = s >= threshold
-    if mode == "every_frame":
-        idx = np.flatnonzero(above)
-    else:
-        prev = np.concatenate(([False], above[:-1]))
-        idx = np.flatnonzero(above & ~prev)
+    _check_evaluation([threshold], mode, [])
+    idx = np.flatnonzero(_prediction_mask(series.scores, np.array([threshold], dtype=float), mode)[0])
     return idx.astype(float) / series.fps
 
 
-def is_hit(t_out: float, t_s: float, w: ToleranceWindow) -> bool:
-    """True iff ``t_out`` falls inside ``[t_s - anticipation, t_s + latency]``."""
-    return t_s - w.anticipation <= t_out <= t_s + w.latency
+def is_hit(t_out, t_s: float, w: ToleranceWindow):
+    """True iff ``t_out`` falls inside ``[t_s - anticipation, t_s + latency]``; elementwise on arrays."""
+    return (t_s - w.anticipation <= t_out) & (t_out <= t_s + w.latency)
 
 
 def streaming_recall_at_k(preds, t_s: float, k: int, w: ToleranceWindow) -> bool:
     """True iff any of the first ``min(k, len(preds))`` predictions is a hit."""
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    preds = np.asarray(preds, dtype=float)
-    return any(is_hit(t, t_s, w) for t in preds[:k])
+    return bool(np.any(is_hit(np.asarray(preds, dtype=float)[:k], t_s, w)))
 
 
 def smd_at_k(preds, t_s: float, k: int, horizon: float) -> float:
@@ -166,12 +173,49 @@ def smd_at_k(preds, t_s: float, k: int, horizon: float) -> float:
     return float(np.min(np.abs(preds - t_s)))
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("STREAMSTART_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _reports(series, annotations, ks, w, mode, thresholds, query_id) -> list[MetricReport]:
+    """One report per threshold, from a single pass over the queries.
+
+    Each query's predictions at all C thresholds come from one ``[C, T]``
+    mask; the first ``max(ks)`` per threshold give SR@k as a cumulative any
+    of hits and SMD@k as a cumulative min of distances. Each (threshold, k)
+    column is averaged on its own in query order, as a single evaluation is.
+    """
+    by_key = {(s.video_uid, s.query_id): s for s in series}
+    keys = [(a.video_uid, query_id(a)) for a in annotations]
+    missing = [key for key in keys if key not in by_key]
+    if missing:
+        raise IdMismatchError(missing)
+    if not annotations:
+        raise ConfigError("no annotations to evaluate")
+    _check_evaluation(thresholds, mode, ks)
+    taus = np.array(thresholds, dtype=float)
+    n_first = max(ks, default=0)
+    first = np.full((len(keys), len(taus), n_first), np.inf)  # frame of each threshold's j-th prediction
+    paired = [by_key[key] for key in keys]
+    for q, ser in enumerate(paired):
+        if not ser.scores.size:
+            raise ConfigError(f"score series ({ser.video_uid}, {ser.query_id}) has no frames")
+        mask = _prediction_mask(ser.scores, taus, mode)
+        rank = np.cumsum(mask, axis=1)
+        row, frame = np.divmod(np.flatnonzero(mask & (rank <= n_first)), mask.shape[1])
+        first[q, row, rank[row, frame] - 1] = frame
+    t_s = np.array([a.start_sec for a in annotations])[:, None, None]
+    times = first / np.array([ser.fps for ser in paired])[:, None, None]
+    cols = np.array(ks, dtype=int) - 1
+    hit = np.logical_or.accumulate(is_hit(times, t_s, w), axis=2)[..., cols]
+    dist = np.minimum.accumulate(np.abs(times - t_s), axis=2)[..., cols]
+    span = np.array([ser.span for ser in paired])[:, None, None]
+    dist = np.where(dist == np.inf, span, dist)
+    return [
+        MetricReport(
+            threshold=float(tau), window=w,
+            sr={k: float(np.mean(hit[:, c, j]) * 100.0) for j, k in enumerate(ks)},
+            smd={k: float(np.mean(dist[:, c, j])) for j, k in enumerate(ks)},
+            n_queries=len(annotations),
+        )
+        for c, tau in enumerate(thresholds)
+    ]
 
 
 def evaluate_dataset(
@@ -186,38 +230,10 @@ def evaluate_dataset(
     """Aggregate SR@k (percent) and SMD@k (seconds) over all queries.
 
     Every annotation must have a matching series keyed by
-    ``(video_uid, query_id)``. The SMD horizon is each series' span.
-    Queries may be sharded across threads (``STREAMSTART_THREADS``); shards
-    are reduced in a fixed order so results do not depend on the worker count.
+    ``(video_uid, query_id)``, and that series must have frames. The SMD
+    horizon is each series' span.
     """
-    by_key = {(s.video_uid, s.query_id): s for s in series}
-    missing = [
-        (a.video_uid, query_id(a)) for a in annotations if (a.video_uid, query_id(a)) not in by_key
-    ]
-    if missing:
-        raise IdMismatchError(missing)
-    if not annotations:
-        raise ConfigError("no annotations to evaluate")
-
-    def one_query(a) -> tuple[list[bool], list[float]]:
-        ser = by_key[(a.video_uid, query_id(a))]
-        preds = extract_predictions(ser, threshold, mode)
-        hits = [streaming_recall_at_k(preds, a.start_sec, k, w) for k in ks]
-        dists = [smd_at_k(preds, a.start_sec, k, ser.span) for k in ks]
-        return hits, dists
-
-    n_workers = _n_workers()
-    if n_workers == 1:
-        rows = [one_query(a) for a in annotations]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(one_query, annotations))
-
-    hit_matrix = np.array([r[0] for r in rows], dtype=bool)
-    dist_matrix = np.array([r[1] for r in rows], dtype=float)
-    sr = {k: float(np.mean(hit_matrix[:, j]) * 100.0) for j, k in enumerate(ks)}
-    smd = {k: float(np.mean(dist_matrix[:, j])) for j, k in enumerate(ks)}
-    return MetricReport(threshold=float(threshold), window=w, sr=sr, smd=smd, n_queries=len(annotations))
+    return _reports(series, annotations, ks, w, mode, [threshold], query_id)[0]
 
 
 def sweep_thresholds(
@@ -234,7 +250,8 @@ def sweep_thresholds(
 
     Candidates are ``n`` uniformly spaced values between the minimum and
     maximum observed scores; ties break toward the larger threshold. When
-    all scores are constant there is a single candidate.
+    all scores are constant there is a single candidate. All candidates are
+    evaluated in one pass.
     """
     if n < 2:
         raise ConfigError(f"sweep needs n >= 2 candidates, got {n}")
@@ -245,14 +262,9 @@ def sweep_thresholds(
     lo = min(float(s.scores.min()) for s in nonempty)
     hi = max(float(s.scores.max()) for s in nonempty)
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
-
-    best: tuple[float, MetricReport] | None = None
-    for tau in candidates:
-        report = evaluate_dataset(series, annotations, ks, w, mode, tau, query_id)
-        if best is None or report.sr[objective_k] >= best[1].sr[objective_k]:
-            best = (tau, report)
-    assert best is not None
-    return best
+    reports = _reports(series, annotations, ks, w, mode, candidates, query_id)
+    best = max(range(len(candidates)), key=lambda c: (reports[c].sr[objective_k], c))
+    return candidates[best], reports[best]
 
 
 # -- score-series files -------------------------------------------------------

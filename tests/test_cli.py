@@ -198,6 +198,22 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert "finite" in err and err.count("\n") == 1
 
+    def test_eval_header_only_scores_exit_config(self, pipeline, tmp_path, capsys):
+        corpus, _, scores = pipeline
+        copied = tmp_path / "scores"
+        copied.mkdir()
+        paths = sorted((scores / "scores").glob("*.csv"))
+        for path in paths:
+            (copied / path.name).write_text(path.read_text())
+        (copied / paths[0].name).write_text("frame_idx,t_sec,score\n")
+        video_uid, query_id = paths[0].stem.split("__", 1)
+        capsys.readouterr()
+        rc = cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
+                       "--split", "val"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"({video_uid}, {query_id}) has no frames" in err and err.count("\n") == 1
+
     def test_unknown_flag_exit_config(self):
         assert cli.main(["eval", "--nope"]) == cli.EXIT_CONFIG
 

@@ -74,7 +74,7 @@ class TestCountMacs:
 
 
 class TestMacReconciliation:
-    @pytest.mark.parametrize("kind", ["st_conv", "qrnn"])
+    @pytest.mark.parametrize("kind", ["st_conv", "qrnn", "vanilla", "retention"])
     @pytest.mark.parametrize("depthwise", [False, True])
     @pytest.mark.parametrize("k", [2, 3])
     def test_streamed_frame_executes_the_sheet(self, kind, depthwise, k):

@@ -201,25 +201,17 @@ class TestEvaluateDataset:
             scores, t_s = random_case(rng)
             ser.append(series(scores, uid=f"v{i}", qid="a-0"))
             anns.append(FakeAnn(f"v{i}", "a", t_s))
+        for i in range(200):  # mixed lengths, some shorter than max(ks), and mixed fps
+            n, fps = int(rng.integers(1, 41)), float(rng.choice([0.5, 1.0, 2.0, 3.0]))
+            ser.append(series(rng.choice([0.0, 0.3, 0.5, 0.8, 1.0], n), uid=f"s{i}", qid="a-0", fps=fps))
+            anns.append(FakeAnn(f"s{i}", "a", float(rng.uniform(0, n / fps))))
         for mode in metrics.MODES:
-            rep = metrics.evaluate_dataset(ser, anns, [1, 2, 3], w, mode, 0.5)
-            sr, smd = oracles.brute_evaluate(ser, anns, [1, 2, 3], 5, 10, mode, 0.5, qid)
-            assert rep.sr == sr
-            assert rep.smd == smd
-
-    def test_sharding_invariance(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        ser, anns = [], []
-        for i in range(40):
-            scores, t_s = random_case(rng)
-            ser.append(series(scores, uid=f"v{i}", qid="a-0"))
-            anns.append(FakeAnn(f"v{i}", "a", t_s))
-        w = ToleranceWindow(5, 10)
-        monkeypatch.setenv("STREAMSTART_THREADS", "1")
-        rep1 = metrics.evaluate_dataset(ser, anns, [1, 2], w, "rising_edge", 0.5)
-        monkeypatch.setenv("STREAMSTART_THREADS", "4")
-        rep4 = metrics.evaluate_dataset(ser, anns, [1, 2], w, "rising_edge", 0.5)
-        assert rep1 == rep4
+            for ks in ([1, 2, 3], [1, 2, 3, 5]):
+                for threshold in (0.0, 0.5, 1.0):
+                    rep = metrics.evaluate_dataset(ser, anns, ks, w, mode, threshold)
+                    sr, smd = oracles.brute_evaluate(ser, anns, ks, 5, 10, mode, threshold, qid)
+                    assert rep.sr == sr
+                    assert rep.smd == smd
 
 
 class TestSweep:
@@ -256,16 +248,17 @@ class TestSweep:
             ser.append(series(np.clip(scores + rng.uniform(0, 0.3, 60), 0, 1), uid=f"v{i}", qid="a-0"))
             anns.append(FakeAnn(f"v{i}", "a", t_s))
         w = ToleranceWindow(5, 10)
-        tau, rep = metrics.sweep_thresholds(ser, anns, w, n=20, objective_k=1)
         lo = min(s.scores.min() for s in ser)
         hi = max(s.scores.max() for s in ser)
-        best = None
-        for cand in np.linspace(lo, hi, 20):
-            r = metrics.evaluate_dataset(ser, anns, [1, 2, 3], w, "rising_edge", cand)
-            if best is None or r.sr[1] >= best[1].sr[1]:
-                best = (cand, r)
-        assert tau == best[0]
-        assert rep == best[1]
+        for mode in metrics.MODES:
+            tau, rep = metrics.sweep_thresholds(ser, anns, w, n=20, objective_k=1, mode=mode)
+            best = None
+            for cand in np.linspace(lo, hi, 20):
+                r = metrics.evaluate_dataset(ser, anns, [1, 2, 3], w, mode, cand)
+                if best is None or r.sr[1] >= best[1].sr[1]:
+                    best = (cand, r)
+            assert tau == best[0]
+            assert rep == best[1]
 
     def test_ties_break_to_larger_threshold(self):
         # monotone scores: every candidate gives the same recall
@@ -312,3 +305,11 @@ class TestValidation:
     def test_bad_threshold(self):
         with pytest.raises(ConfigError):
             metrics.extract_predictions(series([0.5]), 1.5)
+
+    @pytest.mark.parametrize("bad", [{"threshold": 1.5}, {"mode": "bogus"}, {"ks": [0]}],
+                             ids=["threshold", "mode", "k"])
+    def test_bad_evaluation_config(self, bad):
+        args = {"ks": [1], "mode": "rising_edge", "threshold": 0.5} | bad
+        with pytest.raises(ConfigError):
+            metrics.evaluate_dataset([series([0.5], uid="v", qid="a-0")], [FakeAnn("v", "a", 0.0)],
+                                     w=ToleranceWindow(5, 10), **args)
