@@ -43,8 +43,8 @@ result = cm.bench_latency(model, n_frames=1500, repetitions=3, warmup=10, window
 t10 = cm.frame_time_at(result, 10)
 t1000 = cm.frame_time_at(result, 1000)
 print(f"\ndesk-scale harness (d=128, 2 blocks, qrnn), 1500 frames x 3 reps:")
-print(f"  per-frame time near frame 10     : {t10 * 1e6:7.1f} us")
-print(f"  per-frame time near frame 1000   : {t1000 * 1e6:7.1f} us  "
+print(f"  push time at frame 10            : {t10 * 1e6:7.1f} us")
+print(f"  push time at frame 1000          : {t1000 * 1e6:7.1f} us  "
       f"(drift {abs(t1000 - t10) / t10 * 100:.1f}%)")
 print(f"  streaming totals per rep         : "
       + ", ".join(f"{t:.3f}s" for t in result["streaming"]["totals"]))

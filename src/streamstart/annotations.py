@@ -484,8 +484,18 @@ def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
             f"stream {path} holds {raw.size} floats, sidecar promises {n}x{dim}"
         )
     frames = raw.reshape(n, dim).astype(float)
+    _check_finite(path, frames)
     query_path = path.with_name(path.stem + ".query.f32")
     query = None
     if query_path.exists():
         query = np.frombuffer(query_path.read_bytes(), dtype="<f4").astype(float)
+        if query.size != dim:
+            raise NumericError(f"query {query_path} holds {query.size} floats, sidecar promises {dim}")
+        _check_finite(query_path, query)
     return frames, sidecar, query
+
+
+def _check_finite(path: Path, values: np.ndarray) -> None:
+    bad = int(values.size - np.isfinite(values).sum())
+    if bad:
+        raise NumericError(f"{path} holds {bad} non-finite value(s)")

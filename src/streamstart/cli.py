@@ -244,17 +244,30 @@ def cmd_score(args) -> int:
     anns, streams = _load_corpus(data_dir, args.split)
     if not anns:
         raise ConfigError(f"no {args.split}-split annotations in {data_dir}")
-    scores_dir = out / "scores"
+    # score every series before writing any, so a failure leaves no partial output
+    scored = []
     for a in anns:
         frames, sidecar, query = streams[a.video_uid]
-        series = detector.infer_streaming(
+        scored.append(detector.score_frames(
             model, frames, query,
             video_uid=a.video_uid, query_id=metrics.default_query_id(a), fps=float(sidecar["fps"]),
-        )
+        ))
+    scores_dir = out / "scores"
+    for series in scored:
         metrics.save_score_series(scores_dir, series)
     write_manifest(out, "score", {"split": args.split}, None, [Path(args.checkpoint), data_dir])
     _emit({"scores": str(scores_dir), "series": len(anns)})
     return 0
+
+
+def _parse_ks(text: str) -> list[int]:
+    ks = []
+    for part in text.split(","):
+        try:
+            ks.append(int(part))
+        except ValueError:
+            raise ConfigError(f"--k takes comma-separated integers, got {part!r} in {text!r}") from None
+    return ks
 
 
 def cmd_eval(args) -> int:
@@ -267,7 +280,7 @@ def cmd_eval(args) -> int:
     if not anns:
         raise ConfigError("no annotations selected for evaluation")
     window = metrics.ToleranceWindow(args.anticipation, args.latency)
-    ks = [int(k) for k in args.k.split(",")]
+    ks = _parse_ks(args.k)
     mode = "rising_edge" if args.mode == "edge" else "every_frame"
 
     if args.sweep:
@@ -322,11 +335,9 @@ def cmd_bench(args) -> int:
         latency = costmodel.bench_latency(
             model, n_frames=args.frames, repetitions=args.reps, window=args.window, seed=args.seed
         )
-        latency_out = {k: v for k, v in latency.items() if k != "frame_times"}
+        latency_out = {k: v for k, v in latency.items() if k not in ("frame_times", "probe_times")}
         latency_out["frame_time_probes"] = {
-            str(i): costmodel.frame_time_at(latency, i)
-            for i in (10, 100, 1000)
-            if i < args.frames
+            str(i): costmodel.frame_time_at(latency, i) for i in latency["probe_times"]
         }
         payload["latency"] = latency_out
 
@@ -390,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("score", help="stream a corpus split through a checkpoint")
+    p = sub.add_parser("score", help="score a corpus split through a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--split", choices=annotations.SPLITS, default="val")

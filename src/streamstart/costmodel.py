@@ -20,12 +20,13 @@ hardware-bound; the harness verifies ratios and constancy, not absolutes.
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .detector import DetectorModel, StreamingScorer, score_frames
+from .detector import DetectorModel, StreamingScorer
 from .errors import ConfigError
 
 LAYER_KINDS = ("linear", "attention", "conv1d", "fo_pool", "retention_step", "layernorm", "pointwise")
@@ -204,6 +205,18 @@ def adapter_stack(
 # -- latency harness -----------------------------------------------------------
 
 _BENCH_ACTIVE = False
+# rounds of probe pushes per repetition; each round pushes once at every position
+_PROBE_ROUNDS = 50
+
+
+def _probe_positions(n_frames: int) -> list[int]:
+    """Stream positions 10, 100, 1000, ... below `n_frames`."""
+    out = []
+    p = 10
+    while p < n_frames:
+        out.append(p)
+        p *= 10
+    return out
 
 
 def bench_latency(
@@ -219,6 +232,14 @@ def bench_latency(
     Streams `n_frames` seeded random frames through the model `repetitions`
     times, excluding the first `warmup` frames from the summary statistics,
     then re-scores the last `window` frames per arrival on the same weights.
+
+    For the cost at a stream position, the first pass keeps a copy of the
+    scorer, with its own list of states, at positions 10, 100, 1000, ...
+    below `n_frames`. Single pushes are then timed from those copies
+    round-robin, one position after another, so that a change of CPU speed
+    during the run hits every position alike; ``probe_times`` holds them
+    by position.
+
     Benchmarks are single-worker and must not run concurrently in-process.
     """
     global _BENCH_ACTIVE
@@ -231,16 +252,28 @@ def bench_latency(
         rng = np.random.default_rng(seed)
         frames = rng.normal(size=(n_frames, model.config.d_in))
         query = rng.normal(size=model.config.d)
+        positions = _probe_positions(n_frames)
 
         runs = []
+        snapshots = {}
         for _ in range(repetitions):
             scorer = StreamingScorer(model, query)
             times = np.empty(n_frames)
             for i in range(n_frames):
+                if not runs and i in positions:
+                    snapshots[i] = _copy_scorer(scorer)
                 t0 = time.perf_counter_ns()
                 scorer.push(frames[i])
                 times[i] = (time.perf_counter_ns() - t0) / 1e9
             runs.append(times)
+
+        probe_times: dict[int, list[float]] = {p: [] for p in positions}
+        for _ in range(repetitions * _PROBE_ROUNDS):
+            for p in positions:
+                probe = _copy_scorer(snapshots[p])
+                t0 = time.perf_counter_ns()
+                probe.push(frames[p])
+                probe_times[p].append((time.perf_counter_ns() - t0) / 1e9)
 
         timed = np.concatenate([r[warmup:] for r in runs])
 
@@ -276,22 +309,24 @@ def bench_latency(
                 "mean": float(np.mean(sliding_totals) / (n_frames - warmup)),
             },
             "frame_times": [r.tolist() for r in runs],
+            "probe_times": probe_times,
         }
     finally:
         _BENCH_ACTIVE = False
 
 
-def frame_time_at(result: dict, frame: int, halfwidth: int = 5) -> float:
-    """Robust per-frame time near `frame`: median over a neighborhood, best rep.
+def _copy_scorer(scorer: StreamingScorer) -> StreamingScorer:
+    # each push replaces the scorer's state objects and never mutates them,
+    # so a copy with its own states list continues from the same position
+    out = copy.copy(scorer)
+    out.states = list(scorer.states)
+    return out
 
-    Single-frame wall times are noisy; the median over ``2*halfwidth + 1``
-    neighboring frames, minimized across repetitions, estimates the cost of
-    one streaming step at that stream position.
-    """
-    per_rep = []
-    for times in result["frame_times"]:
-        lo = max(0, frame - halfwidth)
-        hi = min(len(times), frame + halfwidth + 1)
-        per_rep.append(float(np.median(times[lo:hi])))
-    return min(per_rep)
 
+def frame_time_at(result: dict, frame: int) -> float:
+    """Median time of one push at stream position `frame`, from the probe
+    pushes of ``bench_latency``; `frame` must be one of its probe positions."""
+    times = result["probe_times"].get(frame)
+    if times is None:
+        raise ConfigError(f"no probe at frame {frame}; probed positions are {sorted(result['probe_times'])}")
+    return float(np.median(times))

@@ -284,7 +284,7 @@ def _core_backward(
     cfg = params.config
     down = tape["down"]
     if cfg.kind == "vanilla":
-        return d_core * gelu_grad(down)
+        return d_core * gelu_grad(down, tape["down_erf"])
     if cfg.kind == "st_conv":
         d_down, g_w = _conv_backward(d_core, down, params.w_s, cfg.lookback)
         grads[f"{prefix}.w_s"] += g_w
@@ -326,7 +326,7 @@ def _block_backward(
     prefix: str,
 ) -> np.ndarray:
     d_hidden = d_out @ block.w2.T
-    d_h1 = d_hidden * gelu_grad(tape["h1_pre"])
+    d_h1 = d_hidden * gelu_grad(tape["h1_pre"], tape["h1_erf"])
     d_v = d_out + d_h1 @ block.w1.T
     d_u = d_v @ block.w_sp.T
     d_x = d_v.copy()

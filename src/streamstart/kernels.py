@@ -251,12 +251,17 @@ def _check_state(config: AdapterConfig, state: StreamState) -> None:
 # -- primitives ---------------------------------------------------------------
 
 
-def gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+def gelu(x: np.ndarray, tape: dict | None = None, key: str = "") -> np.ndarray:
+    """Exact GELU; a ``tape`` receives ``erf(x / sqrt(2))`` under ``key``."""
+    e = erf(x / math.sqrt(2.0))
+    if tape is not None:
+        tape[key] = e
+    return 0.5 * x * (1.0 + e)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + erf(x / math.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+def gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """GELU derivative at ``x``, given the forward's ``e = erf(x / sqrt(2))``."""
+    return 0.5 * (1.0 + e) + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -480,8 +485,9 @@ def adapter_forward(
     runs in streaming mode on one stream ``[n, d]`` and returns the state
     that continues it; any partition into chunks reproduces the batch
     output. A ``tape`` (batch mode only) receives ``x``, ``down`` and
-    ``core`` plus the core's own intermediates, which is what the trainer's
-    backward reads. A freshly initialized adapter returns ``x`` unchanged.
+    ``core`` plus the core's own intermediates (``down_erf`` for vanilla's
+    GELU), which is what the trainer's backward reads. A freshly
+    initialized adapter returns ``x`` unchanged.
     """
     cfg = params.config
     streaming = state is not None
@@ -501,7 +507,7 @@ def adapter_forward(
 
     new_state = state
     if cfg.kind == "vanilla":
-        core = gelu(down)
+        core = gelu(down, tape, "down_erf")
         _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
         context = state.buffer if streaming else None
@@ -580,12 +586,12 @@ def block_forward(
 
     y_temp = adapter(x); v = spatial(y_temp) + x; out = mlp(v) + v.
     Modes and ``tape`` as in ``adapter_forward``; the tape also receives
-    the MLP's pre-activation ``h1_pre``.
+    the MLP's pre-activation ``h1_pre`` and its GELU's ``h1_erf``.
     """
     u, new_state = adapter_forward(x, adapter_params, state, tape)
     v = u @ block_params.w_sp + block_params.b_sp + x
     h1_pre = v @ block_params.w1 + block_params.b1
-    out = gelu(h1_pre) @ block_params.w2 + block_params.b2 + v
+    out = gelu(h1_pre, tape, "h1_erf") @ block_params.w2 + block_params.b2 + v
     if tape is not None:
         tape["h1_pre"] = h1_pre
     frames = math.prod(x.shape[:-1])

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -213,6 +214,54 @@ class TestTrainScoreEval:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"({video_uid}, {query_id}) has no frames" in err and err.count("\n") == 1
+
+    def test_score_writes_batch_scores(self, pipeline):
+        corpus, run, scores = pipeline
+        model = detector.load_model(run / "checkpoint.sdqk")
+        anns = [a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())
+                if a.split == "val"]
+        assert len(anns) == 8
+        for a in anns:
+            frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+            kwargs = dict(video_uid=a.video_uid, query_id=metrics.default_query_id(a),
+                          fps=float(sidecar["fps"]))
+            batch = detector.score_frames(model, frames, query, **kwargs)
+            written = scores / "scores" / f"{a.video_uid}__{kwargs['query_id']}.csv"
+            assert written.read_text(encoding="utf-8") == metrics.score_series_to_csv(batch)
+            streamed = detector.infer_streaming(model, frames, query, **kwargs)
+            assert np.abs(streamed.scores - batch.scores).max() <= 1e-10
+
+    @pytest.mark.parametrize("suffix, edit, message", [
+        (".f32", lambda v: np.where(np.arange(v.size) == 3, np.nan, v), "non-finite"),
+        (".query.f32", lambda v: np.where(np.arange(v.size) == 3, np.inf, v), "non-finite"),
+        (".query.f32", lambda v: v[:-1], "sidecar promises"),
+    ], ids=["nan_frame", "inf_query", "short_query"])
+    def test_score_bad_stream_file_leaves_no_output(self, pipeline, tmp_path, capsys, suffix, edit, message):
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
+                if a.split == "val"][-1]
+        bad = copied / "streams" / f"{last.video_uid}{suffix}"
+        bad.write_bytes(edit(np.frombuffer(bad.read_bytes(), dtype="<f4")).astype("<f4").tobytes())
+        out = tmp_path / "scored"
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                       "--split", "val", "--out", str(out)])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err and err.count("\n") == 1
+        assert not (out / "scores").exists() and not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("ks", ["1,x", "1,,2", "1.5"])
+    def test_eval_bad_k_exit_config(self, pipeline, capsys, ks):
+        corpus, _, scores = pipeline
+        capsys.readouterr()
+        rc = cli.main(["eval", "--scores", str(scores / "scores"),
+                       "--annotations", str(corpus / "annotations.csv"), "--split", "val", "--k", ks])
+        assert rc == cli.EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"in {ks!r}" in captured.err and captured.err.count("\n") == 1
 
     def test_unknown_flag_exit_config(self):
         assert cli.main(["eval", "--nope"]) == cli.EXIT_CONFIG

@@ -142,5 +142,26 @@ class TestBenchLatency:
 
     def test_frame_probe_helper(self):
         res = cm.bench_latency(small_model(), n_frames=60, repetitions=2, warmup=5, window=2, seed=1)
-        t = cm.frame_time_at(res, 30)
+        t = cm.frame_time_at(res, 10)
         assert t > 0
+        assert t == np.median(res["probe_times"][10])
+        with pytest.raises(ConfigError, match="no probe at frame 30"):
+            cm.frame_time_at(res, 30)
+
+    def test_probes_at_each_decade_below_n_frames(self):
+        res = cm.bench_latency(small_model(), n_frames=150, repetitions=2, warmup=5, window=2, seed=1)
+        assert list(res["probe_times"]) == [10, 100]
+        for times in res["probe_times"].values():
+            assert len(times) == 2 * cm._PROBE_ROUNDS and min(times) > 0
+
+    def test_probe_restarts_the_stream_position(self):
+        # every copy scores frame 100 exactly as the stream it was copied from
+        rng = np.random.default_rng(1)
+        frames = rng.normal(size=(101, 32))
+        scorer = detector.StreamingScorer(small_model(), rng.normal(size=32))
+        for f in frames[:100]:
+            scorer.push(f)
+        snapshot = cm._copy_scorer(scorer)
+        expected = scorer.push(frames[100])
+        for _ in range(3):
+            assert cm._copy_scorer(snapshot).push(frames[100]) == expected

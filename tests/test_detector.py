@@ -475,5 +475,6 @@ class TestTapeConsistency:
         log = _ReadLog(tape)
         detector._block_backward(rng.normal(size=out.shape), log, adapter, block,
                                  detector.zero_grads(model), "blocks.0")
-        core_keys = {"qrnn": {"s", "f"}, "retention": {"q", "k", "v", "decay", "scores", "pos"}}
-        assert log.read == {"x", "down", "core", "h1_pre"} | core_keys.get(kind, set())
+        core_keys = {"vanilla": {"down_erf"}, "qrnn": {"s", "f"},
+                     "retention": {"q", "k", "v", "decay", "scores", "pos"}}
+        assert log.read == {"x", "down", "core", "h1_pre", "h1_erf"} | core_keys.get(kind, set())

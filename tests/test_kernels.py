@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from streamstart import kernels
 from streamstart.errors import ConfigError, NumericError
@@ -486,6 +487,23 @@ class TestAdapterStreaming:
                 kernels.set_op_counter(None)
                 counts.append(counter.total)
             assert len(set(counts)) == 1
+
+
+class TestGelu:
+    def test_tape_holds_erf_and_output_is_unchanged(self):
+        x = np.random.default_rng(5).normal(size=(4, 7)) * 3
+        tape = {}
+        y = kernels.gelu(x, tape, "e")
+        assert np.array_equal(y, kernels.gelu(x))
+        assert np.array_equal(tape["e"], erf(x / math.sqrt(2.0)))
+
+    def test_grad_matches_finite_difference(self):
+        x = np.linspace(-6.0, 6.0, 101)
+        tape = {}
+        kernels.gelu(x, tape, "e")
+        h = 1e-6
+        numeric = (kernels.gelu(x + h) - kernels.gelu(x - h)) / (2 * h)
+        assert np.abs(kernels.gelu_grad(x, tape["e"]) - numeric).max() < 1e-8
 
 
 class TestBlock:
