@@ -64,7 +64,6 @@ from .detector import (
     infer_streaming,
     score_frames,
     train,
-    weighted_bce,
 )
 from .costmodel import (
     CostReport,

@@ -244,6 +244,10 @@ def cmd_score(args) -> int:
     anns, streams = _load_corpus(data_dir, args.split)
     if not anns:
         raise ConfigError(f"no {args.split}-split annotations in {data_dir}")
+    d_in = model.config.d_in
+    for uid, (frames, _, _) in streams.items():
+        if frames.shape[1] != d_in:
+            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, the checkpoint takes d_in={d_in}")
     # score every series before writing any, so a failure leaves no partial output
     scored = []
     for a in anns:

@@ -183,27 +183,6 @@ def _pos_weight(y: np.ndarray, cap: float) -> float:
     return float(min(cap, max(1.0, n_neg / max(1.0, n_pos))))
 
 
-def weighted_bce(p: np.ndarray, y: np.ndarray, cap: float = DEFAULT_POS_CAP) -> LossBreakdown:
-    """Positive-weighted binary cross-entropy over a batch of frames.
-
-    total = w_pos * pos_term + neg_term with w_pos = min(cap, n_neg / n_pos),
-    never below 1 so all-positive batches keep the plain BCE value.
-    Probabilities are clamped to [1e-7, 1 - 1e-7].
-    """
-    p = np.clip(np.asarray(p, dtype=float), 1e-7, 1.0 - 1e-7)
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    w_pos = _pos_weight(y, cap)
-    pos_term = float(-(y * np.log(p)).sum() / n)
-    neg_term = float(-((1.0 - y) * np.log1p(-p)).sum() / n)
-    return LossBreakdown(
-        total=w_pos * pos_term + neg_term,
-        pos_term=pos_term,
-        neg_term=neg_term,
-        pos_weight=w_pos,
-    )
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         return np.logaddexp(0.0, x)
@@ -490,18 +469,25 @@ class StreamingScorer:
     def push(self, frame: np.ndarray) -> float:
         """Consume one frame, return its score before the next frame arrives."""
         global ZERO_NORM_COUNT
-        x = np.asarray(frame, dtype=float)[None, :] @ self.model.w_in + self.model.b_in
+        x = np.asarray(frame, dtype=float)[None, :] @ self.model.w_in
+        x += self.model.b_in
         for i, (adapter, block) in enumerate(self.model.blocks):
             x, self.states[i] = kernels.block_forward(x, adapter, block, self.states[i])
+        # a scalar head: the norm is np.linalg.norm's dot product, and the
+        # sigmoid takes the stable branch for the sign of its argument
         u = x[0]
-        unorm = float(np.linalg.norm(u))
+        unorm = math.sqrt(float(u @ u))
         if unorm < _NORM_EPS:
             ZERO_NORM_COUNT += 1
             logger.warning("zero-norm frame output; scoring as sigmoid(0)")
             s = 0.0
         else:
             s = float(u @ self._qn) / unorm
-        return float(sigmoid(np.array(s / self.model.config.tau_sim)))
+        z = s / self.model.config.tau_sim
+        if z >= 0.0:
+            return 1.0 / (1.0 + math.exp(-z))
+        e = math.exp(z)
+        return e / (1.0 + e)
 
 
 def infer_streaming(

@@ -7,7 +7,8 @@ into them):
 
 * ``vanilla``   - pointwise GELU, no temporal mixing
 * ``st_conv``   - masked (causal) temporal convolution
-* ``qrnn``      - two causal convolutions feeding gated fo-pooling
+* ``qrnn``      - one causal convolution over stacked gate banks feeding
+  gated fo-pooling
 * ``retention`` - decayed linear attention with equivalent parallel and
   recurrent forms
 
@@ -16,8 +17,9 @@ sequences from a fresh start and can record a tape of the intermediates
 that the trainer's backward reads. Streaming mode takes one stream
 ``[n_t, d]`` and a small fixed-size ``StreamState``, so that a sequence
 processed in chunks produces outputs identical to a single pass, at
-constant per-frame cost. Up-projections are zero-initialized, so a freshly
-initialized adapter is exactly the identity.
+constant per-frame cost. A conv step is one product over its stacked
+taps. Up-projections are zero-initialized, so a freshly initialized
+adapter is exactly the identity.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import erf
@@ -147,6 +149,17 @@ class AdapterParams:
     w_q: np.ndarray | None = None   # retention projections [d', d']
     w_k: np.ndarray | None = None
     w_v: np.ndarray | None = None
+    # derived stacked banks, rebuilt by every construction (dataclasses.replace too)
+    w_sf: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    b_sf: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    w_qkv: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+
+    def __post_init__(self) -> None:
+        if self.w_f is not None:  # qrnn: s and f from one conv, [k, d', 2d'] or depthwise [k, 2d']
+            object.__setattr__(self, "w_sf", np.concatenate([self.w_s, self.w_f], axis=-1))
+            object.__setattr__(self, "b_sf", np.concatenate([self.b_s, self.b_f]))
+        if self.w_q is not None:  # retention: q, k and v from one [d', 3d'] product
+            object.__setattr__(self, "w_qkv", np.concatenate([self.w_q, self.w_k, self.w_v], axis=1))
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declaration order."""
@@ -253,10 +266,13 @@ def _check_state(config: AdapterConfig, state: StreamState) -> None:
 
 def gelu(x: np.ndarray, tape: dict | None = None, key: str = "") -> np.ndarray:
     """Exact GELU; a ``tape`` receives ``erf(x / sqrt(2))`` under ``key``."""
-    e = erf(x / math.sqrt(2.0))
+    e = x / math.sqrt(2.0)
+    erf(e, out=e)
     if tape is not None:
         tape[key] = e
-    return 0.5 * x * (1.0 + e)
+    y = 1.0 + e
+    y *= 0.5 * x
+    return y
 
 
 def gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -265,9 +281,19 @@ def gelu_grad(x: np.ndarray, e: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
+    """Stable logistic: 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|)."""
     x = np.asarray(x, dtype=float)
     ex = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    den = 1.0 + ex
+    return np.divide(ex, den, out=np.reciprocal(den, out=np.empty(x.shape)), where=x < 0)
+
+
+def _affine(x: np.ndarray, w: np.ndarray, *terms: np.ndarray) -> np.ndarray:
+    """``x @ w + terms[0] + ...``, each add in place on the fresh product."""
+    y = x @ w
+    for term in terms:
+        y += term
+    return y
 
 
 def causal_conv(
@@ -285,38 +311,40 @@ def causal_conv(
     the output has the input length. With lookahead = 0 the output at t
     never reads frames after t. A 2-D filter bank ``[k, d]`` applies
     depth-wise (per-channel) taps instead of the dense ``[k, d_in, d_out]``
-    mixing.
+    mixing; a depthwise ``[k, m * d_in]`` stacks m banks on the same input.
 
     ``context`` ``[..., c, d_in]`` holds the rows just before ``x[0]`` (a
     stream's carried buffer). The taps read them, but they get no output
     row: the result is the last n_t rows of the convolution over
-    ``[context; x]``, and only those rows are computed and counted.
+    ``[context; x]``. A dense bank is one product of the overlapping k-row
+    windows ``[..., n_t, k * d_in]`` of the zero-padded ``[context; x]``;
+    MACs count only taps that read its real rows.
     """
     k = w.shape[0]
     if lookback + lookahead != k - 1:
         raise ConfigError(f"lookback + lookahead must equal k - 1 = {k - 1}")
-    depthwise = w.ndim == 2
-    n = x.shape[-2]
-    sequences = math.prod(x.shape[:-2])
-    c = 0 if context is None else context.shape[-2]
+    *lead, n, d_in = x.shape
+    c = 0 if context is None else min(context.shape[-2], lookback)
+    xp = np.zeros((*lead, lookback + n + lookahead, d_in), dtype=np.result_type(x, w))
+    xp[..., lookback : lookback + n, :] = x
     if c:
-        x = np.concatenate([context, x], axis=-2)
-    d_out = w.shape[1] if depthwise else w.shape[2]
-    y = np.zeros(x.shape[:-2] + (n, d_out), dtype=np.result_type(x, w))
-    for j in range(k):
-        off = c + j - lookback  # tap j reads output row t from x[t + off]
-        lo = max(0, -off)
-        hi = min(n, c + n - off)
-        if lo < hi:
-            y_j = y[..., lo:hi, :]  # a view: in-place adds skip an indexed store
-            if depthwise:
-                y_j += x[..., lo + off : hi + off, :] * w[j]
-                _count(sequences * (hi - lo) * d_out)
-            else:
-                y_j += x[..., lo + off : hi + off, :] @ w[j]
-                _count(sequences * (hi - lo) * w.shape[1] * d_out)
+        xp[..., lookback - c : lookback, :] = context[..., context.shape[-2] - c :, :]
+    if w.ndim == 2:  # depthwise: per-channel products, tap by tap
+        banks = w.reshape(k, -1, d_in)
+        y = xp[..., 0:n, None, :] * banks[0]
+        for j in range(1, k):
+            y += xp[..., j : j + n, None, :] * banks[j]
+        y = y.reshape(*lead, n, w.shape[1])
+        per_tap = w.shape[1]
+    else:  # row t of the windows is xp[t : t + k] flattened; xp's strides give exactly that view
+        windows = np.ndarray((*lead, n, k * d_in), xp.dtype, xp, 0, xp.strides)
+        y = windows @ w.reshape(k * d_in, w.shape[2])
+        per_tap = d_in * w.shape[2]
+    if _OP_COUNTER is not None:  # tap j reads row t + j - lookback, real for -c <= t + j - lookback < n
+        real = sum(max(0, min(n, n + lookback - j) - max(0, lookback - j - c)) for j in range(k))
+        _count(math.prod(lead) * real * per_tap)
     if bias is not None:
-        y = y + bias
+        y += bias
     return y
 
 
@@ -331,13 +359,15 @@ def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarra
     """
     if s.shape != f.shape:
         raise ConfigError(f"s and f must share a shape, got {s.shape} vs {f.shape}")
-    if f.size and not ((f > 0.0).all() and (f < 1.0).all()):
+    if f.size and not (f.min() > 0.0 and f.max() < 1.0):  # a NaN fails both
         if not (np.isfinite(f).all() and np.isfinite(s).all()):
             raise NumericError("fo_pool inputs are not finite (a non-finite frame or parameter upstream)")
         raise NumericError("fo_pool gates must lie strictly in (0, 1)")
     h = np.empty_like(s, dtype=float)
+    drive = 1.0 - f
+    drive *= s
     # time-major views, so each step is a plain index
-    f_t, drive_t, h_t = (a.swapaxes(0, -2) for a in (f, (1.0 - f) * s, h))
+    f_t, drive_t, h_t = (a.swapaxes(0, -2) for a in (f, drive, h))
     prev = np.asarray(h_init, dtype=float)
     for t in range(len(f_t)):
         prev = f_t[t] * prev + drive_t[t]
@@ -360,7 +390,8 @@ def qrnn_forward(
 ) -> tuple[np.ndarray, QrnnState | None]:
     """Reduced-dim QRNN core: gated pooling of tanh'd causal convolutions.
 
-    ``s = tanh(W_s * x)`` and ``f = sigmoid(W_f * x)``. With ``state=None``
+    ``s = tanh(W_s * x)`` and ``f = sigmoid(W_f * x)``, both halves of one
+    convolution over the stacked bank ``w_sf``. With ``state=None``
     whole sequences ``[..., n_t, d']`` run from a zero hidden state and no
     state is returned. A ``QrnnState`` continues one stream: its buffer is
     the left context of both convolutions and its hidden state seeds the
@@ -375,11 +406,12 @@ def qrnn_forward(
         if cfg.lookahead != 0:
             raise ConfigError("streaming qrnn requires lookahead = 0")
         context, h_init = state.buffer, state.h
-    s = np.tanh(causal_conv(x, params.w_s, cfg.lookback, cfg.lookahead, params.b_s, context))
-    f = sigmoid(causal_conv(x, params.w_f, cfg.lookback, cfg.lookahead, params.b_f, context))
+    sf = causal_conv(x, params.w_sf, cfg.lookback, cfg.lookahead, params.b_sf, context)
+    s = np.tanh(sf[..., : cfg.d_prime])
+    f = sigmoid(sf[..., cfg.d_prime :])
     # sigmoid output saturating to float 0/1 is a rounding artifact; keep the
     # gates inside the open interval fo_pool requires
-    f = np.clip(f, 1e-15, 1.0 - 1e-15)
+    f.clip(1e-15, 1.0 - 1e-15, out=f)
     h, h_last = fo_pool(s, f, h_init)
     if tape is not None:
         tape.update(s=s, f=f)
@@ -432,9 +464,8 @@ def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None =
             "process the stream in chunks or use the recurrent form"
         )
     pos = np.arange(n)
-    q = _rotate(x @ params.w_q, pos, cfg.theta)
-    k = _rotate(x @ params.w_k, pos, cfg.theta)
-    v = x @ params.w_v
+    q, k, v = np.split(x @ params.w_qkv, 3, axis=-1)
+    q, k = _rotate(q, pos, cfg.theta), _rotate(k, pos, cfg.theta)
     decay = decay_matrix(n, cfg.gamma)
     scores = (q @ k.swapaxes(-1, -2)) * decay
     sequences = math.prod(x.shape[:-2])
@@ -453,10 +484,9 @@ def retention_recurrent(
         state = RetentionState(s=np.zeros((cfg.d_prime, cfg.d_prime)), n=0)
     if not isinstance(state, RetentionState):
         raise ConfigError(f"retention_recurrent needs a RetentionState, got {type(state).__name__}")
-    q = _rotate(x_n @ params.w_q, state.n, cfg.theta)
-    k = _rotate(x_n @ params.w_k, state.n, cfg.theta)
-    v = x_n @ params.w_v
-    s = cfg.gamma * state.s + np.outer(k, v)
+    qkv = x_n @ params.w_qkv  # q and k rotate as one [2, d'] array
+    q, k = _rotate(qkv[: 2 * cfg.d_prime].reshape(2, -1), state.n, cfg.theta)
+    s = cfg.gamma * state.s + np.outer(k, qkv[2 * cfg.d_prime :])
     out = q @ s
     _count(5 * cfg.d_prime * cfg.d_prime)  # as in the formula sheet: scaling by gamma is not a MAC
     return out, RetentionState(s=s, n=state.n + 1)
@@ -502,7 +532,7 @@ def adapter_forward(
             raise ConfigError("a tape records batch mode only")
     frames = math.prod(x.shape[:-1])
 
-    down = x @ params.w_down + params.b_down
+    down = _affine(x, params.w_down, params.b_down)
     _count(frames * cfg.d * cfg.d_prime)
 
     new_state = state
@@ -517,15 +547,13 @@ def adapter_forward(
     elif cfg.kind == "qrnn":
         core, new_state = qrnn_forward(down, params, state, tape)
     elif streaming:  # retention, recurrent form
-        rows = []
+        core = np.empty_like(down)
         for t in range(down.shape[0]):
-            out, new_state = retention_recurrent(down[t], params, state=new_state)
-            rows.append(out)
-        core = np.stack(rows) if rows else down[:0]
+            core[t], new_state = retention_recurrent(down[t], params, state=new_state)
     else:  # retention, parallel form
         core = retention_parallel(down, params, tape=tape)
 
-    y = x + core @ params.w_up + params.b_up
+    y = _affine(core, params.w_up, x, params.b_up)
     _count(frames * cfg.d_prime * cfg.d)
     if tape is not None:
         tape.update(x=x, down=down, core=core)
@@ -566,15 +594,6 @@ def make_block_params(d: int, d_mlp: int, seed: int, scale: float = 0.1) -> Bloc
     )
 
 
-def identity_block_params(d: int, d_mlp: int) -> BlockParams:
-    """Zeroed frozen sublayers: with an identity adapter the block is the identity."""
-    return BlockParams(
-        w_sp=np.zeros((d, d)), b_sp=np.zeros(d),
-        w1=np.zeros((d, d_mlp)), b1=np.zeros(d_mlp),
-        w2=np.zeros((d_mlp, d)), b2=np.zeros(d),
-    )
-
-
 def block_forward(
     x: np.ndarray,
     adapter_params: AdapterParams,
@@ -589,9 +608,9 @@ def block_forward(
     the MLP's pre-activation ``h1_pre`` and its GELU's ``h1_erf``.
     """
     u, new_state = adapter_forward(x, adapter_params, state, tape)
-    v = u @ block_params.w_sp + block_params.b_sp + x
-    h1_pre = v @ block_params.w1 + block_params.b1
-    out = gelu(h1_pre, tape, "h1_erf") @ block_params.w2 + block_params.b2 + v
+    v = _affine(u, block_params.w_sp, block_params.b_sp, x)
+    h1_pre = _affine(v, block_params.w1, block_params.b1)
+    out = _affine(gelu(h1_pre, tape, "h1_erf"), block_params.w2, block_params.b2, v)
     if tape is not None:
         tape["h1_pre"] = h1_pre
     frames = math.prod(x.shape[:-1])

@@ -8,7 +8,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import math
+
 import numpy as np
+from scipy.special import erf
+
+from streamstart.detector import DEFAULT_POS_CAP, LossBreakdown
+from streamstart.kernels import BlockParams
 
 
 def brute_predictions(scores, fps, threshold, mode):
@@ -108,3 +114,66 @@ def randomize_adapters(model, seed, scale=0.4):
         }
         blocks.append((replace(adapter, **updates), frozen))
     return replace(model, blocks=blocks)
+
+
+def identity_block_params(d, d_mlp):
+    """Zeroed frozen sublayers: with an identity adapter the block is the identity."""
+    return BlockParams(
+        w_sp=np.zeros((d, d)), b_sp=np.zeros(d),
+        w1=np.zeros((d, d_mlp)), b1=np.zeros(d_mlp),
+        w2=np.zeros((d_mlp, d)), b2=np.zeros(d),
+    )
+
+
+def weighted_bce(p, y, cap=DEFAULT_POS_CAP):
+    """Positive-weighted binary cross-entropy in probability space.
+
+    total = w_pos * pos_term + neg_term with w_pos = min(cap, n_neg / n_pos),
+    never below 1. Probabilities are clamped to [1e-7, 1 - 1e-7]. The
+    detector trains on the stable logit form; this is its reference.
+    """
+    p = np.clip(np.asarray(p, dtype=float), 1e-7, 1.0 - 1e-7)
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    w_pos = float(min(cap, max(1.0, float(n - y.sum()) / max(1.0, float(y.sum())))))
+    pos_term = float(-(y * np.log(p)).sum() / n)
+    neg_term = float(-((1.0 - y) * np.log1p(-p)).sum() / n)
+    return LossBreakdown(total=w_pos * pos_term + neg_term, pos_term=pos_term,
+                         neg_term=neg_term, pos_weight=w_pos)
+
+
+def tap_loop_conv(x, w, lookback, lookahead=0, bias=None, context=None):
+    """Causal conv as one product per tap over the rows it reaches, and the
+    MACs of those taps: ``(y, macs)``. Dense ``[k, d_in, d_out]`` or
+    depthwise ``[k, d]`` banks; ``context`` rows are read but get no output."""
+    k = w.shape[0]
+    depthwise = w.ndim == 2
+    n = x.shape[-2]
+    sequences = math.prod(x.shape[:-2])
+    c = 0 if context is None else context.shape[-2]
+    if c:
+        x = np.concatenate([context, x], axis=-2)
+    d_out = w.shape[1] if depthwise else w.shape[2]
+    y = np.zeros(x.shape[:-2] + (n, d_out), dtype=np.result_type(x, w))
+    macs = 0
+    for j in range(k):
+        off = c + j - lookback  # tap j reads output row t from x[t + off]
+        lo, hi = max(0, -off), min(n, c + n - off)
+        if lo < hi:
+            rows = x[..., lo + off : hi + off, :]
+            y[..., lo:hi, :] += rows * w[j] if depthwise else rows @ w[j]
+            macs += sequences * (hi - lo) * (d_out if depthwise else w.shape[1] * d_out)
+    if bias is not None:
+        y = y + bias
+    return y, macs
+
+
+def where_sigmoid(x):
+    """Stable logistic by selecting between both branches."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
+def erf_gelu(x):
+    """Exact GELU written as its formula."""
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))

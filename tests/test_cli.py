@@ -252,6 +252,23 @@ class TestTrainScoreEval:
         assert str(bad) in err and message in err and err.count("\n") == 1
         assert not (out / "scores").exists() and not (out / "manifest.json").exists()
 
+    def test_score_stream_width_checked_against_checkpoint(self, pipeline, tmp_path, capsys):
+        _, run, _ = pipeline
+        narrow = tmp_path / "narrow"
+        assert cli.main(["synth", "--out", str(narrow), "--streams", "2", "--val-streams", "2",
+                         "--seed", "1", "--dim", "4"]) == 0
+        first = [a for a in ann.parse_annotations((narrow / "annotations.csv").read_bytes())
+                 if a.split == "val"][0]
+        out = tmp_path / "scored"
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(narrow),
+                       "--split", "val", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"stream {first.video_uid} has dim 4, the checkpoint takes d_in=8" in err
+        assert err.count("\n") == 1
+        assert not (out / "scores").exists() and not (out / "manifest.json").exists()
+
     @pytest.mark.parametrize("ks", ["1,x", "1,,2", "1.5"])
     def test_eval_bad_k_exit_config(self, pipeline, capsys, ks):
         corpus, _, scores = pipeline

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from streamstart.detector import (
     infer_streaming,
     score_frames,
     train,
-    weighted_bce,
 )
 from streamstart.errors import ConfigError, NumericError
 from streamstart.kernels import AdapterConfig
@@ -46,7 +45,7 @@ def tiny_batch(seed, n=6, d=8, count=2):
 def identity_model(d=8, kind="qrnn", tau_sim=0.07):
     """Fresh adapters plus zeroed frozen sublayers: the stack is the identity."""
     model = tiny_model(kind, d=d, dp=d // 2, blocks=1, tau_sim=tau_sim)
-    blocks = [(a, kernels.identity_block_params(d, model.config.d_mlp)) for a, _ in model.blocks]
+    blocks = [(a, oracles.identity_block_params(d, model.config.d_mlp)) for a, _ in model.blocks]
     return replace(model, blocks=blocks)
 
 
@@ -113,39 +112,39 @@ class TestScoreFrames:
 
 class TestWeightedBce:
     def test_single_positive_ln2(self):
-        lb = weighted_bce(np.array([0.5]), np.array([1.0]), cap=math.inf)
+        lb = oracles.weighted_bce(np.array([0.5]), np.array([1.0]), cap=math.inf)
         assert lb.total == pytest.approx(math.log(2.0))
         assert lb.pos_weight == 1.0
 
     def test_imbalanced_batch_hand_value(self):
-        lb = weighted_bce(np.full(4, 0.5), np.array([1.0, 0, 0, 0]), cap=math.inf)
+        lb = oracles.weighted_bce(np.full(4, 0.5), np.array([1.0, 0, 0, 0]), cap=math.inf)
         assert lb.pos_weight == 3.0
         assert lb.total == pytest.approx(1.5 * math.log(2.0))  # 1.0397
         assert lb.total == pytest.approx(1.0397, abs=1e-4)
 
     def test_perfect_predictions_vanish(self):
         y = np.array([1.0, 0.0, 1.0])
-        lb = weighted_bce(np.array([1.0, 0.0, 1.0]), y)
+        lb = oracles.weighted_bce(np.array([1.0, 0.0, 1.0]), y)
         assert lb.total < 1e-5
 
     def test_cap_applies(self):
         y = np.zeros(100)
         y[0] = 1.0
-        lb = weighted_bce(np.full(100, 0.5), y, cap=20.0)
+        lb = oracles.weighted_bce(np.full(100, 0.5), y, cap=20.0)
         assert lb.pos_weight == 20.0
 
     def test_total_is_weighted_sum(self):
         rng = np.random.default_rng(3)
         p = rng.uniform(0.01, 0.99, 30)
         y = (rng.random(30) < 0.3).astype(float)
-        lb = weighted_bce(p, y)
+        lb = oracles.weighted_bce(p, y)
         assert lb.total == pytest.approx(lb.pos_weight * lb.pos_term + lb.neg_term)
 
     def test_matches_logit_path(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=25) * 3
         y = (rng.random(25) < 0.5).astype(float)
-        lb_p = weighted_bce(kernels.sigmoid(z), y, cap=10.0)
+        lb_p = oracles.weighted_bce(kernels.sigmoid(z), y, cap=10.0)
         lb_z, _ = detector._bce_from_logits(z, y, cap=10.0)
         assert lb_p.total == pytest.approx(lb_z.total, rel=1e-9)
 
@@ -365,6 +364,39 @@ class TestStreamingInference:
         batch = score_frames(model, frames, q).scores
         streamed = infer_streaming(model, frames, q).scores
         assert np.abs(batch - streamed).max() <= 1e-10
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_push_leaves_earlier_states_unchanged(self, kind):
+        # copies of a scorer share state objects, so a push must replace them, never write into them
+        model = oracles.randomize_adapters(tiny_model(kind), seed=42)
+        rng = np.random.default_rng(43)
+        frames, q = rng.normal(size=(5, 8)), rng.normal(size=8)
+        scorer = StreamingScorer(model, q)
+        for frame in frames[:3]:
+            scorer.push(frame)
+        earlier = list(scorer.states)
+        saved = [{f.name: np.array(getattr(st, f.name)) for f in fields(st)} for st in earlier]
+        weights = [a.copy() for adapter, _ in model.blocks for a in adapter.arrays().values()]
+        pushed = frames[3].copy()
+        scorer.push(pushed)
+        scorer.push(frames[4])
+        for st, arrays in zip(earlier, saved):
+            for name, arr in arrays.items():
+                assert np.asarray(getattr(st, name)).tobytes() == arr.tobytes()
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(weights, [a for adapter, _ in model.blocks for a in adapter.arrays().values()]))
+        assert np.array_equal(pushed, frames[3])
+
+    def test_push_head_matches_batch_head_at_saturation_and_zero_norm(self):
+        # through an identity stack the cosine is exact: +-q give s/tau = +-50
+        model = identity_model(tau_sim=0.02)
+        q = np.random.default_rng(44).normal(size=8)
+        frames = np.stack([q, -q, np.zeros(8), 3.0 * q, -0.5 * q, np.zeros(8)])
+        batch = score_frames(model, frames, q).scores
+        pushed = infer_streaming(model, frames, q).scores
+        assert np.abs(pushed - batch).max() <= 1e-10
+        assert np.all(np.abs(pushed - batch) <= 1e-12 * batch)
+        assert pushed[2] == pushed[5] == 0.5 and pushed[1] < 1e-21 and pushed[0] == 1.0
 
     def test_first_frame_equals_length_one_batch(self):
         model = oracles.randomize_adapters(tiny_model("retention"), seed=23)

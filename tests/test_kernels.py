@@ -9,6 +9,7 @@ from streamstart import kernels
 from streamstart.errors import ConfigError, NumericError
 from streamstart.kernels import (
     AdapterConfig,
+    AdapterParams,
     OpCounter,
     adapter_forward,
     block_forward,
@@ -21,6 +22,8 @@ from streamstart.kernels import (
     retention_parallel,
     retention_recurrent,
 )
+
+import oracles
 
 KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
@@ -489,6 +492,79 @@ class TestAdapterStreaming:
             assert len(set(counts)) == 1
 
 
+class TestRewrittenPrimitives:
+    """causal_conv, sigmoid and gelu against the formulas they replaced (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_causal_conv_equals_tap_loop(self, k, lead, depthwise):
+        rng = np.random.default_rng(80 + k)
+        w = rng.normal(size=(k, 4) if depthwise else (k, 4, 5))
+        bias = rng.normal(size=w.shape[-1])
+        for lookback in range(k):
+            lookahead = k - 1 - lookback
+            # no context, and contexts shorter than, equal to and longer than lookback
+            for c in (None, max(0, lookback - 1), lookback, lookback + 2):
+                for n in (1, 6):
+                    x = rng.normal(size=lead + (n, 4))
+                    context = None if c is None else rng.normal(size=lead + (c, 4))
+                    y, macs = counted(lambda: causal_conv(x, w, lookback, lookahead, bias, context))
+                    want, want_macs = oracles.tap_loop_conv(x, w, lookback, lookahead, bias, context)
+                    assert macs == want_macs
+                    if depthwise:  # the same products, added in the same order
+                        assert np.array_equal(y, want)
+                    else:  # one product over the taps sums in another order
+                        assert np.abs(y - want).max() <= 1e-12
+
+    def test_stacked_depthwise_banks_share_the_input(self):
+        rng = np.random.default_rng(84)
+        x, w_a, w_b = rng.normal(size=(2, 7, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+        y = causal_conv(x, np.concatenate([w_a, w_b], axis=-1), 2)
+        assert np.array_equal(y[..., :4], causal_conv(x, w_a, 2))
+        assert np.array_equal(y[..., 4:], causal_conv(x, w_b, 2))
+
+    def test_sigmoid_bitwise_equals_where_form(self):
+        x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 750.0, -750.0,
+                      np.inf, -np.inf, np.nan])
+        got = kernels.sigmoid(x)
+        assert got.tobytes() == oracles.where_sigmoid(x).tobytes()
+        assert got[0] == got[1] == 0.5 and got[-3] == 1.0 and got[-2] == 0.0
+        assert kernels.sigmoid(np.float64(-2.0)) == oracles.where_sigmoid(np.float64(-2.0))
+
+    def test_gelu_bitwise_and_tape_is_erf(self):
+        x = np.concatenate([np.random.default_rng(85).normal(size=60) * 4,
+                            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]]).reshape(6, 11)
+        tape = {}
+        y = kernels.gelu(x, tape, "e")
+        assert y.tobytes() == oracles.erf_gelu(x).tobytes()
+        assert tape["e"].tobytes() == erf(x / math.sqrt(2.0)).tobytes()  # erf, not 1 + erf
+
+
+class TestStackedBanks:
+    """Stacked banks are derived from the per-bank arrays at every construction."""
+
+    @pytest.mark.parametrize("kind, name, depthwise", [
+        ("qrnn", "w_f", False), ("qrnn", "w_f", True), ("qrnn", "b_s", False), ("retention", "w_k", False),
+    ])
+    def test_replace_rebuilds_the_stacked_bank(self, kind, name, depthwise):
+        rng = np.random.default_rng(86)
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        before = randomized(init_params(cfg, 0), 87)
+        after = replace(before, **{name: rng.normal(size=getattr(before, name).shape)})
+        x = rng.normal(size=(12, 8))
+        batch, _ = adapter_forward(x, after)
+        streamed, _ = run_chunked(x, after, [3, 1, 8])
+        assert not np.allclose(batch, adapter_forward(x, before)[0])
+        assert np.array_equal(batch, adapter_forward(x, AdapterParams(config=cfg, **after.arrays()))[0])
+        assert np.abs(streamed - batch).max() <= 1e-10
+
+    def test_stacked_banks_stay_out_of_the_trainable_arrays(self):
+        for kind in ("qrnn", "retention"):
+            p = init_params(AdapterConfig(d=8, d_prime=4, kind=kind), 0)
+            assert not {"w_sf", "b_sf", "w_qkv"} & set(p.arrays())
+
+
 class TestGelu:
     def test_tape_holds_erf_and_output_is_unchanged(self):
         x = np.random.default_rng(5).normal(size=(4, 7)) * 3
@@ -510,7 +586,7 @@ class TestBlock:
     def test_identity_composition(self):
         cfg = AdapterConfig(d=8, d_prime=4, kind="qrnn")
         adapter = init_params(cfg, 0)
-        block = kernels.identity_block_params(8, 16)
+        block = oracles.identity_block_params(8, 16)
         x = np.random.default_rng(1).normal(size=(6, 8))
         y, _ = block_forward(x, adapter, block)
         assert np.array_equal(y, x)
