@@ -35,7 +35,7 @@ config = detector.ModelConfig(
     tau_sim=0.25, seed=0,
 )
 model = detector.build_model(config)
-train_config = detector.TrainConfig(w_s=60, learning_rate=1e-2, steps=100,
+train_config = detector.TrainConfig(learning_rate=1e-2, steps=100,
                                     batch_size=32, seed=0, weight_decay=1e-3)
 trained, history = detector.train(model, dataset, train_config)
 print(f"loss: {history[0].total:.3f} -> {history[-1].total:.3f} over {len(history)} steps "

@@ -201,14 +201,11 @@ def cmd_train(args) -> int:
             )
 
     train_config = detector.TrainConfig(
-        w_s=w_s,
-        fps=args.fps,
         learning_rate=args.lr,
         steps=args.steps,
         batch_size=args.batch,
         pos_weight_cap=args.pos_cap,
         seed=args.seed,
-        optimizer=args.optimizer,
         weight_decay=args.weight_decay,
     )
     trained, history = detector.train(model, dataset, train_config)
@@ -219,8 +216,7 @@ def cmd_train(args) -> int:
     train_manifest = {
         "config": {
             "w_s": w_s, "fps": args.fps, "learning_rate": args.lr, "steps": args.steps,
-            "batch_size": args.batch, "pos_weight_cap": args.pos_cap,
-            "optimizer": args.optimizer, "weight_decay": args.weight_decay,
+            "batch_size": args.batch, "pos_weight_cap": args.pos_cap, "weight_decay": args.weight_decay,
             "kind": args.kind, "d_prime": adapter.d_prime, "k": args.k,
             "blocks": args.blocks, "tau_sim": args.tau_sim,
         },
@@ -398,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d-prime", type=int, default=0)
     p.add_argument("--pos-cap", type=float, default=detector.DEFAULT_POS_CAP)
-    p.add_argument("--optimizer", choices=("adam", "sgd"), default="adam")
     p.add_argument("--weight-decay", type=float, default=0.0)
     p.add_argument("--tau-sim", type=float, default=detector.DEFAULT_TAU_SIM)
     p.add_argument("--windows-per-annotation", type=int, default=1)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, NumericError
-from .kernels import AdapterConfig, AdapterParams, BlockParams, gelu_grad, sigmoid
+from .kernels import AdapterConfig, AdapterParams, BlockParams, sigmoid
 from .metrics import ScoreSeries
 
 logger = logging.getLogger(__name__)
@@ -67,24 +67,16 @@ class DetectorModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    w_s: int = 60
-    fps: float = 1.0
     learning_rate: float = 1e-4
     steps: int = 0
     batch_size: int = 8
     pos_weight_cap: float = DEFAULT_POS_CAP
     seed: int = 0
-    optimizer: str = "adam"
-    momentum: float = 0.9
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.w_s < 1:
-            raise ConfigError(f"w_s must be >= 1, got {self.w_s}")
         if self.learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
 
 
 @dataclass(frozen=True)
@@ -194,8 +186,9 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray, cap: float) -> tuple[LossBrea
     n = y.size
     w_pos = _pos_weight(y, cap)
     p = sigmoid(z)
-    pos_term = float((y * _softplus(-z)).sum() / n)
-    neg_term = float(((1.0 - y) * (z + _softplus(-z))).sum() / n)
+    sp = _softplus(-z)
+    pos_term = float((y * sp).sum() / n)
+    neg_term = float(((1.0 - y) * (z + sp)).sum() / n)
     dz = (w_pos * y * (p - 1.0) + (1.0 - y) * p) / n
     lb = LossBreakdown(
         total=w_pos * pos_term + neg_term,
@@ -209,135 +202,17 @@ def _bce_from_logits(z: np.ndarray, y: np.ndarray, cap: float) -> tuple[LossBrea
 # -- backward ---------------------------------------------------------------------
 
 
-def _rows(a: np.ndarray) -> np.ndarray:
-    """``[..., T, d]`` as ``[B*T, d]``: one row per frame of every window."""
-    return a.reshape(-1, a.shape[-1])
-
-
-def _conv_backward(
-    d_y: np.ndarray, x: np.ndarray, w: np.ndarray, lookback: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """VJP of causal_conv w.r.t. its input and filter bank (dense or depthwise)."""
-    n = x.shape[-2]
-    depthwise = w.ndim == 2
-    d_x = np.zeros_like(x)
-    g_w = np.zeros_like(w)
-    for j in range(w.shape[0]):
-        off = j - lookback
-        lo = max(0, -off)
-        hi = min(n, n - off)
-        if lo < hi:
-            x_j, d_y_j = x[..., lo + off : hi + off, :], d_y[..., lo:hi, :]
-            if depthwise:
-                d_x[..., lo + off : hi + off, :] += d_y_j * w[j]
-                g_w[j] = _rows(x_j * d_y_j).sum(axis=0)
-            else:
-                d_x[..., lo + off : hi + off, :] += d_y_j @ w[j].T
-                g_w[j] = _rows(x_j).T @ _rows(d_y_j)
-    return d_x, g_w
-
-
-def _fo_pool_backward(
-    d_h: np.ndarray, s: np.ndarray, f: np.ndarray, h: np.ndarray, h_init: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """VJP of h_t = f_t h_{t-1} + (1 - f_t) s_t for d/ds and d/df.
-
-    Only the carried gradient g_t = d_h_t + f_{t+1} g_{t+1} runs over time;
-    d/ds = g (1 - f) and d/df = g (h_{t-1} - s) follow for all steps at once.
-    """
-    g = np.empty_like(d_h)
-    g_t, d_h_t, f_t = (a.swapaxes(0, -2) for a in (g, d_h, f))  # time-major views
-    carry = 0.0
-    for t in range(len(f_t) - 1, -1, -1):
-        carry = d_h_t[t] + carry
-        g_t[t] = carry
-        carry = carry * f_t[t]
-    first = np.broadcast_to(h_init, h[..., :1, :].shape)
-    h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
-    return g * (1.0 - f), g * (h_prev - s)
-
-
-def _core_backward(
-    d_core: np.ndarray, tape: dict, params: AdapterParams, grads: dict, prefix: str
-) -> np.ndarray:
-    cfg = params.config
-    down = tape["down"]
-    if cfg.kind == "vanilla":
-        return d_core * gelu_grad(down, tape["down_erf"])
-    if cfg.kind == "st_conv":
-        d_down, g_w = _conv_backward(d_core, down, params.w_s, cfg.lookback)
-        grads[f"{prefix}.w_s"] += g_w
-        return d_down
-    if cfg.kind == "qrnn":
-        s, f, h = tape["s"], tape["f"], tape["core"]
-        d_s, d_f = _fo_pool_backward(d_core, s, f, h, np.zeros(cfg.d_prime))
-        d_sp = d_s * (1.0 - s * s)
-        d_fp = d_f * f * (1.0 - f)
-        d_down_s, g_ws = _conv_backward(d_sp, down, params.w_s, cfg.lookback)
-        d_down_f, g_wf = _conv_backward(d_fp, down, params.w_f, cfg.lookback)
-        grads[f"{prefix}.w_s"] += g_ws
-        grads[f"{prefix}.b_s"] += _rows(d_sp).sum(axis=0)
-        grads[f"{prefix}.w_f"] += g_wf
-        grads[f"{prefix}.b_f"] += _rows(d_fp).sum(axis=0)
-        return d_down_s + d_down_f
-    # retention
-    q, k, v = tape["q"], tape["k"], tape["v"]
-    decay, pos, scores = tape["decay"], tape["pos"], tape["scores"]
-    d_v = scores.swapaxes(-1, -2) @ d_core
-    d_scores = d_core @ v.swapaxes(-1, -2)
-    d_raw = d_scores * decay
-    d_q = d_raw @ k
-    d_k = d_raw.swapaxes(-1, -2) @ q
-    d_q0 = kernels._rotate(d_q, pos, -cfg.theta)
-    d_k0 = kernels._rotate(d_k, pos, -cfg.theta)
-    grads[f"{prefix}.w_q"] += _rows(down).T @ _rows(d_q0)
-    grads[f"{prefix}.w_k"] += _rows(down).T @ _rows(d_k0)
-    grads[f"{prefix}.w_v"] += _rows(down).T @ _rows(d_v)
-    return d_q0 @ params.w_q.T + d_k0 @ params.w_k.T + d_v @ params.w_v.T
-
-
-def _block_backward(
-    d_out: np.ndarray,
-    tape: dict,
-    adapter: AdapterParams,
-    block: BlockParams,
-    grads: dict,
-    prefix: str,
-) -> np.ndarray:
-    d_hidden = d_out @ block.w2.T
-    d_h1 = d_hidden * gelu_grad(tape["h1_pre"], tape["h1_erf"])
-    d_v = d_out + d_h1 @ block.w1.T
-    d_u = d_v @ block.w_sp.T
-    d_x = d_v.copy()
-
-    # adapter: u = x + core @ w_up + b_up
-    d_x += d_u
-    d_core = d_u @ adapter.w_up.T
-    grads[f"{prefix}.w_up"] += _rows(tape["core"]).T @ _rows(d_u)
-    grads[f"{prefix}.b_up"] += _rows(d_u).sum(axis=0)
-    d_down = _core_backward(d_core, tape, adapter, grads, prefix)
-    grads[f"{prefix}.w_down"] += _rows(tape["x"]).T @ _rows(d_down)
-    grads[f"{prefix}.b_down"] += _rows(d_down).sum(axis=0)
-    d_x += d_down @ adapter.w_down.T
-    return d_x
-
-
 def _score_head_backward(dz: np.ndarray, cache: dict, tau: float) -> np.ndarray:
     out, qn = cache["out"], cache["qn"]
     unorm, s, zero = cache["unorm"], cache["s"], cache["zero"]
-    ds = dz / tau
-    uhat = out / unorm[..., None]
-    d_out = ds[..., None] * (qn[..., None, :] - s[..., None] * uhat) / unorm[..., None]
+    # ds (qn - s uhat) / unorm with ds = dz / tau, uhat = out / unorm, in place on one array
+    d_out = out / unorm[..., None]
+    d_out *= s[..., None]
+    np.subtract(qn[..., None, :], d_out, out=d_out)
+    d_out *= (dz / tau)[..., None]
+    d_out /= unorm[..., None]
     d_out[zero] = 0.0
     return d_out
-
-
-def zero_grads(model: DetectorModel) -> dict[str, np.ndarray]:
-    grads: dict[str, np.ndarray] = {}
-    for i, (adapter, _) in enumerate(model.blocks):
-        for name, arr in adapter.arrays().items():
-            grads[f"blocks.{i}.{name}"] = np.zeros_like(arr)
-    return grads
 
 
 def backward(
@@ -363,11 +238,12 @@ def backward(
     s, cache = _cosine_scores(out, query)
     lb, dz = _bce_from_logits((s / model.config.tau_sim).ravel(), labels.ravel(), cap)
 
-    grads = zero_grads(model)
     d_x = _score_head_backward(dz.reshape(s.shape), cache, model.config.tau_sim)
+    block_grads: list = [None] * len(model.blocks)
     for i in range(len(model.blocks) - 1, -1, -1):
         adapter, block = model.blocks[i]
-        d_x = _block_backward(d_x, tapes[i], adapter, block, grads, f"blocks.{i}")
+        d_x, block_grads[i] = kernels.block_vjp(d_x, adapter, block, tapes[i])
+    grads = {f"blocks.{i}.{name}": g for i, bg in enumerate(block_grads) for name, g in bg.items()}
 
     for name, g in grads.items():
         if not np.isfinite(g).all():
@@ -393,9 +269,9 @@ def train(
 ) -> tuple[DetectorModel, list[LossBreakdown]]:
     """Optimize adapter parameters; returns the trained model and loss curve.
 
-    Deterministic given the seed. Uses adaptive moments by default (SGD
-    with momentum via ``optimizer="sgd"``). Raises NumericError with the
-    partial history attached if the loss exceeds the divergence limit.
+    Deterministic given the seed. Adam with decoupled weight decay. Raises
+    NumericError with the partial history attached if the loss exceeds the
+    divergence limit.
     """
     if not dataset:
         raise ConfigError("training needs a non-empty dataset")
@@ -431,15 +307,11 @@ def train(
             err.history = history
             raise err
         for name, g in grads.items():
-            if config.optimizer == "adam":
-                m1[name] = beta1 * m1[name] + (1.0 - beta1) * g
-                m2[name] = beta2 * m2[name] + (1.0 - beta2) * g * g
-                mhat = m1[name] / (1.0 - beta1**step)
-                vhat = m2[name] / (1.0 - beta2**step)
-                work[name] = work[name] - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-            else:
-                m1[name] = config.momentum * m1[name] + g
-                work[name] = work[name] - config.learning_rate * m1[name]
+            m1[name] = beta1 * m1[name] + (1.0 - beta1) * g
+            m2[name] = beta2 * m2[name] + (1.0 - beta2) * g * g
+            mhat = m1[name] / (1.0 - beta1**step)
+            vhat = m2[name] / (1.0 - beta2**step)
+            work[name] = work[name] - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
             if config.weight_decay:
                 work[name] = work[name] - config.learning_rate * config.weight_decay * work[name]
     return _rebuild(model, work), history
@@ -522,8 +394,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
             "d_prime": adapter.d_prime,
             "kind": adapter.kind,
             "k": adapter.k,
-            "lookback": adapter.lookback,
-            "lookahead": adapter.lookahead,
+            "lookback": adapter.k - 1,  # fixed in version 1: every conv is causal
+            "lookahead": 0,
             "gamma": adapter.gamma,
             "theta": adapter.theta,
             "forget_bias_init": adapter.forget_bias_init,
@@ -552,9 +424,14 @@ def _array_order(model: DetectorModel) -> list[str]:
 
 def load_model(path: str | Path) -> DetectorModel:
     """Model of a checkpoint; an array count or shape that does not fit its
-    config raises ConfigError."""
+    config, or a conv that is not causal, raises ConfigError."""
     raw_config, arrays = kernels.read_checkpoint(path)
-    adapter_cfg = AdapterConfig(**raw_config["adapter"])
+    raw_adapter = dict(raw_config["adapter"])
+    lookback, lookahead = raw_adapter.pop("lookback", None), raw_adapter.pop("lookahead", None)
+    adapter_cfg = AdapterConfig(**raw_adapter)
+    if (lookback, lookahead) != (adapter_cfg.k - 1, 0):
+        raise ConfigError(f"{path}: adapter lookback {lookback} and lookahead {lookahead} are not supported; "
+                          f"version 1 takes lookback = k - 1 = {adapter_cfg.k - 1} and lookahead = 0")
     config = ModelConfig(
         d_in=raw_config["d_in"],
         d=raw_config["d"],

@@ -12,14 +12,19 @@ into them):
 * ``retention`` - decayed linear attention with equivalent parallel and
   recurrent forms
 
+Every temporal kernel is causal: an output never reads a later frame.
+
 One forward serves every caller. Batch mode (no state) runs whole
-sequences from a fresh start and can record a tape of the intermediates
-that the trainer's backward reads. Streaming mode takes one stream
-``[n_t, d]`` and a small fixed-size ``StreamState``, so that a sequence
-processed in chunks produces outputs identical to a single pass, at
-constant per-frame cost. A conv step is one product over its stacked
-taps. Up-projections are zero-initialized, so a freshly initialized
-adapter is exactly the identity.
+sequences from a fresh start and can record a tape of its intermediates.
+Streaming mode takes one stream ``[n_t, d]`` and a small fixed-size
+``StreamState``, so that a sequence processed in chunks produces outputs
+identical to a single pass, at constant per-frame cost. A conv step is one
+product over its stacked taps. Up-projections are zero-initialized, so a
+freshly initialized adapter is exactly the identity.
+
+Each taped op has its vector-Jacobian product (``*_vjp``) beside it: from
+the output's gradient and what the forward saw or taped, it returns the
+input's gradient and ``{array_name: gradient}``. No other module reads a tape.
 """
 
 from __future__ import annotations
@@ -78,8 +83,6 @@ class AdapterConfig:
     d_prime: int
     kind: str
     k: int = 2
-    lookback: int | None = None
-    lookahead: int = 0
     gamma: float = DEFAULT_GAMMA
     theta: float | None = None
     forget_bias_init: float = DEFAULT_FORGET_BIAS
@@ -92,15 +95,6 @@ class AdapterConfig:
             raise ConfigError(f"need 1 <= d_prime <= d, got d_prime={self.d_prime}, d={self.d}")
         if self.k < 1:
             raise ConfigError(f"kernel size must be >= 1, got {self.k}")
-        if self.lookback is None:
-            object.__setattr__(self, "lookback", self.k - 1 - self.lookahead)
-        if self.lookback + self.lookahead != self.k - 1:
-            raise ConfigError(
-                f"lookback + lookahead must equal k - 1, got "
-                f"{self.lookback} + {self.lookahead} != {self.k - 1}"
-            )
-        if self.lookback < 0 or self.lookahead < 0:
-            raise ConfigError("lookback and lookahead must be nonnegative")
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.theta is None:
@@ -299,19 +293,17 @@ def _affine(x: np.ndarray, w: np.ndarray, *terms: np.ndarray) -> np.ndarray:
 def causal_conv(
     x: np.ndarray,
     w: np.ndarray,
-    lookback: int,
-    lookahead: int = 0,
     bias: np.ndarray | None = None,
     context: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Masked temporal convolution: y_t = sum_j x_{t - lookback + j} @ w[j].
+    """Masked temporal convolution: y_t = sum_j x_{t - (k - 1) + j} @ w[j].
 
     ``x`` is ``[..., n_t, d_in]``: time on axis -2, any leading axes batch
-    independent sequences. Positions outside [0, n_t) contribute zero, so
-    the output has the input length. With lookahead = 0 the output at t
-    never reads frames after t. A 2-D filter bank ``[k, d]`` applies
-    depth-wise (per-channel) taps instead of the dense ``[k, d_in, d_out]``
-    mixing; a depthwise ``[k, m * d_in]`` stacks m banks on the same input.
+    independent sequences. Positions before 0 contribute zero, so the
+    output has the input length and the output at t never reads frames
+    after t. A 2-D filter bank ``[k, d]`` applies depth-wise (per-channel)
+    taps instead of the dense ``[k, d_in, d_out]`` mixing; a depthwise
+    ``[k, m * d_in]`` stacks m banks on the same input.
 
     ``context`` ``[..., c, d_in]`` holds the rows just before ``x[0]`` (a
     stream's carried buffer). The taps read them, but they get no output
@@ -321,14 +313,12 @@ def causal_conv(
     MACs count only taps that read its real rows.
     """
     k = w.shape[0]
-    if lookback + lookahead != k - 1:
-        raise ConfigError(f"lookback + lookahead must equal k - 1 = {k - 1}")
     *lead, n, d_in = x.shape
-    c = 0 if context is None else min(context.shape[-2], lookback)
-    xp = np.zeros((*lead, lookback + n + lookahead, d_in), dtype=np.result_type(x, w))
-    xp[..., lookback : lookback + n, :] = x
+    c = 0 if context is None else min(context.shape[-2], k - 1)
+    xp = np.zeros((*lead, k - 1 + n, d_in), dtype=np.result_type(x, w))
+    xp[..., k - 1 :, :] = x
     if c:
-        xp[..., lookback - c : lookback, :] = context[..., context.shape[-2] - c :, :]
+        xp[..., k - 1 - c : k - 1, :] = context[..., context.shape[-2] - c :, :]
     if w.ndim == 2:  # depthwise: per-channel products, tap by tap
         banks = w.reshape(k, -1, d_in)
         y = xp[..., 0:n, None, :] * banks[0]
@@ -340,12 +330,41 @@ def causal_conv(
         windows = np.ndarray((*lead, n, k * d_in), xp.dtype, xp, 0, xp.strides)
         y = windows @ w.reshape(k * d_in, w.shape[2])
         per_tap = d_in * w.shape[2]
-    if _OP_COUNTER is not None:  # tap j reads row t + j - lookback, real for -c <= t + j - lookback < n
-        real = sum(max(0, min(n, n + lookback - j) - max(0, lookback - j - c)) for j in range(k))
+    if _OP_COUNTER is not None:  # a tap reading s rows back reads real rows for t >= s - c
+        real = sum(max(0, n - max(0, s - c)) for s in range(k))
         _count(math.prod(lead) * real * per_tap)
     if bias is not None:
         y += bias
     return y
+
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    """``[..., T, d]`` as ``[B*T, d]``: one row per frame of every sequence."""
+    return a.reshape(-1, a.shape[-1])
+
+
+def causal_conv_vjp(
+    d_y: np.ndarray, x: np.ndarray, w: np.ndarray, bias: np.ndarray | None = None
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """VJP of batch-mode ``causal_conv(x, w, bias)``: ``(d_x, {"w": ..., "bias": ...})``.
+
+    ``"bias"`` is there only when a bias is given. Tap j reads s = k - 1 - j
+    rows back, so it pairs ``d_y[s:]`` with ``x[:n - s]``, one tap at a time.
+    """
+    k, n = w.shape[0], x.shape[-2]
+    d_x = np.zeros_like(x)
+    g_w = np.zeros_like(w)
+    for j in range(k):
+        s = k - 1 - j
+        if s < n:
+            x_j, d_y_j = x[..., : n - s, :], d_y[..., s:, :]
+            if w.ndim == 2:  # depthwise
+                d_x[..., : n - s, :] += d_y_j * w[j]
+                g_w[j] = _rows(x_j * d_y_j).sum(axis=0)
+            else:
+                d_x[..., : n - s, :] += d_y_j @ w[j].T
+                g_w[j] = _rows(x_j).T @ _rows(d_y_j)
+    return d_x, {"w": g_w} if bias is None else {"w": g_w, "bias": _rows(d_y).sum(axis=0)}
 
 
 def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -376,6 +395,27 @@ def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarra
     return h, prev
 
 
+def fo_pool_vjp(
+    d_h: np.ndarray, s: np.ndarray, f: np.ndarray, h: np.ndarray, h_init: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """VJP of ``h = fo_pool(s, f, h_init)[0]``: the gradients ``(d_s, d_f)``.
+
+    fo_pool has no arrays of its own; both of its inputs get a gradient.
+    Only the carried gradient g_t = d_h_t + f_{t+1} g_{t+1} runs over time;
+    d/ds = g (1 - f) and d/df = g (h_{t-1} - s) follow for all steps at once.
+    """
+    g = np.empty_like(d_h)
+    g_t, d_h_t, f_t = (a.swapaxes(0, -2) for a in (g, d_h, f))  # time-major views
+    carry = 0.0
+    for t in range(len(f_t) - 1, -1, -1):
+        carry = d_h_t[t] + carry
+        g_t[t] = carry
+        carry = carry * f_t[t]
+    first = np.broadcast_to(h_init, h[..., :1, :].shape)
+    h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
+    return g * (1.0 - f), g * (h_prev - s)
+
+
 def _carry(buffer: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The conv context after ``x``: the last ``len(buffer)`` rows of ``[buffer; x]``,
     copied so that the state does not keep the whole chunk alive."""
@@ -403,10 +443,8 @@ def qrnn_forward(
     else:
         if not isinstance(state, QrnnState):
             raise ConfigError(f"qrnn_forward needs a QrnnState, got {type(state).__name__}")
-        if cfg.lookahead != 0:
-            raise ConfigError("streaming qrnn requires lookahead = 0")
         context, h_init = state.buffer, state.h
-    sf = causal_conv(x, params.w_sf, cfg.lookback, cfg.lookahead, params.b_sf, context)
+    sf = causal_conv(x, params.w_sf, params.b_sf, context)
     s = np.tanh(sf[..., : cfg.d_prime])
     f = sigmoid(sf[..., cfg.d_prime :])
     # sigmoid output saturating to float 0/1 is a rounding artifact; keep the
@@ -475,6 +513,22 @@ def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None =
     return scores @ v
 
 
+def retention_parallel_vjp(
+    d_out: np.ndarray, x: np.ndarray, params: AdapterParams, tape: dict
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """VJP of ``retention_parallel(x, params, tape)``: ``(d_x, {"w_q", "w_k", "w_v"})``."""
+    q, k, v = tape["q"], tape["k"], tape["v"]
+    decay, pos, scores = tape["decay"], tape["pos"], tape["scores"]
+    theta = params.config.theta
+    d_v = scores.swapaxes(-1, -2) @ d_out
+    d_raw = (d_out @ v.swapaxes(-1, -2)) * decay
+    d_q = _rotate(d_raw @ k, pos, -theta)
+    d_k = _rotate(d_raw.swapaxes(-1, -2) @ q, pos, -theta)
+    x_t = _rows(x).T
+    grads = {"w_q": x_t @ _rows(d_q), "w_k": x_t @ _rows(d_k), "w_v": x_t @ _rows(d_v)}
+    return d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T, grads
+
+
 def retention_recurrent(
     x_n: np.ndarray, params: AdapterParams, state: RetentionState | None = None
 ) -> tuple[np.ndarray, RetentionState]:
@@ -516,8 +570,8 @@ def adapter_forward(
     that continues it; any partition into chunks reproduces the batch
     output. A ``tape`` (batch mode only) receives ``x``, ``down`` and
     ``core`` plus the core's own intermediates (``down_erf`` for vanilla's
-    GELU), which is what the trainer's backward reads. A freshly
-    initialized adapter returns ``x`` unchanged.
+    GELU), which is what ``adapter_vjp`` reads. A freshly initialized
+    adapter returns ``x`` unchanged.
     """
     cfg = params.config
     streaming = state is not None
@@ -526,8 +580,6 @@ def adapter_forward(
         raise ConfigError(f"input must be {shape} with d={cfg.d}, got shape {x.shape}")
     if streaming:
         _check_state(cfg, state)
-        if cfg.lookahead != 0:
-            raise ConfigError("streaming mode requires lookahead = 0")
         if tape is not None:
             raise ConfigError("a tape records batch mode only")
     frames = math.prod(x.shape[:-1])
@@ -541,7 +593,7 @@ def adapter_forward(
         _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
         context = state.buffer if streaming else None
-        core = causal_conv(down, params.w_s, cfg.lookback, cfg.lookahead, context=context)
+        core = causal_conv(down, params.w_s, context=context)
         if streaming:
             new_state = ConvState(buffer=_carry(state.buffer, down))
     elif cfg.kind == "qrnn":
@@ -558,6 +610,39 @@ def adapter_forward(
     if tape is not None:
         tape.update(x=x, down=down, core=core)
     return y, new_state
+
+
+def adapter_vjp(
+    d_y: np.ndarray, params: AdapterParams, tape: dict, d_skip: np.ndarray | None = None
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """VJP of batch-mode ``adapter_forward`` from its tape: ``(d_x, grads)``.
+
+    ``grads`` maps each of ``params.arrays()`` to its gradient, in that
+    order. ``d_skip`` is a gradient that reaches ``x`` around the adapter
+    (a block's residual); the residual path's ``d_y`` is added to it first.
+    """
+    cfg = params.config
+    down, core = tape["down"], tape["core"]
+    d_x = d_y.copy() if d_skip is None else d_skip + d_y
+    d_core = d_y @ params.w_up.T
+    core_grads = {}
+    if cfg.kind == "vanilla":
+        d_down = d_core * gelu_grad(down, tape["down_erf"])
+    elif cfg.kind == "st_conv":
+        d_down, g = causal_conv_vjp(d_core, down, params.w_s)
+        core_grads["w_s"] = g["w"]
+    elif cfg.kind == "qrnn":
+        s, f = tape["s"], tape["f"]
+        d_s, d_f = fo_pool_vjp(d_core, s, f, core, np.zeros(cfg.d_prime))
+        d_down_s, g_s = causal_conv_vjp(d_s * (1.0 - s * s), down, params.w_s, params.b_s)
+        d_down_f, g_f = causal_conv_vjp(d_f * f * (1.0 - f), down, params.w_f, params.b_f)
+        d_down = d_down_s + d_down_f
+        core_grads.update(w_s=g_s["w"], b_s=g_s["bias"], w_f=g_f["w"], b_f=g_f["bias"])
+    else:  # retention
+        d_down, core_grads = retention_parallel_vjp(d_core, down, params, tape)
+    d_x += d_down @ params.w_down.T
+    return d_x, {"w_down": _rows(tape["x"]).T @ _rows(d_down), "b_down": _rows(d_down).sum(axis=0),
+                 "w_up": _rows(core).T @ _rows(d_y), "b_up": _rows(d_y).sum(axis=0), **core_grads}
 
 
 # -- spatio-temporal block ----------------------------------------------------
@@ -617,6 +702,19 @@ def block_forward(
     d, d_mlp = block_params.w1.shape
     _count(frames * d * d + 2 * frames * d * d_mlp)
     return out, new_state
+
+
+def block_vjp(
+    d_out: np.ndarray, adapter_params: AdapterParams, block_params: BlockParams, tape: dict
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """VJP of batch-mode ``block_forward`` from its tape: ``(d_x, grads)``.
+
+    The frozen sublayers get no gradient; ``grads`` holds the adapter's,
+    as ``adapter_vjp`` returns them.
+    """
+    d_h1 = (d_out @ block_params.w2.T) * gelu_grad(tape["h1_pre"], tape["h1_erf"])
+    d_v = d_out + d_h1 @ block_params.w1.T
+    return adapter_vjp(d_v @ block_params.w_sp.T, adapter_params, tape, d_skip=d_v)
 
 
 # -- checkpoint format --------------------------------------------------------

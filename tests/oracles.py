@@ -142,10 +142,11 @@ def weighted_bce(p, y, cap=DEFAULT_POS_CAP):
                          neg_term=neg_term, pos_weight=w_pos)
 
 
-def tap_loop_conv(x, w, lookback, lookahead=0, bias=None, context=None):
+def tap_loop_conv(x, w, bias=None, context=None):
     """Causal conv as one product per tap over the rows it reaches, and the
     MACs of those taps: ``(y, macs)``. Dense ``[k, d_in, d_out]`` or
-    depthwise ``[k, d]`` banks; ``context`` rows are read but get no output."""
+    depthwise ``[k, d]`` banks; output t reads rows t - k + 1 .. t, and
+    ``context`` rows are read but get no output."""
     k = w.shape[0]
     depthwise = w.ndim == 2
     n = x.shape[-2]
@@ -157,7 +158,7 @@ def tap_loop_conv(x, w, lookback, lookahead=0, bias=None, context=None):
     y = np.zeros(x.shape[:-2] + (n, d_out), dtype=np.result_type(x, w))
     macs = 0
     for j in range(k):
-        off = c + j - lookback  # tap j reads output row t from x[t + off]
+        off = c + j - (k - 1)  # tap j reads output row t from x[t + off]
         lo, hi = max(0, -off), min(n, c + n - off)
         if lo < hi:
             rows = x[..., lo + off : hi + off, :]

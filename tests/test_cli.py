@@ -283,6 +283,34 @@ class TestTrainScoreEval:
     def test_unknown_flag_exit_config(self):
         assert cli.main(["eval", "--nope"]) == cli.EXIT_CONFIG
 
+    def test_removed_optimizer_flag_exit_config(self, pipeline, tmp_path, capsys):
+        corpus, _, _ = pipeline
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"), "--steps", "1",
+                       "--optimizer", "sgd"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--optimizer" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("edit", [{"lookahead": 1}, {"lookback": 0, "lookahead": 1}, {"lookback": 2}],
+                             ids=["lookahead", "lookahead_split", "lookback"])
+    def test_non_causal_checkpoint_exit_config(self, pipeline, tmp_path, capsys, edit):
+        corpus, run, _ = pipeline
+        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        adapter = config["adapter"]
+        assert (adapter["lookback"], adapter["lookahead"]) == (adapter["k"] - 1, 0)
+        adapter.update(edit)
+        bad = tmp_path / "bad.sdqk"
+        kernels.write_checkpoint(bad, config, arrays)
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "lookback = k - 1 = 1 and lookahead = 0" in err and err.count("\n") == 1
+        assert not (tmp_path / "scored").exists()
+
     def test_train_reproducible_bitwise(self, pipeline, tmp_path, capsys):
         corpus, _, _ = pipeline
         flags = ["--data", str(corpus), "--kind", "st_conv", "--steps", "4", "--lr", "1e-3",

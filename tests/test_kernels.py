@@ -83,7 +83,7 @@ class TestInit:
             p = init_params(cfg, seed)
             x = np.random.default_rng(seed).normal(size=(40, 8))
             h, _ = qrnn_forward(x, p, fresh_state(cfg))
-            oracle = np.tanh(causal_conv(x, p.w_s, cfg.lookback, 0, p.b_s))
+            oracle = np.tanh(causal_conv(x, p.w_s, p.b_s))
             step0 = np.linalg.norm(h[0] - oracle[0]) / np.linalg.norm(oracle[0])
             assert step0 == pytest.approx(leak, rel=1e-9)
             rms = np.sqrt(np.mean(np.sum(oracle**2, axis=1)))
@@ -102,13 +102,13 @@ class TestCausalConv:
         w = np.zeros((2, 3, 3))
         w[1] = np.eye(3)
         x = np.random.default_rng(1).normal(size=(7, 3))
-        assert np.array_equal(causal_conv(x, w, lookback=1), x)
+        assert np.array_equal(causal_conv(x, w), x)
 
     def test_pure_delay(self):
         w = np.zeros((2, 3, 3))
         w[0] = np.eye(3)
         x = np.random.default_rng(2).normal(size=(7, 3))
-        y = causal_conv(x, w, lookback=1)
+        y = causal_conv(x, w)
         assert np.array_equal(y[0], np.zeros(3))
         assert np.array_equal(y[1:], x[:-1])
 
@@ -116,33 +116,19 @@ class TestCausalConv:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(3, 4, 4))
         x = rng.normal(size=(10, 4))
-        y = causal_conv(x, w, lookback=2, lookahead=0)
+        y = causal_conv(x, w)
         x2 = x.copy()
         x2[6:] += rng.normal(size=(4, 4))
-        y2 = causal_conv(x2, w, lookback=2, lookahead=0)
+        y2 = causal_conv(x2, w)
         assert np.array_equal(y[:6], y2[:6])
-
-    def test_lookahead_sees_future(self):
-        rng = np.random.default_rng(4)
-        w = rng.normal(size=(3, 4, 4))
-        x = rng.normal(size=(10, 4))
-        y = causal_conv(x, w, lookback=1, lookahead=1)
-        x2 = x.copy()
-        x2[5] += 1.0
-        y2 = causal_conv(x2, w, lookback=1, lookahead=1)
-        assert not np.array_equal(y[4], y2[4])
-
-    def test_bad_padding_split(self):
-        with pytest.raises(ConfigError):
-            causal_conv(np.zeros((4, 2)), np.zeros((3, 2, 2)), lookback=1, lookahead=0)
 
     def test_depthwise_matches_diagonal_dense(self):
         rng = np.random.default_rng(5)
         w_depth = rng.normal(size=(3, 4))
         w_dense = np.stack([np.diag(w_depth[j]) for j in range(3)])
         x = rng.normal(size=(9, 4))
-        got = causal_conv(x, w_depth, lookback=2)
-        want = causal_conv(x, w_dense, lookback=2)
+        got = causal_conv(x, w_depth)
+        want = causal_conv(x, w_dense)
         assert np.allclose(got, want, atol=1e-14)
 
 
@@ -197,15 +183,14 @@ class TestBatchAxes:
     B = 3
 
     @pytest.mark.parametrize("depthwise", [False, True])
-    @pytest.mark.parametrize("lookback, lookahead", [(2, 0), (1, 1)])
-    def test_causal_conv(self, depthwise, lookback, lookahead):
+    def test_causal_conv(self, depthwise):
         rng = np.random.default_rng(60)
         x = rng.normal(size=(self.B, 7, 4))
         w = rng.normal(size=(3, 4) if depthwise else (3, 4, 5))
         bias = rng.normal(size=w.shape[-1])
-        y, macs = counted(causal_conv, x, w, lookback, lookahead, bias)
+        y, macs = counted(causal_conv, x, w, bias)
         for b in range(self.B):
-            y_b, macs_b = counted(causal_conv, x[b], w, lookback, lookahead, bias)
+            y_b, macs_b = counted(causal_conv, x[b], w, bias)
             assert np.array_equal(y[b], y_b)
         assert macs == self.B * macs_b > 0
 
@@ -269,28 +254,27 @@ class TestOneForward:
             block_forward(np.zeros((2, 3, 8)), p, kernels.make_block_params(8, 16, seed=0), fresh_state(cfg))
 
     @pytest.mark.parametrize("depthwise", [False, True])
-    @pytest.mark.parametrize("lookback, lookahead", [(2, 0), (1, 1), (0, 2)])
     @pytest.mark.parametrize("lead", [(), (2,)])
-    def test_causal_conv_context(self, depthwise, lookback, lookahead, lead):
+    def test_causal_conv_context(self, depthwise, lead):
         rng = np.random.default_rng(68)
         w = rng.normal(size=(3, 4) if depthwise else (3, 4, 5))
         bias = rng.normal(size=w.shape[-1])
         n, c = 5, 2
         x = rng.normal(size=lead + (n, 4))
         context = rng.normal(size=lead + (c, 4))
-        y, macs = counted(lambda: causal_conv(x, w, lookback, lookahead, bias, context=context))
-        full = causal_conv(np.concatenate([context, x], axis=-2), w, lookback, lookahead, bias)
+        y, macs = counted(lambda: causal_conv(x, w, bias, context=context))
+        full = causal_conv(np.concatenate([context, x], axis=-2), w, bias)
         assert np.array_equal(y, full[..., c:, :])
         # one count per (output row, tap) that lands inside [context; x]
-        taps = sum(0 <= c + t + j - lookback < c + n for t in range(n) for j in range(3))
+        taps = sum(0 <= c + t + j - 2 < c + n for t in range(n) for j in range(3))
         per_tap = w.shape[-1] if depthwise else w.shape[1] * w.shape[2]
         assert macs == math.prod(lead) * taps * per_tap
 
     def test_causal_conv_empty_context_is_no_context(self):
         rng = np.random.default_rng(69)
         x, w = rng.normal(size=(6, 4)), rng.normal(size=(1, 4, 4))
-        y, macs = counted(lambda: causal_conv(x, w, 0, context=np.zeros((0, 4))))
-        y0, macs0 = counted(lambda: causal_conv(x, w, 0))
+        y, macs = counted(lambda: causal_conv(x, w, context=np.zeros((0, 4))))
+        y0, macs0 = counted(lambda: causal_conv(x, w))
         assert np.array_equal(y, y0) and macs == macs0
 
     def test_qrnn_batch_runs_from_zero_state(self):
@@ -453,12 +437,6 @@ class TestAdapterStreaming:
         y_perm, _ = adapter_forward(x[perm], p)
         assert np.array_equal(y[perm], y_perm)
 
-    def test_streaming_lookahead_rejected(self):
-        cfg = AdapterConfig(d=6, d_prime=3, kind="st_conv", k=3, lookback=1, lookahead=1)
-        p = init_params(cfg, 0)
-        with pytest.raises(ConfigError, match="lookahead"):
-            adapter_forward(np.zeros((4, 6)), p, fresh_state(cfg))
-
     def test_state_kind_mismatch(self):
         cfg = AdapterConfig(d=6, d_prime=3, kind="qrnn")
         p = init_params(cfg, 0)
@@ -502,27 +480,25 @@ class TestRewrittenPrimitives:
         rng = np.random.default_rng(80 + k)
         w = rng.normal(size=(k, 4) if depthwise else (k, 4, 5))
         bias = rng.normal(size=w.shape[-1])
-        for lookback in range(k):
-            lookahead = k - 1 - lookback
-            # no context, and contexts shorter than, equal to and longer than lookback
-            for c in (None, max(0, lookback - 1), lookback, lookback + 2):
-                for n in (1, 6):
-                    x = rng.normal(size=lead + (n, 4))
-                    context = None if c is None else rng.normal(size=lead + (c, 4))
-                    y, macs = counted(lambda: causal_conv(x, w, lookback, lookahead, bias, context))
-                    want, want_macs = oracles.tap_loop_conv(x, w, lookback, lookahead, bias, context)
-                    assert macs == want_macs
-                    if depthwise:  # the same products, added in the same order
-                        assert np.array_equal(y, want)
-                    else:  # one product over the taps sums in another order
-                        assert np.abs(y - want).max() <= 1e-12
+        # no context, and contexts shorter than, equal to and longer than the k - 1 rows read back
+        for c in (None, max(0, k - 2), k - 1, k + 1):
+            for n in (1, 6):
+                x = rng.normal(size=lead + (n, 4))
+                context = None if c is None else rng.normal(size=lead + (c, 4))
+                y, macs = counted(lambda: causal_conv(x, w, bias, context))
+                want, want_macs = oracles.tap_loop_conv(x, w, bias, context)
+                assert macs == want_macs
+                if depthwise:  # the same products, added in the same order
+                    assert np.array_equal(y, want)
+                else:  # one product over the taps sums in another order
+                    assert np.abs(y - want).max() <= 1e-12
 
     def test_stacked_depthwise_banks_share_the_input(self):
         rng = np.random.default_rng(84)
         x, w_a, w_b = rng.normal(size=(2, 7, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        y = causal_conv(x, np.concatenate([w_a, w_b], axis=-1), 2)
-        assert np.array_equal(y[..., :4], causal_conv(x, w_a, 2))
-        assert np.array_equal(y[..., 4:], causal_conv(x, w_b, 2))
+        y = causal_conv(x, np.concatenate([w_a, w_b], axis=-1))
+        assert np.array_equal(y[..., :4], causal_conv(x, w_a))
+        assert np.array_equal(y[..., 4:], causal_conv(x, w_b))
 
     def test_sigmoid_bitwise_equals_where_form(self):
         x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 750.0, -750.0,
@@ -563,6 +539,111 @@ class TestStackedBanks:
         for kind in ("qrnn", "retention"):
             p = init_params(AdapterConfig(d=8, d_prime=4, kind=kind), 0)
             assert not {"w_sf", "b_sf", "w_qkv"} & set(p.arrays())
+
+
+def central_difference(loss, inputs, name, eps=1e-6):
+    """d loss / d inputs[name] by central differences, one element at a time."""
+    g = np.zeros_like(inputs[name])
+    for idx in np.ndindex(g.shape):
+        moved = []
+        for step in (eps, -eps):
+            arr = inputs[name].copy()
+            arr[idx] += step
+            moved.append(loss(**{**inputs, name: arr}))
+        g[idx] = (moved[0] - moved[1]) / (2 * eps)
+    return g
+
+
+def assert_grads(loss, inputs, grads):
+    """Every named analytic gradient matches central differences of ``loss``."""
+    assert set(grads) == set(inputs)
+    for name, g in grads.items():
+        np.testing.assert_allclose(g, central_difference(loss, inputs, name), rtol=1e-6, atol=1e-8,
+                                   err_msg=name)
+
+
+VJP_CASES = [("vanilla", 1, False), ("retention", 1, False)] + [
+    (kind, k, depthwise) for kind in ("st_conv", "qrnn") for k in (1, 2, 3) for depthwise in (False, True)
+]
+
+
+class TestVjps:
+    """Each VJP against central differences of its own forward, as the scalar
+    sum(r * forward) for a fixed random cotangent r."""
+
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_causal_conv_vjp(self, k, lead, depthwise):
+        rng = np.random.default_rng(90 + k)
+        w = rng.normal(size=(k, 3) if depthwise else (k, 3, 2))
+        inputs = {"x": rng.normal(size=lead + (5, 3)), "w": w, "bias": rng.normal(size=w.shape[-1])}
+        r = rng.normal(size=lead + (5, w.shape[-1]))
+        d_x, grads = kernels.causal_conv_vjp(r, inputs["x"], w, inputs["bias"])
+        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)), inputs, {"x": d_x, **grads})
+        assert set(kernels.causal_conv_vjp(r, inputs["x"], w)[1]) == {"w"}
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_fo_pool_vjp(self, lead):
+        rng = np.random.default_rng(93)
+        inputs = {"s": rng.normal(size=lead + (6, 3)), "f": rng.uniform(0.1, 0.9, size=lead + (6, 3))}
+        h_init, r = rng.normal(size=3), rng.normal(size=lead + (6, 3))
+        h, _ = fo_pool(inputs["s"], inputs["f"], h_init)
+        d_s, d_f = kernels.fo_pool_vjp(r, inputs["s"], inputs["f"], h, h_init)
+        assert_grads(lambda s, f: np.sum(r * fo_pool(s, f, h_init)[0]), inputs, {"s": d_s, "f": d_f})
+
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    def test_retention_parallel_vjp(self, lead):
+        rng = np.random.default_rng(94)
+        p = randomized(init_params(AdapterConfig(d=5, d_prime=4, kind="retention"), 0), 95)
+        inputs = {"x": rng.normal(size=lead + (6, 4)), "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}
+        r = rng.normal(size=lead + (6, 4))
+        tape = {}
+        retention_parallel(inputs["x"], p, tape)
+        d_x, grads = kernels.retention_parallel_vjp(r, inputs["x"], p, tape)
+
+        def loss(x, **banks):
+            return np.sum(r * retention_parallel(x, replace(p, **banks)))
+
+        assert_grads(loss, inputs, {"x": d_x, **grads})
+
+    @pytest.mark.parametrize("kind, k, depthwise", VJP_CASES)
+    def test_adapter_vjp(self, kind, k, depthwise):
+        rng = np.random.default_rng(96)
+        cfg = AdapterConfig(d=5, d_prime=3, kind=kind, k=k, depthwise=depthwise)
+        p = randomized(init_params(cfg, 0), 97)
+        inputs = {"x": rng.normal(size=(2, 6, 5)), **p.arrays()}
+        r = rng.normal(size=(2, 6, 5))
+        tape = {}
+        adapter_forward(inputs["x"], p, tape=tape)
+        d_x, grads = kernels.adapter_vjp(r, p, tape)
+        assert list(grads) == list(p.arrays())
+
+        def loss(x, **arrays):
+            return np.sum(r * adapter_forward(x, AdapterParams(config=cfg, **arrays))[0])
+
+        assert_grads(loss, inputs, {"x": d_x, **grads})
+        skip = rng.normal(size=d_x.shape)
+        d_x_skip, grads_skip = kernels.adapter_vjp(r, p, tape, d_skip=skip)
+        assert np.abs(d_x_skip - (skip + d_x)).max() <= 1e-12
+        assert all(np.array_equal(grads[n], grads_skip[n]) for n in grads)
+
+    @pytest.mark.parametrize("kind, k, depthwise", VJP_CASES)
+    def test_block_vjp(self, kind, k, depthwise):
+        rng = np.random.default_rng(98)
+        cfg = AdapterConfig(d=5, d_prime=3, kind=kind, k=k, depthwise=depthwise)
+        p = randomized(init_params(cfg, 0), 99)
+        block = kernels.make_block_params(5, 7, seed=100, scale=0.5)
+        inputs = {"x": rng.normal(size=(2, 6, 5)), **p.arrays()}
+        r = rng.normal(size=(2, 6, 5))
+        tape = {}
+        block_forward(inputs["x"], p, block, tape=tape)
+        d_x, grads = kernels.block_vjp(r, p, block, tape)
+
+        def loss(x, **arrays):
+            return np.sum(r * block_forward(x, AdapterParams(config=cfg, **arrays), block)[0])
+
+        assert_grads(loss, inputs, {"x": d_x, **grads})
 
 
 class TestGelu:
@@ -644,10 +725,6 @@ class TestReceptiveField:
 
 
 class TestConfig:
-    def test_lookback_defaults_to_k_minus_one(self):
-        cfg = AdapterConfig(d=8, d_prime=4, kind="st_conv", k=4)
-        assert cfg.lookback == 3 and cfg.lookahead == 0
-
     def test_gamma_range(self):
         with pytest.raises(ConfigError):
             AdapterConfig(d=8, d_prime=4, kind="retention", gamma=1.0)

@@ -1,9 +1,20 @@
 """Rules that every module of the package's source must keep."""
 
+import ast
 import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "streamstart"
+MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+
+
+def _trees():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
 
 
 def test_no_environment_reads():
@@ -14,4 +25,35 @@ def test_no_environment_reads():
         for i, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if re.search(r"\benviron\b|\bgetenv\b", line)
     ]
+    assert reads == []
+
+
+def test_no_module_reaches_another_modules_private_names():
+    reaches = []
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in MODULES:
+                reaches += [f"{name}:{node.lineno}: {node.module}.{a.name}"
+                            for a in node.names if _private(a.name)]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in MODULES and _private(node.attr)):
+                reaches.append(f"{name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert reaches == []
+
+
+def _reads_tape(node) -> bool:
+    """A string-keyed subscript of, or a dict-method call on, something named like a tape."""
+    if isinstance(node, ast.Subscript):
+        key = node.slice
+        string_key = isinstance(key, ast.Constant) and isinstance(key.value, str)
+        return string_key and "tape" in ast.unparse(node.value)
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr in ("get", "pop", "items", "values") and "tape" in ast.unparse(node.func.value)
+    return False
+
+
+def test_only_kernels_reads_tape_keys():
+    # one module holds each forward, the tape it writes and the VJP that reads it
+    reads = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "kernels.py"
+             for node in ast.walk(tree) if _reads_tape(node)]
     assert reads == []
