@@ -51,9 +51,10 @@ for lo in range(0, 32, 5):
 streamed = np.vstack(chunks)
 print(f"\nqrnn 5-frame chunks vs one pass: max |diff| = {np.abs(batch - streamed).max():.2e}")
 
-# -- retention: one operator, two forms --------------------------------------------
-# The parallel form is a masked, decayed attention matrix; the recurrent
-# form updates a d'xd' state per frame. They are algebraically identical.
+# -- retention: one chunkwise kernel ------------------------------------------------
+# Inside a chunk it is a masked, decayed attention matrix; across chunks it
+# carries a d'xd' decayed summary. A whole 48-frame chunk and 48 one-frame
+# chunks (the recurrent step) give the same outputs.
 
 cfg = AdapterConfig(d=8, d_prime=8, kind="retention")
 params = init_params(cfg, seed=2)

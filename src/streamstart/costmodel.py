@@ -10,7 +10,7 @@ frame, `tokens` spatial tokens wide):
                   k*d_in*d_out*tokens, depthwise k*d_out*tokens
 * fo_pool         params 0, macs 2*d_out*tokens (two elementwise products)
 * retention_step  params 3*d^2, macs 3*d^2*tokens (QKV) + 2*d^2*tokens
-                  (state update + readout)
+                  (state update + readout) + 2*d*tokens (q.k and its v)
 * layernorm       params 2*d, macs 2*d*tokens
 * pointwise       params 0, macs d*tokens
 
@@ -105,7 +105,7 @@ def _layer_macs(spec: LayerSpec, tokens: int) -> int:
         return 2 * spec.d_out * t
     if spec.kind == "retention_step":
         d = spec.d_out
-        return 3 * d * d * t + 2 * d * d * t
+        return 3 * d * d * t + 2 * d * d * t + 2 * d * t
     if spec.kind == "layernorm":
         return 2 * spec.d_in * t
     return spec.d_in * t if spec.d_in else t  # pointwise

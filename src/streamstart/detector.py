@@ -29,6 +29,7 @@ DEFAULT_TAU_SIM = 0.07
 DEFAULT_POS_CAP = 20.0
 DIVERGENCE_LIMIT = 1e3
 _NORM_EPS = 1e-12
+_CHUNK = 64  # frames per streamed chunk of score_frames; a 60-frame stream is one chunk
 
 # running count of zero-norm frame outputs mapped to sigmoid(0)
 ZERO_NORM_COUNT = 0
@@ -121,15 +122,23 @@ def build_model(config: ModelConfig) -> DetectorModel:
 # -- forward ------------------------------------------------------------------
 
 
-def _forward_stack(model: DetectorModel, embeddings: np.ndarray, record: bool = False):
-    """Batch-mode stack output ``[..., T, d]``, and one tape per block if ``record``."""
+def _forward_stack(model: DetectorModel, embeddings: np.ndarray):
+    """Batch-mode stack output ``[..., T, d]`` and the tape of each block."""
     x = embeddings @ model.w_in + model.b_in
     tapes = []
     for adapter, block in model.blocks:
-        tape = {} if record else None
-        x, _ = kernels.block_forward(x, adapter, block, tape=tape)
-        tapes.append(tape)
+        tapes.append({})
+        x, _ = kernels.block_forward(x, adapter, block, tape=tapes[-1])
     return x, tapes
+
+
+def _stream_stack(model: DetectorModel, frames: np.ndarray, states: list) -> np.ndarray:
+    """Streaming-mode stack output of one chunk ``[n, d_in]``; ``states`` (one per block) advance in place."""
+    x = frames @ model.w_in
+    x += model.b_in
+    for i, (adapter, block) in enumerate(model.blocks):
+        x, states[i] = kernels.block_forward(x, adapter, block, states[i])
+    return x
 
 
 def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -159,9 +168,13 @@ def score_frames(
     query_id: str = "",
     fps: float = 1.0,
 ) -> ScoreSeries:
-    """Batch scoring: p_i = sigmoid(cos(stack(e)_i, query) / tau_sim)."""
-    out, _ = _forward_stack(model, np.asarray(embeddings, dtype=float))
-    s, _ = _cosine_scores(out, np.asarray(query, dtype=float))
+    """Scores of one stream ``[T, d_in]``: p_i = sigmoid(cos(stack(e)_i, query) / tau_sim), streamed
+    in chunks of ``_CHUNK`` frames with carried state, in memory that does not grow with T."""
+    embeddings, query = np.asarray(embeddings, dtype=float), np.asarray(query, dtype=float)
+    states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
+    s = np.empty(len(embeddings))
+    for t in range(0, len(embeddings), _CHUNK):
+        s[t : t + _CHUNK] = _cosine_scores(_stream_stack(model, embeddings[t : t + _CHUNK], states), query)[0]
     p = sigmoid(s / model.config.tau_sim)
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=p)
 
@@ -234,7 +247,7 @@ def backward(
     embeddings = np.stack([np.asarray(ex.embeddings, dtype=float) for ex in batch])
     labels = np.stack([np.asarray(ex.labels, dtype=float) for ex in batch])
     query = np.stack([np.asarray(ex.query, dtype=float) for ex in batch])
-    out, tapes = _forward_stack(model, embeddings, record=True)
+    out, tapes = _forward_stack(model, embeddings)
     s, cache = _cosine_scores(out, query)
     lb, dz = _bce_from_logits((s / model.config.tau_sim).ravel(), labels.ravel(), cap)
 
@@ -341,13 +354,9 @@ class StreamingScorer:
     def push(self, frame: np.ndarray) -> float:
         """Consume one frame, return its score before the next frame arrives."""
         global ZERO_NORM_COUNT
-        x = np.asarray(frame, dtype=float)[None, :] @ self.model.w_in
-        x += self.model.b_in
-        for i, (adapter, block) in enumerate(self.model.blocks):
-            x, self.states[i] = kernels.block_forward(x, adapter, block, self.states[i])
+        u = _stream_stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
-        u = x[0]
         unorm = math.sqrt(float(u @ u))
         if unorm < _NORM_EPS:
             ZERO_NORM_COUNT += 1
@@ -423,24 +432,22 @@ def _array_order(model: DetectorModel) -> list[str]:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    """Model of a checkpoint; an array count or shape that does not fit its
-    config, or a conv that is not causal, raises ConfigError."""
+    """Model of a checkpoint; a missing or unknown config key, an array count or
+    shape that does not fit its config, or a conv that is not causal raises ConfigError."""
     raw_config, arrays = kernels.read_checkpoint(path)
-    raw_adapter = dict(raw_config["adapter"])
-    lookback, lookahead = raw_adapter.pop("lookback", None), raw_adapter.pop("lookahead", None)
-    adapter_cfg = AdapterConfig(**raw_adapter)
+    try:
+        raw_adapter = dict(raw_config["adapter"])
+        lookback, lookahead = raw_adapter.pop("lookback", None), raw_adapter.pop("lookahead", None)
+        adapter_cfg = AdapterConfig(**raw_adapter)
+        config = ModelConfig(adapter=adapter_cfg, **{
+            name: raw_config[name] for name in ("d_in", "d", "n_blocks", "d_mlp", "tau_sim", "seed")})
+    except KeyError as err:
+        raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
+    except TypeError as err:
+        raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
     if (lookback, lookahead) != (adapter_cfg.k - 1, 0):
         raise ConfigError(f"{path}: adapter lookback {lookback} and lookahead {lookahead} are not supported; "
                           f"version 1 takes lookback = k - 1 = {adapter_cfg.k - 1} and lookahead = 0")
-    config = ModelConfig(
-        d_in=raw_config["d_in"],
-        d=raw_config["d"],
-        n_blocks=raw_config["n_blocks"],
-        adapter=adapter_cfg,
-        d_mlp=raw_config["d_mlp"],
-        tau_sim=raw_config["tau_sim"],
-        seed=raw_config["seed"],
-    )
     template = build_model(config)
     expected = _model_arrays(template)
     if len(arrays) != len(expected):

@@ -9,18 +9,19 @@ into them):
 * ``st_conv``   - masked (causal) temporal convolution
 * ``qrnn``      - one causal convolution over stacked gate banks feeding
   gated fo-pooling
-* ``retention`` - decayed linear attention with equivalent parallel and
-  recurrent forms
+* ``retention`` - decayed linear attention in chunkwise form: the parallel
+  form inside a chunk, a decayed key-value summary carried across chunks
 
 Every temporal kernel is causal: an output never reads a later frame.
 
 One forward serves every caller. Batch mode (no state) runs whole
 sequences from a fresh start and can record a tape of its intermediates.
 Streaming mode takes one stream ``[n_t, d]`` and a small fixed-size
-``StreamState``, so that a sequence processed in chunks produces outputs
-identical to a single pass, at constant per-frame cost. A conv step is one
-product over its stacked taps. Up-projections are zero-initialized, so a
-freshly initialized adapter is exactly the identity.
+``StreamState``, so that a sequence processed in chunks of any size (one
+frame included) produces outputs identical to a single pass, in memory
+that does not grow with the stream. A conv step is one product over its
+stacked taps. Up-projections are zero-initialized, so a freshly
+initialized adapter is exactly the identity.
 
 Each taped op has its vector-Jacobian product (``*_vjp``) beside it: from
 the output's gradient and what the forward saw or taped, it returns the
@@ -44,8 +45,6 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 DEFAULT_GAMMA = 0.96875
 DEFAULT_FORGET_BIAS = -5.0
-# parallel retention on float32 inputs refuses sequences longer than this
-SINGLE_PRECISION_CAP = 512
 
 
 # -- op counting --------------------------------------------------------------
@@ -246,9 +245,10 @@ def fresh_state(config: AdapterConfig) -> StreamState:
     return RetentionState(s=np.zeros((dp, dp)), n=0)
 
 
-def _check_state(config: AdapterConfig, state: StreamState) -> None:
+def _check_state(config: AdapterConfig, state: StreamState | None) -> None:
+    """A state of another kind than ``config``'s raises ConfigError; None (batch mode) passes."""
     expected = _STATE_KIND[config.kind]
-    if not isinstance(state, expected):
+    if state is not None and not isinstance(state, expected):
         raise ConfigError(
             f"state kind mismatch: adapter kind {config.kind!r} expects "
             f"{expected.__name__}, got {type(state).__name__}"
@@ -438,12 +438,8 @@ def qrnn_forward(
     pooling recurrence. A ``tape`` receives the pooling inputs ``s`` and ``f``.
     """
     cfg = params.config
-    if state is None:
-        context, h_init = None, np.zeros(cfg.d_prime)
-    else:
-        if not isinstance(state, QrnnState):
-            raise ConfigError(f"qrnn_forward needs a QrnnState, got {type(state).__name__}")
-        context, h_init = state.buffer, state.h
+    _check_state(cfg, state)
+    context, h_init = (None, np.zeros(cfg.d_prime)) if state is None else (state.buffer, state.h)
     sf = causal_conv(x, params.w_sf, params.b_sf, context)
     s = np.tanh(sf[..., : cfg.d_prime])
     f = sigmoid(sf[..., cfg.d_prime :])
@@ -462,55 +458,67 @@ def _rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
     """Rotate consecutive channel pairs of each row by position * theta.
 
     Real-valued realization of the complex positional factor e^{i n theta};
-    an odd final channel is left unrotated. ``x`` is ``[..., n_t, d]`` with
-    one position per time step (axis -2), or a single row ``[d]`` with a
-    scalar position; any further leading axes share the positions.
+    an odd final channel is left unrotated. ``positions`` is an integer
+    array that broadcasts against ``x.shape[:-1]``: one position per row.
     """
-    out = x.astype(float)
-    d = x.shape[-1]
-    pairs = d // 2
-    if pairs == 0 or theta == 0.0:
-        return out
-    ang = np.asarray(positions, dtype=float) * theta
-    c, s = np.cos(ang), np.sin(ang)
-    if ang.ndim:
-        c, s = c[:, None], s[:, None]
+    out = x.astype(float, order="C")
+    pairs = x.shape[-1] // 2
+    ang = positions * theta
+    c, s = np.cos(ang)[..., None], np.sin(ang)[..., None]
     a, b = x[..., 0 : 2 * pairs : 2], x[..., 1 : 2 * pairs : 2]
     out[..., 0 : 2 * pairs : 2] = c * a - s * b
     out[..., 1 : 2 * pairs : 2] = s * a + c * b
     return out
 
 
-def decay_matrix(n: int, gamma: float) -> np.ndarray:
-    """Lower-triangular decay D[n, m] = gamma^(n-m) for n >= m, else exact 0."""
-    delta = np.arange(n)[:, None] - np.arange(n)[None, :]
-    return np.where(delta >= 0, gamma ** np.maximum(delta, 0).astype(float), 0.0)
+def _decay(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """gamma^0 .. gamma^n, and the ``[n, n]`` decay D[i, j] = gamma^(i-j) for
+    i >= j, else exact 0: views of one buffer u = [0 (n times), gamma^0 ..
+    gamma^n], with D[i, j] = u[n + i - j]."""
+    u = np.zeros(2 * n + 1)
+    u[n:] = gamma ** np.arange(n + 1.0)
+    return u[n:], np.ndarray((n, n), u.dtype, u, u.itemsize * n, (u.itemsize, -u.itemsize))
+
+
+def retention_forward(
+    x: np.ndarray, params: AdapterParams, state: RetentionState | None = None, tape: dict | None = None
+) -> tuple[np.ndarray, RetentionState | None]:
+    """Chunkwise retention of one chunk of n frames: ((Q K^T) . D) V, Q and K
+    rotated by absolute position, D the ``[n, n]`` decay.
+
+    With ``state=None`` each sequence ``[..., n, d']`` is one chunk from a
+    zero summary, no state is returned, and a ``tape`` receives ``q``, ``k``,
+    ``v``, ``decay``, ``scores`` and ``pos``. A ``RetentionState`` continues
+    one stream ``[n, d']``: frame i also reads its summary S times
+    gamma^(i+1), and S <- gamma^n S + sum_j gamma^(n-1-j) K_j^T V_j. Every
+    power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
+    """
+    cfg = params.config
+    _check_state(cfg, state)
+    dp, n = cfg.d_prime, x.shape[-2]
+    start = 0 if state is None else state.n
+    pos = np.arange(start, start + n)
+    qkv = x @ params.w_qkv  # q and k rotate as one [..., 2, n, d'] array: each a C-ordered [n, d'] matrix
+    qk = _rotate(qkv[..., : 2 * dp].reshape(*x.shape[:-1], 2, dp).swapaxes(-3, -2), pos, cfg.theta)
+    q, k, v = qk[..., 0, :, :], qk[..., 1, :, :], qkv[..., 2 * dp :]
+    powers, decay = _decay(n, cfg.gamma)
+    scores = (q @ k.swapaxes(-1, -2)) * decay
+    out = scores @ v
+    _count(math.prod(x.shape[:-2]) * (3 * n * x.shape[-1] * dp + 2 * n * n * dp))
+    if state is None:
+        if tape is not None:
+            tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
+        return out, None
+    out += np.dot(q * powers[1:, None], state.s)
+    _count(2 * n * dp * dp)  # the summary's read-out and update; scaling by gamma is not a MAC
+    s = np.dot((k * powers[n - 1 :: -1, None]).T, v)
+    s += powers[n] * state.s
+    return out, RetentionState(s=s, n=start + n)
 
 
 def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None = None) -> np.ndarray:
-    """Parallel-form retention: ((Q K^T) . D) V with rotated Q, K.
-
-    Exact peer of the recurrent form. Single-precision inputs longer than
-    the stability cap are refused; use chunked/recurrent processing instead.
-    A ``tape`` receives ``q``, ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
-    """
-    cfg = params.config
-    n = x.shape[-2]
-    if np.asarray(x).dtype == np.float32 and n > SINGLE_PRECISION_CAP:
-        raise NumericError(
-            f"parallel retention over {n} frames exceeds the stability cap {SINGLE_PRECISION_CAP}; "
-            "process the stream in chunks or use the recurrent form"
-        )
-    pos = np.arange(n)
-    q, k, v = np.split(x @ params.w_qkv, 3, axis=-1)
-    q, k = _rotate(q, pos, cfg.theta), _rotate(k, pos, cfg.theta)
-    decay = decay_matrix(n, cfg.gamma)
-    scores = (q @ k.swapaxes(-1, -2)) * decay
-    sequences = math.prod(x.shape[:-2])
-    _count(sequences * (3 * n * x.shape[-1] * cfg.d_prime + 2 * n * n * cfg.d_prime))
-    if tape is not None:
-        tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
-    return scores @ v
+    """Batch-mode ``retention_forward``: every sequence ``[..., n, d']`` one chunk from a zero summary."""
+    return retention_forward(x, params, tape=tape)[0]
 
 
 def retention_parallel_vjp(
@@ -532,18 +540,9 @@ def retention_parallel_vjp(
 def retention_recurrent(
     x_n: np.ndarray, params: AdapterParams, state: RetentionState | None = None
 ) -> tuple[np.ndarray, RetentionState]:
-    """Constant-cost retention step: S_n = gamma S_{n-1} + K_n^T V_n, out = Q_n S_n."""
-    cfg = params.config
-    if state is None:
-        state = RetentionState(s=np.zeros((cfg.d_prime, cfg.d_prime)), n=0)
-    if not isinstance(state, RetentionState):
-        raise ConfigError(f"retention_recurrent needs a RetentionState, got {type(state).__name__}")
-    qkv = x_n @ params.w_qkv  # q and k rotate as one [2, d'] array
-    q, k = _rotate(qkv[: 2 * cfg.d_prime].reshape(2, -1), state.n, cfg.theta)
-    s = cfg.gamma * state.s + np.outer(k, qkv[2 * cfg.d_prime :])
-    out = q @ s
-    _count(5 * cfg.d_prime * cfg.d_prime)  # as in the formula sheet: scaling by gamma is not a MAC
-    return out, RetentionState(s=s, n=state.n + 1)
+    """One frame ``[d']`` as a one-frame chunk of ``retention_forward``, from a fresh state if None."""
+    out, state = retention_forward(x_n[None], params, fresh_state(params.config) if state is None else state)
+    return out[0], state
 
 
 def receptive_field(m: int, k: int) -> int:
@@ -578,10 +577,9 @@ def adapter_forward(
     if x.ndim < 2 or x.shape[-1] != cfg.d or (streaming and x.ndim != 2):
         shape = "[n, d]" if streaming else "[..., n, d]"
         raise ConfigError(f"input must be {shape} with d={cfg.d}, got shape {x.shape}")
-    if streaming:
-        _check_state(cfg, state)
-        if tape is not None:
-            raise ConfigError("a tape records batch mode only")
+    _check_state(cfg, state)
+    if streaming and tape is not None:
+        raise ConfigError("a tape records batch mode only")
     frames = math.prod(x.shape[:-1])
 
     down = _affine(x, params.w_down, params.b_down)
@@ -592,18 +590,12 @@ def adapter_forward(
         core = gelu(down, tape, "down_erf")
         _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
-        context = state.buffer if streaming else None
-        core = causal_conv(down, params.w_s, context=context)
-        if streaming:
-            new_state = ConvState(buffer=_carry(state.buffer, down))
+        core = causal_conv(down, params.w_s, context=None if state is None else state.buffer)
+        new_state = None if state is None else ConvState(buffer=_carry(state.buffer, down))
     elif cfg.kind == "qrnn":
         core, new_state = qrnn_forward(down, params, state, tape)
-    elif streaming:  # retention, recurrent form
-        core = np.empty_like(down)
-        for t in range(down.shape[0]):
-            core[t], new_state = retention_recurrent(down[t], params, state=new_state)
-    else:  # retention, parallel form
-        core = retention_parallel(down, params, tape=tape)
+    else:
+        core, new_state = retention_forward(down, params, state, tape)
 
     y = _affine(core, params.w_up, x, params.b_up)
     _count(frames * cfg.d_prime * cfg.d)

@@ -311,6 +311,24 @@ class TestTrainScoreEval:
         assert "lookback = k - 1 = 1 and lookahead = 0" in err and err.count("\n") == 1
         assert not (tmp_path / "scored").exists()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda config: config["adapter"].update(heads=2), "unexpected keyword argument 'heads'"),
+        (lambda config: config.pop("tau_sim"), "has no 'tau_sim' key"),
+    ], ids=["unknown_adapter_key", "missing_model_key"])
+    def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
+        corpus, run, _ = pipeline
+        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        edit(config)
+        bad = tmp_path / "bad.sdqk"
+        kernels.write_checkpoint(bad, config, arrays)
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not (tmp_path / "scored").exists()
+
     def test_train_reproducible_bitwise(self, pipeline, tmp_path, capsys):
         corpus, _, _ = pipeline
         flags = ["--data", str(corpus), "--kind", "st_conv", "--steps", "4", "--lr", "1e-3",

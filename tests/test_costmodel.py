@@ -70,7 +70,7 @@ class TestCountMacs:
 
     def test_retention_step_formula(self):
         stack = [cm.LayerSpec(kind="retention_step", d_in=24, d_out=24)]
-        assert cm.count_macs(stack, tokens=3) == (3 * 24 * 24 + 2 * 24 * 24) * 3
+        assert cm.count_macs(stack, tokens=3) == (3 * 24 * 24 + 2 * 24 * 24 + 2 * 24) * 3
 
 
 class TestMacReconciliation:
