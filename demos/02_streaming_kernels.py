@@ -58,8 +58,7 @@ print(f"\nqrnn 5-frame chunks vs one pass: max |diff| = {np.abs(batch - streamed
 
 cfg = AdapterConfig(d=8, d_prime=8, kind="retention")
 params = init_params(cfg, seed=2)
-params = replace(params, w_q=rng.normal(size=(8, 8)) * 0.4,
-                 w_k=rng.normal(size=(8, 8)) * 0.4, w_v=rng.normal(size=(8, 8)) * 0.4)
+params = replace(params, w_qkv=rng.normal(size=(8, 24)) * 0.4)  # q, k and v projections stacked
 z = rng.normal(size=(48, 8))
 par = retention_parallel(z, params)
 state, rec = None, []

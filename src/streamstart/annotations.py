@@ -476,8 +476,13 @@ def save_stream(
 
 def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
     path = Path(path)
-    sidecar = json.loads(path.with_suffix(path.suffix + ".json").read_text(encoding="utf-8"))
-    n, dim = int(sidecar["n_frames"]), int(sidecar["dim"])
+    sidecar_path = path.with_suffix(path.suffix + ".json")
+    try:
+        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        n, dim = int(sidecar["n_frames"]), int(sidecar["dim"])
+    except (ValueError, KeyError, TypeError) as err:
+        raise SchemaError(f"sidecar {sidecar_path} is not JSON with integer n_frames and dim "
+                          f"({type(err).__name__}: {err})") from None
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != n * dim:
         raise NumericError(

@@ -158,12 +158,18 @@ def cmd_synth(args) -> int:
 def _load_corpus(data_dir: Path, split: str):
     anns = annotations.parse_annotations((data_dir / "annotations.csv").read_bytes())
     picked = [a for a in anns if a.split == split]
-    streams = {}
+    texts: dict[str, set[str]] = {}
     for a in picked:
-        frames, sidecar, query = annotations.load_stream(data_dir / "streams" / f"{a.video_uid}.f32")
+        texts.setdefault(a.video_uid, set()).add(a.query)
+    streams = {}
+    for uid, queries in texts.items():
+        if len(queries) > 1:  # the stream has one query embedding file
+            raise SchemaError(f"video {uid} has {len(queries)} distinct {split}-split queries; "
+                              f"its one {uid}.query.f32 embeds one")
+        frames, sidecar, query = annotations.load_stream(data_dir / "streams" / f"{uid}.f32")
         if query is None:
-            raise SchemaError(f"stream {a.video_uid} has no query embedding file")
-        streams[a.video_uid] = (frames, sidecar, query)
+            raise SchemaError(f"stream {uid} has no query embedding file")
+        streams[uid] = (frames, sidecar, query)
     return picked, streams
 
 

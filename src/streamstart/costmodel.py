@@ -38,8 +38,6 @@ class LayerSpec:
     d_in: int = 0
     d_out: int = 0
     k: int = 1
-    heads: int = 1
-    tokens: int | None = None
     depthwise: bool = False
     bias: bool = True
     count: int = 1
@@ -47,8 +45,8 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in LAYER_KINDS:
             raise ConfigError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
-        if self.count < 1 or self.k < 1 or self.heads < 1:
-            raise ConfigError("count, k and heads must be positive")
+        if self.count < 1 or self.k < 1:
+            raise ConfigError("count and k must be positive")
         if self.kind != "pointwise" and (self.d_in < 1 or self.d_out < 1):
             raise ConfigError(f"{self.kind} layer needs positive dimensions")
 
@@ -90,8 +88,7 @@ def _layer_params(spec: LayerSpec) -> int:
     return 0  # fo_pool, pointwise
 
 
-def _layer_macs(spec: LayerSpec, tokens: int) -> int:
-    t = spec.tokens if spec.tokens is not None else tokens
+def _layer_macs(spec: LayerSpec, t: int) -> int:
     if spec.kind == "linear":
         return t * spec.d_in * spec.d_out
     if spec.kind == "attention":

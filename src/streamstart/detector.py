@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,6 @@ DEFAULT_TAU_SIM = 0.07
 DEFAULT_POS_CAP = 20.0
 DIVERGENCE_LIMIT = 1e3
 _NORM_EPS = 1e-12
-_CHUNK = 64  # frames per streamed chunk of score_frames; a 60-frame stream is one chunk
 
 # running count of zero-norm frame outputs mapped to sigmoid(0)
 ZERO_NORM_COUNT = 0
@@ -169,12 +168,13 @@ def score_frames(
     fps: float = 1.0,
 ) -> ScoreSeries:
     """Scores of one stream ``[T, d_in]``: p_i = sigmoid(cos(stack(e)_i, query) / tau_sim), streamed
-    in chunks of ``_CHUNK`` frames with carried state, in memory that does not grow with T."""
+    in chunks of ``kernels.CHUNK`` frames with carried state, in memory that does not grow with T."""
     embeddings, query = np.asarray(embeddings, dtype=float), np.asarray(query, dtype=float)
     states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
     s = np.empty(len(embeddings))
-    for t in range(0, len(embeddings), _CHUNK):
-        s[t : t + _CHUNK] = _cosine_scores(_stream_stack(model, embeddings[t : t + _CHUNK], states), query)[0]
+    for t in range(0, len(embeddings), kernels.CHUNK):
+        chunk = embeddings[t : t + kernels.CHUNK]
+        s[t : t + kernels.CHUNK] = _cosine_scores(_stream_stack(model, chunk, states), query)[0]
     p = sigmoid(s / model.config.tau_sim)
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=p)
 
@@ -389,29 +389,7 @@ def infer_streaming(
 
 
 def save_model(path: str | Path, model: DetectorModel) -> None:
-    cfg = model.config
-    adapter = cfg.adapter
-    config = {
-        "d_in": cfg.d_in,
-        "d": cfg.d,
-        "n_blocks": cfg.n_blocks,
-        "d_mlp": cfg.d_mlp,
-        "tau_sim": cfg.tau_sim,
-        "seed": cfg.seed,
-        "adapter": {
-            "d": adapter.d,
-            "d_prime": adapter.d_prime,
-            "kind": adapter.kind,
-            "k": adapter.k,
-            "lookback": adapter.k - 1,  # fixed in version 1: every conv is causal
-            "lookahead": 0,
-            "gamma": adapter.gamma,
-            "theta": adapter.theta,
-            "forget_bias_init": adapter.forget_bias_init,
-            "depthwise": adapter.depthwise,
-        },
-        "array_order": _array_order(model),
-    }
+    config = {**asdict(model.config), "array_order": _array_order(model)}
     kernels.write_checkpoint(path, config, _model_arrays(model))
 
 
@@ -432,22 +410,16 @@ def _array_order(model: DetectorModel) -> list[str]:
 
 
 def load_model(path: str | Path) -> DetectorModel:
-    """Model of a checkpoint; a missing or unknown config key, an array count or
-    shape that does not fit its config, or a conv that is not causal raises ConfigError."""
+    """Model of a checkpoint; a missing or unknown config key, or an array
+    count or shape that does not fit its config, raises ConfigError."""
     raw_config, arrays = kernels.read_checkpoint(path)
     try:
-        raw_adapter = dict(raw_config["adapter"])
-        lookback, lookahead = raw_adapter.pop("lookback", None), raw_adapter.pop("lookahead", None)
-        adapter_cfg = AdapterConfig(**raw_adapter)
-        config = ModelConfig(adapter=adapter_cfg, **{
+        config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
             name: raw_config[name] for name in ("d_in", "d", "n_blocks", "d_mlp", "tau_sim", "seed")})
     except KeyError as err:
         raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
-    if (lookback, lookahead) != (adapter_cfg.k - 1, 0):
-        raise ConfigError(f"{path}: adapter lookback {lookback} and lookahead {lookahead} are not supported; "
-                          f"version 1 takes lookback = k - 1 = {adapter_cfg.k - 1} and lookahead = 0")
     template = build_model(config)
     expected = _model_arrays(template)
     if len(arrays) != len(expected):

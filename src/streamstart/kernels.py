@@ -34,7 +34,7 @@ import io
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
@@ -45,6 +45,7 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 DEFAULT_GAMMA = 0.96875
 DEFAULT_FORGET_BIAS = -5.0
+CHUNK = 64  # frames per streamed chunk: score_frames streams this many, and retention splits longer ones
 
 
 # -- op counting --------------------------------------------------------------
@@ -135,33 +136,15 @@ class AdapterParams:
     b_down: np.ndarray
     w_up: np.ndarray
     b_up: np.ndarray
-    w_s: np.ndarray | None = None   # st_conv / qrnn conv bank [k, d', d']
-    b_s: np.ndarray | None = None   # qrnn only
-    w_f: np.ndarray | None = None   # qrnn forget bank
-    b_f: np.ndarray | None = None
-    w_q: np.ndarray | None = None   # retention projections [d', d']
-    w_k: np.ndarray | None = None
-    w_v: np.ndarray | None = None
-    # derived stacked banks, rebuilt by every construction (dataclasses.replace too)
-    w_sf: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    b_sf: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    w_qkv: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self) -> None:
-        if self.w_f is not None:  # qrnn: s and f from one conv, [k, d', 2d'] or depthwise [k, 2d']
-            object.__setattr__(self, "w_sf", np.concatenate([self.w_s, self.w_f], axis=-1))
-            object.__setattr__(self, "b_sf", np.concatenate([self.b_s, self.b_f]))
-        if self.w_q is not None:  # retention: q, k and v from one [d', 3d'] product
-            object.__setattr__(self, "w_qkv", np.concatenate([self.w_q, self.w_k, self.w_v], axis=1))
+    w_s: np.ndarray | None = None    # st_conv bank [k, d', d'] (depthwise [k, d'])
+    w_sf: np.ndarray | None = None   # qrnn s and f banks stacked [k, d', 2d'] (depthwise [k, 2d'])
+    b_sf: np.ndarray | None = None   # [2d']
+    w_qkv: np.ndarray | None = None  # retention q, k and v projections stacked [d', 3d']
 
     def arrays(self) -> dict[str, np.ndarray]:
         """Trainable arrays in declaration order."""
-        out = {"w_down": self.w_down, "b_down": self.b_down, "w_up": self.w_up, "b_up": self.b_up}
-        for name in ("w_s", "b_s", "w_f", "b_f", "w_q", "w_k", "w_v"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
+        named = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "config")
+        return {name: value for name, value in named if value is not None}
 
 
 def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
@@ -169,7 +152,8 @@ def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
 
     The up-projection is exactly zero so the residual path carries the
     input unchanged. The qrnn forget bank starts at zero with its bias at a
-    fixed negative value, keeping the forget gate nearly closed.
+    fixed negative value, keeping the forget gate nearly closed. Banks are
+    drawn one at a time (s; q, k, v) and stacked.
     """
     rng = np.random.default_rng(seed)
     d, dp, k = config.d, config.d_prime, config.k
@@ -188,14 +172,10 @@ def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
     if config.kind == "st_conv":
         kw["w_s"] = small(conv_shape, conv_fan)
     elif config.kind == "qrnn":
-        kw["w_s"] = small(conv_shape, conv_fan)
-        kw["b_s"] = np.zeros(dp)
-        kw["w_f"] = np.zeros(conv_shape)
-        kw["b_f"] = np.full(dp, config.forget_bias_init, dtype=float)
+        kw["w_sf"] = np.concatenate([small(conv_shape, conv_fan), np.zeros(conv_shape)], axis=-1)
+        kw["b_sf"] = np.concatenate([np.zeros(dp), np.full(dp, config.forget_bias_init, dtype=float)])
     elif config.kind == "retention":
-        kw["w_q"] = small((dp, dp), dp)
-        kw["w_k"] = small((dp, dp), dp)
-        kw["w_v"] = small((dp, dp), dp)
+        kw["w_qkv"] = np.concatenate([small((dp, dp), dp) for _ in range(3)], axis=1)
     return AdapterParams(config=config, **kw)
 
 
@@ -350,17 +330,19 @@ def causal_conv_vjp(
 
     ``"bias"`` is there only when a bias is given. Tap j reads s = k - 1 - j
     rows back, so it pairs ``d_y[s:]`` with ``x[:n - s]``, one tap at a time.
+    A depthwise bank may stack m banks, as in ``causal_conv``.
     """
-    k, n = w.shape[0], x.shape[-2]
+    k, n, d_in = w.shape[0], x.shape[-2], x.shape[-1]
     d_x = np.zeros_like(x)
     g_w = np.zeros_like(w)
     for j in range(k):
         s = k - 1 - j
         if s < n:
             x_j, d_y_j = x[..., : n - s, :], d_y[..., s:, :]
-            if w.ndim == 2:  # depthwise
-                d_x[..., : n - s, :] += d_y_j * w[j]
-                g_w[j] = _rows(x_j * d_y_j).sum(axis=0)
+            if w.ndim == 2:  # depthwise, m stacked banks: d_y_j as [..., n - s, m, d_in]
+                d_y_j = d_y_j.reshape(*d_y_j.shape[:-1], -1, d_in)
+                d_x[..., : n - s, :] += (d_y_j * w[j].reshape(-1, d_in)).sum(axis=-2)
+                g_w[j] = (x_j[..., None, :] * d_y_j).reshape(-1, w.shape[1]).sum(axis=0)
             else:
                 d_x[..., : n - s, :] += d_y_j @ w[j].T
                 g_w[j] = _rows(x_j).T @ _rows(d_y_j)
@@ -492,10 +474,17 @@ def retention_forward(
     one stream ``[n, d']``: frame i also reads its summary S times
     gamma^(i+1), and S <- gamma^n S + sum_j gamma^(n-1-j) K_j^T V_j. Every
     power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
+    A streamed chunk longer than ``CHUNK`` frames runs as ``CHUNK``-frame
+    chunks, so its matrices stay ``[CHUNK, CHUNK]``.
     """
     cfg = params.config
     _check_state(cfg, state)
     dp, n = cfg.d_prime, x.shape[-2]
+    if state is not None and n > CHUNK:
+        out = np.empty((n, dp))
+        for i in range(0, n, CHUNK):
+            out[i : i + CHUNK], state = retention_forward(x[i : i + CHUNK], params, state)
+        return out, state
     start = 0 if state is None else state.n
     pos = np.arange(start, start + n)
     qkv = x @ params.w_qkv  # q and k rotate as one [..., 2, n, d'] array: each a C-ordered [n, d'] matrix
@@ -524,7 +513,7 @@ def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None =
 def retention_parallel_vjp(
     d_out: np.ndarray, x: np.ndarray, params: AdapterParams, tape: dict
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """VJP of ``retention_parallel(x, params, tape)``: ``(d_x, {"w_q", "w_k", "w_v"})``."""
+    """VJP of ``retention_parallel(x, params, tape)``: ``(d_x, {"w_qkv": ...})``."""
     q, k, v = tape["q"], tape["k"], tape["v"]
     decay, pos, scores = tape["decay"], tape["pos"], tape["scores"]
     theta = params.config.theta
@@ -532,9 +521,8 @@ def retention_parallel_vjp(
     d_raw = (d_out @ v.swapaxes(-1, -2)) * decay
     d_q = _rotate(d_raw @ k, pos, -theta)
     d_k = _rotate(d_raw.swapaxes(-1, -2) @ q, pos, -theta)
-    x_t = _rows(x).T
-    grads = {"w_q": x_t @ _rows(d_q), "w_k": x_t @ _rows(d_k), "w_v": x_t @ _rows(d_v)}
-    return d_q @ params.w_q.T + d_k @ params.w_k.T + d_v @ params.w_v.T, grads
+    d_qkv = np.concatenate([d_q, d_k, d_v], axis=-1)
+    return d_qkv @ params.w_qkv.T, {"w_qkv": _rows(x).T @ _rows(d_qkv)}
 
 
 def retention_recurrent(
@@ -626,10 +614,9 @@ def adapter_vjp(
     elif cfg.kind == "qrnn":
         s, f = tape["s"], tape["f"]
         d_s, d_f = fo_pool_vjp(d_core, s, f, core, np.zeros(cfg.d_prime))
-        d_down_s, g_s = causal_conv_vjp(d_s * (1.0 - s * s), down, params.w_s, params.b_s)
-        d_down_f, g_f = causal_conv_vjp(d_f * f * (1.0 - f), down, params.w_f, params.b_f)
-        d_down = d_down_s + d_down_f
-        core_grads.update(w_s=g_s["w"], b_s=g_s["bias"], w_f=g_f["w"], b_f=g_f["bias"])
+        d_sf = np.concatenate([d_s * (1.0 - s * s), d_f * f * (1.0 - f)], axis=-1)
+        d_down, g = causal_conv_vjp(d_sf, down, params.w_sf, params.b_sf)
+        core_grads.update(w_sf=g["w"], b_sf=g["bias"])
     else:  # retention
         d_down, core_grads = retention_parallel_vjp(d_core, down, params, tape)
     d_x += d_down @ params.w_down.T
@@ -716,7 +703,7 @@ def block_vjp(
 # and the little-endian float32 payload. Layout details in docs/formats.md.
 
 MAGIC = b"SDQK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
@@ -737,8 +724,8 @@ def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
 
 
 def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
-    """Config and arrays of a checkpoint; a truncated file or bytes after
-    the last array raise ConfigError."""
+    """Config and arrays of a checkpoint; another version, a config that is
+    not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != MAGIC:
@@ -758,9 +745,14 @@ def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
 
     (version,) = u32s(1)
     if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"unsupported checkpoint version {version}")
+        raise ConfigError(f"{path} is checkpoint version {version}; "
+                          f"this build reads version {CHECKPOINT_VERSION}")
     (blob_len,) = u32s(1)
-    config = json.loads(take(blob_len).decode("utf-8"))
+    blob = take(blob_len)
+    try:
+        config = json.loads(blob.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
     (n_arrays,) = u32s(1)
     arrays = []
     for _ in range(n_arrays):

@@ -104,15 +104,45 @@ def _swap(model, block_idx, name, array):
     return replace(model, blocks=blocks)
 
 
+def per_bank(arrays):
+    """An adapter's arrays with its stacked banks split apart, in the order the
+    banks were declared one at a time: qrnn ``w_sf, b_sf`` into ``w_s, b_s,
+    w_f, b_f`` and retention ``w_qkv`` into ``w_q, w_k, w_v``."""
+    out = {name: a for name, a in arrays.items() if name not in ("w_sf", "b_sf", "w_qkv")}
+    if "w_sf" in arrays:
+        (w_s, w_f), (b_s, b_f) = np.split(arrays["w_sf"], 2, axis=-1), np.split(arrays["b_sf"], 2)
+        out.update(w_s=w_s, b_s=b_s, w_f=w_f, b_f=b_f)
+    if "w_qkv" in arrays:
+        out.update(zip(("w_q", "w_k", "w_v"), np.split(arrays["w_qkv"], 3, axis=1)))
+    return out
+
+
+def stacked(banks):
+    """Inverse of ``per_bank``."""
+    out = {name: a for name, a in banks.items()
+           if name not in ("w_s", "b_s", "w_f", "b_f", "w_q", "w_k", "w_v")}
+    if "w_f" in banks:
+        out["w_sf"] = np.concatenate([banks["w_s"], banks["w_f"]], axis=-1)
+        out["b_sf"] = np.concatenate([banks["b_s"], banks["b_f"]])
+    elif "w_s" in banks:
+        out["w_s"] = banks["w_s"]
+    if "w_q" in banks:
+        out["w_qkv"] = np.concatenate([banks["w_q"], banks["w_k"], banks["w_v"]], axis=1)
+    return out
+
+
+def randomized(params, rng, scale=0.4):
+    """``params`` with every trainable array drawn from ``rng``, one bank at a
+    time in ``per_bank`` order, so each seed gives the same model whether the
+    banks are stored apart or stacked."""
+    draws = {name: rng.normal(size=a.shape) * scale for name, a in per_bank(params.arrays()).items()}
+    return replace(params, **stacked(draws))
+
+
 def randomize_adapters(model, seed, scale=0.4):
     """Random trainable parameters so gradients and cores are informative."""
     rng = np.random.default_rng(seed)
-    blocks = []
-    for adapter, frozen in model.blocks:
-        updates = {
-            name: rng.normal(size=arr.shape) * scale for name, arr in adapter.arrays().items()
-        }
-        blocks.append((replace(adapter, **updates), frozen))
+    blocks = [(randomized(adapter, rng, scale), frozen) for adapter, frozen in model.blocks]
     return replace(model, blocks=blocks)
 
 

@@ -1,5 +1,6 @@
 import json
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -151,6 +152,9 @@ class TestTrainScoreEval:
     @pytest.mark.parametrize("damage, message", [
         (lambda raw: raw[:-3], "truncated"),
         (lambda raw: raw + b"\x00" * 8, "trailing bytes"),
+        (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "config is not UTF-8 JSON"),
+        (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
+         "is checkpoint version 1; this build reads version 2"),
     ])
     def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
         corpus, run, _ = pipeline
@@ -252,6 +256,46 @@ class TestTrainScoreEval:
         assert str(bad) in err and message in err and err.count("\n") == 1
         assert not (out / "scores").exists() and not (out / "manifest.json").exists()
 
+    @pytest.mark.parametrize("sidecar, message", [
+        (lambda text: text[:-1], "JSONDecodeError"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_frames"}),
+         "KeyError: 'n_frames'"),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
+         "KeyError: 'dim'"),
+    ], ids=["not_json", "no_n_frames", "no_dim"])
+    def test_score_bad_sidecar_exit_schema(self, pipeline, tmp_path, capsys, sidecar, message):
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
+                if a.split == "val"][-1]
+        bad = copied / "streams" / f"{last.video_uid}.f32.json"
+        bad.write_text(sidecar(bad.read_text()))
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"sidecar {bad}" in err and message in err and err.count("\n") == 1
+        assert not (tmp_path / "scored").exists()
+
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_video_with_two_query_texts_exit_schema(self, pipeline, tmp_path, capsys, split):
+        # a stream has one query embedding file, so its annotations must share one query text
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
+        first = [a for a in anns if a.split == split][0]
+        second = replace(first, ann_idx=first.ann_idx + 1, query=first.query + " again")
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns + [second]))
+        out = tmp_path / "out"
+        argv = (["train", "--steps", "1"] if split == "train" else
+                ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--split", "val"])
+        capsys.readouterr()
+        assert cli.main(argv + ["--data", str(copied), "--out", str(out)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"video {first.video_uid} has 2 distinct {split}-split queries" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_score_stream_width_checked_against_checkpoint(self, pipeline, tmp_path, capsys):
         _, run, _ = pipeline
         narrow = tmp_path / "narrow"
@@ -296,10 +340,11 @@ class TestTrainScoreEval:
     @pytest.mark.parametrize("edit", [{"lookahead": 1}, {"lookback": 0, "lookahead": 1}, {"lookback": 2}],
                              ids=["lookahead", "lookahead_split", "lookback"])
     def test_non_causal_checkpoint_exit_config(self, pipeline, tmp_path, capsys, edit):
+        # every conv is causal: version 2 has no lookback or lookahead key; the first in key order is unknown
         corpus, run, _ = pipeline
         config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
         adapter = config["adapter"]
-        assert (adapter["lookback"], adapter["lookahead"]) == (adapter["k"] - 1, 0)
+        assert not {"lookback", "lookahead"} & set(adapter)
         adapter.update(edit)
         bad = tmp_path / "bad.sdqk"
         kernels.write_checkpoint(bad, config, arrays)
@@ -308,7 +353,7 @@ class TestTrainScoreEval:
                        "--split", "val", "--out", str(tmp_path / "scored")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "lookback = k - 1 = 1 and lookahead = 0" in err and err.count("\n") == 1
+        assert f"unexpected keyword argument {min(edit)!r}" in err and err.count("\n") == 1
         assert not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("edit, message", [

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import erf
 
-from streamstart import detector, kernels
+from streamstart import kernels
 from streamstart.errors import ConfigError, NumericError
 from streamstart.kernels import (
     AdapterConfig,
@@ -30,9 +31,7 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 def randomized(params, seed, scale=0.4):
     """Adapter params with every trainable array randomized (up included)."""
-    rng = np.random.default_rng(seed)
-    updates = {n: rng.normal(size=a.shape) * scale for n, a in params.arrays().items()}
-    return replace(params, **updates)
+    return oracles.randomized(params, np.random.default_rng(seed), scale)
 
 
 def run_chunked(x, params, chunks):
@@ -63,8 +62,8 @@ class TestInit:
 
     def test_qrnn_forget_gate_at_init(self):
         p = init_params(AdapterConfig(d=8, d_prime=4, kind="qrnn"), seed=1)
-        assert not p.w_f.any()
-        f = kernels.sigmoid(p.b_f)
+        assert not p.w_sf[..., 4:].any()
+        f = kernels.sigmoid(p.b_sf[4:])
         assert f == pytest.approx(np.full(4, 0.00669), abs=1e-5)
 
     def test_same_seed_identical(self):
@@ -83,7 +82,7 @@ class TestInit:
             p = init_params(cfg, seed)
             x = np.random.default_rng(seed).normal(size=(40, 8))
             h, _ = qrnn_forward(x, p, fresh_state(cfg))
-            oracle = np.tanh(causal_conv(x, p.w_s, p.b_s))
+            oracle = np.tanh(causal_conv(x, p.w_sf[..., :8], p.b_sf[:8]))
             step0 = np.linalg.norm(h[0] - oracle[0]) / np.linalg.norm(oracle[0])
             assert step0 == pytest.approx(leak, rel=1e-9)
             rms = np.sqrt(np.mean(np.sum(oracle**2, axis=1)))
@@ -320,7 +319,7 @@ class TestRetention:
         cfg = AdapterConfig(d=2, d_prime=1, kind="retention", gamma=0.5, theta=0.0)
         p = replace(
             init_params(cfg, 0),
-            w_q=np.array([[1.0]]), w_k=np.array([[1.0]]), w_v=np.array([[1.0]]),
+            w_qkv=np.array([[1.0, 1.0, 1.0]]),
         )
         out = retention_parallel(np.array([[1.0], [1.0]]), p)
         assert out.ravel() == pytest.approx([1.0, 1.5])
@@ -329,7 +328,7 @@ class TestRetention:
         cfg = AdapterConfig(d=2, d_prime=1, kind="retention", gamma=0.5, theta=0.0)
         p = replace(
             init_params(cfg, 0),
-            w_q=np.array([[1.0]]), w_k=np.array([[1.0]]), w_v=np.array([[1.0]]),
+            w_qkv=np.array([[1.0, 1.0, 1.0]]),
         )
         o1, st = retention_recurrent(np.array([1.0]), p, state=None)
         o2, st = retention_recurrent(np.array([1.0]), p, state=st)
@@ -343,7 +342,7 @@ class TestRetention:
         p = randomized(init_params(cfg, 0), 2)
         x = rng.normal(size=(8, 6))
         out = retention_parallel(x, p)
-        q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
+        q, k, v = np.split(x @ p.w_qkv, 3, axis=1)
         expected = np.array([q[n] @ (k[: n + 1].T @ v[: n + 1]) for n in range(8)])
         assert np.abs(out - expected).max() < 1e-9
 
@@ -353,7 +352,7 @@ class TestRetention:
         p = randomized(init_params(cfg, 0), 3)
         x = rng.normal(size=(1, 4))
         out = retention_parallel(x, p)
-        q, k, v = x @ p.w_q, x @ p.w_k, x @ p.w_v
+        q, k, v = np.split(x @ p.w_qkv, 3, axis=1)
         assert out == pytest.approx(q @ (k.T @ v))
 
     def test_duality_random(self):
@@ -376,7 +375,7 @@ class TestRetention:
 
     def test_zero_kv_decays_state(self):
         cfg = AdapterConfig(d=2, d_prime=2, kind="retention", gamma=0.5, theta=0.0)
-        p = replace(init_params(cfg, 0), w_q=np.eye(2), w_k=np.zeros((2, 2)), w_v=np.eye(2))
+        p = replace(init_params(cfg, 0), w_qkv=np.hstack([np.eye(2), np.zeros((2, 2)), np.eye(2)]))
         st = kernels.RetentionState(s=np.eye(2), n=0)
         _, st = retention_recurrent(np.ones(2), p, state=st)
         assert st.s == pytest.approx(0.5 * np.eye(2))
@@ -444,7 +443,7 @@ class TestAdapterStreaming:
         rng = np.random.default_rng(44)
         cfg = AdapterConfig(d=10, d_prime=5, kind=kind, k=3, depthwise=True)
         p = randomized(init_params(cfg, 0), 1)
-        assert p.w_s.shape == (3, 5)
+        assert oracles.per_bank(p.arrays())["w_s"].shape == (3, 5)
         x = rng.normal(size=(18, 10))
         batch, _ = adapter_forward(x, p)
         streamed, _ = run_chunked(x, p, [4, 7, 1, 6])
@@ -474,7 +473,7 @@ class TestLongStream:
     @pytest.mark.parametrize("kind", ("retention", "qrnn"))
     def test_long_stream_fixed_chunks(self, kind):
         rng = np.random.default_rng(90)
-        n, c = 100_000, detector._CHUNK
+        n, c = 100_000, kernels.CHUNK
         p = randomized(init_params(AdapterConfig(d=16, d_prime=8, kind=kind), 0), 91)
         x = rng.normal(size=(n, 16))
         state, outs, sizes, norms = fresh_state(p.config), [], set(), []
@@ -494,8 +493,24 @@ class TestLongStream:
             assert max(norms) <= 1.0
         else:  # |S| <= sum_j gamma^j |k_j| |v_j|, and rotation keeps |k|
             down = x @ p.w_down + p.b_down
-            kv = np.linalg.norm(down @ p.w_k, axis=1) * np.linalg.norm(down @ p.w_v, axis=1)
+            _, k, v = np.split(down @ p.w_qkv, 3, axis=1)
+            kv = np.linalg.norm(k, axis=1) * np.linalg.norm(v, axis=1)
             assert max(norms) <= kv.max() / (1.0 - p.config.gamma)
+
+    def test_long_streamed_retention_chunk_is_split(self):
+        # one 5000-frame streamed chunk runs as CHUNK-frame chunks: no [5000, 5000] matrix
+        rng = np.random.default_rng(92)
+        p = randomized(init_params(AdapterConfig(d=16, d_prime=8, kind="retention"), 0), 93)
+        x = rng.normal(size=(5000, 16))
+        tracemalloc.start()
+        whole, state = adapter_forward(x, p, fresh_state(p.config))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        c = kernels.CHUNK
+        fixed, fixed_state = run_chunked(x, p, [c] * (5000 // c) + [5000 % c])
+        assert np.abs(whole - fixed).max() <= 1e-10
+        assert np.abs(state.s - fixed_state.s).max() <= 1e-10 and state.n == fixed_state.n == 5000
+        assert peak < 4 * 2**20  # the output and its intermediates; the parent's two [5000, 5000] took 400 MB
 
 
 class TestRewrittenPrimitives:
@@ -545,30 +560,6 @@ class TestRewrittenPrimitives:
         assert tape["e"].tobytes() == erf(x / math.sqrt(2.0)).tobytes()  # erf, not 1 + erf
 
 
-class TestStackedBanks:
-    """Stacked banks are derived from the per-bank arrays at every construction."""
-
-    @pytest.mark.parametrize("kind, name, depthwise", [
-        ("qrnn", "w_f", False), ("qrnn", "w_f", True), ("qrnn", "b_s", False), ("retention", "w_k", False),
-    ])
-    def test_replace_rebuilds_the_stacked_bank(self, kind, name, depthwise):
-        rng = np.random.default_rng(86)
-        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
-        before = randomized(init_params(cfg, 0), 87)
-        after = replace(before, **{name: rng.normal(size=getattr(before, name).shape)})
-        x = rng.normal(size=(12, 8))
-        batch, _ = adapter_forward(x, after)
-        streamed, _ = run_chunked(x, after, [3, 1, 8])
-        assert not np.allclose(batch, adapter_forward(x, before)[0])
-        assert np.array_equal(batch, adapter_forward(x, AdapterParams(config=cfg, **after.arrays()))[0])
-        assert np.abs(streamed - batch).max() <= 1e-10
-
-    def test_stacked_banks_stay_out_of_the_trainable_arrays(self):
-        for kind in ("qrnn", "retention"):
-            p = init_params(AdapterConfig(d=8, d_prime=4, kind=kind), 0)
-            assert not {"w_sf", "b_sf", "w_qkv"} & set(p.arrays())
-
-
 def central_difference(loss, inputs, name, eps=1e-6):
     """d loss / d inputs[name] by central differences, one element at a time."""
     g = np.zeros_like(inputs[name])
@@ -611,6 +602,15 @@ class TestVjps:
         assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)), inputs, {"x": d_x, **grads})
         assert set(kernels.causal_conv_vjp(r, inputs["x"], w)[1]) == {"w"}
 
+    def test_causal_conv_vjp_stacked_depthwise(self):
+        # a depthwise [k, 2 * d_in] bank stacks two banks on the same input, as qrnn's w_sf does
+        rng = np.random.default_rng(89)
+        w = rng.normal(size=(2, 6))
+        inputs = {"x": rng.normal(size=(2, 5, 3)), "w": w, "bias": rng.normal(size=6)}
+        r = rng.normal(size=(2, 5, 6))
+        d_x, grads = kernels.causal_conv_vjp(r, inputs["x"], w, inputs["bias"])
+        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)), inputs, {"x": d_x, **grads})
+
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_fo_pool_vjp(self, lead):
         rng = np.random.default_rng(93)
@@ -624,7 +624,7 @@ class TestVjps:
     def test_retention_parallel_vjp(self, lead):
         rng = np.random.default_rng(94)
         p = randomized(init_params(AdapterConfig(d=5, d_prime=4, kind="retention"), 0), 95)
-        inputs = {"x": rng.normal(size=lead + (6, 4)), "w_q": p.w_q, "w_k": p.w_k, "w_v": p.w_v}
+        inputs = {"x": rng.normal(size=lead + (6, 4)), "w_qkv": p.w_qkv}
         r = rng.normal(size=lead + (6, 4))
         tape = {}
         retention_parallel(inputs["x"], p, tape)

@@ -31,7 +31,7 @@ def streams(draw, d):
     """``[T, d]`` frames and the cut points of a chunking. T <= 200 crosses
     score_frames' chunks of C = 64 frames, whose carried state must match
     one pass; half the draws end on either side of a chunk boundary."""
-    c = detector._CHUNK
+    c = kernels.CHUNK
     n = draw(st.integers(1, 200) | st.sampled_from([m * c + e for m in (1, 2, 3) for e in (0, 1)]))
     frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
     cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=6)) if n > 1 else []

@@ -57,3 +57,10 @@ def test_only_kernels_reads_tape_keys():
     reads = [f"{name}:{node.lineno}" for name, tree in _trees() if name != "kernels.py"
              for node in ast.walk(tree) if _reads_tape(node)]
     assert reads == []
+
+
+def test_only_the_known_module_globals():
+    # module-level mutable state is on its way out; no module may add more
+    names = {f"{name[:-3]}.{g}" for name, tree in _trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Global) for g in node.names}
+    assert names == {"kernels._OP_COUNTER", "detector.ZERO_NORM_COUNT", "costmodel._BENCH_ACTIVE"}
