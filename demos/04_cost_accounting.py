@@ -19,9 +19,7 @@ print(f"  params          : {cm.count_params(backbone):,}")
 print(f"  MACs per frame  : {cm.count_macs(backbone, TOKENS):,}")
 
 for kind in ("vanilla", "st_conv", "qrnn", "retention"):
-    from streamstart.kernels import default_reduced_dim
-
-    dp = default_reduced_dim(kind, D)
+    dp = cm.default_reduced_dim(kind, D)
     adapters = cm.adapter_stack(kind, D, dp, k=2, insertions=2 * BLOCKS)
     report = cm.cost_report(backbone + adapters, tokens=TOKENS,
                             baseline=backbone, baseline_name="backbone")

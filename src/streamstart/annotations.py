@@ -483,6 +483,9 @@ def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
     except (ValueError, KeyError, TypeError) as err:
         raise SchemaError(f"sidecar {sidecar_path} is not JSON with integer n_frames and dim "
                           f"({type(err).__name__}: {err})") from None
+    fps = sidecar.get("fps")
+    if type(fps) not in (int, float) or not 0 < fps < math.inf:
+        raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size != n * dim:
         raise NumericError(

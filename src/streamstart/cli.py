@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -174,7 +175,7 @@ def _load_corpus(data_dir: Path, split: str):
 
 
 def _adapter_config(kind: str, d: int, d_prime: int | None, k: int) -> kernels.AdapterConfig:
-    dp = d_prime if d_prime else kernels.default_reduced_dim(kind, d, k)
+    dp = d_prime if d_prime else costmodel.default_reduced_dim(kind, d, k)
     return kernels.AdapterConfig(d=d, d_prime=dp, kind=kind, k=k)
 
 
@@ -197,9 +198,14 @@ def cmd_train(args) -> int:
     dataset = []
     for a in anns:
         frames, sidecar, query = streams[a.video_uid]
+        fps = float(sidecar["fps"])
+        need = math.ceil(a.video_length * fps - 1e-9)  # sample_windows' frame grid
+        if need > len(frames):
+            raise SchemaError(f"video {a.video_uid}: video_length {a.video_length}s at {fps} fps "
+                              f"needs {need} frames, its stream holds {len(frames)}")
         for _ in range(args.windows_per_annotation):
-            window = annotations.sample_windows(a, w_s, args.fps, int(rng.integers(2**31 - 1)))
-            idx = np.round(window.frame_times * args.fps).astype(int)
+            window = annotations.sample_windows(a, w_s, fps, int(rng.integers(2**31 - 1)))
+            idx = np.round(window.frame_times * fps).astype(int)
             dataset.append(
                 detector.TrainingExample(
                     embeddings=frames[idx], labels=window.labels, query=query, video_uid=a.video_uid
@@ -221,7 +227,7 @@ def cmd_train(args) -> int:
     (out / "curve.csv").write_text(detector.loss_curve_csv(history), encoding="utf-8")
     train_manifest = {
         "config": {
-            "w_s": w_s, "fps": args.fps, "learning_rate": args.lr, "steps": args.steps,
+            "w_s": w_s, "learning_rate": args.lr, "steps": args.steps,
             "batch_size": args.batch, "pos_weight_cap": args.pos_cap, "weight_decay": args.weight_decay,
             "kind": args.kind, "d_prime": adapter.d_prime, "k": args.k,
             "blocks": args.blocks, "tau_sim": args.tau_sim,
@@ -316,7 +322,7 @@ def cmd_eval(args) -> int:
 
 def cmd_bench(args) -> int:
     backbone = costmodel.vit_backbone_stack(d=args.d, n_blocks=args.blocks)
-    dp = args.d_prime if args.d_prime else kernels.default_reduced_dim(args.kind, args.d, args.k)
+    dp = _adapter_config(args.kind, args.d, args.d_prime, args.k).d_prime
     adapters = costmodel.adapter_stack(
         args.kind, args.d, dp, k=args.k, insertions=args.insertions_per_block * args.blocks
     )
@@ -395,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--batch", type=int, default=8)
     p.add_argument("--ws", type=int, default=0, help="window frames (0 = kind default: 60, 30 for retention)")
-    p.add_argument("--fps", type=float, default=1.0)
     p.add_argument("--blocks", type=int, default=2)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--d-prime", type=int, default=0)

@@ -199,6 +199,16 @@ def adapter_stack(
     return layers
 
 
+def default_reduced_dim(kind: str, d: int, k: int = 2) -> int:
+    """Reduced width for a kind: d/2 for st_conv; another kind takes the narrowest
+    width whose parameter count is nearest st_conv's."""
+    half = max(1, d // 2)
+    if kind == "st_conv":
+        return half
+    target = count_params(adapter_stack("st_conv", d, half, k))
+    return min(range(1, d + 1), key=lambda dp: abs(count_params(adapter_stack(kind, d, dp, k)) - target))
+
+
 # -- latency harness -----------------------------------------------------------
 
 _BENCH_ACTIVE = False

@@ -6,13 +6,17 @@ cosine similarity between the stack output and the query embedding, pushed
 through a temperature-scaled sigmoid. Training minimizes a
 positive-weighted binary cross-entropy over dense window labels with
 hand-derived reverse-mode gradients; inference keeps one score per
-arriving frame at constant cost.
+arriving frame at constant cost. A checkpoint file holds every array of a
+model under the names ``named_arrays`` gives it.
 """
 
 from __future__ import annotations
 
+import io
+import json
 import logging
 import math
+import struct
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -267,16 +271,6 @@ def backward(
 # -- training ---------------------------------------------------------------------
 
 
-def _rebuild(model: DetectorModel, work: dict[str, np.ndarray]) -> DetectorModel:
-    blocks = []
-    for i, (adapter, block) in enumerate(model.blocks):
-        updates = {
-            name: work[f"blocks.{i}.{name}"] for name in adapter.arrays() if f"blocks.{i}.{name}" in work
-        }
-        blocks.append((replace(adapter, **updates), block))
-    return replace(model, blocks=blocks)
-
-
 def train(
     model: DetectorModel, dataset: list[TrainingExample], config: TrainConfig
 ) -> tuple[DetectorModel, list[LossBreakdown]]:
@@ -292,14 +286,7 @@ def train(
         return model, []
 
     rng = np.random.default_rng(config.seed)
-    work = {
-        name: arr.astype(float).copy()
-        for name, arr in (
-            (f"blocks.{i}.{n}", a)
-            for i, (adapter, _) in enumerate(model.blocks)
-            for n, a in adapter.arrays().items()
-        )
-    }
+    work = {name: arr.astype(float) for name, arr in named_arrays(model, frozen=False).items()}
     m1 = {name: np.zeros_like(arr) for name, arr in work.items()}
     m2 = {name: np.zeros_like(arr) for name, arr in work.items()}
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -308,7 +295,7 @@ def train(
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(dataset), size=config.batch_size)
         batch = [dataset[int(i)] for i in idx]
-        current = _rebuild(model, work)
+        current = with_arrays(model, work)
         try:
             grads, lb = backward(current, batch, config.pos_weight_cap)
         except NumericError as err:
@@ -327,7 +314,7 @@ def train(
             work[name] = work[name] - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
             if config.weight_decay:
                 work[name] = work[name] - config.learning_rate * config.weight_decay * work[name]
-    return _rebuild(model, work), history
+    return with_arrays(model, work), history
 
 
 def loss_curve_csv(history: list[LossBreakdown]) -> str:
@@ -388,31 +375,106 @@ def infer_streaming(
 # -- checkpoints --------------------------------------------------------------------
 
 
+def named_arrays(model: DetectorModel, frozen: bool = True) -> dict[str, np.ndarray]:
+    """Every array of the model by name, in checkpoint order: ``w_in``, ``b_in``, then
+    ``blocks.{i}.{name}``, each block's adapter before its frozen sublayers. With
+    ``frozen=False``, only the trainable adapter arrays, named as ``backward`` names their gradients."""
+    named = {"w_in": model.w_in, "b_in": model.b_in} if frozen else {}
+    for i, (adapter, block) in enumerate(model.blocks):
+        for params in (adapter, block) if frozen else (adapter,):
+            named.update((f"blocks.{i}.{name}", arr) for name, arr in params.arrays().items())
+    return named
+
+
+def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorModel:
+    """The model with the named arrays (as ``named_arrays`` names them) swapped in; a params
+    object none of whose arrays is named is kept as the same object."""
+
+    def swap(params, prefix: str):
+        updates = {name: named[prefix + name] for name in params.arrays() if prefix + name in named}
+        return replace(params, **updates) if updates else params
+
+    blocks = [(swap(adapter, f"blocks.{i}."), swap(block, f"blocks.{i}."))
+              for i, (adapter, block) in enumerate(model.blocks)]
+    return replace(model, w_in=named.get("w_in", model.w_in), b_in=named.get("b_in", model.b_in), blocks=blocks)
+
+
+# Single binary file: magic "SDQK", u32 version, u32 config-JSON length,
+# config JSON (UTF-8), u32 array count, then per array a u32 rank, u32 dims,
+# and the little-endian float32 payload. Layout details in docs/formats.md.
+
+MAGIC = b"SDQK"
+CHECKPOINT_VERSION = 2
+
+
+def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
+    blob = json.dumps(config, sort_keys=True).encode("utf-8")
+    buf.write(struct.pack("<I", len(blob)))
+    buf.write(blob)
+    buf.write(struct.pack("<I", len(arrays)))
+    for arr in arrays:
+        arr32 = np.ascontiguousarray(arr, dtype="<f4")
+        buf.write(struct.pack("<I", arr32.ndim))
+        buf.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
+        buf.write(arr32.tobytes())
+    with open(path, "wb") as fh:
+        fh.write(buf.getvalue())
+
+
+def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
+    """Config and arrays of a checkpoint; another version, a config that is
+    not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != MAGIC:
+        raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
+    off = 4
+
+    def take(size: int) -> bytes:
+        nonlocal off
+        if off + size > len(raw):
+            raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {off + size}")
+        chunk = raw[off : off + size]
+        off += size
+        return chunk
+
+    def u32s(count: int) -> tuple[int, ...]:
+        return struct.unpack(f"<{count}I", take(4 * count))
+
+    (version,) = u32s(1)
+    if version != CHECKPOINT_VERSION:
+        raise ConfigError(f"{path} is checkpoint version {version}; "
+                          f"this build reads version {CHECKPOINT_VERSION}")
+    (blob_len,) = u32s(1)
+    blob = take(blob_len)
+    try:
+        config = json.loads(blob.decode("utf-8"))
+    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
+        raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
+    (n_arrays,) = u32s(1)
+    arrays = []
+    for _ in range(n_arrays):
+        (rank,) = u32s(1)
+        shape = u32s(rank)
+        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        arrays.append(arr.astype(float))
+    if off != len(raw):
+        raise ConfigError(f"{path} has {len(raw) - off} trailing bytes after its last array")
+    return config, arrays
+
+
 def save_model(path: str | Path, model: DetectorModel) -> None:
-    config = {**asdict(model.config), "array_order": _array_order(model)}
-    kernels.write_checkpoint(path, config, _model_arrays(model))
-
-
-def _model_arrays(model: DetectorModel) -> list[np.ndarray]:
-    arrays = [model.w_in, model.b_in]
-    for adapter_params, block in model.blocks:
-        arrays.extend(adapter_params.arrays().values())
-        arrays.extend(block.arrays().values())
-    return arrays
-
-
-def _array_order(model: DetectorModel) -> list[str]:
-    order = ["w_in", "b_in"]
-    for i, (adapter_params, block) in enumerate(model.blocks):
-        order.extend(f"blocks.{i}.{name}" for name in adapter_params.arrays())
-        order.extend(f"blocks.{i}.{name}" for name in block.arrays())
-    return order
+    named = named_arrays(model)
+    write_checkpoint(path, {**asdict(model.config), "array_order": list(named)}, list(named.values()))
 
 
 def load_model(path: str | Path) -> DetectorModel:
     """Model of a checkpoint; a missing or unknown config key, or an array
     count or shape that does not fit its config, raises ConfigError."""
-    raw_config, arrays = kernels.read_checkpoint(path)
+    raw_config, arrays = read_checkpoint(path)
     try:
         config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
             name: raw_config[name] for name in ("d_in", "d", "n_blocks", "d_mlp", "tau_sim", "seed")})
@@ -421,17 +483,10 @@ def load_model(path: str | Path) -> DetectorModel:
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
     template = build_model(config)
-    expected = _model_arrays(template)
+    expected = named_arrays(template)
     if len(arrays) != len(expected):
         raise ConfigError(f"{path} holds {len(arrays)} arrays, its config needs {len(expected)}")
-    for name, got, want in zip(_array_order(template), arrays, expected):
+    for (name, want), got in zip(expected.items(), arrays):
         if got.shape != want.shape:
             raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
-    it = iter(arrays)
-    w_in, b_in = next(it), next(it)
-    blocks = []
-    for adapter_params, block in template.blocks:
-        adapter_updates = {name: next(it) for name in adapter_params.arrays()}
-        block_updates = {name: next(it) for name in block.arrays()}
-        blocks.append((replace(adapter_params, **adapter_updates), replace(block, **block_updates)))
-    return DetectorModel(config=config, w_in=w_in, b_in=b_in, blocks=blocks)
+    return with_arrays(template, dict(zip(expected, arrays)))

@@ -30,10 +30,7 @@ input's gradient and ``{array_name: gradient}``. No other module reads a tape.
 
 from __future__ import annotations
 
-import io
-import json
 import math
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -101,36 +98,18 @@ class AdapterConfig:
             object.__setattr__(self, "theta", 2.0 * math.pi / self.d_prime)
 
 
-def default_reduced_dim(kind: str, d: int, k: int = 2) -> int:
-    """Reduced width for a kind: d/2 for st_conv, others sized to match its
-    parameter count."""
-    if kind == "st_conv":
-        return max(1, d // 2)
-    target = _adapter_param_count("st_conv", d, max(1, d // 2), k)
-    best, best_gap = 1, abs(_adapter_param_count(kind, d, 1, k) - target)
-    for dp in range(2, d + 1):
-        gap = abs(_adapter_param_count(kind, d, dp, k) - target)
-        if gap < best_gap:
-            best, best_gap = dp, gap
-    return best
-
-
-def _adapter_param_count(kind: str, d: int, d_prime: int, k: int) -> int:
-    n = 2 * d * d_prime + d_prime + d  # down + up with biases
-    if kind == "st_conv":
-        n += k * d_prime * d_prime
-    elif kind == "qrnn":
-        n += 2 * (k * d_prime * d_prime + d_prime)
-    elif kind == "retention":
-        n += 3 * d_prime * d_prime
-    return n
-
-
 # -- parameters ---------------------------------------------------------------
 
 
+class _Arrays:
+    def arrays(self) -> dict[str, np.ndarray]:
+        """Array fields in declaration order; unused banks (None) are left out."""
+        named = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "config")
+        return {name: value for name, value in named if value is not None}
+
+
 @dataclass(frozen=True)
-class AdapterParams:
+class AdapterParams(_Arrays):
     config: AdapterConfig
     w_down: np.ndarray
     b_down: np.ndarray
@@ -140,11 +119,6 @@ class AdapterParams:
     w_sf: np.ndarray | None = None   # qrnn s and f banks stacked [k, d', 2d'] (depthwise [k, 2d'])
     b_sf: np.ndarray | None = None   # [2d']
     w_qkv: np.ndarray | None = None  # retention q, k and v projections stacked [d', 3d']
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Trainable arrays in declaration order."""
-        named = ((f.name, getattr(self, f.name)) for f in fields(self) if f.name != "config")
-        return {name: value for name, value in named if value is not None}
 
 
 def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
@@ -628,7 +602,7 @@ def adapter_vjp(
 
 
 @dataclass(frozen=True)
-class BlockParams:
+class BlockParams(_Arrays):
     """Frozen stand-ins for the spatial and MLP sublayers of one block."""
 
     w_sp: np.ndarray
@@ -637,12 +611,6 @@ class BlockParams:
     b1: np.ndarray
     w2: np.ndarray
     b2: np.ndarray
-
-    def arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "w_sp": self.w_sp, "b_sp": self.b_sp,
-            "w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-        }
 
 
 def make_block_params(d: int, d_mlp: int, seed: int, scale: float = 0.1) -> BlockParams:
@@ -695,71 +663,3 @@ def block_vjp(
     d_v = d_out + d_h1 @ block_params.w1.T
     return adapter_vjp(d_v @ block_params.w_sp.T, adapter_params, tape, d_skip=d_v)
 
-
-# -- checkpoint format --------------------------------------------------------
-#
-# Single binary file: magic "SDQK", u32 version, u32 config-JSON length,
-# config JSON (UTF-8), u32 array count, then per array a u32 rank, u32 dims,
-# and the little-endian float32 payload. Layout details in docs/formats.md.
-
-MAGIC = b"SDQK"
-CHECKPOINT_VERSION = 2
-
-
-def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(arrays)))
-    for arr in arrays:
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        buf.write(struct.pack("<I", arr32.ndim))
-        buf.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-        buf.write(arr32.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
-
-
-def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
-    """Config and arrays of a checkpoint; another version, a config that is
-    not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != MAGIC:
-        raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
-    off = 4
-
-    def take(size: int) -> bytes:
-        nonlocal off
-        if off + size > len(raw):
-            raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {off + size}")
-        chunk = raw[off : off + size]
-        off += size
-        return chunk
-
-    def u32s(count: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(4 * count))
-
-    (version,) = u32s(1)
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path} is checkpoint version {version}; "
-                          f"this build reads version {CHECKPOINT_VERSION}")
-    (blob_len,) = u32s(1)
-    blob = take(blob_len)
-    try:
-        config = json.loads(blob.decode("utf-8"))
-    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
-        raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
-    (n_arrays,) = u32s(1)
-    arrays = []
-    for _ in range(n_arrays):
-        (rank,) = u32s(1)
-        shape = u32s(rank)
-        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        arrays.append(arr.astype(float))
-    if off != len(raw):
-        raise ConfigError(f"{path} has {len(raw) - off} trailing bytes after its last array")
-    return config, arrays

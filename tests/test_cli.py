@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart import cli, detector, kernels, metrics
+from streamstart import cli, detector, metrics
 
 HEADER = ",".join(ann.COLUMNS)
 GOOD_ROW = "train,moments,v1,c1,a1,0,boil kettle,ok,10.0,12.0,30.0,100.0"
@@ -175,9 +175,9 @@ class TestTrainScoreEval:
     ], ids=["one_too_few", "one_too_many", "wrong_shape"])
     def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
-        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
         bad = tmp_path / "bad.sdqk"
-        kernels.write_checkpoint(bad, config, edit(arrays, config["array_order"].index("blocks.0.w_down")))
+        detector.write_checkpoint(bad, config, edit(arrays, config["array_order"].index("blocks.0.w_down")))
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -262,7 +262,11 @@ class TestTrainScoreEval:
          "KeyError: 'n_frames'"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
          "KeyError: 'dim'"),
-    ], ids=["not_json", "no_n_frames", "no_dim"])
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "fps"}),
+         "finite positive number fps, got None"),
+        (lambda text: json.dumps({**json.loads(text), "fps": 0}), "finite positive number fps, got 0"),
+        (lambda text: json.dumps({**json.loads(text), "fps": "1.0"}), "finite positive number fps, got '1.0'"),
+    ], ids=["not_json", "no_n_frames", "no_dim", "no_fps", "zero_fps", "string_fps"])
     def test_score_bad_sidecar_exit_schema(self, pipeline, tmp_path, capsys, sidecar, message):
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
@@ -337,17 +341,42 @@ class TestTrainScoreEval:
         assert "--optimizer" in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    def test_removed_fps_flag_exit_config(self, pipeline, tmp_path, capsys):
+        # a stream's fps comes from its sidecar
+        corpus, _, _ = pipeline
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"), "--steps", "1",
+                       "--fps", "1"])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--fps" in err and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_annotation_longer_than_its_stream_exit_schema(self, pipeline, tmp_path, capsys):
+        corpus, _, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
+        anns = [replace(a, video_length=90.0) if a.split == "train" else a for a in anns]
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(copied), "--out", str(out), "--steps", "1"]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        first = [a for a in anns if a.split == "train"][0]
+        assert f"video {first.video_uid}" in err and "needs 90 frames, its stream holds 60" in err
+        assert err.count("\n") == 1 and not out.exists()
+
     @pytest.mark.parametrize("edit", [{"lookahead": 1}, {"lookback": 0, "lookahead": 1}, {"lookback": 2}],
                              ids=["lookahead", "lookahead_split", "lookback"])
     def test_non_causal_checkpoint_exit_config(self, pipeline, tmp_path, capsys, edit):
         # every conv is causal: version 2 has no lookback or lookahead key; the first in key order is unknown
         corpus, run, _ = pipeline
-        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
         adapter = config["adapter"]
         assert not {"lookback", "lookahead"} & set(adapter)
         adapter.update(edit)
         bad = tmp_path / "bad.sdqk"
-        kernels.write_checkpoint(bad, config, arrays)
+        detector.write_checkpoint(bad, config, arrays)
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -362,10 +391,10 @@ class TestTrainScoreEval:
     ], ids=["unknown_adapter_key", "missing_model_key"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
-        config, arrays = kernels.read_checkpoint(run / "checkpoint.sdqk")
+        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
         edit(config)
         bad = tmp_path / "bad.sdqk"
-        kernels.write_checkpoint(bad, config, arrays)
+        detector.write_checkpoint(bad, config, arrays)
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -384,6 +413,33 @@ class TestTrainScoreEval:
         capsys.readouterr()
         assert (r1 / "checkpoint.sdqk").read_bytes() == (r2 / "checkpoint.sdqk").read_bytes()
         assert (r1 / "curve.csv").read_bytes() == (r2 / "curve.csv").read_bytes()
+
+
+def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch):
+    # a 2-fps corpus: window frame j of a window at grid position m is stream row m + j, at time (m + j) / 2
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--streams", "6", "--val-streams", "1", "--seed", "5",
+                     "--dim", "8", "--fps", "2", "--frames", "120"]) == 0
+    captured = []
+
+    def fake_train(model, dataset, config):
+        captured.extend(dataset)
+        return model, []
+
+    monkeypatch.setattr(detector, "train", fake_train)
+    assert cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"), "--kind", "vanilla",
+                     "--blocks", "1", "--windows-per-annotation", "3"]) == 0
+    capsys.readouterr()
+    anns = {a.video_uid: a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())}
+    assert len(captured) == 18
+    for ex in captured:
+        frames, sidecar, _ = ann.load_stream(corpus / "streams" / f"{ex.video_uid}.f32")
+        assert sidecar["fps"] == 2.0
+        m = int(np.flatnonzero((frames == ex.embeddings[0]).all(axis=1))[0])
+        assert np.array_equal(ex.embeddings, frames[m : m + len(ex.embeddings)])
+        times = (m + np.arange(len(ex.labels))) / 2.0
+        a = anns[ex.video_uid]
+        assert np.array_equal(ex.labels, (times >= a.start_sec) & (times <= a.end_sec))
 
 
 class TestBenchCommand:

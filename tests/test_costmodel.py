@@ -29,6 +29,14 @@ class TestCountParams:
     def test_empty_stack(self):
         assert cm.count_params([]) == 0
 
+    def test_matched_parameter_budgets(self):
+        d, k = 768, 2
+        target = cm.count_params(cm.adapter_stack("st_conv", d, 384, k))
+        for kind in ("vanilla", "qrnn", "retention"):
+            dp = cm.default_reduced_dim(kind, d, k)
+            got = cm.count_params(cm.adapter_stack(kind, d, dp, k))
+            assert abs(got - target) / target < 0.01
+
     def test_additive_and_linear_in_count(self):
         a = [linear(16, 32), cm.LayerSpec(kind="layernorm", d_in=16, d_out=16)]
         b = [cm.LayerSpec(kind="conv1d", d_in=8, d_out=8, k=3)]

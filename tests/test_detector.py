@@ -473,6 +473,18 @@ class TestModelCheckpoint:
         for adapter, _ in loaded.blocks:
             assert not adapter.w_up.any() and not adapter.b_up.any()
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_trained_array_order_is_backwards_gradient_order(self, tmp_path, kind):
+        # training and the checkpoint name the trainable arrays alike
+        model = tiny_model(kind)
+        detector.save_model(tmp_path / "m.sdqk", model)
+        config, arrays = detector.read_checkpoint(tmp_path / "m.sdqk")
+        adapter_names = {f.name for f in fields(kernels.AdapterParams)}
+        trained = [name for name in config["array_order"] if name.rsplit(".", 1)[-1] in adapter_names]
+        grads, _ = backward(model, tiny_batch(12))
+        assert trained == list(grads)
+        assert len(config["array_order"]) == len(arrays)
+
 
 class _ReadLog(dict):
     """A tape that records which keys are read from it."""

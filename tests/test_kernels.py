@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
-from streamstart import kernels
+from streamstart import detector, kernels
 from streamstart.errors import ConfigError, NumericError
 from streamstart.kernels import (
     AdapterConfig,
@@ -761,14 +761,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             AdapterConfig(d=8, d_prime=9, kind="vanilla")
 
-    def test_matched_parameter_budgets(self):
-        d, k = 768, 2
-        target = kernels._adapter_param_count("st_conv", d, 384, k)
-        for kind in ("vanilla", "qrnn", "retention"):
-            dp = kernels.default_reduced_dim(kind, d, k)
-            got = kernels._adapter_param_count(kind, d, dp, k)
-            assert abs(got - target) / target < 0.01
-
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
@@ -776,8 +768,8 @@ class TestCheckpoint:
         arrays = [rng.normal(size=s).astype(np.float32).astype(float) for s in ((3, 4), (7,), (2, 2, 2))]
         config = {"kind": "qrnn", "d": 8}
         path = tmp_path / "model.sdqk"
-        kernels.write_checkpoint(path, config, arrays)
-        got_config, got_arrays = kernels.read_checkpoint(path)
+        detector.write_checkpoint(path, config, arrays)
+        got_config, got_arrays = detector.read_checkpoint(path)
         assert got_config == config
         for a, b in zip(arrays, got_arrays):
             assert np.array_equal(a, b)
@@ -786,25 +778,25 @@ class TestCheckpoint:
         path = tmp_path / "bad.sdqk"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ConfigError, match="magic"):
-            kernels.read_checkpoint(path)
+            detector.read_checkpoint(path)
 
     def test_truncated_rejected(self, tmp_path):
         path = tmp_path / "m.sdqk"
-        kernels.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
+        detector.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
         raw = path.read_bytes()
         for cut in (6, len(raw) - 4, len(raw) - 1):
             path.write_bytes(raw[:cut])
             with pytest.raises(ConfigError, match="truncated"):
-                kernels.read_checkpoint(path)
+                detector.read_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.sdqk"
-        kernels.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
+        detector.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
         path.write_bytes(path.read_bytes() + b"\x00" * 4)
         with pytest.raises(ConfigError, match="4 trailing bytes"):
-            kernels.read_checkpoint(path)
+            detector.read_checkpoint(path)
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.sdqk"
-        kernels.write_checkpoint(path, {}, [])
+        detector.write_checkpoint(path, {}, [])
         assert path.read_bytes()[:4] == b"SDQK"

@@ -64,3 +64,14 @@ def test_only_the_known_module_globals():
     names = {f"{name[:-3]}.{g}" for name, tree in _trees()
              for node in ast.walk(tree) if isinstance(node, ast.Global) for g in node.names}
     assert names == {"kernels._OP_COUNTER", "detector.ZERO_NORM_COUNT", "costmodel._BENCH_ACTIVE"}
+
+
+def test_kernels_does_no_file_io():
+    # kernels.py computes; the checkpoint format and every file read or write live elsewhere
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    imported = {a.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(tree)
+                 if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module}
+    opens = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"]
+    assert imported & {"io", "json", "struct", "pathlib"} == set() and opens == []
