@@ -23,6 +23,8 @@ import numpy as np
 from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
 
 MODES = ("rising_edge", "every_frame")
+# Elements of the padded [b, C, T] prediction mask that one evaluation block may hold.
+_BLOCK = 2**18
 
 
 @dataclass(frozen=True)
@@ -127,10 +129,10 @@ def _check_evaluation(thresholds, mode: str, ks) -> None:
 
 
 def _prediction_mask(scores: np.ndarray, thresholds: np.ndarray, mode: str) -> np.ndarray:
-    """``[C, T]`` mask of the frames that emit a prediction at each of C thresholds."""
-    above = scores >= thresholds[:, None]
+    """``[..., C, T]`` mask of the ``[..., T]`` frames that emit a prediction at each of C thresholds."""
+    above = scores[..., None, :] >= thresholds[:, None]
     if mode == "rising_edge":
-        above[:, 1:] &= ~above[:, :-1]
+        above[..., 1:] &= ~above[..., :-1]
     return above
 
 
@@ -173,13 +175,51 @@ def smd_at_k(preds, t_s: float, k: int, horizon: float) -> float:
     return float(np.min(np.abs(preds - t_s)))
 
 
+def _first_predictions(paired, taus: np.ndarray, mode: str, n_first: int) -> np.ndarray:
+    """``[Q, C, n_first]`` frame of each query's j-th prediction at each threshold; inf past its last.
+
+    Queries go in length order into blocks whose ``[b, C, T]`` mask stays
+    within ``_BLOCK`` elements; a query longer than that gets a block of its
+    own. Scores are padded with -1, below every threshold, so padding never
+    fires. Each of ``n_first`` passes takes every row's first set frame and
+    clears it.
+    """
+    lengths = np.array([len(ser.scores) for ser in paired])
+    first = np.full((len(paired), len(taus), n_first), np.inf)
+    order = np.argsort(lengths, kind="stable")
+    start = 0
+    while start < len(order):
+        # a block of b queries is padded to its last (longest) one; b grows while b * C * T fits
+        room = max(1, _BLOCK // (len(taus) * int(lengths[order[start]])))
+        ahead = lengths[order[start:start + room]]
+        fits = np.arange(1, len(ahead) + 1) * ahead * len(taus) <= _BLOCK  # True, then False
+        block = order[start:start + max(1, int(np.count_nonzero(fits)))]
+        start += len(block)
+        t = lengths[block[-1]]
+        pad = np.full((len(block), t), -1.0)
+        for row, q in enumerate(block.tolist()):
+            scores = paired[q].scores
+            pad[row, :len(scores)] = scores
+        mask = _prediction_mask(pad, taus, mode).reshape(-1, t)
+        rows = np.arange(len(mask))
+        found = np.empty((len(mask), n_first))
+        for j in range(n_first):
+            frame = mask.argmax(axis=1)
+            found[:, j] = np.where(mask[rows, frame], frame, np.inf)
+            mask[rows, frame] = False
+        first[block] = found.reshape(len(block), len(taus), n_first)
+    return first
+
+
 def _reports(series, annotations, ks, w, mode, thresholds, query_id) -> list[MetricReport]:
     """One report per threshold, from a single pass over the queries.
 
-    Each query's predictions at all C thresholds come from one ``[C, T]``
-    mask; the first ``max(ks)`` per threshold give SR@k as a cumulative any
-    of hits and SMD@k as a cumulative min of distances. Each (threshold, k)
-    column is averaged on its own in query order, as a single evaluation is.
+    The first ``max(ks)`` prediction frames of every query at all C
+    thresholds come from ``_first_predictions``, which evaluates the queries
+    in length-sorted blocks of bounded working memory. From them, SR@k is a
+    cumulative any of hits and SMD@k a cumulative min of distances. Each
+    (threshold, k) column is averaged on its own in query order, as a single
+    evaluation is.
     """
     by_key = {(s.video_uid, s.query_id): s for s in series}
     keys = [(a.video_uid, query_id(a)) for a in annotations]
@@ -189,17 +229,11 @@ def _reports(series, annotations, ks, w, mode, thresholds, query_id) -> list[Met
     if not annotations:
         raise ConfigError("no annotations to evaluate")
     _check_evaluation(thresholds, mode, ks)
-    taus = np.array(thresholds, dtype=float)
-    n_first = max(ks, default=0)
-    first = np.full((len(keys), len(taus), n_first), np.inf)  # frame of each threshold's j-th prediction
     paired = [by_key[key] for key in keys]
-    for q, ser in enumerate(paired):
+    for ser in paired:
         if not ser.scores.size:
             raise ConfigError(f"score series ({ser.video_uid}, {ser.query_id}) has no frames")
-        mask = _prediction_mask(ser.scores, taus, mode)
-        rank = np.cumsum(mask, axis=1)
-        row, frame = np.divmod(np.flatnonzero(mask & (rank <= n_first)), mask.shape[1])
-        first[q, row, rank[row, frame] - 1] = frame
+    first = _first_predictions(paired, np.array(thresholds, dtype=float), mode, max(ks, default=0))
     t_s = np.array([a.start_sec for a in annotations])[:, None, None]
     times = first / np.array([ser.fps for ser in paired])[:, None, None]
     cols = np.array(ks, dtype=int) - 1
@@ -259,8 +293,10 @@ def sweep_thresholds(
     nonempty = [s for s in series if s.scores.size]
     if not nonempty:
         raise ConfigError("cannot sweep thresholds over empty score series")
-    lo = min(float(s.scores.min()) for s in nonempty)
-    hi = max(float(s.scores.max()) for s in nonempty)
+    lo, hi = np.inf, -np.inf
+    for i in range(0, len(nonempty), 64):  # one reduction per 64 series, not one per series
+        chunk = np.concatenate([s.scores for s in nonempty[i:i + 64]])
+        lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
     reports = _reports(series, annotations, ks, w, mode, candidates, query_id)
     best = max(range(len(candidates)), key=lambda c: (reports[c].sr[objective_k], c))
@@ -312,6 +348,8 @@ def save_score_series(directory: str | Path, series: ScoreSeries) -> Path:
 
 def load_score_series_dir(directory: str | Path) -> list[ScoreSeries]:
     directory = Path(directory)
+    if not directory.is_dir():
+        raise ConfigError(f"score directory {directory} does not exist")
     out = []
     for path in sorted(directory.glob("*.csv")):
         stem = path.stem

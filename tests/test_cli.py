@@ -219,6 +219,16 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert f"({video_uid}, {query_id}) has no frames" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
+    def test_eval_missing_scores_dir_exit_config(self, pipeline, tmp_path, capsys, sweep):
+        corpus, _, _ = pipeline
+        capsys.readouterr()
+        rc = cli.main(["eval", "--scores", str(tmp_path / "nowhere"),
+                       "--annotations", str(corpus / "annotations.csv"), "--split", "val", *sweep])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"score directory {tmp_path / 'nowhere'} does not exist" in err and err.count("\n") == 1
+
     def test_score_writes_batch_scores(self, pipeline):
         corpus, run, scores = pipeline
         model = detector.load_model(run / "checkpoint.sdqk")

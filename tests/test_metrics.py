@@ -155,6 +155,11 @@ def random_case(rng, n=60):
     return scores, t_s
 
 
+# Mask-element budgets of an evaluation block: one query per block, then
+# blocks of several padded queries next to queries longer than the budget.
+BLOCK_BUDGETS = [1, 300, 2500]
+
+
 class TestEvaluateDataset:
     def test_mean_of_two(self):
         w = ToleranceWindow(5, 10)
@@ -213,6 +218,11 @@ class TestEvaluateDataset:
                     assert rep.sr == sr
                     assert rep.smd == smd
 
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_matches_brute_force_oracle_in_small_blocks(self, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        self.test_matches_brute_force_oracle()
+
 
 class TestSweep:
     def test_candidates_span_min_max(self):
@@ -259,6 +269,11 @@ class TestSweep:
                     best = (cand, r)
             assert tau == best[0]
             assert rep == best[1]
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS)
+    def test_equals_exhaustive_evaluation_in_small_blocks(self, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        self.test_equals_exhaustive_evaluation()
 
     def test_ties_break_to_larger_threshold(self):
         # monotone scores: every candidate gives the same recall

@@ -1,11 +1,15 @@
 """Seeded property tests of the stateful paths: any chunking of a stream
-reproduces batch mode, and frame-by-frame scoring reproduces batch scoring."""
+reproduces batch mode, and frame-by-frame scoring reproduces batch scoring.
+The blocked evaluator reproduces the brute-force one at any block budget."""
+
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamstart import detector, kernels
+from streamstart import detector, kernels, metrics
 
 import oracles
 
@@ -62,3 +66,37 @@ def test_infer_streaming_equals_score_frames(data):
     streamed = detector.infer_streaming(model, frames, query).scores
     batch = detector.score_frames(model, frames, query).scores
     assert np.abs(streamed - batch).max() <= 1e-10
+
+
+SCORE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)  # scores and thresholds, so thresholds land exactly on scores
+
+
+@st.composite
+def queries(draw):
+    """Score series of 1-200 frames at mixed fps, and an annotation for each.
+    Half the lengths are at most 5, so that a block pads short series that
+    have fewer predictions than k next to longer ones."""
+    series, anns = [], []
+    for i in range(draw(st.integers(1, 8))):
+        n = draw(st.integers(1, 200) | st.integers(1, 5))
+        fps = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]))
+        scores = draw(st.lists(st.sampled_from(SCORE_LEVELS), min_size=n, max_size=n))
+        series.append(metrics.ScoreSeries(f"v{i}", "a-0", fps, np.array(scores)))
+        anns.append(SimpleNamespace(video_uid=f"v{i}", annotator_uid="a", ann_idx=0,
+                                    start_sec=draw(st.floats(0.0, n / fps))))
+    return series, anns
+
+
+@SETTINGS
+@given(queries(), st.sets(st.integers(1, 5), min_size=1), st.sampled_from([1, 300, 2**18]))
+def test_blocked_evaluation_equals_brute_force(data, ks, budget):
+    series, anns = data
+    ks = sorted(ks)
+    window = metrics.ToleranceWindow(5, 10)
+    for mode in metrics.MODES:
+        for threshold in SCORE_LEVELS:
+            with mock.patch.object(metrics, "_BLOCK", budget):
+                rep = metrics.evaluate_dataset(series, anns, ks, window, mode, threshold)
+            sr, smd = oracles.brute_evaluate(series, anns, ks, 5, 10, mode, threshold,
+                                             metrics.default_query_id)
+            assert (rep.sr, rep.smd) == (sr, smd)

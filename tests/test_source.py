@@ -1,7 +1,10 @@
 """Rules that every module of the package's source must keep."""
 
 import ast
+import importlib.util
+import json
 import re
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "streamstart"
@@ -75,3 +78,29 @@ def test_kernels_does_no_file_io():
     opens = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "open"]
     assert imported & {"io", "json", "struct", "pathlib"} == set() and opens == []
+
+
+
+def test_every_traced_metric_has_its_function():
+    # the benchmark's tracer finds each per-layer metric's function by name;
+    # a renamed or deleted one silently drops its metric from the traced run
+    root = Path(__file__).resolve().parents[1]
+    path = root / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # read the benchmark's files, write nothing next to them
+    try:
+        spec.loader.exec_module(tracing)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    nothing_measured = {"kind_configs": {}, "busy_s": 0.0, "overhead_pct": 0.0, "state_bytes": {}}
+    metrics, record = tracing.layer_metrics(tracer, 0, nothing_measured)
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
+    assert record["absent"] == []
+    assert set(metrics) == {m["name"] for m in declared}
