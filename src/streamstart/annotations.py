@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -474,11 +475,17 @@ def save_stream(
         query_path.write_bytes(np.ascontiguousarray(query_emb, dtype="<f4").tobytes())
 
 
-def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
+def load_stream(
+    path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
+) -> tuple[np.ndarray, dict, np.ndarray | None]:
+    """Frames, sidecar and query embedding (None without a query file) of a stream.
+
+    ``read`` reads each of the three files whole, once.
+    """
     path = Path(path)
     sidecar_path = path.with_suffix(path.suffix + ".json")
     try:
-        sidecar = json.loads(sidecar_path.read_text(encoding="utf-8"))
+        sidecar = json.loads(read(sidecar_path).decode("utf-8"))
         n, dim = int(sidecar["n_frames"]), int(sidecar["dim"])
     except (ValueError, KeyError, TypeError) as err:
         raise SchemaError(f"sidecar {sidecar_path} is not JSON with integer n_frames and dim "
@@ -486,7 +493,7 @@ def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
     fps = sidecar.get("fps")
     if type(fps) not in (int, float) or not 0 < fps < math.inf:
         raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+    raw = np.frombuffer(read(path), dtype="<f4")
     if raw.size != n * dim:
         raise NumericError(
             f"stream {path} holds {raw.size} floats, sidecar promises {n}x{dim}"
@@ -496,7 +503,7 @@ def load_stream(path: str | Path) -> tuple[np.ndarray, dict, np.ndarray | None]:
     query_path = path.with_name(path.stem + ".query.f32")
     query = None
     if query_path.exists():
-        query = np.frombuffer(query_path.read_bytes(), dtype="<f4").astype(float)
+        query = np.frombuffer(read(query_path), dtype="<f4").astype(float)
         if query.size != dim:
             raise NumericError(f"query {query_path} holds {query.size} floats, sidecar promises {dim}")
         _check_finite(query_path, query)

@@ -8,6 +8,8 @@ directories, each with exactly one run manifest. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import hashlib
 import json
 import math
@@ -35,30 +37,51 @@ DEFAULT_SWEEP = 20
 DURATION_BINS = [0.0, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, float("inf")]
 START_BINS = [0.0, 60.0, 120.0, 300.0, 600.0, 1200.0, 1800.0, 3600.0, float("inf")]
 
+# A training step frees ~8 MB at the acceptance shapes, and glibc hands the freed
+# top of its heap back to the kernel, to fault it in again on the next step. A
+# 16 MiB pad keeps it: a standalone qrnn `train` fell from ~2000 minor faults per
+# step to the process's floor (8 MiB was the knee, 4 MiB kept a quarter of them).
+M_TOP_PAD = -2  # glibc's mallopt parameter number
+HEAP_TOP_PAD = 16 << 20
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         raise ConfigError(message)
 
 
-def _hash_path(path: Path) -> str:
-    h = hashlib.sha256()
-    if path.is_dir():
-        for child in sorted(p for p in path.rglob("*") if p.is_file()):
-            h.update(child.name.encode())
-            h.update(child.read_bytes())
-    else:
-        h.update(path.read_bytes())
-    return h.hexdigest()
+def _input_digest(root: Path, digests: dict[Path, str]) -> str:
+    """SHA-256 of what a command read of one input: a file's own digest; for a
+    directory, the digest of one ``"<sha256>  <path>\\n"`` line (``sha256sum``'s
+    format) per file read under it, path relative to it, in path order."""
+    if root in digests:
+        return digests[root]
+    n = len(root.parts)  # comparing parts costs a fraction of Path.relative_to
+    lines = sorted(("/".join(p.parts[n:]), d) for p, d in digests.items() if p.parts[:n] == root.parts)
+    return hashlib.sha256("".join(f"{d}  {rel}\n" for rel, d in lines).encode("utf-8")).hexdigest()
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None, inputs: list[Path]) -> None:
+class _HashingReader:
+    """Reads whole files for one command and keeps the SHA-256 of each for its manifest."""
+
+    def __init__(self) -> None:
+        self.digests: dict[Path, str] = {}
+
+    def __call__(self, path: Path) -> bytes:
+        data = path.read_bytes()
+        self.digests[path] = hashlib.sha256(data).hexdigest()
+        return data
+
+
+def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None, inputs: list[Path],
+                   digests: dict[Path, str]) -> None:
+    """``digests`` maps each file the command read to its SHA-256; each input gets one digest of them."""
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
-        "input_hashes": {str(p): _hash_path(p) for p in inputs},
+        "input_hashes": {str(p): _input_digest(p, digests) for p in inputs},
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
@@ -82,7 +105,8 @@ def _histogram(values: list[float], edges: list[float]) -> dict[str, int]:
 
 def cmd_ingest(args) -> int:
     path = Path(args.annotations)
-    anns = annotations.parse_annotations(path.read_bytes())
+    read = _HashingReader()
+    anns = annotations.parse_annotations(read(path))
     payload: dict = {
         "annotations": len(anns),
         "videos": len({a.video_uid for a in anns}),
@@ -101,7 +125,7 @@ def cmd_ingest(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "ingest_stats.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        write_manifest(out, "ingest", {"stats": bool(args.stats)}, None, [path])
+        write_manifest(out, "ingest", {"stats": bool(args.stats)}, None, [path], read.digests)
     _emit(payload)
     return 0
 
@@ -151,13 +175,16 @@ def cmd_synth(args) -> int:
         },
         args.seed,
         [],
+        {},
     )
     _emit({"out": str(out), "train_streams": args.streams, "val_streams": args.val_streams})
     return 0
 
 
-def _load_corpus(data_dir: Path, split: str):
-    anns = annotations.parse_annotations((data_dir / "annotations.csv").read_bytes())
+def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
+    """The split's annotations and streams; ``read`` reads annotations.csv and the
+    split's stream files, nothing else."""
+    anns = annotations.parse_annotations(read(data_dir / "annotations.csv"))
     picked = [a for a in anns if a.split == split]
     texts: dict[str, set[str]] = {}
     for a in picked:
@@ -167,7 +194,7 @@ def _load_corpus(data_dir: Path, split: str):
         if len(queries) > 1:  # the stream has one query embedding file
             raise SchemaError(f"video {uid} has {len(queries)} distinct {split}-split queries; "
                               f"its one {uid}.query.f32 embeds one")
-        frames, sidecar, query = annotations.load_stream(data_dir / "streams" / f"{uid}.f32")
+        frames, sidecar, query = annotations.load_stream(data_dir / "streams" / f"{uid}.f32", read)
         if query is None:
             raise SchemaError(f"stream {uid} has no query embedding file")
         streams[uid] = (frames, sidecar, query)
@@ -182,7 +209,8 @@ def _adapter_config(kind: str, d: int, d_prime: int | None, k: int) -> kernels.A
 def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out = Path(args.out)
-    anns, streams = _load_corpus(data_dir, "train")
+    read = _HashingReader()
+    anns, streams = _load_corpus(data_dir, "train", read)
     if not anns:
         raise ConfigError(f"no train-split annotations in {data_dir}")
     dim = streams[anns[0].video_uid][0].shape[1]
@@ -239,7 +267,7 @@ def cmd_train(args) -> int:
     (out / "train_manifest.json").write_text(
         json.dumps(train_manifest, indent=2, sort_keys=True), encoding="utf-8"
     )
-    write_manifest(out, "train", train_manifest["config"], args.seed, [data_dir])
+    write_manifest(out, "train", train_manifest["config"], args.seed, [data_dir], read.digests)
     _emit({"checkpoint": str(out / "checkpoint.sdqk"), "steps": len(history),
            "final_loss": history[-1].total if history else None})
     return 0
@@ -248,8 +276,9 @@ def cmd_train(args) -> int:
 def cmd_score(args) -> int:
     data_dir = Path(args.data)
     out = Path(args.out)
-    model = detector.load_model(Path(args.checkpoint))
-    anns, streams = _load_corpus(data_dir, args.split)
+    read = _HashingReader()
+    model = detector.load_model(Path(args.checkpoint), read)
+    anns, streams = _load_corpus(data_dir, args.split, read)
     if not anns:
         raise ConfigError(f"no {args.split}-split annotations in {data_dir}")
     d_in = model.config.d_in
@@ -267,7 +296,7 @@ def cmd_score(args) -> int:
     scores_dir = out / "scores"
     for series in scored:
         metrics.save_score_series(scores_dir, series)
-    write_manifest(out, "score", {"split": args.split}, None, [Path(args.checkpoint), data_dir])
+    write_manifest(out, "score", {"split": args.split}, None, [Path(args.checkpoint), data_dir], read.digests)
     _emit({"scores": str(scores_dir), "series": len(anns)})
     return 0
 
@@ -285,8 +314,9 @@ def _parse_ks(text: str) -> list[int]:
 def cmd_eval(args) -> int:
     scores_dir = Path(args.scores)
     ann_path = Path(args.annotations)
-    series = metrics.load_score_series_dir(scores_dir)
-    anns = annotations.parse_annotations(ann_path.read_bytes())
+    read = _HashingReader()
+    series = metrics.load_score_series_dir(scores_dir, read)
+    anns = annotations.parse_annotations(read(ann_path))
     if args.split:
         anns = [a for a in anns if a.split == args.split]
     if not anns:
@@ -315,6 +345,7 @@ def cmd_eval(args) -> int:
             },
             None,
             [scores_dir, ann_path],
+            read.digests,
         )
     print(report.to_json())
     return 0
@@ -360,7 +391,7 @@ def cmd_bench(args) -> int:
         write_manifest(
             out, "bench",
             {"kind": args.kind, "d": args.d, "tokens": args.tokens, "frames": args.frames},
-            args.seed, [],
+            args.seed, [], {},
         )
     _emit(payload)
     return 0
@@ -452,7 +483,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache  # once per process
+def _pad_heap_top() -> None:
+    """Keep HEAP_TOP_PAD bytes of freed heap top in the process; nothing where libc has no mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(M_TOP_PAD, HEAP_TOP_PAD)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _pad_heap_top()  # the process's allocator is the entry point's to set, never a library's
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

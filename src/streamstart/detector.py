@@ -17,6 +17,7 @@ import json
 import logging
 import math
 import struct
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -424,11 +425,10 @@ def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
         fh.write(buf.getvalue())
 
 
-def read_checkpoint(path) -> tuple[dict, list[np.ndarray]]:
-    """Config and arrays of a checkpoint; another version, a config that is
-    not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tuple[dict, list[np.ndarray]]:
+    """Config and arrays of a checkpoint, whose file ``read`` reads; another version, a config
+    that is not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
+    raw = read(Path(path))
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
     off = 4
@@ -471,10 +471,10 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
     write_checkpoint(path, {**asdict(model.config), "array_order": list(named)}, list(named.values()))
 
 
-def load_model(path: str | Path) -> DetectorModel:
-    """Model of a checkpoint; a missing or unknown config key, or an array
-    count or shape that does not fit its config, raises ConfigError."""
-    raw_config, arrays = read_checkpoint(path)
+def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
+    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key,
+    or an array count or shape that does not fit its config, raises ConfigError."""
+    raw_config, arrays = read_checkpoint(path, read)
     try:
         config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
             name: raw_config[name] for name in ("d_in", "d", "n_blocks", "d_mlp", "tau_sim", "seed")})

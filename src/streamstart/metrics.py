@@ -15,6 +15,7 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -321,6 +322,8 @@ def score_series_to_csv(series: ScoreSeries) -> str:
 
 
 def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeries:
+    """The series of a score CSV. A row without three fields, a t_sec or score that is
+    not a number, or a second t_sec not above the first raises SchemaError naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != _SCORE_HEADER:
@@ -329,12 +332,17 @@ def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeri
     for row in reader:
         if not row:
             continue
-        times.append(float(row[1]))
-        scores.append(float(row[2]))
-    if len(times) > 1:
-        fps = 1.0 / (times[1] - times[0])
-    else:
-        fps = 1.0
+        if len(row) != 3:
+            raise SchemaError(f"line {reader.line_num}: {len(row)} fields, the header names 3")
+        try:
+            times.append(float(row[1]))
+            scores.append(float(row[2]))
+        except ValueError as err:
+            raise SchemaError(f"line {reader.line_num}: {err}") from None
+        if len(times) == 2 and not 0.0 < times[1] - times[0] < math.inf:
+            raise SchemaError(f"line {reader.line_num}: t_sec {times[1]!r} must exceed the first row's "
+                              f"{times[0]!r}; their difference is 1 / fps")
+    fps = 1.0 / (times[1] - times[0]) if len(times) > 1 else 1.0
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=np.array(scores))
 
 
@@ -346,7 +354,10 @@ def save_score_series(directory: str | Path, series: ScoreSeries) -> Path:
     return path
 
 
-def load_score_series_dir(directory: str | Path) -> list[ScoreSeries]:
+def load_score_series_dir(
+    directory: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
+) -> list[ScoreSeries]:
+    """The series of every ``*.csv`` in ``directory``, each file read whole by ``read``."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
@@ -356,5 +367,8 @@ def load_score_series_dir(directory: str | Path) -> list[ScoreSeries]:
         if "__" not in stem:
             raise SchemaError(f"score file {path.name} is not named <video_uid>__<query_id>.csv")
         video_uid, query_id = stem.split("__", 1)
-        out.append(score_series_from_csv(path.read_text(encoding="utf-8"), video_uid, query_id))
+        try:
+            out.append(score_series_from_csv(read(path).decode("utf-8"), video_uid, query_id))
+        except (SchemaError, UnicodeDecodeError) as err:
+            raise SchemaError(f"score file {path}: {err}") from None
     return out
