@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 # The temporal-aggregation kernels and their streaming contract.
 #
-# Each adapter processes a sequence [n_t, d] and carries a small fixed-size
-# state, so feeding a stream chunk by chunk reproduces the single-pass
-# output exactly: no sliding-window recomputation, constant work per frame.
+# Each adapter processes sequences [..., n_t, d] and carries a small
+# fixed-size state per sequence, so feeding a stream chunk by chunk
+# reproduces the single-pass output exactly: no sliding-window
+# recomputation, constant work per frame. Leading axes stack independent
+# streams, and a call without a state starts them all fresh.
 
 from dataclasses import replace
 
@@ -50,6 +52,15 @@ for lo in range(0, 32, 5):
     chunks.append(y)
 streamed = np.vstack(chunks)
 print(f"\nqrnn 5-frame chunks vs one pass: max |diff| = {np.abs(batch - streamed).max():.2e}")
+
+# three streams stacked on a leading axis share every call, one state each
+xs = rng.normal(size=(3, 32, 16))
+state, chunks = fresh_state(cfg, (3,)), []
+for lo in range(0, 32, 5):
+    y, state = adapter_forward(xs[:, lo : lo + 5], params, state)
+    chunks.append(y)
+alone = np.stack([adapter_forward(xs[i], params)[0] for i in range(3)])
+print(f"3 stacked streams vs each alone: max |diff| = {np.abs(np.concatenate(chunks, axis=1) - alone).max():.2e}")
 
 # -- retention: one chunkwise kernel ------------------------------------------------
 # Inside a chunk it is a masked, decayed attention matrix; across chunks it

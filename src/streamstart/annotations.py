@@ -64,10 +64,10 @@ class EventAnnotation:
             raise ConfigError("query must be non-empty")
         if self.ann_idx < 0:
             raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
-        if self.video_fps <= 0:
-            raise ConfigError(f"video_fps must be positive, got {self.video_fps}")
-        if self.video_length <= 0:
-            raise ConfigError(f"video_length must be positive, got {self.video_length}")
+        for name in ("video_fps", "video_length"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not 0 <= self.start_sec <= self.end_sec <= self.video_length:
             raise ConfigError(
                 f"need 0 <= start_sec <= end_sec <= video_length, got "

@@ -126,22 +126,13 @@ def build_model(config: ModelConfig) -> DetectorModel:
 # -- forward ------------------------------------------------------------------
 
 
-def _forward_stack(model: DetectorModel, embeddings: np.ndarray):
-    """Batch-mode stack output ``[..., T, d]`` and the tape of each block."""
-    x = embeddings @ model.w_in + model.b_in
-    tapes = []
-    for adapter, block in model.blocks:
-        tapes.append({})
-        x, _ = kernels.block_forward(x, adapter, block, tape=tapes[-1])
-    return x, tapes
-
-
-def _stream_stack(model: DetectorModel, frames: np.ndarray, states: list) -> np.ndarray:
-    """Streaming-mode stack output of one chunk ``[n, d_in]``; ``states`` (one per block) advance in place."""
+def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list | None = None) -> np.ndarray:
+    """Stack output ``[..., n, d]`` of frames ``[..., n, d_in]``. ``states`` (one per block, None
+    for a fresh start) advance in place; ``tapes`` (one dict per block) record a fresh start."""
     x = frames @ model.w_in
     x += model.b_in
     for i, (adapter, block) in enumerate(model.blocks):
-        x, states[i] = kernels.block_forward(x, adapter, block, states[i])
+        x, states[i] = kernels.block_forward(x, adapter, block, states[i], None if tapes is None else tapes[i])
     return x
 
 
@@ -179,7 +170,7 @@ def score_frames(
     s = np.empty(len(embeddings))
     for t in range(0, len(embeddings), kernels.CHUNK):
         chunk = embeddings[t : t + kernels.CHUNK]
-        s[t : t + kernels.CHUNK] = _cosine_scores(_stream_stack(model, chunk, states), query)[0]
+        s[t : t + kernels.CHUNK] = _cosine_scores(_stack(model, chunk, states), query)[0]
     p = sigmoid(s / model.config.tau_sim)
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=p)
 
@@ -252,7 +243,8 @@ def backward(
     embeddings = np.stack([np.asarray(ex.embeddings, dtype=float) for ex in batch])
     labels = np.stack([np.asarray(ex.labels, dtype=float) for ex in batch])
     query = np.stack([np.asarray(ex.query, dtype=float) for ex in batch])
-    out, tapes = _forward_stack(model, embeddings)
+    tapes = [{} for _ in model.blocks]
+    out = _stack(model, embeddings, [None] * len(model.blocks), tapes)
     s, cache = _cosine_scores(out, query)
     lb, dz = _bce_from_logits((s / model.config.tau_sim).ravel(), labels.ravel(), cap)
 
@@ -342,7 +334,7 @@ class StreamingScorer:
     def push(self, frame: np.ndarray) -> float:
         """Consume one frame, return its score before the next frame arrives."""
         global ZERO_NORM_COUNT
-        u = _stream_stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
+        u = _stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
         unorm = math.sqrt(float(u @ u))

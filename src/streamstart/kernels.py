@@ -14,14 +14,16 @@ into them):
 
 Every temporal kernel is causal: an output never reads a later frame.
 
-One forward serves every caller. Batch mode (no state) runs whole
-sequences from a fresh start and can record a tape of its intermediates.
-Streaming mode takes one stream ``[n_t, d]`` and a small fixed-size
-``StreamState``, so that a sequence processed in chunks of any size (one
-frame included) produces outputs identical to a single pass, in memory
-that does not grow with the stream. A conv step is one product over its
-stacked taps. Up-projections are zero-initialized, so a freshly
-initialized adapter is exactly the identity.
+One forward serves every caller, in one mode: a call continues streams
+from a small fixed-size ``StreamState``, stacked over ``x``'s leading axes
+(one stream per leading index), and returns the state that continues them.
+So a sequence processed in chunks of any size (one frame included) produces
+outputs identical to a single pass, in memory that does not grow with the
+stream. Batch mode is a call without a state: it starts from
+``fresh_state``, whose zeros add exact zeros, and only it may record a tape
+of its intermediates. A conv step is one product over its stacked taps.
+Up-projections are zero-initialized, so a freshly initialized adapter is
+exactly the identity.
 
 Each taped op has its vector-Jacobian product (``*_vjp``) beside it: from
 the output's gradient and what the forward saw or taped, it returns the
@@ -42,7 +44,7 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 DEFAULT_GAMMA = 0.96875
 DEFAULT_FORGET_BIAS = -5.0
-CHUNK = 64  # frames per streamed chunk: score_frames streams this many, and retention splits longer ones
+CHUNK = 64  # frames per streamed chunk: score_frames streams this many, and untaped retention splits longer ones
 
 
 # -- op counting --------------------------------------------------------------
@@ -163,19 +165,19 @@ class VanillaState:
 
 @dataclass(frozen=True)
 class ConvState:
-    buffer: np.ndarray  # last (k-1) reduced-dim inputs, oldest first
+    buffer: np.ndarray  # [..., k-1, d'] last (k-1) reduced-dim inputs, oldest first
 
 
 @dataclass(frozen=True)
 class QrnnState:
     buffer: np.ndarray
-    h: np.ndarray
+    h: np.ndarray  # [..., d']
 
 
 @dataclass(frozen=True)
 class RetentionState:
-    s: np.ndarray  # [d', d'] decayed key-value summary
-    n: int         # absolute position of the next frame
+    s: np.ndarray  # [..., d', d'] decayed key-value summary
+    n: int         # absolute position of the next frame, shared by the stacked streams
 
 StreamState = VanillaState | ConvState | QrnnState | RetentionState
 
@@ -187,22 +189,22 @@ _STATE_KIND = {
 }
 
 
-def fresh_state(config: AdapterConfig) -> StreamState:
-    """All-zeros state for the start of a stream."""
+def fresh_state(config: AdapterConfig, lead: tuple[int, ...] = ()) -> StreamState:
+    """All-zeros state for the start of streams ``[*lead, n, d]``: one stacked over the ``lead`` axes."""
     dp, k = config.d_prime, config.k
     if config.kind == "vanilla":
         return VanillaState()
     if config.kind == "st_conv":
-        return ConvState(buffer=np.zeros((k - 1, dp)))
+        return ConvState(buffer=np.zeros((*lead, k - 1, dp)))
     if config.kind == "qrnn":
-        return QrnnState(buffer=np.zeros((k - 1, dp)), h=np.zeros(dp))
-    return RetentionState(s=np.zeros((dp, dp)), n=0)
+        return QrnnState(buffer=np.zeros((*lead, k - 1, dp)), h=np.zeros((*lead, dp)))
+    return RetentionState(s=np.zeros((*lead, dp, dp)), n=0)
 
 
-def _check_state(config: AdapterConfig, state: StreamState | None) -> None:
-    """A state of another kind than ``config``'s raises ConfigError; None (batch mode) passes."""
+def _check_state(config: AdapterConfig, state: StreamState) -> None:
+    """A state of another kind than ``config``'s raises ConfigError."""
     expected = _STATE_KIND[config.kind]
-    if state is not None and not isinstance(state, expected):
+    if not isinstance(state, expected):
         raise ConfigError(
             f"state kind mismatch: adapter kind {config.kind!r} expects "
             f"{expected.__name__}, got {type(state).__name__}"
@@ -264,7 +266,10 @@ def causal_conv(
     row: the result is the last n_t rows of the convolution over
     ``[context; x]``. A dense bank is one product of the overlapping k-row
     windows ``[..., n_t, k * d_in]`` of the zero-padded ``[context; x]``;
-    MACs count only taps that read its real rows.
+    MACs count only taps that read its real rows. A batch call's adapter
+    passes its fresh all-zeros buffer as ``context``, so its count includes
+    those taps, as retention's includes its zero summary's read-out and
+    update; a streamed frame's count is the same either way.
     """
     k = w.shape[0]
     *lead, n, d_in = x.shape
@@ -373,40 +378,35 @@ def fo_pool_vjp(
 
 
 def _carry(buffer: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The conv context after ``x``: the last ``len(buffer)`` rows of ``[buffer; x]``,
-    copied so that the state does not keep the whole chunk alive."""
-    return np.concatenate([buffer, x])[len(x) :].copy()
+    """The conv context after ``x``: the last ``buffer.shape[-2]`` rows of ``[buffer; x]``
+    on axis -2, whose leading axes ``x`` shares, copied so that the state does not keep
+    the whole chunk alive."""
+    return np.concatenate([buffer, x], axis=-2)[..., x.shape[-2] :, :].copy()
 
 
 def qrnn_forward(
-    x: np.ndarray,
-    params: AdapterParams,
-    state: QrnnState | None = None,
-    tape: dict | None = None,
-) -> tuple[np.ndarray, QrnnState | None]:
+    x: np.ndarray, params: AdapterParams, state: QrnnState, tape: dict | None = None
+) -> tuple[np.ndarray, QrnnState]:
     """Reduced-dim QRNN core: gated pooling of tanh'd causal convolutions.
 
     ``s = tanh(W_s * x)`` and ``f = sigmoid(W_f * x)``, both halves of one
-    convolution over the stacked bank ``w_sf``. With ``state=None``
-    whole sequences ``[..., n_t, d']`` run from a zero hidden state and no
-    state is returned. A ``QrnnState`` continues one stream: its buffer is
-    the left context of both convolutions and its hidden state seeds the
-    pooling recurrence. A ``tape`` receives the pooling inputs ``s`` and ``f``.
+    convolution over the stacked bank ``w_sf``. The ``QrnnState``, stacked
+    over ``x``'s leading axes, continues each sequence ``[..., n_t, d']``:
+    its buffer is the left context of both convolutions and its hidden
+    state seeds the pooling recurrence. A ``tape`` receives the pooling
+    inputs ``s`` and ``f``.
     """
     cfg = params.config
     _check_state(cfg, state)
-    context, h_init = (None, np.zeros(cfg.d_prime)) if state is None else (state.buffer, state.h)
-    sf = causal_conv(x, params.w_sf, params.b_sf, context)
+    sf = causal_conv(x, params.w_sf, params.b_sf, state.buffer)
     s = np.tanh(sf[..., : cfg.d_prime])
     f = sigmoid(sf[..., cfg.d_prime :])
     # sigmoid output saturating to float 0/1 is a rounding artifact; keep the
     # gates inside the open interval fo_pool requires
     f.clip(1e-15, 1.0 - 1e-15, out=f)
-    h, h_last = fo_pool(s, f, h_init)
+    h, h_last = fo_pool(s, f, state.h)
     if tape is not None:
         tape.update(s=s, f=f)
-    if state is None:
-        return h, None
     return h, QrnnState(buffer=_carry(state.buffer, x), h=h_last)
 
 
@@ -437,51 +437,50 @@ def _decay(n: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def retention_forward(
-    x: np.ndarray, params: AdapterParams, state: RetentionState | None = None, tape: dict | None = None
-) -> tuple[np.ndarray, RetentionState | None]:
+    x: np.ndarray, params: AdapterParams, state: RetentionState, tape: dict | None = None
+) -> tuple[np.ndarray, RetentionState]:
     """Chunkwise retention of one chunk of n frames: ((Q K^T) . D) V, Q and K
     rotated by absolute position, D the ``[n, n]`` decay.
 
-    With ``state=None`` each sequence ``[..., n, d']`` is one chunk from a
-    zero summary, no state is returned, and a ``tape`` receives ``q``, ``k``,
-    ``v``, ``decay``, ``scores`` and ``pos``. A ``RetentionState`` continues
-    one stream ``[n, d']``: frame i also reads its summary S times
+    The ``RetentionState``, stacked over ``x``'s leading axes, continues
+    each sequence ``[..., n, d']``: frame i also reads its summary S times
     gamma^(i+1), and S <- gamma^n S + sum_j gamma^(n-1-j) K_j^T V_j. Every
     power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
-    A streamed chunk longer than ``CHUNK`` frames runs as ``CHUNK``-frame
-    chunks, so its matrices stay ``[CHUNK, CHUNK]``.
+    An untaped call longer than ``CHUNK`` frames runs as ``CHUNK``-frame
+    chunks, so its matrices stay ``[CHUNK, CHUNK]``. A taped call is one
+    chunk of any length, and its ``tape`` receives ``q``, ``k``, ``v``,
+    ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
     _check_state(cfg, state)
     dp, n = cfg.d_prime, x.shape[-2]
-    if state is not None and n > CHUNK:
-        out = np.empty((n, dp))
+    if tape is None and n > CHUNK:
+        out = np.empty((*x.shape[:-1], dp))
         for i in range(0, n, CHUNK):
-            out[i : i + CHUNK], state = retention_forward(x[i : i + CHUNK], params, state)
+            out[..., i : i + CHUNK, :], state = retention_forward(x[..., i : i + CHUNK, :], params, state)
         return out, state
-    start = 0 if state is None else state.n
-    pos = np.arange(start, start + n)
+    pos = np.arange(state.n, state.n + n)
     qkv = x @ params.w_qkv  # q and k rotate as one [..., 2, n, d'] array: each a C-ordered [n, d'] matrix
     qk = _rotate(qkv[..., : 2 * dp].reshape(*x.shape[:-1], 2, dp).swapaxes(-3, -2), pos, cfg.theta)
     q, k, v = qk[..., 0, :, :], qk[..., 1, :, :], qkv[..., 2 * dp :]
     powers, decay = _decay(n, cfg.gamma)
     scores = (q @ k.swapaxes(-1, -2)) * decay
     out = scores @ v
-    _count(math.prod(x.shape[:-2]) * (3 * n * x.shape[-1] * dp + 2 * n * n * dp))
-    if state is None:
-        if tape is not None:
-            tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
-        return out, None
-    out += np.dot(q * powers[1:, None], state.s)
-    _count(2 * n * dp * dp)  # the summary's read-out and update; scaling by gamma is not a MAC
-    s = np.dot((k * powers[n - 1 :: -1, None]).T, v)
+    out += (q * powers[1:, None]) @ state.s
+    kp = k * powers[n - 1 :: -1, None]
+    # sum_j K~_j^T V_j; on a pushed frame's [d', 1] @ [1, d'] numpy 2.4's matmul takes ~4x np.dot's time
+    s = np.dot(kp.T, v) if kp.ndim == 2 else kp.swapaxes(-1, -2) @ v
     s += powers[n] * state.s
-    return out, RetentionState(s=s, n=start + n)
+    # the summary's read-out and update are 2 n d'^2; scaling by gamma is not a MAC
+    _count(math.prod(x.shape[:-2]) * (3 * n * x.shape[-1] * dp + 2 * n * n * dp + 2 * n * dp * dp))
+    if tape is not None:
+        tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
+    return out, RetentionState(s=s, n=state.n + n)
 
 
 def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None = None) -> np.ndarray:
-    """Batch-mode ``retention_forward``: every sequence ``[..., n, d']`` one chunk from a zero summary."""
-    return retention_forward(x, params, tape=tape)[0]
+    """``retention_forward`` from a fresh state: every sequence ``[..., n, d']`` from a zero summary."""
+    return retention_forward(x, params, fresh_state(params.config, x.shape[:-2]), tape)[0]
 
 
 def retention_parallel_vjp(
@@ -503,7 +502,9 @@ def retention_recurrent(
     x_n: np.ndarray, params: AdapterParams, state: RetentionState | None = None
 ) -> tuple[np.ndarray, RetentionState]:
     """One frame ``[d']`` as a one-frame chunk of ``retention_forward``, from a fresh state if None."""
-    out, state = retention_forward(x_n[None], params, fresh_state(params.config) if state is None else state)
+    if state is None:
+        state = fresh_state(params.config)
+    out, state = retention_forward(x_n[None], params, state)
     return out[0], state
 
 
@@ -522,26 +523,25 @@ def adapter_forward(
     params: AdapterParams,
     state: StreamState | None = None,
     tape: dict | None = None,
-) -> tuple[np.ndarray, StreamState | None]:
+) -> tuple[np.ndarray, StreamState]:
     """Residual adapter: y = x + Up(core(Down(x))).
 
-    ``state=None`` runs in batch mode: ``x`` is ``[..., n, d]``, every
-    sequence starts fresh, and the returned state is None. Passing a state
-    runs in streaming mode on one stream ``[n, d]`` and returns the state
-    that continues it; any partition into chunks reproduces the batch
-    output. A ``tape`` (batch mode only) receives ``x``, ``down`` and
-    ``core`` plus the core's own intermediates (``down_erf`` for vanilla's
-    GELU), which is what ``adapter_vjp`` reads. A freshly initialized
-    adapter returns ``x`` unchanged.
+    ``x`` is ``[..., n, d]``, and ``state`` is stacked over its leading
+    axes; the returned state continues every sequence, so any partition
+    into chunks reproduces one pass. Without a state, every sequence starts
+    from ``fresh_state`` (batch mode). A ``tape``, allowed only then,
+    receives ``x``, ``down`` and ``core`` plus the core's own intermediates
+    (``down_erf`` for vanilla's GELU), which is what ``adapter_vjp`` reads.
+    A freshly initialized adapter returns ``x`` unchanged.
     """
     cfg = params.config
-    streaming = state is not None
-    if x.ndim < 2 or x.shape[-1] != cfg.d or (streaming and x.ndim != 2):
-        shape = "[n, d]" if streaming else "[..., n, d]"
-        raise ConfigError(f"input must be {shape} with d={cfg.d}, got shape {x.shape}")
+    if state is None:
+        state = fresh_state(cfg, x.shape[:-2])
+    elif tape is not None:
+        raise ConfigError("a tape records only a call from a fresh start, with no state passed")
+    if x.ndim < 2 or x.shape[-1] != cfg.d:
+        raise ConfigError(f"input must be [..., n, d] with d={cfg.d}, got shape {x.shape}")
     _check_state(cfg, state)
-    if streaming and tape is not None:
-        raise ConfigError("a tape records batch mode only")
     frames = math.prod(x.shape[:-1])
 
     down = _affine(x, params.w_down, params.b_down)
@@ -552,8 +552,8 @@ def adapter_forward(
         core = gelu(down, tape, "down_erf")
         _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
-        core = causal_conv(down, params.w_s, context=None if state is None else state.buffer)
-        new_state = None if state is None else ConvState(buffer=_carry(state.buffer, down))
+        core = causal_conv(down, params.w_s, context=state.buffer)
+        new_state = ConvState(buffer=_carry(state.buffer, down))
     elif cfg.kind == "qrnn":
         core, new_state = qrnn_forward(down, params, state, tape)
     else:
@@ -632,11 +632,11 @@ def block_forward(
     block_params: BlockParams,
     state: StreamState | None = None,
     tape: dict | None = None,
-) -> tuple[np.ndarray, StreamState | None]:
+) -> tuple[np.ndarray, StreamState]:
     """Temporal adapter, then frozen spatial and MLP sublayers with residuals.
 
     y_temp = adapter(x); v = spatial(y_temp) + x; out = mlp(v) + v.
-    Modes and ``tape`` as in ``adapter_forward``; the tape also receives
+    ``state`` and ``tape`` as in ``adapter_forward``; the tape also receives
     the MLP's pre-activation ``h1_pre`` and its GELU's ``h1_erf``.
     """
     u, new_state = adapter_forward(x, adapter_params, state, tape)

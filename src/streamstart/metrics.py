@@ -56,8 +56,8 @@ class ScoreSeries:
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
         if scores.ndim != 1:
             raise ConfigError(f"scores must be 1-D, got shape {scores.shape}")
         # NaN fails both comparisons, so finiteness is only diagnosed on failure
@@ -323,12 +323,13 @@ def score_series_to_csv(series: ScoreSeries) -> str:
 
 def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeries:
     """The series of a score CSV. A row without three fields, a t_sec or score that is
-    not a number, or a second t_sec not above the first raises SchemaError naming its line."""
+    not a number, or a second t_sec whose step from the first is not the reciprocal of a
+    finite positive fps raises SchemaError naming its line."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != _SCORE_HEADER:
         raise SchemaError(f"score series header must be {_SCORE_HEADER}, got {header}")
-    times, scores = [], []
+    times, scores, fps = [], [], 1.0
     for row in reader:
         if not row:
             continue
@@ -339,10 +340,11 @@ def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeri
             scores.append(float(row[2]))
         except ValueError as err:
             raise SchemaError(f"line {reader.line_num}: {err}") from None
-        if len(times) == 2 and not 0.0 < times[1] - times[0] < math.inf:
-            raise SchemaError(f"line {reader.line_num}: t_sec {times[1]!r} must exceed the first row's "
-                              f"{times[0]!r}; their difference is 1 / fps")
-    fps = 1.0 / (times[1] - times[0]) if len(times) > 1 else 1.0
+        if len(times) == 2:
+            fps = 1.0 / (times[1] - times[0]) if times[1] > times[0] else 0.0
+            if not (math.isfinite(fps) and fps > 0):
+                raise SchemaError(f"line {reader.line_num}: t_sec {times[1]!r} must exceed the first row's "
+                                  f"{times[0]!r} by a step whose reciprocal, the fps, is finite")
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=np.array(scores))
 
 

@@ -56,6 +56,12 @@ class TestParse:
             ann.parse_annotations(make_csv(row(start_sec=10.0, end_sec=5.0)))
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("bad", [{"video_fps": "nan"}, {"video_fps": "inf"}, {"video_length": "inf"}],
+                             ids=["fps_nan", "fps_inf", "length_inf"])
+    def test_non_finite_fps_or_length_is_row_error(self, bad):
+        with pytest.raises(RowError, match="row 1: .* must be finite and positive"):
+            ann.parse_annotations(make_csv(row(**bad)))
+
     def test_missing_column_names_it(self):
         text = make_csv(row()).decode().replace("video_fps", "fps")
         with pytest.raises(SchemaError, match="video_fps"):

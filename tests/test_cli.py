@@ -55,6 +55,15 @@ class TestIngest:
         path.write_text(HEADER + "\n" + GOOD_ROW.replace("10.0,12.0", "12.0,10.0") + "\n")
         assert cli.main(["ingest", "--annotations", str(path)]) == cli.EXIT_SCHEMA
 
+    @pytest.mark.parametrize("fps, length", [("nan", "100.0"), ("inf", "100.0"), ("30.0", "inf")],
+                             ids=["fps_nan", "fps_inf", "length_inf"])
+    def test_non_finite_fps_or_length_exit_2(self, tmp_path, capsys, fps, length):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "\n" + GOOD_ROW.replace("30.0,100.0", f"{fps},{length}") + "\n")
+        assert cli.main(["ingest", "--annotations", str(path)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "row 1: " in err and "must be finite and positive" in err and err.count("\n") == 1
+
     def test_missing_file_exit_config(self, tmp_path):
         assert cli.main(["ingest", "--annotations", str(tmp_path / "nope.csv")]) == cli.EXIT_CONFIG
 
@@ -278,7 +287,8 @@ class TestTrainScoreEval:
         (lambda rows: [rows[0].rsplit(",", 1)[0] + ",high", *rows[1:]], 2, "could not convert string to float"),
         (lambda rows: [rows[0], "1,0.0," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "must exceed the first row's"),
         (lambda rows: [rows[0], "1,-1.0," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "must exceed the first row's"),
-    ], ids=["two_fields", "non_numeric_score", "repeated_t_sec", "decreasing_t_sec"])
+        (lambda rows: [rows[0], "1,1e-320," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "the fps, is finite"),
+    ], ids=["two_fields", "non_numeric_score", "repeated_t_sec", "decreasing_t_sec", "infinite_fps"])
     def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, edit, line, message):
         corpus, _, scores = pipeline
         copied = shutil.copytree(scores / "scores", tmp_path / "scores")

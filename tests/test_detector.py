@@ -74,7 +74,7 @@ class TestScoreFrames:
         # scaling the model input is not cosine-invariant in general (the
         # stack is nonlinear), so assert at the score head: scaling a frame
         # OUTPUT leaves its cosine unchanged
-        out, _ = detector._forward_stack(m, frames)
+        out = detector._stack(m, frames, [None] * len(m.blocks))
         s1, _ = detector._cosine_scores(out, q)
         s2, _ = detector._cosine_scores(out * 7.5, q)
         assert s1 == pytest.approx(s2)

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -32,6 +32,17 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 def randomized(params, seed, scale=0.4):
     """Adapter params with every trainable array randomized (up included)."""
     return oracles.randomized(params, np.random.default_rng(seed), scale)
+
+
+def assert_state_is_slice(stacked, b, state, tol=0.0):
+    """Stream ``b`` of a stacked state is ``state``: each array's slice within ``tol``, the position equal."""
+    assert type(stacked) is type(state)
+    for f in fields(state):
+        got, want = getattr(stacked, f.name), getattr(state, f.name)
+        if f.name == "n":
+            assert got == want
+        else:
+            assert got.shape[1:] == want.shape and np.abs(got[b] - want).max(initial=0.0) <= tol
 
 
 def run_chunked(x, params, chunks):
@@ -224,8 +235,9 @@ class TestBatchAxes:
 
 
 class TestOneForward:
-    """Batch mode takes leading axes and returns no state; streaming mode is
-    one stream; a conv's carried context is read but gets no output row."""
+    """One stateful mode: a state stacked over x's leading axes carries one
+    stream per leading index, and a call without a state starts every one
+    from fresh_state; a conv's carried context is read but gets no output row."""
 
     B = 3
 
@@ -235,22 +247,43 @@ class TestOneForward:
         cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3)
         p = randomized(init_params(cfg, 0), 66)
         block = kernels.make_block_params(8, 16, seed=67)
-        x = rng.normal(size=(self.B, 7, 8))
+        x, x_next = rng.normal(size=(self.B, 7, 8)), rng.normal(size=(self.B, 5, 8))
         y, state = adapter_forward(x, p)
         out, block_state = block_forward(x, p, block)
-        assert state is None and block_state is None
+        y_next, _ = adapter_forward(x_next, p, state)
+        out_next, _ = block_forward(x_next, p, block, block_state)
         for b in range(self.B):
-            assert np.array_equal(y[b], adapter_forward(x[b], p)[0])
-            assert np.array_equal(out[b], block_forward(x[b], p, block)[0])
+            y_b, state_b = adapter_forward(x[b], p)
+            out_b, block_state_b = block_forward(x[b], p, block)
+            assert np.array_equal(y[b], y_b)
+            assert np.array_equal(out[b], out_b)
+            assert_state_is_slice(state, b, state_b)
+            assert_state_is_slice(block_state, b, block_state_b)
+            # the stacked states continue each slice
+            assert np.abs(y_next[b] - adapter_forward(x_next[b], p, state_b)[0]).max() <= 1e-12
+            assert np.abs(out_next[b] - block_forward(x_next[b], p, block, block_state_b)[0]).max() <= 1e-12
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_batch_axes_with_state_rejected(self, kind):
-        cfg = AdapterConfig(d=8, d_prime=4, kind=kind)
-        p = init_params(cfg, 0)
-        with pytest.raises(ConfigError, match=r"\[n, d\]"):
-            adapter_forward(np.zeros((2, 3, 8)), p, fresh_state(cfg))
-        with pytest.raises(ConfigError, match=r"\[n, d\]"):
-            block_forward(np.zeros((2, 3, 8)), p, kernels.make_block_params(8, 16, seed=0), fresh_state(cfg))
+    @pytest.mark.parametrize("kind, depthwise", [(kind, False) for kind in KINDS] + [("st_conv", True), ("qrnn", True)])
+    def test_stacked_streams_equal_per_stream_push(self, kind, depthwise):
+        rng = np.random.default_rng(72)
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        p = randomized(init_params(cfg, 0), 73)
+        block = kernels.make_block_params(8, 16, seed=74)
+        chunks = [1, 5, 2, kernels.CHUNK + 3, 40, 1, 19]  # one crosses retention's CHUNK-frame split
+        x = rng.normal(size=(self.B, sum(chunks), 8))
+        state, outs, i = fresh_state(cfg, (self.B,)), [], 0
+        for c in chunks:
+            y, state = block_forward(x[:, i : i + c], p, block, state)
+            outs.append(y)
+            i += c
+        stacked = np.concatenate(outs, axis=1)
+        for b in range(self.B):
+            st, pushed = fresh_state(cfg), []
+            for t in range(x.shape[1]):
+                y, st = block_forward(x[b, t : t + 1], p, block, st)
+                pushed.append(y)
+            assert np.abs(stacked[b] - np.concatenate(pushed)).max() <= 1e-10
+            assert_state_is_slice(state, b, st, tol=1e-10)
 
     @pytest.mark.parametrize("depthwise", [False, True])
     @pytest.mark.parametrize("lead", [(), (2,)])
@@ -281,11 +314,24 @@ class TestOneForward:
         cfg = AdapterConfig(d=8, d_prime=4, kind="qrnn", k=3)
         p = randomized(init_params(cfg, 0), 71)
         x = rng.normal(size=(self.B, 9, 4))
-        h, state = qrnn_forward(x, p)
-        assert state is None
+        h, state = qrnn_forward(x, p, fresh_state(cfg, (self.B,)))
         for b in range(self.B):
-            streamed, _ = qrnn_forward(x[b], p, fresh_state(cfg))
+            streamed, state_b = qrnn_forward(x[b], p, fresh_state(cfg))
             assert np.abs(h[b] - streamed).max() <= 1e-12
+            assert_state_is_slice(state, b, state_b, tol=1e-12)
+
+    def test_taped_retention_window_is_one_chunk(self):
+        # a training window longer than CHUNK is one chunk, so its tape covers it;
+        # an untaped call splits it, with the same output
+        rng = np.random.default_rng(75)
+        p = randomized(init_params(AdapterConfig(d=8, d_prime=4, kind="retention"), 0), 76)
+        t = 2 * kernels.CHUNK + 7
+        x = rng.normal(size=(2, t, 8))
+        tape = {}
+        taped, _ = adapter_forward(x, p, tape=tape)
+        assert tape["decay"].shape == (t, t)
+        split, _ = adapter_forward(x, p)
+        assert np.abs(taped - split).max() <= 1e-10
 
     def test_tape_only_in_batch_mode(self):
         cfg = AdapterConfig(d=8, d_prime=4, kind="qrnn")

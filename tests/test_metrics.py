@@ -313,6 +313,11 @@ class TestValidation:
         with pytest.raises(NumericError, match="finite"):
             series([0.2, bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_fps_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            ScoreSeries("v", "q", bad, [0.5, 0.7])
+
     def test_negative_window(self):
         with pytest.raises(ConfigError):
             ToleranceWindow(-1, 5)

@@ -1,6 +1,8 @@
-"""Seeded property tests of the stateful paths: any chunking of a stream
-reproduces batch mode, and frame-by-frame scoring reproduces batch scoring.
-The blocked evaluator reproduces the brute-force one at any block budget."""
+"""Seeded property tests of the one stateful mode: any chunking of a stream
+reproduces a call from a fresh state (batch mode), streams stacked on a
+leading axis reproduce each stream pushed alone, and frame-by-frame scoring
+reproduces chunked scoring. The blocked evaluator reproduces the brute-force
+one at any block budget."""
 
 from types import SimpleNamespace
 from unittest import mock
@@ -31,13 +33,13 @@ def models(draw):
 
 
 @st.composite
-def streams(draw, d):
-    """``[T, d]`` frames and the cut points of a chunking. T <= 200 crosses
-    score_frames' chunks of C = 64 frames, whose carried state must match
-    one pass; half the draws end on either side of a chunk boundary."""
+def streams(draw, d, lead=()):
+    """``[*lead, T, d]`` frames and the cut points of a chunking. T <= 200
+    crosses score_frames' chunks of C = 64 frames, whose carried state must
+    match one pass; half the draws end on either side of a chunk boundary."""
     c = kernels.CHUNK
     n = draw(st.integers(1, 200) | st.sampled_from([m * c + e for m in (1, 2, 3) for e in (0, 1)]))
-    frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, d))
+    frames = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(*lead, n, d))
     cuts = draw(st.lists(st.integers(1, max(1, n - 1)), max_size=6)) if n > 1 else []
     return frames, sorted(set(cuts))
 
@@ -55,6 +57,27 @@ def test_chunked_streaming_equals_batch(data):
         y, state = kernels.adapter_forward(chunk, adapter, state)
         chunks.append(y)
     assert np.abs(np.concatenate(chunks) - batch).max() <= 1e-10
+
+
+@SETTINGS
+@given(st.data())
+def test_stacked_streams_equal_per_stream_push(data):
+    model = data.draw(models())
+    adapter = model.blocks[0][0]
+    n_streams = data.draw(st.integers(1, 3))
+    x, cuts = data.draw(streams(model.config.d, lead=(n_streams,)))
+    state = kernels.fresh_state(adapter.config, (n_streams,))
+    chunks = []
+    for chunk in np.split(x, cuts, axis=-2):
+        y, state = kernels.adapter_forward(chunk, adapter, state)
+        chunks.append(y)
+    stacked = np.concatenate(chunks, axis=-2)
+    for s in range(n_streams):
+        pushed, one = [], kernels.fresh_state(adapter.config)
+        for t in range(x.shape[-2]):
+            y, one = kernels.adapter_forward(x[s, t : t + 1], adapter, one)
+            pushed.append(y)
+        assert np.abs(stacked[s] - np.concatenate(pushed)).max() <= 1e-10
 
 
 @SETTINGS

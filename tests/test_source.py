@@ -104,3 +104,16 @@ def test_every_traced_metric_has_its_function():
     declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["per_layer"]
     assert record["absent"] == []
     assert set(metrics) == {m["name"] for m in declared}
+
+
+def test_kernels_compare_state_with_none_only_to_fill_it():
+    # one stateful mode: a missing state becomes a fresh one, and no branch runs another path
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    tests = {id(node.test): node for node in ast.walk(tree) if isinstance(node, ast.If)}
+    compares = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+                and re.fullmatch(r"state is (not )?None", ast.unparse(node))]
+    assert compares
+    for node in compares:
+        branch = tests.get(id(node))
+        assert branch is not None and ast.unparse(node) == "state is None", ast.unparse(node)
+        assert [ast.unparse(b).split("(")[0] for b in branch.body] == ["state = fresh_state"]
