@@ -43,13 +43,13 @@ print(f"loss: {history[0].total:.3f} -> {history[-1].total:.3f} over {len(histor
 
 
 def evaluate(m):
-    series, anns = [], []
-    for frames, query, a, split in corpus:
-        if split != "val":
-            continue
-        series.append(detector.score_frames(m, frames, query, video_uid=a.video_uid,
-                                            query_id=metrics.default_query_id(a), fps=1.0))
-        anns.append(a)
+    # the val streams share one length, so one call scores them all together
+    val = [(frames, query, a) for frames, query, a, split in corpus if split == "val"]
+    scores = detector.score_streams(m, np.stack([frames for frames, _, _ in val]),
+                                    np.stack([query for _, query, _ in val]))
+    anns = [a for _, _, a in val]
+    series = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a), 1.0, p)
+              for a, p in zip(anns, scores)]
     return metrics.sweep_thresholds(series, anns, metrics.ToleranceWindow(5, 10),
                                     n=20, objective_k=1)
 

@@ -63,6 +63,7 @@ from .detector import (
     build_model,
     infer_streaming,
     score_frames,
+    score_streams,
     train,
 )
 from .costmodel import (

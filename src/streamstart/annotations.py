@@ -128,8 +128,8 @@ class SyntheticStreamSpec:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
         if self.noise_scale < 0:
             raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale}")
-        if self.fps <= 0:
-            raise ConfigError(f"fps must be positive, got {self.fps}")
+        if not (math.isfinite(self.fps) and self.fps > 0):
+            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
         span = self.n_frames / self.fps
         if not (0 <= self.event_interval.lo and self.event_interval.hi <= span):
             raise ConfigError(
@@ -216,8 +216,8 @@ def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
     anticipation = floor(sigma * fps) / fps and latency = floor(2 sigma * fps) / fps,
     so one standard deviation of early slack and two of late slack.
     """
-    if sigma_sq < 0 or fps <= 0:
-        raise ConfigError(f"need sigma_sq >= 0 and fps > 0, got ({sigma_sq}, {fps})")
+    if not (math.isfinite(sigma_sq) and sigma_sq >= 0 and math.isfinite(fps) and fps > 0):
+        raise ConfigError(f"need finite sigma_sq >= 0 and finite fps > 0, got ({sigma_sq}, {fps})")
     sigma = math.sqrt(sigma_sq)
     return ToleranceWindow(
         anticipation=math.floor(sigma * fps) / fps,
@@ -413,6 +413,8 @@ def make_corpus_specs(
     anticipation side of the default tolerance window) or 3 s after its end,
     pairwise at least 4 s apart, so a hit on one is always a false positive.
     """
+    if not (math.isfinite(fps) and fps > 0):
+        raise ConfigError(f"fps must be finite and positive, got {fps}")
     span = n_frames / fps
     if span < 30.0:
         raise ConfigError(f"stream span {span}s too short for corpus event placement")

@@ -37,6 +37,10 @@ DEFAULT_SWEEP = 20
 DURATION_BINS = [0.0, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, float("inf")]
 START_BINS = [0.0, 60.0, 120.0, 300.0, 600.0, 1200.0, 1800.0, 3600.0, float("inf")]
 
+# Streams per score_streams call in `score`: one chunk holds at most
+# SCORE_STACK x kernels.CHUNK frames.
+SCORE_STACK = 64
+
 # A training step frees ~8 MB at the acceptance shapes, and glibc hands the freed
 # top of its heap back to the kernel, to fault it in again on the next step. A
 # 16 MiB pad keeps it: a standalone qrnn `train` fell from ~2000 minor faults per
@@ -285,14 +289,20 @@ def cmd_score(args) -> int:
     for uid, (frames, _, _) in streams.items():
         if frames.shape[1] != d_in:
             raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, the checkpoint takes d_in={d_in}")
-    # score every series before writing any, so a failure leaves no partial output
-    scored = []
-    for a in anns:
-        frames, sidecar, query = streams[a.video_uid]
-        scored.append(detector.score_frames(
-            model, frames, query,
-            video_uid=a.video_uid, query_id=metrics.default_query_id(a), fps=float(sidecar["fps"]),
-        ))
+    # score every stream once before writing any series, so a failure leaves no
+    # partial output; streams of one length share score_streams calls
+    by_length: dict[int, list[str]] = {}
+    for uid, (frames, _, _) in streams.items():
+        by_length.setdefault(len(frames), []).append(uid)
+    probs = {}
+    for uids in by_length.values():
+        for i in range(0, len(uids), SCORE_STACK):
+            group = uids[i : i + SCORE_STACK]
+            p = detector.score_streams(model, np.stack([streams[uid][0] for uid in group]),
+                                       np.stack([streams[uid][2] for uid in group]))
+            probs.update(zip(group, p))
+    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a),
+                                  float(streams[a.video_uid][1]["fps"]), probs[a.video_uid]) for a in anns]
     scores_dir = out / "scores"
     for series in scored:
         metrics.save_score_series(scores_dir, series)

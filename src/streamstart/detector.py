@@ -155,6 +155,24 @@ def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict
     return s, {"out": out, "qn": qn, "unorm": safe, "s": s, "zero": zero}
 
 
+def score_streams(model: DetectorModel, embeddings: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Scores ``[S, T]`` of S streams ``[S, T, d_in]`` of one length, each against its query ``[S, d]``:
+    p_i = sigmoid(cos(stack(e)_i, query) / tau_sim). All S streams go through the model together, in
+    chunks of ``kernels.CHUNK`` frames with their states stacked over S, in memory that does not grow
+    with T. Streams are independent, so row s equals the scores of stream s alone."""
+    embeddings, queries = np.asarray(embeddings, dtype=float), np.asarray(queries, dtype=float)
+    if embeddings.ndim != 3 or queries.shape != (len(embeddings), model.config.d):
+        raise ConfigError(f"need streams [S, T, d_in] and queries [S, d={model.config.d}], "
+                          f"got shapes {embeddings.shape} and {queries.shape}")
+    n_streams, n = embeddings.shape[:2]
+    states = [kernels.fresh_state(adapter.config, (n_streams,)) for adapter, _ in model.blocks]
+    s = np.empty((n_streams, n))
+    for t in range(0, n, kernels.CHUNK):
+        chunk = embeddings[:, t : t + kernels.CHUNK]
+        s[:, t : t + kernels.CHUNK] = _cosine_scores(_stack(model, chunk, states), queries)[0]
+    return sigmoid(s / model.config.tau_sim)
+
+
 def score_frames(
     model: DetectorModel,
     embeddings: np.ndarray,
@@ -163,15 +181,8 @@ def score_frames(
     query_id: str = "",
     fps: float = 1.0,
 ) -> ScoreSeries:
-    """Scores of one stream ``[T, d_in]``: p_i = sigmoid(cos(stack(e)_i, query) / tau_sim), streamed
-    in chunks of ``kernels.CHUNK`` frames with carried state, in memory that does not grow with T."""
-    embeddings, query = np.asarray(embeddings, dtype=float), np.asarray(query, dtype=float)
-    states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
-    s = np.empty(len(embeddings))
-    for t in range(0, len(embeddings), kernels.CHUNK):
-        chunk = embeddings[t : t + kernels.CHUNK]
-        s[t : t + kernels.CHUNK] = _cosine_scores(_stack(model, chunk, states), query)[0]
-    p = sigmoid(s / model.config.tau_sim)
+    """Scores of one stream ``[T, d_in]`` against its query ``[d]``: ``score_streams`` of it alone."""
+    p = score_streams(model, np.asarray(embeddings, dtype=float)[None], np.asarray(query, dtype=float)[None])[0]
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=p)
 
 

@@ -44,7 +44,7 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 DEFAULT_GAMMA = 0.96875
 DEFAULT_FORGET_BIAS = -5.0
-CHUNK = 64  # frames per streamed chunk: score_frames streams this many, and untaped retention splits longer ones
+CHUNK = 64  # frames per streamed chunk: score_streams streams this many, and untaped retention splits longer ones
 
 
 # -- op counting --------------------------------------------------------------

@@ -313,12 +313,12 @@ _SCORE_HEADER = ["frame_idx", "t_sec", "score"]
 
 
 def score_series_to_csv(series: ScoreSeries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SCORE_HEADER)
-    for i, p in enumerate(series.scores):
-        writer.writerow([i, repr(i / series.fps), repr(float(p))])
-    return buf.getvalue()
+    """The series' score CSV. Its fields are integers and float reprs, none of which a
+    CSV quotes, so rows are plain f-strings. A numpy fps is taken as a float, whose repr
+    is a number."""
+    fps = float(series.fps)
+    rows = "".join(f"{i},{i / fps!r},{p!r}\n" for i, p in enumerate(series.scores.tolist()))
+    return ",".join(_SCORE_HEADER) + "\n" + rows
 
 
 def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeries:

@@ -279,6 +279,29 @@ class TestGenSynthetic:
         assert hits == 100
 
 
+BAD_FPS = [math.nan, math.inf, 0.0, -1.0]
+
+
+class TestFpsRule:
+    """Every fps a synthetic corpus or a tolerance derivation takes must be finite and positive."""
+
+    @pytest.mark.parametrize("fps", BAD_FPS)
+    def test_stream_spec(self, fps):
+        with pytest.raises(ConfigError, match="fps must be finite and positive"):
+            ann.SyntheticStreamSpec(n_frames=10, dim=4, event_interval=ann.Interval(1, 2), noise_scale=0.1,
+                                    seed=0, fps=fps)
+
+    @pytest.mark.parametrize("fps", BAD_FPS)
+    def test_corpus_specs(self, fps):
+        with pytest.raises(ConfigError, match="fps must be finite and positive"):
+            ann.make_corpus_specs(2, seed=0, fps=fps)
+
+    @pytest.mark.parametrize("sigma_sq, fps", [(1.0, f) for f in BAD_FPS] + [(math.nan, 1.0), (math.inf, 1.0)])
+    def test_tolerance_from_variance(self, sigma_sq, fps):
+        with pytest.raises(ConfigError, match="finite"):
+            ann.tolerance_from_variance(sigma_sq, fps)
+
+
 class TestStreamFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart import cli, detector, metrics
+from streamstart import cli, detector, kernels, metrics
+
+import oracles
 
 HEADER = ",".join(ann.COLUMNS)
 GOOD_ROW = "train,moments,v1,c1,a1,0,boil kettle,ok,10.0,12.0,30.0,100.0"
@@ -92,6 +94,15 @@ class TestSynth:
         assert frames.shape == (sidecar["n_frames"], sidecar["dim"])
         assert query is not None
 
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "0", "-1"])
+    def test_bad_fps_exit_config(self, tmp_path, capsys, fps):
+        out = tmp_path / "c"
+        assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1",
+                         "--fps", fps]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fps" in err and err.count("\n") == 1
+        assert not out.exists()
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -539,6 +550,61 @@ class TestTrainScoreEval:
         capsys.readouterr()
         assert (r1 / "checkpoint.sdqk").read_bytes() == (r2 / "checkpoint.sdqk").read_bytes()
         assert (r1 / "curve.csv").read_bytes() == (r2 / "curve.csv").read_bytes()
+
+
+# val streams of two lengths (one longer than kernels.CHUNK) and fps; short-1 has
+# two annotations on its one query; train-0 is of the short length but another split
+HAND_STREAMS = {"short-0": (40, 1.0, "val"), "short-1": (40, 1.0, "val"), "short-2": (40, 1.0, "val"),
+                "long-0": (150, 2.0, "val"), "long-1": (150, 2.0, "val"), "train-0": (40, 1.0, "train")}
+
+
+def _hand_corpus(root):
+    rng = np.random.default_rng(12)
+    anns = []
+    for uid, (n, fps, split) in HAND_STREAMS.items():
+        ann.save_stream(root / "streams" / f"{uid}.f32", rng.normal(size=(n, 8)),
+                        {"video_uid": uid, "fps": fps, "dim": 8, "n_frames": n, "seed": 0}, rng.normal(size=8))
+        for idx in range(2 if uid == "short-1" else 1):
+            anns.append(ann.EventAnnotation(split, "synthetic", uid, uid, "a", idx, f"event in {uid}", "ok",
+                                            5.0 + idx, 9.0 + idx, fps, n / fps))
+    (root / "annotations.csv").write_bytes(ann.serialize_annotations(anns))
+    return [a for a in anns if a.split == "val"]
+
+
+@pytest.mark.parametrize("kind", kernels.KINDS)
+@pytest.mark.parametrize("stack", [cli.SCORE_STACK, 2])
+def test_score_stacks_streams_of_one_length(tmp_path, capsys, monkeypatch, kind, stack):
+    assert kernels.CHUNK < 150
+    corpus, out = tmp_path / "corpus", tmp_path / "scored"
+    anns = _hand_corpus(corpus)
+    cfg = kernels.AdapterConfig(d=8, d_prime=4, kind=kind, k=2)
+    model = oracles.randomize_adapters(detector.build_model(detector.ModelConfig(d_in=8, d=8, n_blocks=2,
+                                                                                 adapter=cfg, seed=1)), seed=2)
+    detector.save_model(tmp_path / "model.sdqk", model)
+    calls = []
+    score_streams = detector.score_streams
+
+    def spy(m, embeddings, queries):
+        calls.append(embeddings.shape[:2])
+        return score_streams(m, embeddings, queries)
+
+    monkeypatch.setattr(detector, "score_streams", spy)
+    monkeypatch.setattr(cli, "SCORE_STACK", stack)
+    assert cli.main(["score", "--checkpoint", str(tmp_path / "model.sdqk"), "--data", str(corpus),
+                     "--out", str(out)]) == 0
+    capsys.readouterr()
+    # every val video scored once, in one call per length and SCORE_STACK streams
+    assert sorted(calls) == ([(1, 40), (2, 40), (2, 150)] if stack == 2 else [(2, 150), (3, 40)])
+    monkeypatch.undo()
+    loaded = detector.load_model(tmp_path / "model.sdqk")
+    assert sorted(p.name for p in (out / "scores").iterdir()) == sorted(
+        f"{a.video_uid}__{metrics.default_query_id(a)}.csv" for a in anns)
+    for a in anns:
+        frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+        alone = detector.score_frames(loaded, frames, query, a.video_uid, metrics.default_query_id(a),
+                                      sidecar["fps"])
+        written = out / "scores" / f"{a.video_uid}__{metrics.default_query_id(a)}.csv"
+        assert written.read_bytes() == metrics.score_series_to_csv(alone).encode("utf-8")
 
 
 def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch):

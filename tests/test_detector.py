@@ -110,6 +110,26 @@ class TestScoreFrames:
             assert np.array_equal(scores[0], other)
 
 
+class TestScoreStreams:
+    @pytest.mark.parametrize("kind, depthwise", [(k, False) for k in KINDS] + [("st_conv", True), ("qrnn", True)])
+    def test_rows_equal_each_stream_alone(self, kind, depthwise):
+        # 150 frames carry every block's stacked state across two CHUNK boundaries
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        m = oracles.randomize_adapters(build_model(ModelConfig(d_in=8, d=8, n_blocks=2, adapter=cfg, seed=5)),
+                                       seed=6)
+        rng = np.random.default_rng(7)
+        frames, queries = rng.normal(size=(3, 150, 8)), rng.normal(size=(3, 8))
+        stacked = detector.score_streams(m, frames, queries)
+        assert stacked.shape == (3, 150)
+        for s in range(3):
+            assert np.array_equal(stacked[s], score_frames(m, frames[s], queries[s]).scores)
+
+    @pytest.mark.parametrize("frames, queries", [((3, 8), (1, 8)), ((2, 5, 8), (3, 8)), ((2, 5, 8), (2, 7))])
+    def test_shape_mismatch_rejected(self, frames, queries):
+        with pytest.raises(ConfigError, match="need streams"):
+            detector.score_streams(tiny_model("qrnn"), np.ones(frames), np.ones(queries))
+
+
 class TestWeightedBce:
     def test_single_positive_ln2(self):
         lb = oracles.weighted_bce(np.array([0.5]), np.array([1.0]), cap=math.inf)

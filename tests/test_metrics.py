@@ -294,6 +294,21 @@ class TestScoreSeriesFiles:
         assert got.fps == pytest.approx(2.0)
         assert np.array_equal(got.scores, s.scores)
 
+    @pytest.mark.parametrize("fps", [1, 2.0, 29.97, 30000 / 1001])
+    @pytest.mark.parametrize("scores", [
+        [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5],
+        [1.0 - 2.0**-53],
+        [],
+    ], ids=["extremes", "one_row", "empty"])
+    def test_csv_equals_csv_writer(self, fps, scores):
+        s = series(scores, fps=fps)
+        assert metrics.score_series_to_csv(s) == oracles.csv_writer_score_series(s)
+
+    def test_numpy_fps_writes_plain_numbers(self):
+        text = metrics.score_series_to_csv(series([0.5, 0.25], fps=np.float64(2.0)))
+        assert text == metrics.score_series_to_csv(series([0.5, 0.25], fps=2.0))
+        assert "np." not in text
+
     def test_report_json_round_trip(self):
         rep = metrics.MetricReport(
             threshold=0.4, window=ToleranceWindow(5, 10),

@@ -1,7 +1,8 @@
 """Seeded property tests of the one stateful mode: any chunking of a stream
 reproduces a call from a fresh state (batch mode), streams stacked on a
-leading axis reproduce each stream pushed alone, and frame-by-frame scoring
-reproduces chunked scoring. The blocked evaluator reproduces the brute-force
+leading axis reproduce each stream pushed alone, frame-by-frame scoring
+reproduces chunked scoring, and streams scored together reproduce each
+stream scored alone bitwise. The blocked evaluator reproduces the brute-force
 one at any block budget."""
 
 from types import SimpleNamespace
@@ -35,7 +36,7 @@ def models(draw):
 @st.composite
 def streams(draw, d, lead=()):
     """``[*lead, T, d]`` frames and the cut points of a chunking. T <= 200
-    crosses score_frames' chunks of C = 64 frames, whose carried state must
+    crosses score_streams' chunks of C = 64 frames, whose carried state must
     match one pass; half the draws end on either side of a chunk boundary."""
     c = kernels.CHUNK
     n = draw(st.integers(1, 200) | st.sampled_from([m * c + e for m in (1, 2, 3) for e in (0, 1)]))
@@ -89,6 +90,20 @@ def test_infer_streaming_equals_score_frames(data):
     streamed = detector.infer_streaming(model, frames, query).scores
     batch = detector.score_frames(model, frames, query).scores
     assert np.abs(streamed - batch).max() <= 1e-10
+
+
+@SETTINGS
+@given(st.data())
+def test_score_streams_equal_per_stream_score_frames(data):
+    model = data.draw(models())
+    n_streams = data.draw(st.integers(1, 4))
+    c = kernels.CHUNK
+    n = data.draw(st.integers(1, 150) | st.sampled_from([c - 1, c, c + 1, 2 * c, 2 * c + 1]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    frames, queries = rng.normal(size=(n_streams, n, model.config.d)), rng.normal(size=(n_streams, model.config.d))
+    stacked = detector.score_streams(model, frames, queries)
+    for s in range(n_streams):
+        assert np.array_equal(stacked[s], detector.score_frames(model, frames[s], queries[s]).scores)
 
 
 SCORE_LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)  # scores and thresholds, so thresholds land exactly on scores

@@ -117,3 +117,11 @@ def test_kernels_compare_state_with_none_only_to_fill_it():
         branch = tests.get(id(node))
         assert branch is not None and ast.unparse(node) == "state is None", ast.unparse(node)
         assert [ast.unparse(b).split("(")[0] for b in branch.body] == ["state = fresh_state"]
+
+
+def test_detector_chunk_loop_is_score_streams_alone():
+    # batch scoring of one stream or many walks CHUNK-frame chunks in one place
+    tree = ast.parse((SRC / "detector.py").read_text(encoding="utf-8"))
+    loops = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+             for node in ast.walk(func) if isinstance(node, ast.For) and "CHUNK" in ast.unparse(node.iter)]
+    assert loops == ["score_streams"]
