@@ -1,0 +1,52 @@
+"""The pipeline's artifacts match the golden record ``tests/golden.json``.
+
+``tests/golden.py`` runs the pipeline and regenerates the record.
+"""
+
+import json
+import warnings
+
+import numpy as np
+import pytest
+
+from streamstart import detector
+
+import golden
+
+RECORD = json.loads(golden.GOLDEN.read_text(encoding="utf-8"))
+RECORDED_ENV = RECORD["environment"] == golden.environment()
+
+
+def _first(paths: list[str], n: int = 8) -> str:
+    return ", ".join(paths[:n]) + (", ..." if len(paths) > n else "")
+
+
+def test_pipeline_matches_golden_record(tmp_path):
+    digests, reports = golden.run_pipeline(tmp_path)
+    if RECORDED_ENV:
+        bad = golden.digest_mismatches(RECORD["digests"], digests)
+        assert not bad, (f"{len(bad)} of {len(RECORD['digests'])} files differ from tests/golden.json: "
+                         f"{_first(bad)}")
+    else:
+        warnings.warn(f"compared no digests: they were recorded under {RECORD['environment']}, "
+                      f"this is {golden.environment()}; compared the eval reports to {golden.REPORT_TOL}")
+    bad = golden.report_mismatches(RECORD["reports"], reports)
+    assert not bad, f"eval reports differ from tests/golden.json at {_first(bad)}"
+
+
+@pytest.mark.skipif(not RECORDED_ENV, reason="the digests were recorded in another environment")
+def test_one_ulp_in_a_checkpoint_breaks_the_record(tmp_path, monkeypatch):
+    save_model = detector.save_model
+
+    def nudged(path, model):
+        # the checkpoint stores float32: move one stored value by one float32 ulp
+        w_up = model.blocks[0][0].w_up.astype(np.float32)
+        w_up.flat[0] = np.nextafter(w_up.flat[0], np.float32(np.inf))
+        save_model(path, detector.with_arrays(model, {"blocks.0.w_up": w_up.astype(float)}))
+
+    monkeypatch.setattr(detector, "save_model", nudged)
+    digests, _ = golden.run_pipeline(tmp_path, kinds=("vanilla",))
+    recorded = {p: d for p, d in RECORD["digests"].items() if p.startswith("corpus/") or "/vanilla/" in p}
+    bad = golden.digest_mismatches(recorded, digests)
+    assert "train/vanilla/checkpoint.sdqk" in bad
+    assert not [p for p in bad if p.startswith("corpus/")]
