@@ -20,14 +20,13 @@ for i, spec in enumerate(specs):
     frames, query, a = ann.gen_synthetic(spec, DIM)
     corpus.append((frames, query, a, "train" if i < N_TRAIN else "val"))
 
-dataset = []
-for frames, query, a, split in corpus:
-    if split != "train":
-        continue
-    window = ann.sample_windows(a, w_s=60, fps=1.0, seed=a.ann_idx + hash(a.video_uid) % 10_000)
-    idx = np.round(window.frame_times).astype(int)
-    dataset.append(detector.TrainingExample(embeddings=frames[idx], labels=window.labels,
-                                            query=query, video_uid=a.video_uid))
+# one 60-frame window per training stream, stacked into the training set
+train_rows = [(frames, query, a) for frames, query, a, split in corpus if split == "train"]
+windows = [ann.sample_windows(a, frames, w_s=60, fps=1.0, seed=a.ann_idx + hash(a.video_uid) % 10_000)
+           for frames, _, a in train_rows]
+embeddings = np.stack([window for window, _ in windows])  # [N, 60, DIM]
+labels = np.stack([labels for _, labels in windows])      # [N, 60]
+queries = np.stack([query for _, query, _ in train_rows])  # [N, DIM]
 
 config = detector.ModelConfig(
     d_in=DIM, d=DIM, n_blocks=2,
@@ -37,7 +36,7 @@ config = detector.ModelConfig(
 model = detector.build_model(config)
 train_config = detector.TrainConfig(learning_rate=1e-2, steps=100,
                                     batch_size=32, seed=0, weight_decay=1e-3)
-trained, history = detector.train(model, dataset, train_config)
+trained, history = detector.train(model, embeddings, labels, queries, train_config)
 print(f"loss: {history[0].total:.3f} -> {history[-1].total:.3f} over {len(history)} steps "
       f"(positive weight ~{history[-1].pos_weight:.1f})")
 

@@ -12,7 +12,6 @@ from .annotations import (
     EventAnnotation,
     Interval,
     SyntheticStreamSpec,
-    TrainingWindow,
     derive_tolerance,
     gen_synthetic,
     interval_iou,
@@ -58,7 +57,6 @@ from .detector import (
     ModelConfig,
     StreamingScorer,
     TrainConfig,
-    TrainingExample,
     backward,
     build_model,
     infer_streaming,

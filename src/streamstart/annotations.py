@@ -12,7 +12,7 @@ import io
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -90,16 +90,6 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class TrainingWindow:
-    """A sampled window of frame times paired with dense in-event labels."""
-
-    video_uid: str
-    frame_times: np.ndarray
-    labels: np.ndarray
-    query: str
-
-
-@dataclass(frozen=True)
 class SyntheticStreamSpec:
     """Recipe for one synthetic embedding stream standing in for real video.
 
@@ -126,8 +116,10 @@ class SyntheticStreamSpec:
     def __post_init__(self) -> None:
         if self.n_frames < 1:
             raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.noise_scale < 0:
-            raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale}")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim}")
+        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
+            raise ConfigError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
         if not (math.isfinite(self.fps) and self.fps > 0):
             raise ConfigError(f"fps must be finite and positive, got {self.fps}")
         span = self.n_frames / self.fps
@@ -281,31 +273,28 @@ def derive_tolerance(
 
 def sample_windows(
     annotation: EventAnnotation,
+    frames: np.ndarray,
     w_s: int,
     fps: float,
     seed: int,
     p_pos: float = 0.5,
-) -> TrainingWindow:
-    """Sample one dense-label training window from an annotated video.
-
-    Window frame j sits at time ``t_0 + j / fps`` on the frame grid; its
-    label is true iff that time lies inside [start_sec, end_sec]. With
-    probability ``p_pos`` the start position is drawn uniformly among
-    positions whose windows contain at least one in-event frame, otherwise
-    uniformly among all valid positions.
+) -> tuple[np.ndarray, np.ndarray]:
+    """One training window of an annotated stream ``frames [n, d]``: the slice
+    ``frames[m : m + w_s]`` and its dense in-event labels ``[w_s]``, by the rule
+    docs/formats.md states ("Training windows"). ``p_pos`` is the chance that
+    m is drawn among the starts whose window holds an in-event frame. A stream
+    shorter than the annotation's frame grid raises SchemaError.
     """
-    if w_s < 1:
-        raise ConfigError(f"w_s must be >= 1, got {w_s}")
+    n_grid = math.ceil(annotation.video_length * fps - 1e-9)  # frames m / fps in [0, video_length)
+    if n_grid > len(frames):
+        raise SchemaError(f"video {annotation.video_uid}: video_length {annotation.video_length}s at {fps} fps "
+                          f"needs {n_grid} frames, its stream holds {len(frames)}")
+    if not 1 <= w_s <= n_grid:
+        raise ConfigError(f"need 1 <= w_s <= {n_grid}, the frames of a {annotation.video_length}s video "
+                          f"at {fps} FPS; got w_s={w_s}")
     if not 0.0 <= p_pos <= 1.0:
         raise ConfigError(f"p_pos must be in [0, 1], got {p_pos}")
-    # frames sit on the grid m / fps inside [0, video_length)
-    n_grid = math.ceil(annotation.video_length * fps - 1e-9)
     m_max = n_grid - w_s
-    if m_max < 0:
-        raise ConfigError(
-            f"video of length {annotation.video_length}s cannot fit a "
-            f"{w_s}-frame window at {fps} FPS"
-        )
 
     lo_frame = math.ceil(annotation.start_sec * fps)
     hi_frame = math.floor(annotation.end_sec * fps)
@@ -319,14 +308,8 @@ def sample_windows(
     else:
         m = int(rng.integers(0, m_max + 1))
 
-    frame_times = (m + np.arange(w_s)) / fps
-    labels = (frame_times >= annotation.start_sec) & (frame_times <= annotation.end_sec)
-    return TrainingWindow(
-        video_uid=annotation.video_uid,
-        frame_times=frame_times,
-        labels=labels,
-        query=annotation.query,
-    )
+    times = (m + np.arange(w_s)) / fps
+    return frames[m : m + w_s], (times >= annotation.start_sec) & (times <= annotation.end_sec)
 
 
 # -- synthetic streams --------------------------------------------------------

@@ -12,7 +12,6 @@ import ctypes
 import functools
 import hashlib
 import json
-import math
 import sys
 import time
 from dataclasses import replace
@@ -145,6 +144,9 @@ def _corpus_annotations(specs, n_train: int) -> list:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
+    for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams)):
+        if count < 0:
+            raise ConfigError(f"{flag} must be nonnegative, got {count}")
     specs = annotations.make_corpus_specs(
         n_streams=args.streams + args.val_streams,
         seed=args.seed,
@@ -226,23 +228,18 @@ def cmd_train(args) -> int:
     )
     model = detector.build_model(model_config)
 
+    if args.windows_per_annotation < 1:
+        raise ConfigError(f"--windows-per-annotation must be >= 1, got {args.windows_per_annotation}")
     rng = np.random.default_rng(args.seed)
-    dataset = []
+    windows, labels, queries = [], [], []
     for a in anns:
         frames, sidecar, query = streams[a.video_uid]
-        fps = float(sidecar["fps"])
-        need = math.ceil(a.video_length * fps - 1e-9)  # sample_windows' frame grid
-        if need > len(frames):
-            raise SchemaError(f"video {a.video_uid}: video_length {a.video_length}s at {fps} fps "
-                              f"needs {need} frames, its stream holds {len(frames)}")
         for _ in range(args.windows_per_annotation):
-            window = annotations.sample_windows(a, w_s, fps, int(rng.integers(2**31 - 1)))
-            idx = np.round(window.frame_times * fps).astype(int)
-            dataset.append(
-                detector.TrainingExample(
-                    embeddings=frames[idx], labels=window.labels, query=query, video_uid=a.video_uid
-                )
-            )
+            window, window_labels = annotations.sample_windows(
+                a, frames, w_s, float(sidecar["fps"]), int(rng.integers(2**31 - 1)))
+            windows.append(window)
+            labels.append(window_labels)
+            queries.append(query)
 
     train_config = detector.TrainConfig(
         learning_rate=args.lr,
@@ -252,7 +249,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         weight_decay=args.weight_decay,
     )
-    trained, history = detector.train(model, dataset, train_config)
+    trained, history = detector.train(model, np.stack(windows), np.stack(labels), np.stack(queries), train_config)
 
     out.mkdir(parents=True, exist_ok=True)
     detector.save_model(out / "checkpoint.sdqk", trained)

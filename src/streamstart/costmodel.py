@@ -254,6 +254,8 @@ def bench_latency(
         raise ConfigError("a benchmark is already running in this process")
     if n_frames <= warmup:
         raise ConfigError(f"need n_frames > warmup, got {n_frames} <= {warmup}")
+    if repetitions < 1:
+        raise ConfigError(f"need repetitions >= 1, got {repetitions}")
     _BENCH_ACTIVE = True
     try:
         rng = np.random.default_rng(seed)

@@ -54,8 +54,8 @@ class ModelConfig:
             raise ConfigError(f"adapter width {self.adapter.d} must equal model width {self.d}")
         if self.n_blocks < 1:
             raise ConfigError(f"need at least one block, got {self.n_blocks}")
-        if self.tau_sim <= 0:
-            raise ConfigError(f"tau_sim must be positive, got {self.tau_sim}")
+        if not (math.isfinite(self.tau_sim) and self.tau_sim > 0):
+            raise ConfigError(f"tau_sim must be finite and positive, got {self.tau_sim}")
         if self.d_mlp <= 0:
             object.__setattr__(self, "d_mlp", 2 * self.d)
 
@@ -80,8 +80,12 @@ class TrainConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "pos_weight_cap"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
 
 
 @dataclass(frozen=True)
@@ -90,16 +94,6 @@ class LossBreakdown:
     pos_term: float
     neg_term: float
     pos_weight: float
-
-
-@dataclass(frozen=True)
-class TrainingExample:
-    """One sampled window: frame embeddings, dense labels and the query."""
-
-    embeddings: np.ndarray  # [w_s, d_in]
-    labels: np.ndarray      # [w_s] bool
-    query: np.ndarray       # [d]
-    video_uid: str = ""
 
 
 def build_model(config: ModelConfig) -> DetectorModel:
@@ -202,7 +196,6 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def _bce_from_logits(z: np.ndarray, y: np.ndarray, cap: float) -> tuple[LossBreakdown, np.ndarray]:
     """Loss breakdown and dL/dz computed stably from logits."""
-    y = np.asarray(y, dtype=float)
     n = y.size
     w_pos = _pos_weight(y, cap)
     p = sigmoid(z)
@@ -235,28 +228,35 @@ def _score_head_backward(dz: np.ndarray, cache: dict, tau: float) -> np.ndarray:
     return d_out
 
 
-def backward(
-    model: DetectorModel, batch: list[TrainingExample], cap: float = DEFAULT_POS_CAP
-) -> tuple[dict[str, np.ndarray], LossBreakdown]:
-    """Loss over the batch and gradients for every trainable parameter.
+def _windows(model: DetectorModel, embeddings, labels, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The windows ``[B, T, d_in]``, labels ``[B, T]`` and queries ``[B, d]`` as float arrays, B >= 1;
+    shapes that do not fit each other or the model raise ConfigError."""
+    embeddings, labels, queries = (np.asarray(a, dtype=float) for a in (embeddings, labels, queries))
+    cfg = model.config
+    if (embeddings.ndim != 3 or not len(embeddings) or embeddings.shape[2] != cfg.d_in
+            or labels.shape != embeddings.shape[:2] or queries.shape != (len(embeddings), cfg.d)):
+        raise ConfigError(f"need windows [B >= 1, T, d_in={cfg.d_in}], labels [B, T] and queries [B, d={cfg.d}], "
+                          f"got shapes {embeddings.shape}, {labels.shape} and {queries.shape}")
+    return embeddings, labels, queries
 
-    The batch runs forward and backward as one ``[B, T, d]`` tensor, so all
-    windows must share one length T; mixed lengths raise ConfigError.
+
+def backward(
+    model: DetectorModel, embeddings: np.ndarray, labels: np.ndarray, queries: np.ndarray,
+    cap: float = DEFAULT_POS_CAP,
+) -> tuple[dict[str, np.ndarray], LossBreakdown]:
+    """Loss over a batch and gradients for every trainable parameter.
+
+    The batch is B windows ``embeddings [B, T, d_in]`` with dense labels
+    ``[B, T]`` and each window's query ``[B, d]``, run forward and backward
+    as one ``[B, T, d]`` tensor; shapes that do not fit raise ConfigError.
     Frozen parameters (input map, block sublayers) receive no gradient
     entries. The positive weight is computed over all frames of the batch.
     Raises NumericError naming the parameter if any gradient is non-finite.
     """
-    if not batch:
-        raise ConfigError("backward needs a non-empty batch")
-    lengths = sorted({n for ex in batch for n in (len(ex.embeddings), len(ex.labels))})
-    if len(lengths) > 1:
-        raise ConfigError(f"backward needs windows of one length, got lengths {lengths}")
-    embeddings = np.stack([np.asarray(ex.embeddings, dtype=float) for ex in batch])
-    labels = np.stack([np.asarray(ex.labels, dtype=float) for ex in batch])
-    query = np.stack([np.asarray(ex.query, dtype=float) for ex in batch])
+    embeddings, labels, queries = _windows(model, embeddings, labels, queries)
     tapes = [{} for _ in model.blocks]
     out = _stack(model, embeddings, [None] * len(model.blocks), tapes)
-    s, cache = _cosine_scores(out, query)
+    s, cache = _cosine_scores(out, queries)
     lb, dz = _bce_from_logits((s / model.config.tau_sim).ravel(), labels.ravel(), cap)
 
     d_x = _score_head_backward(dz.reshape(s.shape), cache, model.config.tau_sim)
@@ -276,16 +276,16 @@ def backward(
 
 
 def train(
-    model: DetectorModel, dataset: list[TrainingExample], config: TrainConfig
+    model: DetectorModel, embeddings: np.ndarray, labels: np.ndarray, queries: np.ndarray, config: TrainConfig
 ) -> tuple[DetectorModel, list[LossBreakdown]]:
     """Optimize adapter parameters; returns the trained model and loss curve.
 
-    Deterministic given the seed. Adam with decoupled weight decay. Raises
-    NumericError with the partial history attached if the loss exceeds the
-    divergence limit.
+    The training set is N windows, shaped as ``backward`` takes a batch; each
+    step draws ``batch_size`` of them with replacement. Deterministic given
+    the seed. Adam with decoupled weight decay. Raises NumericError with the
+    partial history attached if the loss exceeds the divergence limit.
     """
-    if not dataset:
-        raise ConfigError("training needs a non-empty dataset")
+    embeddings, labels, queries = _windows(model, embeddings, labels, queries)
     if config.steps == 0:
         return model, []
 
@@ -297,19 +297,16 @@ def train(
 
     history: list[LossBreakdown] = []
     for step in range(1, config.steps + 1):
-        idx = rng.integers(0, len(dataset), size=config.batch_size)
-        batch = [dataset[int(i)] for i in idx]
+        idx = rng.integers(0, len(embeddings), size=config.batch_size)
         current = with_arrays(model, work)
         try:
-            grads, lb = backward(current, batch, config.pos_weight_cap)
+            grads, lb = backward(current, embeddings[idx], labels[idx], queries[idx], config.pos_weight_cap)
+            history.append(lb)
+            if not math.isfinite(lb.total) or lb.total > DIVERGENCE_LIMIT:
+                raise NumericError(f"training diverged at step {step} with loss {lb.total}")
         except NumericError as err:
             err.history = history
             raise
-        history.append(lb)
-        if not math.isfinite(lb.total) or lb.total > DIVERGENCE_LIMIT:
-            err = NumericError(f"training diverged at step {step} with loss {lb.total}")
-            err.history = history
-            raise err
         for name, g in grads.items():
             m1[name] = beta1 * m1[name] + (1.0 - beta1) * g
             m2[name] = beta2 * m2[name] + (1.0 - beta2) * g * g

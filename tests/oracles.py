@@ -72,12 +72,12 @@ def brute_evaluate(series_list, annotations, ks, anticipation, latency, mode, th
     return sr, smd
 
 
-def finite_difference_grads(model, batch, cap, eps=1e-5):
+def finite_difference_grads(model, embeddings, labels, queries, cap, eps=1e-5):
     """Central-difference gradient of the batch loss for every trainable array."""
     from streamstart import detector
 
     def loss_at(m):
-        _, lb = detector.backward(m, batch, cap)
+        _, lb = detector.backward(m, embeddings, labels, queries, cap)
         return lb.total
 
     grads = {}

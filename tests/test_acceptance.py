@@ -190,16 +190,10 @@ def test_criterion_06_gradient_checks():
         config = detector.ModelConfig(d_in=8, d=8, n_blocks=2, adapter=cfg, seed=66)
         model = oracles.randomize_adapters(detector.build_model(config), seed=67)
         rng = np.random.default_rng(68)
-        batch = [
-            detector.TrainingExample(
-                embeddings=rng.normal(size=(6, 8)),
-                labels=rng.random(6) < 0.4,
-                query=rng.normal(size=8),
-            )
-            for _ in range(2)
-        ]
-        grads, _ = detector.backward(model, batch)
-        fd = oracles.finite_difference_grads(model, batch, detector.DEFAULT_POS_CAP)
+        windows = [(rng.normal(size=(6, 8)), rng.random(6) < 0.4, rng.normal(size=8)) for _ in range(2)]
+        batch = [np.stack(column) for column in zip(*windows)]
+        grads, _ = detector.backward(model, *batch)
+        fd = oracles.finite_difference_grads(model, *batch, detector.DEFAULT_POS_CAP)
         for name, g in grads.items():
             ref = fd[name]
             denom = np.maximum(np.maximum(np.abs(g), np.abs(ref)), 1e-8)

@@ -157,42 +157,55 @@ class TestDeriveTolerance:
             assert w == w0
 
 
+def clock(n, fps=1.0):
+    """A stream of n frames whose one feature is the frame's time: a window shows where it was cut."""
+    return (np.arange(n) / fps)[:, None]
+
+
 class TestSampleWindows:
     def test_labels_match_membership(self):
         a = make_ann(5, 8, video_length=30.0)
         found = False
         for seed in range(40):
-            w = ann.sample_windows(a, 10, 1.0, seed, p_pos=1.0)
-            expected = [5.0 <= t <= 8.0 for t in w.frame_times]
-            assert list(w.labels) == expected
-            if w.frame_times[0] == 0.0:
+            window, labels = ann.sample_windows(a, clock(30), 10, 1.0, seed, p_pos=1.0)
+            assert list(labels) == [5.0 <= t <= 8.0 for t in window[:, 0]]
+            if window[0, 0] == 0.0:
                 found = True
-                assert list(np.flatnonzero(w.labels)) == [5, 6, 7, 8]
+                assert list(np.flatnonzero(labels)) == [5, 6, 7, 8]
         assert found
 
     def test_no_overlap_all_false(self):
         a = make_ann(5, 8, video_length=40.0)
-        w = ann.sample_windows(a, 10, 1.0, 0, p_pos=0.0)
-        if w.frame_times[0] >= 9 or w.frame_times[-1] <= 4:
-            assert not w.labels.any()
+        window, labels = ann.sample_windows(a, clock(40), 10, 1.0, 0, p_pos=0.0)
+        if window[0, 0] >= 9 or window[-1, 0] <= 4:
+            assert not labels.any()
 
     def test_deterministic(self):
         a = make_ann(5, 8, video_length=30.0)
-        w1 = ann.sample_windows(a, 10, 1.0, 123)
-        w2 = ann.sample_windows(a, 10, 1.0, 123)
-        assert np.array_equal(w1.frame_times, w2.frame_times)
-        assert np.array_equal(w1.labels, w2.labels)
+        w1, labels1 = ann.sample_windows(a, clock(30), 10, 1.0, 123)
+        w2, labels2 = ann.sample_windows(a, clock(30), 10, 1.0, 123)
+        assert np.array_equal(w1, w2)
+        assert np.array_equal(labels1, labels2)
 
     def test_video_too_short(self):
         a = make_ann(1, 2, video_length=5.0)
         with pytest.raises(ConfigError):
-            ann.sample_windows(a, 10, 1.0, 0)
+            ann.sample_windows(a, clock(5), 10, 1.0, 0)
+
+    @pytest.mark.parametrize("fps, n", [(1.0, 59), (2.0, 119), (0.5, 0)])
+    def test_stream_shorter_than_grid(self, fps, n):
+        # the annotation's 60 s need ceil(60 fps) frames; the window size does not matter
+        a = make_ann(5, 8, video_length=60.0, video_uid="v9")
+        with pytest.raises(SchemaError, match=f"video v9: video_length 60.0s at {fps} fps "
+                                              f"needs {math.ceil(60 * fps)} frames, its stream holds {n}$"):
+            ann.sample_windows(a, clock(n, fps), 1, fps, 0)
 
     def test_window_fits_stream_grid(self):
+        # frames past the annotation's video_length are never drawn
         a = make_ann(5, 8, video_length=60.0)
         for seed in range(50):
-            w = ann.sample_windows(a, 60, 1.0, seed)
-            assert w.frame_times[-1] < 60.0
+            window, _ = ann.sample_windows(a, clock(70), 60, 1.0, seed)
+            assert window.shape == (60, 1) and window[-1, 0] < 60.0
 
     def test_brute_force_membership_1000(self):
         rng = np.random.default_rng(11)
@@ -203,10 +216,13 @@ class TestSampleWindows:
             a = make_ann(start, end, video_length=length)
             w_s = int(rng.integers(1, 16))
             fps = float(rng.choice([0.5, 1.0, 2.0]))
-            if math.ceil(length * fps - 1e-9) < w_s:
+            n_grid = math.ceil(length * fps - 1e-9)
+            if n_grid < w_s:
                 continue
-            w = ann.sample_windows(a, w_s, fps, int(rng.integers(2**31)))
-            for t, label in zip(w.frame_times, w.labels):
+            window, labels = ann.sample_windows(a, clock(n_grid, fps), w_s, fps, int(rng.integers(2**31)))
+            m = round(window[0, 0] * fps)
+            assert np.array_equal(window[:, 0], (m + np.arange(w_s)) / fps)
+            for t, label in zip(window[:, 0], labels):
                 assert label == (start <= t <= end)
 
 

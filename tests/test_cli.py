@@ -104,6 +104,23 @@ class TestSynth:
         assert "fps" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, name", [
+        (["--noise", "nan"], "noise_scale"),
+        (["--noise", "inf"], "noise_scale"),
+        (["--dim", "0"], "dim"),
+        (["--dim", "-3"], "dim"),
+        (["--streams", "-2"], "--streams"),
+        (["--val-streams", "-1"], "--val-streams"),
+        (["--streams", "-2", "--val-streams", "3"], "--streams"),
+    ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos"])
+    def test_bad_value_exit_config(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "c"
+        assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1"] + flags) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {name} must be" in err and err.count("\n") == 1
+        assert not out.exists()
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """A small synth -> train -> score pipeline shared by CLI tests."""
@@ -489,6 +506,27 @@ class TestTrainScoreEval:
         assert "--fps" in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--lr", "nan", "learning_rate"),
+        ("--lr", "inf", "learning_rate"),
+        ("--tau-sim", "nan", "tau_sim"),
+        ("--tau-sim", "inf", "tau_sim"),
+        ("--pos-cap", "nan", "pos_weight_cap"),
+        ("--pos-cap", "0", "pos_weight_cap"),
+        ("--weight-decay", "nan", "weight_decay"),
+        ("--weight-decay", "inf", "weight_decay"),
+        ("--weight-decay", "-1", "weight_decay"),
+    ])
+    def test_bad_numeric_flag_exit_config(self, pipeline, tmp_path, capsys, flag, value, name):
+        corpus, _, _ = pipeline
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(corpus), "--out", str(out), "--steps", "2", flag, value]) \
+            == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"error: {name} must be finite" in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_annotation_longer_than_its_stream_exit_schema(self, pipeline, tmp_path, capsys):
         corpus, _, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
@@ -614,24 +652,37 @@ def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch
                      "--dim", "8", "--fps", "2", "--frames", "120"]) == 0
     captured = []
 
-    def fake_train(model, dataset, config):
-        captured.extend(dataset)
+    def fake_train(model, embeddings, labels, queries, config):
+        captured.append((embeddings, labels, queries))
         return model, []
 
     monkeypatch.setattr(detector, "train", fake_train)
     assert cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"), "--kind", "vanilla",
                      "--blocks", "1", "--windows-per-annotation", "3"]) == 0
     capsys.readouterr()
-    anns = {a.video_uid: a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())}
-    assert len(captured) == 18
-    for ex in captured:
-        frames, sidecar, _ = ann.load_stream(corpus / "streams" / f"{ex.video_uid}.f32")
-        assert sidecar["fps"] == 2.0
-        m = int(np.flatnonzero((frames == ex.embeddings[0]).all(axis=1))[0])
-        assert np.array_equal(ex.embeddings, frames[m : m + len(ex.embeddings)])
-        times = (m + np.arange(len(ex.labels))) / 2.0
-        a = anns[ex.video_uid]
-        assert np.array_equal(ex.labels, (times >= a.start_sec) & (times <= a.end_sec))
+    anns = [a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes()) if a.split == "train"]
+    [(embeddings, labels, queries)] = captured
+    assert embeddings.shape == (18, 60, 8) and labels.shape == (18, 60) and queries.shape == (18, 8)
+    for i, (window, window_labels, query) in enumerate(zip(embeddings, labels, queries)):
+        a = anns[i // 3]  # the windows of each annotation in turn
+        frames, sidecar, stream_query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+        assert sidecar["fps"] == 2.0 and np.array_equal(query, stream_query)
+        m = int(np.flatnonzero((frames == window[0]).all(axis=1))[0])
+        assert np.array_equal(window, frames[m : m + len(window)])
+        times = (m + np.arange(len(window_labels))) / 2.0
+        assert np.array_equal(window_labels, (times >= a.start_sec) & (times <= a.end_sec))
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_train_windows_per_annotation_below_one_exit_config(tmp_path, capsys, count):
+    corpus = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(corpus), "--streams", "2", "--val-streams", "1", "--dim", "8"]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    assert cli.main(["train", "--data", str(corpus), "--out", str(out), "--windows-per-annotation", count]) \
+        == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and not out.exists()
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="counts the minor page faults Linux reports")
@@ -679,3 +730,13 @@ class TestBenchCommand:
         assert payload["latency"]["streaming"]["total"] > 0
         assert (tmp_path / "bench.json").exists()
         assert (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_latency_harness_without_repetitions_exit_config(self, tmp_path, capsys, reps):
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--kind", "qrnn", "--frames", "20", "--reps", reps,
+                       "--latency-d", "16", "--latency-blocks", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"repetitions >= 1, got {reps}" in err and err.count("\n") == 1
+        assert not out.exists()

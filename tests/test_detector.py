@@ -10,7 +10,6 @@ from streamstart.detector import (
     ModelConfig,
     StreamingScorer,
     TrainConfig,
-    TrainingExample,
     backward,
     build_model,
     infer_streaming,
@@ -31,15 +30,10 @@ def tiny_model(kind, d=8, dp=4, blocks=2, seed=3, tau_sim=0.07):
 
 
 def tiny_batch(seed, n=6, d=8, count=2):
+    """``count`` windows of n frames: embeddings [count, n, d], labels [count, n], queries [count, d]."""
     rng = np.random.default_rng(seed)
-    return [
-        TrainingExample(
-            embeddings=rng.normal(size=(n, d)),
-            labels=rng.random(n) < 0.4,
-            query=rng.normal(size=d),
-        )
-        for _ in range(count)
-    ]
+    windows = [(rng.normal(size=(n, d)), rng.random(n) < 0.4, rng.normal(size=d)) for _ in range(count)]
+    return tuple(np.stack(column) for column in zip(*windows))
 
 
 def identity_model(d=8, kind="qrnn", tau_sim=0.07):
@@ -174,8 +168,8 @@ class TestBackward:
     def test_finite_difference_all_params(self, kind):
         model = oracles.randomize_adapters(tiny_model(kind), seed=11)
         batch = tiny_batch(5)
-        grads, _ = backward(model, batch)
-        fd = oracles.finite_difference_grads(model, batch, detector.DEFAULT_POS_CAP)
+        grads, _ = backward(model, *batch)
+        fd = oracles.finite_difference_grads(model, *batch, detector.DEFAULT_POS_CAP)
         worst = 0.0
         for name, g in grads.items():
             ref = fd[name]
@@ -188,8 +182,8 @@ class TestBackward:
         config = ModelConfig(d_in=8, d=8, n_blocks=1, adapter=cfg, seed=44)
         model = oracles.randomize_adapters(build_model(config), seed=45)
         batch = tiny_batch(46)
-        grads, _ = backward(model, batch)
-        fd = oracles.finite_difference_grads(model, batch, detector.DEFAULT_POS_CAP)
+        grads, _ = backward(model, *batch)
+        fd = oracles.finite_difference_grads(model, *batch, detector.DEFAULT_POS_CAP)
         for name, g in grads.items():
             ref = fd[name]
             denom = np.maximum(np.maximum(np.abs(g), np.abs(ref)), 1e-8)
@@ -197,7 +191,7 @@ class TestBackward:
 
     def test_zero_up_projection_blocks_down_gradient(self):
         model = tiny_model("st_conv")  # init: w_up == 0
-        grads, _ = backward(model, tiny_batch(6))
+        grads, _ = backward(model, *tiny_batch(6))
         for i in range(len(model.blocks)):
             assert not grads[f"blocks.{i}.w_down"].any()
             assert not grads[f"blocks.{i}.b_down"].any()
@@ -205,7 +199,7 @@ class TestBackward:
 
     def test_frozen_params_absent(self):
         model = tiny_model("qrnn")
-        grads, _ = backward(model, tiny_batch(7))
+        grads, _ = backward(model, *tiny_batch(7))
         assert not any("w_sp" in k or "w_in" in k or ".w1" in k or ".w2" in k for k in grads)
 
     def test_nonfinite_gradient_named(self):
@@ -213,7 +207,7 @@ class TestBackward:
         bad = replace(model.blocks[0][0], w_up=np.full((4, 8), np.nan))
         model = replace(model, blocks=[(bad, model.blocks[0][1])] + model.blocks[1:])
         with pytest.raises(NumericError, match="blocks.0"):
-            backward(model, tiny_batch(8))
+            backward(model, *tiny_batch(8))
 
 
 class TestBatchAxis:
@@ -224,23 +218,35 @@ class TestBatchAxis:
         # the single-window ones; anything mixing windows breaks the equality
         model = oracles.randomize_adapters(tiny_model(kind), seed=50)
         rng = np.random.default_rng(51)
-        labels = np.array([0, 0, 1, 1, 1, 0, 0], dtype=bool)
-        batch = [
-            TrainingExample(embeddings=rng.normal(size=(7, 8)), labels=labels, query=rng.normal(size=8))
-            for _ in range(4)
-        ]
-        grads, lb = backward(model, batch)
-        singles = [backward(model, [ex]) for ex in batch]
+        windows = [(rng.normal(size=(7, 8)), rng.normal(size=8)) for _ in range(4)]
+        embeddings, queries = (np.stack(column) for column in zip(*windows))
+        labels = np.tile(np.array([0, 0, 1, 1, 1, 0, 0], dtype=bool), (4, 1))
+        grads, lb = backward(model, embeddings, labels, queries)
+        singles = [backward(model, embeddings[i : i + 1], labels[i : i + 1], queries[i : i + 1]) for i in range(4)]
         assert lb.total == pytest.approx(np.mean([l.total for _, l in singles]), rel=1e-12)
         for name, g in grads.items():
             mean = np.mean([g1[name] for g1, _ in singles], axis=0)
             assert np.abs(g - mean).max() <= 1e-12 * max(1.0, np.abs(mean).max()), name
 
-    def test_mixed_window_lengths_rejected(self):
-        batch = tiny_batch(52, n=6) + tiny_batch(53, n=5)
-        with pytest.raises(ConfigError, match=r"lengths \[5, 6\]") as err:
-            backward(tiny_model("qrnn"), batch)
-        assert "\n" not in str(err.value)
+    @pytest.mark.parametrize("shapes", [
+        ((2, 6, 8), (2, 5), (2, 8)),  # labels shorter than the windows
+        ((2, 6, 8), (2, 6), (3, 8)),  # one query too many
+        ((2, 6, 8), (2, 6), (2, 7)),  # queries narrower than d
+        ((2, 6, 7), (2, 6), (2, 8)),  # frames narrower than d_in
+        ((6, 8), (6,), (8,)),         # one window without its batch axis
+        ((0, 6, 8), (0, 6), (0, 8)),  # no window
+    ], ids=["labels", "queries", "query_width", "frame_width", "no_batch_axis", "empty"])
+    @pytest.mark.parametrize("call", ["backward", "train"])
+    def test_shape_mismatch_rejected(self, shapes, call):
+        model = tiny_model("qrnn")
+        arrays = [np.ones(shape) for shape in shapes]
+        with pytest.raises(ConfigError, match="got shapes") as err:
+            if call == "backward":
+                backward(model, *arrays)
+            else:
+                train(model, *arrays, TrainConfig(steps=0))
+        message = str(err.value)
+        assert all(str(shape) in message for shape in shapes) and "\n" not in message
 
 
 class TestNonFiniteInput:
@@ -253,24 +259,24 @@ class TestNonFiniteInput:
 
     def test_qrnn_nan_frame_in_backward(self):
         model = oracles.randomize_adapters(tiny_model("qrnn"), seed=56)
-        batch = tiny_batch(57)
-        batch[1].embeddings[2, 0] = np.nan
+        embeddings, labels, queries = tiny_batch(57)
+        embeddings[1, 2, 0] = np.nan
         with pytest.raises(NumericError, match="not finite"):
-            backward(model, batch)
+            backward(model, embeddings, labels, queries)
 
 
 class TestTrain:
     def test_zero_steps_identical(self):
         model = tiny_model("qrnn")
-        trained, history = train(model, tiny_batch(9), TrainConfig(steps=0))
+        trained, history = train(model, *tiny_batch(9), TrainConfig(steps=0))
         assert trained is model
         assert history == []
 
     def test_deterministic_given_seed(self):
         model = tiny_model("st_conv")
         config = TrainConfig(learning_rate=1e-3, steps=5, batch_size=2, seed=5)
-        t1, h1 = train(model, tiny_batch(10), config)
-        t2, h2 = train(model, tiny_batch(10), config)
+        t1, h1 = train(model, *tiny_batch(10), config)
+        t2, h2 = train(model, *tiny_batch(10), config)
         assert h1 == h2
         for (a1, _), (a2, _) in zip(t1.blocks, t2.blocks):
             for name, arr in a1.arrays().items():
@@ -278,7 +284,7 @@ class TestTrain:
 
     def test_only_adapters_change(self):
         model = tiny_model("qrnn")
-        trained, _ = train(model, tiny_batch(11), TrainConfig(learning_rate=1e-2, steps=3))
+        trained, _ = train(model, *tiny_batch(11), TrainConfig(learning_rate=1e-2, steps=3))
         for (a0, b0), (a1, b1) in zip(model.blocks, trained.blocks):
             assert b0 is b1
         assert np.array_equal(model.w_in, trained.w_in)
@@ -290,7 +296,7 @@ class TestTrain:
         model = oracles.randomize_adapters(tiny_model("vanilla"), seed=2)
         config = TrainConfig(learning_rate=1e-3, steps=50, batch_size=2, seed=0)
         with pytest.raises(NumericError, match="diverged") as err:
-            train(model, tiny_batch(12), config)
+            train(model, *tiny_batch(12), config)
         assert hasattr(err.value, "history") and len(err.value.history) >= 1
 
     def test_loss_decreases_on_separable_task(self):
@@ -298,15 +304,15 @@ class TestTrain:
         d = 8
         q = rng.normal(size=d)
         q /= np.linalg.norm(q)
-        dataset = []
+        embeddings, labels = [], []
         for _ in range(30):
-            labels = rng.random(10) < 0.4
+            labels.append(rng.random(10) < 0.4)
             noise = rng.normal(size=(10, d)) * 0.4
-            emb = np.where(labels[:, None], q[None, :] + noise, noise)
-            dataset.append(TrainingExample(embeddings=emb, labels=labels, query=q))
+            embeddings.append(np.where(labels[-1][:, None], q[None, :] + noise, noise))
         model = tiny_model("qrnn", tau_sim=0.25)
         trained, hist = train(
-            model, dataset, TrainConfig(learning_rate=5e-3, steps=200, batch_size=8, seed=0)
+            model, np.stack(embeddings), np.stack(labels), np.tile(q, (30, 1)),
+            TrainConfig(learning_rate=5e-3, steps=200, batch_size=8, seed=0),
         )
         first = np.mean([h.total for h in hist[:20]])
         last = np.mean([h.total for h in hist[-20:]])
@@ -318,21 +324,15 @@ class TestTrain:
         # tell the two apart; a recurrent one can.
         rows = make_order_corpus(90, seed=5)
         train_rows, val_rows = rows[:60], rows[60:]
-        dataset = [
-            TrainingExample(
-                embeddings=f,
-                labels=(np.arange(40) >= a.start_sec) & (np.arange(40) <= a.end_sec),
-                query=q,
-                video_uid=a.video_uid,
-            )
-            for f, q, a in train_rows
-        ]
+        embeddings = np.stack([f for f, _, _ in train_rows])
+        labels = np.stack([(np.arange(40) >= a.start_sec) & (np.arange(40) <= a.end_sec) for _, _, a in train_rows])
+        queries = np.stack([q for _, q, _ in train_rows])
         results = {}
         for kind in ("qrnn", "vanilla"):
             cfg = AdapterConfig(d=12, d_prime=12, kind=kind, k=2)
             model = build_model(ModelConfig(d_in=12, d=12, n_blocks=2, adapter=cfg, tau_sim=0.25, seed=0))
             config = TrainConfig(learning_rate=1e-2, steps=200, batch_size=16, seed=0, weight_decay=1e-3)
-            trained, _ = train(model, dataset, config)
+            trained, _ = train(model, embeddings, labels, queries, config)
             series, anns = [], []
             for frames, q, a in val_rows:
                 series.append(
@@ -501,7 +501,7 @@ class TestModelCheckpoint:
         config, arrays = detector.read_checkpoint(tmp_path / "m.sdqk")
         adapter_names = {f.name for f in fields(kernels.AdapterParams)}
         trained = [name for name in config["array_order"] if name.rsplit(".", 1)[-1] in adapter_names]
-        grads, _ = backward(model, tiny_batch(12))
+        grads, _ = backward(model, *tiny_batch(12))
         assert trained == list(grads)
         assert len(config["array_order"]) == len(arrays)
 
