@@ -4,8 +4,10 @@ The pipeline is ``synth``, then ``train``, ``score`` and ``eval --sweep 20 --out
 for every adapter kind, all through ``cli.main`` in one process, with the
 benchmark's pipeline flags. ``tests/golden.json`` holds the SHA-256 of every file
 it writes except the ``manifest.json`` files (they carry a timestamp), each kind's
-eval report (sweep threshold, SR@k, SMD@k), and the numpy version and BLAS
-library the digests came from. ``tests/test_golden.py`` reruns the pipeline and
+eval report (sweep threshold, SR@k, SMD@k), per kind the SHA-256 of the float64
+scores that ``detector.infer_streaming`` pushes frame by frame through the first
+``STREAMED`` val streams with the trained checkpoint, and the numpy version and
+BLAS library the digests came from. ``tests/test_golden.py`` reruns the pipeline and
 compares.
 
 Regenerate the record, after a change that moves outputs on purpose:
@@ -29,7 +31,7 @@ import numpy as np
 if __name__ == "__main__":
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from streamstart import cli  # noqa: E402
+from streamstart import annotations, cli, detector  # noqa: E402
 
 GOLDEN = Path(__file__).with_name("golden.json")
 KINDS = ("vanilla", "st_conv", "qrnn", "retention")
@@ -40,6 +42,7 @@ SYNTH_FLAGS = ["--streams", "200", "--val-streams", "50", "--dim", "16", "--fram
 TRAIN_FLAGS = ["--blocks", "2", "--d-prime", "16", "--steps", "100", "--batch", "32",
                "--lr", "1e-2", "--weight-decay", "1e-3", "--tau-sim", "0.25", "--seed", "0"]
 SWEEP = 20
+STREAMED = 8
 REPORT_TOL = 1e-9
 
 
@@ -60,12 +63,25 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"streamstart {' '.join(argv)} exited {rc}")
 
 
-def run_pipeline(root: Path, kinds: tuple[str, ...] = KINDS) -> tuple[dict[str, str], dict[str, dict]]:
+def streamed_digest(checkpoint: Path, corpus: Path) -> str:
+    """SHA-256 of the float64 scores ``detector.infer_streaming`` gives the first
+    ``STREAMED`` val streams, in annotation order, one after another."""
+    model = detector.load_model(checkpoint)
+    uids = dict.fromkeys(a.video_uid for a in annotations.parse_annotations((corpus / "annotations.csv").read_bytes())
+                         if a.split == "val")
+    digest = hashlib.sha256()
+    for uid in list(uids)[:STREAMED]:
+        frames, _, query = annotations.load_stream(corpus / "streams" / f"{uid}.f32")
+        digest.update(detector.infer_streaming(model, frames, query).scores.astype("<f8").tobytes())
+    return digest.hexdigest()
+
+
+def run_pipeline(root: Path, kinds: tuple[str, ...] = KINDS) -> tuple[dict[str, str], dict[str, dict], dict[str, str]]:
     """Digest of every non-manifest file written under ``root``, keyed by relative
-    path, and each kind's eval report."""
+    path, each kind's eval report, and each kind's ``streamed_digest``."""
     corpus = root / "corpus"
     _run(["synth", "--out", str(corpus)] + SYNTH_FLAGS)
-    reports = {}
+    reports, streamed = {}, {}
     for kind in kinds:
         train, scored, evaluated = (root / stage / kind for stage in ("train", "score", "eval"))
         _run(["train", "--data", str(corpus), "--out", str(train), "--kind", kind] + TRAIN_FLAGS)
@@ -74,9 +90,10 @@ def run_pipeline(root: Path, kinds: tuple[str, ...] = KINDS) -> tuple[dict[str, 
         _run(["eval", "--scores", str(scored / "scores"), "--annotations", str(corpus / "annotations.csv"),
               "--split", "val", "--sweep", str(SWEEP), "--out", str(evaluated)])
         reports[kind] = json.loads((evaluated / "report.json").read_text(encoding="utf-8"))
+        streamed[kind] = streamed_digest(train / "checkpoint.sdqk", corpus)
     digests = {p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                for p in sorted(root.rglob("*")) if p.is_file() and p.name != "manifest.json"}
-    return digests, reports
+    return digests, reports, streamed
 
 
 def digest_mismatches(recorded: dict[str, str], digests: dict[str, str]) -> list[str]:
@@ -99,10 +116,10 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--write", action="store_true", required=True, help="write tests/golden.json from this run")
     parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        digests, reports = run_pipeline(Path(tmp))
-    record = {"environment": environment(), "reports": reports, "digests": digests}
+        digests, reports, streamed = run_pipeline(Path(tmp))
+    record = {"environment": environment(), "reports": reports, "digests": digests, "streamed": streamed}
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} digests to {GOLDEN}")
+    print(f"wrote {len(digests)} file digests and {len(streamed)} streamed digests to {GOLDEN}")
     return 0
 
 

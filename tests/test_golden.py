@@ -22,11 +22,13 @@ def _first(paths: list[str], n: int = 8) -> str:
 
 
 def test_pipeline_matches_golden_record(tmp_path):
-    digests, reports = golden.run_pipeline(tmp_path)
+    digests, reports, streamed = golden.run_pipeline(tmp_path)
     if RECORDED_ENV:
         bad = golden.digest_mismatches(RECORD["digests"], digests)
         assert not bad, (f"{len(bad)} of {len(RECORD['digests'])} files differ from tests/golden.json: "
                          f"{_first(bad)}")
+        bad = golden.digest_mismatches(RECORD["streamed"], streamed)
+        assert not bad, f"streamed scores differ from tests/golden.json for {_first(bad)}"
     else:
         warnings.warn(f"compared no digests: they were recorded under {RECORD['environment']}, "
                       f"this is {golden.environment()}; compared the eval reports to {golden.REPORT_TOL}")
@@ -45,7 +47,7 @@ def test_one_ulp_in_a_checkpoint_breaks_the_record(tmp_path, monkeypatch):
         save_model(path, detector.with_arrays(model, {"blocks.0.w_up": w_up.astype(float)}))
 
     monkeypatch.setattr(detector, "save_model", nudged)
-    digests, _ = golden.run_pipeline(tmp_path, kinds=("vanilla",))
+    digests, _, _ = golden.run_pipeline(tmp_path, kinds=("vanilla",))
     recorded = {p: d for p, d in RECORD["digests"].items() if p.startswith("corpus/") or "/vanilla/" in p}
     bad = golden.digest_mismatches(recorded, digests)
     assert "train/vanilla/checkpoint.sdqk" in bad
