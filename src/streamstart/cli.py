@@ -227,6 +227,14 @@ def cmd_train(args) -> int:
         d_in=dim, d=dim, n_blocks=args.blocks, adapter=adapter, tau_sim=args.tau_sim, seed=args.seed
     )
     model = detector.build_model(model_config)
+    train_config = detector.TrainConfig(
+        learning_rate=args.lr,
+        steps=args.steps,
+        batch_size=args.batch,
+        pos_weight_cap=args.pos_cap,
+        seed=args.seed,
+        weight_decay=args.weight_decay,
+    )
 
     if args.windows_per_annotation < 1:
         raise ConfigError(f"--windows-per-annotation must be >= 1, got {args.windows_per_annotation}")
@@ -241,14 +249,6 @@ def cmd_train(args) -> int:
             labels.append(window_labels)
             queries.append(query)
 
-    train_config = detector.TrainConfig(
-        learning_rate=args.lr,
-        steps=args.steps,
-        batch_size=args.batch,
-        pos_weight_cap=args.pos_cap,
-        seed=args.seed,
-        weight_decay=args.weight_decay,
-    )
     trained, history = detector.train(model, np.stack(windows), np.stack(labels), np.stack(queries), train_config)
 
     out.mkdir(parents=True, exist_ok=True)

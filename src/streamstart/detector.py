@@ -1,13 +1,15 @@
 """Trainable scoring head and desk-scale trainer.
 
 A detector is a frozen input map followed by a stack of blocks whose only
-trainable parameters are the temporal adapters. Frames are scored by the
-cosine similarity between the stack output and the query embedding, pushed
-through a temperature-scaled sigmoid. Training minimizes a
-positive-weighted binary cross-entropy over dense window labels with
-hand-derived reverse-mode gradients; inference keeps one score per
-arriving frame at constant cost. A checkpoint file holds every array of a
-model under the names ``named_arrays`` gives it.
+trainable parameters are the temporal adapters. The input map is the
+identity plus a frozen bias: frames come in at the model width
+(``d_in == d``), and the stack starts from ``frames + b_in`` with no
+product. Frames are scored by the cosine similarity between the stack
+output and the query embedding, pushed through a temperature-scaled
+sigmoid. Training minimizes a positive-weighted binary cross-entropy over
+dense window labels with hand-derived reverse-mode gradients; inference
+keeps one score per arriving frame at constant cost. A checkpoint file
+holds every array of a model under the names ``named_arrays`` gives it.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ ZERO_NORM_COUNT = 0
 
 @dataclass(frozen=True)
 class ModelConfig:
+    """Model shape. ``d_in`` must equal ``d``: the input map is the identity."""
+
     d_in: int
     d: int
     n_blocks: int
@@ -52,6 +56,8 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.adapter.d != self.d:
             raise ConfigError(f"adapter width {self.adapter.d} must equal model width {self.d}")
+        if self.d_in != self.d:
+            raise ConfigError(f"input width {self.d_in} must equal model width {self.d}")
         if self.n_blocks < 1:
             raise ConfigError(f"need at least one block, got {self.n_blocks}")
         if not (math.isfinite(self.tau_sim) and self.tau_sim > 0):
@@ -62,7 +68,8 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Frozen input map + block stack; adapters are the only trainable parts."""
+    """Frozen identity input map (``w_in``, kept for the checkpoint) + block stack; adapters are
+    the only trainable parts."""
 
     config: ModelConfig
     w_in: np.ndarray
@@ -86,6 +93,10 @@ class TrainConfig:
                 raise ConfigError(f"{name} must be finite and positive, got {value}")
         if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
             raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass(frozen=True)
@@ -97,13 +108,10 @@ class LossBreakdown:
 
 
 def build_model(config: ModelConfig) -> DetectorModel:
-    """Seeded construction; the input map is identity when d_in == d."""
+    """Seeded construction: the identity input map with a zero bias, then the blocks, each
+    with its adapter's and its frozen sublayers' seeds drawn from ``config.seed``."""
     rng = np.random.default_rng(config.seed)
-    if config.d_in == config.d:
-        w_in = np.eye(config.d)
-    else:
-        w_in = rng.normal(size=(config.d_in, config.d)) / math.sqrt(config.d_in)
-    b_in = np.zeros(config.d)
+    w_in, b_in = np.eye(config.d), np.zeros(config.d)
     blocks = []
     for _ in range(config.n_blocks):
         adapter_seed = int(rng.integers(0, 2**31 - 1))
@@ -123,8 +131,9 @@ def build_model(config: ModelConfig) -> DetectorModel:
 def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list | None = None) -> np.ndarray:
     """Stack output ``[..., n, d]`` of frames ``[..., n, d_in]``. ``states`` (one per block, None
     for a fresh start) advance in place; ``tapes`` (one dict per block) record a fresh start."""
-    x = frames @ model.w_in
-    x += model.b_in
+    if frames.shape[-1] != model.config.d:  # b_in would broadcast a one-wide frame
+        raise ConfigError(f"frames must be [..., n, d_in={model.config.d}], got shape {frames.shape}")
+    x = frames + model.b_in
     for i, (adapter, block) in enumerate(model.blocks):
         x, states[i] = kernels.block_forward(x, adapter, block, states[i], None if tapes is None else tapes[i])
     return x
@@ -345,13 +354,13 @@ class StreamingScorer:
         u = _stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
-        unorm = math.sqrt(float(u @ u))
+        unorm = math.sqrt(float(kernels.matmul(u, u)))
         if unorm < _NORM_EPS:
             ZERO_NORM_COUNT += 1
             logger.warning("zero-norm frame output; scoring as sigmoid(0)")
             s = 0.0
         else:
-            s = float(u @ self._qn) / unorm
+            s = float(kernels.matmul(u, self._qn)) / unorm
         z = s / self.model.config.tau_sim
         if z >= 0.0:
             return 1.0 / (1.0 + math.exp(-z))
@@ -473,7 +482,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
     """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key,
-    or an array count or shape that does not fit its config, raises ConfigError."""
+    an array count or shape that does not fit its config, or a ``w_in`` other than the
+    identity raises ConfigError."""
     raw_config, arrays = read_checkpoint(path, read)
     try:
         config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
@@ -489,4 +499,6 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
     for (name, want), got in zip(expected.items(), arrays):
         if got.shape != want.shape:
             raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
+    if not np.array_equal(arrays[0], template.w_in):
+        raise ConfigError(f"{path}: array w_in is not the identity; the input map must be")
     return with_arrays(template, dict(zip(expected, arrays)))

@@ -22,6 +22,9 @@ outputs identical to a single pass, in memory that does not grow with the
 stream. Batch mode is a call without a state: it starts from
 ``fresh_state``, whose zeros add exact zeros, and only it may record a tape
 of its intermediates. A conv step is one product over its stacked taps.
+Forward products go through ``matmul``: under numpy 2.4.6, ``@`` on 2-D
+operands costs 0.3-1.5 us more dispatch than ``np.dot``'s same BLAS call,
+about ten times per pushed frame.
 Up-projections are zero-initialized, so a freshly initialized adapter is
 exactly the identity.
 
@@ -234,13 +237,18 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     """Stable logistic: 1 / (1 + e) for x >= 0 and e / (1 + e) below, e = exp(-|x|)."""
     x = np.asarray(x, dtype=float)
     ex = np.exp(-np.abs(x))
-    den = 1.0 + ex
-    return np.divide(ex, den, out=np.reciprocal(den, out=np.empty(x.shape)), where=x < 0)
+    return np.where(x < 0, ex, 1.0) / (1.0 + ex)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``, byte for byte: ``np.dot`` when neither operand is above 2-D, which
+    numpy dispatches faster; ``@`` on stacks, where ``np.dot`` is another product."""
+    return np.dot(a, b) if a.ndim <= 2 and b.ndim <= 2 else a @ b
 
 
 def _affine(x: np.ndarray, w: np.ndarray, *terms: np.ndarray) -> np.ndarray:
     """``x @ w + terms[0] + ...``, each add in place on the fresh product."""
-    y = x @ w
+    y = matmul(x, w)
     for term in terms:
         y += term
     return y
@@ -287,7 +295,7 @@ def causal_conv(
         per_tap = w.shape[1]
     else:  # row t of the windows is xp[t : t + k] flattened; xp's strides give exactly that view
         windows = np.ndarray((*lead, n, k * d_in), xp.dtype, xp, 0, xp.strides)
-        y = windows @ w.reshape(k * d_in, w.shape[2])
+        y = matmul(windows, w.reshape(k * d_in, w.shape[2]))
         per_tap = d_in * w.shape[2]
     if _OP_COUNTER is not None:  # a tap reading s rows back reads real rows for t >= s - c
         real = sum(max(0, n - max(0, s - c)) for s in range(k))
@@ -460,16 +468,14 @@ def retention_forward(
             out[..., i : i + CHUNK, :], state = retention_forward(x[..., i : i + CHUNK, :], params, state)
         return out, state
     pos = np.arange(state.n, state.n + n)
-    qkv = x @ params.w_qkv  # q and k rotate as one [..., 2, n, d'] array: each a C-ordered [n, d'] matrix
+    qkv = matmul(x, params.w_qkv)  # q and k rotate as one [..., 2, n, d'] array: each a C-ordered [n, d'] matrix
     qk = _rotate(qkv[..., : 2 * dp].reshape(*x.shape[:-1], 2, dp).swapaxes(-3, -2), pos, cfg.theta)
     q, k, v = qk[..., 0, :, :], qk[..., 1, :, :], qkv[..., 2 * dp :]
     powers, decay = _decay(n, cfg.gamma)
-    scores = (q @ k.swapaxes(-1, -2)) * decay
-    out = scores @ v
-    out += (q * powers[1:, None]) @ state.s
-    kp = k * powers[n - 1 :: -1, None]
-    # sum_j K~_j^T V_j; on a pushed frame's [d', 1] @ [1, d'] numpy 2.4's matmul takes ~4x np.dot's time
-    s = np.dot(kp.T, v) if kp.ndim == 2 else kp.swapaxes(-1, -2) @ v
+    scores = matmul(q, k.swapaxes(-1, -2)) * decay
+    out = matmul(scores, v)
+    out += matmul(q * powers[1:, None], state.s)
+    s = matmul((k * powers[n - 1 :: -1, None]).swapaxes(-1, -2), v)  # sum_j K~_j^T V_j
     s += powers[n] * state.s
     # the summary's read-out and update are 2 n d'^2; scaling by gamma is not a MAC
     _count(math.prod(x.shape[:-2]) * (3 * n * x.shape[-1] * dp + 2 * n * n * dp + 2 * n * dp * dp))

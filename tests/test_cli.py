@@ -243,7 +243,8 @@ class TestTrainScoreEval:
         (lambda arrays, i: arrays + [arrays[-1]], "holds {n_more} arrays, its config needs {n}"),
         (lambda arrays, i: arrays[:i] + [np.zeros((3, 3))] + arrays[i + 1 :],
          "blocks.0.w_down has shape (3, 3), its config needs (8, 8)"),
-    ], ids=["one_too_few", "one_too_many", "wrong_shape"])
+        (lambda arrays, i: [2.0 * arrays[0]] + arrays[1:], "array w_in is not the identity"),
+    ], ids=["one_too_few", "one_too_many", "wrong_shape", "w_in_not_identity"])
     def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -527,6 +528,20 @@ class TestTrainScoreEval:
         assert f"error: {name} must be finite" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--steps", "-1", "steps must be >= 0, got -1"),
+        ("--batch", "-1", "batch_size must be >= 1, got -1"),
+        ("--batch", "0", "batch_size must be >= 1, got 0"),
+    ])
+    def test_bad_count_flag_exit_config(self, pipeline, tmp_path, capsys, flag, value, message):
+        corpus, _, _ = pipeline
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(corpus), "--out", str(out), flag, value]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_annotation_longer_than_its_stream_exit_schema(self, pipeline, tmp_path, capsys):
         corpus, _, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
@@ -563,7 +578,8 @@ class TestTrainScoreEval:
     @pytest.mark.parametrize("edit, message", [
         (lambda config: config["adapter"].update(heads=2), "unexpected keyword argument 'heads'"),
         (lambda config: config.pop("tau_sim"), "has no 'tau_sim' key"),
-    ], ids=["unknown_adapter_key", "missing_model_key"])
+        (lambda config: config.update(d_in=4), "input width 4 must equal model width 8"),
+    ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")

@@ -597,6 +597,28 @@ class TestRewrittenPrimitives:
         assert got[0] == got[1] == 0.5 and got[-3] == 1.0 and got[-2] == 0.0
         assert kernels.sigmoid(np.float64(-2.0)) == oracles.where_sigmoid(np.float64(-2.0))
 
+    @pytest.mark.parametrize("d", [16, 64, 128, 192, 256, 512])
+    def test_matmul_is_matmul_bitwise_on_a_frame(self, d):
+        rng = np.random.default_rng(d)
+        x = rng.normal(size=(1, d))
+        for n in (16, 64, 128, 192, 256, 512):
+            w = rng.normal(size=(d, n))
+            assert kernels.matmul(x, w).tobytes() == (x @ w).tobytes()
+
+    def test_matmul_is_matmul_bitwise_on_views_vectors_and_stacks(self):
+        rng = np.random.default_rng(86)
+        # the conv's overlapping window view: its row stride is shorter than its row
+        xp = rng.normal(size=(9, 16))
+        windows = np.ndarray((7, 3 * 16), xp.dtype, xp, 0, xp.strides)
+        pairs = [(windows, rng.normal(size=(48, 16))),
+                 (rng.normal(size=(16, 1)), rng.normal(size=(1, 16))),  # a pushed frame's K^T V
+                 (rng.normal(size=3)[1:], rng.normal(size=2)),
+                 (rng.normal(size=(2, 1, 16)), rng.normal(size=(16, 3))),
+                 (rng.normal(size=(4, 30, 16)), rng.normal(size=(16, 48)))]
+        for a, b in pairs:
+            got = kernels.matmul(a, b)
+            assert got.shape == (a @ b).shape and got.tobytes() == (a @ b).tobytes()
+
     def test_gelu_bitwise_and_tape_is_erf(self):
         x = np.concatenate([np.random.default_rng(85).normal(size=60) * 4,
                             [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]]).reshape(6, 11)

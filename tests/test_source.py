@@ -81,6 +81,20 @@ def test_kernels_does_no_file_io():
 
 
 
+def test_np_dot_only_in_the_product_helper():
+    # kernels.matmul picks np.dot where it equals @; elsewhere np.dot on a stack is another product
+    dots = {name: [node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and ast.unparse(node) in ("np.dot", "numpy.dot")]
+            for name, tree in _trees()}
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    (helper,) = [func for func in tree.body if isinstance(func, ast.FunctionDef) and func.name == "matmul"]
+    inside = range(helper.lineno, helper.end_lineno + 1)
+    assert any(line in inside for line in dots["kernels.py"])
+    outside = [f"{name}:{line}" for name, lines in dots.items() for line in lines
+               if name != "kernels.py" or line not in inside]
+    assert outside == []
+
+
 def test_every_traced_metric_has_its_function():
     # the benchmark's tracer finds each per-layer metric's function by name;
     # a renamed or deleted one silently drops its metric from the traced run
