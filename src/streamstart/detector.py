@@ -68,8 +68,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Frozen identity input map (``w_in``, kept for the checkpoint) + block stack; adapters are
-    the only trainable parts."""
+    """Frozen identity input map + block stack; adapters are the only trainable parts."""
 
     config: ModelConfig
     w_in: np.ndarray
@@ -108,8 +107,7 @@ class LossBreakdown:
 
 
 def build_model(config: ModelConfig) -> DetectorModel:
-    """Seeded construction: the identity input map with a zero bias, then the blocks, each
-    with its adapter's and its frozen sublayers' seeds drawn from ``config.seed``."""
+    """Seeded construction: the identity input map with a zero bias, then the seeded blocks."""
     rng = np.random.default_rng(config.seed)
     w_in, b_in = np.eye(config.d), np.zeros(config.d)
     blocks = []
@@ -133,7 +131,7 @@ def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list |
     for a fresh start) advance in place; ``tapes`` (one dict per block) record a fresh start."""
     if frames.shape[-1] != model.config.d:  # b_in would broadcast a one-wide frame
         raise ConfigError(f"frames must be [..., n, d_in={model.config.d}], got shape {frames.shape}")
-    x = frames + model.b_in
+    x = frames + model.b_in[None]  # [1, d]: on a pushed [1, d] frame numpy takes its faster same-rank add
     for i, (adapter, block) in enumerate(model.blocks):
         x, states[i] = kernels.block_forward(x, adapter, block, states[i], None if tapes is None else tapes[i])
     return x

@@ -23,8 +23,8 @@ stream. Batch mode is a call without a state: it starts from
 ``fresh_state``, whose zeros add exact zeros, and only it may record a tape
 of its intermediates. A conv step is one product over its stacked taps.
 Forward products go through ``matmul``: under numpy 2.4.6, ``@`` on 2-D
-operands costs 0.3-1.5 us more dispatch than ``np.dot``'s same BLAS call,
-about ten times per pushed frame.
+operands took 0.3-1.5 us more dispatch than ``np.dot``'s same BLAS call
+(2-vCPU Xeon VM), and a pushed frame makes about ten such products.
 Up-projections are zero-initialized, so a freshly initialized adapter is
 exactly the identity.
 
@@ -247,10 +247,11 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _affine(x: np.ndarray, w: np.ndarray, *terms: np.ndarray) -> np.ndarray:
-    """``x @ w + terms[0] + ...``, each add in place on the fresh product."""
+    """``x @ w + terms[0] + ...``, each add in place on the fresh product; a 1-D bias is added
+    as ``[1, n]``, since numpy takes a faster path when both operands have one rank."""
     y = matmul(x, w)
     for term in terms:
-        y += term
+        y += term[None] if term.ndim == 1 else term
     return y
 
 
@@ -301,7 +302,7 @@ def causal_conv(
         real = sum(max(0, n - max(0, s - c)) for s in range(k))
         _count(math.prod(lead) * real * per_tap)
     if bias is not None:
-        y += bias
+        y += bias[None]
     return y
 
 
@@ -548,15 +549,12 @@ def adapter_forward(
     if x.ndim < 2 or x.shape[-1] != cfg.d:
         raise ConfigError(f"input must be [..., n, d] with d={cfg.d}, got shape {x.shape}")
     _check_state(cfg, state)
-    frames = math.prod(x.shape[:-1])
 
     down = _affine(x, params.w_down, params.b_down)
-    _count(frames * cfg.d * cfg.d_prime)
 
     new_state = state
     if cfg.kind == "vanilla":
         core = gelu(down, tape, "down_erf")
-        _count(frames * cfg.d_prime)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
         core = causal_conv(down, params.w_s, context=state.buffer)
         new_state = ConvState(buffer=_carry(state.buffer, down))
@@ -566,7 +564,8 @@ def adapter_forward(
         core, new_state = retention_forward(down, params, state, tape)
 
     y = _affine(core, params.w_up, x, params.b_up)
-    _count(frames * cfg.d_prime * cfg.d)
+    if _OP_COUNTER is not None:  # down and up, plus vanilla's pointwise layer, as the formula sheet counts
+        _count(math.prod(x.shape[:-1]) * cfg.d_prime * (2 * cfg.d + (cfg.kind == "vanilla")))
     if tape is not None:
         tape.update(x=x, down=down, core=core)
     return y, new_state
@@ -651,9 +650,9 @@ def block_forward(
     out = _affine(gelu(h1_pre, tape, "h1_erf"), block_params.w2, block_params.b2, v)
     if tape is not None:
         tape["h1_pre"] = h1_pre
-    frames = math.prod(x.shape[:-1])
-    d, d_mlp = block_params.w1.shape
-    _count(frames * d * d + 2 * frames * d * d_mlp)
+    if _OP_COUNTER is not None:
+        d, d_mlp = block_params.w1.shape
+        _count(math.prod(x.shape[:-1]) * (d * d + 2 * d * d_mlp))
     return out, new_state
 
 
