@@ -62,6 +62,13 @@ class EventAnnotation:
             raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
         if not self.query:
             raise ConfigError("query must be non-empty")
+        # ids reach file names: <video_uid>.f32 and <video_uid>__<annotator_uid>-<ann_idx>.csv
+        if self.video_uid in ("", ".", "..") or any(c in self.video_uid for c in ("__", "/", "\\")):
+            raise ConfigError(f"video_uid {self.video_uid!r} cannot name a file: it must not be empty, "
+                              "'.' or '..', nor contain '__', '/' or '\\'")
+        if any(c in self.annotator_uid for c in ("/", "\\")):
+            raise ConfigError(f"annotator_uid {self.annotator_uid!r} cannot name a file: "
+                              "it must not contain '/' or '\\'")
         if self.ann_idx < 0:
             raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
         for name in ("video_fps", "video_length"):
@@ -471,10 +478,13 @@ def load_stream(
     sidecar_path = path.with_suffix(path.suffix + ".json")
     try:
         sidecar = json.loads(read(sidecar_path).decode("utf-8"))
-        n, dim = int(sidecar["n_frames"]), int(sidecar["dim"])
+        n, dim = sidecar["n_frames"], sidecar["dim"]
     except (ValueError, KeyError, TypeError) as err:
         raise SchemaError(f"sidecar {sidecar_path} is not JSON with integer n_frames and dim "
                           f"({type(err).__name__}: {err})") from None
+    if not all(type(v) is int and v >= 1 for v in (n, dim)):  # a bool is no count
+        raise SchemaError(f"sidecar {sidecar_path} needs integers n_frames and dim of at least 1, "
+                          f"got {n!r} and {dim!r}")
     fps = sidecar.get("fps")
     if type(fps) not in (int, float) or not 0 < fps < math.inf:
         raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")

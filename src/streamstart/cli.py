@@ -282,10 +282,10 @@ def cmd_score(args) -> int:
     anns, streams = _load_corpus(data_dir, args.split, read)
     if not anns:
         raise ConfigError(f"no {args.split}-split annotations in {data_dir}")
-    d_in = model.config.d_in
+    d = model.config.d
     for uid, (frames, _, _) in streams.items():
-        if frames.shape[1] != d_in:
-            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, the checkpoint takes d_in={d_in}")
+        if frames.shape[1] != d:
+            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, the checkpoint takes d_in={d}")
     # score every stream once before writing any series, so a failure leaves no
     # partial output; streams of one length share score_streams calls
     by_length: dict[int, list[str]] = {}

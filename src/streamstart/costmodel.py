@@ -211,7 +211,6 @@ def default_reduced_dim(kind: str, d: int, k: int = 2) -> int:
 
 # -- latency harness -----------------------------------------------------------
 
-_BENCH_ACTIVE = False
 # rounds of probe pushes per repetition; each round pushes once at every position
 _PROBE_ROUNDS = 50
 
@@ -237,8 +236,10 @@ def bench_latency(
     """Per-frame streaming wall times plus the sliding-window comparator.
 
     Streams `n_frames` seeded random frames through the model `repetitions`
-    times, excluding the first `warmup` frames from the summary statistics,
-    then re-scores the last `window` frames per arrival on the same weights.
+    times, excluding the first `warmup` frames from the summary statistics.
+    Right after each streaming pass, a sliding pass re-scores the last
+    `window` frames per arrival on the same weights, so that a change of CPU
+    speed during the run hits both sides of the comparison alike.
 
     For the cost at a stream position, the first pass keeps a copy of the
     scorer, with its own list of states, at positions 10, 100, 1000, ...
@@ -247,81 +248,72 @@ def bench_latency(
     during the run hits every position alike; ``probe_times`` holds them
     by position.
 
-    Benchmarks are single-worker and must not run concurrently in-process.
+    Benchmarks are single-worker: run them one at a time.
     """
-    global _BENCH_ACTIVE
-    if _BENCH_ACTIVE:
-        raise ConfigError("a benchmark is already running in this process")
     if n_frames <= warmup:
         raise ConfigError(f"need n_frames > warmup, got {n_frames} <= {warmup}")
     if repetitions < 1:
         raise ConfigError(f"need repetitions >= 1, got {repetitions}")
-    _BENCH_ACTIVE = True
-    try:
-        rng = np.random.default_rng(seed)
-        frames = rng.normal(size=(n_frames, model.config.d_in))
-        query = rng.normal(size=model.config.d)
-        positions = _probe_positions(n_frames)
+    rng = np.random.default_rng(seed)
+    frames = rng.normal(size=(n_frames, model.config.d))
+    query = rng.normal(size=model.config.d)
+    positions = _probe_positions(n_frames)
 
-        runs = []
-        snapshots = {}
-        for _ in range(repetitions):
-            scorer = StreamingScorer(model, query)
-            times = np.empty(n_frames)
-            for i in range(n_frames):
-                if not runs and i in positions:
-                    snapshots[i] = _copy_scorer(scorer)
-                t0 = time.perf_counter_ns()
-                scorer.push(frames[i])
-                times[i] = (time.perf_counter_ns() - t0) / 1e9
-            runs.append(times)
-
-        probe_times: dict[int, list[float]] = {p: [] for p in positions}
-        for _ in range(repetitions * _PROBE_ROUNDS):
-            for p in positions:
-                probe = _copy_scorer(snapshots[p])
-                t0 = time.perf_counter_ns()
-                probe.push(frames[p])
-                probe_times[p].append((time.perf_counter_ns() - t0) / 1e9)
-
-        timed = np.concatenate([r[warmup:] for r in runs])
+    runs = []
+    sliding_totals = []
+    snapshots = {}
+    for _ in range(repetitions):
+        scorer = StreamingScorer(model, query)
+        times = np.empty(n_frames)
+        for i in range(n_frames):
+            if not runs and i in positions:
+                snapshots[i] = _copy_scorer(scorer)
+            t0 = time.perf_counter_ns()
+            scorer.push(frames[i])
+            times[i] = (time.perf_counter_ns() - t0) / 1e9
+        runs.append(times)
 
         # sliding-window baseline: every arrival re-runs the single-frame model
         # over the last `window` frames from a fresh state, so each arrival
         # costs `window` frame passes instead of one state update
-        sliding_totals = []
-        for _ in range(repetitions):
-            t0 = time.perf_counter_ns()
-            for i in range(warmup, n_frames):
-                lo = max(0, i - window + 1)
-                comparator = StreamingScorer(model, query)
-                for j in range(lo, i + 1):
-                    comparator.push(frames[j])
-            sliding_totals.append((time.perf_counter_ns() - t0) / 1e9)
+        t0 = time.perf_counter_ns()
+        for i in range(warmup, n_frames):
+            lo = max(0, i - window + 1)
+            comparator = StreamingScorer(model, query)
+            for j in range(lo, i + 1):
+                comparator.push(frames[j])
+        sliding_totals.append((time.perf_counter_ns() - t0) / 1e9)
 
-        streaming_totals = [float(r[warmup:].sum()) for r in runs]
-        return {
-            "n_frames": n_frames,
-            "repetitions": repetitions,
-            "warmup": warmup,
-            "window": window,
-            "streaming": {
-                "mean": float(np.mean(timed)),
-                "p50": float(np.percentile(timed, 50)),
-                "p99": float(np.percentile(timed, 99)),
-                "total": float(np.mean(streaming_totals)),
-                "totals": streaming_totals,
-            },
-            "sliding": {
-                "total": float(np.mean(sliding_totals)),
-                "totals": sliding_totals,
-                "mean": float(np.mean(sliding_totals) / (n_frames - warmup)),
-            },
-            "frame_times": [r.tolist() for r in runs],
-            "probe_times": probe_times,
-        }
-    finally:
-        _BENCH_ACTIVE = False
+    probe_times: dict[int, list[float]] = {p: [] for p in positions}
+    for _ in range(repetitions * _PROBE_ROUNDS):
+        for p in positions:
+            probe = _copy_scorer(snapshots[p])
+            t0 = time.perf_counter_ns()
+            probe.push(frames[p])
+            probe_times[p].append((time.perf_counter_ns() - t0) / 1e9)
+
+    timed = np.concatenate([r[warmup:] for r in runs])
+    streaming_totals = [float(r[warmup:].sum()) for r in runs]
+    return {
+        "n_frames": n_frames,
+        "repetitions": repetitions,
+        "warmup": warmup,
+        "window": window,
+        "streaming": {
+            "mean": float(np.mean(timed)),
+            "p50": float(np.percentile(timed, 50)),
+            "p99": float(np.percentile(timed, 99)),
+            "total": float(np.mean(streaming_totals)),
+            "totals": streaming_totals,
+        },
+        "sliding": {
+            "total": float(np.mean(sliding_totals)),
+            "totals": sliding_totals,
+            "mean": float(np.mean(sliding_totals) / (n_frames - warmup)),
+        },
+        "frame_times": [r.tolist() for r in runs],
+        "probe_times": probe_times,
+    }
 
 
 def _copy_scorer(scorer: StreamingScorer) -> StreamingScorer:

@@ -1,12 +1,10 @@
 """Trainable scoring head and desk-scale trainer.
 
-A detector is a frozen input map followed by a stack of blocks whose only
-trainable parameters are the temporal adapters. The input map is the
-identity plus a frozen bias: frames come in at the model width
-(``d_in == d``), and the stack starts from ``frames + b_in`` with no
-product. Frames are scored by the cosine similarity between the stack
-output and the query embedding, pushed through a temperature-scaled
-sigmoid. Training minimizes a positive-weighted binary cross-entropy over
+A detector is a stack of blocks whose only trainable parameters are the
+temporal adapters. Frames come in at the model width ``d`` and enter the
+first block as they are. Frames are scored by the cosine similarity
+between the stack output and the query embedding, pushed through a
+temperature-scaled sigmoid. Training minimizes a positive-weighted binary cross-entropy over
 dense window labels with hand-derived reverse-mode gradients; inference
 keeps one score per arriving frame at constant cost. A checkpoint file
 holds every array of a model under the names ``named_arrays`` gives it.
@@ -43,7 +41,7 @@ ZERO_NORM_COUNT = 0
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Model shape. ``d_in`` must equal ``d``: the input map is the identity."""
+    """Model shape. ``d_in`` must equal ``d``: frames enter the first block as they are."""
 
     d_in: int
     d: int
@@ -68,11 +66,9 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class DetectorModel:
-    """Frozen identity input map + block stack; adapters are the only trainable parts."""
+    """Block stack; adapters are the only trainable parts."""
 
     config: ModelConfig
-    w_in: np.ndarray
-    b_in: np.ndarray
     blocks: list[tuple[AdapterParams, BlockParams]]
 
 
@@ -107,9 +103,8 @@ class LossBreakdown:
 
 
 def build_model(config: ModelConfig) -> DetectorModel:
-    """Seeded construction: the identity input map with a zero bias, then the seeded blocks."""
+    """Seeded construction of the blocks."""
     rng = np.random.default_rng(config.seed)
-    w_in, b_in = np.eye(config.d), np.zeros(config.d)
     blocks = []
     for _ in range(config.n_blocks):
         adapter_seed = int(rng.integers(0, 2**31 - 1))
@@ -120,18 +115,17 @@ def build_model(config: ModelConfig) -> DetectorModel:
                 kernels.make_block_params(config.d, config.d_mlp, block_seed),
             )
         )
-    return DetectorModel(config=config, w_in=w_in, b_in=b_in, blocks=blocks)
+    return DetectorModel(config=config, blocks=blocks)
 
 
 # -- forward ------------------------------------------------------------------
 
 
 def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list | None = None) -> np.ndarray:
-    """Stack output ``[..., n, d]`` of frames ``[..., n, d_in]``. ``states`` (one per block, None
+    """Stack output ``[..., n, d]`` of frames ``[..., n, d]``, which the first block reads and
+    no block writes; the first adapter rejects another width. ``states`` (one per block, None
     for a fresh start) advance in place; ``tapes`` (one dict per block) record a fresh start."""
-    if frames.shape[-1] != model.config.d:  # b_in would broadcast a one-wide frame
-        raise ConfigError(f"frames must be [..., n, d_in={model.config.d}], got shape {frames.shape}")
-    x = frames + model.b_in[None]  # [1, d]: on a pushed [1, d] frame numpy takes its faster same-rank add
+    x = frames
     for i, (adapter, block) in enumerate(model.blocks):
         x, states[i] = kernels.block_forward(x, adapter, block, states[i], None if tapes is None else tapes[i])
     return x
@@ -157,13 +151,13 @@ def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict
 
 
 def score_streams(model: DetectorModel, embeddings: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Scores ``[S, T]`` of S streams ``[S, T, d_in]`` of one length, each against its query ``[S, d]``:
+    """Scores ``[S, T]`` of S streams ``[S, T, d]`` of one length, each against its query ``[S, d]``:
     p_i = sigmoid(cos(stack(e)_i, query) / tau_sim). All S streams go through the model together, in
     chunks of ``kernels.CHUNK`` frames with their states stacked over S, in memory that does not grow
     with T. Streams are independent, so row s equals the scores of stream s alone."""
     embeddings, queries = np.asarray(embeddings, dtype=float), np.asarray(queries, dtype=float)
     if embeddings.ndim != 3 or queries.shape != (len(embeddings), model.config.d):
-        raise ConfigError(f"need streams [S, T, d_in] and queries [S, d={model.config.d}], "
+        raise ConfigError(f"need streams [S, T, d] and queries [S, d={model.config.d}], "
                           f"got shapes {embeddings.shape} and {queries.shape}")
     n_streams, n = embeddings.shape[:2]
     states = [kernels.fresh_state(adapter.config, (n_streams,)) for adapter, _ in model.blocks]
@@ -182,7 +176,7 @@ def score_frames(
     query_id: str = "",
     fps: float = 1.0,
 ) -> ScoreSeries:
-    """Scores of one stream ``[T, d_in]`` against its query ``[d]``: ``score_streams`` of it alone."""
+    """Scores of one stream ``[T, d]`` against its query ``[d]``: ``score_streams`` of it alone."""
     p = score_streams(model, np.asarray(embeddings, dtype=float)[None], np.asarray(query, dtype=float)[None])[0]
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=p)
 
@@ -236,13 +230,13 @@ def _score_head_backward(dz: np.ndarray, cache: dict, tau: float) -> np.ndarray:
 
 
 def _windows(model: DetectorModel, embeddings, labels, queries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The windows ``[B, T, d_in]``, labels ``[B, T]`` and queries ``[B, d]`` as float arrays, B >= 1;
+    """The windows ``[B, T, d]``, labels ``[B, T]`` and queries ``[B, d]`` as float arrays, B >= 1;
     shapes that do not fit each other or the model raise ConfigError."""
     embeddings, labels, queries = (np.asarray(a, dtype=float) for a in (embeddings, labels, queries))
     cfg = model.config
-    if (embeddings.ndim != 3 or not len(embeddings) or embeddings.shape[2] != cfg.d_in
+    if (embeddings.ndim != 3 or not len(embeddings) or embeddings.shape[2] != cfg.d
             or labels.shape != embeddings.shape[:2] or queries.shape != (len(embeddings), cfg.d)):
-        raise ConfigError(f"need windows [B >= 1, T, d_in={cfg.d_in}], labels [B, T] and queries [B, d={cfg.d}], "
+        raise ConfigError(f"need windows [B >= 1, T, d={cfg.d}], labels [B, T] and queries [B, d={cfg.d}], "
                           f"got shapes {embeddings.shape}, {labels.shape} and {queries.shape}")
     return embeddings, labels, queries
 
@@ -253,10 +247,10 @@ def backward(
 ) -> tuple[dict[str, np.ndarray], LossBreakdown]:
     """Loss over a batch and gradients for every trainable parameter.
 
-    The batch is B windows ``embeddings [B, T, d_in]`` with dense labels
+    The batch is B windows ``embeddings [B, T, d]`` with dense labels
     ``[B, T]`` and each window's query ``[B, d]``, run forward and backward
     as one ``[B, T, d]`` tensor; shapes that do not fit raise ConfigError.
-    Frozen parameters (input map, block sublayers) receive no gradient
+    Frozen parameters (the block sublayers) receive no gradient
     entries. The positive weight is computed over all frames of the batch.
     Raises NumericError naming the parameter if any gradient is non-finite.
     """
@@ -384,10 +378,10 @@ def infer_streaming(
 
 
 def named_arrays(model: DetectorModel, frozen: bool = True) -> dict[str, np.ndarray]:
-    """Every array of the model by name, in checkpoint order: ``w_in``, ``b_in``, then
-    ``blocks.{i}.{name}``, each block's adapter before its frozen sublayers. With
-    ``frozen=False``, only the trainable adapter arrays, named as ``backward`` names their gradients."""
-    named = {"w_in": model.w_in, "b_in": model.b_in} if frozen else {}
+    """Every array of the model by name, in checkpoint order: ``blocks.{i}.{name}``, each
+    block's adapter before its frozen sublayers. With ``frozen=False``, only the trainable
+    adapter arrays, named as ``backward`` names their gradients."""
+    named = {}
     for i, (adapter, block) in enumerate(model.blocks):
         for params in (adapter, block) if frozen else (adapter,):
             named.update((f"blocks.{i}.{name}", arr) for name, arr in params.arrays().items())
@@ -404,7 +398,7 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
 
     blocks = [(swap(adapter, f"blocks.{i}."), swap(block, f"blocks.{i}."))
               for i, (adapter, block) in enumerate(model.blocks)]
-    return replace(model, w_in=named.get("w_in", model.w_in), b_in=named.get("b_in", model.b_in), blocks=blocks)
+    return replace(model, blocks=blocks)
 
 
 # Single binary file: magic "SDQK", u32 version, u32 config-JSON length,
@@ -412,7 +406,7 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
 # and the little-endian float32 payload. Layout details in docs/formats.md.
 
 MAGIC = b"SDQK"
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
@@ -479,9 +473,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
-    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key,
-    an array count or shape that does not fit its config, or a ``w_in`` other than the
-    identity raises ConfigError."""
+    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key, or
+    an array count or shape that does not fit its config, raises ConfigError."""
     raw_config, arrays = read_checkpoint(path, read)
     try:
         config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
@@ -497,6 +490,4 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
     for (name, want), got in zip(expected.items(), arrays):
         if got.shape != want.shape:
             raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
-    if not np.array_equal(arrays[0], template.w_in):
-        raise ConfigError(f"{path}: array w_in is not the identity; the input map must be")
     return with_arrays(template, dict(zip(expected, arrays)))

@@ -62,6 +62,21 @@ class TestParse:
         with pytest.raises(RowError, match="row 1: .* must be finite and positive"):
             ann.parse_annotations(make_csv(row(**bad)))
 
+    @pytest.mark.parametrize("bad", [
+        {"video_uid": "a__b"}, {"video_uid": "../../escaped"}, {"video_uid": ""}, {"video_uid": "."},
+        {"video_uid": ".."}, {"video_uid": "a\\b"}, {"annotator_uid": "x/y"}, {"annotator_uid": "x\\y"},
+    ], ids=["video_dunder", "video_escape", "video_empty", "video_dot", "video_dotdot", "video_backslash",
+            "annotator_slash", "annotator_backslash"])
+    def test_id_that_cannot_name_a_file_is_row_error(self, bad):
+        # video_uid names the stream file and the score file; annotator_uid is in the score file's name
+        with pytest.raises(RowError, match="row 2: .* cannot name a file") as err:
+            ann.parse_annotations(make_csv(row(), row(**bad)))
+        assert err.value.row == 2
+
+    def test_ids_with_dots_dashes_and_single_underscores_parse(self):
+        out = ann.parse_annotations(make_csv(row(video_uid="synth-0001_a.b", annotator_uid="ann_1.x")))
+        assert out[0].video_uid == "synth-0001_a.b" and out[0].annotator_uid == "ann_1.x"
+
     def test_missing_column_names_it(self):
         text = make_csv(row()).decode().replace("video_fps", "fps")
         with pytest.raises(SchemaError, match="video_fps"):

@@ -150,6 +150,15 @@ def _documented_digest(root, rels):
     return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
+def _edit_sidecar(edit):
+    """A text-to-text sidecar damage that applies ``edit`` to the parsed sidecar dict."""
+    def damage(text):
+        sidecar = json.loads(text)
+        edit(sidecar)
+        return json.dumps(sidecar)
+    return damage
+
+
 def _run(command, corpus, run, out):
     """``command`` (train or score, on its split) over ``corpus`` into ``out``; the data digest of its manifest."""
     if command == "train":
@@ -225,7 +234,9 @@ class TestTrainScoreEval:
         (lambda raw: raw + b"\x00" * 8, "trailing bytes"),
         (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "config is not UTF-8 JSON"),
         (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 1; this build reads version 2"),
+         "is checkpoint version 1; this build reads version 3"),
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
+         "is checkpoint version 2; this build reads version 3"),
     ])
     def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
         corpus, run, _ = pipeline
@@ -243,8 +254,7 @@ class TestTrainScoreEval:
         (lambda arrays, i: arrays + [arrays[-1]], "holds {n_more} arrays, its config needs {n}"),
         (lambda arrays, i: arrays[:i] + [np.zeros((3, 3))] + arrays[i + 1 :],
          "blocks.0.w_down has shape (3, 3), its config needs (8, 8)"),
-        (lambda arrays, i: [2.0 * arrays[0]] + arrays[1:], "array w_in is not the identity"),
-    ], ids=["one_too_few", "one_too_many", "wrong_shape", "w_in_not_identity"])
+    ], ids=["one_too_few", "one_too_many", "wrong_shape"])
     def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -421,7 +431,14 @@ class TestTrainScoreEval:
          "finite positive number fps, got None"),
         (lambda text: json.dumps({**json.loads(text), "fps": 0}), "finite positive number fps, got 0"),
         (lambda text: json.dumps({**json.loads(text), "fps": "1.0"}), "finite positive number fps, got '1.0'"),
-    ], ids=["not_json", "no_n_frames", "no_dim", "no_fps", "zero_fps", "string_fps"])
+        # negative counts whose product still matches the payload
+        (_edit_sidecar(lambda s: s.update(n_frames=-s["n_frames"], dim=-s["dim"])), "integers n_frames and dim"),
+        (_edit_sidecar(lambda s: s.update(n_frames=s["n_frames"] + 0.5)), "integers n_frames and dim"),
+        (_edit_sidecar(lambda s: s.update(n_frames=str(s["n_frames"]))), "integers n_frames and dim"),
+        (_edit_sidecar(lambda s: s.update(dim=True)), "integers n_frames and dim"),
+        (_edit_sidecar(lambda s: s.update(dim=0)), "integers n_frames and dim"),
+    ], ids=["not_json", "no_n_frames", "no_dim", "no_fps", "zero_fps", "string_fps",
+            "negative_counts", "fractional_n_frames", "string_n_frames", "bool_dim", "zero_dim"])
     def test_score_bad_sidecar_exit_schema(self, pipeline, tmp_path, capsys, sidecar, message):
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
@@ -436,6 +453,40 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert f"sidecar {bad}" in err and message in err and err.count("\n") == 1
         assert not (tmp_path / "scored").exists()
+
+    def test_score_video_uid_outside_the_corpus_exit_schema(self, pipeline, tmp_path, capsys):
+        # such an id would read streams/../../escaped.f32 and write escaped__<query>.csv beside --out
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        text = (copied / "annotations.csv").read_text()
+        last = [a for a in ann.parse_annotations(text) if a.split == "val"][-1]
+        (copied / "annotations.csv").write_text(text.replace(f",{last.video_uid},", ",../../escaped,"))
+        out = tmp_path / "deep" / "scored"
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                       "--split", "val", "--out", str(out)])
+        assert rc == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "row " in err and "video_uid '../../escaped' cannot name a file" in err and err.count("\n") == 1
+        assert not (tmp_path / "deep").exists()
+
+    def test_score_empty_stream_exit_schema(self, pipeline, tmp_path, capsys):
+        # a zero-frame stream would score to a header-only CSV that eval rejects
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
+                if a.split == "val"][-1]
+        stream = copied / "streams" / f"{last.video_uid}.f32"
+        bad = stream.with_name(stream.name + ".json")
+        bad.write_text(_edit_sidecar(lambda s: s.update(n_frames=0))(bad.read_text()))
+        stream.write_bytes(b"")
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"sidecar {bad} needs integers n_frames and dim of at least 1, got 0" in err
+        assert err.count("\n") == 1 and not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_video_with_two_query_texts_exit_schema(self, pipeline, tmp_path, capsys, split):
