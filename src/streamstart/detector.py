@@ -4,10 +4,11 @@ A detector is a stack of blocks whose only trainable parameters are the
 temporal adapters. Frames come in at the model width ``d`` and enter the
 first block as they are. Frames are scored by the cosine similarity
 between the stack output and the query embedding, pushed through a
-temperature-scaled sigmoid. Training minimizes a positive-weighted binary cross-entropy over
-dense window labels with hand-derived reverse-mode gradients; inference
-keeps one score per arriving frame at constant cost. A checkpoint file
-holds every array of a model under the names ``named_arrays`` gives it.
+temperature-scaled sigmoid. Training minimizes a positive-weighted binary
+cross-entropy over dense window labels with hand-derived reverse-mode
+gradients; inference keeps one score per arriving frame at constant cost.
+A checkpoint file holds every array of a model under the names
+``named_arrays`` gives it.
 """
 
 from __future__ import annotations
