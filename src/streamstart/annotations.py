@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError, RowError, SchemaError
-from .metrics import ToleranceWindow
+from .metrics import ToleranceWindow, check_file_ids
 
 COLUMNS = (
     "split",
@@ -63,12 +63,7 @@ class EventAnnotation:
         if not self.query:
             raise ConfigError("query must be non-empty")
         # ids reach file names: <video_uid>.f32 and <video_uid>__<annotator_uid>-<ann_idx>.csv
-        if self.video_uid in ("", ".", "..") or any(c in self.video_uid for c in ("__", "/", "\\")):
-            raise ConfigError(f"video_uid {self.video_uid!r} cannot name a file: it must not be empty, "
-                              "'.' or '..', nor contain '__', '/' or '\\'")
-        if any(c in self.annotator_uid for c in ("/", "\\")):
-            raise ConfigError(f"annotator_uid {self.annotator_uid!r} cannot name a file: "
-                              "it must not contain '/' or '\\'")
+        check_file_ids(self.video_uid, annotator_uid=self.annotator_uid)
         if self.ann_idx < 0:
             raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
         for name in ("video_fps", "video_length"):

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
 
 MODES = ("rising_edge", "every_frame")
-# Elements of the padded [b, C, T] prediction mask that one evaluation block may hold.
+# Elements that one evaluation block's padded working arrays may hold: its [b, C, T]
+# prediction mask, or the [b, T] running maximum of the first-crossing pass.
 _BLOCK = 2**18
 
 
@@ -69,11 +70,6 @@ class ScoreSeries:
                     f"got {bad} non-finite value(s)"
                 )
             raise ConfigError("scores must lie in [0, 1]")
-
-    @property
-    def span(self) -> float:
-        """Length of the covered evaluation span in seconds."""
-        return len(self.scores) / self.fps
 
 
 @dataclass(frozen=True)
@@ -176,51 +172,23 @@ def smd_at_k(preds, t_s: float, k: int, horizon: float) -> float:
     return float(np.min(np.abs(preds - t_s)))
 
 
-def _first_predictions(paired, taus: np.ndarray, mode: str, n_first: int) -> np.ndarray:
-    """``[Q, C, n_first]`` frame of each query's j-th prediction at each threshold; inf past its last.
+@dataclass(frozen=True)
+class _Queries:
+    """The evaluated queries in annotation order: each one's series, frame count, fps
+    and ground-truth start."""
 
-    Queries go in length order into blocks whose ``[b, C, T]`` mask stays
-    within ``_BLOCK`` elements; a query longer than that gets a block of its
-    own. Scores are padded with -1, below every threshold, so padding never
-    fires. Each of ``n_first`` passes takes every row's first set frame and
-    clears it.
-    """
-    lengths = np.array([len(ser.scores) for ser in paired])
-    first = np.full((len(paired), len(taus), n_first), np.inf)
-    order = np.argsort(lengths, kind="stable")
-    start = 0
-    while start < len(order):
-        # a block of b queries is padded to its last (longest) one; b grows while b * C * T fits
-        room = max(1, _BLOCK // (len(taus) * int(lengths[order[start]])))
-        ahead = lengths[order[start:start + room]]
-        fits = np.arange(1, len(ahead) + 1) * ahead * len(taus) <= _BLOCK  # True, then False
-        block = order[start:start + max(1, int(np.count_nonzero(fits)))]
-        start += len(block)
-        t = lengths[block[-1]]
-        pad = np.full((len(block), t), -1.0)
-        for row, q in enumerate(block.tolist()):
-            scores = paired[q].scores
-            pad[row, :len(scores)] = scores
-        mask = _prediction_mask(pad, taus, mode).reshape(-1, t)
-        rows = np.arange(len(mask))
-        found = np.empty((len(mask), n_first))
-        for j in range(n_first):
-            frame = mask.argmax(axis=1)
-            found[:, j] = np.where(mask[rows, frame], frame, np.inf)
-            mask[rows, frame] = False
-        first[block] = found.reshape(len(block), len(taus), n_first)
-    return first
+    series: list[ScoreSeries]
+    lengths: np.ndarray
+    fps: np.ndarray
+    starts: np.ndarray
 
 
-def _reports(series, annotations, ks, w, mode, thresholds, query_id) -> list[MetricReport]:
-    """One report per threshold, from a single pass over the queries.
+def _pair(series, annotations, query_id, thresholds, mode: str, ks) -> _Queries:
+    """Pair every annotation with its series and validate the evaluation.
 
-    The first ``max(ks)`` prediction frames of every query at all C
-    thresholds come from ``_first_predictions``, which evaluates the queries
-    in length-sorted blocks of bounded working memory. From them, SR@k is a
-    cumulative any of hits and SMD@k a cumulative min of distances. Each
-    (threshold, k) column is averaged on its own in query order, as a single
-    evaluation is.
+    A missing ``(video_uid, query_id)`` raises IdMismatchError listing them
+    all; then no annotations, a bad threshold, mode or k, and a series
+    without frames raise ConfigError, in that order.
     """
     by_key = {(s.video_uid, s.query_id): s for s in series}
     keys = [(a.video_uid, query_id(a)) for a in annotations]
@@ -231,26 +199,116 @@ def _reports(series, annotations, ks, w, mode, thresholds, query_id) -> list[Met
         raise ConfigError("no annotations to evaluate")
     _check_evaluation(thresholds, mode, ks)
     paired = [by_key[key] for key in keys]
-    for ser in paired:
-        if not ser.scores.size:
-            raise ConfigError(f"score series ({ser.video_uid}, {ser.query_id}) has no frames")
-    first = _first_predictions(paired, np.array(thresholds, dtype=float), mode, max(ks, default=0))
-    t_s = np.array([a.start_sec for a in annotations])[:, None, None]
-    times = first / np.array([ser.fps for ser in paired])[:, None, None]
+    lengths = np.fromiter((s.scores.size for s in paired), dtype=np.intp, count=len(paired))
+    if not lengths.all():
+        ser = paired[int(np.argmin(lengths))]
+        raise ConfigError(f"score series ({ser.video_uid}, {ser.query_id}) has no frames")
+    return _Queries(
+        series=paired, lengths=lengths,
+        fps=np.fromiter((s.fps for s in paired), dtype=float, count=len(paired)),
+        starts=np.fromiter((a.start_sec for a in annotations), dtype=float, count=len(paired)),
+    )
+
+
+def _blocks(lengths: np.ndarray, width: int):
+    """Query indices in length order, cut into blocks whose padded ``[b, width, T]``
+    working arrays hold at most ``_BLOCK`` elements, T being the block's longest
+    length; a query longer than that gets a block of its own."""
+    order = np.argsort(lengths, kind="stable")
+    start = 0
+    while start < len(order):
+        # b grows while b * width * T fits, T being the b-th length of the sorted run
+        room = max(1, _BLOCK // (width * int(lengths[order[start]])))
+        ahead = lengths[order[start:start + room]]
+        fits = np.arange(1, len(ahead) + 1) * ahead * width <= _BLOCK  # True, then False
+        block = order[start:start + max(1, int(np.count_nonzero(fits)))]
+        start += len(block)
+        yield block
+
+
+def _stack(queries: _Queries, block: np.ndarray) -> np.ndarray:
+    """``[b, T]`` scores of a block's queries, padded with -1 to its longest, T. Padding
+    is below every threshold, so it never fires."""
+    lengths = queries.lengths[block]
+    flat = np.concatenate([queries.series[q].scores for q in block.tolist()])
+    t = int(lengths.max())
+    if flat.size == len(block) * t:
+        return flat.reshape(len(block), t)
+    pad = np.full((len(block), t), -1.0)
+    pad[np.arange(t) < lengths[:, None]] = flat  # row-major, so each row gets its own scores
+    return pad
+
+
+def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: int) -> np.ndarray:
+    """``[Q, C, n_first]`` frame of each query's j-th prediction at each threshold; inf past its last.
+
+    Each block of ``_blocks(lengths, C)`` is stacked by ``_stack`` (one
+    concatenate and reshape when its rows share a length, a masked scatter
+    into the padding otherwise) and builds its ``[b, C, T]`` prediction mask;
+    each of ``n_first`` passes takes every row's first set frame and clears it.
+    """
+    first = np.full((len(queries.series), len(taus), n_first), np.inf)
+    for block in _blocks(queries.lengths, len(taus)):
+        pad = _stack(queries, block)
+        mask = _prediction_mask(pad, taus, mode).reshape(-1, pad.shape[1])
+        rows = np.arange(len(mask))
+        found = np.empty((len(mask), n_first))
+        for j in range(n_first):
+            frame = mask.argmax(axis=1)
+            found[:, j] = np.where(mask[rows, frame], frame, np.inf)
+            mask[rows, frame] = False
+        first[block] = found.reshape(len(block), len(taus), n_first)
+    return first
+
+
+def _first_crossings(queries: _Queries, taus: np.ndarray) -> np.ndarray:
+    """``[Q, C]`` first frame whose score is at least each of the ascending thresholds
+    ``taus``; inf where the query never reaches one. In either mode that frame is the
+    query's first prediction.
+
+    It is the first frame at which the running maximum reaches the threshold.
+    So in each block of ``_blocks(lengths, 1)`` only the record frames, where
+    the running maximum rises from ``old`` to ``new``, cross anything: exactly
+    the thresholds in ``(old, new]``. Per row those ranges are consecutive and
+    start at the lowest threshold, so the records' frames, each repeated once
+    per threshold of its range, fill the row's crossed thresholds in order.
+    """
+    first = np.full((len(queries.series), len(taus)), np.inf)
+    for block in _blocks(queries.lengths, 1):
+        run = np.maximum.accumulate(_stack(queries, block), axis=1)
+        t = run.shape[1]
+        rise = np.empty(run.shape, dtype=bool)
+        rise[:, 0] = True
+        np.greater(run[:, 1:], run[:, :-1], out=rise[:, 1:])
+        at = np.flatnonzero(rise)  # records in row-major order
+        frames = at % t
+        old = np.where(frames > 0, run.ravel()[at - 1], -np.inf)
+        counts = np.searchsorted(taus, run.ravel()[at], "right") - np.searchsorted(taus, old, "right")
+        crossed = np.arange(len(taus)) < np.searchsorted(taus, run[:, -1], "right")[:, None]
+        found = np.full(crossed.shape, np.inf)
+        found[crossed] = np.repeat(frames, counts)
+        first[block] = found
+    return first
+
+
+def _report(queries: _Queries, ks, w: ToleranceWindow, mode: str, threshold: float) -> MetricReport:
+    """The report at one threshold. From each query's first ``max(ks)`` prediction
+    frames, SR@k is a cumulative any of hits and SMD@k a cumulative min of
+    distances, which falls back to the series' span; each k's column is averaged
+    in query order."""
+    first = _first_predictions(queries, np.array([threshold], dtype=float), mode, max(ks, default=0))
+    times = first[:, 0] / queries.fps[:, None]
+    t_s = queries.starts[:, None]
     cols = np.array(ks, dtype=int) - 1
-    hit = np.logical_or.accumulate(is_hit(times, t_s, w), axis=2)[..., cols]
-    dist = np.minimum.accumulate(np.abs(times - t_s), axis=2)[..., cols]
-    span = np.array([ser.span for ser in paired])[:, None, None]
-    dist = np.where(dist == np.inf, span, dist)
-    return [
-        MetricReport(
-            threshold=float(tau), window=w,
-            sr={k: float(np.mean(hit[:, c, j]) * 100.0) for j, k in enumerate(ks)},
-            smd={k: float(np.mean(dist[:, c, j])) for j, k in enumerate(ks)},
-            n_queries=len(annotations),
-        )
-        for c, tau in enumerate(thresholds)
-    ]
+    hit = np.logical_or.accumulate(is_hit(times, t_s, w), axis=1)[:, cols]
+    dist = np.minimum.accumulate(np.abs(times - t_s), axis=1)[:, cols]
+    dist = np.where(dist == np.inf, (queries.lengths / queries.fps)[:, None], dist)
+    return MetricReport(
+        threshold=float(threshold), window=w,
+        sr={k: float(np.mean(hit[:, j]) * 100.0) for j, k in enumerate(ks)},
+        smd={k: float(np.mean(dist[:, j])) for j, k in enumerate(ks)},
+        n_queries=len(queries.series),
+    )
 
 
 def evaluate_dataset(
@@ -268,7 +326,7 @@ def evaluate_dataset(
     ``(video_uid, query_id)``, and that series must have frames. The SMD
     horizon is each series' span.
     """
-    return _reports(series, annotations, ks, w, mode, [threshold], query_id)[0]
+    return _report(_pair(series, annotations, query_id, [threshold], mode, ks), ks, w, mode, threshold)
 
 
 def sweep_thresholds(
@@ -285,8 +343,16 @@ def sweep_thresholds(
 
     Candidates are ``n`` uniformly spaced values between the minimum and
     maximum observed scores; ties break toward the larger threshold. When
-    all scores are constant there is a single candidate. All candidates are
-    evaluated in one pass.
+    all scores are constant there is a single candidate. The queries are
+    paired and validated once.
+
+    Selection needs only each query's first ``objective_k`` predictions at
+    every candidate. With ``objective_k = 1`` that is the first frame whose
+    score reaches the candidate, in either mode, and one pass over the
+    scores finds it for all candidates (``_first_crossings``). A larger
+    ``objective_k`` takes the first ``objective_k`` frames of every
+    candidate's prediction mask (``_first_predictions``). The report is then
+    ``evaluate_dataset``'s at the chosen threshold alone.
     """
     if n < 2:
         raise ConfigError(f"sweep needs n >= 2 candidates, got {n}")
@@ -299,9 +365,16 @@ def sweep_thresholds(
         chunk = np.concatenate([s.scores for s in nonempty[i:i + 64]])
         lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
-    reports = _reports(series, annotations, ks, w, mode, candidates, query_id)
-    best = max(range(len(candidates)), key=lambda c: (reports[c].sr[objective_k], c))
-    return candidates[best], reports[best]
+    queries = _pair(series, annotations, query_id, candidates, mode, ks)
+    taus = np.array(candidates, dtype=float)  # np.linspace's grid ascends
+    if objective_k == 1:
+        first = _first_crossings(queries, taus)[:, :, None]
+    else:
+        first = _first_predictions(queries, taus, mode, objective_k)
+    hit = is_hit(first / queries.fps[:, None, None], queries.starts[:, None, None], w).any(axis=2)
+    sr = [float(np.mean(hit[:, c]) * 100.0) for c in range(len(candidates))]
+    best = max(range(len(candidates)), key=lambda c: (sr[c], c))
+    return candidates[best], _report(queries, ks, w, mode, candidates[best])
 
 
 # -- score-series files -------------------------------------------------------
@@ -310,6 +383,20 @@ def sweep_thresholds(
 # in a directory as `<video_uid>__<query_id>.csv`.
 
 _SCORE_HEADER = ["frame_idx", "t_sec", "score"]
+
+
+def check_file_ids(video_uid: str, **parts: str) -> None:
+    """Raise ConfigError unless the ids can name files: a stream ``<video_uid>.f32`` and
+    a score file ``<video_uid>__<query_id>.csv``, which ``load_score_series_dir`` splits
+    at its first ``__``. So ``video_uid`` must not be empty, ``.`` or ``..``, nor contain
+    ``__``, ``/`` or ``\\``, and no keyword part (a ``query_id``, or the
+    ``annotator_uid`` it starts with) may contain ``/`` or ``\\``."""
+    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("__", "/", "\\")):
+        raise ConfigError(f"video_uid {video_uid!r} cannot name a file: it must not be empty, "
+                          "'.' or '..', nor contain '__', '/' or '\\'")
+    for name, value in parts.items():
+        if any(c in value for c in ("/", "\\")):
+            raise ConfigError(f"{name} {value!r} cannot name a file: it must not contain '/' or '\\'")
 
 
 def score_series_to_csv(series: ScoreSeries) -> str:
@@ -324,7 +411,8 @@ def score_series_to_csv(series: ScoreSeries) -> str:
 def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeries:
     """The series of a score CSV. A row without three fields, a t_sec or score that is
     not a number, or a second t_sec whose step from the first is not the reciprocal of a
-    finite positive fps raises SchemaError naming its line."""
+    finite positive fps raises SchemaError naming its line. The fps is the one the writer
+    used when the rows pin it down (``_written_fps``)."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != _SCORE_HEADER:
@@ -345,10 +433,27 @@ def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeri
             if not (math.isfinite(fps) and fps > 0):
                 raise SchemaError(f"line {reader.line_num}: t_sec {times[1]!r} must exceed the first row's "
                                   f"{times[0]!r} by a step whose reciprocal, the fps, is finite")
+    if len(times) > 1:
+        fps = _written_fps(np.array(times), fps)
     return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=np.array(scores))
 
 
+def _written_fps(times: np.ndarray, fps: float) -> float:
+    """The fps among ``fps`` (1 / the first step) and its two float neighbours for which
+    the writer's ``i / fps`` gives every row's t_sec, tried in that order; ``fps`` itself
+    when none does. The reciprocal of a rounded step is often an ulp off the fps written."""
+    rows = np.arange(len(times))
+    for candidate in (fps, math.nextafter(fps, 0.0), math.nextafter(fps, math.inf)):
+        if np.array_equal(rows / candidate, times):
+            return candidate
+    return fps
+
+
 def save_score_series(directory: str | Path, series: ScoreSeries) -> Path:
+    """Write the series' score CSV into ``directory`` as ``<video_uid>__<query_id>.csv``.
+    Ids that cannot name that file, or would load back as another pair, raise
+    ConfigError (``check_file_ids``)."""
+    check_file_ids(series.video_uid, query_id=series.query_id)
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{series.video_uid}__{series.query_id}.csv"

@@ -1,7 +1,9 @@
 """Independent reference implementations used to cross-check the engine.
 
 Everything here is deliberately written as plain loops against the
-definitions, sharing no prediction/hit/recall logic with the package.
+definitions, sharing no prediction/hit/recall logic with the package;
+``exhaustive_sweep`` alone is built on ``evaluate_dataset``, which
+``brute_evaluate`` checks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import erf
 
+from streamstart import metrics
 from streamstart.detector import DEFAULT_POS_CAP, LossBreakdown
 from streamstart.kernels import BlockParams
 
@@ -70,6 +73,23 @@ def brute_evaluate(series_list, annotations, ks, anticipation, latency, mode, th
     sr = {k: float(np.mean(np.array(hits[k], dtype=bool)) * 100.0) for k in ks}
     smd = {k: float(np.mean(np.array(dists[k], dtype=float))) for k in ks}
     return sr, smd
+
+
+def exhaustive_sweep(series_list, annotations, w, n=20, objective_k=1, ks=None, mode="rising_edge",
+                     query_id=metrics.default_query_id):
+    """The sweep by its definition: ``n`` evenly spaced candidates from the lowest to
+    the highest score of every series with frames (one when those are equal), each
+    evaluated on its own with ``evaluate_dataset``; the best SR@objective_k wins, and a
+    tie goes to the later, larger candidate. Returns ``(threshold, report)``."""
+    ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
+    scores = np.concatenate([s.scores for s in series_list])
+    lo, hi = float(scores.min()), float(scores.max())
+    best = None
+    for cand in [lo] if lo == hi else np.linspace(lo, hi, n):
+        rep = metrics.evaluate_dataset(series_list, annotations, ks, w, mode, cand, query_id)
+        if best is None or rep.sr[objective_k] >= best[1].sr[objective_k]:
+            best = (cand, rep)
+    return best
 
 
 def finite_difference_grads(model, embeddings, labels, queries, cap, eps=1e-5):

@@ -283,6 +283,62 @@ class TestSweep:
         assert tau == 1.0
 
 
+def first_crossings(rows, taus):
+    """``metrics._first_crossings`` of one series per row against ascending ``taus``."""
+    ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
+    anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
+    queries = metrics._pair(ser, anns, qid, taus, "rising_edge", [1])
+    return metrics._first_crossings(queries, np.array(taus, dtype=float))
+
+
+def argmax_crossings(rows, taus):
+    """The first frame of each row at or above each threshold, one candidate at a time."""
+    return np.array([[float(np.argmax(np.asarray(r) >= tau)) if (np.asarray(r) >= tau).any() else np.inf
+                      for tau in taus] for r in rows])
+
+
+class TestFirstCrossings:
+    def test_first_frame_is_the_rows_max(self):
+        rows, taus = [[0.9, 0.1, 0.5, 0.9]], [0.0, 0.5, 0.9, 0.95]
+        assert np.array_equal(first_crossings(rows, taus), [[0.0, 0.0, 0.0, np.inf]])
+        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+
+    def test_row_that_never_crosses(self):
+        rows, taus = [[0.1, 0.2, 0.2], [0.3, 0.8]], [0.25, 0.5, 0.75]
+        assert np.array_equal(first_crossings(rows, taus), [[np.inf] * 3, [0.0, 1.0, 1.0]])
+
+    def test_scores_on_thresholds_and_repeated_thresholds(self):
+        rows, taus = [[0.0, 0.25, 0.25, 0.5, 1.0, 0.5]], [0.0, 0.25, 0.25, 0.5, 0.75, 1.0]
+        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
+    def test_padding_in_mixed_length_blocks(self, budget, monkeypatch):
+        # short rows sit in blocks padded to longer ones; padding must never raise a row's maximum
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        rng = np.random.default_rng(11)
+        rows = [rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], int(n)) for n in rng.integers(1, 50, 120)]
+        rows += [[0.0], [1.0], [0.3, 0.3]]
+        taus = list(np.linspace(0.0, 1.0, 11))
+        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+
+
+class TestPairing:
+    @pytest.mark.parametrize("call", ["evaluate", "sweep"])
+    def test_missing_id_reported_before_empty_series(self, call):
+        ser = [series([], uid="v1", qid="a-0"), series([0.5, 0.7], uid="v3", qid="a-0")]
+        w = ToleranceWindow(5, 10)
+
+        def run(anns):
+            if call == "evaluate":
+                return metrics.evaluate_dataset(ser, anns, [1], w)
+            return metrics.sweep_thresholds(ser, anns, w)
+
+        with pytest.raises(IdMismatchError, match="v2"):
+            run([FakeAnn("v1", "a", 0.0), FakeAnn("v2", "a", 0.0)])
+        with pytest.raises(ConfigError, match=r"\(v1, a-0\) has no frames"):
+            run([FakeAnn("v3", "a", 0.0), FakeAnn("v1", "a", 0.0)])
+
+
 class TestScoreSeriesFiles:
     def test_round_trip(self, tmp_path):
         s = series(np.linspace(0, 1, 13), uid="vid", qid="a-3", fps=2.0)
@@ -303,6 +359,24 @@ class TestScoreSeriesFiles:
     def test_csv_equals_csv_writer(self, fps, scores):
         s = series(scores, fps=fps)
         assert metrics.score_series_to_csv(s) == oracles.csv_writer_score_series(s)
+
+    @pytest.mark.parametrize("fps", [29.97, 30000 / 1001, 59.94, 60000 / 1001])
+    def test_fps_round_trips(self, fps, tmp_path):
+        # 1 / (t_sec[1] - t_sec[0]) is 1-2 ulp off these rates; the rows' i / fps pin the written one
+        metrics.save_score_series(tmp_path, series(np.full(60, 0.5), uid="vid", qid="a-0", fps=fps))
+        assert metrics.load_score_series_dir(tmp_path)[0].fps == fps
+
+    def test_fps_from_first_step_when_rows_pin_none(self):
+        text = "frame_idx,t_sec,score\n0,0.0,0.5\n1,0.5,0.5\n2,1.1,0.5\n"
+        assert metrics.score_series_from_csv(text, "v", "q").fps == 2.0
+
+    @pytest.mark.parametrize("uid,query", [("a__b", "x-0"), ("", "x-0"), (".", "x-0"), ("..", "x-0"),
+                                           ("a/b", "x-0"), ("a\\b", "x-0"), ("v", "x/0"), ("v", "x\\0")])
+    def test_save_rejects_ids_that_cannot_name_the_file(self, uid, query, tmp_path):
+        # ('a__b', 'x-0') would be saved as a__b__x-0.csv and reload as ('a', 'b__x-0')
+        with pytest.raises(ConfigError, match="cannot name a file"):
+            metrics.save_score_series(tmp_path, series([0.5], uid=uid, qid=query))
+        assert list(tmp_path.iterdir()) == []
 
     def test_numpy_fps_writes_plain_numbers(self):
         text = metrics.score_series_to_csv(series([0.5, 0.25], fps=np.float64(2.0)))

@@ -3,7 +3,8 @@ reproduces a call from a fresh state (batch mode), streams stacked on a
 leading axis reproduce each stream pushed alone, frame-by-frame scoring
 reproduces chunked scoring, and streams scored together reproduce each
 stream scored alone bitwise. The blocked evaluator reproduces the brute-force
-one at any block budget."""
+one at any block budget, and the threshold sweep reproduces evaluating every
+candidate on its own."""
 
 from types import SimpleNamespace
 from unittest import mock
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from streamstart import detector, kernels, metrics
 
 import oracles
+from test_metrics import BLOCK_BUDGETS
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -138,3 +140,45 @@ def test_blocked_evaluation_equals_brute_force(data, ks, budget):
             sr, smd = oracles.brute_evaluate(series, anns, ks, 5, 10, mode, threshold,
                                              metrics.default_query_id)
             assert (rep.sr, rep.smd) == (sr, smd)
+
+
+SWEEP_FPS = (0.5, 1.0, 2.5, 29.97, 30000 / 1001)
+
+
+@st.composite
+def sweep_queries(draw):
+    """Score series of 1-60 frames at mixed, mostly non-integer fps, and an annotation
+    for each. Scores are SCORE_LEVELS, so a grid of 2, 3, 5 or 9 candidates between two
+    levels puts candidates exactly on scores. A series may be constant, or hold only
+    the lowest level, so it crosses no higher candidate. Some starts put a frame
+    exactly on a window edge, and a series without annotation may widen the grid."""
+    series, anns = [], []
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 60) | st.integers(1, 4))
+        fps = draw(st.sampled_from(SWEEP_FPS))
+        shape = draw(st.sampled_from(["levels", "constant", "lowest"]))
+        if shape == "levels":
+            scores = draw(st.lists(st.sampled_from(SCORE_LEVELS), min_size=n, max_size=n))
+        else:
+            scores = [SCORE_LEVELS[0] if shape == "lowest" else draw(st.sampled_from(SCORE_LEVELS))] * n
+        start = draw(st.floats(0.0, n / fps) | st.builds(lambda f, edge: f / fps + edge,
+                                                         st.integers(0, n - 1), st.sampled_from([-2.0, 1.0])))
+        series.append(metrics.ScoreSeries(f"v{i}", "a-0", fps, np.array(scores)))
+        anns.append(SimpleNamespace(video_uid=f"v{i}", annotator_uid="a", ann_idx=0, start_sec=start))
+    if draw(st.booleans()):
+        series.append(metrics.ScoreSeries("unpaired", "a-0", 1.0, np.array([draw(st.sampled_from(SCORE_LEVELS))])))
+    return series, anns
+
+
+@SETTINGS
+@given(sweep_queries(), st.sampled_from([2, 3, 5, 9, 20]))
+def test_sweep_equals_exhaustive_sweep(data, n):
+    series, anns = data
+    window = metrics.ToleranceWindow(1.0, 2.0)
+    for mode in metrics.MODES:
+        for objective_k in (1, 2, 3):
+            want = oracles.exhaustive_sweep(series, anns, window, n, objective_k, [1, 2], mode)
+            for budget in BLOCK_BUDGETS:
+                with mock.patch.object(metrics, "_BLOCK", budget):
+                    tau, rep = metrics.sweep_thresholds(series, anns, window, n, objective_k, [1, 2], mode)
+                assert (tau, rep) == want
