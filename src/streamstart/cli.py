@@ -298,13 +298,13 @@ def cmd_score(args) -> int:
             p = detector.score_streams(model, np.stack([streams[uid][0] for uid in group]),
                                        np.stack([streams[uid][2] for uid in group]))
             probs.update(zip(group, p))
-    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a),
-                                  float(streams[a.video_uid][1]["fps"]), probs[a.video_uid]) for a in anns]
+    # annotations that repeat a (video_uid, query_id) pair share its one series
+    pairs = dict.fromkeys((a.video_uid, metrics.default_query_id(a)) for a in anns)
+    scored = [metrics.ScoreSeries(uid, qid, float(streams[uid][1]["fps"]), probs[uid]) for uid, qid in pairs]
     scores_dir = out / "scores"
-    for series in scored:
-        metrics.save_score_series(scores_dir, series)
+    metrics.save_score_series(scores_dir, scored)
     write_manifest(out, "score", {"split": args.split}, None, [Path(args.checkpoint), data_dir], read.digests)
-    _emit({"scores": str(scores_dir), "series": len(anns)})
+    _emit({"scores": str(scores_dir), "series": len(scored)})
     return 0
 
 

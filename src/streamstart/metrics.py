@@ -11,11 +11,10 @@ most ``anticipation`` seconds, late by at most ``latency`` seconds.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
-from collections.abc import Callable
+import os
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -377,105 +376,100 @@ def sweep_thresholds(
     return candidates[best], _report(queries, ks, w, mode, candidates[best])
 
 
-# -- score-series files -------------------------------------------------------
+# -- score store --------------------------------------------------------------
 #
-# One CSV per (video_uid, query_id), header `frame_idx,t_sec,score`, stored
-# in a directory as `<video_uid>__<query_id>.csv`.
+# One run's series in one directory: `scores.f64`, every series' scores end to
+# end as little-endian float64, and `index.json`, the format version and per
+# series its ids, fps, offset and frame count (both counted in values).
 
-_SCORE_HEADER = ["frame_idx", "t_sec", "score"]
+STORE_VERSION = 1
+_ARRAY, _INDEX = "scores.f64", "index.json"
 
 
-def check_file_ids(video_uid: str, **parts: str) -> None:
-    """Raise ConfigError unless the ids can name files: a stream ``<video_uid>.f32`` and
-    a score file ``<video_uid>__<query_id>.csv``, which ``load_score_series_dir`` splits
-    at its first ``__``. So ``video_uid`` must not be empty, ``.`` or ``..``, nor contain
-    ``__``, ``/`` or ``\\``, and no keyword part (a ``query_id``, or the
-    ``annotator_uid`` it starts with) may contain ``/`` or ``\\``."""
-    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("__", "/", "\\")):
+def check_file_ids(video_uid: str) -> None:
+    """Raise ConfigError unless ``video_uid`` can name its stream file ``<video_uid>.f32``:
+    it must not be empty, ``.`` or ``..``, nor contain ``/`` or ``\\``."""
+    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("/", "\\")):
         raise ConfigError(f"video_uid {video_uid!r} cannot name a file: it must not be empty, "
-                          "'.' or '..', nor contain '__', '/' or '\\'")
-    for name, value in parts.items():
-        if any(c in value for c in ("/", "\\")):
-            raise ConfigError(f"{name} {value!r} cannot name a file: it must not contain '/' or '\\'")
+                          "'.' or '..', nor contain '/' or '\\'")
 
 
-def score_series_to_csv(series: ScoreSeries) -> str:
-    """The series' score CSV. Its fields are integers and float reprs, none of which a
-    CSV quotes, so rows are plain f-strings. A numpy fps is taken as a float, whose repr
-    is a number."""
-    fps = float(series.fps)
-    rows = "".join(f"{i},{i / fps!r},{p!r}\n" for i, p in enumerate(series.scores.tolist()))
-    return ",".join(_SCORE_HEADER) + "\n" + rows
-
-
-def score_series_from_csv(text: str, video_uid: str, query_id: str) -> ScoreSeries:
-    """The series of a score CSV. A row without three fields, a t_sec or score that is
-    not a number, or a second t_sec whose step from the first is not the reciprocal of a
-    finite positive fps raises SchemaError naming its line. The fps is the one the writer
-    used when the rows pin it down (``_written_fps``)."""
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header != _SCORE_HEADER:
-        raise SchemaError(f"score series header must be {_SCORE_HEADER}, got {header}")
-    times, scores, fps = [], [], 1.0
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != 3:
-            raise SchemaError(f"line {reader.line_num}: {len(row)} fields, the header names 3")
-        try:
-            times.append(float(row[1]))
-            scores.append(float(row[2]))
-        except ValueError as err:
-            raise SchemaError(f"line {reader.line_num}: {err}") from None
-        if len(times) == 2:
-            fps = 1.0 / (times[1] - times[0]) if times[1] > times[0] else 0.0
-            if not (math.isfinite(fps) and fps > 0):
-                raise SchemaError(f"line {reader.line_num}: t_sec {times[1]!r} must exceed the first row's "
-                                  f"{times[0]!r} by a step whose reciprocal, the fps, is finite")
-    if len(times) > 1:
-        fps = _written_fps(np.array(times), fps)
-    return ScoreSeries(video_uid=video_uid, query_id=query_id, fps=fps, scores=np.array(scores))
-
-
-def _written_fps(times: np.ndarray, fps: float) -> float:
-    """The fps among ``fps`` (1 / the first step) and its two float neighbours for which
-    the writer's ``i / fps`` gives every row's t_sec, tried in that order; ``fps`` itself
-    when none does. The reciprocal of a rounded step is often an ulp off the fps written."""
-    rows = np.arange(len(times))
-    for candidate in (fps, math.nextafter(fps, 0.0), math.nextafter(fps, math.inf)):
-        if np.array_equal(rows / candidate, times):
-            return candidate
-    return fps
-
-
-def save_score_series(directory: str | Path, series: ScoreSeries) -> Path:
-    """Write the series' score CSV into ``directory`` as ``<video_uid>__<query_id>.csv``.
-    Ids that cannot name that file, or would load back as another pair, raise
-    ConfigError (``check_file_ids``)."""
-    check_file_ids(series.video_uid, query_id=series.query_id)
+def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> None:
+    """Write ``series`` into ``directory`` as its score store. A repeated
+    ``(video_uid, query_id)``, a series without frames or an fps that is not finite and
+    positive raises ConfigError before a byte is written. The array goes first and the
+    index last, under a temporary name then renamed, so an interrupted write never
+    leaves an index describing another array."""
+    entries, seen, offset = [], set(), 0
+    for s in series:
+        pair = f"({s.video_uid}, {s.query_id})"
+        fps = float(s.fps)
+        if (s.video_uid, s.query_id) in seen:
+            raise ConfigError(f"score series {pair} appears twice")
+        if not s.scores.size:
+            raise ConfigError(f"score series {pair} has no frames")
+        if not (math.isfinite(fps) and fps > 0):
+            raise ConfigError(f"score series {pair}: fps must be finite and positive, got {fps}")
+        seen.add((s.video_uid, s.query_id))
+        entries.append({"video_uid": s.video_uid, "query_id": s.query_id, "fps": fps,
+                        "offset": offset, "frames": s.scores.size})
+        offset += s.scores.size
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"{series.video_uid}__{series.query_id}.csv"
-    path.write_text(score_series_to_csv(series), encoding="utf-8")
-    return path
+    (directory / _INDEX).unlink(missing_ok=True)
+    np.concatenate([s.scores for s in series] or [np.empty(0)]).astype("<f8", copy=False).tofile(directory / _ARRAY)
+    staged = directory / f"{_INDEX}.tmp"
+    staged.write_text(json.dumps({"version": STORE_VERSION, "series": entries}, indent=1), encoding="utf-8")
+    os.replace(staged, directory / _INDEX)
 
 
 def load_score_series_dir(
     directory: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
 ) -> list[ScoreSeries]:
-    """The series of every ``*.csv`` in ``directory``, each file read whole by ``read``."""
+    """The series of the score store in ``directory``, in index order, each file read
+    whole by ``read``. A directory without an index, an index that is not JSON or of
+    another version, an entry with a bad field, fps or frame count, a repeated pair, or
+    entries that do not tile the array exactly raise SchemaError naming the file."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
-    out = []
-    for path in sorted(directory.glob("*.csv")):
-        stem = path.stem
-        if "__" not in stem:
-            raise SchemaError(f"score file {path.name} is not named <video_uid>__<query_id>.csv")
-        video_uid, query_id = stem.split("__", 1)
-        try:
-            out.append(score_series_from_csv(read(path).decode("utf-8"), video_uid, query_id))
-        except (SchemaError, UnicodeDecodeError) as err:
-            raise SchemaError(f"score file {path}: {err}") from None
-    return out
+    index_path, array_path = directory / _INDEX, directory / _ARRAY
+    for path in (index_path, array_path):
+        if not path.is_file():
+            raise SchemaError(f"score directory {directory} has no {path.name}: re-run score to write its store")
+    try:
+        index = json.loads(read(index_path))
+    except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
+        raise SchemaError(f"score index {index_path} is not UTF-8 JSON: {err}") from None
+    version = index.get("version") if isinstance(index, dict) else None
+    if version != STORE_VERSION or not isinstance(index.get("series"), list):
+        raise SchemaError(f"score index {index_path} must be version {STORE_VERSION} with a series list, "
+                          f"got version {version!r}")
+    data = read(array_path)
+    values = np.frombuffer(data, dtype="<f8", count=len(data) // 8)
+    tiles, seen, end = [], set(), 0
+    for i, entry in enumerate(index["series"]):
+        video_uid, query_id, fps, offset, frames = (entry.get(key) if isinstance(entry, dict) else None
+                                                    for key in ("video_uid", "query_id", "fps", "offset", "frames"))
+        if not (isinstance(video_uid, str) and isinstance(query_id, str) and type(fps) is float
+                and type(offset) is int and type(frames) is int):
+            raise SchemaError(f"score index {index_path}: series {i} needs string video_uid and query_id, "
+                              "a float fps and integer offset and frames")
+        pair = f"series {i} ({video_uid}, {query_id})"
+        if not (math.isfinite(fps) and fps > 0):
+            raise SchemaError(f"score index {index_path}: {pair} has fps {fps!r}, not finite and positive")
+        if frames < 1:
+            raise SchemaError(f"score index {index_path}: {pair} has {frames} frames, not at least 1")
+        if (video_uid, query_id) in seen:
+            raise SchemaError(f"score index {index_path}: {pair} repeats an earlier pair")
+        if offset != end:
+            raise SchemaError(f"score index {index_path}: {pair} starts at offset {offset}, "
+                              f"the series before it end at {end}")
+        seen.add((video_uid, query_id))
+        end = offset + frames
+        tiles.append((video_uid, query_id, fps, offset, frames))
+    if len(data) != 8 * end:
+        raise SchemaError(f"score array {array_path} holds {len(data)} bytes, its index "
+                          f"tiles {end} float64 values ({8 * end} bytes)")
+    return [ScoreSeries(video_uid, query_id, fps, values[offset:offset + frames])
+            for video_uid, query_id, fps, offset, frames in tiles]

@@ -8,8 +8,6 @@ definitions, sharing no prediction/hit/recall logic with the package;
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import replace
 
@@ -229,13 +227,3 @@ def where_sigmoid(x):
 def erf_gelu(x):
     """Exact GELU written as its formula."""
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
-
-
-def csv_writer_score_series(series):
-    """A score CSV written row by row through ``csv.writer``, quoting as a CSV does."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame_idx", "t_sec", "score"])
-    for i, p in enumerate(series.scores):
-        writer.writerow([i, repr(i / series.fps), repr(float(p))])
-    return buf.getvalue()

@@ -159,6 +159,14 @@ def _edit_sidecar(edit):
     return damage
 
 
+def _edit_index(directory, edit):
+    """Apply ``edit`` to the parsed ``index.json`` of the score store in ``directory``."""
+    path = directory / "index.json"
+    index = json.loads(path.read_text(encoding="utf-8"))
+    edit(index)
+    path.write_text(json.dumps(index), encoding="utf-8")
+
+
 def _run(command, corpus, run, out):
     """``command`` (train or score, on its split) over ``corpus`` into ``out``; the data digest of its manifest."""
     if command == "train":
@@ -180,7 +188,8 @@ class TestTrainScoreEval:
         assert (run / "curve.csv").read_text().startswith("step,total,pos_term,neg_term,w_pos")
         manifest = json.loads((run / "train_manifest.json").read_text())
         assert manifest["steps"] == 5 and manifest["seed"] == 0
-        assert len(list((scores / "scores").glob("*.csv"))) == 8
+        assert sorted(p.name for p in (scores / "scores").iterdir()) == ["index.json", "scores.f64"]
+        assert len(metrics.load_score_series_dir(scores / "scores")) == 8
         for d in (corpus, run, scores):
             assert (d / "manifest.json").exists()
 
@@ -321,58 +330,64 @@ class TestTrainScoreEval:
         read = sorted(p.relative_to(corpus).as_posix() for p in opened if p.is_relative_to(corpus))
         assert read == sorted(_split_files(corpus, split))
 
-    @pytest.mark.parametrize("edit, line, message", [
-        (lambda rows: [rows[0].rsplit(",", 1)[0], *rows[1:]], 2, "2 fields, the header names 3"),
-        (lambda rows: [rows[0].rsplit(",", 1)[0] + ",high", *rows[1:]], 2, "could not convert string to float"),
-        (lambda rows: [rows[0], "1,0.0," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "must exceed the first row's"),
-        (lambda rows: [rows[0], "1,-1.0," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "must exceed the first row's"),
-        (lambda rows: [rows[0], "1,1e-320," + rows[1].rsplit(",", 1)[1], *rows[2:]], 3, "the fps, is finite"),
-    ], ids=["two_fields", "non_numeric_score", "repeated_t_sec", "decreasing_t_sec", "infinite_fps"])
-    def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, edit, line, message):
+    @pytest.mark.parametrize("damage, name, message", [
+        (lambda d: (d / "index.json").write_text("{not json"), "index.json", "is not UTF-8 JSON"),
+        (lambda d: _edit_index(d, lambda x: x.update(version=2)), "index.json",
+         "must be version 1 with a series list, got version 2"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("nan"))), "index.json",
+         "has fps nan, not finite and positive"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=0.0)), "index.json",
+         "has fps 0.0, not finite and positive"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps="1.0")), "index.json",
+         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].pop("frames")), "index.json",
+         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(
+            video_uid=x["series"][2]["video_uid"], query_id=x["series"][2]["query_id"])), "index.json",
+         "repeats an earlier pair"),
+        (lambda d: _edit_index(d, lambda x: x["series"][-1].update(frames=0)), "index.json",
+         "has 0 frames, not at least 1"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(offset=x["series"][3]["offset"] + 1)),
+         "index.json", "starts at offset 181, the series before it end at 180"),
+        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes()[:-8]), "scores.f64",
+         "holds 3832 bytes, its index tiles 480 float64 values (3840 bytes)"),
+        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes() + b"\0"), "scores.f64",
+         "holds 3841 bytes"),
+        (lambda d: (d / "scores.f64").unlink(), "", "has no scores.f64: re-run score"),
+        (lambda d: [(d / f).unlink() for f in ("index.json", "scores.f64")] + [(d / "v__a-0.csv").write_text(
+            "frame_idx,t_sec,score\n0,0.0,0.5\n")], "", "has no index.json: re-run score to write its store"),
+    ], ids=["not_json", "other_version", "nan_fps", "zero_fps", "string_fps", "missing_key", "duplicate_pair",
+            "zero_frames", "offset_gap", "short_array", "long_array", "no_array", "old_csv_directory"])
+    def test_eval_damaged_score_store_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
         corpus, _, scores = pipeline
         copied = shutil.copytree(scores / "scores", tmp_path / "scores")
-        bad = sorted(copied.glob("*.csv"))[3]
-        header, *rows = bad.read_text().splitlines()
-        bad.write_text("\n".join([header, *edit(rows)]) + "\n")
+        damage(copied)
         capsys.readouterr()
         rc = cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
                        "--split", "val", "--threshold", "0.5"])
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert f"score file {bad}: line {line}: " in err and message in err and err.count("\n") == 1
+        assert str(copied / name) in err and message in err and err.count("\n") == 1
 
     def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
-        corpus, _, scores = pipeline
-        copied = tmp_path / "scores"
-        copied.mkdir()
-        for i, path in enumerate(sorted((scores / "scores").glob("*.csv"))):
-            text = path.read_text()
-            if i == 0:
-                header, first, *rest = text.splitlines()
-                text = "\n".join([header, first.rsplit(",", 1)[0] + ",nan", *rest]) + "\n"
-            (copied / path.name).write_text(text)
-        capsys.readouterr()
-        rc = cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
-                       "--split", "val"])
-        assert rc == cli.EXIT_NUMERIC
+        assert self._eval_with_first_score(pipeline, tmp_path, capsys, np.nan) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
         assert "finite" in err and err.count("\n") == 1
 
-    def test_eval_header_only_scores_exit_config(self, pipeline, tmp_path, capsys):
-        corpus, _, scores = pipeline
-        copied = tmp_path / "scores"
-        copied.mkdir()
-        paths = sorted((scores / "scores").glob("*.csv"))
-        for path in paths:
-            (copied / path.name).write_text(path.read_text())
-        (copied / paths[0].name).write_text("frame_idx,t_sec,score\n")
-        video_uid, query_id = paths[0].stem.split("__", 1)
-        capsys.readouterr()
-        rc = cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
-                       "--split", "val"])
-        assert rc == cli.EXIT_CONFIG
+    def test_eval_score_above_one_exit_config(self, pipeline, tmp_path, capsys):
+        assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"({video_uid}, {query_id}) has no frames" in err and err.count("\n") == 1
+        assert "scores must lie in [0, 1]" in err and err.count("\n") == 1
+
+    @staticmethod
+    def _eval_with_first_score(pipeline, tmp_path, capsys, value):
+        corpus, _, scores = pipeline
+        copied = shutil.copytree(scores / "scores", tmp_path / "scores")
+        array = copied / "scores.f64"
+        array.write_bytes(np.array([value], "<f8").tobytes() + array.read_bytes()[8:])
+        capsys.readouterr()
+        return cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
+                         "--split", "val"])
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
     def test_eval_missing_scores_dir_exit_config(self, pipeline, tmp_path, capsys, sweep):
@@ -390,13 +405,15 @@ class TestTrainScoreEval:
         anns = [a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())
                 if a.split == "val"]
         assert len(anns) == 8
+        stored = {(s.video_uid, s.query_id): s for s in metrics.load_score_series_dir(scores / "scores")}
+        assert len(stored) == 8
         for a in anns:
             frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
             kwargs = dict(video_uid=a.video_uid, query_id=metrics.default_query_id(a),
                           fps=float(sidecar["fps"]))
             batch = detector.score_frames(model, frames, query, **kwargs)
-            written = scores / "scores" / f"{a.video_uid}__{kwargs['query_id']}.csv"
-            assert written.read_text(encoding="utf-8") == metrics.score_series_to_csv(batch)
+            written = stored[a.video_uid, kwargs["query_id"]]
+            assert written.fps == batch.fps and written.scores.tobytes() == batch.scores.tobytes()
             streamed = detector.infer_streaming(model, frames, query, **kwargs)
             assert np.abs(streamed.scores - batch.scores).max() <= 1e-10
 
@@ -455,7 +472,7 @@ class TestTrainScoreEval:
         assert not (tmp_path / "scored").exists()
 
     def test_score_video_uid_outside_the_corpus_exit_schema(self, pipeline, tmp_path, capsys):
-        # such an id would read streams/../../escaped.f32 and write escaped__<query>.csv beside --out
+        # such an id would read streams/../../escaped.f32, outside the corpus
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
         text = (copied / "annotations.csv").read_text()
@@ -471,7 +488,7 @@ class TestTrainScoreEval:
         assert not (tmp_path / "deep").exists()
 
     def test_score_empty_stream_exit_schema(self, pipeline, tmp_path, capsys):
-        # a zero-frame stream would score to a header-only CSV that eval rejects
+        # a zero-frame stream would score to a series without frames, which the score store rejects
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
         last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
@@ -505,6 +522,20 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert f"video {first.video_uid} has 2 distinct {split}-split queries" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_score_writes_one_series_per_pair(self, pipeline, tmp_path, capsys):
+        # a repeated annotation row scores its video once; the store holds each pair once
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
+        val = [a for a in anns if a.split == "val"]
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns + [val[-1]]))
+        out = tmp_path / "scored"
+        assert cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                         "--split", "val", "--out", str(out)]) == 0
+        capsys.readouterr()
+        pairs = [(s.video_uid, s.query_id) for s in metrics.load_score_series_dir(out / "scores")]
+        assert pairs == [(a.video_uid, metrics.default_query_id(a)) for a in val]
 
     def test_score_stream_width_checked_against_checkpoint(self, pipeline, tmp_path, capsys):
         _, run, _ = pipeline
@@ -702,14 +733,13 @@ def test_score_stacks_streams_of_one_length(tmp_path, capsys, monkeypatch, kind,
     assert sorted(calls) == ([(1, 40), (2, 40), (2, 150)] if stack == 2 else [(2, 150), (3, 40)])
     monkeypatch.undo()
     loaded = detector.load_model(tmp_path / "model.sdqk")
-    assert sorted(p.name for p in (out / "scores").iterdir()) == sorted(
-        f"{a.video_uid}__{metrics.default_query_id(a)}.csv" for a in anns)
-    for a in anns:
+    stored = metrics.load_score_series_dir(out / "scores")
+    assert [(s.video_uid, s.query_id) for s in stored] == [(a.video_uid, metrics.default_query_id(a)) for a in anns]
+    for a, written in zip(anns, stored):
         frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
         alone = detector.score_frames(loaded, frames, query, a.video_uid, metrics.default_query_id(a),
                                       sidecar["fps"])
-        written = out / "scores" / f"{a.video_uid}__{metrics.default_query_id(a)}.csv"
-        assert written.read_bytes() == metrics.score_series_to_csv(alone).encode("utf-8")
+        assert written.fps == alone.fps and written.scores.tobytes() == alone.scores.tobytes()
 
 
 def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch):

@@ -1,3 +1,7 @@
+import json
+import struct
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -342,46 +346,72 @@ class TestPairing:
 class TestScoreSeriesFiles:
     def test_round_trip(self, tmp_path):
         s = series(np.linspace(0, 1, 13), uid="vid", qid="a-3", fps=2.0)
-        metrics.save_score_series(tmp_path, s)
+        metrics.save_score_series(tmp_path, [s])
         loaded = metrics.load_score_series_dir(tmp_path)
         assert len(loaded) == 1
         got = loaded[0]
         assert got.video_uid == "vid" and got.query_id == "a-3"
-        assert got.fps == pytest.approx(2.0)
+        assert got.fps == 2.0
         assert np.array_equal(got.scores, s.scores)
 
-    @pytest.mark.parametrize("fps", [1, 2.0, 29.97, 30000 / 1001])
-    @pytest.mark.parametrize("scores", [
-        [0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5],
-        [1.0 - 2.0**-53],
-        [],
-    ], ids=["extremes", "one_row", "empty"])
-    def test_csv_equals_csv_writer(self, fps, scores):
-        s = series(scores, fps=fps)
-        assert metrics.score_series_to_csv(s) == oracles.csv_writer_score_series(s)
+    def test_store_layout(self, tmp_path):
+        # the array is the scores end to end as little-endian float64; the index tiles it in series order
+        first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a__b", qid="x/0", fps=29.97)
+        second = series([1.0 - 2.0**-53], uid="v", qid="q", fps=2.0)
+        metrics.save_score_series(tmp_path, [first, second])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "scores.f64"]
+        packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
+        assert (tmp_path / "scores.f64").read_bytes() == packed
+        assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == {"version": 1, "series": [
+            {"video_uid": "a__b", "query_id": "x/0", "fps": 29.97, "offset": 0, "frames": 7},
+            {"video_uid": "v", "query_id": "q", "fps": 2.0, "offset": 7, "frames": 1},
+        ]}
+        loaded = metrics.load_score_series_dir(tmp_path)
+        assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a__b", "x/0", 29.97), ("v", "q", 2.0)]
+        assert struct.pack("<8d", *np.concatenate([s.scores for s in loaded]).tolist()) == packed
 
-    @pytest.mark.parametrize("fps", [29.97, 30000 / 1001, 59.94, 60000 / 1001])
+    @pytest.mark.parametrize("fps", [2.0, 29.97, 30000 / 1001, 59.94, 60000 / 1001])
     def test_fps_round_trips(self, fps, tmp_path):
-        # 1 / (t_sec[1] - t_sec[0]) is 1-2 ulp off these rates; the rows' i / fps pin the written one
-        metrics.save_score_series(tmp_path, series(np.full(60, 0.5), uid="vid", qid="a-0", fps=fps))
-        assert metrics.load_score_series_dir(tmp_path)[0].fps == fps
+        # fps is stored, so no frame count, one frame included, changes it by an ulp
+        saved = [series(np.full(n, 0.5), uid=f"v{n}", qid="a-0", fps=fps) for n in (1, 2, 3, 600)]
+        metrics.save_score_series(tmp_path, saved)
+        assert [s.fps for s in metrics.load_score_series_dir(tmp_path)] == [fps] * 4
 
-    def test_fps_from_first_step_when_rows_pin_none(self):
-        text = "frame_idx,t_sec,score\n0,0.0,0.5\n1,0.5,0.5\n2,1.1,0.5\n"
-        assert metrics.score_series_from_csv(text, "v", "q").fps == 2.0
+    @pytest.mark.parametrize("bad, message", [
+        ({"query_id": "a-0"}, r"\(v1, a-0\) appears twice"),
+        ({"scores": np.array([])}, r"\(v1, a-1\) has no frames"),
+        ({"fps": np.nan}, "fps must be finite and positive, got nan"),
+        ({"fps": np.inf}, "fps must be finite and positive, got inf"),
+        ({"fps": 0.0}, "fps must be finite and positive, got 0.0"),
+        ({"fps": -1.0}, "fps must be finite and positive, got -1.0"),
+    ], ids=["duplicate_pair", "no_frames", "nan_fps", "inf_fps", "zero_fps", "negative_fps"])
+    def test_save_checks_every_series_before_writing(self, bad, message, tmp_path):
+        # ScoreSeries rejects a bad fps itself; the store's writer does not rely on that
+        last = SimpleNamespace(video_uid="v1", query_id="a-1", fps=1.0, scores=np.array([0.5]))
+        vars(last).update(bad)
+        with pytest.raises(ConfigError, match=message):
+            metrics.save_score_series(tmp_path / "scores", [series([0.5], uid="v1", qid="a-0"), last])
+        assert not (tmp_path / "scores").exists()
 
-    @pytest.mark.parametrize("uid,query", [("a__b", "x-0"), ("", "x-0"), (".", "x-0"), ("..", "x-0"),
-                                           ("a/b", "x-0"), ("a\\b", "x-0"), ("v", "x/0"), ("v", "x\\0")])
-    def test_save_rejects_ids_that_cannot_name_the_file(self, uid, query, tmp_path):
-        # ('a__b', 'x-0') would be saved as a__b__x-0.csv and reload as ('a', 'b__x-0')
-        with pytest.raises(ConfigError, match="cannot name a file"):
-            metrics.save_score_series(tmp_path, series([0.5], uid=uid, qid=query))
-        assert list(tmp_path.iterdir()) == []
+    def test_interrupted_save_leaves_no_index(self, tmp_path, monkeypatch):
+        # the array goes in first and the old index is gone before it: no index outlives its array
+        metrics.save_score_series(tmp_path, [series(np.full(60, 0.5))])
 
-    def test_numpy_fps_writes_plain_numbers(self):
-        text = metrics.score_series_to_csv(series([0.5, 0.25], fps=np.float64(2.0)))
-        assert text == metrics.score_series_to_csv(series([0.5, 0.25], fps=2.0))
-        assert "np." not in text
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(metrics.json, "dumps", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            metrics.save_score_series(tmp_path, [series(np.full(30, 0.25))])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.f64"]
+        assert (tmp_path / "scores.f64").stat().st_size == 30 * 8
+
+    def test_numpy_fps_writes_plain_numbers(self, tmp_path):
+        metrics.save_score_series(tmp_path / "a", [series([0.5, 0.25], fps=np.float64(2.0))])
+        metrics.save_score_series(tmp_path / "b", [series([0.5, 0.25], fps=2.0)])
+        text = (tmp_path / "a" / "index.json").read_text(encoding="utf-8")
+        assert text == (tmp_path / "b" / "index.json").read_text(encoding="utf-8")
+        assert "np." not in text and '"fps": 2.0' in text
 
     def test_report_json_round_trip(self):
         rep = metrics.MetricReport(
