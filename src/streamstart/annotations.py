@@ -62,7 +62,7 @@ class EventAnnotation:
             raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
         if not self.query:
             raise ConfigError("query must be non-empty")
-        check_file_ids(self.video_uid)
+        check_file_ids(self.video_uid, annotator_uid=self.annotator_uid)
         if self.ann_idx < 0:
             raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
         for name in ("video_fps", "video_length"):

@@ -386,24 +386,31 @@ STORE_VERSION = 1
 _ARRAY, _INDEX = "scores.f64", "index.json"
 
 
-def check_file_ids(video_uid: str) -> None:
-    """Raise ConfigError unless ``video_uid`` can name its stream file ``<video_uid>.f32``:
-    it must not be empty, ``.`` or ``..``, nor contain ``/`` or ``\\``."""
-    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("/", "\\")):
+def check_file_ids(video_uid: str, **parts: str) -> None:
+    """Raise ConfigError unless the ids are safe in file names: ``video_uid`` names its
+    stream ``<video_uid>.f32``, and ``<video_uid>__<query_id>`` names one pair without
+    ambiguity. So ``video_uid`` must not be empty, ``.`` or ``..``, nor contain ``__``,
+    ``/`` or ``\\``, and no keyword part (a ``query_id``, or the ``annotator_uid`` it
+    starts with) may contain ``/`` or ``\\``."""
+    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("__", "/", "\\")):
         raise ConfigError(f"video_uid {video_uid!r} cannot name a file: it must not be empty, "
-                          "'.' or '..', nor contain '/' or '\\'")
+                          "'.' or '..', nor contain '__', '/' or '\\'")
+    for name, value in parts.items():
+        if any(c in value for c in ("/", "\\")):
+            raise ConfigError(f"{name} {value!r} cannot name a file: it must not contain '/' or '\\'")
 
 
 def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> None:
-    """Write ``series`` into ``directory`` as its score store. A repeated
-    ``(video_uid, query_id)``, a series without frames or an fps that is not finite and
-    positive raises ConfigError before a byte is written. The array goes first and the
-    index last, under a temporary name then renamed, so an interrupted write never
-    leaves an index describing another array."""
+    """Write ``series`` into ``directory`` as its score store. Ids that annotations would
+    reject (``check_file_ids``), a repeated ``(video_uid, query_id)``, a series without
+    frames or an fps that is not finite and positive raise ConfigError before a byte is
+    written. The array goes first and the index last, under a temporary name then
+    renamed, so an interrupted write never leaves an index describing another array."""
     entries, seen, offset = [], set(), 0
     for s in series:
         pair = f"({s.video_uid}, {s.query_id})"
         fps = float(s.fps)
+        check_file_ids(s.video_uid, query_id=s.query_id)
         if (s.video_uid, s.query_id) in seen:
             raise ConfigError(f"score series {pair} appears twice")
         if not s.scores.size:

@@ -331,9 +331,13 @@ class TestTrainScoreEval:
         assert read == sorted(_split_files(corpus, split))
 
     @pytest.mark.parametrize("damage, name, message", [
-        (lambda d: (d / "index.json").write_text("{not json"), "index.json", "is not UTF-8 JSON"),
-        (lambda d: _edit_index(d, lambda x: x.update(version=2)), "index.json",
-         "must be version 1 with a series list, got version 2"),
+        (lambda d: _edit_index(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "offset", "frames")]),
+         "index.json",
+         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes() + b"\0"), "scores.f64",
+         "holds 3841 bytes, its index tiles 480 float64 values (3840 bytes)"),
+        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("inf"))), "index.json",
+         "has fps inf, not finite and positive"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("nan"))), "index.json",
          "has fps nan, not finite and positive"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=0.0)), "index.json",
@@ -349,16 +353,27 @@ class TestTrainScoreEval:
          "has 0 frames, not at least 1"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(offset=x["series"][3]["offset"] + 1)),
          "index.json", "starts at offset 181, the series before it end at 180"),
+    ], ids=["two_fields", "non_numeric_score", "infinite_fps", "nan_fps", "zero_fps", "string_fps", "missing_key",
+            "duplicate_pair", "zero_frames", "offset_gap"])
+    def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
+        # a series' row is its entry in index.json and its values in scores.f64; a trailing byte is no float64
+        self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
+
+    @pytest.mark.parametrize("damage, name, message", [
+        (lambda d: (d / "index.json").write_text("{not json"), "index.json", "is not UTF-8 JSON"),
+        (lambda d: _edit_index(d, lambda x: x.update(version=2)), "index.json",
+         "must be version 1 with a series list, got version 2"),
         (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes()[:-8]), "scores.f64",
          "holds 3832 bytes, its index tiles 480 float64 values (3840 bytes)"),
-        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes() + b"\0"), "scores.f64",
-         "holds 3841 bytes"),
         (lambda d: (d / "scores.f64").unlink(), "", "has no scores.f64: re-run score"),
         (lambda d: [(d / f).unlink() for f in ("index.json", "scores.f64")] + [(d / "v__a-0.csv").write_text(
             "frame_idx,t_sec,score\n0,0.0,0.5\n")], "", "has no index.json: re-run score to write its store"),
-    ], ids=["not_json", "other_version", "nan_fps", "zero_fps", "string_fps", "missing_key", "duplicate_pair",
-            "zero_frames", "offset_gap", "short_array", "long_array", "no_array", "old_csv_directory"])
+    ], ids=["not_json", "other_version", "short_array", "no_array", "old_csv_directory"])
     def test_eval_damaged_score_store_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
+        self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
+
+    @staticmethod
+    def _eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message):
         corpus, _, scores = pipeline
         copied = shutil.copytree(scores / "scores", tmp_path / "scores")
         damage(copied)

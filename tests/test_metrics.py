@@ -356,18 +356,18 @@ class TestScoreSeriesFiles:
 
     def test_store_layout(self, tmp_path):
         # the array is the scores end to end as little-endian float64; the index tiles it in series order
-        first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a__b", qid="x/0", fps=29.97)
+        first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a_b", qid="x-0", fps=29.97)
         second = series([1.0 - 2.0**-53], uid="v", qid="q", fps=2.0)
         metrics.save_score_series(tmp_path, [first, second])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "scores.f64"]
         packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
         assert (tmp_path / "scores.f64").read_bytes() == packed
         assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == {"version": 1, "series": [
-            {"video_uid": "a__b", "query_id": "x/0", "fps": 29.97, "offset": 0, "frames": 7},
+            {"video_uid": "a_b", "query_id": "x-0", "fps": 29.97, "offset": 0, "frames": 7},
             {"video_uid": "v", "query_id": "q", "fps": 2.0, "offset": 7, "frames": 1},
         ]}
         loaded = metrics.load_score_series_dir(tmp_path)
-        assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a__b", "x/0", 29.97), ("v", "q", 2.0)]
+        assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a_b", "x-0", 29.97), ("v", "q", 2.0)]
         assert struct.pack("<8d", *np.concatenate([s.scores for s in loaded]).tolist()) == packed
 
     @pytest.mark.parametrize("fps", [2.0, 29.97, 30000 / 1001, 59.94, 60000 / 1001])
@@ -376,6 +376,14 @@ class TestScoreSeriesFiles:
         saved = [series(np.full(n, 0.5), uid=f"v{n}", qid="a-0", fps=fps) for n in (1, 2, 3, 600)]
         metrics.save_score_series(tmp_path, saved)
         assert [s.fps for s in metrics.load_score_series_dir(tmp_path)] == [fps] * 4
+
+    @pytest.mark.parametrize("uid,query", [("a__b", "x-0"), ("", "x-0"), (".", "x-0"), ("..", "x-0"),
+                                           ("a/b", "x-0"), ("a\\b", "x-0"), ("v", "x/0"), ("v", "x\\0")])
+    def test_save_rejects_ids_that_cannot_name_the_file(self, uid, query, tmp_path):
+        # the store holds only ids that annotations accept (check_file_ids)
+        with pytest.raises(ConfigError, match="cannot name a file"):
+            metrics.save_score_series(tmp_path, [series([0.5], uid=uid, qid=query)])
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad, message", [
         ({"query_id": "a-0"}, r"\(v1, a-0\) appears twice"),
