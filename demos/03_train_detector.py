@@ -17,7 +17,7 @@ DIM, N_TRAIN, N_VAL = 16, 120, 40
 specs = ann.make_corpus_specs(N_TRAIN + N_VAL, seed=7, dim=DIM)
 corpus = []
 for i, spec in enumerate(specs):
-    frames, query, a = ann.gen_synthetic(spec, DIM)
+    frames, query, a = ann.gen_synthetic(spec)
     corpus.append((frames, query, a, "train" if i < N_TRAIN else "val"))
 
 # one 60-frame window per training stream, stacked into the training set

@@ -60,6 +60,8 @@ class EventAnnotation:
     def __post_init__(self) -> None:
         if self.split not in SPLITS:
             raise ConfigError(f"split must be one of {SPLITS}, got {self.split!r}")
+        if self.source not in SOURCES:
+            raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.query:
             raise ConfigError("query must be non-empty")
         check_file_ids(self.video_uid, annotator_uid=self.annotator_uid)
@@ -146,7 +148,8 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
     """Parse the annotation CSV, enforcing schema and row invariants.
 
     Raises SchemaError when a required column is absent, RowError with the
-    1-based data row number for unparsable or invariant-violating rows.
+    1-based data row number for unparsable or invariant-violating rows and
+    for a row that repeats an earlier row's (video_uid, annotator_uid, ann_idx).
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
@@ -157,6 +160,7 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
         raise SchemaError(f"annotation CSV is missing column(s): {', '.join(missing)}")
 
     out: list[EventAnnotation] = []
+    first_rows: dict[tuple[str, str, int], int] = {}
     for i, row in enumerate(reader, start=1):
         values: dict = {c: row[c] for c in COLUMNS}
         for name in _TIME_FIELDS:
@@ -169,9 +173,14 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
         except (TypeError, ValueError):
             raise RowError(i, f"non-integer ann_idx {values['ann_idx']!r}") from None
         try:
-            out.append(EventAnnotation(**values))
+            a = EventAnnotation(**values)
         except ConfigError as err:
             raise RowError(i, str(err)) from None
+        first = first_rows.setdefault((a.video_uid, a.annotator_uid, a.ann_idx), i)
+        if first != i:
+            raise RowError(i, f"repeats the (video_uid, annotator_uid, ann_idx) of row {first}: "
+                              f"({a.video_uid}, {a.annotator_uid}, {a.ann_idx})")
+        out.append(a)
     return out
 
 
@@ -315,7 +324,7 @@ def sample_windows(
 
 # -- synthetic streams --------------------------------------------------------
 
-_BACKBONE_SEED = 1489  # fixed default seed for the frozen stand-in map
+_BACKBONE_SEED = 1489  # fixed seed of the frozen stand-in map
 
 
 def _backbone_map(dim: int, seed: int) -> np.ndarray:
@@ -326,9 +335,7 @@ def _backbone_map(dim: int, seed: int) -> np.ndarray:
     return q * np.sign(np.diag(r))
 
 
-def gen_synthetic(
-    spec: SyntheticStreamSpec, query_dim: int, backbone_seed: int = _BACKBONE_SEED
-) -> tuple[np.ndarray, np.ndarray, EventAnnotation]:
+def gen_synthetic(spec: SyntheticStreamSpec) -> tuple[np.ndarray, np.ndarray, EventAnnotation]:
     """Generate one synthetic embedding stream, its query embedding and annotation.
 
     A seeded unit-norm latent query vector defines the event: in-event
@@ -337,8 +344,6 @@ def gen_synthetic(
     frames. All frames and the query pass through one fixed seeded linear
     map standing in for the frozen backbone, shared across streams.
     """
-    if spec.dim != query_dim:
-        raise ConfigError(f"spec.dim ({spec.dim}) must equal query_dim ({query_dim})")
     q_entropy, noise_entropy = np.random.SeedSequence(spec.seed).spawn(2)
     q_rng = np.random.default_rng(
         q_entropy if spec.query_seed is None else np.random.SeedSequence(spec.query_seed)
@@ -354,7 +359,7 @@ def gen_synthetic(
     out_scale = math.sqrt(1.0 / spec.dim + spec.noise_scale**2)
     latent = np.where(inside[:, None], q[None, :] + spec.noise_scale * noise, out_scale * noise)
 
-    backbone = _backbone_map(spec.dim, backbone_seed)
+    backbone = _backbone_map(spec.dim, _BACKBONE_SEED)
     frames = latent @ backbone
     query_emb = q @ backbone
 

@@ -30,7 +30,6 @@ EXIT_CONFIG = 5
 DEFAULT_ANTICIPATION = 5.0
 DEFAULT_LATENCY = 10.0
 DEFAULT_KS = "1,2,3"
-DEFAULT_SWEEP = 20
 
 # duration and start-time histogram bin edges (seconds) for --stats
 DURATION_BINS = [0.0, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0, float("inf")]
@@ -76,14 +75,18 @@ class _HashingReader:
         return data
 
 
-def write_manifest(out_dir: Path, command: str, config: dict, seed: int | None, inputs: list[Path],
-                   digests: dict[Path, str]) -> None:
-    """``digests`` maps each file the command read to its SHA-256; each input gets one digest of them."""
+def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path], digests: dict[Path, str],
+                   **resolved) -> None:
+    """The run's record. ``config`` is every flag ``args`` parsed but ``out``, the directory
+    that holds the record, with ``resolved``, the values used in place of a flag's "auto"
+    value, laid over it. ``digests`` maps each file the command read to its SHA-256; each
+    input gets one digest of them."""
     out_dir.mkdir(parents=True, exist_ok=True)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": config | resolved,
+        "seed": getattr(args, "seed", None),
         "input_hashes": {str(p): _input_digest(p, digests) for p in inputs},
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -128,7 +131,7 @@ def cmd_ingest(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "ingest_stats.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        write_manifest(out, "ingest", {"stats": bool(args.stats)}, None, [path], read.digests)
+        write_manifest(out, args, [path], read.digests)
     _emit(payload)
     return 0
 
@@ -136,7 +139,7 @@ def cmd_ingest(args) -> int:
 def _corpus_annotations(specs, n_train: int) -> list:
     anns = []
     for i, spec in enumerate(specs):
-        frames, query, ann = annotations.gen_synthetic(spec, spec.dim)
+        frames, query, ann = annotations.gen_synthetic(spec)
         ann = replace(ann, split="train" if i < n_train else "val")
         anns.append((spec, frames, query, ann))
     return anns
@@ -171,18 +174,7 @@ def cmd_synth(args) -> int:
         annotations.save_stream(streams_dir / f"{ann.video_uid}.f32", frames, sidecar, query)
         anns.append(ann)
     (out / "annotations.csv").write_bytes(annotations.serialize_annotations(anns))
-    write_manifest(
-        out,
-        "synth",
-        {
-            "streams": args.streams, "val_streams": args.val_streams, "dim": args.dim,
-            "frames": args.frames, "noise": args.noise, "fps": args.fps,
-            "distractors": args.distractors, "queries": args.queries,
-        },
-        args.seed,
-        [],
-        {},
-    )
+    write_manifest(out, args, [], {})
     _emit({"out": str(out), "train_streams": args.streams, "val_streams": args.val_streams})
     return 0
 
@@ -254,21 +246,7 @@ def cmd_train(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     detector.save_model(out / "checkpoint.sdqk", trained)
     (out / "curve.csv").write_text(detector.loss_curve_csv(history), encoding="utf-8")
-    train_manifest = {
-        "config": {
-            "w_s": w_s, "learning_rate": args.lr, "steps": args.steps,
-            "batch_size": args.batch, "pos_weight_cap": args.pos_cap, "weight_decay": args.weight_decay,
-            "kind": args.kind, "d_prime": adapter.d_prime, "k": args.k,
-            "blocks": args.blocks, "tau_sim": args.tau_sim,
-        },
-        "seed": args.seed,
-        "final_loss": history[-1].total if history else None,
-        "steps": len(history),
-    }
-    (out / "train_manifest.json").write_text(
-        json.dumps(train_manifest, indent=2, sort_keys=True), encoding="utf-8"
-    )
-    write_manifest(out, "train", train_manifest["config"], args.seed, [data_dir], read.digests)
+    write_manifest(out, args, [data_dir], read.digests, ws=w_s, d_prime=adapter.d_prime)
     _emit({"checkpoint": str(out / "checkpoint.sdqk"), "steps": len(history),
            "final_loss": history[-1].total if history else None})
     return 0
@@ -298,12 +276,11 @@ def cmd_score(args) -> int:
             p = detector.score_streams(model, np.stack([streams[uid][0] for uid in group]),
                                        np.stack([streams[uid][2] for uid in group]))
             probs.update(zip(group, p))
-    # annotations that repeat a (video_uid, query_id) pair share its one series
-    pairs = dict.fromkeys((a.video_uid, metrics.default_query_id(a)) for a in anns)
-    scored = [metrics.ScoreSeries(uid, qid, float(streams[uid][1]["fps"]), probs[uid]) for uid, qid in pairs]
+    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a), float(streams[a.video_uid][1]["fps"]),
+                                  probs[a.video_uid]) for a in anns]
     scores_dir = out / "scores"
     metrics.save_score_series(scores_dir, scored)
-    write_manifest(out, "score", {"split": args.split}, None, [Path(args.checkpoint), data_dir], read.digests)
+    write_manifest(out, args, [Path(args.checkpoint), data_dir], read.digests)
     _emit({"scores": str(scores_dir), "series": len(scored)})
     return 0
 
@@ -343,17 +320,7 @@ def cmd_eval(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        write_manifest(
-            out,
-            "eval",
-            {
-                "anticipation": args.anticipation, "latency": args.latency, "k": args.k,
-                "mode": args.mode, "threshold": threshold, "sweep": args.sweep, "split": args.split,
-            },
-            None,
-            [scores_dir, ann_path],
-            read.digests,
-        )
+        write_manifest(out, args, [scores_dir, ann_path], read.digests, threshold=threshold)
     print(report.to_json())
     return 0
 
@@ -395,11 +362,7 @@ def cmd_bench(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         (out / "bench.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        write_manifest(
-            out, "bench",
-            {"kind": args.kind, "d": args.d, "tokens": args.tokens, "frames": args.frames},
-            args.seed, [], {},
-        )
+        write_manifest(out, args, [], {}, d_prime=dp)
     _emit(payload)
     return 0
 

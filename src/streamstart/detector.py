@@ -36,9 +36,6 @@ DEFAULT_POS_CAP = 20.0
 DIVERGENCE_LIMIT = 1e3
 _NORM_EPS = 1e-12
 
-# running count of zero-norm frame outputs mapped to sigmoid(0)
-ZERO_NORM_COUNT = 0
-
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -134,7 +131,6 @@ def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list |
 
 def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict]:
     """Cosine of each frame output ``[..., T, d]`` with its query ``[..., d]``."""
-    global ZERO_NORM_COUNT
     # a dot product, as np.linalg.norm takes for one vector: batched and
     # single-query norms agree bitwise
     qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0]
@@ -144,7 +140,6 @@ def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict
     unorm = np.linalg.norm(out, axis=-1)
     zero = unorm < _NORM_EPS
     if zero.any():
-        ZERO_NORM_COUNT += int(zero.sum())
         logger.warning("%d zero-norm frame output(s); scoring them as sigmoid(0)", int(zero.sum()))
     safe = np.where(zero, 1.0, unorm)
     s = np.where(zero, 0.0, (out @ qn[..., None])[..., 0] / safe)
@@ -343,13 +338,11 @@ class StreamingScorer:
 
     def push(self, frame: np.ndarray) -> float:
         """Consume one frame, return its score before the next frame arrives."""
-        global ZERO_NORM_COUNT
         u = _stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
         unorm = math.sqrt(float(kernels.matmul(u, u)))
         if unorm < _NORM_EPS:
-            ZERO_NORM_COUNT += 1
             logger.warning("zero-norm frame output; scoring as sigmoid(0)")
             s = 0.0
         else:

@@ -107,8 +107,8 @@ def default_query_id(annotation) -> str:
     """Join key pairing an annotation with its score series.
 
     Annotations carry no explicit query id; ``annotator_uid-ann_idx`` is
-    unique within a video for both the released CSV schema and synthetic
-    corpora.
+    unique within a video, for ``parse_annotations`` rejects a repeated
+    ``(video_uid, annotator_uid, ann_idx)``.
     """
     return f"{annotation.annotator_uid}-{annotation.ann_idx}"
 

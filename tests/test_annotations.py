@@ -246,7 +246,7 @@ class TestGenSynthetic:
         spec = ann.SyntheticStreamSpec(
             n_frames=20, dim=16, event_interval=ann.Interval(5, 9), noise_scale=0.0, seed=4
         )
-        frames, query, a = ann.gen_synthetic(spec, 16)
+        frames, query, a = ann.gen_synthetic(spec)
         cos = frames @ query / (
             np.linalg.norm(frames, axis=1).clip(1e-12) * np.linalg.norm(query)
         )
@@ -258,31 +258,24 @@ class TestGenSynthetic:
         spec = ann.SyntheticStreamSpec(
             n_frames=30, dim=8, event_interval=ann.Interval(3, 6), noise_scale=0.2, seed=9
         )
-        f1, q1, a1 = ann.gen_synthetic(spec, 8)
-        f2, q2, a2 = ann.gen_synthetic(spec, 8)
+        f1, q1, a1 = ann.gen_synthetic(spec)
+        f2, q2, a2 = ann.gen_synthetic(spec)
         assert np.array_equal(f1, f2) and np.array_equal(q1, q2) and a1 == a2
 
     def test_annotation_records_interval(self):
         spec = ann.SyntheticStreamSpec(
             n_frames=30, dim=8, event_interval=ann.Interval(3.5, 6.25), noise_scale=0.2, seed=9
         )
-        _, _, a = ann.gen_synthetic(spec, 8)
+        _, _, a = ann.gen_synthetic(spec)
         assert (a.start_sec, a.end_sec) == (3.5, 6.25)
         assert a.video_length == 30.0
-
-    def test_dim_mismatch(self):
-        spec = ann.SyntheticStreamSpec(
-            n_frames=10, dim=8, event_interval=ann.Interval(1, 2), noise_scale=0.1, seed=0
-        )
-        with pytest.raises(ConfigError):
-            ann.gen_synthetic(spec, 16)
 
     def test_shared_query_seed_shares_direction(self):
         base = dict(n_frames=12, dim=8, event_interval=ann.Interval(1, 3), noise_scale=0.1)
         s1 = ann.SyntheticStreamSpec(seed=1, query_seed=42, **base)
         s2 = ann.SyntheticStreamSpec(seed=2, query_seed=42, **base)
-        _, q1, _ = ann.gen_synthetic(s1, 8)
-        _, q2, _ = ann.gen_synthetic(s2, 8)
+        _, q1, _ = ann.gen_synthetic(s1)
+        _, q2, _ = ann.gen_synthetic(s2)
         assert np.array_equal(q1, q2)
 
     def test_raw_cosine_detector_sr1_on_low_noise(self):
@@ -300,7 +293,7 @@ class TestGenSynthetic:
                 n_frames=60, dim=128, event_interval=ann.Interval(start, start + dur),
                 noise_scale=0.1, seed=int(rng.integers(2**31)),
             )
-            frames, q, a = ann.gen_synthetic(spec, 128)
+            frames, q, a = ann.gen_synthetic(spec)
             qn = q / np.linalg.norm(q)
             un = np.linalg.norm(frames, axis=1).clip(1e-12)
             cos = np.clip((frames @ qn) / un, 0.0, 1.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart import cli, detector, kernels, metrics
+from streamstart import cli, costmodel, detector, kernels, metrics
 
 import oracles
 
@@ -68,6 +68,14 @@ class TestIngest:
 
     def test_missing_file_exit_config(self, tmp_path):
         assert cli.main(["ingest", "--annotations", str(tmp_path / "nope.csv")]) == cli.EXIT_CONFIG
+
+    def test_unknown_source_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        bogus = GOOD_ROW.replace("moments", "bogus").replace(",0,", ",1,")
+        path.write_text(HEADER + "\n" + GOOD_ROW + "\n" + bogus + "\n")
+        assert cli.main(["ingest", "--annotations", str(path)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "row 2: source must be one of" in err and "'bogus'" in err and err.count("\n") == 1
 
 
 class TestSynth:
@@ -185,9 +193,10 @@ class TestTrainScoreEval:
         corpus, run, scores = pipeline
         capsys.readouterr()
         assert (run / "checkpoint.sdqk").exists()
-        assert (run / "curve.csv").read_text().startswith("step,total,pos_term,neg_term,w_pos")
-        manifest = json.loads((run / "train_manifest.json").read_text())
-        assert manifest["steps"] == 5 and manifest["seed"] == 0
+        curve = (run / "curve.csv").read_text().splitlines()
+        assert curve[0] == "step,total,pos_term,neg_term,w_pos" and len(curve) == 1 + 5
+        assert json.loads((run / "manifest.json").read_text())["seed"] == 0
+        assert not (run / "train_manifest.json").exists()  # the manifest is the run's one record
         assert sorted(p.name for p in (scores / "scores").iterdir()) == ["index.json", "scores.f64"]
         assert len(metrics.load_score_series_dir(scores / "scores")) == 8
         for d in (corpus, run, scores):
@@ -285,6 +294,47 @@ class TestTrainScoreEval:
         checkpoint = run / "checkpoint.sdqk"
         assert scored == {str(checkpoint): hashlib.sha256(checkpoint.read_bytes()).hexdigest(),
                           str(corpus): _documented_digest(corpus, _split_files(corpus, "val"))}
+
+    @pytest.mark.parametrize("name", ["ingest", "synth", "train_qrnn", "train_retention", "score", "eval", "bench"])
+    def test_manifest_config_is_every_parsed_flag(self, pipeline, tmp_path, monkeypatch, name):
+        # config is vars(args) but command, func and out, each "auto" flag read as the value the run used
+        corpus, run, scores = pipeline
+        out = tmp_path / "out"
+        train = ["train", "--data", str(corpus), "--out", str(out), "--blocks", "1", "--ws", "0", "--d-prime", "0"]
+        argv = {
+            "ingest": ["ingest", "--annotations", str(corpus / "annotations.csv"), "--out", str(out)],
+            "synth": ["synth", "--out", str(out), "--streams", "2", "--val-streams", "1", "--dim", "4"],
+            "train_qrnn": train + ["--kind", "qrnn"],
+            "train_retention": train + ["--kind", "retention"],
+            "score": ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(corpus),
+                      "--out", str(out)],
+            "eval": ["eval", "--scores", str(scores / "scores"), "--annotations", str(corpus / "annotations.csv"),
+                     "--split", "val", "--sweep", "20", "--out", str(out)],
+            "bench": ["bench", "--out", str(out)],
+        }[name]
+        windows = []
+
+        def fake_train(model, embeddings, labels, queries, config):
+            windows.append(embeddings.shape[1])
+            return model, []
+
+        monkeypatch.setattr(detector, "train", fake_train)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        args = cli.build_parser().parse_args(argv)
+        parsed = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+        assert config.keys() == parsed.keys()
+        resolved = {}
+        if args.command == "train":
+            assert windows == [30 if args.kind == "retention" else 60]
+            resolved = {"ws": windows[0],
+                        "d_prime": detector.load_model(out / "checkpoint.sdqk").config.adapter.d_prime}
+        elif args.command == "eval":
+            resolved = {"threshold": json.loads((out / "report.json").read_text())["threshold"]}
+        elif args.command == "bench":
+            resolved = {"d_prime": costmodel.default_reduced_dim(args.kind, args.d, args.k)}
+        assert config == parsed | resolved
 
     @pytest.mark.parametrize("command, split, other", [("train", "train", "val"), ("score", "val", "train")])
     def test_data_digest_covers_exactly_the_files_read(self, pipeline, tmp_path, command, split, other):
@@ -538,19 +588,28 @@ class TestTrainScoreEval:
         assert f"video {first.video_uid} has 2 distinct {split}-split queries" in err and err.count("\n") == 1
         assert not out.exists()
 
-    def test_score_writes_one_series_per_pair(self, pipeline, tmp_path, capsys):
-        # a repeated annotation row scores its video once; the store holds each pair once
-        corpus, run, _ = pipeline
+    @pytest.mark.parametrize("command", ["ingest", "score", "eval"])
+    def test_repeated_annotation_exit_schema(self, pipeline, tmp_path, capsys, command):
+        # a row repeating a (video_uid, annotator_uid, ann_idx) would evaluate one query twice
+        corpus, run, scores = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
         anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
-        val = [a for a in anns if a.split == "val"]
-        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns + [val[-1]]))
-        out = tmp_path / "scored"
-        assert cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
-                         "--split", "val", "--out", str(out)]) == 0
-        capsys.readouterr()
-        pairs = [(s.video_uid, s.query_id) for s in metrics.load_score_series_dir(out / "scores")]
-        assert pairs == [(a.video_uid, metrics.default_query_id(a)) for a in val]
+        assert anns[-1].split == "val"
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns + [anns[-1]]))
+        out = tmp_path / "out"
+        argv = {
+            "ingest": ["ingest", "--annotations", str(copied / "annotations.csv"), "--out", str(out)],
+            "score": ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                      "--split", "val", "--out", str(out)],
+            "eval": ["eval", "--scores", str(scores / "scores"), "--annotations", str(copied / "annotations.csv"),
+                     "--split", "val", "--threshold", "0.5", "--out", str(out)],
+        }[command]
+        assert cli.main(argv) == cli.EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        n = len(anns)
+        assert f"row {n + 1}: repeats the (video_uid, annotator_uid, ann_idx) of row {n}: " in captured.err
+        assert not out.exists()
 
     def test_score_stream_width_checked_against_checkpoint(self, pipeline, tmp_path, capsys):
         _, run, _ = pipeline

@@ -86,13 +86,13 @@ class TestScoreFrames:
             scaled = score_frames(m, frames * c, q).scores
             assert scaled == pytest.approx(base, abs=1e-12)
 
-    def test_zero_norm_scores_half_with_warning(self):
+    def test_zero_norm_scores_half_with_warning(self, caplog):
         m = identity_model()
         q = np.ones(8)
-        before = detector.ZERO_NORM_COUNT
-        p = score_frames(m, np.zeros((1, 8)), q).scores
+        with caplog.at_level("WARNING", logger=detector.logger.name):
+            p = score_frames(m, np.zeros((1, 8)), q).scores
         assert p[0] == 0.5
-        assert detector.ZERO_NORM_COUNT == before + 1
+        assert [r.getMessage() for r in caplog.records] == ["1 zero-norm frame output(s); scoring them as sigmoid(0)"]
 
     def test_fresh_checkpoints_score_like_frozen_standin(self):
         # identity-initialized adapters contribute nothing, so any adapter

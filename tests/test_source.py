@@ -66,7 +66,7 @@ def test_only_the_known_module_globals():
     # module-level mutable state is on its way out; no module may add more
     names = {f"{name[:-3]}.{g}" for name, tree in _trees()
              for node in ast.walk(tree) if isinstance(node, ast.Global) for g in node.names}
-    assert names == {"kernels._OP_COUNTER", "detector.ZERO_NORM_COUNT"}
+    assert names == {"kernels._OP_COUNTER"}
 
 
 def test_kernels_does_no_file_io():
