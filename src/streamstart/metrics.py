@@ -24,8 +24,12 @@ from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
 
 MODES = ("rising_edge", "every_frame")
 # Elements that one evaluation block's padded working arrays may hold: its [b, C, T]
-# prediction mask, or the [b, T] running maximum of the first-crossing pass.
+# prediction mask, or the [b, T] scores of the record search.
 _BLOCK = 2**18
+# Frames per chunk of the record search, a power of two: a pairwise tree of maxima
+# gives each chunk's maximum, and only a chunk whose maximum beats every frame
+# before it holds a record.
+_RECORD_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -225,26 +229,25 @@ def _blocks(lengths: np.ndarray, width: int):
         yield block
 
 
-def _stack(queries: _Queries, block: np.ndarray) -> np.ndarray:
-    """``[b, T]`` scores of a block's queries, padded with -1 to its longest, T. Padding
-    is below every threshold, so it never fires."""
+def _stack(queries: _Queries, block: np.ndarray, multiple: int = 1) -> np.ndarray:
+    """``[b, T]`` scores of a block's queries, each row padded with -1 to T, the block's
+    longest length rounded up to a multiple of ``multiple``: one concatenate. Padding is
+    below every threshold, so it never fires."""
     lengths = queries.lengths[block]
-    flat = np.concatenate([queries.series[q].scores for q in block.tolist()])
-    t = int(lengths.max())
-    if flat.size == len(block) * t:
-        return flat.reshape(len(block), t)
-    pad = np.full((len(block), t), -1.0)
-    pad[np.arange(t) < lengths[:, None]] = flat  # row-major, so each row gets its own scores
-    return pad
+    t = -(-int(lengths.max()) // multiple) * multiple
+    rows = [queries.series[q].scores for q in block.tolist()]
+    if lengths.min() < t:  # each row, then a slice of one -1 row as long as its padding
+        fill = np.full(t, -1.0)
+        rows = [part for scores in rows for part in (scores, fill[scores.size:])]
+    return np.concatenate(rows).reshape(len(block), t)
 
 
 def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: int) -> np.ndarray:
     """``[Q, C, n_first]`` frame of each query's j-th prediction at each threshold; inf past its last.
 
-    Each block of ``_blocks(lengths, C)`` is stacked by ``_stack`` (one
-    concatenate and reshape when its rows share a length, a masked scatter
-    into the padding otherwise) and builds its ``[b, C, T]`` prediction mask;
-    each of ``n_first`` passes takes every row's first set frame and clears it.
+    Each block of ``_blocks(lengths, C)`` is stacked by ``_stack`` and builds
+    its ``[b, C, T]`` prediction mask; each of ``n_first`` passes takes every
+    row's first set frame and clears it.
     """
     first = np.full((len(queries.series), len(taus), n_first), np.inf)
     for block in _blocks(queries.lengths, len(taus)):
@@ -260,33 +263,86 @@ def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: 
     return first
 
 
-def _first_crossings(queries: _Queries, taus: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class _Records:
+    """One block's running-maximum records, in row-major order: where a query's running
+    maximum rises from ``old`` (-inf at frame 0) to ``new``, the score at ``frame``. A
+    row's last record is its maximum, ``top``."""
+
+    block: np.ndarray
+    frame: np.ndarray
+    old: np.ndarray
+    new: np.ndarray
+    top: np.ndarray
+
+
+def _record_chunks(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the chunks, of ``[b, n]`` chunk maxima ``top``, whose maximum beats
+    the maximum of every chunk before them in their row, and that maximum (-inf for a
+    row's first chunk). Only these chunks hold running-maximum records."""
+    before = np.empty_like(top)
+    before[:, 0] = -np.inf
+    np.maximum.accumulate(top[:, :-1], axis=1, out=before[:, 1:])
+    picked = np.flatnonzero(top > before)
+    return picked, before.ravel()[picked]
+
+
+def _records(queries: _Queries) -> tuple[float, float, list[_Records]]:
+    """The lowest and the highest score of the queries, and each block's records: one
+    pass over the blocks of ``_blocks(lengths, 1)``.
+
+    Each row is cut into ``_RECORD_CHUNK``-frame chunks (padding is -1, below every
+    score), and a pairwise tree of maxima gives each chunk's maximum. The running
+    maximum then runs only over the chunks that ``_record_chunks`` picks, each seeded
+    with the maximum before it. A record is a strict rise, as in the running maximum
+    itself.
+    """
+    lo, hi, kept = np.inf, -np.inf, []
+    for block in _blocks(queries.lengths, 1):
+        pad = _stack(queries, block, _RECORD_CHUNK)
+        chunks = pad.reshape(-1, _RECORD_CHUNK)
+        top = np.maximum(chunks[:, 0::2], chunks[:, 1::2])  # stride-2 halves, one flat loop each
+        while top.shape[1] > 1:
+            top = np.maximum(top[:, 0::2], top[:, 1::2])
+        top = top.reshape(len(block), -1)
+        picked, seed = _record_chunks(top)
+        run = np.maximum.accumulate(chunks[picked], axis=1)
+        np.maximum(run, seed[:, None], out=run)
+        rise = np.empty(run.shape, dtype=bool)
+        np.greater(run[:, 0], seed, out=rise[:, 0])
+        np.greater(run[:, 1:], run[:, :-1], out=rise[:, 1:])
+        at = np.flatnonzero(rise)  # row-major: picked ascends, and frames ascend in a chunk
+        chunk, j = np.divmod(at, _RECORD_CHUNK)
+        row_top = top.max(axis=1)
+        kept.append(_Records(block=block, frame=picked[chunk] % top.shape[1] * _RECORD_CHUNK + j,
+                             old=np.where(j > 0, run.ravel()[at - 1], seed[chunk]),
+                             new=run.ravel()[at], top=row_top))
+        # every row is real up to the block's shortest length; past it, leave the padding out
+        shortest = int(queries.lengths[block].min())
+        tail = pad[:, shortest:]
+        lo = min(lo, float(pad[:, :shortest].min()), float(np.min(tail, where=tail >= 0, initial=np.inf)))
+        hi = max(hi, float(row_top.max()))
+    return lo, hi, kept
+
+
+def _first_crossings(queries: _Queries, records: list[_Records], taus: np.ndarray) -> np.ndarray:
     """``[Q, C]`` first frame whose score is at least each of the ascending thresholds
     ``taus``; inf where the query never reaches one. In either mode that frame is the
     query's first prediction.
 
-    It is the first frame at which the running maximum reaches the threshold.
-    So in each block of ``_blocks(lengths, 1)`` only the record frames, where
-    the running maximum rises from ``old`` to ``new``, cross anything: exactly
-    the thresholds in ``(old, new]``. Per row those ranges are consecutive and
-    start at the lowest threshold, so the records' frames, each repeated once
-    per threshold of its range, fill the row's crossed thresholds in order.
+    It is the first frame at which the running maximum reaches the threshold, so only
+    the ``_records`` cross anything: each exactly the thresholds in ``(old, new]``. Per
+    row those ranges are consecutive and start at the lowest threshold, so the records'
+    frames, each repeated once per threshold of its range, fill the row's crossed
+    thresholds in order. The records do not depend on ``taus``.
     """
     first = np.full((len(queries.series), len(taus)), np.inf)
-    for block in _blocks(queries.lengths, 1):
-        run = np.maximum.accumulate(_stack(queries, block), axis=1)
-        t = run.shape[1]
-        rise = np.empty(run.shape, dtype=bool)
-        rise[:, 0] = True
-        np.greater(run[:, 1:], run[:, :-1], out=rise[:, 1:])
-        at = np.flatnonzero(rise)  # records in row-major order
-        frames = at % t
-        old = np.where(frames > 0, run.ravel()[at - 1], -np.inf)
-        counts = np.searchsorted(taus, run.ravel()[at], "right") - np.searchsorted(taus, old, "right")
-        crossed = np.arange(len(taus)) < np.searchsorted(taus, run[:, -1], "right")[:, None]
+    for rec in records:
+        counts = np.searchsorted(taus, rec.new, "right") - np.searchsorted(taus, rec.old, "right")
+        crossed = np.arange(len(taus)) < np.searchsorted(taus, rec.top, "right")[:, None]
         found = np.full(crossed.shape, np.inf)
-        found[crossed] = np.repeat(frames, counts)
-        first[block] = found
+        found[crossed] = np.repeat(rec.frame, counts)
+        first[rec.block] = found
     return first
 
 
@@ -345,29 +401,34 @@ def sweep_thresholds(
     all scores are constant there is a single candidate. The queries are
     paired and validated once.
 
-    Selection needs only each query's first ``objective_k`` predictions at
-    every candidate. With ``objective_k = 1`` that is the first frame whose
-    score reaches the candidate, in either mode, and one pass over the
-    scores finds it for all candidates (``_first_crossings``). A larger
-    ``objective_k`` takes the first ``objective_k`` frames of every
-    candidate's prediction mask (``_first_predictions``). The report is then
-    ``evaluate_dataset``'s at the chosen threshold alone.
+    One pass over the paired scores (``_records``) gives the grid's bounds
+    and each query's running-maximum records; series that no annotation
+    pairs are scanned apart, as they still widen the grid. Selection needs
+    only each query's first ``objective_k`` predictions at every candidate.
+    With ``objective_k = 1`` that is the first frame whose score reaches the
+    candidate, in either mode, and the records give it for all candidates
+    (``_first_crossings``). A larger ``objective_k`` takes the first
+    ``objective_k`` frames of every candidate's prediction mask
+    (``_first_predictions``). The report is then ``evaluate_dataset``'s at
+    the chosen threshold alone.
     """
     if n < 2:
         raise ConfigError(f"sweep needs n >= 2 candidates, got {n}")
     ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
-    nonempty = [s for s in series if s.scores.size]
-    if not nonempty:
+    if not any(s.scores.size for s in series):
         raise ConfigError("cannot sweep thresholds over empty score series")
-    lo, hi = np.inf, -np.inf
-    for i in range(0, len(nonempty), 64):  # one reduction per 64 series, not one per series
-        chunk = np.concatenate([s.scores for s in nonempty[i:i + 64]])
+    # the candidates lie between two scores, in [0, 1], so no threshold is checked
+    queries = _pair(series, annotations, query_id, [], mode, ks)
+    lo, hi, records = _records(queries)
+    paired = {id(s) for s in queries.series}
+    unpaired = [s.scores for s in series if id(s) not in paired and s.scores.size]
+    for i in range(0, len(unpaired), 64):  # one reduction per 64 series, not one per series
+        chunk = np.concatenate(unpaired[i:i + 64])
         lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
-    queries = _pair(series, annotations, query_id, candidates, mode, ks)
     taus = np.array(candidates, dtype=float)  # np.linspace's grid ascends
     if objective_k == 1:
-        first = _first_crossings(queries, taus)[:, :, None]
+        first = _first_crossings(queries, records, taus)[:, :, None]
     else:
         first = _first_predictions(queries, taus, mode, objective_k)
     hit = is_hit(first / queries.fps[:, None, None], queries.starts[:, None, None], w).any(axis=2)

@@ -292,7 +292,7 @@ def first_crossings(rows, taus):
     ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
     anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
     queries = metrics._pair(ser, anns, qid, taus, "rising_edge", [1])
-    return metrics._first_crossings(queries, np.array(taus, dtype=float))
+    return metrics._first_crossings(queries, metrics._records(queries)[2], np.array(taus, dtype=float))
 
 
 def argmax_crossings(rows, taus):
@@ -301,7 +301,70 @@ def argmax_crossings(rows, taus):
                       for tau in taus] for r in rows])
 
 
+W = metrics._RECORD_CHUNK
+
+
+def record_rows():
+    """Rows of the record search's edge cases: lengths at and past the chunk edges, plateaus
+    that repeat a maximum across chunk edges, a maximum at frame 0, constant rows, and a
+    maximum that rises at a chunk's first frame after a chunk that only ties it."""
+    rng = np.random.default_rng(5)
+    levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+    rows = [rng.choice(levels, n) for n in (1, W - 1, W, W + 1, 2 * W, 3 * W + 5)]
+    rows += [np.repeat([0.25, 0.5, 0.5, 0.75], W // 2 + 1), np.r_[1.0, rng.choice(levels, 2 * W)],
+             np.full(W + 3, 0.5), np.full(1, 0.75), np.r_[np.full(2 * W, 0.5), np.full(W, 0.75)]]
+    return rows
+
+
+def running_max_records(rows):
+    """Per row: the frames where its running maximum strictly rises (frame 0 always), the
+    maximum before each (-inf at frame 0), the maximum after it, and the row's maximum."""
+    out = []
+    for r in rows:
+        run = np.maximum.accumulate(np.asarray(r, dtype=float))
+        at = np.flatnonzero(np.r_[True, run[1:] > run[:-1]])
+        out.append((at.tolist(), np.r_[-np.inf, run][at].tolist(), run[at].tolist(), float(run[-1])))
+    return out
+
+
+def records_by_row(rows):
+    """``metrics._records`` of one series per row: its bounds, and per row what ``running_max_records`` gives."""
+    ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
+    anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
+    lo, hi, records = metrics._records(metrics._pair(ser, anns, qid, [], "rising_edge", [1]))
+    by_row = [None] * len(rows)
+    for rec in records:
+        starts = np.flatnonzero(rec.old == -np.inf)  # each row's records begin at its frame 0
+        assert starts[0] == 0 and len(starts) == len(rec.block)
+        for q, frame, old, new, top in zip(rec.block.tolist(), np.split(rec.frame, starts[1:]),
+                                           np.split(rec.old, starts[1:]), np.split(rec.new, starts[1:]), rec.top):
+            by_row[q] = (frame.tolist(), old.tolist(), new.tolist(), float(top))
+    return lo, hi, by_row
+
+
 class TestFirstCrossings:
+    def test_only_chunks_that_beat_every_chunk_before_are_searched(self):
+        # ties with the maximum before a chunk, padding (-1) and lower chunks hold no record
+        top = np.array([[0.5, 0.5, 0.7, 0.2, 0.7, 0.9], [0.0, 0.0, 0.0, -1.0, -1.0, -1.0]])
+        picked, seed = metrics._record_chunks(top)
+        assert picked.tolist() == [0, 2, 5, 6]
+        assert seed.tolist() == [-np.inf, 0.5, 0.7, -np.inf]
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
+    def test_records_are_the_running_maximums_strict_rises(self, budget, monkeypatch):
+        # one block holds rows of mixed lengths at 2**18; the bounds leave the padding out
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        rows = record_rows()
+        lo, hi, by_row = records_by_row(rows)
+        assert by_row == running_max_records(rows)
+        assert (lo, hi) == (min(r.min() for r in rows), max(r.max() for r in rows))
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
+    def test_edge_cases_on_grid_values(self, budget, monkeypatch):
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        rows, taus = record_rows(), [0.0, 0.25, 0.5, 0.5, 0.75, 0.8, 1.0]
+        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+
     def test_first_frame_is_the_rows_max(self):
         rows, taus = [[0.9, 0.1, 0.5, 0.9]], [0.0, 0.5, 0.9, 0.95]
         assert np.array_equal(first_crossings(rows, taus), [[0.0, 0.0, 0.0, np.inf]])

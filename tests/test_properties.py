@@ -143,22 +143,32 @@ def test_blocked_evaluation_equals_brute_force(data, ks, budget):
 
 
 SWEEP_FPS = (0.5, 1.0, 2.5, 29.97, 30000 / 1001)
+W = metrics._RECORD_CHUNK
+# lengths at the record search's chunk edges, and over several chunks
+EDGE_LENGTHS = (1, W - 1, W, W + 1, 2 * W + 1, 4 * W - 1)
 
 
 @st.composite
 def sweep_queries(draw):
-    """Score series of 1-60 frames at mixed, mostly non-integer fps, and an annotation
-    for each. Scores are SCORE_LEVELS, so a grid of 2, 3, 5 or 9 candidates between two
-    levels puts candidates exactly on scores. A series may be constant, or hold only
-    the lowest level, so it crosses no higher candidate. Some starts put a frame
-    exactly on a window edge, and a series without annotation may widen the grid."""
+    """Score series of 1-63 frames at mixed, mostly non-integer fps, and an annotation
+    for each. Lengths are drawn at and past the record search's chunk edges as well, so
+    a block mixes lengths and pads its rows. Scores are SCORE_LEVELS, so a grid of 2,
+    3, 5 or 9 candidates between two levels puts candidates exactly on scores. A series
+    may be constant, hold only the lowest level, so it crosses no higher candidate, put
+    its maximum at frame 0, or climb in plateaus that repeat each maximum. Some starts
+    put a frame exactly on a window edge, and a series without annotation may widen the
+    grid."""
     series, anns = [], []
     for i in range(draw(st.integers(1, 6))):
-        n = draw(st.integers(1, 60) | st.integers(1, 4))
+        n = draw(st.integers(1, 60) | st.integers(1, 4) | st.sampled_from(EDGE_LENGTHS))
         fps = draw(st.sampled_from(SWEEP_FPS))
-        shape = draw(st.sampled_from(["levels", "constant", "lowest"]))
-        if shape == "levels":
+        shape = draw(st.sampled_from(["levels", "constant", "lowest", "peak_first", "plateaus"]))
+        if shape in ("levels", "peak_first", "plateaus"):
             scores = draw(st.lists(st.sampled_from(SCORE_LEVELS), min_size=n, max_size=n))
+            if shape == "peak_first":
+                scores[0] = max(scores)
+            elif shape == "plateaus":
+                scores.sort()
         else:
             scores = [SCORE_LEVELS[0] if shape == "lowest" else draw(st.sampled_from(SCORE_LEVELS))] * n
         start = draw(st.floats(0.0, n / fps) | st.builds(lambda f, edge: f / fps + edge,
