@@ -327,22 +327,27 @@ def sample_windows(
 _BACKBONE_SEED = 1489  # fixed seed of the frozen stand-in map
 
 
-def _backbone_map(dim: int, seed: int) -> np.ndarray:
-    # a seeded random rotation: full-rank mixing without spectrum artifacts
-    rng = np.random.default_rng(seed)
+def backbone_map(dim: int) -> np.ndarray:
+    """The fixed ``[dim, dim]`` linear map standing in for the frozen backbone: a
+    seeded random rotation, full-rank mixing without spectrum artifacts."""
+    rng = np.random.default_rng(_BACKBONE_SEED)
     g = rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     return q * np.sign(np.diag(r))
 
 
-def gen_synthetic(spec: SyntheticStreamSpec) -> tuple[np.ndarray, np.ndarray, EventAnnotation]:
+def gen_synthetic(
+    spec: SyntheticStreamSpec, backbone: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, EventAnnotation]:
     """Generate one synthetic embedding stream, its query embedding and annotation.
 
     A seeded unit-norm latent query vector defines the event: in-event
     frames are the query plus scaled Gaussian noise, out-of-event frames are
     independent Gaussian noise whose expected norm matches the in-event
     frames. All frames and the query pass through one fixed seeded linear
-    map standing in for the frozen backbone, shared across streams.
+    map standing in for the frozen backbone, shared across streams:
+    ``backbone_map(spec.dim)``, which a caller generating many streams may
+    build once and pass as ``backbone``.
     """
     q_entropy, noise_entropy = np.random.SeedSequence(spec.seed).spawn(2)
     q_rng = np.random.default_rng(
@@ -359,7 +364,8 @@ def gen_synthetic(spec: SyntheticStreamSpec) -> tuple[np.ndarray, np.ndarray, Ev
     out_scale = math.sqrt(1.0 / spec.dim + spec.noise_scale**2)
     latent = np.where(inside[:, None], q[None, :] + spec.noise_scale * noise, out_scale * noise)
 
-    backbone = _backbone_map(spec.dim, _BACKBONE_SEED)
+    if backbone is None:
+        backbone = backbone_map(spec.dim)
     frames = latent @ backbone
     query_emb = q @ backbone
 

@@ -137,9 +137,11 @@ def cmd_ingest(args) -> int:
 
 
 def _corpus_annotations(specs, n_train: int) -> list:
+    # a corpus's streams share one dim, so they share one backbone map
+    backbone = annotations.backbone_map(specs[0].dim) if specs else None
     anns = []
     for i, spec in enumerate(specs):
-        frames, query, ann = annotations.gen_synthetic(spec)
+        frames, query, ann = annotations.gen_synthetic(spec, backbone)
         ann = replace(ann, split="train" if i < n_train else "val")
         anns.append((spec, frames, query, ann))
     return anns
@@ -150,6 +152,8 @@ def cmd_synth(args) -> int:
     for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams)):
         if count < 0:
             raise ConfigError(f"{flag} must be nonnegative, got {count}")
+    if args.dim < 1:  # checked here too, for an empty corpus builds no stream spec that checks it
+        raise ConfigError(f"dim must be >= 1, got {args.dim}")
     specs = annotations.make_corpus_specs(
         n_streams=args.streams + args.val_streams,
         seed=args.seed,
@@ -161,6 +165,7 @@ def cmd_synth(args) -> int:
         n_queries=args.queries,
     )
     rows = _corpus_annotations(specs, args.streams)
+    out.mkdir(parents=True, exist_ok=True)  # an empty corpus saves no stream that would make it
     streams_dir = out / "streams"
     anns = []
     for spec, frames, query, ann in rows:

@@ -120,7 +120,9 @@ class TestSynth:
         (["--streams", "-2"], "--streams"),
         (["--val-streams", "-1"], "--val-streams"),
         (["--streams", "-2", "--val-streams", "3"], "--streams"),
-    ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos"])
+        (["--streams", "0", "--val-streams", "0", "--dim", "0"], "dim"),
+    ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos",
+            "dim_0_empty_corpus"])
     def test_bad_value_exit_config(self, tmp_path, capsys, flags, name):
         out = tmp_path / "c"
         assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1"] + flags) \
@@ -128,6 +130,23 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"error: {name} must be" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_empty_corpus(self, tmp_path, capsys, pipeline):
+        # both counts 0: a header-only annotations.csv and the manifest, which train and score reject
+        out = tmp_path / "empty"
+        assert cli.main(["synth", "--out", str(out), "--streams", "0", "--val-streams", "0"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["annotations.csv", "manifest.json"]
+        assert (out / "annotations.csv").read_bytes() == ann.serialize_annotations([])
+        assert ann.parse_annotations((out / "annotations.csv").read_bytes()) == []
+        capsys.readouterr()
+        checkpoint = pipeline[1] / "checkpoint.sdqk"
+        for split, argv in (("train", ["train", "--data", str(out)]),
+                            ("val", ["score", "--checkpoint", str(checkpoint), "--data", str(out), "--split", "val"])):
+            assert cli.main(argv + ["--out", str(tmp_path / split)]) == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"no {split}-split annotations in {out}" in err and err.count("\n") == 1
+            assert not (tmp_path / split).exists()
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
