@@ -265,11 +265,12 @@ def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: 
 
 @dataclass(frozen=True)
 class _Records:
-    """One block's running-maximum records, in row-major order: where a query's running
-    maximum rises from ``old`` (-inf at frame 0) to ``new``, the score at ``frame``. A
-    row's last record is its maximum, ``top``."""
+    """The queries' running-maximum records, query by query (the query indices in
+    ``order``) and frame by frame: where a query's running maximum rises from ``old``
+    (-inf at frame 0) to ``new``, the score at ``frame``. A query's last record is its
+    maximum, ``top``."""
 
-    block: np.ndarray
+    order: np.ndarray
     frame: np.ndarray
     old: np.ndarray
     new: np.ndarray
@@ -287,9 +288,9 @@ def _record_chunks(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return picked, before.ravel()[picked]
 
 
-def _records(queries: _Queries) -> tuple[float, float, list[_Records]]:
-    """The lowest and the highest score of the queries, and each block's records: one
-    pass over the blocks of ``_blocks(lengths, 1)``.
+def _records(queries: _Queries) -> tuple[float, float, _Records]:
+    """The lowest and the highest score of the queries, and their records: one pass over
+    the blocks of ``_blocks(lengths, 1)``.
 
     Each row is cut into ``_RECORD_CHUNK``-frame chunks (padding is -1, below every
     score), and a pairwise tree of maxima gives each chunk's maximum. The running
@@ -306,26 +307,28 @@ def _records(queries: _Queries) -> tuple[float, float, list[_Records]]:
             top = np.maximum(top[:, 0::2], top[:, 1::2])
         top = top.reshape(len(block), -1)
         picked, seed = _record_chunks(top)
-        run = np.maximum.accumulate(chunks[picked], axis=1)
-        np.maximum(run, seed[:, None], out=run)
+        # run[j] holds frame j of every picked chunk: one np.maximum per frame runs the
+        # seeded maximum faster than np.maximum.accumulate along 16-frame rows
+        run = np.ascontiguousarray(chunks[picked].T)
+        np.maximum(run[0], seed, out=run[0])
+        for j in range(1, _RECORD_CHUNK):
+            np.maximum(run[j], run[j - 1], out=run[j])
         rise = np.empty(run.shape, dtype=bool)
-        np.greater(run[:, 0], seed, out=rise[:, 0])
-        np.greater(run[:, 1:], run[:, :-1], out=rise[:, 1:])
-        at = np.flatnonzero(rise)  # row-major: picked ascends, and frames ascend in a chunk
-        chunk, j = np.divmod(at, _RECORD_CHUNK)
+        np.greater(run[0], seed, out=rise[0])
+        np.greater(run[1:], run[:-1], out=rise[1:])
+        chunk, j = np.nonzero(rise.T)  # row-major: picked ascends, and frames ascend in a chunk
         row_top = top.max(axis=1)
-        kept.append(_Records(block=block, frame=picked[chunk] % top.shape[1] * _RECORD_CHUNK + j,
-                             old=np.where(j > 0, run.ravel()[at - 1], seed[chunk]),
-                             new=run.ravel()[at], top=row_top))
+        kept.append((block, picked[chunk] % top.shape[1] * _RECORD_CHUNK + j,
+                     np.where(j > 0, run[j - 1, chunk], seed[chunk]), run[j, chunk], row_top))
         # every row is real up to the block's shortest length; past it, leave the padding out
         shortest = int(queries.lengths[block].min())
         tail = pad[:, shortest:]
         lo = min(lo, float(pad[:, :shortest].min()), float(np.min(tail, where=tail >= 0, initial=np.inf)))
         hi = max(hi, float(row_top.max()))
-    return lo, hi, kept
+    return lo, hi, _Records(*map(np.concatenate, zip(*kept)))
 
 
-def _first_crossings(queries: _Queries, records: list[_Records], taus: np.ndarray) -> np.ndarray:
+def _first_crossings(queries: _Queries, records: _Records, taus: np.ndarray) -> np.ndarray:
     """``[Q, C]`` first frame whose score is at least each of the ascending thresholds
     ``taus``; inf where the query never reaches one. In either mode that frame is the
     query's first prediction.
@@ -336,13 +339,12 @@ def _first_crossings(queries: _Queries, records: list[_Records], taus: np.ndarra
     frames, each repeated once per threshold of its range, fill the row's crossed
     thresholds in order. The records do not depend on ``taus``.
     """
-    first = np.full((len(queries.series), len(taus)), np.inf)
-    for rec in records:
-        counts = np.searchsorted(taus, rec.new, "right") - np.searchsorted(taus, rec.old, "right")
-        crossed = np.arange(len(taus)) < np.searchsorted(taus, rec.top, "right")[:, None]
-        found = np.full(crossed.shape, np.inf)
-        found[crossed] = np.repeat(rec.frame, counts)
-        first[rec.block] = found
+    counts = np.searchsorted(taus, records.new, "right") - np.searchsorted(taus, records.old, "right")
+    crossed = np.arange(len(taus)) < np.searchsorted(taus, records.top, "right")[:, None]
+    found = np.full(crossed.shape, np.inf)
+    found[crossed] = np.repeat(records.frame, counts)
+    first = np.empty((len(queries.series), len(taus)))
+    first[records.order] = found
     return first
 
 

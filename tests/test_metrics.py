@@ -331,14 +331,13 @@ def records_by_row(rows):
     """``metrics._records`` of one series per row: its bounds, and per row what ``running_max_records`` gives."""
     ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
     anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
-    lo, hi, records = metrics._records(metrics._pair(ser, anns, qid, [], "rising_edge", [1]))
+    lo, hi, rec = metrics._records(metrics._pair(ser, anns, qid, [], "rising_edge", [1]))
+    starts = np.flatnonzero(rec.old == -np.inf)  # each query's records begin at its frame 0
+    assert sorted(rec.order.tolist()) == list(range(len(rows))) and len(starts) == len(rows) and starts[0] == 0
     by_row = [None] * len(rows)
-    for rec in records:
-        starts = np.flatnonzero(rec.old == -np.inf)  # each row's records begin at its frame 0
-        assert starts[0] == 0 and len(starts) == len(rec.block)
-        for q, frame, old, new, top in zip(rec.block.tolist(), np.split(rec.frame, starts[1:]),
-                                           np.split(rec.old, starts[1:]), np.split(rec.new, starts[1:]), rec.top):
-            by_row[q] = (frame.tolist(), old.tolist(), new.tolist(), float(top))
+    for q, frame, old, new, top in zip(rec.order.tolist(), np.split(rec.frame, starts[1:]),
+                                       np.split(rec.old, starts[1:]), np.split(rec.new, starts[1:]), rec.top):
+        by_row[q] = (frame.tolist(), old.tolist(), new.tolist(), float(top))
     return lo, hi, by_row
 
 
