@@ -116,6 +116,7 @@ def run_pipeline(root: Path, kinds: tuple[str, ...] = KINDS) -> tuple[dict[str, 
 
 
 def file_digest(path: Path) -> str:
+    """SHA-256 of a file's bytes, as the record keeps it."""
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
