@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, NumericError, RowError, SchemaError
-from .metrics import ToleranceWindow, check_file_ids
+from .metrics import ToleranceWindow
 
 COLUMNS = (
     "split",
@@ -64,7 +64,10 @@ class EventAnnotation:
             raise ConfigError(f"source must be one of {SOURCES}, got {self.source!r}")
         if not self.query:
             raise ConfigError("query must be non-empty")
-        check_file_ids(self.video_uid, annotator_uid=self.annotator_uid)
+        # the video_uid names its stream file, streams/<video_uid>.f32
+        if self.video_uid in ("", ".", "..") or any(c in self.video_uid for c in "/\\\0"):
+            raise ConfigError(f"video_uid {self.video_uid!r} cannot name a file: it must not be empty, "
+                              "'.' or '..', nor contain '/', '\\' or NUL")
         if self.ann_idx < 0:
             raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
         for name in ("video_fps", "video_length"):

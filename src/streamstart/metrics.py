@@ -108,11 +108,12 @@ class MetricReport:
 
 
 def default_query_id(annotation) -> str:
-    """Join key pairing an annotation with its score series.
+    """The key pairing an annotation with its score series, which ``score`` writes.
 
     Annotations carry no explicit query id; ``annotator_uid-ann_idx`` is
     unique within a video, for ``parse_annotations`` rejects a repeated
-    ``(video_uid, annotator_uid, ann_idx)``.
+    ``(video_uid, annotator_uid, ann_idx)``, and the nonnegative ``ann_idx``
+    after the last ``-`` makes the join injective whatever the ``annotator_uid``.
     """
     return f"{annotation.annotator_uid}-{annotation.ann_idx}"
 
@@ -186,15 +187,15 @@ class _Queries:
     starts: np.ndarray
 
 
-def _pair(series, annotations, query_id, thresholds, mode: str, ks) -> _Queries:
+def _pair(series, annotations, thresholds, mode: str, ks) -> _Queries:
     """Pair every annotation with its series and validate the evaluation.
 
-    A missing ``(video_uid, query_id)`` raises IdMismatchError listing them
+    A missing ``(video_uid, default_query_id)`` raises IdMismatchError listing them
     all; then no annotations, a bad threshold, mode or k, and a series
     without frames raise ConfigError, in that order.
     """
     by_key = {(s.video_uid, s.query_id): s for s in series}
-    keys = [(a.video_uid, query_id(a)) for a in annotations]
+    keys = [(a.video_uid, default_query_id(a)) for a in annotations]
     missing = [key for key in keys if key not in by_key]
     if missing:
         raise IdMismatchError(missing)
@@ -375,15 +376,14 @@ def evaluate_dataset(
     w: ToleranceWindow,
     mode: str = "rising_edge",
     threshold: float = 0.5,
-    query_id=default_query_id,
 ) -> MetricReport:
     """Aggregate SR@k (percent) and SMD@k (seconds) over all queries.
 
     Every annotation must have a matching series keyed by
-    ``(video_uid, query_id)``, and that series must have frames. The SMD
-    horizon is each series' span.
+    ``(video_uid, default_query_id)``, and that series must have frames. The
+    SMD horizon is each series' span.
     """
-    return _report(_pair(series, annotations, query_id, [threshold], mode, ks), ks, w, mode, threshold)
+    return _report(_pair(series, annotations, [threshold], mode, ks), ks, w, mode, threshold)
 
 
 def sweep_thresholds(
@@ -394,7 +394,6 @@ def sweep_thresholds(
     objective_k: int = 1,
     ks: list[int] | None = None,
     mode: str = "rising_edge",
-    query_id=default_query_id,
 ) -> tuple[float, MetricReport]:
     """Pick the threshold maximizing SR@objective_k from a uniform grid.
 
@@ -420,7 +419,7 @@ def sweep_thresholds(
     if not any(s.scores.size for s in series):
         raise ConfigError("cannot sweep thresholds over empty score series")
     # the candidates lie between two scores, in [0, 1], so no threshold is checked
-    queries = _pair(series, annotations, query_id, [], mode, ks)
+    queries = _pair(series, annotations, [], mode, ks)
     lo, hi, records = _records(queries)
     paired = {id(s) for s in queries.series}
     unpaired = [s.scores for s in series if id(s) not in paired and s.scores.size]
@@ -449,31 +448,18 @@ STORE_VERSION = 1
 _ARRAY, _INDEX = "scores.f64", "index.json"
 
 
-def check_file_ids(video_uid: str, **parts: str) -> None:
-    """Raise ConfigError unless the ids are safe in file names: ``video_uid`` names its
-    stream ``<video_uid>.f32``, and ``<video_uid>__<query_id>`` names one pair without
-    ambiguity. So ``video_uid`` must not be empty, ``.`` or ``..``, nor contain ``__``,
-    ``/`` or ``\\``, and no keyword part (a ``query_id``, or the ``annotator_uid`` it
-    starts with) may contain ``/`` or ``\\``."""
-    if video_uid in ("", ".", "..") or any(c in video_uid for c in ("__", "/", "\\")):
-        raise ConfigError(f"video_uid {video_uid!r} cannot name a file: it must not be empty, "
-                          "'.' or '..', nor contain '__', '/' or '\\'")
-    for name, value in parts.items():
-        if any(c in value for c in ("/", "\\")):
-            raise ConfigError(f"{name} {value!r} cannot name a file: it must not contain '/' or '\\'")
-
-
 def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> None:
-    """Write ``series`` into ``directory`` as its score store. Ids that annotations would
-    reject (``check_file_ids``), a repeated ``(video_uid, query_id)``, a series without
-    frames or an fps that is not finite and positive raise ConfigError before a byte is
-    written. The array goes first and the index last, under a temporary name then
-    renamed, so an interrupted write never leaves an index describing another array."""
+    """Write ``series`` into ``directory`` as its score store. What the loader rejects, ids
+    that are not strings, a repeated ``(video_uid, query_id)``, a series without frames or
+    an fps that is not finite and positive, raises ConfigError before a byte is written.
+    The array goes first and the index last, under a temporary name then renamed, so an
+    interrupted write never leaves an index describing another array."""
     entries, seen, offset = [], set(), 0
     for s in series:
         pair = f"({s.video_uid}, {s.query_id})"
         fps = float(s.fps)
-        check_file_ids(s.video_uid, query_id=s.query_id)
+        if not (isinstance(s.video_uid, str) and isinstance(s.query_id, str)):
+            raise ConfigError(f"score series {pair} needs string video_uid and query_id")
         if (s.video_uid, s.query_id) in seen:
             raise ConfigError(f"score series {pair} appears twice")
         if not s.scores.size:

@@ -73,8 +73,7 @@ def brute_evaluate(series_list, annotations, ks, anticipation, latency, mode, th
     return sr, smd
 
 
-def exhaustive_sweep(series_list, annotations, w, n=20, objective_k=1, ks=None, mode="rising_edge",
-                     query_id=metrics.default_query_id):
+def exhaustive_sweep(series_list, annotations, w, n=20, objective_k=1, ks=None, mode="rising_edge"):
     """The sweep by its definition: ``n`` evenly spaced candidates from the lowest to
     the highest score of every series with frames (one when those are equal), each
     evaluated on its own with ``evaluate_dataset``; the best SR@objective_k wins, and a
@@ -84,7 +83,7 @@ def exhaustive_sweep(series_list, annotations, w, n=20, objective_k=1, ks=None, 
     lo, hi = float(scores.min()), float(scores.max())
     best = None
     for cand in [lo] if lo == hi else np.linspace(lo, hi, n):
-        rep = metrics.evaluate_dataset(series_list, annotations, ks, w, mode, cand, query_id)
+        rep = metrics.evaluate_dataset(series_list, annotations, ks, w, mode, cand)
         if best is None or rep.sr[objective_k] >= best[1].sr[objective_k]:
             best = (cand, rep)
     return best

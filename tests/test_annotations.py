@@ -63,15 +63,22 @@ class TestParse:
             ann.parse_annotations(make_csv(row(**bad)))
 
     @pytest.mark.parametrize("bad", [
-        {"video_uid": "a__b"}, {"video_uid": "../../escaped"}, {"video_uid": ""}, {"video_uid": "."},
-        {"video_uid": ".."}, {"video_uid": "a\\b"}, {"annotator_uid": "x/y"}, {"annotator_uid": "x\\y"},
-    ], ids=["video_dunder", "video_escape", "video_empty", "video_dot", "video_dotdot", "video_backslash",
-            "annotator_slash", "annotator_backslash"])
+        {"video_uid": "../../escaped"}, {"video_uid": ""}, {"video_uid": "."}, {"video_uid": ".."},
+        {"video_uid": "a\\b"}, {"video_uid": "a\0b"},
+    ], ids=["video_escape", "video_empty", "video_dot", "video_dotdot", "video_backslash", "video_nul"])
     def test_id_that_cannot_name_a_file_is_row_error(self, bad):
-        # video_uid names the stream file; video_uid and annotator_uid name a pair as <video_uid>__<query_id>
+        # the video_uid names the stream file streams/<video_uid>.f32
         with pytest.raises(RowError, match="row 2: .* cannot name a file") as err:
             ann.parse_annotations(make_csv(row(), row(**bad)))
         assert err.value.row == 2
+
+    @pytest.mark.parametrize("ids", [
+        {"video_uid": "a__b"}, {"annotator_uid": "x/y"}, {"annotator_uid": "x\\y"},
+    ], ids=["video_dunder", "annotator_slash", "annotator_backslash"])
+    def test_id_that_names_no_file_parses(self, ids):
+        # only streams/<video_uid>.f32 is named after an id; the score store keeps its ids in its index
+        out = ann.parse_annotations(make_csv(row(), row(ann_idx="1", **ids)))
+        assert [getattr(out[1], name) for name in ids] == list(ids.values())
 
     def test_ids_with_dots_dashes_and_single_underscores_parse(self):
         out = ann.parse_annotations(make_csv(row(video_uid="synth-0001_a.b", annotator_uid="ann_1.x")))

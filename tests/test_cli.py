@@ -78,6 +78,17 @@ class TestIngest:
         assert "row 2: source must be one of" in err and "'bogus'" in err and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("uid", ["", ".", "..", "a/b", "a\\b", "a\0b"],
+                             ids=["empty", "dot", "dotdot", "slash", "backslash", "nul"])
+    def test_video_uid_that_cannot_name_a_file_exit_2(self, tmp_path, capsys, uid):
+        path = tmp_path / "ann.csv"
+        path.write_text(HEADER + "\n" + GOOD_ROW + "\n" + GOOD_ROW.replace(",v1,", f",{uid},") + "\n")
+        assert cli.main(["ingest", "--annotations", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert f"row 2: video_uid {uid!r} cannot name a file" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestSynth:
     def test_deterministic_corpus(self, tmp_path, capsys):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -570,6 +581,34 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert "row " in err and "video_uid '../../escaped' cannot name a file" in err and err.count("\n") == 1
         assert not (tmp_path / "deep").exists()
+
+    def test_ids_that_name_no_file_run_end_to_end(self, pipeline, tmp_path, capsys):
+        # only streams/<video_uid>.f32 is named after an id: `__` in a video_uid and `/` or `\` in an
+        # annotator_uid pass ingest, score and eval, and the score store reads them back exactly
+        corpus, run, scores = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
+        old = [a for a in anns if a.split == "val"][0]
+        new = replace(old, video_uid=f"cam__{old.video_uid}", annotator_uid="team/a\\b")
+        anns[anns.index(old)] = new
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns))
+        for ext in (".f32", ".f32.json", ".query.f32"):
+            (copied / "streams" / f"{old.video_uid}{ext}").rename(copied / "streams" / f"{new.video_uid}{ext}")
+        out = tmp_path / "scored"
+        assert cli.main(["ingest", "--annotations", str(copied / "annotations.csv")]) == 0
+        assert cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                         "--split", "val", "--out", str(out)]) == 0
+        stored = metrics.load_score_series_dir(out / "scores")
+        assert [(s.video_uid, s.query_id) for s in stored] == \
+            [(a.video_uid, metrics.default_query_id(a)) for a in anns if a.split == "val"]
+        assert (new.video_uid, "team/a\\b-0") in [(s.video_uid, s.query_id) for s in stored]
+        capsys.readouterr()
+        reports = []
+        for scored, annotated in ((out, copied), (scores, corpus)):
+            assert cli.main(["eval", "--scores", str(scored / "scores"), "--annotations",
+                             str(annotated / "annotations.csv"), "--split", "val", "--sweep", "20"]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]  # the same scores under other ids
 
     def test_score_empty_stream_exit_schema(self, pipeline, tmp_path, capsys):
         # a zero-frame stream would score to a series without frames, which the score store rejects

@@ -291,7 +291,7 @@ def first_crossings(rows, taus):
     """``metrics._first_crossings`` of one series per row against ascending ``taus``."""
     ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
     anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
-    queries = metrics._pair(ser, anns, qid, taus, "rising_edge", [1])
+    queries = metrics._pair(ser, anns, taus, "rising_edge", [1])
     return metrics._first_crossings(queries, metrics._records(queries)[2], np.array(taus, dtype=float))
 
 
@@ -331,7 +331,7 @@ def records_by_row(rows):
     """``metrics._records`` of one series per row: its bounds, and per row what ``running_max_records`` gives."""
     ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
     anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
-    lo, hi, rec = metrics._records(metrics._pair(ser, anns, qid, [], "rising_edge", [1]))
+    lo, hi, rec = metrics._records(metrics._pair(ser, anns, [], "rising_edge", [1]))
     starts = np.flatnonzero(rec.old == -np.inf)  # each query's records begin at its frame 0
     assert sorted(rec.order.tolist()) == list(range(len(rows))) and len(starts) == len(rows) and starts[0] == 0
     by_row = [None] * len(rows)
@@ -441,9 +441,14 @@ class TestScoreSeriesFiles:
 
     @pytest.mark.parametrize("uid,query", [("a__b", "x-0"), ("", "x-0"), (".", "x-0"), ("..", "x-0"),
                                            ("a/b", "x-0"), ("a\\b", "x-0"), ("v", "x/0"), ("v", "x\\0")])
-    def test_save_rejects_ids_that_cannot_name_the_file(self, uid, query, tmp_path):
-        # the store holds only ids that annotations accept (check_file_ids)
-        with pytest.raises(ConfigError, match="cannot name a file"):
+    def test_save_keeps_any_string_ids(self, uid, query, tmp_path):
+        # the store names no file after an id: its index holds them, and they read back exactly
+        metrics.save_score_series(tmp_path, [series([0.5], uid=uid, qid=query)])
+        assert [(s.video_uid, s.query_id) for s in metrics.load_score_series_dir(tmp_path)] == [(uid, query)]
+
+    @pytest.mark.parametrize("uid,query", [(1, "x-0"), ("v", None)])
+    def test_save_rejects_ids_that_are_not_strings(self, uid, query, tmp_path):
+        with pytest.raises(ConfigError, match="needs string video_uid and query_id"):
             metrics.save_score_series(tmp_path, [series([0.5], uid=uid, qid=query)])
         assert list(tmp_path.iterdir()) == []
 
