@@ -150,22 +150,38 @@ _TIME_FIELDS = ("start_sec", "end_sec", "video_fps", "video_length")
 def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
     """Parse the annotation CSV, enforcing schema and row invariants.
 
-    Raises SchemaError when a required column is absent, RowError with the
-    1-based data row number for unparsable or invariant-violating rows and
-    for a row that repeats an earlier row's (video_uid, annotator_uid, ann_idx).
+    Raises SchemaError for bytes that are not UTF-8 (naming the first bad
+    byte's offset), a header that is not CSV or lacks a required column, and
+    RowError with the 1-based data row number for rows that are not CSV,
+    unparsable or invariant-violating, and for a row that repeats an earlier
+    row's (video_uid, annotator_uid, ann_idx).
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise SchemaError(f"annotation CSV is not UTF-8: byte {err.start} {err.reason}") from None
     reader = csv.DictReader(io.StringIO(data))
-    header = reader.fieldnames or []
+    try:
+        header = reader.fieldnames or []
+    except csv.Error as err:  # a bare CR in an unquoted field, say
+        raise SchemaError(f"annotation CSV header is not CSV: {err}") from None
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"annotation CSV is missing column(s): {', '.join(missing)}")
+    rows: list[dict] = []
+    try:
+        for row in reader:
+            rows.append(row)
+    except csv.Error as err:
+        raise RowError(len(rows) + 1, f"is not CSV: {err}") from None
 
     out: list[EventAnnotation] = []
     first_rows: dict[tuple[str, str, int], int] = {}
-    for i, row in enumerate(reader, start=1):
+    for i, row in enumerate(rows, start=1):
         values: dict = {c: row[c] for c in COLUMNS}
+        if None in values.values():  # DictReader's filler for the fields a short row lacks
+            raise RowError(i, f"has fewer fields than the header's {len(header)}")
         for name in _TIME_FIELDS:
             try:
                 values[name] = float(values[name])

@@ -149,7 +149,8 @@ def _corpus_annotations(specs, n_train: int) -> list:
 
 def cmd_synth(args) -> int:
     out = Path(args.out)
-    for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams)):
+    for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams),
+                        ("--distractors", args.distractors)):
         if count < 0:
             raise ConfigError(f"{flag} must be nonnegative, got {count}")
     if args.dim < 1:  # checked here too, for an empty corpus builds no stream spec that checks it
@@ -216,7 +217,11 @@ def cmd_train(args) -> int:
     anns, streams = _load_corpus(data_dir, "train", read)
     if not anns:
         raise ConfigError(f"no train-split annotations in {data_dir}")
-    dim = streams[anns[0].video_uid][0].shape[1]
+    first = anns[0].video_uid
+    dim = streams[first][0].shape[1]
+    for uid, (frames, _, _) in streams.items():  # the training set stacks their windows
+        if frames.shape[1] != dim:
+            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, stream {first} has dim {dim}")
 
     adapter = _adapter_config(args.kind, dim, args.d_prime, args.k)
     w_s = args.ws if args.ws else (30 if args.kind == "retention" else 60)

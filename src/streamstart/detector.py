@@ -50,6 +50,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        kernels.check_integers(self, ("d_in", "d", "n_blocks", "d_mlp", "seed"))
         if self.adapter.d != self.d:
             raise ConfigError(f"adapter width {self.adapter.d} must equal model width {self.d}")
         if self.d_in != self.d:
@@ -454,7 +455,10 @@ def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tu
     for _ in range(n_arrays):
         (rank,) = u32s(1)
         shape = u32s(rank)
-        arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        try:
+            arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
+        except ValueError as err:  # a rank above numpy's limit, or a zero dim beside dims too large
+            raise ConfigError(f"{path}: array {len(arrays)} of rank {rank} cannot be shaped: {err}") from None
         arrays.append(arr.astype(float))
     if off != len(raw):
         raise ConfigError(f"{path} has {len(raw) - off} trailing bytes after its last array")
@@ -467,8 +471,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
-    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key, or
-    an array count or shape that does not fit its config, raises ConfigError."""
+    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key, an
+    array count or shape that does not fit its config, or a non-finite value raises ConfigError."""
     raw_config, arrays = read_checkpoint(path, read)
     try:
         config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
@@ -484,4 +488,6 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
     for (name, want), got in zip(expected.items(), arrays):
         if got.shape != want.shape:
             raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
+        if not np.isfinite(got).all():
+            raise ConfigError(f"{path}: array {name} holds a non-finite value")
     return with_arrays(template, dict(zip(expected, arrays)))

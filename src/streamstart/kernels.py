@@ -36,6 +36,7 @@ input's gradient and ``{array_name: gradient}``. No other module reads a tape.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -79,6 +80,14 @@ def _count(n: int) -> None:
 # -- configuration ------------------------------------------------------------
 
 
+def check_integers(config, names) -> None:
+    """Raise ConfigError unless each named field of ``config`` is an integer; a bool is none."""
+    for name in names:
+        value = getattr(config, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     d: int
@@ -91,6 +100,7 @@ class AdapterConfig:
     depthwise: bool = False
 
     def __post_init__(self) -> None:
+        check_integers(self, ("d", "d_prime", "k"))
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if not 1 <= self.d_prime <= self.d:

@@ -89,6 +89,14 @@ class TestParse:
         with pytest.raises(SchemaError, match="video_fps"):
             ann.parse_annotations(text.encode())
 
+    def test_short_row_is_row_error(self):
+        # the column order is free: with video_uid last, a short row lacks an id, not a time
+        columns = [c for c in ann.COLUMNS if c != "video_uid"] + ["video_uid"]
+        full = row().split(",")
+        short = [full[ann.COLUMNS.index(c)] for c in columns[:-1]]
+        with pytest.raises(RowError, match="row 1: has fewer fields than the header's 12"):
+            ann.parse_annotations((",".join(columns) + "\n" + ",".join(short) + "\n").encode())
+
     def test_non_numeric_time_reports_row(self):
         bad = row(start_sec="not-a-number")
         with pytest.raises(RowError, match="row 2"):

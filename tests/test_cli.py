@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -78,6 +79,22 @@ class TestIngest:
         assert "row 2: source must be one of" in err and "'bogus'" in err and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text.replace("boil", "b\xf6il", 1).encode("latin-1"),
+         f"schema error: annotation CSV is not UTF-8: byte {len(HEADER) + 1 + GOOD_ROW.index('boil') + 1} "),
+        (lambda text: text.replace(",1,boil kettle", ",1,boil\rkettle").encode(),
+         "schema error: row 2: is not CSV: new-line character seen in unquoted field"),
+        (lambda text: text.replace("split", "sp\rlit").encode(),
+         "schema error: annotation CSV header is not CSV: new-line character seen in unquoted field"),
+    ], ids=["not_utf8", "bare_cr_in_row", "bare_cr_in_header"])
+    def test_csv_that_does_not_decode_or_parse_exit_2(self, tmp_path, capsys, damage, message):
+        path = tmp_path / "ann.csv"
+        path.write_bytes(damage(HEADER + "\n" + GOOD_ROW + "\n" + GOOD_ROW.replace(",0,", ",1,") + "\n"))
+        assert cli.main(["ingest", "--annotations", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("uid", ["", ".", "..", "a/b", "a\\b", "a\0b"],
                              ids=["empty", "dot", "dotdot", "slash", "backslash", "nul"])
     def test_video_uid_that_cannot_name_a_file_exit_2(self, tmp_path, capsys, uid):
@@ -132,8 +149,9 @@ class TestSynth:
         (["--val-streams", "-1"], "--val-streams"),
         (["--streams", "-2", "--val-streams", "3"], "--streams"),
         (["--streams", "0", "--val-streams", "0", "--dim", "0"], "dim"),
+        (["--distractors", "-1"], "--distractors"),
     ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos",
-            "dim_0_empty_corpus"])
+            "dim_0_empty_corpus", "distractors_neg"])
     def test_bad_value_exit_config(self, tmp_path, capsys, flags, name):
         out = tmp_path / "c"
         assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1"] + flags) \
@@ -157,6 +175,12 @@ class TestSynth:
             err = capsys.readouterr().err
             assert f"no {split}-split annotations in {out}" in err and err.count("\n") == 1
             assert not (tmp_path / split).exists()
+
+
+def _with_empty_first_array(raw, rank):
+    """Checkpoint bytes ``raw`` with a zero-size array of ``rank`` dims inserted before its first array."""
+    start = 16 + int.from_bytes(raw[8:12], "little")  # magic, version, config length, config, array count
+    return raw[:start] + rank.to_bytes(4, "little") + bytes(4 * rank) + raw[start:]
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +309,7 @@ class TestTrainScoreEval:
          "is checkpoint version 1; this build reads version 3"),
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
          "is checkpoint version 2; this build reads version 3"),
+        (lambda raw: _with_empty_first_array(raw, rank=65), "array 0 of rank 65 cannot be shaped: maximum supported"),
     ])
     def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
         corpus, run, _ = pipeline
@@ -302,7 +327,9 @@ class TestTrainScoreEval:
         (lambda arrays, i: arrays + [arrays[-1]], "holds {n_more} arrays, its config needs {n}"),
         (lambda arrays, i: arrays[:i] + [np.zeros((3, 3))] + arrays[i + 1 :],
          "blocks.0.w_down has shape (3, 3), its config needs (8, 8)"),
-    ], ids=["one_too_few", "one_too_many", "wrong_shape"])
+        (lambda arrays, i: arrays[:i] + [np.full_like(arrays[i], np.nan)] + arrays[i + 1 :],
+         "array blocks.0.w_down holds a non-finite value"),
+    ], ids=["one_too_few", "one_too_many", "wrong_shape", "nan_value"])
     def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -669,6 +696,24 @@ class TestTrainScoreEval:
         assert f"row {n + 1}: repeats the (video_uid, annotator_uid, ann_idx) of row {n}: " in captured.err
         assert not out.exists()
 
+    def test_train_streams_of_different_widths_exit_config(self, pipeline, tmp_path, capsys):
+        corpus, _, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        wide = tmp_path / "wide"
+        assert cli.main(["synth", "--out", str(wide), "--streams", "1", "--val-streams", "0",
+                         "--seed", "1", "--dim", "6"]) == 0
+        (extra,) = ann.parse_annotations((wide / "annotations.csv").read_bytes())
+        for path in (wide / "streams").iterdir():
+            shutil.copy(path, copied / "streams")
+        anns = ann.parse_annotations((copied / "annotations.csv").read_bytes())
+        (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns + [extra]))
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert cli.main(["train", "--data", str(copied), "--out", str(out), "--steps", "1"]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"stream {extra.video_uid} has dim 6, stream {anns[0].video_uid} has dim 8" in err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_score_stream_width_checked_against_checkpoint(self, pipeline, tmp_path, capsys):
         _, run, _ = pipeline
         narrow = tmp_path / "narrow"
@@ -793,7 +838,14 @@ class TestTrainScoreEval:
         (lambda config: config["adapter"].update(heads=2), "unexpected keyword argument 'heads'"),
         (lambda config: config.pop("tau_sim"), "has no 'tau_sim' key"),
         (lambda config: config.update(d_in=4), "input width 4 must equal model width 8"),
-    ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d"])
+        (lambda config: config.update(n_blocks=1.5), "n_blocks must be an integer, got 1.5"),
+        (lambda config: config.update(seed="x"), "seed must be an integer, got 'x'"),
+        (lambda config: config.update(d=8.0), "d must be an integer, got 8.0"),
+        (lambda config: config.update(d_mlp=True), "d_mlp must be an integer, got True"),
+        (lambda config: config["adapter"].update(k=2.5), "k must be an integer, got 2.5"),
+        (lambda config: config["adapter"].update(d_prime=8.0), "d_prime must be an integer, got 8.0"),
+    ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d", "fractional_n_blocks", "string_seed",
+            "float_d", "bool_d_mlp", "fractional_k", "float_d_prime"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -969,3 +1021,58 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert f"repetitions >= 1, got {reps}" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+FUZZ_SEED, FUZZ_CASES = 20261019, 99
+
+
+def _fuzzed(raw, rng, fields):
+    """``FUZZ_CASES`` damaged copies of ``raw``, each named for its damage: a third cut short at a random
+    length, a third with one random byte set to a random value, and a third likewise at an offset drawn
+    from ``fields``."""
+    n = FUZZ_CASES // 3
+    cases = [(f"cut at {i}", raw[:i]) for i in rng.integers(0, len(raw), n).tolist()]
+    spots = np.concatenate([rng.integers(0, len(raw), n), rng.choice(fields, n)]).tolist()
+    for i, value in zip(spots, rng.integers(0, 256, 2 * n).tolist()):
+        cases.append((f"byte {i} = {value}", raw[:i] + bytes([value]) + raw[i + 1:]))
+    return cases
+
+
+def _checkpoint_fields(raw):
+    """Offsets of the low bytes of a checkpoint's integer fields, where a count turns into another
+    plausible count: its version, config length and array count, and each array's rank and dims."""
+    off = 16 + int.from_bytes(raw[8:12], "little")
+    fields = [4, 8, off - 4]
+    for _ in range(int.from_bytes(raw[off - 4:off], "little")):
+        rank = int.from_bytes(raw[off:off + 4], "little")
+        fields += range(off, off + 4 + 4 * rank, 4)
+        off += 4 + 4 * rank + 4 * math.prod(np.frombuffer(raw, "<u4", rank, off + 4).tolist())
+    return fields
+
+
+@pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
+                                               ("checkpoint.sdqk", {0, cli.EXIT_CONFIG})],
+                         ids=["annotations", "checkpoint"])
+def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
+    # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
+    # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
+    corpus, run, _ = pipeline
+    raw = (corpus / artifact if artifact == "annotations.csv" else run / artifact).read_bytes()
+    fields = range(len(raw)) if artifact == "annotations.csv" else _checkpoint_fields(raw)
+    bad = []
+    for i, (name, data) in enumerate(_fuzzed(raw, np.random.default_rng(FUZZ_SEED), fields)):
+        damaged, out = tmp_path / f"{i}-{artifact}", tmp_path / f"out-{i}"
+        damaged.write_bytes(data)
+        if artifact == "annotations.csv":
+            argv = ["ingest", "--annotations", str(damaged), "--out", str(out)]
+        else:
+            argv = ["score", "--checkpoint", str(damaged), "--data", str(corpus), "--split", "val", "--out", str(out)]
+        try:
+            rc = cli.main(argv)
+        except Exception as err:  # a traceback, which no input may cause
+            bad.append((name, repr(err)))
+            continue
+        err = capsys.readouterr().err
+        if rc not in allowed or (rc and (err.count("\n") != 1 or out.exists())):
+            bad.append((name, rc, err))
+    assert bad == []

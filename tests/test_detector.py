@@ -484,6 +484,23 @@ class TestStreamingInference:
         assert len(produced) == 15
 
 
+@pytest.mark.parametrize("field, value", [("n_blocks", 1.5), ("seed", "x"), ("d_mlp", True), ("d_prime", 4.0),
+                                          ("k", 2.5)],
+                         ids=["fractional_n_blocks", "string_seed", "bool_d_mlp", "float_d_prime", "fractional_k"])
+def test_config_integer_field_rejects_a_non_integer(field, value):
+    # a library caller gets the ConfigError a checkpoint's config gets, not a TypeError from build_model
+    adapter = dict(d=8, d_prime=4, kind="qrnn", k=2)
+    model = dict(d_in=8, d=8, n_blocks=1, seed=0)
+    (adapter if field in adapter else model)[field] = value
+    with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+        ModelConfig(adapter=AdapterConfig(**adapter), **model)
+
+
+def test_config_integer_fields_take_numpy_integers():
+    adapter = AdapterConfig(d=np.int64(8), d_prime=np.int32(4), kind="qrnn", k=np.int64(2))
+    assert build_model(ModelConfig(d_in=np.int64(8), d=8, n_blocks=np.int64(1), adapter=adapter)).config.n_blocks == 1
+
+
 class TestModelCheckpoint:
     def test_round_trip_preserves_scores(self, tmp_path):
         model = oracles.randomize_adapters(tiny_model("qrnn"), seed=30, scale=0.2)
