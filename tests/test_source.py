@@ -139,3 +139,10 @@ def test_detector_chunk_loop_is_score_streams_alone():
     loops = [func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
              for node in ast.walk(func) if isinstance(node, ast.For) and "CHUNK" in ast.unparse(node.iter)]
     assert loops == ["score_streams"]
+
+
+def test_package_init_holds_only_its_docstring_and_version():
+    # each name has one import path, its module's: `from streamstart import metrics`
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert [ast.unparse(node).split(" = ")[0] for node in tree.body[1:]] == ["__version__"]
