@@ -153,8 +153,9 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
     Raises SchemaError for bytes that are not UTF-8 (naming the first bad
     byte's offset), a header that is not CSV or lacks a required column, and
     RowError with the 1-based data row number for rows that are not CSV,
-    unparsable or invariant-violating, and for a row that repeats an earlier
-    row's (video_uid, annotator_uid, ann_idx).
+    have more or fewer fields than the header, are unparsable or
+    invariant-violating, and for a row that repeats an earlier row's
+    (video_uid, annotator_uid, ann_idx).
     """
     if isinstance(data, bytes):
         try:
@@ -179,6 +180,8 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
     out: list[EventAnnotation] = []
     first_rows: dict[tuple[str, str, int], int] = {}
     for i, row in enumerate(rows, start=1):
+        if None in row:  # DictReader's key for the fields a long row has past the header's
+            raise RowError(i, f"has more fields than the header's {len(header)}")
         values: dict = {c: row[c] for c in COLUMNS}
         if None in values.values():  # DictReader's filler for the fields a short row lacks
             raise RowError(i, f"has fewer fields than the header's {len(header)}")
@@ -434,6 +437,8 @@ def make_corpus_specs(
         raise ConfigError(f"stream span {span}s too short for corpus event placement")
     if n_queries < 1:
         raise ConfigError(f"n_queries must be >= 1, got {n_queries}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     query_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(n_queries)]
     lo_start, hi_start = 0.2 * span, span - 10.0 - 0.15 * span

@@ -186,10 +186,13 @@ def cmd_synth(args) -> int:
 
 
 def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
-    """The split's annotations and streams; ``read`` reads annotations.csv and the
-    split's stream files, nothing else."""
+    """The split's annotations, its streams and their one dim; ``read`` reads annotations.csv
+    and the split's stream files, nothing else. An empty split, or streams of two dims (the
+    training set stacks their windows, and one model scores them), raise ConfigError."""
     anns = annotations.parse_annotations(read(data_dir / "annotations.csv"))
     picked = [a for a in anns if a.split == split]
+    if not picked:
+        raise ConfigError(f"no {split}-split annotations in {data_dir}")
     texts: dict[str, set[str]] = {}
     for a in picked:
         texts.setdefault(a.video_uid, set()).add(a.query)
@@ -202,7 +205,12 @@ def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
         if query is None:
             raise SchemaError(f"stream {uid} has no query embedding file")
         streams[uid] = (frames, sidecar, query)
-    return picked, streams
+    first = picked[0].video_uid
+    dim = streams[first][0].shape[1]
+    for uid, (frames, _, _) in streams.items():
+        if frames.shape[1] != dim:
+            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, stream {first} has dim {dim}")
+    return picked, streams, dim
 
 
 def _adapter_config(kind: str, d: int, d_prime: int | None, k: int) -> kernels.AdapterConfig:
@@ -214,15 +222,7 @@ def cmd_train(args) -> int:
     data_dir = Path(args.data)
     out = Path(args.out)
     read = _HashingReader()
-    anns, streams = _load_corpus(data_dir, "train", read)
-    if not anns:
-        raise ConfigError(f"no train-split annotations in {data_dir}")
-    first = anns[0].video_uid
-    dim = streams[first][0].shape[1]
-    for uid, (frames, _, _) in streams.items():  # the training set stacks their windows
-        if frames.shape[1] != dim:
-            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, stream {first} has dim {dim}")
-
+    anns, streams, dim = _load_corpus(data_dir, "train", read)
     adapter = _adapter_config(args.kind, dim, args.d_prime, args.k)
     w_s = args.ws if args.ws else (30 if args.kind == "retention" else 60)
     model_config = detector.ModelConfig(
@@ -267,13 +267,9 @@ def cmd_score(args) -> int:
     out = Path(args.out)
     read = _HashingReader()
     model = detector.load_model(Path(args.checkpoint), read)
-    anns, streams = _load_corpus(data_dir, args.split, read)
-    if not anns:
-        raise ConfigError(f"no {args.split}-split annotations in {data_dir}")
-    d = model.config.d
-    for uid, (frames, _, _) in streams.items():
-        if frames.shape[1] != d:
-            raise ConfigError(f"stream {uid} has dim {frames.shape[1]}, the checkpoint takes d_in={d}")
+    anns, streams, dim = _load_corpus(data_dir, args.split, read)
+    if dim != model.config.d:
+        raise ConfigError(f"stream {anns[0].video_uid} has dim {dim}, the checkpoint takes d_in={model.config.d}")
     # score every stream once before writing any series, so a failure leaves no
     # partial output; streams of one length share score_streams calls
     by_length: dict[int, list[str]] = {}

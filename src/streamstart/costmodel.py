@@ -254,6 +254,8 @@ def bench_latency(
         raise ConfigError(f"need n_frames > warmup, got {n_frames} <= {warmup}")
     if repetitions < 1:
         raise ConfigError(f"need repetitions >= 1, got {repetitions}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(n_frames, model.config.d))
     query = rng.normal(size=model.config.d)

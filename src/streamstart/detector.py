@@ -19,7 +19,7 @@ import logging
 import math
 import struct
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,8 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         kernels.check_integers(self, ("d_in", "d", "n_blocks", "d_mlp", "seed"))
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.adapter.d != self.d:
             raise ConfigError(f"adapter width {self.adapter.d} must equal model width {self.d}")
         if self.d_in != self.d:
@@ -91,6 +93,8 @@ class TrainConfig:
             raise ConfigError(f"steps must be >= 0, got {self.steps}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -471,18 +475,30 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
-    """Model of a checkpoint, whose file ``read`` reads; a missing or unknown config key, an
-    array count or shape that does not fit its config, or a non-finite value raises ConfigError."""
+    """Model of a checkpoint, whose file ``read`` reads; a config that does not hold exactly the
+    keys ``save_model`` writes, an array count, order or shape that does not fit its config, or
+    a non-finite value raises ConfigError."""
     raw_config, arrays = read_checkpoint(path, read)
     try:
-        config = ModelConfig(adapter=AdapterConfig(**raw_config["adapter"]), **{
-            name: raw_config[name] for name in ("d_in", "d", "n_blocks", "d_mlp", "tau_sim", "seed")})
+        # exactly the keys save_model writes: no default fills in a missing field, and the
+        # constructors reject an unknown key with a TypeError
+        raw_adapter = raw_config["adapter"]
+        for keys, names in ((raw_config, [f.name for f in fields(ModelConfig)] + ["array_order"]),
+                            (raw_adapter, [f.name for f in fields(AdapterConfig)])):
+            missing = [name for name in names if name not in keys]
+            if missing:
+                raise KeyError(missing[0])
+        model_keys = {name: value for name, value in raw_config.items() if name != "array_order"}
+        config = ModelConfig(**{**model_keys, "adapter": AdapterConfig(**raw_adapter)})
     except KeyError as err:
         raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
     template = build_model(config)
     expected = named_arrays(template)
+    if raw_config["array_order"] != list(expected):
+        raise ConfigError(f"{path}: the checkpoint config's array_order does not list "
+                          f"its config's {len(expected)} arrays in order")
     if len(arrays) != len(expected):
         raise ConfigError(f"{path} holds {len(arrays)} arrays, its config needs {len(expected)}")
     for (name, want), got in zip(expected.items(), arrays):

@@ -53,6 +53,14 @@ class TestIngest:
         assert "start_sec" in captured.err
         assert captured.out == ""  # diagnostics never contaminate stdout
 
+    def test_row_with_more_fields_than_the_header_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ann.csv"
+        path.write_text(HEADER + "\n" + GOOD_ROW + ",stray\n")
+        assert cli.main(["ingest", "--annotations", str(path), "--out", str(tmp_path / "out")]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "row 1: has more fields than the header's 12" in err and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_row_exit_2(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(HEADER + "\n" + GOOD_ROW.replace("10.0,12.0", "12.0,10.0") + "\n")
@@ -149,8 +157,9 @@ class TestSynth:
         (["--streams", "-2", "--val-streams", "3"], "--streams"),
         (["--streams", "0", "--val-streams", "0", "--dim", "0"], "dim"),
         (["--distractors", "-1"], "--distractors"),
+        (["--seed", "-1"], "seed"),
     ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos",
-            "dim_0_empty_corpus", "distractors_neg"])
+            "dim_0_empty_corpus", "distractors_neg", "seed_neg"])
     def test_bad_value_exit_config(self, tmp_path, capsys, flags, name):
         out = tmp_path / "c"
         assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1"] + flags) \
@@ -789,6 +798,7 @@ class TestTrainScoreEval:
         ("--steps", "-1", "steps must be >= 0, got -1"),
         ("--batch", "-1", "batch_size must be >= 1, got -1"),
         ("--batch", "0", "batch_size must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
     ])
     def test_bad_count_flag_exit_config(self, pipeline, tmp_path, capsys, flag, value, message):
         corpus, _, _ = pipeline
@@ -842,8 +852,12 @@ class TestTrainScoreEval:
         (lambda config: config.update(d_mlp=True), "d_mlp must be an integer, got True"),
         (lambda config: config["adapter"].update(k=2.5), "k must be an integer, got 2.5"),
         (lambda config: config["adapter"].update(d_prime=8.0), "d_prime must be an integer, got 8.0"),
+        (lambda config: config["adapter"].pop("gamma"), "has no 'gamma' key"),
+        (lambda config: config.update(heads=2), "unexpected keyword argument 'heads'"),
+        (lambda config: config["array_order"].reverse(), "array_order does not list its config's"),
     ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d", "fractional_n_blocks", "string_seed",
-            "float_d", "bool_d_mlp", "fractional_k", "float_d_prime"])
+            "float_d", "bool_d_mlp", "fractional_k", "float_d_prime", "missing_adapter_key_with_a_default",
+            "unknown_model_key", "reordered_array_order"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -1009,6 +1023,15 @@ class TestBenchCommand:
         assert payload["latency"]["streaming"]["total"] > 0
         assert (tmp_path / "bench.json").exists()
         assert (tmp_path / "manifest.json").exists()
+
+    def test_latency_harness_negative_seed_exit_config(self, tmp_path, capsys):
+        out = tmp_path / "bench"
+        rc = cli.main(["bench", "--kind", "qrnn", "--frames", "20", "--seed", "-1",
+                       "--latency-d", "16", "--latency-blocks", "1", "--out", str(out)])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be >= 0, got -1" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["0", "-1"])
     def test_latency_harness_without_repetitions_exit_config(self, tmp_path, capsys, reps):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart import detector, kernels, metrics
+from streamstart import costmodel, detector, kernels, metrics
 from streamstart.detector import (
     ModelConfig,
     StreamingScorer,
@@ -494,6 +494,19 @@ def test_config_integer_field_rejects_a_non_integer(field, value):
     (adapter if field in adapter else model)[field] = value
     with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
         ModelConfig(adapter=AdapterConfig(**adapter), **model)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ModelConfig(d_in=8, d=8, n_blocks=1, adapter=AdapterConfig(d=8, d_prime=4, kind="qrnn"), seed=-1),
+    lambda: TrainConfig(seed=-1),
+    lambda: ann.make_corpus_specs(n_streams=1, seed=-1),
+    lambda: costmodel.bench_latency(build_model(ModelConfig(
+        d_in=8, d=8, n_blocks=1, adapter=AdapterConfig(d=8, d_prime=4, kind="qrnn"))), n_frames=20, seed=-1),
+], ids=["model_config", "train_config", "make_corpus_specs", "bench_latency"])
+def test_negative_seed_is_config_error(make):
+    # numpy's seeding would raise a ValueError; a library caller gets the CLI's ConfigError
+    with pytest.raises(ConfigError, match="seed must be >= 0, got -1"):
+        make()
 
 
 def test_config_integer_fields_take_numpy_integers():
