@@ -21,15 +21,14 @@ print(f"  MACs per frame  : {cm.count_macs(backbone, TOKENS):,}")
 for kind in ("vanilla", "st_conv", "qrnn", "retention"):
     dp = cm.default_reduced_dim(kind, D)
     adapters = cm.adapter_stack(kind, D, dp, k=2, insertions=2 * BLOCKS)
-    report = cm.cost_report(backbone + adapters, tokens=TOKENS,
-                            baseline=backbone, baseline_name="backbone")
+    report = cm.cost_report(backbone + adapters, tokens=TOKENS, baseline=backbone)
     print(f"  +{kind:9s} (d'={dp:3d}): params +{report.overhead_params_pct:5.2f}%  "
           f"MACs +{report.overhead_macs_pct:5.2f}%  "
           f"(FLOPs = 2 x MACs: {report.flops_per_frame == 2 * report.macs_per_frame})")
 
 print("\nsliding-window recomputation overhead (MACs, vs one frame):")
 for w in (1, 4, 8):
-    print(f"  window {w}: +{cm.sliding_window_overhead(cm.count_macs(backbone, TOKENS), w):g}%")
+    print(f"  window {w}: +{cm.sliding_window_overhead(w):g}%")
 
 # -- wall clock -----------------------------------------------------------------
 

@@ -337,14 +337,10 @@ def cmd_bench(args) -> int:
     adapters = costmodel.adapter_stack(
         args.kind, args.d, dp, k=args.k, insertions=args.insertions_per_block * args.blocks
     )
-    report = costmodel.cost_report(
-        backbone + adapters, tokens=args.tokens, baseline=backbone, baseline_name=args.baseline
-    )
+    report = costmodel.cost_report(backbone + adapters, tokens=args.tokens, baseline=backbone)
     payload: dict = {
         "cost": report.to_dict(),
-        "sliding_window_overhead_pct": costmodel.sliding_window_overhead(
-            costmodel.count_macs(backbone, args.tokens), args.window
-        ),
+        "sliding_window_overhead_pct": costmodel.sliding_window_overhead(args.window),
     }
 
     if args.frames:
@@ -446,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokens", type=int, default=197)
     p.add_argument("--blocks", type=int, default=12)
     p.add_argument("--insertions-per-block", type=int, default=2)
-    p.add_argument("--baseline", default="backbone")
     p.add_argument("--window", type=int, default=4)
     p.add_argument("--frames", type=int, default=0, help="run the wall-clock harness over N frames")
     p.add_argument("--reps", type=int, default=3)
@@ -475,6 +470,8 @@ def main(argv: list[str] | None = None) -> int:
     _pad_heap_top()  # the process's allocator is the entry point's to set, never a library's
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # every command's --seed, before it runs or writes
+            raise ConfigError(f"seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (SchemaError, RowError) as err:
         print(f"schema error: {err}", file=sys.stderr)
@@ -488,7 +485,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except FileNotFoundError as err:
+    except OSError as err:  # a path that is missing, a directory, or an existing file where one is made
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

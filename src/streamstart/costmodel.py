@@ -56,7 +56,6 @@ class CostReport:
     params: int
     macs_per_frame: int
     flops_per_frame: int
-    baseline: str | None = None
     overhead_params_pct: float | None = None
     overhead_macs_pct: float | None = None
 
@@ -65,7 +64,6 @@ class CostReport:
             "params": self.params,
             "macs_per_frame": self.macs_per_frame,
             "flops_per_frame": self.flops_per_frame,
-            "baseline": self.baseline,
             "overhead_params_pct": self.overhead_params_pct,
             "overhead_macs_pct": self.overhead_macs_pct,
         }
@@ -124,9 +122,8 @@ def cost_report(
     stack: list[LayerSpec],
     tokens: int = 1,
     baseline: list[LayerSpec] | None = None,
-    baseline_name: str | None = None,
 ) -> CostReport:
-    """Build a report; overhead percentages compare against the named baseline."""
+    """Build a report; overhead percentages compare against the ``baseline`` stack."""
     params = count_params(stack)
     macs = count_macs(stack, tokens)
     overhead_params = overhead_macs = None
@@ -139,21 +136,18 @@ def cost_report(
         params=params,
         macs_per_frame=macs,
         flops_per_frame=2 * macs,
-        baseline=baseline_name,
         overhead_params_pct=overhead_params,
         overhead_macs_pct=overhead_macs,
     )
 
 
-def sliding_window_overhead(backbone_macs_per_frame: int, window: int) -> float:
+def sliding_window_overhead(window: int) -> float:
     """Extra MACs (percent) of re-running the backbone over the last `window`
-    frames at every arrival, relative to one single-frame pass."""
+    frames at every arrival, relative to one single-frame pass: ``window - 1``
+    passes more, whatever a pass costs."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    if backbone_macs_per_frame < 1:
-        raise ConfigError("backbone_macs_per_frame must be positive")
-    base = backbone_macs_per_frame
-    return (window * base - base) / base * 100.0
+    return (window - 1) * 100.0
 
 
 # -- reference stacks ----------------------------------------------------------

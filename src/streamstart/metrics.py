@@ -72,7 +72,7 @@ class ScoreSeries:
                     f"scores of ({self.video_uid}, {self.query_id}) must be finite, "
                     f"got {bad} non-finite value(s)"
                 )
-            raise ConfigError("scores must lie in [0, 1]")
+            raise ConfigError(f"scores of ({self.video_uid}, {self.query_id}) must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -94,17 +94,6 @@ class MetricReport:
             "n_queries": self.n_queries,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "MetricReport":
-        raw = json.loads(text)
-        return MetricReport(
-            threshold=float(raw["threshold"]),
-            window=ToleranceWindow(raw["window"]["anticipation"], raw["window"]["latency"]),
-            sr={int(k): float(v) for k, v in raw["sr"].items()},
-            smd={int(k): float(v) for k, v in raw["smd"].items()},
-            n_queries=int(raw["n_queries"]),
-        )
 
 
 def default_query_id(annotation) -> str:
@@ -153,27 +142,39 @@ def is_hit(t_out, t_s: float, w: ToleranceWindow):
     return (t_s - w.anticipation <= t_out) & (t_out <= t_s + w.latency)
 
 
-def streaming_recall_at_k(preds, t_s: float, k: int, w: ToleranceWindow) -> bool:
-    """True iff any of the first ``min(k, len(preds))`` predictions is a hit."""
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return bool(np.any(is_hit(np.asarray(preds, dtype=float)[:k], t_s, w)))
+def _first_k(preds, k: int) -> np.ndarray:
+    """The first k of ``[..., K]`` prediction times, stored k-major: a reduction over
+    the last axis then runs one whole column at a time, not one short row at a time."""
+    return np.asfortranarray(np.asarray(preds, dtype=float)[..., :k])
 
 
-def smd_at_k(preds, t_s: float, k: int, horizon: float) -> float:
-    """Smallest ``|t_s - t_out|`` among the first k predictions.
+def streaming_recall_at_k(preds, t_s, k: int, w: ToleranceWindow):
+    """True iff any of the first ``min(k, len(preds))`` predictions is a hit.
 
-    An empty prediction list falls back to ``horizon``, the worst error
-    realizable over the evaluation span.
+    Elementwise over the leading axes of ``[..., K]`` prediction times padded with
+    inf past each row's last prediction, ``t_s`` broadcasting over them; a 1-D
+    ``preds`` gives a ``bool``.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if horizon <= 0:
+    hit = np.any(is_hit(_first_k(preds, k), np.asarray(t_s)[..., None], w), axis=-1)
+    return hit if hit.ndim else bool(hit)
+
+
+def smd_at_k(preds, t_s, k: int, horizon):
+    """Smallest ``|t_s - t_out|`` among the first k predictions.
+
+    No prediction falls back to ``horizon``, the worst error realizable over
+    the evaluation span. Elementwise like ``streaming_recall_at_k``, ``horizon``
+    broadcasting too; a 1-D ``preds`` gives a ``float``.
+    """
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+    if np.any(np.asarray(horizon) <= 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
-    preds = np.asarray(preds, dtype=float)[:k]
-    if preds.size == 0:
-        return float(horizon)
-    return float(np.min(np.abs(preds - t_s)))
+    nearest = np.abs(_first_k(preds, k) - np.asarray(t_s)[..., None]).min(axis=-1, initial=np.inf)
+    nearest = np.where(nearest == np.inf, horizon, nearest)
+    return nearest if nearest.ndim else float(nearest)
 
 
 @dataclass(frozen=True)
@@ -350,21 +351,15 @@ def _first_crossings(queries: _Queries, records: _Records, taus: np.ndarray) -> 
 
 
 def _report(queries: _Queries, ks, w: ToleranceWindow, mode: str, threshold: float) -> MetricReport:
-    """The report at one threshold. From each query's first ``max(ks)`` prediction
-    frames, SR@k is a cumulative any of hits and SMD@k a cumulative min of
-    distances, which falls back to the series' span; each k's column is averaged
-    in query order."""
+    """The report at one threshold: each k's SR@k and SMD@k, whose horizon is the
+    series' span, over each query's first ``max(ks)`` prediction times, averaged in
+    query order."""
     first = _first_predictions(queries, np.array([threshold], dtype=float), mode, max(ks, default=0))
-    times = first[:, 0] / queries.fps[:, None]
-    t_s = queries.starts[:, None]
-    cols = np.array(ks, dtype=int) - 1
-    hit = np.logical_or.accumulate(is_hit(times, t_s, w), axis=1)[:, cols]
-    dist = np.minimum.accumulate(np.abs(times - t_s), axis=1)[:, cols]
-    dist = np.where(dist == np.inf, (queries.lengths / queries.fps)[:, None], dist)
+    times, span = first[:, 0] / queries.fps[:, None], queries.lengths / queries.fps
     return MetricReport(
         threshold=float(threshold), window=w,
-        sr={k: float(np.mean(hit[:, j]) * 100.0) for j, k in enumerate(ks)},
-        smd={k: float(np.mean(dist[:, j])) for j, k in enumerate(ks)},
+        sr={k: float(np.mean(streaming_recall_at_k(times, queries.starts, k, w)) * 100.0) for k in ks},
+        smd={k: float(np.mean(smd_at_k(times, queries.starts, k, span))) for k in ks},
         n_queries=len(queries.series),
     )
 
@@ -432,7 +427,7 @@ def sweep_thresholds(
         first = _first_crossings(queries, records, taus)[:, :, None]
     else:
         first = _first_predictions(queries, taus, mode, objective_k)
-    hit = is_hit(first / queries.fps[:, None, None], queries.starts[:, None, None], w).any(axis=2)
+    hit = streaming_recall_at_k(first / queries.fps[:, None, None], queries.starts[:, None], objective_k, w)
     sr = [float(np.mean(hit[:, c]) * 100.0) for c in range(len(candidates))]
     best = max(range(len(candidates)), key=lambda c: (sr[c], c))
     return candidates[best], _report(queries, ks, w, mode, candidates[best])

@@ -244,10 +244,9 @@ def test_criterion_07_synthetic_end_to_end(tmp_path):
 def test_criterion_08_cost_model_reproductions():
     backbone = costmodel.vit_backbone_stack(d=768, n_blocks=12)
     adapters = costmodel.adapter_stack("vanilla", 768, 384, insertions=24)
-    rep = costmodel.cost_report(backbone + adapters, tokens=197, baseline=backbone,
-                                baseline_name="backbone")
+    rep = costmodel.cost_report(backbone + adapters, tokens=197, baseline=backbone)
     a_ok = rep.flops_per_frame == 2 * rep.macs_per_frame and 15.7 / 7.85 == 2.0
-    sliding = costmodel.sliding_window_overhead(costmodel.count_macs(backbone, 197), 4)
+    sliding = costmodel.sliding_window_overhead(4)
     b_ok = sliding == 300.0 and abs(sliding - 298.5) <= 2.0
     params = costmodel.count_params(adapters)
     pct = params / 180.92e6 * 100.0

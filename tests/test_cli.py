@@ -70,6 +70,19 @@ class TestIngest:
     def test_missing_file_exit_config(self, tmp_path):
         assert cli.main(["ingest", "--annotations", str(tmp_path / "nope.csv")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("args, message", [
+        (["--annotations", "."], "Is a directory"),
+        (["--annotations", "ann.csv", "--out", "taken"], "File exists"),
+    ], ids=["annotations_is_a_directory", "out_is_a_file"])
+    def test_path_of_the_wrong_kind_exit_config(self, ann_file, tmp_path, capsys, args, message):
+        # any OSError on a path ends in one line, not a traceback
+        (tmp_path / "taken").write_text("kept")
+        argv = ["ingest"] + [arg if arg.startswith("--") else str(tmp_path / arg) for arg in args]
+        assert cli.main(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and message in err and err.count("\n") == 1
+        assert (tmp_path / "taken").read_text() == "kept"
+
     def test_unknown_source_exit_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         bogus = GOOD_ROW.replace("moments", "bogus").replace(",0,", ",1,")
@@ -501,7 +514,9 @@ class TestTrainScoreEval:
     def test_eval_score_above_one_exit_config(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert "scores must lie in [0, 1]" in err and err.count("\n") == 1
+        first = json.loads((pipeline[2] / "scores" / "index.json").read_text(encoding="utf-8"))["series"][0]
+        pair = f"({first['video_uid']}, {first['query_id']})"
+        assert f"scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
 
     @staticmethod
     def _eval_with_first_score(pipeline, tmp_path, capsys, value):
@@ -1018,9 +1033,10 @@ class TestBenchCommand:
         assert (tmp_path / "bench.json").exists()
         assert (tmp_path / "manifest.json").exists()
 
-    def test_latency_harness_negative_seed_exit_config(self, tmp_path, capsys):
+    @pytest.mark.parametrize("frames", [["--frames", "20"], []], ids=["frames", "no_frames"])
+    def test_latency_harness_negative_seed_exit_config(self, tmp_path, capsys, frames):
         out = tmp_path / "bench"
-        rc = cli.main(["bench", "--kind", "qrnn", "--frames", "20", "--seed", "-1",
+        rc = cli.main(["bench", "--kind", "qrnn", *frames, "--seed", "-1",
                        "--latency-d", "16", "--latency-blocks", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
@@ -1065,23 +1081,40 @@ def _checkpoint_fields(raw):
     return fields
 
 
+STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC, cli.EXIT_CONFIG}
+
+
 @pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
-                                               ("checkpoint.sdqk", {0, cli.EXIT_CONFIG})],
-                         ids=["annotations", "checkpoint"])
+                                               ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
+                                               ("scores/index.json", STORE_EXITS),
+                                               ("scores/scores.f64", STORE_EXITS)],
+                         ids=["annotations", "checkpoint", "score_index", "score_array"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
-    corpus, run, _ = pipeline
-    raw = (corpus / artifact if artifact == "annotations.csv" else run / artifact).read_bytes()
-    fields = range(len(raw)) if artifact == "annotations.csv" else _checkpoint_fields(raw)
+    corpus, run, scores = pipeline
+    raw = ({"annotations.csv": corpus, "checkpoint.sdqk": run}.get(artifact, scores) / artifact).read_bytes()
+    if artifact == "checkpoint.sdqk":
+        fields = _checkpoint_fields(raw)
+    elif artifact == "scores/scores.f64":
+        fields = range(7, len(raw), 8)  # each score's sign and high exponent bits
+    else:
+        fields = range(len(raw))
     bad = []
     for i, (name, data) in enumerate(_fuzzed(raw, np.random.default_rng(FUZZ_SEED), fields)):
-        damaged, out = tmp_path / f"{i}-{artifact}", tmp_path / f"out-{i}"
+        out = tmp_path / f"out-{i}"
+        if artifact.startswith("scores/"):  # the damaged file in a copy of the whole store
+            damaged = shutil.copytree(scores / "scores", tmp_path / f"{i}-scores") / Path(artifact).name
+        else:
+            damaged = tmp_path / f"{i}-{artifact}"
         damaged.write_bytes(data)
         if artifact == "annotations.csv":
             argv = ["ingest", "--annotations", str(damaged), "--out", str(out)]
-        else:
+        elif artifact == "checkpoint.sdqk":
             argv = ["score", "--checkpoint", str(damaged), "--data", str(corpus), "--split", "val", "--out", str(out)]
+        else:
+            argv = ["eval", "--scores", str(damaged.parent), "--annotations", str(corpus / "annotations.csv"),
+                    "--split", "val", "--sweep", "5", "--out", str(out)]
         try:
             rc = cli.main(argv)
         except Exception as exc:  # a traceback, which no input may cause

@@ -493,8 +493,10 @@ class TestScoreSeriesFiles:
             threshold=0.4, window=ToleranceWindow(5, 10),
             sr={1: 50.0, 2: 75.0}, smd={1: 3.0, 2: 2.0}, n_queries=4,
         )
-        again = metrics.MetricReport.from_json(rep.to_json())
-        assert again == rep
+        assert json.loads(rep.to_json()) == {
+            "threshold": 0.4, "window": {"anticipation": 5, "latency": 10},
+            "sr": {"1": 50.0, "2": 75.0}, "smd": {"1": 3.0, "2": 2.0}, "n_queries": 4,
+        }
 
 
 class TestValidation:
@@ -502,9 +504,11 @@ class TestValidation:
         with pytest.raises(ConfigError):
             series([1.2, 0.3])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, pytest.param(1.2, id="out_of_range")])
     def test_non_finite_scores(self, bad):
-        with pytest.raises(NumericError, match="finite"):
+        # both messages name the series; a finite score out of range is a configuration error
+        error, rule = (ConfigError, r"must lie in \[0, 1\]") if np.isfinite(bad) else (NumericError, "must be finite")
+        with pytest.raises(error, match=r"scores of \(v, q\) " + rule):
             series([0.2, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

@@ -95,6 +95,31 @@ def test_np_dot_only_in_the_product_helper():
     assert outside == []
 
 
+def _callers() -> dict[str, set[str]]:
+    """Each called name, the last part of a dotted call, mapped to the ``module.function``s that call it."""
+    callers: dict[str, set[str]] = {}
+    for name, tree in _trees():
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        callee = ast.unparse(node.func).split(".")[-1]
+                        callers.setdefault(callee, set()).add(f"{name[:-3]}.{func.name}")
+    return callers
+
+
+def test_sr_and_smd_are_written_once():
+    # report.json and the sweep score through the public per-query SR@k and SMD@k, which the
+    # property and oracle suites draw their cases through: no second, array copy of either
+    callers = _callers()
+    assert callers["is_hit"] == {"metrics.streaming_recall_at_k"}
+    assert "metrics._report" in callers["streaming_recall_at_k"] & callers["smd_at_k"]
+    assert "metrics.sweep_thresholds" in callers["streaming_recall_at_k"]
+    tree = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
+    used = {ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert used & {"np.logical_or.accumulate", "np.minimum.accumulate"} == set()
+
+
 def test_every_traced_metric_has_its_function():
     # the benchmark's tracer finds each per-layer metric's function by name;
     # a renamed or deleted one silently drops its metric from the traced run
