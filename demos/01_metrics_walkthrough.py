@@ -14,9 +14,9 @@ from streamstart.annotations import tolerance_from_variance
 from streamstart.metrics import ScoreSeries, ToleranceWindow
 
 # -- the tolerance window -----------------------------------------------------
-# Windows are derived from annotator disagreement: average the start-time
-# variance over colliding annotations, take sigma of early slack and
-# 2*sigma of late slack, snap both to the frame grid.
+# A window comes from annotator disagreement: given the variance of the
+# annotated start times, take sigma of early slack and 2*sigma of late
+# slack, snap both to the frame grid.
 
 window = tolerance_from_variance(28.8, fps=1.0)
 print(f"variance 28.8 s^2  ->  window [-{window.anticipation:g}, +{window.latency:g}] s")

@@ -1,4 +1,5 @@
-"""Annotation ingest, tolerance-window derivation and synthetic data.
+"""Annotation ingest, the tolerance window from a start-time variance, training
+windows and synthetic data.
 
 The dataset schema is a UTF-8, RFC-4180 CSV with one event annotation per
 row and the twelve columns listed in ``COLUMNS`` (header names exact,
@@ -89,10 +90,6 @@ class Interval:
     def __post_init__(self) -> None:
         if self.lo > self.hi:
             raise ConfigError(f"interval must have lo <= hi, got ({self.lo}, {self.hi})")
-
-    @property
-    def length(self) -> float:
-        return self.hi - self.lo
 
 
 @dataclass(frozen=True)
@@ -222,16 +219,7 @@ def serialize_annotations(annotations: list[EventAnnotation]) -> bytes:
     return buf.getvalue().encode("utf-8")
 
 
-# -- tolerance derivation -----------------------------------------------------
-
-
-def interval_iou(a: Interval, b: Interval) -> float:
-    """Intersection-over-union of two intervals; 0 when the union is degenerate."""
-    inter = max(0.0, min(a.hi, b.hi) - max(a.lo, b.lo))
-    union = a.length + b.length - inter
-    if union <= 0.0:
-        return 0.0
-    return inter / union
+# -- tolerance window ---------------------------------------------------------
 
 
 def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
@@ -247,57 +235,6 @@ def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
         anticipation=math.floor(sigma * fps) / fps,
         latency=math.floor(2.0 * sigma * fps) / fps,
     )
-
-
-def derive_tolerance(
-    annotations: list[EventAnnotation], iou_threshold: float = 0.7, fps: float = 1.0
-) -> ToleranceWindow:
-    """Derive the metric window from annotation collisions.
-
-    Annotations with identical query text whose intervals overlap with
-    IoU >= iou_threshold form collision groups (connected components of the
-    pairwise-overlap graph). The window is the frame-grid discretization of
-    the mean over groups of the per-group population variance of start_sec.
-    """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ConfigError(f"iou_threshold must be in (0, 1], got {iou_threshold}")
-
-    by_label: dict[str, list[int]] = {}
-    for i, a in enumerate(annotations):
-        by_label.setdefault(a.query, []).append(i)
-
-    parent = list(range(len(annotations)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    n_pairs = 0
-    for members in by_label.values():
-        for pos, i in enumerate(members):
-            a = Interval(annotations[i].start_sec, annotations[i].end_sec)
-            for j in members[pos + 1 :]:
-                b = Interval(annotations[j].start_sec, annotations[j].end_sec)
-                if interval_iou(a, b) >= iou_threshold:
-                    union(i, j)
-                    n_pairs += 1
-    if n_pairs == 0:
-        raise ConfigError(
-            "no annotation collisions at the given IoU threshold; "
-            "supply an explicit tolerance window instead"
-        )
-
-    groups: dict[int, list[float]] = {}
-    for i, a in enumerate(annotations):
-        groups.setdefault(find(i), []).append(a.start_sec)
-    variances = [float(np.var(starts)) for starts in groups.values() if len(starts) >= 2]
-    sigma_sq = float(np.mean(variances))
-    return tolerance_from_variance(sigma_sq, fps)
 
 
 # -- training-window sampling -------------------------------------------------
@@ -430,8 +367,13 @@ def make_corpus_specs(
     anticipation side of the default tolerance window) or 3 s after its end,
     pairwise at least 4 s apart, so a hit on one is always a false positive.
     """
+    # checked before any spec is built, so an empty corpus is checked too
     if not (math.isfinite(fps) and fps > 0):
         raise ConfigError(f"fps must be finite and positive, got {fps}")
+    if dim < 1:
+        raise ConfigError(f"dim must be >= 1, got {dim}")
+    if not (math.isfinite(noise_scale) and noise_scale >= 0):
+        raise ConfigError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
     span = n_frames / fps
     if span < 30.0:
         raise ConfigError(f"stream span {span}s too short for corpus event placement")

@@ -27,8 +27,8 @@ EXIT_ID_MISMATCH = 3
 EXIT_NUMERIC = 4
 EXIT_CONFIG = 5
 
-DEFAULT_ANTICIPATION = 5.0
-DEFAULT_LATENCY = 10.0
+# the paper's window: a start-time variance of 28.8 s^2 gives [-5 s, +10 s] at 1 FPS
+DEFAULT_WINDOW = annotations.tolerance_from_variance(28.8, fps=1.0)
 DEFAULT_KS = "1,2,3"
 
 # duration and start-time histogram bin edges (seconds) for --stats
@@ -153,8 +153,6 @@ def cmd_synth(args) -> int:
                         ("--distractors", args.distractors)):
         if count < 0:
             raise ConfigError(f"{flag} must be nonnegative, got {count}")
-    if args.dim < 1:  # checked here too, for an empty corpus builds no stream spec that checks it
-        raise ConfigError(f"dim must be >= 1, got {args.dim}")
     specs = annotations.make_corpus_specs(
         n_streams=args.streams + args.val_streams,
         seed=args.seed,
@@ -424,8 +422,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compute SR@k / SMD@k from score series")
     p.add_argument("--scores", required=True)
     p.add_argument("--annotations", required=True)
-    p.add_argument("--anticipation", type=float, default=DEFAULT_ANTICIPATION)
-    p.add_argument("--latency", type=float, default=DEFAULT_LATENCY)
+    p.add_argument("--anticipation", type=float, default=DEFAULT_WINDOW.anticipation)
+    p.add_argument("--latency", type=float, default=DEFAULT_WINDOW.latency)
     p.add_argument("--k", default=DEFAULT_KS)
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--sweep", type=int, default=0, help="sweep N uniform thresholds instead of --threshold")

@@ -107,10 +107,16 @@ class AdapterConfig:
             raise ConfigError(f"need 1 <= d_prime <= d, got d_prime={self.d_prime}, d={self.d}")
         if self.k < 1:
             raise ConfigError(f"kernel size must be >= 1, got {self.k}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.theta is None:
             object.__setattr__(self, "theta", 2.0 * math.pi / self.d_prime)
+        for name in ("gamma", "theta", "forget_bias_init"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+        if not 0.0 < self.gamma < 1.0:
+            raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
+        if not isinstance(self.depthwise, bool):
+            raise ConfigError(f"depthwise must be a bool, got {self.depthwise!r}")
 
 
 # -- parameters ---------------------------------------------------------------

@@ -479,8 +479,9 @@ def load_score_series_dir(
 ) -> list[ScoreSeries]:
     """The series of the score store in ``directory``, in index order, each file read
     whole by ``read``. A directory without an index, an index that is not JSON or of
-    another version, an entry with a bad field, fps or frame count, a repeated pair, or
-    entries that do not tile the array exactly raise SchemaError naming the file."""
+    another version, an entry with a bad field, fps or frame count, a repeated pair,
+    entries that do not tile the array exactly, or a finite score outside [0, 1] raise
+    SchemaError naming the file; a non-finite score raises NumericError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
@@ -522,5 +523,16 @@ def load_score_series_dir(
     if len(data) != 8 * end:
         raise SchemaError(f"score array {array_path} holds {len(data)} bytes, its index "
                           f"tiles {end} float64 values ({8 * end} bytes)")
+    # NaN fails both comparisons, so finiteness is only diagnosed on failure
+    if end and not (values.min() >= 0.0 and values.max() <= 1.0):
+        non_finite = ~np.isfinite(values)
+        bad = non_finite if non_finite.any() else (values < 0.0) | (values > 1.0)
+        i = next(i for i, (*_, offset, frames) in enumerate(tiles) if bad[offset:offset + frames].any())
+        video_uid, query_id, _, offset, frames = tiles[i]
+        where = f"score array {array_path}, series {i}: scores of ({video_uid}, {query_id})"
+        if bad is non_finite:
+            raise NumericError(f"{where} must be finite, got {int(bad[offset:offset + frames].sum())} "
+                               "non-finite value(s)")
+        raise SchemaError(f"{where} must lie in [0, 1]")
     return [ScoreSeries(video_uid, query_id, fps, values[offset:offset + frames])
             for video_uid, query_id, fps, offset, frames in tiles]

@@ -124,72 +124,10 @@ class TestParse:
         assert again == anns
 
 
-class TestIntervalIoU:
-    def test_arithmetic(self):
-        assert ann.interval_iou(ann.Interval(10, 20), ann.Interval(12, 22)) == pytest.approx(8 / 12)
-
-    def test_identity(self):
-        assert ann.interval_iou(ann.Interval(0, 10), ann.Interval(0, 10)) == 1.0
-
-    def test_disjoint(self):
-        assert ann.interval_iou(ann.Interval(0, 5), ann.Interval(6, 9)) == 0.0
-
-    def test_degenerate_points(self):
-        assert ann.interval_iou(ann.Interval(5, 5), ann.Interval(5, 5)) == 0.0
-
-    def test_symmetric_bounded(self):
-        rng = np.random.default_rng(0)
-        for _ in range(200):
-            a = sorted(rng.uniform(0, 100, 2))
-            b = sorted(rng.uniform(0, 100, 2))
-            ia, ib = ann.Interval(*a), ann.Interval(*b)
-            v = ann.interval_iou(ia, ib)
-            assert v == ann.interval_iou(ib, ia)
-            assert 0.0 <= v <= 1.0
-            assert (v == 1.0) == (a == b and a[1] > a[0])
-
-
-class TestDeriveTolerance:
-    def test_two_pair_groups(self):
-        # groups {10,12} and {20,26}: population variances 1 and 9, mean 5
-        anns = [
-            make_ann(10, 40, "wash dishes"),
-            make_ann(12, 40, "wash dishes"),
-            make_ann(20, 60, "open door"),
-            make_ann(26, 60, "open door"),
-        ]
-        w = ann.derive_tolerance(anns, iou_threshold=0.5, fps=1.0)
-        sigma = math.sqrt(5.0)
-        assert w.anticipation == math.floor(sigma)  # 2
-        assert w.latency == math.floor(2 * sigma)   # 4
-
+class TestToleranceFromVariance:
     def test_paper_variance_reproduces_window(self):
         w = ann.tolerance_from_variance(28.8, fps=1.0)
         assert w == ToleranceWindow(5.0, 10.0)
-
-    def test_zero_variance_group(self):
-        anns = [make_ann(30, 50, "q"), make_ann(30, 50, "q")]
-        w = ann.derive_tolerance(anns, 0.7, 1.0)
-        assert w == ToleranceWindow(0.0, 0.0)
-
-    def test_no_collisions_errors(self):
-        anns = [make_ann(10, 20, "a"), make_ann(500, 600, "b")]
-        with pytest.raises(ConfigError, match="explicit"):
-            ann.derive_tolerance(anns, 0.7, 1.0)
-
-    def test_order_invariance(self):
-        rng = np.random.default_rng(3)
-        anns = []
-        for g in range(6):
-            start = 50.0 * g
-            for _ in range(3):
-                jitter = float(rng.uniform(0, 2))
-                anns.append(make_ann(start + jitter, start + 30, f"group{g}"))
-        w0 = ann.derive_tolerance(anns, 0.7, 1.0)
-        for seed in range(5):
-            perm = list(np.random.default_rng(seed).permutation(len(anns)))
-            w = ann.derive_tolerance([anns[i] for i in perm], 0.7, 1.0)
-            assert w == w0
 
 
 def clock(n, fps=1.0):

@@ -163,10 +163,12 @@ class TestSynth:
         (["--val-streams", "-1"], "--val-streams"),
         (["--streams", "-2", "--val-streams", "3"], "--streams"),
         (["--streams", "0", "--val-streams", "0", "--dim", "0"], "dim"),
+        (["--streams", "0", "--val-streams", "0", "--noise", "-1"], "noise_scale"),
+        (["--streams", "0", "--val-streams", "0", "--noise", "nan"], "noise_scale"),
         (["--distractors", "-1"], "--distractors"),
         (["--seed", "-1"], "seed"),
     ], ids=["noise_nan", "noise_inf", "dim_0", "dim_neg", "streams_neg", "val_streams_neg", "streams_neg_sum_pos",
-            "dim_0_empty_corpus", "distractors_neg", "seed_neg"])
+            "dim_0_empty_corpus", "noise_neg_empty_corpus", "noise_nan_empty_corpus", "distractors_neg", "seed_neg"])
     def test_bad_value_exit_config(self, tmp_path, capsys, flags, name):
         out = tmp_path / "c"
         assert cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1"] + flags) \
@@ -509,14 +511,15 @@ class TestTrainScoreEval:
     def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, np.nan) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "finite" in err and err.count("\n") == 1
+        assert "scores.f64, series 0: scores of (" in err and "must be finite, got 1 non-finite value(s)" in err
+        assert err.count("\n") == 1
 
     def test_eval_score_above_one_exit_config(self, pipeline, tmp_path, capsys):
-        assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_CONFIG
+        assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         first = json.loads((pipeline[2] / "scores" / "index.json").read_text(encoding="utf-8"))["series"][0]
         pair = f"({first['video_uid']}, {first['query_id']})"
-        assert f"scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
+        assert f"scores.f64, series 0: scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
 
     @staticmethod
     def _eval_with_first_score(pipeline, tmp_path, capsys, value):
@@ -864,9 +867,15 @@ class TestTrainScoreEval:
         (lambda config: config["adapter"].pop("gamma"), "has no 'gamma' key"),
         (lambda config: config.update(heads=2), "unexpected keyword argument 'heads'"),
         (lambda config: config["array_order"].reverse(), "array_order does not list its config's"),
+        (lambda config: config["adapter"].update(theta="x"), "theta must be a finite real number, got 'x'"),
+        (lambda config: config["adapter"].update(theta=math.nan), "theta must be a finite real number, got nan"),
+        (lambda config: config["adapter"].update(forget_bias_init="x"),
+         "forget_bias_init must be a finite real number, got 'x'"),
+        (lambda config: config["adapter"].update(depthwise=1), "depthwise must be a bool, got 1"),
     ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d", "fractional_n_blocks", "string_seed",
             "float_d", "bool_d_mlp", "fractional_k", "float_d_prime", "missing_adapter_key_with_a_default",
-            "unknown_model_key", "reordered_array_order"])
+            "unknown_model_key", "reordered_array_order", "string_theta", "nan_theta", "string_forget_bias_init",
+            "int_depthwise"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
@@ -1081,19 +1090,24 @@ def _checkpoint_fields(raw):
     return fields
 
 
-STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC, cli.EXIT_CONFIG}
+STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
 
 
 @pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
                                                ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
                                                ("scores/index.json", STORE_EXITS),
-                                               ("scores/scores.f64", STORE_EXITS)],
-                         ids=["annotations", "checkpoint", "score_index", "score_array"])
+                                               ("scores/scores.f64", STORE_EXITS),
+                                               ("stream sidecar", {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC})],
+                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_sidecar"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
     corpus, run, scores = pipeline
-    raw = ({"annotations.csv": corpus, "checkpoint.sdqk": run}.get(artifact, scores) / artifact).read_bytes()
+    if artifact == "stream sidecar":
+        artifact = _split_files(corpus, "val")[2]  # the first val stream's streams/<uid>.f32.json
+    top = artifact.split("/")[0]
+    root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
+    raw = (root / artifact).read_bytes()
     if artifact == "checkpoint.sdqk":
         fields = _checkpoint_fields(raw)
     elif artifact == "scores/scores.f64":
@@ -1103,15 +1117,21 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
     bad = []
     for i, (name, data) in enumerate(_fuzzed(raw, np.random.default_rng(FUZZ_SEED), fields)):
         out = tmp_path / f"out-{i}"
-        if artifact.startswith("scores/"):  # the damaged file in a copy of the whole store
+        if top == "scores":  # the damaged file in a copy of the whole store
             damaged = shutil.copytree(scores / "scores", tmp_path / f"{i}-scores") / Path(artifact).name
+        elif top == "streams":  # the damaged file in a copy of the whole corpus
+            data_dir = shutil.copytree(corpus, tmp_path / f"{i}-corpus")
+            damaged = data_dir / artifact
         else:
             damaged = tmp_path / f"{i}-{artifact}"
         damaged.write_bytes(data)
         if artifact == "annotations.csv":
             argv = ["ingest", "--annotations", str(damaged), "--out", str(out)]
-        elif artifact == "checkpoint.sdqk":
+        elif top == "checkpoint.sdqk":
             argv = ["score", "--checkpoint", str(damaged), "--data", str(corpus), "--split", "val", "--out", str(out)]
+        elif top == "streams":
+            argv = ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(data_dir), "--split", "val",
+                    "--out", str(out)]
         else:
             argv = ["eval", "--scores", str(damaged.parent), "--annotations", str(corpus / "annotations.csv"),
                     "--split", "val", "--sweep", "5", "--out", str(out)]

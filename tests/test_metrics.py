@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from streamstart import metrics
-from streamstart.errors import ConfigError, IdMismatchError, NumericError
+from streamstart.errors import ConfigError, IdMismatchError, NumericError, SchemaError
 from streamstart.metrics import ScoreSeries, ToleranceWindow
 
 import oracles
@@ -431,6 +431,20 @@ class TestScoreSeriesFiles:
         loaded = metrics.load_score_series_dir(tmp_path)
         assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a_b", "x-0", 29.97), ("v", "q", 2.0)]
         assert struct.pack("<8d", *np.concatenate([s.scores for s in loaded]).tolist()) == packed
+
+    @pytest.mark.parametrize("value, error, message", [
+        (1.5, SchemaError, "series 1: scores of (v1, a-0) must lie in [0, 1]"),
+        (-1e-300, SchemaError, "series 1: scores of (v1, a-0) must lie in [0, 1]"),
+        (np.nan, NumericError, "series 1: scores of (v1, a-0) must be finite, got 2 non-finite value(s)"),
+    ], ids=["above_one", "below_zero", "nan"])
+    def test_load_names_the_array_and_the_first_bad_series(self, tmp_path, value, error, message):
+        metrics.save_score_series(tmp_path, [series(np.full(3, 0.5), uid=f"v{i}", qid="a-0") for i in range(3)])
+        values = np.fromfile(tmp_path / "scores.f64", "<f8")
+        values[[4, 5, 7]] = value  # two in series 1, one in series 2
+        values.tofile(tmp_path / "scores.f64")
+        with pytest.raises(error) as err:
+            metrics.load_score_series_dir(tmp_path)
+        assert str(err.value) == f"score array {tmp_path / 'scores.f64'}, {message}"
 
     @pytest.mark.parametrize("fps", [2.0, 29.97, 30000 / 1001, 59.94, 60000 / 1001])
     def test_fps_round_trips(self, fps, tmp_path):

@@ -120,6 +120,44 @@ def test_sr_and_smd_are_written_once():
     assert used & {"np.logical_or.accumulate", "np.minimum.accumulate"} == set()
 
 
+# public top-level names that no other code in src reaches, each kept for its reader outside src
+KEPT_UNREACHED = {
+    "kernels.set_op_counter": "perfbench installs its MAC counter through it",
+    "kernels.retention_parallel": "criterion 3's parallel side",
+    "kernels.retention_recurrent": "criterion 3's recurrent side, and perfbench's retention_recurrent_us",
+    "kernels.receptive_field": "demo 02 and the locality probe",
+    "metrics.extract_predictions": "demo 01 and perfbench; ROADMAP R25 deletes it",
+    "detector.score_frames": "perfbench's live check",
+    "detector.infer_streaming": "the streaming reference, traced by perfbench",
+}
+
+
+def _reached() -> set[str]:
+    """Each ``module.name`` that code in src refers to outside the name's own definition: as a
+    bare name in its module, or elsewhere as ``from .module import name`` or ``module.name``."""
+    reached = set()
+    for name, tree in _trees():
+        module = name[:-3]
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and node.id != own:
+                    reached.add(f"{module}.{node.id}")
+                elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in MODULES:
+                    reached |= {f"{node.module}.{a.name}" for a in node.names}
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in MODULES:
+                    reached.add(f"{node.value.id}.{node.attr}")
+    return reached
+
+
+def test_every_public_name_is_reached_or_kept_for_a_reason():
+    # a public function or class that nothing in src (the CLI included) calls is dead code,
+    # unless a reader outside src needs it by name
+    public = {f"{name[:-3]}.{node.name}" for name, tree in _trees() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+    assert public - _reached() == set(KEPT_UNREACHED)
+
+
 def test_every_traced_metric_has_its_function():
     # the benchmark's tracer finds each per-layer metric's function by name;
     # a renamed or deleted one silently drops its metric from the traced run
