@@ -1120,8 +1120,7 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
         if top == "scores":  # the damaged file in a copy of the whole store
             damaged = shutil.copytree(scores / "scores", tmp_path / f"{i}-scores") / Path(artifact).name
         elif top == "streams":  # the damaged file in a copy of the whole corpus
-            data_dir = shutil.copytree(corpus, tmp_path / f"{i}-corpus")
-            damaged = data_dir / artifact
+            damaged = shutil.copytree(corpus, tmp_path / f"{i}-corpus") / artifact
         else:
             damaged = tmp_path / f"{i}-{artifact}"
         damaged.write_bytes(data)
@@ -1130,8 +1129,8 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
         elif top == "checkpoint.sdqk":
             argv = ["score", "--checkpoint", str(damaged), "--data", str(corpus), "--split", "val", "--out", str(out)]
         elif top == "streams":
-            argv = ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(data_dir), "--split", "val",
-                    "--out", str(out)]
+            argv = ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(damaged.parents[1]),
+                    "--split", "val", "--out", str(out)]
         else:
             argv = ["eval", "--scores", str(damaged.parent), "--annotations", str(corpus / "annotations.csv"),
                     "--split", "val", "--sweep", "5", "--out", str(out)]
