@@ -251,7 +251,6 @@ def cmd_train(args) -> int:
 
     trained, history = detector.train(model, np.stack(windows), np.stack(labels), np.stack(queries), train_config)
 
-    out.mkdir(parents=True, exist_ok=True)
     detector.save_model(out / "checkpoint.sdqk", trained)
     (out / "curve.csv").write_text(detector.loss_curve_csv(history), encoding="utf-8")
     write_manifest(out, args, [data_dir], read.digests, ws=w_s, d_prime=adapter.d_prime)

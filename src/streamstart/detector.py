@@ -45,12 +45,11 @@ class ModelConfig:
     d: int
     n_blocks: int
     adapter: AdapterConfig
-    d_mlp: int = 0
     tau_sim: float = DEFAULT_TAU_SIM
     seed: int = 0
 
     def __post_init__(self) -> None:
-        kernels.check_integers(self, ("d_in", "d", "n_blocks", "d_mlp", "seed"))
+        kernels.check_integers(self, ("d_in", "d", "n_blocks", "seed"))
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.adapter.d != self.d:
@@ -61,8 +60,6 @@ class ModelConfig:
             raise ConfigError(f"need at least one block, got {self.n_blocks}")
         if not (math.isfinite(self.tau_sim) and self.tau_sim > 0):
             raise ConfigError(f"tau_sim must be finite and positive, got {self.tau_sim}")
-        if self.d_mlp <= 0:
-            object.__setattr__(self, "d_mlp", 2 * self.d)
 
 
 @dataclass(frozen=True)
@@ -106,7 +103,7 @@ class LossBreakdown:
 
 
 def build_model(config: ModelConfig) -> DetectorModel:
-    """Seeded construction of the blocks."""
+    """Seeded construction of the blocks, each with a ``2 * d``-wide frozen MLP."""
     rng = np.random.default_rng(config.seed)
     blocks = []
     for _ in range(config.n_blocks):
@@ -115,7 +112,7 @@ def build_model(config: ModelConfig) -> DetectorModel:
         blocks.append(
             (
                 kernels.init_params(config.adapter, adapter_seed),
-                kernels.make_block_params(config.d, config.d_mlp, block_seed),
+                kernels.make_block_params(config.d, 2 * config.d, block_seed),
             )
         )
     return DetectorModel(config=config, blocks=blocks)
@@ -139,8 +136,8 @@ def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict
     # a dot product, as np.linalg.norm takes for one vector: batched and
     # single-query norms agree bitwise
     qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0]
-    if (qnorm <= 0).any():
-        raise ConfigError("query embedding must have positive norm")
+    if not ((qnorm > 0) & (qnorm < np.inf)).all():  # a NaN, an inf or an overflowing square fails
+        raise ConfigError("query embedding must have a finite, positive norm")
     qn = query / qnorm
     unorm = np.linalg.norm(out, axis=-1)
     zero = unorm < _NORM_EPS
@@ -331,18 +328,19 @@ def loss_curve_csv(history: list[LossBreakdown]) -> str:
 
 
 class StreamingScorer:
-    """Scores one stream frame by frame with carried per-block state."""
+    """Scores one stream frame by frame with carried per-block state, for a query of finite, positive norm."""
 
     def __init__(self, model: DetectorModel, query: np.ndarray):
         self.model = model
         qnorm = float(np.linalg.norm(query))
-        if qnorm <= 0:
-            raise ConfigError("query embedding must have positive norm")
+        if not 0 < qnorm < math.inf:
+            raise ConfigError("query embedding must have a finite, positive norm")
         self._qn = np.asarray(query, dtype=float) / qnorm
         self.states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
 
     def push(self, frame: np.ndarray) -> float:
-        """Consume one frame, return its score before the next frame arrives."""
+        """Consume one frame, return its score before the next frame arrives. A logit that is not
+        finite (a non-finite frame) raises NumericError; the carried states then hold it too."""
         u = _stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
@@ -353,6 +351,8 @@ class StreamingScorer:
         else:
             s = float(kernels.matmul(u, self._qn)) / unorm
         z = s / self.model.config.tau_sim
+        if not math.isfinite(z):
+            raise NumericError("a streamed frame's logit is not finite (a non-finite frame upstream)")
         if z >= 0.0:
             return 1.0 / (1.0 + math.exp(-z))
         e = math.exp(z)
@@ -405,7 +405,7 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
 # and the little-endian float32 payload. Layout details in docs/formats.md.
 
 MAGIC = b"SDQK"
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
@@ -470,8 +470,16 @@ def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tu
 
 
 def save_model(path: str | Path, model: DetectorModel) -> None:
+    """Write the model's checkpoint, making its directory. An array whose float32 cast is not
+    finite raises NumericError, naming the first such array, before anything is written."""
     named = named_arrays(model)
-    write_checkpoint(path, {**asdict(model.config), "array_order": list(named)}, list(named.values()))
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below, not warned about
+        stored = {name: np.ascontiguousarray(arr, dtype="<f4") for name, arr in named.items()}
+    for name, arr in stored.items():
+        if not np.isfinite(arr).all():
+            raise NumericError(f"array {name} is not finite as the float32 a checkpoint stores")
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    write_checkpoint(path, {**asdict(model.config), "array_order": list(named)}, list(stored.values()))
 
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:

@@ -276,7 +276,7 @@ def causal_conv(
     w: np.ndarray,
     bias: np.ndarray | None = None,
     context: np.ndarray | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Masked temporal convolution: y_t = sum_j x_{t - (k - 1) + j} @ w[j].
 
     ``x`` is ``[..., n_t, d_in]``: time on axis -2, any leading axes batch
@@ -289,9 +289,11 @@ def causal_conv(
     ``context`` ``[..., c, d_in]`` holds the rows just before ``x[0]`` (a
     stream's carried buffer). The taps read them, but they get no output
     row: the result is the last n_t rows of the convolution over
-    ``[context; x]``. A dense bank is one product of the overlapping k-row
-    windows ``[..., n_t, k * d_in]`` of the zero-padded ``[context; x]``;
-    MACs count only taps that read its real rows. A batch call's adapter
+    ``[context; x]``. It comes with the context that continues the sequence,
+    as ``fo_pool``'s last state does: a copy of the last k - 1 rows of the
+    zero-padded ``[context; x]``. A dense bank is one product of the
+    overlapping k-row windows ``[..., n_t, k * d_in]`` of that array; MACs
+    count only taps that read its real rows. A batch call's adapter
     passes its fresh all-zeros buffer as ``context``, so its count includes
     those taps, as retention's includes its zero summary's read-out and
     update; a streamed frame's count is the same either way.
@@ -319,7 +321,7 @@ def causal_conv(
         _count(math.prod(lead) * real * per_tap)
     if bias is not None:
         y += bias[None]
-    return y
+    return y, xp[..., n:, :].copy()
 
 
 def _rows(a: np.ndarray) -> np.ndarray:
@@ -402,13 +404,6 @@ def fo_pool_vjp(
     return g * (1.0 - f), g * (h_prev - s)
 
 
-def _carry(buffer: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The conv context after ``x``: the last ``buffer.shape[-2]`` rows of ``[buffer; x]``
-    on axis -2, whose leading axes ``x`` shares, copied so that the state does not keep
-    the whole chunk alive."""
-    return np.concatenate([buffer, x], axis=-2)[..., x.shape[-2] :, :].copy()
-
-
 def qrnn_forward(
     x: np.ndarray, params: AdapterParams, state: QrnnState, tape: dict | None = None
 ) -> tuple[np.ndarray, QrnnState]:
@@ -423,7 +418,7 @@ def qrnn_forward(
     """
     cfg = params.config
     _check_state(cfg, state)
-    sf = causal_conv(x, params.w_sf, params.b_sf, state.buffer)
+    sf, buffer = causal_conv(x, params.w_sf, params.b_sf, state.buffer)
     s = np.tanh(sf[..., : cfg.d_prime])
     f = sigmoid(sf[..., cfg.d_prime :])
     # sigmoid output saturating to float 0/1 is a rounding artifact; keep the
@@ -432,7 +427,7 @@ def qrnn_forward(
     h, h_last = fo_pool(s, f, state.h)
     if tape is not None:
         tape.update(s=s, f=f)
-    return h, QrnnState(buffer=_carry(state.buffer, x), h=h_last)
+    return h, QrnnState(buffer=buffer, h=h_last)
 
 
 def _rotate(x: np.ndarray, positions: np.ndarray, theta: float) -> np.ndarray:
@@ -572,8 +567,8 @@ def adapter_forward(
     if cfg.kind == "vanilla":
         core = gelu(down, tape, "down_erf")
     elif cfg.kind == "st_conv":
-        core = causal_conv(down, params.w_s, context=state.buffer)
-        new_state = ConvState(buffer=_carry(state.buffer, down))
+        core, buffer = causal_conv(down, params.w_s, context=state.buffer)
+        new_state = ConvState(buffer=buffer)
     elif cfg.kind == "qrnn":
         core, new_state = qrnn_forward(down, params, state, tape)
     else:
@@ -627,11 +622,8 @@ class BlockParams(_Arrays):
     """Frozen stand-ins for the spatial and MLP sublayers of one block."""
 
     w_sp: np.ndarray
-    b_sp: np.ndarray
     w1: np.ndarray
-    b1: np.ndarray
     w2: np.ndarray
-    b2: np.ndarray
 
 
 def make_block_params(d: int, d_mlp: int, seed: int, scale: float = 0.1) -> BlockParams:
@@ -639,11 +631,8 @@ def make_block_params(d: int, d_mlp: int, seed: int, scale: float = 0.1) -> Bloc
     rng = np.random.default_rng(seed)
     return BlockParams(
         w_sp=scale * rng.normal(size=(d, d)) / math.sqrt(d),
-        b_sp=np.zeros(d),
         w1=rng.normal(size=(d, d_mlp)) / math.sqrt(d),
-        b1=np.zeros(d_mlp),
         w2=scale * rng.normal(size=(d_mlp, d)) / math.sqrt(d_mlp),
-        b2=np.zeros(d),
     )
 
 
@@ -656,19 +645,18 @@ def block_forward(
 ) -> tuple[np.ndarray, StreamState]:
     """Temporal adapter, then frozen spatial and MLP sublayers with residuals.
 
-    y_temp = adapter(x); v = spatial(y_temp) + x; out = mlp(v) + v.
-    ``state`` and ``tape`` as in ``adapter_forward``; the tape also receives
-    the MLP's pre-activation ``h1_pre`` and its GELU's ``h1_erf``.
+    u = adapter(x); v = u @ w_sp + x; out = gelu(v @ w1) @ w2 + v, the sublayers
+    without biases. ``state`` and ``tape`` as in ``adapter_forward``; the tape
+    also receives the MLP's pre-activation ``h1_pre`` and its GELU's ``h1_erf``.
     """
     u, new_state = adapter_forward(x, adapter_params, state, tape)
-    v = _affine(u, block_params.w_sp, block_params.b_sp, x)
-    h1_pre = _affine(v, block_params.w1, block_params.b1)
-    out = _affine(gelu(h1_pre, tape, "h1_erf"), block_params.w2, block_params.b2, v)
+    v = _affine(u, block_params.w_sp, x)
+    h1_pre = matmul(v, block_params.w1)
+    out = _affine(gelu(h1_pre, tape, "h1_erf"), block_params.w2, v)
     if tape is not None:
         tape["h1_pre"] = h1_pre
-    if _OP_COUNTER is not None:
-        d, d_mlp = block_params.w1.shape
-        _count(math.prod(x.shape[:-1]) * (d * d + 2 * d * d_mlp))
+    if _OP_COUNTER is not None:  # one MAC per frozen weight per frame
+        _count(math.prod(x.shape[:-1]) * sum(w.size for w in block_params.arrays().values()))
     return out, new_state
 
 

@@ -30,6 +30,7 @@ _BLOCK = 2**18
 # gives each chunk's maximum, and only a chunk whose maximum beats every frame
 # before it holds a record.
 _RECORD_CHUNK = 16
+SWEEP_MAX = 1000  # most sweep candidates: the selection's [Q, N] arrays take 8 KB per query each
 
 
 @dataclass(frozen=True)
@@ -393,9 +394,9 @@ def sweep_thresholds(
     """Pick the threshold maximizing SR@objective_k from a uniform grid.
 
     Candidates are ``n`` uniformly spaced values between the minimum and
-    maximum observed scores; ties break toward the larger threshold. When
-    all scores are constant there is a single candidate. The queries are
-    paired and validated once.
+    maximum observed scores, 2 <= n <= ``SWEEP_MAX``; ties break toward the
+    larger threshold. When all scores are constant there is a single
+    candidate. The queries are paired and validated once.
 
     One pass over the paired scores (``_records``) gives the grid's bounds
     and each query's running-maximum records; series that no annotation
@@ -408,8 +409,8 @@ def sweep_thresholds(
     (``_first_predictions``). The report is then ``evaluate_dataset``'s at
     the chosen threshold alone.
     """
-    if n < 2:
-        raise ConfigError(f"sweep needs n >= 2 candidates, got {n}")
+    if not 2 <= n <= SWEEP_MAX:  # before anything is allocated
+        raise ConfigError(f"sweep needs 2 <= n <= {SWEEP_MAX} candidates, got {n}")
     ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
     if not any(s.scores.size for s in series):
         raise ConfigError("cannot sweep thresholds over empty score series")

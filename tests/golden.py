@@ -18,6 +18,9 @@ compares.
 Regenerate the record, after a change that moves outputs on purpose:
 
     python tests/golden.py --write
+
+It prints what moved against the record it replaces: the file digests, the report
+values (old -> new) and the streamed digests.
 """
 
 from __future__ import annotations
@@ -135,6 +138,25 @@ def report_mismatches(recorded, reports, path: str = "") -> list[str]:
     return [] if recorded == reports else [path]
 
 
+def _value_at(report, path: str):
+    """The value at a ``report_mismatches`` path, or None where the report has none."""
+    for key in path.split("/")[1:]:
+        report = report.get(key) if isinstance(report, dict) else None
+    return report
+
+
+def moved(old: dict, new: dict) -> list[str]:
+    """One line per file digest, report value and streamed digest that differs between
+    two records, after one for the environment if it differs."""
+    lines = [] if old.get("environment") == new["environment"] else [
+        f"environment {old.get('environment')} -> {new['environment']}"]
+    lines += [f"file {p}" for p in digest_mismatches(old.get("digests", {}), new["digests"])]
+    lines += [f"report {p}: {_value_at(old.get('reports'), p)!r} -> {_value_at(new['reports'], p)!r}"
+              for p in report_mismatches(old.get("reports", {}), new["reports"])]
+    lines += [f"streamed {p}" for p in digest_mismatches(old.get("streamed", {}), new["streamed"])]
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--write", action="store_true", required=True, help="write tests/golden.json from this run")
@@ -142,8 +164,11 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         digests, reports, streamed = run_pipeline(Path(tmp))
     record = {"environment": environment(), "reports": reports, "digests": digests, "streamed": streamed}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    changes = moved(old, record)
     GOLDEN.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(digests)} file digests and {len(streamed)} streamed digests to {GOLDEN}")
+    print(f"wrote {len(digests)} file digests and {len(streamed)} streamed digests to {GOLDEN}; "
+          f"{len(changes)} moved against the record it replaces" + "".join(f"\n  {line}" for line in changes))
     return 0
 
 

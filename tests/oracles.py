@@ -166,11 +166,7 @@ def randomize_adapters(model, seed, scale=0.4):
 
 def identity_block_params(d, d_mlp):
     """Zeroed frozen sublayers: with an identity adapter the block is the identity."""
-    return BlockParams(
-        w_sp=np.zeros((d, d)), b_sp=np.zeros(d),
-        w1=np.zeros((d, d_mlp)), b1=np.zeros(d_mlp),
-        w2=np.zeros((d_mlp, d)), b2=np.zeros(d),
-    )
+    return BlockParams(w_sp=np.zeros((d, d)), w1=np.zeros((d, d_mlp)), w2=np.zeros((d_mlp, d)))
 
 
 def weighted_bce(p, y, cap=DEFAULT_POS_CAP):

@@ -323,9 +323,11 @@ class TestTrainScoreEval:
         (lambda raw: raw + b"\x00" * 8, "trailing bytes"),
         (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "config is not UTF-8 JSON"),
         (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 1; this build reads version 3"),
+         "is checkpoint version 1; this build reads version 4"),
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 2; this build reads version 3"),
+         "is checkpoint version 2; this build reads version 4"),
+        (lambda raw: raw[:4] + (3).to_bytes(4, "little") + raw[8:],
+         "is checkpoint version 3; this build reads version 4"),
         (lambda raw: _with_empty_first_array(raw, rank=65), "array 0 of rank 65 cannot be shaped: maximum supported"),
     ])
     def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
@@ -540,6 +542,28 @@ class TestTrainScoreEval:
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"score directory {tmp_path / 'nowhere'} does not exist" in err and err.count("\n") == 1
+
+    def test_eval_sweep_above_its_maximum_exit_config(self, pipeline, tmp_path, capsys):
+        corpus, _, scores = pipeline
+        n = metrics.SWEEP_MAX + 1
+        capsys.readouterr()
+        assert cli.main(["eval", "--scores", str(scores / "scores"), "--annotations", str(corpus / "annotations.csv"),
+                         "--split", "val", "--sweep", str(n), "--out", str(tmp_path / "eval")]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"sweep needs 2 <= n <= {metrics.SWEEP_MAX} candidates, got {n}" in err and err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
+
+    def test_train_whose_checkpoint_overflows_float32_exit_numeric(self, pipeline, tmp_path, capsys):
+        # 3 steps at lr 1e39 stay below the divergence limit, but the adapters no longer fit in float32
+        corpus, _, _ = pipeline
+        out = tmp_path / "run"
+        capsys.readouterr()
+        rc = cli.main(["train", "--data", str(corpus), "--out", str(out), "--kind", "qrnn", "--steps", "3",
+                       "--lr", "1e39", "--batch", "4", "--blocks", "1", "--d-prime", "8", "--seed", "0"])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "is not finite as the float32 a checkpoint stores" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_score_writes_batch_scores(self, pipeline):
         corpus, run, scores = pipeline
@@ -861,7 +885,7 @@ class TestTrainScoreEval:
         (lambda config: config.update(n_blocks=1.5), "n_blocks must be an integer, got 1.5"),
         (lambda config: config.update(seed="x"), "seed must be an integer, got 'x'"),
         (lambda config: config.update(d=8.0), "d must be an integer, got 8.0"),
-        (lambda config: config.update(d_mlp=True), "d_mlp must be an integer, got True"),
+        (lambda config: config.update(d_mlp=16), "unexpected keyword argument 'd_mlp'"),
         (lambda config: config["adapter"].update(k=2.5), "k must be an integer, got 2.5"),
         (lambda config: config["adapter"].update(d_prime=8.0), "d_prime must be an integer, got 8.0"),
         (lambda config: config["adapter"].pop("gamma"), "has no 'gamma' key"),
@@ -873,7 +897,7 @@ class TestTrainScoreEval:
          "forget_bias_init must be a finite real number, got 'x'"),
         (lambda config: config["adapter"].update(depthwise=1), "depthwise must be a bool, got 1"),
     ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d", "fractional_n_blocks", "string_seed",
-            "float_d", "bool_d_mlp", "fractional_k", "float_d_prime", "missing_adapter_key_with_a_default",
+            "float_d", "stale_d_mlp_key", "fractional_k", "float_d_prime", "missing_adapter_key_with_a_default",
             "unknown_model_key", "reordered_array_order", "string_theta", "nan_theta", "string_forget_bias_init",
             "int_depthwise"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):

@@ -39,7 +39,7 @@ def tiny_batch(seed, n=6, d=8, count=2):
 def identity_model(d=8, kind="qrnn", tau_sim=0.07):
     """Fresh adapters plus zeroed frozen sublayers: the stack is the identity."""
     model = tiny_model(kind, d=d, dp=d // 2, blocks=1, tau_sim=tau_sim)
-    blocks = [(a, oracles.identity_block_params(d, model.config.d_mlp)) for a, _ in model.blocks]
+    blocks = [(a, oracles.identity_block_params(d, 2 * d)) for a, _ in model.blocks]
     return replace(model, blocks=blocks)
 
 
@@ -286,6 +286,32 @@ class TestNonFiniteInput:
         with pytest.raises(NumericError, match="not finite"):
             backward(model, embeddings, labels, queries)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the overflowing squares
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflowing"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_query_without_finite_norm_rejected(self, kind, bad):
+        model = tiny_model(kind, blocks=1)
+        query = np.ones(8)
+        query[5] = bad
+        with pytest.raises(ConfigError, match="query embedding must have a finite, positive norm"):
+            StreamingScorer(model, query)
+        with pytest.raises(ConfigError, match="query embedding must have a finite, positive norm"):
+            detector.score_streams(model, np.ones((2, 3, 8)), np.stack([np.ones(8), query]))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the inf values
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_frame_push_raises(self, kind, bad):
+        # qrnn's fo_pool sees it first; the other kinds reach the head with a NaN logit
+        model = oracles.randomize_adapters(tiny_model(kind, blocks=1), seed=58)
+        scorer = StreamingScorer(model, np.ones(8))
+        frames = np.random.default_rng(59).normal(size=(3, 8))
+        frames[2, 4] = bad
+        for frame in frames[:2]:
+            assert math.isfinite(scorer.push(frame))
+        with pytest.raises(NumericError, match="not finite"):
+            scorer.push(frames[2])
+
 
 class TestTrain:
     def test_zero_steps_identical(self):
@@ -484,9 +510,9 @@ class TestStreamingInference:
         assert len(produced) == 15
 
 
-@pytest.mark.parametrize("field, value", [("n_blocks", 1.5), ("seed", "x"), ("d_mlp", True), ("d_prime", 4.0),
+@pytest.mark.parametrize("field, value", [("n_blocks", 1.5), ("seed", "x"), ("d", True), ("d_prime", 4.0),
                                           ("k", 2.5)],
-                         ids=["fractional_n_blocks", "string_seed", "bool_d_mlp", "float_d_prime", "fractional_k"])
+                         ids=["fractional_n_blocks", "string_seed", "bool_d", "float_d_prime", "fractional_k"])
 def test_config_integer_field_rejects_a_non_integer(field, value):
     # a library caller gets the ConfigError a checkpoint's config gets, not a TypeError from build_model
     adapter = dict(d=8, d_prime=4, kind="qrnn", k=2)
@@ -536,6 +562,17 @@ class TestModelCheckpoint:
         loaded = detector.load_model(tmp_path / "m.sdqk")
         assert loaded.config.adapter.kind == "retention"
         assert loaded.config.d == 8 and loaded.config.adapter.d_prime == 4
+
+    @pytest.mark.parametrize("value", [1e39, -4e38, np.inf, np.nan])
+    def test_array_not_finite_in_float32_is_not_written(self, tmp_path, value):
+        model = tiny_model("qrnn")
+        w_sf = model.blocks[1][0].w_sf.copy()
+        w_sf.flat[3] = value
+        model = detector.with_arrays(model, {"blocks.1.w_sf": w_sf, "blocks.1.w_sp": np.full((8, 8), 1e39)})
+        out = tmp_path / "run"
+        with pytest.raises(NumericError, match="^array blocks.1.w_sf is not finite as the float32"):
+            detector.save_model(out / "m.sdqk", model)
+        assert not out.exists()
 
     def test_identity_init_survives_checkpoint(self, tmp_path):
         model = tiny_model("st_conv")

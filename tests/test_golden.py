@@ -44,6 +44,16 @@ def test_pipeline_matches_golden_record(pipeline):
     assert not bad, f"eval reports differ from tests/golden.json at {_first(bad)}"
 
 
+def test_write_reports_what_moved():
+    old = {"environment": {"numpy": "1"}, "digests": {"a": "1", "b": "2"}, "streamed": {"qrnn": "3"},
+           "reports": {"qrnn": {"threshold": 0.5, "sr": {"1": 80.0}}}}
+    new = {"environment": {"numpy": "1"}, "digests": {"a": "1", "b": "9", "c": "4"}, "streamed": {"qrnn": "5"},
+           "reports": {"qrnn": {"threshold": 0.5, "sr": {"1": 82.0}}}}
+    assert golden.moved(old, old) == []
+    assert golden.moved(old, new) == ["file b", "file c", "report /qrnn/sr/1: 80.0 -> 82.0", "streamed qrnn"]
+    assert golden.moved({}, new)[0] == f"environment None -> {new['environment']}"
+
+
 @pytest.mark.skipif(not RECORDED_ENV, reason="the digests were recorded in another environment")
 def test_one_ulp_in_a_checkpoint_breaks_the_record(tmp_path, monkeypatch):
     save_model = detector.save_model

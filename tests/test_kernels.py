@@ -93,7 +93,7 @@ class TestInit:
             p = init_params(cfg, seed)
             x = np.random.default_rng(seed).normal(size=(40, 8))
             h, _ = qrnn_forward(x, p, fresh_state(cfg))
-            oracle = np.tanh(causal_conv(x, p.w_sf[..., :8], p.b_sf[:8]))
+            oracle = np.tanh(causal_conv(x, p.w_sf[..., :8], p.b_sf[:8])[0])
             step0 = np.linalg.norm(h[0] - oracle[0]) / np.linalg.norm(oracle[0])
             assert step0 == pytest.approx(leak, rel=1e-9)
             rms = np.sqrt(np.mean(np.sum(oracle**2, axis=1)))
@@ -112,13 +112,13 @@ class TestCausalConv:
         w = np.zeros((2, 3, 3))
         w[1] = np.eye(3)
         x = np.random.default_rng(1).normal(size=(7, 3))
-        assert np.array_equal(causal_conv(x, w), x)
+        assert np.array_equal(causal_conv(x, w)[0], x)
 
     def test_pure_delay(self):
         w = np.zeros((2, 3, 3))
         w[0] = np.eye(3)
         x = np.random.default_rng(2).normal(size=(7, 3))
-        y = causal_conv(x, w)
+        y = causal_conv(x, w)[0]
         assert np.array_equal(y[0], np.zeros(3))
         assert np.array_equal(y[1:], x[:-1])
 
@@ -126,10 +126,10 @@ class TestCausalConv:
         rng = np.random.default_rng(3)
         w = rng.normal(size=(3, 4, 4))
         x = rng.normal(size=(10, 4))
-        y = causal_conv(x, w)
+        y = causal_conv(x, w)[0]
         x2 = x.copy()
         x2[6:] += rng.normal(size=(4, 4))
-        y2 = causal_conv(x2, w)
+        y2 = causal_conv(x2, w)[0]
         assert np.array_equal(y[:6], y2[:6])
 
     def test_depthwise_matches_diagonal_dense(self):
@@ -137,8 +137,8 @@ class TestCausalConv:
         w_depth = rng.normal(size=(3, 4))
         w_dense = np.stack([np.diag(w_depth[j]) for j in range(3)])
         x = rng.normal(size=(9, 4))
-        got = causal_conv(x, w_depth)
-        want = causal_conv(x, w_dense)
+        got = causal_conv(x, w_depth)[0]
+        want = causal_conv(x, w_dense)[0]
         assert np.allclose(got, want, atol=1e-14)
 
 
@@ -198,9 +198,9 @@ class TestBatchAxes:
         x = rng.normal(size=(self.B, 7, 4))
         w = rng.normal(size=(3, 4) if depthwise else (3, 4, 5))
         bias = rng.normal(size=w.shape[-1])
-        y, macs = counted(causal_conv, x, w, bias)
+        (y, _), macs = counted(causal_conv, x, w, bias)
         for b in range(self.B):
-            y_b, macs_b = counted(causal_conv, x[b], w, bias)
+            (y_b, _), macs_b = counted(causal_conv, x[b], w, bias)
             assert np.array_equal(y[b], y_b)
         assert macs == self.B * macs_b > 0
 
@@ -294,19 +294,35 @@ class TestOneForward:
         n, c = 5, 2
         x = rng.normal(size=lead + (n, 4))
         context = rng.normal(size=lead + (c, 4))
-        y, macs = counted(lambda: causal_conv(x, w, bias, context=context))
-        full = causal_conv(np.concatenate([context, x], axis=-2), w, bias)
+        (y, _), macs = counted(lambda: causal_conv(x, w, bias, context=context))
+        full, _ = causal_conv(np.concatenate([context, x], axis=-2), w, bias)
         assert np.array_equal(y, full[..., c:, :])
         # one count per (output row, tap) that lands inside [context; x]
         taps = sum(0 <= c + t + j - 2 < c + n for t in range(n) for j in range(3))
         per_tap = w.shape[-1] if depthwise else w.shape[1] * w.shape[2]
         assert macs == math.prod(lead) * taps * per_tap
 
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("lead", [(), (2,)])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_causal_conv_returns_the_next_context(self, k, lead, depthwise):
+        # the last k - 1 rows of [context; x], zero-padded in front where it is shorter
+        rng = np.random.default_rng(75 + k)
+        w = rng.normal(size=(k, 4) if depthwise else (k, 4, 5))
+        for c in (None, 0, max(0, k - 2), k - 1, k + 1):  # no, empty, partial, full and longer contexts
+            for n in (1, 6):
+                x = rng.normal(size=lead + (n, 4))
+                context = np.zeros(lead + (0, 4)) if c is None else rng.normal(size=lead + (c, 4))
+                _, got = causal_conv(x, w, context=None if c is None else context)
+                padded = np.concatenate([np.zeros(lead + (k - 1, 4)), context, x], axis=-2)
+                assert np.array_equal(got, padded[..., padded.shape[-2] - (k - 1) :, :])
+                assert got.base is None  # a copy: the carried state keeps no chunk alive
+
     def test_causal_conv_empty_context_is_no_context(self):
         rng = np.random.default_rng(69)
         x, w = rng.normal(size=(6, 4)), rng.normal(size=(1, 4, 4))
-        y, macs = counted(lambda: causal_conv(x, w, context=np.zeros((0, 4))))
-        y0, macs0 = counted(lambda: causal_conv(x, w))
+        (y, _), macs = counted(lambda: causal_conv(x, w, context=np.zeros((0, 4))))
+        (y0, _), macs0 = counted(lambda: causal_conv(x, w))
         assert np.array_equal(y, y0) and macs == macs0
 
     def test_qrnn_batch_runs_from_zero_state(self):
@@ -574,7 +590,7 @@ class TestRewrittenPrimitives:
             for n in (1, 6):
                 x = rng.normal(size=lead + (n, 4))
                 context = None if c is None else rng.normal(size=lead + (c, 4))
-                y, macs = counted(lambda: causal_conv(x, w, bias, context))
+                (y, _), macs = counted(lambda: causal_conv(x, w, bias, context))
                 want, want_macs = oracles.tap_loop_conv(x, w, bias, context)
                 assert macs == want_macs
                 if depthwise:  # the same products, added in the same order
@@ -585,9 +601,9 @@ class TestRewrittenPrimitives:
     def test_stacked_depthwise_banks_share_the_input(self):
         rng = np.random.default_rng(84)
         x, w_a, w_b = rng.normal(size=(2, 7, 4)), rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-        y = causal_conv(x, np.concatenate([w_a, w_b], axis=-1))
-        assert np.array_equal(y[..., :4], causal_conv(x, w_a))
-        assert np.array_equal(y[..., 4:], causal_conv(x, w_b))
+        y, _ = causal_conv(x, np.concatenate([w_a, w_b], axis=-1))
+        assert np.array_equal(y[..., :4], causal_conv(x, w_a)[0])
+        assert np.array_equal(y[..., 4:], causal_conv(x, w_b)[0])
 
     def test_sigmoid_bitwise_equals_where_form(self):
         x = np.array([0.0, -0.0, 1e-300, -1e-300, 1.0, -1.0, 40.0, -40.0, 750.0, -750.0,
@@ -667,7 +683,7 @@ class TestVjps:
         inputs = {"x": rng.normal(size=lead + (5, 3)), "w": w, "bias": rng.normal(size=w.shape[-1])}
         r = rng.normal(size=lead + (5, w.shape[-1]))
         d_x, grads = kernels.causal_conv_vjp(r, inputs["x"], w, inputs["bias"])
-        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)), inputs, {"x": d_x, **grads})
+        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)[0]), inputs, {"x": d_x, **grads})
         assert set(kernels.causal_conv_vjp(r, inputs["x"], w)[1]) == {"w"}
 
     def test_causal_conv_vjp_stacked_depthwise(self):
@@ -677,7 +693,7 @@ class TestVjps:
         inputs = {"x": rng.normal(size=(2, 5, 3)), "w": w, "bias": rng.normal(size=6)}
         r = rng.normal(size=(2, 5, 6))
         d_x, grads = kernels.causal_conv_vjp(r, inputs["x"], w, inputs["bias"])
-        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)), inputs, {"x": d_x, **grads})
+        assert_grads(lambda x, w, bias: np.sum(r * causal_conv(x, w, bias)[0]), inputs, {"x": d_x, **grads})
 
     @pytest.mark.parametrize("lead", [(), (2,)])
     def test_fo_pool_vjp(self, lead):

@@ -229,6 +229,18 @@ class TestEvaluateDataset:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("n", [1, metrics.SWEEP_MAX + 1])
+    def test_candidate_count_outside_its_bounds_rejected_first(self, n):
+        # checked before the series are read or any [Q, n] array exists: empty inputs would fail later
+        with pytest.raises(ConfigError, match=rf"sweep needs 2 <= n <= {metrics.SWEEP_MAX} candidates, got {n}$"):
+            metrics.sweep_thresholds([], [], ToleranceWindow(5, 10), n=n)
+
+    def test_candidate_count_at_its_maximum_sweeps(self):
+        ser = [series(np.linspace(0, 1, 20), qid="a-0")]
+        tau, rep = metrics.sweep_thresholds(ser, [FakeAnn("v", "a", 10.0)], ToleranceWindow(5, 10),
+                                            n=metrics.SWEEP_MAX)
+        assert 0.0 <= tau <= 1.0 and rep.n_queries == 1
+
     def test_candidates_span_min_max(self):
         ser = [series(np.linspace(0, 1, 20), qid="a-0")]
         anns = [FakeAnn("v", "a", 10.0)]
