@@ -459,24 +459,22 @@ def load_stream(
     fps = sidecar.get("fps")
     if type(fps) not in (int, float) or not 0 < fps < math.inf:
         raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")
-    raw = np.frombuffer(read(path), dtype="<f4")
-    if raw.size != n * dim:
-        raise NumericError(
-            f"stream {path} holds {raw.size} floats, sidecar promises {n}x{dim}"
-        )
-    frames = raw.reshape(n, dim).astype(float)
-    _check_finite(path, frames)
+    frames = _float32s(path, read(path), (n, dim))
     query_path = path.with_name(path.stem + ".query.f32")
     query = None
     if query_path.exists():
-        query = np.frombuffer(read(query_path), dtype="<f4").astype(float)
-        if query.size != dim:
-            raise NumericError(f"query {query_path} holds {query.size} floats, sidecar promises {dim}")
-        _check_finite(query_path, query)
+        query = _float32s(query_path, read(query_path), (dim,))
     return frames, sidecar, query
 
 
-def _check_finite(path: Path, values: np.ndarray) -> None:
+def _float32s(path: Path, data: bytes, shape: tuple[int, ...]) -> np.ndarray:
+    """``data``, the bytes of ``path``, as little-endian float32 values ``shape``, in float64. Another
+    byte count, a file cut inside a value included, or a non-finite value raises NumericError."""
+    if len(data) != 4 * math.prod(shape):
+        raise NumericError(f"{path} holds {len(data)} bytes, sidecar promises {'x'.join(map(str, shape))} "
+                           "float32 values")
+    values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(float)
     bad = int(values.size - np.isfinite(values).sum())
     if bad:
         raise NumericError(f"{path} holds {bad} non-finite value(s)")
+    return values

@@ -152,11 +152,16 @@ def score_streams(model: DetectorModel, embeddings: np.ndarray, queries: np.ndar
     """Scores ``[S, T]`` of S streams ``[S, T, d]`` of one length, each against its query ``[S, d]``:
     p_i = sigmoid(cos(stack(e)_i, query) / tau_sim). All S streams go through the model together, in
     chunks of ``kernels.CHUNK`` frames with their states stacked over S, in memory that does not grow
-    with T. Streams are independent, so row s equals the scores of stream s alone."""
+    with T. Streams are independent, so row s equals the scores of stream s alone. A frame holding a
+    NaN or an inf raises NumericError, naming the first such frame, before the model runs."""
     embeddings, queries = np.asarray(embeddings, dtype=float), np.asarray(queries, dtype=float)
     if embeddings.ndim != 3 or queries.shape != (len(embeddings), model.config.d):
         raise ConfigError(f"need streams [S, T, d] and queries [S, d={model.config.d}], "
                           f"got shapes {embeddings.shape} and {queries.shape}")
+    finite = np.isfinite(embeddings).all(axis=-1)
+    if not finite.all():  # checked first: retention's chunk would carry the value to the frames before it
+        stream, frame = np.argwhere(~finite)[0]
+        raise NumericError(f"frame {frame} of stream {stream} is not finite")
     n_streams, n = embeddings.shape[:2]
     states = [kernels.fresh_state(adapter.config, (n_streams,)) for adapter, _ in model.blocks]
     s = np.empty((n_streams, n))

@@ -222,3 +222,30 @@ def where_sigmoid(x):
 def erf_gelu(x):
     """Exact GELU written as its formula."""
     return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def strided_fo_pool(s, f, h_init):
+    """fo_pool's recurrence h_t = f_t h_{t-1} + (1 - f_t) s_t, stepping over strided
+    time-major views of ``[..., n, d]``: ``(h, last state)``."""
+    h = np.empty_like(s, dtype=float)
+    drive = 1.0 - f
+    drive *= s
+    f_t, drive_t, h_t = (np.moveaxis(a, -2, 0) for a in (f, drive, h))
+    prev = np.asarray(h_init, dtype=float)
+    for t in range(len(f_t)):
+        prev = f_t[t] * prev + drive_t[t]
+        h_t[t] = prev
+    return h, prev
+
+
+def strided_fo_pool_vjp(d_h, s, f, h, h_init):
+    """fo_pool's VJP ``(d_s, d_f)`` with the carried gradient stepped over strided time-major views."""
+    g = np.empty_like(d_h)
+    g_t, d_h_t, f_t = (np.moveaxis(a, -2, 0) for a in (g, d_h, f))
+    carry = 0.0
+    for t in range(len(f_t) - 1, -1, -1):
+        carry = d_h_t[t] + carry
+        g_t[t] = carry
+        carry = carry * f_t[t]
+    h_prev = np.concatenate([np.broadcast_to(h_init, h[..., :1, :].shape), h[..., :-1, :]], axis=-2)
+    return g * (1.0 - f), g * (h_prev - s)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from streamstart import annotations as ann
-from streamstart.errors import ConfigError, RowError, SchemaError
+from streamstart.errors import ConfigError, NumericError, RowError, SchemaError
 from streamstart.metrics import ToleranceWindow
 
 HEADER = ",".join(ann.COLUMNS)
@@ -295,6 +295,16 @@ class TestStreamFiles:
         assert np.array_equal(loaded, frames)
         assert np.array_equal(q, query)
         assert meta == sidecar
+
+    @pytest.mark.parametrize("name", ["v.f32", "v.query.f32"])
+    def test_file_cut_inside_a_value_is_numeric_error(self, tmp_path, name):
+        # numpy cannot decode a byte count that is not a whole number of float32 values
+        ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)),
+                        {"video_uid": "v", "fps": 1.0, "dim": 3, "n_frames": 4, "seed": 0}, np.ones(3))
+        cut = tmp_path / name
+        cut.write_bytes(cut.read_bytes()[:-1])
+        with pytest.raises(NumericError, match=f"^{cut} holds {cut.stat().st_size} bytes, sidecar promises"):
+            ann.load_stream(tmp_path / "v.f32")
 
     def test_sidecar_mismatch_detected(self, tmp_path):
         ann.save_stream(

@@ -1121,14 +1121,18 @@ STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
                                                ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
                                                ("scores/index.json", STORE_EXITS),
                                                ("scores/scores.f64", STORE_EXITS),
-                                               ("stream sidecar", {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC})],
-                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_sidecar"])
+                                               ("stream payload", {0, cli.EXIT_NUMERIC}),
+                                               ("stream sidecar", {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC}),
+                                               ("stream query", {0, cli.EXIT_NUMERIC, cli.EXIT_CONFIG})],
+                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_payload",
+                              "stream_sidecar", "stream_query"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
     corpus, run, scores = pipeline
-    if artifact == "stream sidecar":
-        artifact = _split_files(corpus, "val")[2]  # the first val stream's streams/<uid>.f32.json
+    stream_file = {"stream payload": 1, "stream sidecar": 2, "stream query": 3}.get(artifact)
+    if stream_file:  # the first val stream's streams/<uid>.f32, .f32.json or .query.f32
+        artifact = _split_files(corpus, "val")[stream_file]
     top = artifact.split("/")[0]
     root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
     raw = (root / artifact).read_bytes()
@@ -1136,6 +1140,8 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
         fields = _checkpoint_fields(raw)
     elif artifact == "scores/scores.f64":
         fields = range(7, len(raw), 8)  # each score's sign and high exponent bits
+    elif artifact.endswith(".f32"):
+        fields = range(3, len(raw), 4)  # each float32's sign and high exponent bits
     else:
         fields = range(len(raw))
     bad = []

@@ -298,6 +298,18 @@ class TestNonFiniteInput:
         with pytest.raises(ConfigError, match="query embedding must have a finite, positive norm"):
             detector.score_streams(model, np.ones((2, 3, 8)), np.stack([np.ones(8), query]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_non_finite_frame_scored_raises_before_the_model(self, kind, bad):
+        # a retention chunk's NaN x 0 decay reached the frames before the bad one, so no kind may run it
+        model = oracles.randomize_adapters(tiny_model(kind, blocks=1), seed=60)
+        frames = np.random.default_rng(61).normal(size=(2, 3, 8))
+        frames[1, 1, 4] = bad
+        with pytest.raises(NumericError, match="^frame 1 of stream 1 is not finite$"):
+            detector.score_streams(model, frames, np.ones((2, 8)))
+        with pytest.raises(NumericError, match="^frame 1 of stream 0 is not finite$"):
+            score_frames(model, frames[1], np.ones(8))
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's, on the inf values
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", KINDS)

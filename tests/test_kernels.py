@@ -164,6 +164,28 @@ class TestFoPool:
         with pytest.raises(NumericError):
             fo_pool(np.ones((2, 1)), np.array([[0.0], [0.5]]), np.zeros(1))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 65])
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 3)])
+    def test_equals_strided_loop_bitwise(self, lead, n):
+        # the loop over contiguous time-major copies does each step's operations in the same order
+        rng = np.random.default_rng(90 + n + len(lead))
+        s, d_h = rng.normal(size=(2, *lead, n, 4))
+        f = rng.uniform(0.05, 0.95, size=s.shape)
+        for h_init in (rng.normal(size=4), rng.normal(size=(*lead, 4))):  # broadcast, and one per sequence
+            h, last = fo_pool(s, f, h_init)
+            want_h, want_last = oracles.strided_fo_pool(s, f, h_init)
+            assert h.shape == want_h.shape and h.tobytes() == want_h.tobytes()
+            assert last.shape == want_last.shape and last.tobytes() == want_last.tobytes()
+            assert not np.shares_memory(h, last)
+            h_inits, lasts = (np.broadcast_to(a, (*lead, 4)) for a in (h_init, last))
+            for idx in np.ndindex(lead):  # each sequence continues from its own h_init, the leading axes in order
+                h_i, last_i = fo_pool(s[idx], f[idx], h_inits[idx])
+                assert np.array_equal(h[idx], h_i) and np.array_equal(lasts[idx], last_i)
+            h_init = h_init[..., None, :]  # the VJP's h_init broadcasts against h[..., :1, :]
+            got = kernels.fo_pool_vjp(d_h, s, f, h, h_init)
+            want = oracles.strided_fo_pool_vjp(d_h, s, f, h, h_init)
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
     def test_contraction_bound(self):
         rng = np.random.default_rng(8)
         for _ in range(100):
@@ -635,13 +657,27 @@ class TestRewrittenPrimitives:
             got = kernels.matmul(a, b)
             assert got.shape == (a @ b).shape and got.tobytes() == (a @ b).tobytes()
 
+    def test_erf_is_odd_bitwise(self):
+        # gelu takes erf of |x| / sqrt(2) and copies x's sign back: every bit holds only while erf(-x) == -erf(x)
+        rng = np.random.default_rng(88)
+        tiny = np.finfo(float).smallest_subnormal
+        x = np.concatenate([rng.normal(size=500) * scale for scale in (1e-300, 1e-8, 1e-2, 1.0, 3.0, 10.0, 1e3)]
+                           + [[0.0, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                               tiny, 7 * tiny, np.finfo(float).tiny / 3, np.inf]])
+        x = np.concatenate([x, -x])
+        assert erf(-x).tobytes() == (-erf(x)).tobytes()
+
     def test_gelu_bitwise_and_tape_is_erf(self):
-        x = np.concatenate([np.random.default_rng(85).normal(size=60) * 4,
-                            [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]]).reshape(6, 11)
-        tape = {}
-        y = kernels.gelu(x, tape, "e")
-        assert y.tobytes() == oracles.erf_gelu(x).tobytes()
-        assert tape["e"].tobytes() == erf(x / math.sqrt(2.0)).tobytes()  # erf, not 1 + erf
+        rng = np.random.default_rng(85)
+        specials = np.concatenate([rng.normal(size=60) * 4, [0.0, -0.0, 1e-300, -1e-300, 40.0, -40.0]])
+        assert specials.size < kernels.ERF_OF_ABS_MIN_SIZE <= 8 * specials.size  # both of gelu's forms
+        # and a training step's MLP pre-activation [B, T, 2d] and a pushed frame's vanilla core [1, d']
+        for x in (specials.reshape(6, 11), np.tile(specials, (8, 1)),
+                  rng.normal(size=(32, 60, 32)) * 2, rng.normal(size=(1, 64)) * 2):
+            tape = {}
+            y = kernels.gelu(x, tape, "e")
+            assert y.tobytes() == oracles.erf_gelu(x).tobytes()
+            assert tape["e"].tobytes() == erf(x / math.sqrt(2.0)).tobytes()  # erf, not 1 + erf
 
 
 def central_difference(loss, inputs, name, eps=1e-6):

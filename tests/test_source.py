@@ -95,6 +95,20 @@ def test_np_dot_only_in_the_product_helper():
     assert outside == []
 
 
+def test_erf_only_in_gelu():
+    # kernels.gelu takes scipy's erf of |x| and copies the sign back; another call would take erf's sign branch
+    calls = {name: [node.lineno for node in ast.walk(tree)
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "erf"]
+             for name, tree in _trees()}
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    (gelu,) = [func for func in tree.body if isinstance(func, ast.FunctionDef) and func.name == "gelu"]
+    inside = range(gelu.lineno, gelu.end_lineno + 1)
+    assert any(line in inside for line in calls["kernels.py"])
+    outside = [f"{name}:{line}" for name, lines in calls.items() for line in lines
+               if name != "kernels.py" or line not in inside]
+    assert outside == []
+
+
 def _callers() -> dict[str, set[str]]:
     """Each called name, the last part of a dotted call, mapped to the ``module.function``s that call it."""
     callers: dict[str, set[str]] = {}
