@@ -48,7 +48,6 @@ KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
 DEFAULT_GAMMA = 0.96875
 DEFAULT_FORGET_BIAS = -5.0
-ERF_OF_ABS_MIN_SIZE = 512  # gelu takes erf of |x| from this many values up (see gelu)
 CHUNK = 64  # frames per streamed chunk: score_streams streams this many, and untaped retention splits longer ones
 
 
@@ -237,25 +236,18 @@ def _check_state(config: AdapterConfig, state: StreamState) -> None:
 def gelu(x: np.ndarray, tape: dict | None = None, key: str = "") -> np.ndarray:
     """Exact GELU; a ``tape`` receives ``erf(x / sqrt(2))`` under ``key``.
 
-    From ``ERF_OF_ABS_MIN_SIZE`` values up, ``erf`` runs on ``|x| / sqrt(2)``
-    and its result takes x's sign from ``np.copysign``. scipy's (cephes)
-    ``erf`` returns ``-erf(-x)`` for x < 0, and on inputs of mixed sign that
-    branch mispredicts: on fresh N(0, 1) inputs of 4096 values the
-    sign-free form took 66 us against 82 us (2-vCPU Xeon VM). Below that
-    size its two more numpy calls cost more than they save (10.4 against
-    10.2 us at 256 values, one pushed frame's MLP at d = 128).
-    ``|x| / sqrt(2)`` equals ``|x / sqrt(2)|`` exactly and ``erf`` is odd
-    bit for bit, so both forms give the same output and tape, at +-0,
-    +-inf and subnormals too.
+    ``erf`` runs on ``|x| / sqrt(2)`` and its result takes x's sign from
+    ``np.copysign``. scipy's (cephes) ``erf`` returns ``-erf(-x)`` for
+    x < 0, and on inputs of mixed sign that branch mispredicts: on fresh
+    N(0, 1) inputs of 4096 values the sign-free form took 66 us against
+    82 us (2-vCPU Xeon VM). ``|x| / sqrt(2)`` equals ``|x / sqrt(2)|``
+    exactly and ``erf`` is odd bit for bit, so the output and the tape are
+    those of ``erf(x / sqrt(2))``, at +-0, +-inf and subnormals too.
     """
-    if x.size >= ERF_OF_ABS_MIN_SIZE:
-        e = np.abs(x)
-        e /= math.sqrt(2.0)
-        erf(e, out=e)
-        np.copysign(e, x, out=e)
-    else:
-        e = x / math.sqrt(2.0)
-        erf(e, out=e)
+    e = np.abs(x)
+    e /= math.sqrt(2.0)
+    erf(e, out=e)
+    np.copysign(e, x, out=e)
     if tape is not None:
         tape[key] = e
     y = 1.0 + e
@@ -375,8 +367,8 @@ def causal_conv_vjp(
 
 
 def _time_major(a: np.ndarray) -> np.ndarray:
-    """``[..., n, d]`` as an ``[n, ..., d]`` view, the leading axes in their order; ``[n, d]`` is itself."""
-    return a if a.ndim == 2 else a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
+    """``[..., n, d]`` as an ``[n, ..., d]`` view, the leading axes in their order."""
+    return a.transpose(a.ndim - 2, *range(a.ndim - 2), a.ndim - 1)
 
 
 def fo_pool(s: np.ndarray, f: np.ndarray, h_init: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
