@@ -423,9 +423,7 @@ def make_corpus_specs(
 # query embedding in `<name>.query.f32`.
 
 
-def save_stream(
-    path: str | Path, frames: np.ndarray, sidecar: dict, query_emb: np.ndarray | None = None
-) -> None:
+def save_stream(path: str | Path, frames: np.ndarray, sidecar: dict, query_emb: np.ndarray) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(frames, dtype="<f4")
@@ -433,15 +431,14 @@ def save_stream(
     path.with_suffix(path.suffix + ".json").write_text(
         json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8"
     )
-    if query_emb is not None:
-        query_path = path.with_name(path.stem + ".query.f32")
-        query_path.write_bytes(np.ascontiguousarray(query_emb, dtype="<f4").tobytes())
+    query_path = path.with_name(path.stem + ".query.f32")
+    query_path.write_bytes(np.ascontiguousarray(query_emb, dtype="<f4").tobytes())
 
 
 def load_stream(
     path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
-) -> tuple[np.ndarray, dict, np.ndarray | None]:
-    """Frames, sidecar and query embedding (None without a query file) of a stream.
+) -> tuple[np.ndarray, dict, np.ndarray]:
+    """Frames, sidecar and query embedding of a stream; a missing query file raises SchemaError.
 
     ``read`` reads each of the three files whole, once.
     """
@@ -461,10 +458,9 @@ def load_stream(
         raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")
     frames = _float32s(path, read(path), (n, dim))
     query_path = path.with_name(path.stem + ".query.f32")
-    query = None
-    if query_path.exists():
-        query = _float32s(query_path, read(query_path), (dim,))
-    return frames, sidecar, query
+    if not query_path.exists():
+        raise SchemaError(f"{query_path} is missing: a stream needs its query embedding")
+    return frames, sidecar, _float32s(query_path, read(query_path), (dim,))
 
 
 def _float32s(path: Path, data: bytes, shape: tuple[int, ...]) -> np.ndarray:

@@ -14,7 +14,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +199,7 @@ def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
         if len(queries) > 1:  # the stream has one query embedding file
             raise SchemaError(f"video {uid} has {len(queries)} distinct {split}-split queries; "
                               f"its one {uid}.query.f32 embeds one")
-        frames, sidecar, query = annotations.load_stream(data_dir / "streams" / f"{uid}.f32", read)
-        if query is None:
-            raise SchemaError(f"stream {uid} has no query embedding file")
-        streams[uid] = (frames, sidecar, query)
+        streams[uid] = annotations.load_stream(data_dir / "streams" / f"{uid}.f32", read)
     first = picked[0].video_uid
     dim = streams[first][0].shape[1]
     for uid, (frames, _, _) in streams.items():
@@ -336,7 +333,7 @@ def cmd_bench(args) -> int:
     )
     report = costmodel.cost_report(backbone + adapters, tokens=args.tokens, baseline=backbone)
     payload: dict = {
-        "cost": report.to_dict(),
+        "cost": asdict(report),
         "sliding_window_overhead_pct": costmodel.sliding_window_overhead(args.window),
     }
 

@@ -59,15 +59,6 @@ class CostReport:
     overhead_params_pct: float | None = None
     overhead_macs_pct: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "params": self.params,
-            "macs_per_frame": self.macs_per_frame,
-            "flops_per_frame": self.flops_per_frame,
-            "overhead_params_pct": self.overhead_params_pct,
-            "overhead_macs_pct": self.overhead_macs_pct,
-        }
-
 
 def _layer_params(spec: LayerSpec) -> int:
     if spec.kind == "linear":

@@ -333,14 +333,18 @@ def loss_curve_csv(history: list[LossBreakdown]) -> str:
 
 
 class StreamingScorer:
-    """Scores one stream frame by frame with carried per-block state, for a query of finite, positive norm."""
+    """Scores one stream frame by frame with carried per-block state, for a query ``[d]`` of finite,
+    positive norm; another query raises ConfigError."""
 
     def __init__(self, model: DetectorModel, query: np.ndarray):
         self.model = model
+        query = np.asarray(query, dtype=float)
+        if query.shape != (model.config.d,):
+            raise ConfigError(f"need a query [d={model.config.d}], got shape {query.shape}")
         qnorm = float(np.linalg.norm(query))
         if not 0 < qnorm < math.inf:
             raise ConfigError("query embedding must have a finite, positive norm")
-        self._qn = np.asarray(query, dtype=float) / qnorm
+        self._qn = query / qnorm
         self.states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
 
     def push(self, frame: np.ndarray) -> float:

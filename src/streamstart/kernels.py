@@ -14,19 +14,15 @@ into them):
 
 Every temporal kernel is causal: an output never reads a later frame.
 
-One forward serves every caller, in one mode: a call continues streams
-from a small fixed-size ``StreamState``, stacked over ``x``'s leading axes
-(one stream per leading index), and returns the state that continues them.
-So a sequence processed in chunks of any size (one frame included) produces
-outputs identical to a single pass, in memory that does not grow with the
-stream. Batch mode is a call without a state: it starts from
+One forward serves every caller: a call continues streams from a small
+fixed-size ``StreamState``, stacked over ``x``'s leading axes (one stream
+per leading index), and returns the state that continues them. So chunks
+of any size produce the outputs of a single pass, in memory that does not
+grow with the stream. Batch mode is a call without a state: it starts from
 ``fresh_state``, whose zeros add exact zeros, and only it may record a tape
-of its intermediates. A conv step is one product over its stacked taps.
-Forward products go through ``matmul``: under numpy 2.4.6, ``@`` on 2-D
-operands took 0.3-1.5 us more dispatch than ``np.dot``'s same BLAS call
-(2-vCPU Xeon VM), and a pushed frame makes about ten such products.
-Up-projections are zero-initialized, so a freshly initialized adapter is
-exactly the identity.
+of its intermediates. Every forward product goes through ``matmul``, which
+counts it. Up-projections are zero-initialized, so a freshly initialized
+adapter is exactly the identity.
 
 Each taped op has its vector-Jacobian product (``*_vjp``) beside it: from
 the output's gradient and what the forward saw or taped, it returns the
@@ -268,8 +264,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b``, byte for byte: ``np.dot`` when neither operand is above 2-D, which
-    numpy dispatches faster; ``@`` on stacks, where ``np.dot`` is another product."""
+    """``a @ b``, byte for byte, and the one place a product's MACs are counted.
+
+    Under a counter it adds ``a.size`` times ``b.shape[-1]`` (times 1 for a
+    vector ``b``): exact whenever ``b``'s leading axes do not outnumber
+    ``a``'s, as in every product here. It runs ``np.dot`` when neither
+    operand is above 2-D (under numpy 2.4.6, ``@`` took 0.3-1.5 us more
+    dispatch for the same BLAS call, 2-vCPU Xeon VM) and ``@`` on stacks,
+    where ``np.dot`` is another product.
+    """
+    if _OP_COUNTER is not None:
+        _OP_COUNTER.add(a.size * (b.shape[-1] if b.ndim > 1 else 1))
     return np.dot(a, b) if a.ndim <= 2 and b.ndim <= 2 else a @ b
 
 
@@ -291,45 +296,34 @@ def causal_conv(
     """Masked temporal convolution: y_t = sum_j x_{t - (k - 1) + j} @ w[j].
 
     ``x`` is ``[..., n_t, d_in]``: time on axis -2, any leading axes batch
-    independent sequences. Positions before 0 contribute zero, so the
-    output has the input length and the output at t never reads frames
-    after t. A 2-D filter bank ``[k, d]`` applies depth-wise (per-channel)
-    taps instead of the dense ``[k, d_in, d_out]`` mixing; a depthwise
-    ``[k, m * d_in]`` stacks m banks on the same input.
-
-    ``context`` ``[..., c, d_in]`` holds the rows just before ``x[0]`` (a
-    stream's carried buffer). The taps read them, but they get no output
-    row: the result is the last n_t rows of the convolution over
-    ``[context; x]``. It comes with the context that continues the sequence,
-    as ``fo_pool``'s last state does: a copy of the last k - 1 rows of the
-    zero-padded ``[context; x]``. A dense bank is one product of the
-    overlapping k-row windows ``[..., n_t, k * d_in]`` of that array; MACs
-    count only taps that read its real rows. A batch call's adapter
-    passes its fresh all-zeros buffer as ``context``, so its count includes
-    those taps, as retention's includes its zero summary's read-out and
-    update; a streamed frame's count is the same either way.
+    independent sequences. ``context`` ``[..., k - 1, d_in]`` holds the rows
+    just before ``x[0]``, a stream's carried buffer; None is a fresh
+    state's zeros, and another number of rows raises ConfigError. The taps
+    read the context, but it gets no output row, so the output at t never
+    reads frames after t. The result comes with the context that continues
+    the sequence: a copy of the last k - 1 rows of ``[context; x]``. A dense
+    bank ``[k, d_in, d_out]`` is one product of the overlapping k-row
+    windows ``[..., n_t, k * d_in]``; a 2-D bank ``[k, d]`` applies
+    depth-wise (per-channel) taps, and a depthwise ``[k, m * d_in]`` stacks
+    m banks on the same input.
     """
     k = w.shape[0]
     *lead, n, d_in = x.shape
-    c = 0 if context is None else min(context.shape[-2], k - 1)
-    xp = np.zeros((*lead, k - 1 + n, d_in), dtype=np.result_type(x, w))
-    xp[..., k - 1 :, :] = x
-    if c:
-        xp[..., k - 1 - c : k - 1, :] = context[..., context.shape[-2] - c :, :]
+    if context is None:
+        context = np.zeros((*lead, k - 1, d_in))
+    elif context.shape[-2] != k - 1:
+        raise ConfigError(f"context must hold k - 1 = {k - 1} rows, got {context.shape[-2]}")
+    xp = np.concatenate([context, x], axis=-2)
     if w.ndim == 2:  # depthwise: per-channel products, tap by tap
         banks = w.reshape(k, -1, d_in)
         y = xp[..., 0:n, None, :] * banks[0]
         for j in range(1, k):
             y += xp[..., j : j + n, None, :] * banks[j]
         y = y.reshape(*lead, n, w.shape[1])
-        per_tap = w.shape[1]
+        _count(k * y.size)
     else:  # row t of the windows is xp[t : t + k] flattened; xp's strides give exactly that view
         windows = np.ndarray((*lead, n, k * d_in), xp.dtype, xp, 0, xp.strides)
         y = matmul(windows, w.reshape(k * d_in, w.shape[2]))
-        per_tap = d_in * w.shape[2]
-    if _OP_COUNTER is not None:  # a tap reading s rows back reads real rows for t >= s - c
-        real = sum(max(0, n - max(0, s - c)) for s in range(k))
-        _count(math.prod(lead) * real * per_tap)
     if bias is not None:
         y += bias[None]
     return y, xp[..., n:, :].copy()
@@ -414,7 +408,8 @@ def fo_pool_vjp(
     fo_pool has no arrays of its own; both of its inputs get a gradient.
     Only the carried gradient g_t = d_h_t + f_{t+1} g_{t+1} runs over time;
     d/ds = g (1 - f) and d/df = g (h_{t-1} - s) follow for all steps at once.
-    As in ``fo_pool``, the loop reads C-contiguous time-major copies.
+    As in ``fo_pool``, ``h_init`` broadcasts against one time step and the
+    loop reads C-contiguous time-major copies.
     """
     g = np.empty_like(d_h)
     g_t = _time_major(g)
@@ -424,7 +419,7 @@ def fo_pool_vjp(
         carry = d_h_t[t] + carry
         g_t[t] = carry
         carry = carry * f_t[t]
-    first = np.broadcast_to(h_init, h[..., :1, :].shape)
+    first = np.broadcast_to(h_init, (*h.shape[:-2], h.shape[-1]))[..., None, :]
     h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
     return g * (1.0 - f), g * (h_prev - s)
 
@@ -514,8 +509,6 @@ def retention_forward(
     out += matmul(q * powers[1:, None], state.s)
     s = matmul((k * powers[n - 1 :: -1, None]).swapaxes(-1, -2), v)  # sum_j K~_j^T V_j
     s += powers[n] * state.s
-    # the summary's read-out and update are 2 n d'^2; scaling by gamma is not a MAC
-    _count(math.prod(x.shape[:-2]) * (3 * n * x.shape[-1] * dp + 2 * n * n * dp + 2 * n * dp * dp))
     if tape is not None:
         tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
     return out, RetentionState(s=s, n=state.n + n)
@@ -591,6 +584,7 @@ def adapter_forward(
     new_state = state
     if cfg.kind == "vanilla":
         core = gelu(down, tape, "down_erf")
+        _count(down.size)  # the formula sheet's pointwise layer
     elif cfg.kind == "st_conv":
         core, buffer = causal_conv(down, params.w_s, context=state.buffer)
         new_state = ConvState(buffer=buffer)
@@ -600,8 +594,6 @@ def adapter_forward(
         core, new_state = retention_forward(down, params, state, tape)
 
     y = _affine(core, params.w_up, x, params.b_up)
-    if _OP_COUNTER is not None:  # down and up, plus vanilla's pointwise layer, as the formula sheet counts
-        _count(math.prod(x.shape[:-1]) * cfg.d_prime * (2 * cfg.d + (cfg.kind == "vanilla")))
     if tape is not None:
         tape.update(x=x, down=down, core=core)
     return y, new_state
@@ -680,8 +672,6 @@ def block_forward(
     out = _affine(gelu(h1_pre, tape, "h1_erf"), block_params.w2, v)
     if tape is not None:
         tape["h1_pre"] = h1_pre
-    if _OP_COUNTER is not None:  # one MAC per frozen weight per frame
-        _count(math.prod(x.shape[:-1]) * sum(w.size for w in block_params.arrays().values()))
     return out, new_state
 
 

@@ -190,14 +190,16 @@ def tap_loop_conv(x, w, bias=None, context=None):
     """Causal conv as one product per tap over the rows it reaches, and the
     MACs of those taps: ``(y, macs)``. Dense ``[k, d_in, d_out]`` or
     depthwise ``[k, d]`` banks; output t reads rows t - k + 1 .. t, and
-    ``context`` rows are read but get no output."""
+    ``context`` rows are read but get no output. No context is k - 1 zero
+    rows, whose taps run and count as any others."""
     k = w.shape[0]
     depthwise = w.ndim == 2
     n = x.shape[-2]
     sequences = math.prod(x.shape[:-2])
-    c = 0 if context is None else context.shape[-2]
-    if c:
-        x = np.concatenate([context, x], axis=-2)
+    if context is None:
+        context = np.zeros(x.shape[:-2] + (k - 1, x.shape[-1]))
+    c = context.shape[-2]
+    x = np.concatenate([context, x], axis=-2)
     d_out = w.shape[1] if depthwise else w.shape[2]
     y = np.zeros(x.shape[:-2] + (n, d_out), dtype=np.result_type(x, w))
     macs = 0
@@ -247,5 +249,6 @@ def strided_fo_pool_vjp(d_h, s, f, h, h_init):
         carry = d_h_t[t] + carry
         g_t[t] = carry
         carry = carry * f_t[t]
-    h_prev = np.concatenate([np.broadcast_to(h_init, h[..., :1, :].shape), h[..., :-1, :]], axis=-2)
+    first = np.broadcast_to(h_init, h.shape[:-2] + h.shape[-1:])[..., None, :]  # h_init against one step
+    h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
     return g * (1.0 - f), g * (h_prev - s)

@@ -309,7 +309,7 @@ class TestStreamFiles:
     def test_sidecar_mismatch_detected(self, tmp_path):
         ann.save_stream(
             tmp_path / "v.f32", np.zeros((4, 3)),
-            {"video_uid": "v", "fps": 1.0, "dim": 3, "n_frames": 9, "seed": 0},
+            {"video_uid": "v", "fps": 1.0, "dim": 3, "n_frames": 9, "seed": 0}, np.ones(3),
         )
         with pytest.raises(Exception, match="sidecar"):
             ann.load_stream(tmp_path / "v.f32")

@@ -680,6 +680,21 @@ class TestTrainScoreEval:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]  # the same scores under other ids
 
+    def test_score_stream_without_query_file_exit_schema(self, pipeline, tmp_path, capsys):
+        corpus, run, _ = pipeline
+        copied = shutil.copytree(corpus, tmp_path / "corpus")
+        last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
+                if a.split == "val"][-1]
+        missing = copied / "streams" / f"{last.video_uid}.query.f32"
+        missing.unlink()
+        capsys.readouterr()
+        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
+                       "--split", "val", "--out", str(tmp_path / "scored")])
+        assert rc == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert err == f"schema error: {missing} is missing: a stream needs its query embedding\n"
+        assert not (tmp_path / "scored").exists()
+
     def test_score_empty_stream_exit_schema(self, pipeline, tmp_path, capsys):
         # a zero-frame stream would score to a series without frames, which the score store rejects
         corpus, run, _ = pipeline

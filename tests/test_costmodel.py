@@ -101,6 +101,26 @@ class TestMacReconciliation:
             assert counter.total == sheet
 
 
+    @pytest.mark.parametrize("kind", ["st_conv", "qrnn", "vanilla", "retention"])
+    def test_pushed_frame_counts_every_product(self, kind):
+        # each block: its adapter's sheet and one MAC per frozen weight (w_sp, w1, w2: 5 d^2);
+        # the head: the frame output's norm and its dot product with the query, d each
+        d, n_blocks = 32, 2
+        cfg = AdapterConfig(d=d, d_prime=16, kind=kind, k=3)
+        model = detector.build_model(detector.ModelConfig(d_in=d, d=d, n_blocks=n_blocks, adapter=cfg, seed=0))
+        rng = np.random.default_rng(1)
+        scorer = detector.StreamingScorer(model, rng.normal(size=d))
+        sheet = cm.count_macs(cm.adapter_stack(kind, d, 16, k=3))
+        for _ in range(4):  # from fresh states through full ones
+            counter = kernels.OpCounter()
+            kernels.set_op_counter(counter)
+            try:
+                scorer.push(rng.normal(size=d))
+            finally:
+                kernels.set_op_counter(None)
+            assert counter.total == n_blocks * (sheet + 5 * d * d) + 2 * d
+
+
 class TestSlidingWindowOverhead:
     def test_window_values(self):
         assert cm.sliding_window_overhead(4) == 300.0

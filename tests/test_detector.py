@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -297,6 +298,12 @@ class TestNonFiniteInput:
             StreamingScorer(model, query)
         with pytest.raises(ConfigError, match="query embedding must have a finite, positive norm"):
             detector.score_streams(model, np.ones((2, 3, 8)), np.stack([np.ones(8), query]))
+
+    @pytest.mark.parametrize("shape", [(9,), (7,), (1, 8), ()])
+    def test_query_not_of_the_model_width_rejected_before_a_push(self, shape):
+        # rejected at construction: a push would advance every block's state before the head fails
+        with pytest.raises(ConfigError, match=rf"^need a query \[d=8\], got shape {re.escape(str(shape))}$"):
+            StreamingScorer(tiny_model("qrnn"), np.ones(shape))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", KINDS)

@@ -181,7 +181,6 @@ class TestFoPool:
             for idx in np.ndindex(lead):  # each sequence continues from its own h_init, the leading axes in order
                 h_i, last_i = fo_pool(s[idx], f[idx], h_inits[idx])
                 assert np.array_equal(h[idx], h_i) and np.array_equal(lasts[idx], last_i)
-            h_init = h_init[..., None, :]  # the VJP's h_init broadcasts against h[..., :1, :]
             got = kernels.fo_pool_vjp(d_h, s, f, h, h_init)
             want = oracles.strided_fo_pool_vjp(d_h, s, f, h, h_init)
             assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
@@ -328,17 +327,20 @@ class TestOneForward:
     @pytest.mark.parametrize("lead", [(), (2,)])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_causal_conv_returns_the_next_context(self, k, lead, depthwise):
-        # the last k - 1 rows of [context; x], zero-padded in front where it is shorter
+        # the last k - 1 rows of [context; x], where no context is k - 1 zero rows; a context
+        # holds exactly k - 1 rows
         rng = np.random.default_rng(75 + k)
         w = rng.normal(size=(k, 4) if depthwise else (k, 4, 5))
-        for c in (None, 0, max(0, k - 2), k - 1, k + 1):  # no, empty, partial, full and longer contexts
+        for given in (False, True):
             for n in (1, 6):
                 x = rng.normal(size=lead + (n, 4))
-                context = np.zeros(lead + (0, 4)) if c is None else rng.normal(size=lead + (c, 4))
-                _, got = causal_conv(x, w, context=None if c is None else context)
-                padded = np.concatenate([np.zeros(lead + (k - 1, 4)), context, x], axis=-2)
-                assert np.array_equal(got, padded[..., padded.shape[-2] - (k - 1) :, :])
+                context = rng.normal(size=lead + (k - 1, 4)) if given else np.zeros(lead + (k - 1, 4))
+                _, got = causal_conv(x, w, context=context if given else None)
+                assert np.array_equal(got, np.concatenate([context, x], axis=-2)[..., n:, :])
                 assert got.base is None  # a copy: the carried state keeps no chunk alive
+        for c in sorted({0, k - 2, k, k + 1} - {-1, k - 1}):  # shorter and longer contexts
+            with pytest.raises(ConfigError, match=f"^context must hold k - 1 = {k - 1} rows, got {c}$"):
+                causal_conv(x, w, context=rng.normal(size=lead + (c, 4)))
 
     def test_causal_conv_empty_context_is_no_context(self):
         rng = np.random.default_rng(69)
@@ -607,11 +609,10 @@ class TestRewrittenPrimitives:
         rng = np.random.default_rng(80 + k)
         w = rng.normal(size=(k, 4) if depthwise else (k, 4, 5))
         bias = rng.normal(size=w.shape[-1])
-        # no context, and contexts shorter than, equal to and longer than the k - 1 rows read back
-        for c in (None, max(0, k - 2), k - 1, k + 1):
+        for given in (False, True):  # a fresh state's zero context, and a carried one
             for n in (1, 6):
                 x = rng.normal(size=lead + (n, 4))
-                context = None if c is None else rng.normal(size=lead + (c, 4))
+                context = rng.normal(size=lead + (k - 1, 4)) if given else None
                 (y, _), macs = counted(lambda: causal_conv(x, w, bias, context))
                 want, want_macs = oracles.tap_loop_conv(x, w, bias, context)
                 assert macs == want_macs
@@ -734,7 +735,7 @@ class TestVjps:
     def test_fo_pool_vjp(self, lead):
         rng = np.random.default_rng(93)
         inputs = {"s": rng.normal(size=lead + (6, 3)), "f": rng.uniform(0.1, 0.9, size=lead + (6, 3))}
-        h_init, r = rng.normal(size=3), rng.normal(size=lead + (6, 3))
+        h_init, r = rng.normal(size=lead + (3,)), rng.normal(size=lead + (6, 3))  # one state per sequence
         h, _ = fo_pool(inputs["s"], inputs["f"], h_init)
         d_s, d_f = kernels.fo_pool_vjp(r, inputs["s"], inputs["f"], h, h_init)
         assert_grads(lambda s, f: np.sum(r * fo_pool(s, f, h_init)[0]), inputs, {"s": d_s, "f": d_f})

@@ -95,6 +95,22 @@ def test_np_dot_only_in_the_product_helper():
     assert outside == []
 
 
+def test_kernels_forward_products_run_through_matmul():
+    # matmul counts the MACs of every product it runs; outside it only the VJPs, which no counter
+    # reconciles yet, multiply matrices, so no forward product escapes the count
+    tree = ast.parse((SRC / "kernels.py").read_text(encoding="utf-8"))
+    products = {"np.matmul", "np.einsum", "np.tensordot", "np.dot"}
+    allowed, outside = [], []
+    for top in tree.body:
+        name = getattr(top, "name", "<module>")
+        lines = [node.lineno for node in ast.walk(top)
+                 if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+                 or isinstance(node, ast.Call) and ast.unparse(node.func) in products]
+        bucket = allowed if name == "matmul" or name.endswith("_vjp") else outside
+        bucket += [f"{name}:{line}" for line in lines]
+    assert any(hit.startswith("matmul:") for hit in allowed) and outside == []
+
+
 def test_erf_only_in_gelu():
     # kernels.gelu takes scipy's erf of |x| and copies the sign back; another call would take erf's sign branch
     calls = {name: [node.lineno for node in ast.walk(tree)
