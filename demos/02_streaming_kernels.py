@@ -14,7 +14,7 @@ import numpy as np
 from streamstart import kernels
 from streamstart.kernels import (
     AdapterConfig, adapter_forward, fo_pool, fresh_state, init_params,
-    receptive_field, retention_parallel, retention_recurrent,
+    retention_forward, retention_recurrent,
 )
 
 rng = np.random.default_rng(7)
@@ -71,7 +71,7 @@ cfg = AdapterConfig(d=8, d_prime=8, kind="retention")
 params = init_params(cfg, seed=2)
 params = replace(params, w_qkv=rng.normal(size=(8, 24)) * 0.4)  # q, k and v projections stacked
 z = rng.normal(size=(48, 8))
-par = retention_parallel(z, params)
+par, _ = retention_forward(z, params, fresh_state(cfg))
 state, rec = None, []
 for t in range(48):
     out, state = retention_recurrent(z[t], params, state=state)
@@ -91,9 +91,10 @@ y1, _ = adapter_forward(x2, params)
 print(f"outputs before the perturbed frame identical: {np.array_equal(y0[:20], y1[:20])}")
 
 # -- receptive fields ----------------------------------------------------------------
+# Each width-k causal conv reaches k - 1 frames further back than the layer below it.
 
 for m, k in ((1, 3), (2, 3), (12, 2)):
-    print(f"{m:2d} stacked conv layers, kernel {k}: receptive field {receptive_field(m, k)} frames")
+    print(f"{m:2d} stacked conv layers, kernel {k}: receptive field {k + (m - 1) * (k - 1)} frames")
 
 # -- constant per-frame cost ----------------------------------------------------------
 # Instrument the op counter over a stream: the work of step 200 equals the

@@ -419,26 +419,26 @@ def make_corpus_specs(
 # -- embedding stream files ---------------------------------------------------
 #
 # Streams are stored as little-endian float32, row-major [n_frames x dim],
-# with a JSON sidecar `<name>.json` next to the `<name>.f32` payload and the
-# query embedding in `<name>.query.f32`.
+# with a JSON sidecar `<name>.f32.json` {dim, fps, n_frames} next to the
+# `<name>.f32` payload and the query embedding in `<name>.query.f32`.
 
 
-def save_stream(path: str | Path, frames: np.ndarray, sidecar: dict, query_emb: np.ndarray) -> None:
+def save_stream(path: str | Path, frames: np.ndarray, query_emb: np.ndarray, fps: float) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(frames, dtype="<f4")
     path.write_bytes(arr.tobytes())
-    path.with_suffix(path.suffix + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True), encoding="utf-8"
-    )
+    sidecar = {"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}
+    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
     query_path = path.with_name(path.stem + ".query.f32")
     query_path.write_bytes(np.ascontiguousarray(query_emb, dtype="<f4").tobytes())
 
 
 def load_stream(
     path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
-) -> tuple[np.ndarray, dict, np.ndarray]:
-    """Frames, sidecar and query embedding of a stream; a missing query file raises SchemaError.
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Frames, fps and query embedding of a stream; a sidecar key it does not read is ignored, and
+    a missing query file raises SchemaError.
 
     ``read`` reads each of the three files whole, once.
     """
@@ -460,7 +460,7 @@ def load_stream(
     query_path = path.with_name(path.stem + ".query.f32")
     if not query_path.exists():
         raise SchemaError(f"{query_path} is missing: a stream needs its query embedding")
-    return frames, sidecar, _float32s(query_path, read(query_path), (dim,))
+    return frames, float(fps), _float32s(query_path, read(query_path), (dim,))
 
 
 def _float32s(path: Path, data: bytes, shape: tuple[int, ...]) -> np.ndarray:

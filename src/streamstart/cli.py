@@ -168,14 +168,7 @@ def cmd_synth(args) -> int:
     streams_dir = out / "streams"
     anns = []
     for spec, frames, query, ann in rows:
-        sidecar = {
-            "video_uid": ann.video_uid,
-            "fps": spec.fps,
-            "dim": spec.dim,
-            "n_frames": spec.n_frames,
-            "seed": spec.seed,
-        }
-        annotations.save_stream(streams_dir / f"{ann.video_uid}.f32", frames, sidecar, query)
+        annotations.save_stream(streams_dir / f"{ann.video_uid}.f32", frames, query, spec.fps)
         anns.append(ann)
     (out / "annotations.csv").write_bytes(annotations.serialize_annotations(anns))
     write_manifest(out, args, [], {})
@@ -238,10 +231,9 @@ def cmd_train(args) -> int:
     rng = np.random.default_rng(args.seed)
     windows, labels, queries = [], [], []
     for a in anns:
-        frames, sidecar, query = streams[a.video_uid]
+        frames, fps, query = streams[a.video_uid]
         for _ in range(args.windows_per_annotation):
-            window, window_labels = annotations.sample_windows(
-                a, frames, w_s, float(sidecar["fps"]), int(rng.integers(2**31 - 1)))
+            window, window_labels = annotations.sample_windows(a, frames, w_s, fps, int(rng.integers(2**31 - 1)))
             windows.append(window)
             labels.append(window_labels)
             queries.append(query)
@@ -276,7 +268,7 @@ def cmd_score(args) -> int:
             p = detector.score_streams(model, np.stack([streams[uid][0] for uid in group]),
                                        np.stack([streams[uid][2] for uid in group]))
             probs.update(zip(group, p))
-    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a), float(streams[a.video_uid][1]["fps"]),
+    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a), streams[a.video_uid][1],
                                   probs[a.video_uid]) for a in anns]
     scores_dir = out / "scores"
     metrics.save_score_series(scores_dir, scored)

@@ -13,11 +13,9 @@ A checkpoint file holds every array of a model under the names
 
 from __future__ import annotations
 
-import io
 import json
 import logging
 import math
-import struct
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -348,9 +346,13 @@ class StreamingScorer:
         self.states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
 
     def push(self, frame: np.ndarray) -> float:
-        """Consume one frame, return its score before the next frame arrives. A logit that is not
-        finite (a non-finite frame) raises NumericError; the carried states then hold it too."""
-        u = _stack(self.model, np.asarray(frame, dtype=float)[None, :], self.states)[0]
+        """Consume one frame ``[d]``, return its score before the next frame arrives. A frame of
+        another shape raises ConfigError before any state advances. A logit that is not finite
+        (a non-finite frame) raises NumericError; the carried states then hold it too."""
+        frame = np.asarray(frame, dtype=float)
+        if frame.shape != self._qn.shape:
+            raise ConfigError(f"need a frame [d={self.model.config.d}], got shape {frame.shape}")
+        u = _stack(self.model, frame[None, :], self.states)[0]
         # a scalar head: the norm is np.linalg.norm's dot product, and the
         # sigmoid takes the stable branch for the sign of its argument
         unorm = math.sqrt(float(kernels.matmul(u, u)))
@@ -409,73 +411,43 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
     return replace(model, blocks=blocks)
 
 
-# Single binary file: magic "SDQK", u32 version, u32 config-JSON length,
-# config JSON (UTF-8), u32 array count, then per array a u32 rank, u32 dims,
-# and the little-endian float32 payload. Layout details in docs/formats.md.
+# Single binary file: magic "SDQK", u32 version, u32 config-JSON length, the
+# config JSON (UTF-8), then every array's little-endian float32 values end to
+# end in the config's array_order, whose arrays the config shapes. Layout
+# details in docs/formats.md.
 
 MAGIC = b"SDQK"
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
     blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(arrays)))
-    for arr in arrays:
-        arr32 = np.ascontiguousarray(arr, dtype="<f4")
-        buf.write(struct.pack("<I", arr32.ndim))
-        buf.write(struct.pack(f"<{arr32.ndim}I", *arr32.shape))
-        buf.write(arr32.tobytes())
-    with open(path, "wb") as fh:
-        fh.write(buf.getvalue())
+    header = MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little") + len(blob).to_bytes(4, "little")
+    payload = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays]
+    Path(path).write_bytes(b"".join([header, blob, *payload]))
 
 
-def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tuple[dict, list[np.ndarray]]:
-    """Config and arrays of a checkpoint, whose file ``read`` reads; another version, a config
-    that is not UTF-8 JSON, a truncated file or bytes after the last array raise ConfigError."""
+def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tuple[dict, np.ndarray]:
+    """Config and float32 values (in float64, one flat array) of a checkpoint, whose file ``read``
+    reads; a bad magic, another version, a file cut before its config ends, a config that is not
+    UTF-8 JSON or a payload that ends inside a float32 raises ConfigError."""
     raw = read(Path(path))
     if raw[:4] != MAGIC:
         raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
-    off = 4
-
-    def take(size: int) -> bytes:
-        nonlocal off
-        if off + size > len(raw):
-            raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {off + size}")
-        chunk = raw[off : off + size]
-        off += size
-        return chunk
-
-    def u32s(count: int) -> tuple[int, ...]:
-        return struct.unpack(f"<{count}I", take(4 * count))
-
-    (version,) = u32s(1)
+    end = 12 + int.from_bytes(raw[8:12], "little")  # the config's end: a file cut in the header ends before it
+    if len(raw) < end:
+        raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {end}")
+    version = int.from_bytes(raw[4:8], "little")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path} is checkpoint version {version}; "
                           f"this build reads version {CHECKPOINT_VERSION}")
-    (blob_len,) = u32s(1)
-    blob = take(blob_len)
     try:
-        config = json.loads(blob.decode("utf-8"))
+        config = json.loads(raw[12:end].decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
         raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
-    (n_arrays,) = u32s(1)
-    arrays = []
-    for _ in range(n_arrays):
-        (rank,) = u32s(1)
-        shape = u32s(rank)
-        try:
-            arr = np.frombuffer(take(4 * math.prod(shape)), dtype="<f4").reshape(shape)
-        except ValueError as err:  # a rank above numpy's limit, or a zero dim beside dims too large
-            raise ConfigError(f"{path}: array {len(arrays)} of rank {rank} cannot be shaped: {err}") from None
-        arrays.append(arr.astype(float))
-    if off != len(raw):
-        raise ConfigError(f"{path} has {len(raw) - off} trailing bytes after its last array")
-    return config, arrays
+    if (len(raw) - end) % 4:
+        raise ConfigError(f"{path}: its payload of {len(raw) - end} bytes ends inside a float32")
+    return config, np.frombuffer(raw, dtype="<f4", offset=end).astype(float)
 
 
 def save_model(path: str | Path, model: DetectorModel) -> None:
@@ -493,9 +465,9 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
     """Model of a checkpoint, whose file ``read`` reads; a config that does not hold exactly the
-    keys ``save_model`` writes, an array count, order or shape that does not fit its config, or
-    a non-finite value raises ConfigError."""
-    raw_config, arrays = read_checkpoint(path, read)
+    keys ``save_model`` writes, an array order or value count that does not fit its config, or a
+    non-finite value raises ConfigError."""
+    raw_config, values = read_checkpoint(path, read)
     try:
         # exactly the keys save_model writes: no default fills in a missing field, and the
         # constructors reject an unknown key with a TypeError
@@ -516,11 +488,12 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
     if raw_config["array_order"] != list(expected):
         raise ConfigError(f"{path}: the checkpoint config's array_order does not list "
                           f"its config's {len(expected)} arrays in order")
-    if len(arrays) != len(expected):
-        raise ConfigError(f"{path} holds {len(arrays)} arrays, its config needs {len(expected)}")
-    for (name, want), got in zip(expected.items(), arrays):
-        if got.shape != want.shape:
-            raise ConfigError(f"{path}: array {name} has shape {got.shape}, its config needs {want.shape}")
+    sizes = [arr.size for arr in expected.values()]
+    if values.size != sum(sizes):
+        raise ConfigError(f"{path} holds {values.size} values, its config's arrays need {sum(sizes)}")
+    named = {}
+    for (name, want), got in zip(expected.items(), np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(got).all():
             raise ConfigError(f"{path}: array {name} holds a non-finite value")
-    return with_arrays(template, dict(zip(expected, arrays)))
+        named[name] = got.reshape(want.shape)
+    return with_arrays(template, named)

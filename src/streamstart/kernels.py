@@ -514,15 +514,10 @@ def retention_forward(
     return out, RetentionState(s=s, n=state.n + n)
 
 
-def retention_parallel(x: np.ndarray, params: AdapterParams, tape: dict | None = None) -> np.ndarray:
-    """``retention_forward`` from a fresh state: every sequence ``[..., n, d']`` from a zero summary."""
-    return retention_forward(x, params, fresh_state(params.config, x.shape[:-2]), tape)[0]
-
-
 def retention_parallel_vjp(
     d_out: np.ndarray, x: np.ndarray, params: AdapterParams, tape: dict
 ) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """VJP of ``retention_parallel(x, params, tape)``: ``(d_x, {"w_qkv": ...})``."""
+    """VJP of a taped ``retention_forward`` call from a fresh state: ``(d_x, {"w_qkv": ...})``."""
     q, k, v = tape["q"], tape["k"], tape["v"]
     decay, pos, scores = tape["decay"], tape["pos"], tape["scores"]
     theta = params.config.theta
@@ -542,13 +537,6 @@ def retention_recurrent(
         state = fresh_state(params.config)
     out, state = retention_forward(x_n[None], params, state)
     return out[0], state
-
-
-def receptive_field(m: int, k: int) -> int:
-    """Temporal receptive field of m stacked width-k causal convolutions."""
-    if m < 1 or k < 1:
-        raise ConfigError(f"need m >= 1 and k >= 1, got ({m}, {k})")
-    return k + (m - 1) * (k - 1)
 
 
 # -- adapter ------------------------------------------------------------------

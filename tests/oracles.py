@@ -3,7 +3,9 @@
 Everything here is deliberately written as plain loops against the
 definitions, sharing no prediction/hit/recall logic with the package;
 ``exhaustive_sweep`` alone is built on ``evaluate_dataset``, which
-``brute_evaluate`` checks.
+``brute_evaluate`` checks. ``retention_parallel`` is the engine's
+retention forward from a fresh state: the parallel side that the
+recurrent steps are checked against.
 """
 
 from __future__ import annotations
@@ -14,8 +16,9 @@ from dataclasses import replace
 import numpy as np
 from scipy.special import erf
 
-from streamstart import metrics
+from streamstart import kernels, metrics
 from streamstart.detector import DEFAULT_POS_CAP, LossBreakdown
+from streamstart.errors import ConfigError
 from streamstart.kernels import BlockParams
 
 
@@ -252,3 +255,15 @@ def strided_fo_pool_vjp(d_h, s, f, h, h_init):
     first = np.broadcast_to(h_init, h.shape[:-2] + h.shape[-1:])[..., None, :]  # h_init against one step
     h_prev = np.concatenate([first, h[..., :-1, :]], axis=-2)
     return g * (1.0 - f), g * (h_prev - s)
+
+
+def retention_parallel(x, params, tape=None):
+    """``kernels.retention_forward`` from a fresh state: every sequence ``[..., n, d']`` from a zero summary."""
+    return kernels.retention_forward(x, params, kernels.fresh_state(params.config, x.shape[:-2]), tape)[0]
+
+
+def receptive_field(m, k):
+    """Temporal receptive field of m stacked width-k causal convolutions: k + (m - 1)(k - 1) frames."""
+    if m < 1 or k < 1:
+        raise ConfigError(f"need m >= 1 and k >= 1, got ({m}, {k})")
+    return k + (m - 1) * (k - 1)

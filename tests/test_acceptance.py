@@ -89,7 +89,7 @@ def test_criterion_03_retention_duality():
         params = init_randomized(cfg, seed)
         n = int(rng.integers(1, 65))
         x = rng.normal(size=(n, dp))
-        par = kernels.retention_parallel(x, params)
+        par = oracles.retention_parallel(x, params)
         state = None
         rec = []
         for t in range(n):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -289,27 +290,31 @@ class TestStreamFiles:
         rng = np.random.default_rng(0)
         frames = rng.normal(size=(17, 5)).astype(np.float32).astype(float)
         query = rng.normal(size=5).astype(np.float32).astype(float)
-        sidecar = {"video_uid": "v", "fps": 1.0, "dim": 5, "n_frames": 17, "seed": 3}
-        ann.save_stream(tmp_path / "v.f32", frames, sidecar, query)
-        loaded, meta, q = ann.load_stream(tmp_path / "v.f32")
+        ann.save_stream(tmp_path / "v.f32", frames, query, 2.5)
+        sidecar = tmp_path / "v.f32.json"
+        assert json.loads(sidecar.read_text()) == {"dim": 5, "fps": 2.5, "n_frames": 17}
+        loaded, fps, q = ann.load_stream(tmp_path / "v.f32")
         assert np.array_equal(loaded, frames)
         assert np.array_equal(q, query)
-        assert meta == sidecar
+        assert fps == 2.5 and type(fps) is float
+        # keys the reader does not use, as older corpora hold, are ignored
+        sidecar.write_text(json.dumps({"video_uid": "v", "fps": 2, "dim": 5, "n_frames": 17, "seed": 3}))
+        loaded, fps, q = ann.load_stream(tmp_path / "v.f32")
+        assert np.array_equal(loaded, frames) and np.array_equal(q, query)
+        assert fps == 2.0 and type(fps) is float
 
     @pytest.mark.parametrize("name", ["v.f32", "v.query.f32"])
     def test_file_cut_inside_a_value_is_numeric_error(self, tmp_path, name):
         # numpy cannot decode a byte count that is not a whole number of float32 values
-        ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)),
-                        {"video_uid": "v", "fps": 1.0, "dim": 3, "n_frames": 4, "seed": 0}, np.ones(3))
+        ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)), np.ones(3), 1.0)
         cut = tmp_path / name
         cut.write_bytes(cut.read_bytes()[:-1])
         with pytest.raises(NumericError, match=f"^{cut} holds {cut.stat().st_size} bytes, sidecar promises"):
             ann.load_stream(tmp_path / "v.f32")
 
     def test_sidecar_mismatch_detected(self, tmp_path):
-        ann.save_stream(
-            tmp_path / "v.f32", np.zeros((4, 3)),
-            {"video_uid": "v", "fps": 1.0, "dim": 3, "n_frames": 9, "seed": 0}, np.ones(3),
-        )
+        ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)), np.ones(3), 1.0)
+        sidecar = tmp_path / "v.f32.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_frames": 9}))
         with pytest.raises(Exception, match="sidecar"):
             ann.load_stream(tmp_path / "v.f32")

@@ -140,9 +140,9 @@ class TestSynth:
         anns = ann.parse_annotations((out / "annotations.csv").read_bytes())
         assert sum(a.split == "train" for a in anns) == 3
         assert sum(a.split == "val" for a in anns) == 2
-        frames, sidecar, query = ann.load_stream(out / "streams" / f"{anns[0].video_uid}.f32")
-        assert frames.shape == (sidecar["n_frames"], sidecar["dim"])
-        assert query is not None
+        frames, fps, query = ann.load_stream(out / "streams" / f"{anns[0].video_uid}.f32")
+        assert fps == anns[0].video_fps and frames.shape == (anns[0].video_length * fps, 8)
+        assert query.shape == (8,)
 
 
     @pytest.mark.parametrize("fps", ["nan", "inf", "0", "-1"])
@@ -192,12 +192,6 @@ class TestSynth:
             err = capsys.readouterr().err
             assert f"no {split}-split annotations in {out}" in err and err.count("\n") == 1
             assert not (tmp_path / split).exists()
-
-
-def _with_empty_first_array(raw, rank):
-    """Checkpoint bytes ``raw`` with a zero-size array of ``rank`` dims inserted before its first array."""
-    start = 16 + int.from_bytes(raw[8:12], "little")  # magic, version, config length, config, array count
-    return raw[:start] + rank.to_bytes(4, "little") + bytes(4 * rank) + raw[start:]
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +304,7 @@ class TestTrainScoreEval:
         model = detector.load_model(run0 / "checkpoint.sdqk")
         anns = [a for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())
                 if a.split == "val"]
-        frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{anns[0].video_uid}.f32")
+        frames, _, query = ann.load_stream(corpus / "streams" / f"{anns[0].video_uid}.f32")
         streamed = detector.infer_streaming(model, frames, query).scores
         batch = detector.score_frames(model, frames, query).scores
         assert np.abs(streamed - batch).max() <= 1e-10
@@ -319,16 +313,17 @@ class TestTrainScoreEval:
             assert not adapter.w_up.any()
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda raw: raw[:-3], "truncated"),
-        (lambda raw: raw + b"\x00" * 8, "trailing bytes"),
+        (lambda raw: raw[:-3], "bytes ends inside a float32"),
+        (lambda raw: raw + b"\x00" * 8, "holds {n_more} values, its config's arrays need {n}"),
         (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "config is not UTF-8 JSON"),
         (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 1; this build reads version 4"),
+         "is checkpoint version 1; this build reads version 5"),
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 2; this build reads version 4"),
+         "is checkpoint version 2; this build reads version 5"),
         (lambda raw: raw[:4] + (3).to_bytes(4, "little") + raw[8:],
-         "is checkpoint version 3; this build reads version 4"),
-        (lambda raw: _with_empty_first_array(raw, rank=65), "array 0 of rank 65 cannot be shaped: maximum supported"),
+         "is checkpoint version 3; this build reads version 5"),
+        (lambda raw: raw[:4] + (4).to_bytes(4, "little") + raw[8:],
+         "is checkpoint version 4; this build reads version 5"),
     ])
     def test_damaged_checkpoint_exit_config(self, pipeline, tmp_path, capsys, damage, message):
         corpus, run, _ = pipeline
@@ -339,28 +334,33 @@ class TestTrainScoreEval:
                        "--split", "val", "--out", str(tmp_path / "scored")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert message in err and err.count("\n") == 1
+        n = detector.read_checkpoint(run / "checkpoint.sdqk")[1].size
+        assert message.format(n=n, n_more=n + 2) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda arrays, i: arrays[:-1], "holds {n_less} arrays, its config needs {n}"),
-        (lambda arrays, i: arrays + [arrays[-1]], "holds {n_more} arrays, its config needs {n}"),
+        (lambda arrays, i: arrays[:-1], "holds {got} values, its config's arrays need {n}"),
+        (lambda arrays, i: arrays + [arrays[-1]], "holds {got} values, its config's arrays need {n}"),
         (lambda arrays, i: arrays[:i] + [np.zeros((3, 3))] + arrays[i + 1 :],
-         "blocks.0.w_down has shape (3, 3), its config needs (8, 8)"),
+         "holds {got} values, its config's arrays need {n}"),
         (lambda arrays, i: arrays[:i] + [np.full_like(arrays[i], np.nan)] + arrays[i + 1 :],
          "array blocks.0.w_down holds a non-finite value"),
     ], ids=["one_too_few", "one_too_many", "wrong_shape", "nan_value"])
     def test_checkpoint_arrays_checked_against_config(self, pipeline, tmp_path, capsys, edit, message):
+        # the config shapes every array: a payload of another value count, a [3, 3] w_down
+        # in place of its [8, 8] included, is rejected as a whole
         corpus, run, _ = pipeline
-        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
+        config, _ = detector.read_checkpoint(run / "checkpoint.sdqk")
+        arrays = list(detector.named_arrays(detector.load_model(run / "checkpoint.sdqk")).values())
+        edited = edit(arrays, config["array_order"].index("blocks.0.w_down"))
         bad = tmp_path / "bad.sdqk"
-        detector.write_checkpoint(bad, config, edit(arrays, config["array_order"].index("blocks.0.w_down")))
+        detector.write_checkpoint(bad, config, edited)
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        n = len(arrays)
-        assert message.format(n=n, n_less=n - 1, n_more=n + 1) in err and err.count("\n") == 1
+        got, n = sum(a.size for a in edited), sum(a.size for a in arrays)
+        assert message.format(got=got, n=n) in err and err.count("\n") == 1
 
     def test_manifest_digests_follow_the_documented_rule(self, pipeline):
         corpus, run, scores = pipeline
@@ -574,9 +574,8 @@ class TestTrainScoreEval:
         stored = {(s.video_uid, s.query_id): s for s in metrics.load_score_series_dir(scores / "scores")}
         assert len(stored) == 8
         for a in anns:
-            frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
-            kwargs = dict(video_uid=a.video_uid, query_id=metrics.default_query_id(a),
-                          fps=float(sidecar["fps"]))
+            frames, fps, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+            kwargs = dict(video_uid=a.video_uid, query_id=metrics.default_query_id(a), fps=fps)
             batch = detector.score_frames(model, frames, query, **kwargs)
             written = stored[a.video_uid, kwargs["query_id"]]
             assert written.fps == batch.fps and written.scores.tobytes() == batch.scores.tobytes()
@@ -879,12 +878,12 @@ class TestTrainScoreEval:
     def test_non_causal_checkpoint_exit_config(self, pipeline, tmp_path, capsys, edit):
         # every conv is causal: version 2 has no lookback or lookahead key; the first in key order is unknown
         corpus, run, _ = pipeline
-        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
+        config, values = detector.read_checkpoint(run / "checkpoint.sdqk")
         adapter = config["adapter"]
         assert not {"lookback", "lookahead"} & set(adapter)
         adapter.update(edit)
         bad = tmp_path / "bad.sdqk"
-        detector.write_checkpoint(bad, config, arrays)
+        detector.write_checkpoint(bad, config, [values])
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -917,10 +916,10 @@ class TestTrainScoreEval:
             "int_depthwise"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
-        config, arrays = detector.read_checkpoint(run / "checkpoint.sdqk")
+        config, values = detector.read_checkpoint(run / "checkpoint.sdqk")
         edit(config)
         bad = tmp_path / "bad.sdqk"
-        detector.write_checkpoint(bad, config, arrays)
+        detector.write_checkpoint(bad, config, [values])
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(bad), "--data", str(corpus),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -951,8 +950,7 @@ def _hand_corpus(root):
     rng = np.random.default_rng(12)
     anns = []
     for uid, (n, fps, split) in HAND_STREAMS.items():
-        ann.save_stream(root / "streams" / f"{uid}.f32", rng.normal(size=(n, 8)),
-                        {"video_uid": uid, "fps": fps, "dim": 8, "n_frames": n, "seed": 0}, rng.normal(size=8))
+        ann.save_stream(root / "streams" / f"{uid}.f32", rng.normal(size=(n, 8)), rng.normal(size=8), fps)
         for idx in range(2 if uid == "short-1" else 1):
             anns.append(ann.EventAnnotation(split, "synthetic", uid, uid, "a", idx, f"event in {uid}", "ok",
                                             5.0 + idx, 9.0 + idx, fps, n / fps))
@@ -989,9 +987,8 @@ def test_score_stacks_streams_of_one_length(tmp_path, capsys, monkeypatch, kind,
     stored = metrics.load_score_series_dir(out / "scores")
     assert [(s.video_uid, s.query_id) for s in stored] == [(a.video_uid, metrics.default_query_id(a)) for a in anns]
     for a, written in zip(anns, stored):
-        frames, sidecar, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
-        alone = detector.score_frames(loaded, frames, query, a.video_uid, metrics.default_query_id(a),
-                                      sidecar["fps"])
+        frames, fps, query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+        alone = detector.score_frames(loaded, frames, query, a.video_uid, metrics.default_query_id(a), fps)
         assert written.fps == alone.fps and written.scores.tobytes() == alone.scores.tobytes()
 
 
@@ -1015,8 +1012,8 @@ def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch
     assert embeddings.shape == (18, 60, 8) and labels.shape == (18, 60) and queries.shape == (18, 8)
     for i, (window, window_labels, query) in enumerate(zip(embeddings, labels, queries)):
         a = anns[i // 3]  # the windows of each annotation in turn
-        frames, sidecar, stream_query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
-        assert sidecar["fps"] == 2.0 and np.array_equal(query, stream_query)
+        frames, fps, stream_query = ann.load_stream(corpus / "streams" / f"{a.video_uid}.f32")
+        assert fps == 2.0 and np.array_equal(query, stream_query)
         m = int(np.flatnonzero((frames == window[0]).all(axis=1))[0])
         assert np.array_equal(window, frames[m : m + len(window)])
         times = (m + np.arange(len(window_labels))) / 2.0
@@ -1117,18 +1114,6 @@ def _fuzzed(raw, rng, fields):
     return cases
 
 
-def _checkpoint_fields(raw):
-    """Offsets of the low bytes of a checkpoint's integer fields, where a count turns into another
-    plausible count: its version, config length and array count, and each array's rank and dims."""
-    off = 16 + int.from_bytes(raw[8:12], "little")
-    fields = [4, 8, off - 4]
-    for _ in range(int.from_bytes(raw[off - 4:off], "little")):
-        rank = int.from_bytes(raw[off:off + 4], "little")
-        fields += range(off, off + 4 + 4 * rank, 4)
-        off += 4 + 4 * rank + 4 * math.prod(np.frombuffer(raw, "<u4", rank, off + 4).tolist())
-    return fields
-
-
 STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
 
 
@@ -1152,7 +1137,7 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
     root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
     raw = (root / artifact).read_bytes()
     if artifact == "checkpoint.sdqk":
-        fields = _checkpoint_fields(raw)
+        fields = [4, 8]  # the low bytes of its version and its config length
     elif artifact == "scores/scores.f64":
         fields = range(7, len(raw), 8)  # each score's sign and high exponent bits
     elif artifact.endswith(".f32"):

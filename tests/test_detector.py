@@ -1,4 +1,5 @@
 import math
+import operator
 import re
 from dataclasses import fields, replace
 
@@ -126,11 +127,11 @@ class TestScoreStreams:
 
     @pytest.mark.parametrize("width", [1, 7])
     def test_frame_width_other_than_d_rejected(self, width):
-        # frames enter the first adapter as they are, and it checks their width
+        # frames enter the first adapter as they are, and it checks their width; a push checks its frame
         model = tiny_model("qrnn")
         with pytest.raises(ConfigError, match="input must be"):
             detector.score_streams(model, np.ones((2, 5, width)), np.ones((2, 8)))
-        with pytest.raises(ConfigError, match="input must be"):
+        with pytest.raises(ConfigError, match=rf"^need a frame \[d=8\], got shape \({width},\)$"):
             StreamingScorer(model, np.ones(8)).push(np.ones(width))
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -304,6 +305,16 @@ class TestNonFiniteInput:
         # rejected at construction: a push would advance every block's state before the head fails
         with pytest.raises(ConfigError, match=rf"^need a query \[d=8\], got shape {re.escape(str(shape))}$"):
             StreamingScorer(tiny_model("qrnn"), np.ones(shape))
+
+    @pytest.mark.parametrize("shape", [(1, 8), (9,)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_frame_not_of_the_model_width_rejected_before_a_state_advances(self, kind, shape):
+        scorer = StreamingScorer(tiny_model(kind), np.ones(8))
+        scorer.push(np.ones(8))
+        states = list(scorer.states)
+        with pytest.raises(ConfigError, match=rf"^need a frame \[d=8\], got shape {re.escape(str(shape))}$"):
+            scorer.push(np.ones(shape))
+        assert len(scorer.states) == len(states) and all(map(operator.is_, scorer.states, states))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("kind", KINDS)
@@ -605,12 +616,15 @@ class TestModelCheckpoint:
         # training and the checkpoint name the trainable arrays alike
         model = tiny_model(kind)
         detector.save_model(tmp_path / "m.sdqk", model)
-        config, arrays = detector.read_checkpoint(tmp_path / "m.sdqk")
+        config, values = detector.read_checkpoint(tmp_path / "m.sdqk")
         adapter_names = {f.name for f in fields(kernels.AdapterParams)}
         trained = [name for name in config["array_order"] if name.rsplit(".", 1)[-1] in adapter_names]
         grads, _ = backward(model, *tiny_batch(12))
         assert trained == list(grads)
-        assert len(config["array_order"]) == len(arrays)
+        named = detector.named_arrays(model)
+        assert config["array_order"] == list(named)
+        stored = np.concatenate([arr.ravel() for arr in named.values()]).astype(np.float32)
+        assert np.array_equal(values, stored)
 
 
 class _ReadLog(dict):

@@ -19,8 +19,6 @@ from streamstart.kernels import (
     fresh_state,
     init_params,
     qrnn_forward,
-    receptive_field,
-    retention_parallel,
     retention_recurrent,
 )
 
@@ -240,9 +238,9 @@ class TestBatchAxes:
     def test_retention_parallel(self):
         p = randomized(init_params(AdapterConfig(d=6, d_prime=6, kind="retention"), 0), seed=62)
         x = np.random.default_rng(63).normal(size=(self.B, 8, 6))
-        out, macs = counted(retention_parallel, x, p)
+        out, macs = counted(oracles.retention_parallel, x, p)
         for b in range(self.B):
-            out_b, macs_b = counted(retention_parallel, x[b], p)
+            out_b, macs_b = counted(oracles.retention_parallel, x[b], p)
             assert np.array_equal(out[b], out_b)
         assert macs == self.B * macs_b > 0
 
@@ -407,7 +405,7 @@ class TestRetention:
             init_params(cfg, 0),
             w_qkv=np.array([[1.0, 1.0, 1.0]]),
         )
-        out = retention_parallel(np.array([[1.0], [1.0]]), p)
+        out = oracles.retention_parallel(np.array([[1.0], [1.0]]), p)
         assert out.ravel() == pytest.approx([1.0, 1.5])
 
     def test_toy_recurrent_and_state(self):
@@ -427,7 +425,7 @@ class TestRetention:
         cfg = AdapterConfig(d=6, d_prime=6, kind="retention", gamma=1 - 1e-12, theta=0.0)
         p = randomized(init_params(cfg, 0), 2)
         x = rng.normal(size=(8, 6))
-        out = retention_parallel(x, p)
+        out = oracles.retention_parallel(x, p)
         q, k, v = np.split(x @ p.w_qkv, 3, axis=1)
         expected = np.array([q[n] @ (k[: n + 1].T @ v[: n + 1]) for n in range(8)])
         assert np.abs(out - expected).max() < 1e-9
@@ -437,7 +435,7 @@ class TestRetention:
         cfg = AdapterConfig(d=4, d_prime=4, kind="retention", theta=0.0)
         p = randomized(init_params(cfg, 0), 3)
         x = rng.normal(size=(1, 4))
-        out = retention_parallel(x, p)
+        out = oracles.retention_parallel(x, p)
         q, k, v = np.split(x @ p.w_qkv, 3, axis=1)
         assert out == pytest.approx(q @ (k.T @ v))
 
@@ -450,7 +448,7 @@ class TestRetention:
             p = randomized(init_params(cfg, int(rng.integers(2**31))), int(rng.integers(2**31)))
             n = int(rng.integers(1, 65))
             x = rng.normal(size=(n, dp))
-            par = retention_parallel(x, p)
+            par = oracles.retention_parallel(x, p)
             st = None
             rec = []
             for t in range(n):
@@ -469,7 +467,7 @@ class TestRetention:
     def test_float32_longer_than_512_frames_runs(self):
         p = init_params(AdapterConfig(d=4, d_prime=4, kind="retention"), 0)
         x = np.random.default_rng(0).normal(size=(513, 4)).astype(np.float32)
-        assert np.isfinite(retention_parallel(x, p)).all()
+        assert np.isfinite(oracles.retention_parallel(x, p)).all()
 
 
 class TestAdapterStreaming:
@@ -747,11 +745,11 @@ class TestVjps:
         inputs = {"x": rng.normal(size=lead + (6, 4)), "w_qkv": p.w_qkv}
         r = rng.normal(size=lead + (6, 4))
         tape = {}
-        retention_parallel(inputs["x"], p, tape)
+        oracles.retention_parallel(inputs["x"], p, tape)
         d_x, grads = kernels.retention_parallel_vjp(r, inputs["x"], p, tape)
 
         def loss(x, **banks):
-            return np.sum(r * retention_parallel(x, replace(p, **banks)))
+            return np.sum(r * oracles.retention_parallel(x, replace(p, **banks)))
 
         assert_grads(loss, inputs, {"x": d_x, **grads})
 
@@ -851,7 +849,7 @@ class TestBlock:
 
         x = rng.normal(size=(16, 6))
         t = 12
-        rf = receptive_field(m, 2)  # 4
+        rf = oracles.receptive_field(m, 2)  # 4
         base = stack(x)
         past = x.copy()
         past[t - rf] += 5.0  # just outside the dependency range
@@ -863,13 +861,13 @@ class TestBlock:
 
 class TestReceptiveField:
     def test_values(self):
-        assert receptive_field(1, 3) == 3
-        assert receptive_field(2, 3) == 5
-        assert receptive_field(12, 2) == 13  # formula as printed
+        assert oracles.receptive_field(1, 3) == 3
+        assert oracles.receptive_field(2, 3) == 5
+        assert oracles.receptive_field(12, 2) == 13  # formula as printed
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            receptive_field(0, 3)
+            oracles.receptive_field(0, 3)
 
 
 class TestConfig:
@@ -884,15 +882,15 @@ class TestConfig:
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
+        # the payload is every array's values end to end, shaped by the reader's config
         rng = np.random.default_rng(20)
         arrays = [rng.normal(size=s).astype(np.float32).astype(float) for s in ((3, 4), (7,), (2, 2, 2))]
         config = {"kind": "qrnn", "d": 8}
         path = tmp_path / "model.sdqk"
         detector.write_checkpoint(path, config, arrays)
-        got_config, got_arrays = detector.read_checkpoint(path)
+        got_config, values = detector.read_checkpoint(path)
         assert got_config == config
-        for a, b in zip(arrays, got_arrays):
-            assert np.array_equal(a, b)
+        assert values.dtype == float and np.array_equal(values, np.concatenate([a.ravel() for a in arrays]))
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.sdqk"
@@ -904,19 +902,30 @@ class TestCheckpoint:
         path = tmp_path / "m.sdqk"
         detector.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
         raw = path.read_bytes()
-        for cut in (6, len(raw) - 4, len(raw) - 1):
+        # inside the version, before the config, inside it
+        for cut, needs in ((6, 12), (12, len(raw) - 24), (len(raw) - 25, len(raw) - 24)):
             path.write_bytes(raw[:cut])
-            with pytest.raises(ConfigError, match="truncated"):
+            with pytest.raises(ConfigError, match=f"truncated: {cut} bytes, needs at least {needs}$"):
                 detector.read_checkpoint(path)
+        path.write_bytes(raw[:-1])
+        with pytest.raises(ConfigError, match="its payload of 23 bytes ends inside a float32$"):
+            detector.read_checkpoint(path)
+        path.write_bytes(raw[:-4])  # a whole value short: load_model's value count rejects it
+        assert detector.read_checkpoint(path)[1].size == 5
 
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "m.sdqk"
         detector.write_checkpoint(path, {"d": 2}, [np.ones((2, 3))])
-        path.write_bytes(path.read_bytes() + b"\x00" * 4)
-        with pytest.raises(ConfigError, match="4 trailing bytes"):
+        raw = path.read_bytes()
+        path.write_bytes(raw + b"\x00" * 2)
+        with pytest.raises(ConfigError, match="its payload of 26 bytes ends inside a float32$"):
             detector.read_checkpoint(path)
+        path.write_bytes(raw + b"\x00" * 4)  # a whole value more: load_model's value count rejects it
+        assert detector.read_checkpoint(path)[1].size == 7
 
     def test_magic_bytes(self, tmp_path):
+        # magic, u32 version 5, u32 config length, the config: no array count, rank or dims
         path = tmp_path / "m.sdqk"
-        detector.write_checkpoint(path, {}, [])
-        assert path.read_bytes()[:4] == b"SDQK"
+        detector.write_checkpoint(path, {}, [np.ones((2, 1))])
+        one = np.float32(1).tobytes()
+        assert path.read_bytes() == b"SDQK" + (5).to_bytes(4, "little") + (2).to_bytes(4, "little") + b"{}" + one * 2

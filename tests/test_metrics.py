@@ -137,6 +137,12 @@ class TestSmd:
             values = [metrics.smd_at_k(preds, t_s, k, 120.0) for k in range(1, 9)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("horizon", [0, -1, np.array([60.0, 0.0])], ids=["zero", "negative", "array_with_a_zero"])
+    def test_horizon_must_be_positive(self, horizon):
+        # 0 is no span at all: even a miss's fallback would read as an exact hit
+        with pytest.raises(ConfigError, match="^horizon must be positive"):
+            metrics.smd_at_k(np.array([[10.0], [50.0]]), np.array([40.0, 45.0]), 1, horizon)
+
 
 def random_case(rng, n=60):
     """A score series with deliberate empty/early/late/boundary structure."""
@@ -452,6 +458,7 @@ class TestScoreSeriesFiles:
     def test_load_names_the_array_and_the_first_bad_series(self, tmp_path, value, error, message):
         metrics.save_score_series(tmp_path, [series(np.full(3, 0.5), uid=f"v{i}", qid="a-0") for i in range(3)])
         values = np.fromfile(tmp_path / "scores.f64", "<f8")
+        values[[0, 1]] = 0.0, 1.0  # series 0 holds both ends of [0, 1], which are in range
         values[[4, 5, 7]] = value  # two in series 1, one in series 2
         values.tofile(tmp_path / "scores.f64")
         with pytest.raises(error) as err:

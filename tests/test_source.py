@@ -125,6 +125,14 @@ def test_erf_only_in_gelu():
     assert outside == []
 
 
+def test_only_annotations_knows_the_stream_sidecar():
+    # annotations.py writes a stream's sidecar and reads it back: no other module builds, reads or names one
+    names = [f"{name}:{node.lineno}: {value}" for name, tree in _trees() if name != "annotations.py"
+             for node in ast.walk(tree) for field in ("id", "arg", "attr", "name")
+             if isinstance(value := getattr(node, field, None), str) and "sidecar" in value.lower()]
+    assert names == []
+
+
 def _callers() -> dict[str, set[str]]:
     """Each called name, the last part of a dotted call, mapped to the ``module.function``s that call it."""
     callers: dict[str, set[str]] = {}
@@ -153,9 +161,7 @@ def test_sr_and_smd_are_written_once():
 # public top-level names that no other code in src reaches, each kept for its reader outside src
 KEPT_UNREACHED = {
     "kernels.set_op_counter": "perfbench installs its MAC counter through it",
-    "kernels.retention_parallel": "criterion 3's parallel side",
     "kernels.retention_recurrent": "criterion 3's recurrent side, and perfbench's retention_recurrent_us",
-    "kernels.receptive_field": "demo 02 and the locality probe",
     "metrics.extract_predictions": "demo 01 and perfbench; ROADMAP R25 deletes it",
     "detector.score_frames": "perfbench's live check",
     "detector.infer_streaming": "the streaming reference, traced by perfbench",
