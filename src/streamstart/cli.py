@@ -255,7 +255,7 @@ def cmd_score(args) -> int:
     model = detector.load_model(Path(args.checkpoint), read)
     anns, streams, dim = _load_corpus(data_dir, args.split, read)
     if dim != model.config.d:
-        raise ConfigError(f"stream {anns[0].video_uid} has dim {dim}, the checkpoint takes d_in={model.config.d}")
+        raise ConfigError(f"stream {anns[0].video_uid} has dim {dim}, the checkpoint takes d={model.config.d}")
     # score every stream once before writing any series, so a failure leaves no
     # partial output; streams of one length share score_streams calls
     by_length: dict[int, list[str]] = {}
@@ -295,8 +295,6 @@ def cmd_eval(args) -> int:
     anns = annotations.parse_annotations(read(ann_path))
     if args.split:
         anns = [a for a in anns if a.split == args.split]
-    if not anns:
-        raise ConfigError("no annotations selected for evaluation")
     window = metrics.ToleranceWindow(args.anticipation, args.latency)
     ks = _parse_ks(args.k)
     mode = "rising_edge" if args.mode == "edge" else "every_frame"

@@ -465,8 +465,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
     """Model of a checkpoint, whose file ``read`` reads; a config that does not hold exactly the
-    keys ``save_model`` writes, an array order or value count that does not fit its config, or a
-    non-finite value raises ConfigError."""
+    keys ``save_model`` writes, a value count or array order that does not fit its config, or a
+    non-finite value raises ConfigError. The count is checked before any array is built."""
     raw_config, values = read_checkpoint(path, read)
     try:
         # exactly the keys save_model writes: no default fills in a missing field, and the
@@ -483,14 +483,18 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
         raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
+    from . import costmodel  # costmodel imports this module
+    a = config.adapter  # each block: its adapter, then the frozen w_sp [d, d], w1 [d, 2d] and w2 [2d, d]
+    need = config.n_blocks * (costmodel.count_params(costmodel.adapter_stack(
+        a.kind, a.d, a.d_prime, a.k, depthwise=a.depthwise)) + 5 * config.d**2)
+    if values.size != need:
+        raise ConfigError(f"{path} holds {values.size} values, its config's arrays need {need}")
     template = build_model(config)
     expected = named_arrays(template)
     if raw_config["array_order"] != list(expected):
         raise ConfigError(f"{path}: the checkpoint config's array_order does not list "
                           f"its config's {len(expected)} arrays in order")
     sizes = [arr.size for arr in expected.values()]
-    if values.size != sum(sizes):
-        raise ConfigError(f"{path} holds {values.size} values, its config's arrays need {sum(sizes)}")
     named = {}
     for (name, want), got in zip(expected.items(), np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(got).all():

@@ -246,12 +246,14 @@ def _stack(queries: _Queries, block: np.ndarray, multiple: int = 1) -> np.ndarra
 
 
 def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: int) -> np.ndarray:
-    """``[Q, C, n_first]`` frame of each query's j-th prediction at each threshold; inf past its last.
+    """``[Q, C, J]`` frame of each query's j-th prediction at each threshold; inf past its last.
+    J is ``n_first`` capped at the longest query's length: no query has more predictions than frames.
 
     Each block of ``_blocks(lengths, C)`` is stacked by ``_stack`` and builds
-    its ``[b, C, T]`` prediction mask; each of ``n_first`` passes takes every
-    row's first set frame and clears it.
+    its ``[b, C, T]`` prediction mask; each of J passes takes every row's first
+    set frame and clears it.
     """
+    n_first = min(n_first, int(queries.lengths.max()))
     first = np.full((len(queries.series), len(taus), n_first), np.inf)
     for block in _blocks(queries.lengths, len(taus)):
         pad = _stack(queries, block)
@@ -394,15 +396,15 @@ def sweep_thresholds(
     """Pick the threshold maximizing SR@objective_k from a uniform grid.
 
     Candidates are ``n`` uniformly spaced values between the minimum and
-    maximum observed scores, 2 <= n <= ``SWEEP_MAX``; ties break toward the
-    larger threshold. When all scores are constant there is a single
-    candidate. The queries are paired and validated once.
+    maximum scores of the paired queries, 2 <= n <= ``SWEEP_MAX``; ties break
+    toward the larger threshold. When those scores are constant there is a
+    single candidate. The queries are paired and validated once, and a series
+    that no annotation pairs plays no part, as in ``evaluate_dataset``.
 
-    One pass over the paired scores (``_records``) gives the grid's bounds
-    and each query's running-maximum records; series that no annotation
-    pairs are scanned apart, as they still widen the grid. Selection needs
-    only each query's first ``objective_k`` predictions at every candidate.
-    With ``objective_k = 1`` that is the first frame whose score reaches the
+    One pass over the paired scores (``_records``) gives the grid's bounds and
+    each query's running-maximum records. Selection needs only each query's
+    first ``objective_k`` predictions at every candidate. With
+    ``objective_k = 1`` that is the first frame whose score reaches the
     candidate, in either mode, and the records give it for all candidates
     (``_first_crossings``). A larger ``objective_k`` takes the first
     ``objective_k`` frames of every candidate's prediction mask
@@ -412,16 +414,9 @@ def sweep_thresholds(
     if not 2 <= n <= SWEEP_MAX:  # before anything is allocated
         raise ConfigError(f"sweep needs 2 <= n <= {SWEEP_MAX} candidates, got {n}")
     ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
-    if not any(s.scores.size for s in series):
-        raise ConfigError("cannot sweep thresholds over empty score series")
     # the candidates lie between two scores, in [0, 1], so no threshold is checked
     queries = _pair(series, annotations, [], mode, ks)
     lo, hi, records = _records(queries)
-    paired = {id(s) for s in queries.series}
-    unpaired = [s.scores for s in series if id(s) not in paired and s.scores.size]
-    for i in range(0, len(unpaired), 64):  # one reduction per 64 series, not one per series
-        chunk = np.concatenate(unpaired[i:i + 64])
-        lo, hi = min(lo, float(chunk.min())), max(hi, float(chunk.max()))
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
     taus = np.array(candidates, dtype=float)  # np.linspace's grid ascends
     if objective_k == 1:
@@ -438,9 +433,9 @@ def sweep_thresholds(
 #
 # One run's series in one directory: `scores.f64`, every series' scores end to
 # end as little-endian float64, and `index.json`, the format version and per
-# series its ids, fps, offset and frame count (both counted in values).
+# series its ids, fps and frame count. Each series starts where the one before it ends.
 
-STORE_VERSION = 1
+STORE_VERSION = 2
 _ARRAY, _INDEX = "scores.f64", "index.json"
 
 
@@ -450,7 +445,7 @@ def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> N
     an fps that is not finite and positive, raises ConfigError before a byte is written.
     The array goes first and the index last, under a temporary name then renamed, so an
     interrupted write never leaves an index describing another array."""
-    entries, seen, offset = [], set(), 0
+    entries, seen = [], set()
     for s in series:
         pair = f"({s.video_uid}, {s.query_id})"
         fps = float(s.fps)
@@ -463,9 +458,7 @@ def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> N
         if not (math.isfinite(fps) and fps > 0):
             raise ConfigError(f"score series {pair}: fps must be finite and positive, got {fps}")
         seen.add((s.video_uid, s.query_id))
-        entries.append({"video_uid": s.video_uid, "query_id": s.query_id, "fps": fps,
-                        "offset": offset, "frames": s.scores.size})
-        offset += s.scores.size
+        entries.append({"video_uid": s.video_uid, "query_id": s.query_id, "fps": fps, "frames": s.scores.size})
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     (directory / _INDEX).unlink(missing_ok=True)
@@ -481,7 +474,7 @@ def load_score_series_dir(
     """The series of the score store in ``directory``, in index order, each file read
     whole by ``read``. A directory without an index, an index that is not JSON or of
     another version, an entry with a bad field, fps or frame count, a repeated pair,
-    entries that do not tile the array exactly, or a finite score outside [0, 1] raise
+    frame counts that do not sum to the array's length, or a finite score outside [0, 1] raise
     SchemaError naming the file; a non-finite score raises NumericError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
@@ -502,12 +495,12 @@ def load_score_series_dir(
     values = np.frombuffer(data, dtype="<f8", count=len(data) // 8)
     tiles, seen, end = [], set(), 0
     for i, entry in enumerate(index["series"]):
-        video_uid, query_id, fps, offset, frames = (entry.get(key) if isinstance(entry, dict) else None
-                                                    for key in ("video_uid", "query_id", "fps", "offset", "frames"))
+        video_uid, query_id, fps, frames = (entry.get(key) if isinstance(entry, dict) else None
+                                            for key in ("video_uid", "query_id", "fps", "frames"))
         if not (isinstance(video_uid, str) and isinstance(query_id, str) and type(fps) is float
-                and type(offset) is int and type(frames) is int):
+                and type(frames) is int):
             raise SchemaError(f"score index {index_path}: series {i} needs string video_uid and query_id, "
-                              "a float fps and integer offset and frames")
+                              "a float fps and integer frames")
         pair = f"series {i} ({video_uid}, {query_id})"
         if not (math.isfinite(fps) and fps > 0):
             raise SchemaError(f"score index {index_path}: {pair} has fps {fps!r}, not finite and positive")
@@ -515,12 +508,9 @@ def load_score_series_dir(
             raise SchemaError(f"score index {index_path}: {pair} has {frames} frames, not at least 1")
         if (video_uid, query_id) in seen:
             raise SchemaError(f"score index {index_path}: {pair} repeats an earlier pair")
-        if offset != end:
-            raise SchemaError(f"score index {index_path}: {pair} starts at offset {offset}, "
-                              f"the series before it end at {end}")
         seen.add((video_uid, query_id))
-        end = offset + frames
-        tiles.append((video_uid, query_id, fps, offset, frames))
+        tiles.append((video_uid, query_id, fps, end, frames))
+        end += frames
     if len(data) != 8 * end:
         raise SchemaError(f"score array {array_path} holds {len(data)} bytes, its index "
                           f"tiles {end} float64 values ({8 * end} bytes)")

@@ -78,11 +78,12 @@ def brute_evaluate(series_list, annotations, ks, anticipation, latency, mode, th
 
 def exhaustive_sweep(series_list, annotations, w, n=20, objective_k=1, ks=None, mode="rising_edge"):
     """The sweep by its definition: ``n`` evenly spaced candidates from the lowest to
-    the highest score of every series with frames (one when those are equal), each
-    evaluated on its own with ``evaluate_dataset``; the best SR@objective_k wins, and a
-    tie goes to the later, larger candidate. Returns ``(threshold, report)``."""
+    the highest score of the series that an annotation pairs (one when those are equal),
+    each evaluated on its own with ``evaluate_dataset``; the best SR@objective_k wins, and
+    a tie goes to the later, larger candidate. Returns ``(threshold, report)``."""
     ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
-    scores = np.concatenate([s.scores for s in series_list])
+    paired = {(a.video_uid, metrics.default_query_id(a)) for a in annotations}
+    scores = np.concatenate([s.scores for s in series_list if (s.video_uid, s.query_id) in paired])
     lo, hi = float(scores.min()), float(scores.max())
     best = None
     for cand in [lo] if lo == hi else np.linspace(lo, hi, n):

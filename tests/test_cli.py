@@ -240,6 +240,15 @@ def _edit_index(directory, edit):
     path.write_text(json.dumps(index), encoding="utf-8")
 
 
+def _version_1_index(index):
+    """Rewrite a parsed ``index.json`` as version 1 wrote it: each entry also held its offset in values."""
+    offset = 0
+    for entry in index["series"]:
+        entry["offset"] = offset
+        offset += entry["frames"]
+    index["version"] = 1
+
+
 def _run(command, corpus, run, out):
     """``command`` (train or score, on its split) over ``corpus`` into ``out``; the data digest of its manifest."""
     if command == "train":
@@ -457,9 +466,9 @@ class TestTrainScoreEval:
         assert read == sorted(_split_files(corpus, split))
 
     @pytest.mark.parametrize("damage, name, message", [
-        (lambda d: _edit_index(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "offset", "frames")]),
+        (lambda d: _edit_index(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "frames")]),
          "index.json",
-         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
         (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes() + b"\0"), "scores.f64",
          "holds 3841 bytes, its index tiles 480 float64 values (3840 bytes)"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("inf"))), "index.json",
@@ -469,32 +478,32 @@ class TestTrainScoreEval:
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=0.0)), "index.json",
          "has fps 0.0, not finite and positive"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps="1.0")), "index.json",
-         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].pop("frames")), "index.json",
-         "series 3 needs string video_uid and query_id, a float fps and integer offset and frames"),
+         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
         (lambda d: _edit_index(d, lambda x: x["series"][3].update(
             video_uid=x["series"][2]["video_uid"], query_id=x["series"][2]["query_id"])), "index.json",
          "repeats an earlier pair"),
         (lambda d: _edit_index(d, lambda x: x["series"][-1].update(frames=0)), "index.json",
          "has 0 frames, not at least 1"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(offset=x["series"][3]["offset"] + 1)),
-         "index.json", "starts at offset 181, the series before it end at 180"),
     ], ids=["two_fields", "non_numeric_score", "infinite_fps", "nan_fps", "zero_fps", "string_fps", "missing_key",
-            "duplicate_pair", "zero_frames", "offset_gap"])
+            "duplicate_pair", "zero_frames"])
     def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
         # a series' row is its entry in index.json and its values in scores.f64; a trailing byte is no float64
         self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
 
     @pytest.mark.parametrize("damage, name, message", [
         (lambda d: (d / "index.json").write_text("{not json"), "index.json", "is not UTF-8 JSON"),
-        (lambda d: _edit_index(d, lambda x: x.update(version=2)), "index.json",
-         "must be version 1 with a series list, got version 2"),
+        (lambda d: _edit_index(d, lambda x: x.update(version=3)), "index.json",
+         "must be version 2 with a series list, got version 3"),
+        (lambda d: _edit_index(d, _version_1_index), "index.json",
+         "must be version 2 with a series list, got version 1"),
         (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes()[:-8]), "scores.f64",
          "holds 3832 bytes, its index tiles 480 float64 values (3840 bytes)"),
         (lambda d: (d / "scores.f64").unlink(), "", "has no scores.f64: re-run score"),
         (lambda d: [(d / f).unlink() for f in ("index.json", "scores.f64")] + [(d / "v__a-0.csv").write_text(
             "frame_idx,t_sec,score\n0,0.0,0.5\n")], "", "has no index.json: re-run score to write its store"),
-    ], ids=["not_json", "other_version", "short_array", "no_array", "old_csv_directory"])
+    ], ids=["not_json", "other_version", "version_1", "short_array", "no_array", "old_csv_directory"])
     def test_eval_damaged_score_store_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
         self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
 
@@ -552,6 +561,33 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert f"sweep needs 2 <= n <= {metrics.SWEEP_MAX} candidates, got {n}" in err and err.count("\n") == 1
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
+    def test_eval_k_beyond_every_series_scores_as_their_length(self, pipeline, capsys, sweep):
+        # a series predicts at most once a frame: on the 60-frame series, k = 10^9 reads as k = 60,
+        # the sweep's objective k too
+        corpus, _, scores = pipeline
+
+        def report(ks):
+            assert cli.main(["eval", "--scores", str(scores / "scores"), "--annotations",
+                             str(corpus / "annotations.csv"), "--split", "val", *sweep, "--k", ks]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        for smaller in ("", "1,"):  # the sweep's objective k is the smallest
+            huge, sixty = report(smaller + "1000000000"), report(smaller + "60")
+            assert huge["threshold"] == sixty["threshold"]
+            assert (huge["sr"]["1000000000"], huge["smd"]["1000000000"]) == (sixty["sr"]["60"], sixty["smd"]["60"])
+
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
+    def test_eval_on_an_empty_store_exit_id_mismatch(self, pipeline, tmp_path, capsys, sweep):
+        # the sweep pairs like a fixed threshold: every selected annotation misses its series
+        corpus, _, _ = pipeline
+        metrics.save_score_series(tmp_path / "empty", [])
+        capsys.readouterr()
+        assert cli.main(["eval", "--scores", str(tmp_path / "empty"), "--annotations", str(corpus / "annotations.csv"),
+                         "--split", "val", *sweep]) == cli.EXIT_ID_MISMATCH
+        err = capsys.readouterr().err
+        assert "no score series for 8 annotation(s): (" in err and err.count("\n") == 1
 
     def test_train_whose_checkpoint_overflows_float32_exit_numeric(self, pipeline, tmp_path, capsys):
         # 3 steps at lr 1e39 stay below the divergence limit, but the adapters no longer fit in float32
@@ -784,7 +820,7 @@ class TestTrainScoreEval:
                        "--split", "val", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"stream {first.video_uid} has dim 4, the checkpoint takes d_in=8" in err
+        assert f"stream {first.video_uid} has dim 4, the checkpoint takes d=8" in err
         assert err.count("\n") == 1
         assert not (out / "scores").exists() and not (out / "manifest.json").exists()
 
@@ -910,10 +946,17 @@ class TestTrainScoreEval:
         (lambda config: config["adapter"].update(forget_bias_init="x"),
          "forget_bias_init must be a finite real number, got 'x'"),
         (lambda config: config["adapter"].update(depthwise=1), "depthwise must be a bool, got 1"),
+        # counted before any array is drawn: arrays that would not fit in memory, or blocks that
+        # would take hours to draw, fail at once
+        (lambda config: [config.update(d_in=10**12, d=10**12), config["adapter"].update(d=10**12)],
+         "holds 736 values, its config's arrays need 5000000000017000000000280"),
+        (lambda config: config["adapter"].update(k=10**15),
+         "holds 736 values, its config's arrays need 128000000000000480"),
+        (lambda config: config.update(n_blocks=10**9), "holds 736 values, its config's arrays need 736000000000"),
     ], ids=["unknown_adapter_key", "missing_model_key", "d_in_not_d", "fractional_n_blocks", "string_seed",
             "float_d", "stale_d_mlp_key", "fractional_k", "float_d_prime", "missing_adapter_key_with_a_default",
             "unknown_model_key", "reordered_array_order", "string_theta", "nan_theta", "string_forget_bias_init",
-            "int_depthwise"])
+            "int_depthwise", "huge_d", "huge_k", "huge_n_blocks"])
     def test_checkpoint_config_keys_exit_config(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         config, values = detector.read_checkpoint(run / "checkpoint.sdqk")

@@ -604,6 +604,20 @@ class TestModelCheckpoint:
             detector.save_model(out / "m.sdqk", model)
         assert not out.exists()
 
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_value_count_is_build_models_sizes(self, tmp_path, kind, depthwise):
+        # load_model counts the values a config needs before it builds any array: build_model's sizes
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        model = build_model(ModelConfig(d_in=8, d=8, n_blocks=2, adapter=cfg, seed=0))
+        n = sum(arr.size for arr in detector.named_arrays(model).values())
+        detector.save_model(tmp_path / "m.sdqk", model)
+        assert detector.load_model(tmp_path / "m.sdqk").config == model.config
+        config, values = detector.read_checkpoint(tmp_path / "m.sdqk")
+        detector.write_checkpoint(tmp_path / "short.sdqk", config, [values[:-1]])
+        with pytest.raises(ConfigError, match=f"holds {n - 1} values, its config's arrays need {n}$"):
+            detector.load_model(tmp_path / "short.sdqk")
+
     def test_identity_init_survives_checkpoint(self, tmp_path):
         model = tiny_model("st_conv")
         detector.save_model(tmp_path / "m.sdqk", model)

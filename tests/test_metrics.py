@@ -435,16 +435,17 @@ class TestScoreSeriesFiles:
         assert np.array_equal(got.scores, s.scores)
 
     def test_store_layout(self, tmp_path):
-        # the array is the scores end to end as little-endian float64; the index tiles it in series order
+        # the array is the scores end to end as little-endian float64; the index lists each series'
+        # frame count in series order, and each series starts where the one before it ends
         first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a_b", qid="x-0", fps=29.97)
         second = series([1.0 - 2.0**-53], uid="v", qid="q", fps=2.0)
         metrics.save_score_series(tmp_path, [first, second])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "scores.f64"]
         packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
         assert (tmp_path / "scores.f64").read_bytes() == packed
-        assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == {"version": 1, "series": [
-            {"video_uid": "a_b", "query_id": "x-0", "fps": 29.97, "offset": 0, "frames": 7},
-            {"video_uid": "v", "query_id": "q", "fps": 2.0, "offset": 7, "frames": 1},
+        assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == {"version": 2, "series": [
+            {"video_uid": "a_b", "query_id": "x-0", "fps": 29.97, "frames": 7},
+            {"video_uid": "v", "query_id": "q", "fps": 2.0, "frames": 1},
         ]}
         loaded = metrics.load_score_series_dir(tmp_path)
         assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a_b", "x-0", 29.97), ("v", "q", 2.0)]

@@ -156,8 +156,8 @@ def sweep_queries(draw):
     3, 5 or 9 candidates between two levels puts candidates exactly on scores. A series
     may be constant, hold only the lowest level, so it crosses no higher candidate, put
     its maximum at frame 0, or climb in plateaus that repeat each maximum. Some starts
-    put a frame exactly on a window edge, and a series without annotation may widen the
-    grid."""
+    put a frame exactly on a window edge, and a series without annotation, which the sweep
+    ignores, may hold a score outside the paired ones' range."""
     series, anns = [], []
     for i in range(draw(st.integers(1, 6))):
         n = draw(st.integers(1, 60) | st.integers(1, 4) | st.sampled_from(EDGE_LENGTHS))

@@ -158,6 +158,18 @@ def test_sr_and_smd_are_written_once():
     assert used & {"np.logical_or.accumulate", "np.minimum.accumulate"} == set()
 
 
+def test_evaluations_read_series_only_through_pair():
+    # one pairing rule: a series that no annotation pairs plays no part in an evaluation
+    tree = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ("evaluate_dataset", "sweep_thresholds"):
+        through_pair = {id(node.args[0]) for node in ast.walk(functions[name]) if isinstance(node, ast.Call)
+                        and ast.unparse(node.func) == "_pair" and node.args}
+        reads = [node.lineno for node in ast.walk(functions[name])
+                 if isinstance(node, ast.Name) and node.id == "series" and id(node) not in through_pair]
+        assert len(through_pair) == 1 and reads == [], (name, reads)
+
+
 # public top-level names that no other code in src reaches, each kept for its reader outside src
 KEPT_UNREACHED = {
     "kernels.set_op_counter": "perfbench installs its MAC counter through it",
