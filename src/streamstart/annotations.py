@@ -159,37 +159,41 @@ def parse_annotations(data: bytes | str) -> list[EventAnnotation]:
             data = data.decode("utf-8")
         except UnicodeDecodeError as err:
             raise SchemaError(f"annotation CSV is not UTF-8: byte {err.start} {err.reason}") from None
-    reader = csv.DictReader(io.StringIO(data))
+    reader = csv.reader(io.StringIO(data))
     try:
-        header = reader.fieldnames or []
+        header = next(reader, [])
     except csv.Error as err:  # a bare CR in an unquoted field, say
         raise SchemaError(f"annotation CSV header is not CSV: {err}") from None
     missing = [c for c in COLUMNS if c not in header]
     if missing:
         raise SchemaError(f"annotation CSV is missing column(s): {', '.join(missing)}")
-    rows: list[dict] = []
+    column = {name: j for j, name in enumerate(header)}  # a repeated name reads its last column
+    picks = [(c, column[c]) for c in COLUMNS]
+    last = max(column[c] for c in COLUMNS)
+    rows: list[list[str]] = []
     try:
         for row in reader:
-            rows.append(row)
+            if row:  # a blank line is no row
+                rows.append(row)
     except csv.Error as err:
         raise RowError(len(rows) + 1, f"is not CSV: {err}") from None
 
     out: list[EventAnnotation] = []
     first_rows: dict[tuple[str, str, int], int] = {}
     for i, row in enumerate(rows, start=1):
-        if None in row:  # DictReader's key for the fields a long row has past the header's
+        if len(row) > len(header):
             raise RowError(i, f"has more fields than the header's {len(header)}")
-        values: dict = {c: row[c] for c in COLUMNS}
-        if None in values.values():  # DictReader's filler for the fields a short row lacks
+        if len(row) <= last:  # a short row lacks a column the schema needs
             raise RowError(i, f"has fewer fields than the header's {len(header)}")
+        values: dict = {c: row[j] for c, j in picks}
         for name in _TIME_FIELDS:
             try:
                 values[name] = float(values[name])
-            except (TypeError, ValueError):
+            except ValueError:
                 raise RowError(i, f"non-numeric value {values[name]!r} in column {name}") from None
         try:
             values["ann_idx"] = int(values["ann_idx"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise RowError(i, f"non-integer ann_idx {values['ann_idx']!r}") from None
         try:
             a = EventAnnotation(**values)
@@ -418,59 +422,61 @@ def make_corpus_specs(
 
 # -- embedding stream files ---------------------------------------------------
 #
-# Streams are stored as little-endian float32, row-major [n_frames x dim],
-# with a JSON sidecar `<name>.f32.json` {dim, fps, n_frames} next to the
-# `<name>.f32` payload and the query embedding in `<name>.query.f32`.
+# One file per stream, framed as a checkpoint is: magic "SDQS", u32 version,
+# u32 header length, the UTF-8 JSON header {dim, fps, n_frames}, then the query
+# embedding [dim] and the frames [n_frames, dim], little-endian float32.
+# Layout details in docs/formats.md.
+
+STREAM_MAGIC = b"SDQS"
+STREAM_VERSION = 1
 
 
 def save_stream(path: str | Path, frames: np.ndarray, query_emb: np.ndarray, fps: float) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(frames, dtype="<f4")
-    path.write_bytes(arr.tobytes())
-    sidecar = {"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}
-    path.with_suffix(path.suffix + ".json").write_text(json.dumps(sidecar, indent=2), encoding="utf-8")
-    query_path = path.with_name(path.stem + ".query.f32")
-    query_path.write_bytes(np.ascontiguousarray(query_emb, dtype="<f4").tobytes())
+    head = json.dumps({"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}).encode("utf-8")
+    query = np.ascontiguousarray(query_emb, dtype="<f4")
+    path.write_bytes(b"".join([STREAM_MAGIC, STREAM_VERSION.to_bytes(4, "little"), len(head).to_bytes(4, "little"),
+                               head, query.tobytes(), arr.tobytes()]))
 
 
 def load_stream(
     path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
 ) -> tuple[np.ndarray, float, np.ndarray]:
-    """Frames, fps and query embedding of a stream; a sidecar key it does not read is ignored, and
-    a missing query file raises SchemaError.
-
-    ``read`` reads each of the three files whole, once.
-    """
+    """Frames, fps and query embedding of a stream file, which ``read`` reads whole, once. A bad
+    magic (a corpus of three files per stream, written before this layout, included), another
+    version, a file cut inside its head or a header that is not what ``save_stream`` writes
+    raises SchemaError; a header key it does not read is ignored."""
     path = Path(path)
-    sidecar_path = path.with_suffix(path.suffix + ".json")
+    raw = read(path)
+    if raw[:4] != STREAM_MAGIC:
+        raise SchemaError(f"{path} is not a stream file (bad magic {raw[:4]!r}); a corpus of "
+                          "three files per stream predates the one-file layout: re-run synth")
+    end = 12 + int.from_bytes(raw[8:12], "little")  # the header's end: a file cut in the head ends before it
+    if len(raw) < end:
+        raise SchemaError(f"{path} is truncated: {len(raw)} bytes, its head needs at least {end}")
+    version = int.from_bytes(raw[4:8], "little")
+    if version != STREAM_VERSION:
+        raise SchemaError(f"{path} is stream version {version}; this build reads version {STREAM_VERSION}")
     try:
-        sidecar = json.loads(read(sidecar_path).decode("utf-8"))
-        n, dim = sidecar["n_frames"], sidecar["dim"]
+        head = json.loads(raw[12:end].decode("utf-8"))
+        n, dim = head["n_frames"], head["dim"]
     except (ValueError, KeyError, TypeError) as err:
-        raise SchemaError(f"sidecar {sidecar_path} is not JSON with integer n_frames and dim "
+        raise SchemaError(f"{path}: its header is not JSON with integer n_frames and dim "
                           f"({type(err).__name__}: {err})") from None
     if not all(type(v) is int and v >= 1 for v in (n, dim)):  # a bool is no count
-        raise SchemaError(f"sidecar {sidecar_path} needs integers n_frames and dim of at least 1, "
+        raise SchemaError(f"{path}: its header needs integers n_frames and dim of at least 1, "
                           f"got {n!r} and {dim!r}")
-    fps = sidecar.get("fps")
+    fps = head.get("fps")
     if type(fps) not in (int, float) or not 0 < fps < math.inf:
-        raise SchemaError(f"sidecar {sidecar_path} needs a finite positive number fps, got {fps!r}")
-    frames = _float32s(path, read(path), (n, dim))
-    query_path = path.with_name(path.stem + ".query.f32")
-    if not query_path.exists():
-        raise SchemaError(f"{query_path} is missing: a stream needs its query embedding")
-    return frames, float(fps), _float32s(query_path, read(query_path), (dim,))
-
-
-def _float32s(path: Path, data: bytes, shape: tuple[int, ...]) -> np.ndarray:
-    """``data``, the bytes of ``path``, as little-endian float32 values ``shape``, in float64. Another
-    byte count, a file cut inside a value included, or a non-finite value raises NumericError."""
-    if len(data) != 4 * math.prod(shape):
-        raise NumericError(f"{path} holds {len(data)} bytes, sidecar promises {'x'.join(map(str, shape))} "
-                           "float32 values")
-    values = np.frombuffer(data, dtype="<f4").reshape(shape).astype(float)
+        raise SchemaError(f"{path}: its header needs a finite positive number fps, got {fps!r}")
+    # the query is row 0, the frames the n rows after it
+    if len(raw) - end != 4 * (n + 1) * dim:
+        raise NumericError(f"{path} holds {len(raw) - end} bytes after its header, which promises "
+                           f"{n + 1}x{dim} float32 values (the query, then {n} frames)")
+    values = np.frombuffer(raw, dtype="<f4", offset=end).reshape(n + 1, dim).astype(float)
     bad = int(values.size - np.isfinite(values).sum())
     if bad:
         raise NumericError(f"{path} holds {bad} non-finite value(s)")
-    return values
+    return values[1:], float(fps), values[0]

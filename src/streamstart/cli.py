@@ -189,9 +189,9 @@ def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
         texts.setdefault(a.video_uid, set()).add(a.query)
     streams = {}
     for uid, queries in texts.items():
-        if len(queries) > 1:  # the stream has one query embedding file
+        if len(queries) > 1:  # the stream file holds one query embedding
             raise SchemaError(f"video {uid} has {len(queries)} distinct {split}-split queries; "
-                              f"its one {uid}.query.f32 embeds one")
+                              "its stream file embeds one")
         streams[uid] = annotations.load_stream(data_dir / "streams" / f"{uid}.f32", read)
     first = picked[0].video_uid
     dim = streams[first][0].shape[1]

@@ -466,7 +466,8 @@ def save_model(path: str | Path, model: DetectorModel) -> None:
 def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes) -> DetectorModel:
     """Model of a checkpoint, whose file ``read`` reads; a config that does not hold exactly the
     keys ``save_model`` writes, a value count or array order that does not fit its config, or a
-    non-finite value raises ConfigError. The count is checked before any array is built."""
+    non-finite value raises ConfigError. The config names and shapes every array, so no array
+    is drawn, and the count is checked before any array is built."""
     raw_config, values = read_checkpoint(path, read)
     try:
         # exactly the keys save_model writes: no default fills in a missing field, and the
@@ -483,21 +484,26 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
         raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
-    from . import costmodel  # costmodel imports this module
-    a = config.adapter  # each block: its adapter, then the frozen w_sp [d, d], w1 [d, 2d] and w2 [2d, d]
-    need = config.n_blocks * (costmodel.count_params(costmodel.adapter_stack(
-        a.kind, a.d, a.d_prime, a.k, depthwise=a.depthwise)) + 5 * config.d**2)
+    d = config.d  # each block: its adapter, then the frozen w_sp [d, d], w1 [d, 2d] and w2 [2d, d]
+    parts = (kernels.param_shapes(config.adapter), {"w_sp": (d, d), "w1": (d, 2 * d), "w2": (2 * d, d)})
+    need = config.n_blocks * sum(math.prod(shape) for part in parts for shape in part.values())
     if values.size != need:
         raise ConfigError(f"{path} holds {values.size} values, its config's arrays need {need}")
-    template = build_model(config)
-    expected = named_arrays(template)
-    if raw_config["array_order"] != list(expected):
+    shapes = {f"blocks.{i}.{name}": shape for i in range(config.n_blocks) for part in parts
+              for name, shape in part.items()}
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    if raw_config["array_order"] != list(shapes):
         raise ConfigError(f"{path}: the checkpoint config's array_order does not list "
-                          f"its config's {len(expected)} arrays in order")
-    sizes = [arr.size for arr in expected.values()]
+                          f"its config's {len(shapes)} arrays in order")
     named = {}
-    for (name, want), got in zip(expected.items(), np.split(values, np.cumsum(sizes)[:-1])):
+    for (name, shape), got in zip(shapes.items(), np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(got).all():
             raise ConfigError(f"{path}: array {name} holds a non-finite value")
-        named[name] = got.reshape(want.shape)
-    return with_arrays(template, named)
+        named[name] = got.reshape(shape)
+
+    def arrays(i: int, part: dict) -> dict[str, np.ndarray]:
+        return {name: named[f"blocks.{i}.{name}"] for name in part}
+
+    blocks = [(AdapterParams(config.adapter, **arrays(i, parts[0])), BlockParams(**arrays(i, parts[1])))
+              for i in range(config.n_blocks)]
+    return DetectorModel(config=config, blocks=blocks)

@@ -170,6 +170,20 @@ def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
     return AdapterParams(config=config, **kw)
 
 
+def param_shapes(config: AdapterConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each array ``init_params(config, seed)`` holds, in its order, drawing none."""
+    d, dp, k = config.d, config.d_prime, config.k
+    conv = (k,) if config.depthwise else (k, dp)
+    shapes = {"w_down": (d, dp), "b_down": (dp,), "w_up": (dp, d), "b_up": (d,)}
+    if config.kind == "st_conv":
+        shapes["w_s"] = (*conv, dp)
+    elif config.kind == "qrnn":
+        shapes.update(w_sf=(*conv, 2 * dp), b_sf=(2 * dp,))
+    elif config.kind == "retention":
+        shapes["w_qkv"] = (dp, 3 * dp)
+    return shapes
+
+
 # -- stream state -------------------------------------------------------------
 
 
@@ -488,8 +502,9 @@ def retention_forward(
     power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
     An untaped call longer than ``CHUNK`` frames runs as ``CHUNK``-frame
     chunks, so its matrices stay ``[CHUNK, CHUNK]``. A taped call is one
-    chunk of any length, and its ``tape`` receives ``q``, ``k``, ``v``,
-    ``decay``, ``scores`` and ``pos``.
+    chunk of any length from a fresh state, as ``adapter_forward`` allows
+    only, so it skips the summary's read-out and decay; its ``tape``
+    receives ``q``, ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
     _check_state(cfg, state)
@@ -506,10 +521,11 @@ def retention_forward(
     powers, decay = _decay(n, cfg.gamma)
     scores = matmul(q, k.swapaxes(-1, -2)) * decay
     out = matmul(scores, v)
-    out += matmul(q * powers[1:, None], state.s)
     s = matmul((k * powers[n - 1 :: -1, None]).swapaxes(-1, -2), v)  # sum_j K~_j^T V_j
-    s += powers[n] * state.s
-    if tape is not None:
+    if tape is None:
+        out += matmul(q * powers[1:, None], state.s)
+        s += powers[n] * state.s
+    else:  # a fresh state: its summary's two terms would add exact zeros
         tape.update(q=q, k=k, v=v, decay=decay, scores=scores, pos=pos)
     return out, RetentionState(s=s, n=state.n + n)
 

@@ -119,6 +119,24 @@ class TestParse:
         out = ann.parse_annotations(make_csv(quoted))
         assert out[0].query == "remind me, please"
 
+    def test_repeated_column_reads_its_last_occurrence(self):
+        # as csv.DictReader reads a repeated header name; a short row that lacks the last one fails
+        data = make_csv(row(query="first text") + ",second text").decode().replace(HEADER, HEADER + ",query")
+        assert ann.parse_annotations(data)[0].query == "second text"
+        with pytest.raises(RowError, match="row 1: has fewer fields than the header's 13"):
+            ann.parse_annotations(data.replace(",second text", ""))
+
+    def test_short_row_in_an_extra_column_parses(self):
+        # only the schema's columns must be present; an extra column past them may be missing
+        data = (HEADER + ",note\n" + row() + "\n").encode()
+        assert ann.parse_annotations(data)[0].query == "remind me when the kettle boils"
+
+    def test_blank_lines_are_no_rows(self):
+        # a blank line neither parses nor counts toward the row numbers
+        assert len(ann.parse_annotations(make_csv("", row(), "", row(ann_idx=1)))) == 2
+        with pytest.raises(RowError, match="row 2: non-numeric value 'x' in column start_sec"):
+            ann.parse_annotations(make_csv("", row(), "", row(ann_idx=1, start_sec="x")))
+
     def test_round_trip(self):
         anns = ann.parse_annotations(make_csv(row(), row(ann_idx=1, start_sec=5.5, end_sec=9.25)))
         again = ann.parse_annotations(ann.serialize_annotations(anns))
@@ -285,36 +303,98 @@ class TestFpsRule:
             ann.tolerance_from_variance(sigma_sq, fps)
 
 
+def _with_header(raw, header):
+    """A stream file's bytes ``raw`` with its JSON header replaced by ``header`` (bytes)."""
+    end = 12 + int.from_bytes(raw[8:12], "little")
+    return raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:]
+
+
 class TestStreamFiles:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(0)
         frames = rng.normal(size=(17, 5)).astype(np.float32).astype(float)
         query = rng.normal(size=5).astype(np.float32).astype(float)
-        ann.save_stream(tmp_path / "v.f32", frames, query, 2.5)
-        sidecar = tmp_path / "v.f32.json"
-        assert json.loads(sidecar.read_text()) == {"dim": 5, "fps": 2.5, "n_frames": 17}
-        loaded, fps, q = ann.load_stream(tmp_path / "v.f32")
+        path = tmp_path / "v.f32"
+        ann.save_stream(path, frames, query, 2.5)
+        assert [p.name for p in tmp_path.iterdir()] == ["v.f32"]  # one file per stream
+        raw = path.read_bytes()
+        assert raw[:4] == ann.STREAM_MAGIC and int.from_bytes(raw[4:8], "little") == ann.STREAM_VERSION
+        end = 12 + int.from_bytes(raw[8:12], "little")
+        assert json.loads(raw[12:end]) == {"dim": 5, "fps": 2.5, "n_frames": 17}
+        # the query, then the frames
+        assert raw[end:] == query.astype("<f4").tobytes() + frames.astype("<f4").tobytes()
+        loaded, fps, q = ann.load_stream(path)
         assert np.array_equal(loaded, frames)
         assert np.array_equal(q, query)
         assert fps == 2.5 and type(fps) is float
-        # keys the reader does not use, as older corpora hold, are ignored
-        sidecar.write_text(json.dumps({"video_uid": "v", "fps": 2, "dim": 5, "n_frames": 17, "seed": 3}))
-        loaded, fps, q = ann.load_stream(tmp_path / "v.f32")
+        # header keys the reader does not use are ignored, and an integer fps reads as a float
+        path.write_bytes(_with_header(raw, json.dumps({"video_uid": "v", "fps": 2, "dim": 5, "n_frames": 17,
+                                                       "seed": 3}).encode()))
+        loaded, fps, q = ann.load_stream(path)
         assert np.array_equal(loaded, frames) and np.array_equal(q, query)
         assert fps == 2.0 and type(fps) is float
 
-    @pytest.mark.parametrize("name", ["v.f32", "v.query.f32"])
-    def test_file_cut_inside_a_value_is_numeric_error(self, tmp_path, name):
-        # numpy cannot decode a byte count that is not a whole number of float32 values
+    def test_read_reads_the_one_file_once(self, tmp_path):
         ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)), np.ones(3), 1.0)
-        cut = tmp_path / name
-        cut.write_bytes(cut.read_bytes()[:-1])
-        with pytest.raises(NumericError, match=f"^{cut} holds {cut.stat().st_size} bytes, sidecar promises"):
-            ann.load_stream(tmp_path / "v.f32")
+        read = []
+        ann.load_stream(tmp_path / "v.f32", lambda p: read.append(p) or p.read_bytes())
+        assert read == [tmp_path / "v.f32"]
 
-    def test_sidecar_mismatch_detected(self, tmp_path):
-        ann.save_stream(tmp_path / "v.f32", np.zeros((4, 3)), np.ones(3), 1.0)
-        sidecar = tmp_path / "v.f32.json"
-        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "n_frames": 9}))
-        with pytest.raises(Exception, match="sidecar"):
-            ann.load_stream(tmp_path / "v.f32")
+    @pytest.mark.parametrize("cut", [1, 4], ids=["inside_a_value", "one_value"])
+    def test_file_cut_in_its_values_is_numeric_error(self, tmp_path, cut):
+        # numpy cannot decode a byte count that is not a whole number of float32 values
+        path = tmp_path / "v.f32"
+        ann.save_stream(path, np.zeros((4, 3)), np.ones(3), 1.0)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-cut])
+        with pytest.raises(NumericError, match=f"^{path} holds {60 - cut} bytes after its header, which "
+                                               "promises 5x3 float32 values"):
+            ann.load_stream(path)
+
+    def test_header_count_mismatch_detected(self, tmp_path):
+        path = tmp_path / "v.f32"
+        ann.save_stream(path, np.zeros((4, 3)), np.ones(3), 1.0)
+        path.write_bytes(_with_header(path.read_bytes(), b'{"dim": 3, "fps": 1.0, "n_frames": 9}'))
+        with pytest.raises(NumericError, match="promises 10x3 float32 values"):
+            ann.load_stream(path)
+
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_non_finite_value_is_numeric_error(self, tmp_path, where):
+        # row 0 is the query, row 1 the first frame
+        path = tmp_path / "v.f32"
+        values = np.ones((5, 3))
+        values[where, 1] = np.nan
+        ann.save_stream(path, values[1:], values[0], 1.0)
+        with pytest.raises(NumericError, match=f"^{path} holds 1 non-finite value"):
+            ann.load_stream(path)
+
+    def test_three_file_stream_is_schema_error(self, tmp_path):
+        # the layout before one file per stream: raw frames, a JSON sidecar and a query file
+        path = tmp_path / "v.f32"
+        path.write_bytes(np.ones((4, 3), dtype="<f4").tobytes())
+        (tmp_path / "v.f32.json").write_text(json.dumps({"dim": 3, "fps": 1.0, "n_frames": 4}))
+        (tmp_path / "v.query.f32").write_bytes(np.ones(3, dtype="<f4").tobytes())
+        with pytest.raises(SchemaError, match=f"^{path} is not a stream file .* re-run synth$"):
+            ann.load_stream(path)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda raw: raw[:3], "is not a stream file"),
+        (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "is stream version 2; this build reads version 1"),
+        (lambda raw: raw[:20], "is truncated: 20 bytes, its head needs at least"),
+        (lambda raw: raw[:8] + (10**6).to_bytes(4, "little") + raw[12:], "is truncated"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0'), "header is not JSON"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0}'), "KeyError: 'n_frames'"),
+        (lambda raw: _with_header(raw, b'[3, 1.0, 4]'), "TypeError"),
+        (lambda raw: _with_header(raw, b'\xff'), "UnicodeDecodeError"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0, "n_frames": 0}'), "of at least 1, got 0 and 3"),
+        (lambda raw: _with_header(raw, b'{"dim": true, "fps": 1.0, "n_frames": 4}'), "of at least 1, got 4 and True"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": "1", "n_frames": 4}'), "fps, got '1'"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": Infinity, "n_frames": 4}'), "fps, got inf"),
+    ], ids=["short_magic", "version", "cut_head", "long_header", "not_json", "no_n_frames", "not_object",
+            "not_utf8", "zero_frames", "bool_dim", "string_fps", "inf_fps"])
+    def test_damaged_head_is_schema_error(self, tmp_path, damage, message):
+        path = tmp_path / "v.f32"
+        ann.save_stream(path, np.zeros((4, 3)), np.ones(3), 1.0)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(SchemaError, match=f"^{path}.*{message}"):
+            ann.load_stream(path)

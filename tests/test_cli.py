@@ -213,8 +213,7 @@ def _split_files(corpus, split):
     """What train and score read of a corpus for one split, relative to it."""
     uids = sorted({a.video_uid for a in ann.parse_annotations((corpus / "annotations.csv").read_bytes())
                    if a.split == split})
-    return ["annotations.csv"] + [f"streams/{uid}{ext}" for uid in uids
-                                  for ext in (".f32", ".f32.json", ".query.f32")]
+    return ["annotations.csv"] + [f"streams/{uid}.f32" for uid in uids]
 
 
 def _documented_digest(root, rels):
@@ -223,12 +222,25 @@ def _documented_digest(root, rels):
     return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
-def _edit_sidecar(edit):
-    """A text-to-text sidecar damage that applies ``edit`` to the parsed sidecar dict."""
+def _stream_head_end(raw):
+    """Where a stream file's JSON header ends: the query and the frames follow."""
+    return 12 + int.from_bytes(raw[8:12], "little")
+
+
+def _edit_header(path, edit):
+    """Rewrite the stream file at ``path`` with ``edit`` applied to its JSON header's text."""
+    raw = path.read_bytes()
+    end = _stream_head_end(raw)
+    header = edit(raw[12:end].decode("utf-8")).encode("utf-8")
+    path.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:])
+
+
+def _edit_fields(edit):
+    """A header text damage that applies ``edit`` to the parsed header dict."""
     def damage(text):
-        sidecar = json.loads(text)
-        edit(sidecar)
-        return json.dumps(sidecar)
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header)
     return damage
 
 
@@ -430,19 +442,19 @@ class TestTrainScoreEval:
         def digest():
             return _run(command, copied, run, tmp_path / f"out{next(runs)}")
 
-        def flip_first_byte(rel):  # the low mantissa byte of the first float: still finite
+        def flip_last_value(rel):  # the low mantissa byte of the last float: still finite
             path = copied / rel
             data = path.read_bytes()
-            path.write_bytes(bytes([data[0] ^ 1]) + data[1:])
+            path.write_bytes(data[:-4] + bytes([data[-4] ^ 1]) + data[-3:])
             return data
 
         base = digest()
-        flip_first_byte(_split_files(copied, other)[1])  # a stream of the split the command does not read
+        flip_last_value(_split_files(copied, other)[1])  # a stream of the split the command does not read
         (copied / "notes.txt").write_text("not an input\n")
         (copied / "streams" / "stray.f32").write_bytes(bytes(64))
         assert digest() == base
         stream = _split_files(copied, split)[1]
-        saved = flip_first_byte(stream)
+        saved = flip_last_value(stream)
         assert digest() != base
         (copied / stream).write_bytes(saved)
         annotations_csv = copied / "annotations.csv"
@@ -618,18 +630,20 @@ class TestTrainScoreEval:
             streamed = detector.infer_streaming(model, frames, query, **kwargs)
             assert np.abs(streamed.scores - batch.scores).max() <= 1e-10
 
-    @pytest.mark.parametrize("suffix, edit, message", [
-        (".f32", lambda v: np.where(np.arange(v.size) == 3, np.nan, v), "non-finite"),
-        (".query.f32", lambda v: np.where(np.arange(v.size) == 3, np.inf, v), "non-finite"),
-        (".query.f32", lambda v: v[:-1], "sidecar promises"),
-    ], ids=["nan_frame", "inf_query", "short_query"])
-    def test_score_bad_stream_file_leaves_no_output(self, pipeline, tmp_path, capsys, suffix, edit, message):
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: np.where(np.arange(v.size) == 8 + 3, np.nan, v), "non-finite"),  # a frame: the query is 8 values
+        (lambda v: np.where(np.arange(v.size) == 3, np.inf, v), "non-finite"),
+        (lambda v: v[:-1], "which promises 61x8 float32 values"),
+    ], ids=["nan_frame", "inf_query", "short_file"])
+    def test_score_bad_stream_values_leave_no_output(self, pipeline, tmp_path, capsys, edit, message):
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
         last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
                 if a.split == "val"][-1]
-        bad = copied / "streams" / f"{last.video_uid}{suffix}"
-        bad.write_bytes(edit(np.frombuffer(bad.read_bytes(), dtype="<f4")).astype("<f4").tobytes())
+        bad = copied / "streams" / f"{last.video_uid}.f32"
+        raw = bad.read_bytes()
+        end = _stream_head_end(raw)
+        bad.write_bytes(raw[:end] + edit(np.frombuffer(raw, dtype="<f4", offset=end)).astype("<f4").tobytes())
         out = tmp_path / "scored"
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
@@ -639,7 +653,7 @@ class TestTrainScoreEval:
         assert str(bad) in err and message in err and err.count("\n") == 1
         assert not (out / "scores").exists() and not (out / "manifest.json").exists()
 
-    @pytest.mark.parametrize("sidecar, message", [
+    @pytest.mark.parametrize("header, message", [
         (lambda text: text[:-1], "JSONDecodeError"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_frames"}),
          "KeyError: 'n_frames'"),
@@ -650,26 +664,26 @@ class TestTrainScoreEval:
         (lambda text: json.dumps({**json.loads(text), "fps": 0}), "finite positive number fps, got 0"),
         (lambda text: json.dumps({**json.loads(text), "fps": "1.0"}), "finite positive number fps, got '1.0'"),
         # negative counts whose product still matches the payload
-        (_edit_sidecar(lambda s: s.update(n_frames=-s["n_frames"], dim=-s["dim"])), "integers n_frames and dim"),
-        (_edit_sidecar(lambda s: s.update(n_frames=s["n_frames"] + 0.5)), "integers n_frames and dim"),
-        (_edit_sidecar(lambda s: s.update(n_frames=str(s["n_frames"]))), "integers n_frames and dim"),
-        (_edit_sidecar(lambda s: s.update(dim=True)), "integers n_frames and dim"),
-        (_edit_sidecar(lambda s: s.update(dim=0)), "integers n_frames and dim"),
+        (_edit_fields(lambda s: s.update(n_frames=-s["n_frames"], dim=-s["dim"])), "integers n_frames and dim"),
+        (_edit_fields(lambda s: s.update(n_frames=s["n_frames"] + 0.5)), "integers n_frames and dim"),
+        (_edit_fields(lambda s: s.update(n_frames=str(s["n_frames"]))), "integers n_frames and dim"),
+        (_edit_fields(lambda s: s.update(dim=True)), "integers n_frames and dim"),
+        (_edit_fields(lambda s: s.update(dim=0)), "integers n_frames and dim"),
     ], ids=["not_json", "no_n_frames", "no_dim", "no_fps", "zero_fps", "string_fps",
             "negative_counts", "fractional_n_frames", "string_n_frames", "bool_dim", "zero_dim"])
-    def test_score_bad_sidecar_exit_schema(self, pipeline, tmp_path, capsys, sidecar, message):
+    def test_score_bad_stream_header_exit_schema(self, pipeline, tmp_path, capsys, header, message):
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
         last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
                 if a.split == "val"][-1]
-        bad = copied / "streams" / f"{last.video_uid}.f32.json"
-        bad.write_text(sidecar(bad.read_text()))
+        bad = copied / "streams" / f"{last.video_uid}.f32"
+        _edit_header(bad, header)
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
                        "--split", "val", "--out", str(tmp_path / "scored")])
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert f"sidecar {bad}" in err and message in err and err.count("\n") == 1
+        assert f"{bad}: its header" in err and message in err and err.count("\n") == 1
         assert not (tmp_path / "scored").exists()
 
     def test_score_video_uid_outside_the_corpus_exit_schema(self, pipeline, tmp_path, capsys):
@@ -698,8 +712,7 @@ class TestTrainScoreEval:
         new = replace(old, video_uid=f"cam__{old.video_uid}", annotator_uid="team/a\\b")
         anns[anns.index(old)] = new
         (copied / "annotations.csv").write_bytes(ann.serialize_annotations(anns))
-        for ext in (".f32", ".f32.json", ".query.f32"):
-            (copied / "streams" / f"{old.video_uid}{ext}").rename(copied / "streams" / f"{new.video_uid}{ext}")
+        (copied / "streams" / f"{old.video_uid}.f32").rename(copied / "streams" / f"{new.video_uid}.f32")
         out = tmp_path / "scored"
         assert cli.main(["ingest", "--annotations", str(copied / "annotations.csv")]) == 0
         assert cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
@@ -715,20 +728,28 @@ class TestTrainScoreEval:
             reports.append(capsys.readouterr().out)
         assert reports[0] == reports[1]  # the same scores under other ids
 
-    def test_score_stream_without_query_file_exit_schema(self, pipeline, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "score"])
+    def test_three_file_corpus_exit_schema(self, pipeline, tmp_path, capsys, command):
+        # the layout before one file per stream: <uid>.f32 raw frames, a <uid>.f32.json sidecar and
+        # the query in <uid>.query.f32
         corpus, run, _ = pipeline
         copied = shutil.copytree(corpus, tmp_path / "corpus")
-        last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
-                if a.split == "val"][-1]
-        missing = copied / "streams" / f"{last.video_uid}.query.f32"
-        missing.unlink()
+        for path in sorted((copied / "streams").iterdir()):
+            frames, fps, query = ann.load_stream(path)
+            path.write_bytes(frames.astype("<f4").tobytes())
+            path.with_name(path.name + ".json").write_text(json.dumps({"dim": frames.shape[1], "fps": fps,
+                                                                        "n_frames": len(frames)}))
+            path.with_name(path.stem + ".query.f32").write_bytes(query.astype("<f4").tobytes())
+        first = sorted(_split_files(copied, "train" if command == "train" else "val"))[1]
+        out = tmp_path / "out"
+        argv = (["train", "--steps", "1"] if command == "train" else
+                ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--split", "val"])
         capsys.readouterr()
-        rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
-                       "--split", "val", "--out", str(tmp_path / "scored")])
-        assert rc == cli.EXIT_SCHEMA
+        assert cli.main(argv + ["--data", str(copied), "--out", str(out)]) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert err == f"schema error: {missing} is missing: a stream needs its query embedding\n"
-        assert not (tmp_path / "scored").exists()
+        assert err.startswith(f"schema error: {copied / first} is not a stream file (bad magic ")
+        assert err.endswith("re-run synth\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_score_empty_stream_exit_schema(self, pipeline, tmp_path, capsys):
         # a zero-frame stream would score to a series without frames, which the score store rejects
@@ -737,15 +758,15 @@ class TestTrainScoreEval:
         last = [a for a in ann.parse_annotations((copied / "annotations.csv").read_bytes())
                 if a.split == "val"][-1]
         stream = copied / "streams" / f"{last.video_uid}.f32"
-        bad = stream.with_name(stream.name + ".json")
-        bad.write_text(_edit_sidecar(lambda s: s.update(n_frames=0))(bad.read_text()))
-        stream.write_bytes(b"")
+        _edit_header(stream, _edit_fields(lambda s: s.update(n_frames=0)))
+        raw = stream.read_bytes()
+        stream.write_bytes(raw[:_stream_head_end(raw) + 4 * 8])  # the query alone
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
                        "--split", "val", "--out", str(tmp_path / "scored")])
         assert rc == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
-        assert f"sidecar {bad} needs integers n_frames and dim of at least 1, got 0" in err
+        assert f"{stream}: its header needs integers n_frames and dim of at least 1, got 0" in err
         assert err.count("\n") == 1 and not (tmp_path / "scored").exists()
 
     @pytest.mark.parametrize("split", ["train", "val"])
@@ -849,7 +870,7 @@ class TestTrainScoreEval:
         assert not (tmp_path / "run").exists()
 
     def test_removed_fps_flag_exit_config(self, pipeline, tmp_path, capsys):
-        # a stream's fps comes from its sidecar
+        # a stream's fps comes from its stream file
         corpus, _, _ = pipeline
         capsys.readouterr()
         rc = cli.main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"), "--steps", "1",
@@ -1035,7 +1056,7 @@ def test_score_stacks_streams_of_one_length(tmp_path, capsys, monkeypatch, kind,
         assert written.fps == alone.fps and written.scores.tobytes() == alone.scores.tobytes()
 
 
-def test_train_windows_sit_on_the_sidecar_fps_grid(tmp_path, capsys, monkeypatch):
+def test_train_windows_sit_on_the_stream_fps_grid(tmp_path, capsys, monkeypatch):
     # a 2-fps corpus: window frame j of a window at grid position m is stream row m + j, at time (m + j) / 2
     corpus = tmp_path / "corpus"
     assert cli.main(["synth", "--out", str(corpus), "--streams", "6", "--val-streams", "1", "--seed", "5",
@@ -1158,24 +1179,28 @@ def _fuzzed(raw, rng, fields):
 
 
 STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
+# a damaged stream file: its head exits 2, its values' count or a non-finite value 4, a query whose
+# norm overflows 5; the random cuts and bytes of every slice land anywhere in the file
+STREAM_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC, cli.EXIT_CONFIG}
 
 
 @pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
                                                ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
                                                ("scores/index.json", STORE_EXITS),
                                                ("scores/scores.f64", STORE_EXITS),
-                                               ("stream payload", {0, cli.EXIT_NUMERIC}),
-                                               ("stream sidecar", {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC}),
-                                               ("stream query", {0, cli.EXIT_NUMERIC, cli.EXIT_CONFIG})],
-                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_payload",
-                              "stream_sidecar", "stream_query"])
+                                               ("stream framing", STREAM_EXITS),
+                                               ("stream header", STREAM_EXITS),
+                                               ("stream query", STREAM_EXITS),
+                                               ("stream frames", STREAM_EXITS)],
+                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_framing",
+                              "stream_header", "stream_query", "stream_frames"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
     corpus, run, scores = pipeline
-    stream_file = {"stream payload": 1, "stream sidecar": 2, "stream query": 3}.get(artifact)
-    if stream_file:  # the first val stream's streams/<uid>.f32, .f32.json or .query.f32
-        artifact = _split_files(corpus, "val")[stream_file]
+    region = artifact.removeprefix("stream ") if artifact.startswith("stream ") else None
+    if region:  # one part of the first val stream's streams/<uid>.f32
+        artifact = _split_files(corpus, "val")[1]
     top = artifact.split("/")[0]
     root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
     raw = (root / artifact).read_bytes()
@@ -1183,8 +1208,13 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
         fields = [4, 8]  # the low bytes of its version and its config length
     elif artifact == "scores/scores.f64":
         fields = range(7, len(raw), 8)  # each score's sign and high exponent bits
-    elif artifact.endswith(".f32"):
-        fields = range(3, len(raw), 4)  # each float32's sign and high exponent bits
+    elif region:
+        end = _stream_head_end(raw)
+        query_end = end + 4 * json.loads(raw[12:end])["dim"]
+        fields = {"framing": range(12),  # magic, version and header length
+                  "header": range(12, end),
+                  # each float32's sign and high exponent bits
+                  "query": range(end + 3, query_end, 4), "frames": range(query_end + 3, len(raw), 4)}[region]
     else:
         fields = range(len(raw))
     bad = []

@@ -618,6 +618,27 @@ class TestModelCheckpoint:
         with pytest.raises(ConfigError, match=f"holds {n - 1} values, its config's arrays need {n}$"):
             detector.load_model(tmp_path / "short.sdqk")
 
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_draws_no_array(self, tmp_path, monkeypatch, kind, depthwise):
+        # the config names and shapes every array, so loading builds no model from the RNG
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        model = oracles.randomize_adapters(build_model(ModelConfig(d_in=8, d=8, n_blocks=2, adapter=cfg, seed=0)),
+                                           seed=5)
+        detector.save_model(tmp_path / "m.sdqk", model)
+
+        def draw(*args, **kwargs):
+            raise AssertionError("load_model drew an array")
+
+        monkeypatch.setattr(kernels, "init_params", draw)
+        monkeypatch.setattr(kernels, "make_block_params", draw)
+        loaded = detector.load_model(tmp_path / "m.sdqk")
+        monkeypatch.undo()
+        saved, got = detector.named_arrays(model), detector.named_arrays(loaded)
+        assert list(got) == list(saved) and loaded.config == model.config
+        for name, arr in saved.items():
+            assert got[name].shape == arr.shape and np.array_equal(got[name], arr.astype(np.float32)), name
+
     def test_identity_init_survives_checkpoint(self, tmp_path):
         model = tiny_model("st_conv")
         detector.save_model(tmp_path / "m.sdqk", model)

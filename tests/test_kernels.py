@@ -81,6 +81,13 @@ class TestInit:
         for n, a in p1.arrays().items():
             assert np.array_equal(a, getattr(p2, n))
 
+    @pytest.mark.parametrize("depthwise", [False, True], ids=["dense", "depthwise"])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_param_shapes_are_init_params_shapes(self, kind, depthwise):
+        cfg = AdapterConfig(d=8, d_prime=4, kind=kind, k=3, depthwise=depthwise)
+        drawn = {name: arr.shape for name, arr in init_params(cfg, 0).arrays().items()}
+        assert list(kernels.param_shapes(cfg).items()) == list(drawn.items())
+
     def test_qrnn_init_tracks_tanh_conv(self):
         # with W_f = 0 and bias -5 the pooling leak is sigma(-5) per step:
         # exact at step 0, and stays a small multiple of it afterwards
@@ -463,6 +470,20 @@ class TestRetention:
         st = kernels.RetentionState(s=np.eye(2), n=0)
         _, st = retention_recurrent(np.ones(2), p, state=st)
         assert st.s == pytest.approx(0.5 * np.eye(2))
+
+    @pytest.mark.parametrize("n", [1, 9, kernels.CHUNK + 3])
+    def test_taped_call_is_the_fresh_untaped_call_bitwise(self, monkeypatch, n):
+        # a taped call skips the fresh summary's read-out and decay, which add exact zeros
+        rng = np.random.default_rng(15)
+        cfg = AdapterConfig(d=6, d_prime=6, kind="retention")
+        p = randomized(init_params(cfg, 0), 4)
+        x = rng.normal(size=(3, n, 6))
+        fresh = fresh_state(cfg, (3,))
+        taped, taped_state = kernels.retention_forward(x, p, fresh, tape={})
+        monkeypatch.setattr(kernels, "CHUNK", n)  # one chunk untaped too, so both sum alike
+        untaped, untaped_state = kernels.retention_forward(x, p, fresh)
+        assert taped.tobytes() == untaped.tobytes()
+        assert taped_state.s.tobytes() == untaped_state.s.tobytes() and taped_state.n == untaped_state.n == n
 
     def test_float32_longer_than_512_frames_runs(self):
         p = init_params(AdapterConfig(d=4, d_prime=4, kind="retention"), 0)

@@ -7,6 +7,8 @@ import re
 import sys
 from pathlib import Path
 
+from streamstart.annotations import STREAM_MAGIC
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "streamstart"
 MODULES = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
 
@@ -125,12 +127,24 @@ def test_erf_only_in_gelu():
     assert outside == []
 
 
-def test_only_annotations_knows_the_stream_sidecar():
-    # annotations.py writes a stream's sidecar and reads it back: no other module builds, reads or names one
-    names = [f"{name}:{node.lineno}: {value}" for name, tree in _trees() if name != "annotations.py"
-             for node in ast.walk(tree) for field in ("id", "arg", "attr", "name")
-             if isinstance(value := getattr(node, field, None), str) and "sidecar" in value.lower()]
-    assert names == []
+def test_only_annotations_knows_the_stream_header():
+    # annotations.py frames a stream file (magic, version, JSON header) and reads it back: no other
+    # module names its STREAM_ constants, holds its magic, or names a three-file layout's sidecar
+    magic = STREAM_MAGIC.decode("latin-1")
+    found = []
+    for name, tree in _trees():
+        if name == "annotations.py":
+            continue
+        for node in ast.walk(tree):
+            names = [value for field in ("id", "arg", "attr", "name")
+                     if isinstance(value := getattr(node, field, None), str)]
+            text = node.value if isinstance(node, ast.Constant) else None
+            if isinstance(text, bytes):
+                text = text.decode("latin-1")
+            if (any(value.startswith("STREAM_") or "sidecar" in value.lower() for value in names)
+                    or isinstance(text, str) and (magic in text or ".f32.json" in text or ".query.f32" in text)):
+                found.append(f"{name}:{node.lineno}: {names or text}")
+    assert found == []
 
 
 def _callers() -> dict[str, set[str]]:
