@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import framing
 from .errors import ConfigError, NumericError, RowError, SchemaError
 from .metrics import ToleranceWindow
 
@@ -422,10 +423,10 @@ def make_corpus_specs(
 
 # -- embedding stream files ---------------------------------------------------
 #
-# One file per stream, framed as a checkpoint is: magic "SDQS", u32 version,
-# u32 header length, the UTF-8 JSON header {dim, fps, n_frames}, then the query
-# embedding [dim] and the frames [n_frames, dim], little-endian float32.
-# Layout details in docs/formats.md.
+# One file per stream, framed as a checkpoint is (framing.py): magic "SDQS",
+# u32 version, u32 header length, the UTF-8 JSON header {dim, fps, n_frames},
+# then the query embedding [dim] and the frames [n_frames, dim], little-endian
+# float32. Layout details in docs/formats.md.
 
 STREAM_MAGIC = b"SDQS"
 STREAM_VERSION = 1
@@ -435,10 +436,9 @@ def save_stream(path: str | Path, frames: np.ndarray, query_emb: np.ndarray, fps
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     arr = np.ascontiguousarray(frames, dtype="<f4")
-    head = json.dumps({"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}).encode("utf-8")
+    head = {"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}
     query = np.ascontiguousarray(query_emb, dtype="<f4")
-    path.write_bytes(b"".join([STREAM_MAGIC, STREAM_VERSION.to_bytes(4, "little"), len(head).to_bytes(4, "little"),
-                               head, query.tobytes(), arr.tobytes()]))
+    path.write_bytes(framing.frame(STREAM_MAGIC, STREAM_VERSION, head, [query.tobytes(), arr.tobytes()]))
 
 
 def load_stream(
@@ -450,17 +450,13 @@ def load_stream(
     raises SchemaError; a header key it does not read is ignored."""
     path = Path(path)
     raw = read(path)
-    if raw[:4] != STREAM_MAGIC:
-        raise SchemaError(f"{path} is not a stream file (bad magic {raw[:4]!r}); a corpus of "
-                          "three files per stream predates the one-file layout: re-run synth")
-    end = 12 + int.from_bytes(raw[8:12], "little")  # the header's end: a file cut in the head ends before it
-    if len(raw) < end:
-        raise SchemaError(f"{path} is truncated: {len(raw)} bytes, its head needs at least {end}")
-    version = int.from_bytes(raw[4:8], "little")
+    version, blob, end = framing.unframe(
+        path, raw, STREAM_MAGIC, SchemaError, f"{path} is not a stream file (bad magic {raw[:4]!r}); a corpus "
+        "of three files per stream predates the one-file layout: re-run synth")
     if version != STREAM_VERSION:
         raise SchemaError(f"{path} is stream version {version}; this build reads version {STREAM_VERSION}")
     try:
-        head = json.loads(raw[12:end].decode("utf-8"))
+        head = json.loads(blob.decode("utf-8"))
         n, dim = head["n_frames"], head["dim"]
     except (ValueError, KeyError, TypeError) as err:
         raise SchemaError(f"{path}: its header is not JSON with integer n_frames and dim "

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import kernels
+from . import framing, kernels
 from .errors import ConfigError, NumericError
 from .kernels import AdapterConfig, AdapterParams, BlockParams, sigmoid
 from .metrics import ScoreSeries
@@ -411,20 +411,18 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
     return replace(model, blocks=blocks)
 
 
-# Single binary file: magic "SDQK", u32 version, u32 config-JSON length, the
-# config JSON (UTF-8), then every array's little-endian float32 values end to
-# end in the config's array_order, whose arrays the config shapes. Layout
-# details in docs/formats.md.
+# Single binary file, framed as framing.py frames it: magic "SDQK", u32
+# version, u32 config-JSON length, the config JSON (UTF-8), then every array's
+# little-endian float32 values end to end in the config's array_order, whose
+# arrays the config shapes. Layout details in docs/formats.md.
 
 MAGIC = b"SDQK"
 CHECKPOINT_VERSION = 5
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
-    blob = json.dumps(config, sort_keys=True).encode("utf-8")
-    header = MAGIC + CHECKPOINT_VERSION.to_bytes(4, "little") + len(blob).to_bytes(4, "little")
     payload = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays]
-    Path(path).write_bytes(b"".join([header, blob, *payload]))
+    Path(path).write_bytes(framing.frame(MAGIC, CHECKPOINT_VERSION, config, payload))
 
 
 def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tuple[dict, np.ndarray]:
@@ -432,17 +430,13 @@ def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tu
     reads; a bad magic, another version, a file cut before its config ends, a config that is not
     UTF-8 JSON or a payload that ends inside a float32 raises ConfigError."""
     raw = read(Path(path))
-    if raw[:4] != MAGIC:
-        raise ConfigError(f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
-    end = 12 + int.from_bytes(raw[8:12], "little")  # the config's end: a file cut in the header ends before it
-    if len(raw) < end:
-        raise ConfigError(f"{path} is truncated: {len(raw)} bytes, needs at least {end}")
-    version = int.from_bytes(raw[4:8], "little")
+    version, blob, end = framing.unframe(path, raw, MAGIC, ConfigError,
+                                         f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(f"{path} is checkpoint version {version}; "
                           f"this build reads version {CHECKPOINT_VERSION}")
     try:
-        config = json.loads(raw[12:end].decode("utf-8"))
+        config = json.loads(blob.decode("utf-8"))
     except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
         raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
     if (len(raw) - end) % 4:
@@ -467,7 +461,7 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
     """Model of a checkpoint, whose file ``read`` reads; a config that does not hold exactly the
     keys ``save_model`` writes, a value count or array order that does not fit its config, or a
     non-finite value raises ConfigError. The config names and shapes every array, so no array
-    is drawn, and the count is checked before any array is built."""
+    is drawn, and the value count is checked before any array is built."""
     raw_config, values = read_checkpoint(path, read)
     try:
         # exactly the keys save_model writes: no default fills in a missing field, and the
@@ -484,26 +478,21 @@ def load_model(path: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
         raise ConfigError(f"{path}: the checkpoint config has no {err.args[0]!r} key") from None
     except TypeError as err:
         raise ConfigError(f"{path}: the checkpoint config does not fit: {err}") from None
-    d = config.d  # each block: its adapter, then the frozen w_sp [d, d], w1 [d, 2d] and w2 [2d, d]
-    parts = (kernels.param_shapes(config.adapter), {"w_sp": (d, d), "w1": (d, 2 * d), "w2": (2 * d, d)})
-    need = config.n_blocks * sum(math.prod(shape) for part in parts for shape in part.values())
+    shapes = (kernels.param_shapes(config.adapter), kernels.block_shapes(config.d, 2 * config.d))
+    need = config.n_blocks * sum(math.prod(shape) for part in shapes for shape in part.values())
     if values.size != need:
         raise ConfigError(f"{path} holds {values.size} values, its config's arrays need {need}")
-    shapes = {f"blocks.{i}.{name}": shape for i in range(config.n_blocks) for part in parts
-              for name, shape in part.items()}
-    sizes = [math.prod(shape) for shape in shapes.values()]
-    if raw_config["array_order"] != list(shapes):
+    adapter, block = ({name: np.empty(shape) for name, shape in part.items()} for part in shapes)
+    blocks = [(AdapterParams(config.adapter, **adapter), BlockParams(**block)) for _ in range(config.n_blocks)]
+    template = DetectorModel(config=config, blocks=blocks)  # every block holds the same empty arrays
+    expected = named_arrays(template)
+    if raw_config["array_order"] != list(expected):
         raise ConfigError(f"{path}: the checkpoint config's array_order does not list "
-                          f"its config's {len(shapes)} arrays in order")
+                          f"its config's {len(expected)} arrays in order")
+    sizes = [arr.size for arr in expected.values()]
     named = {}
-    for (name, shape), got in zip(shapes.items(), np.split(values, np.cumsum(sizes)[:-1])):
+    for (name, want), got in zip(expected.items(), np.split(values, np.cumsum(sizes)[:-1])):
         if not np.isfinite(got).all():
             raise ConfigError(f"{path}: array {name} holds a non-finite value")
-        named[name] = got.reshape(shape)
-
-    def arrays(i: int, part: dict) -> dict[str, np.ndarray]:
-        return {name: named[f"blocks.{i}.{name}"] for name in part}
-
-    blocks = [(AdapterParams(config.adapter, **arrays(i, parts[0])), BlockParams(**arrays(i, parts[1])))
-              for i in range(config.n_blocks)]
-    return DetectorModel(config=config, blocks=blocks)
+        named[name] = got.reshape(want.shape)
+    return with_arrays(template, named)

@@ -138,38 +138,6 @@ class AdapterParams(_Arrays):
     w_qkv: np.ndarray | None = None  # retention q, k and v projections stacked [d', 3d']
 
 
-def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
-    """Identity-approximating initialization.
-
-    The up-projection is exactly zero so the residual path carries the
-    input unchanged. The qrnn forget bank starts at zero with its bias at a
-    fixed negative value, keeping the forget gate nearly closed. Banks are
-    drawn one at a time (s; q, k, v) and stacked.
-    """
-    rng = np.random.default_rng(seed)
-    d, dp, k = config.d, config.d_prime, config.k
-
-    def small(shape, fan_in):
-        return rng.normal(size=shape) / math.sqrt(fan_in)
-
-    conv_shape = (k, dp) if config.depthwise else (k, dp, dp)
-    conv_fan = k if config.depthwise else k * dp
-    kw: dict = {
-        "w_down": small((d, dp), d),
-        "b_down": np.zeros(dp),
-        "w_up": np.zeros((dp, d)),
-        "b_up": np.zeros(d),
-    }
-    if config.kind == "st_conv":
-        kw["w_s"] = small(conv_shape, conv_fan)
-    elif config.kind == "qrnn":
-        kw["w_sf"] = np.concatenate([small(conv_shape, conv_fan), np.zeros(conv_shape)], axis=-1)
-        kw["b_sf"] = np.concatenate([np.zeros(dp), np.full(dp, config.forget_bias_init, dtype=float)])
-    elif config.kind == "retention":
-        kw["w_qkv"] = np.concatenate([small((dp, dp), dp) for _ in range(3)], axis=1)
-    return AdapterParams(config=config, **kw)
-
-
 def param_shapes(config: AdapterConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of each array ``init_params(config, seed)`` holds, in its order, drawing none."""
     d, dp, k = config.d, config.d_prime, config.k
@@ -182,6 +150,43 @@ def param_shapes(config: AdapterConfig) -> dict[str, tuple[int, ...]]:
     elif config.kind == "retention":
         shapes["w_qkv"] = (dp, 3 * dp)
     return shapes
+
+
+def init_params(config: AdapterConfig, seed: int) -> AdapterParams:
+    """Identity-approximating initialization at ``param_shapes(config)``.
+
+    The up-projection is exactly zero so the residual path carries the
+    input unchanged. The qrnn forget bank starts at zero with its bias at a
+    fixed negative value, keeping the forget gate nearly closed. Banks are
+    drawn one at a time (s; q, k, v) and stacked.
+    """
+    rng = np.random.default_rng(seed)
+    shapes = param_shapes(config)
+    d, dp, k = config.d, config.d_prime, config.k
+
+    def small(shape, fan_in):
+        return rng.normal(size=shape) / math.sqrt(fan_in)
+
+    def bank(name, banks):  # one of the ``banks`` stacked along the last axis of array ``name``
+        *lead, last = shapes[name]
+        return (*lead, last // banks)
+
+    conv_fan = k if config.depthwise else k * dp
+    kw: dict = {
+        "w_down": small(shapes["w_down"], d),
+        "b_down": np.zeros(shapes["b_down"]),
+        "w_up": np.zeros(shapes["w_up"]),
+        "b_up": np.zeros(shapes["b_up"]),
+    }
+    if config.kind == "st_conv":
+        kw["w_s"] = small(shapes["w_s"], conv_fan)
+    elif config.kind == "qrnn":
+        kw["w_sf"] = np.concatenate([small(bank("w_sf", 2), conv_fan), np.zeros(bank("w_sf", 2))], axis=-1)
+        kw["b_sf"] = np.zeros(shapes["b_sf"])
+        kw["b_sf"][dp:] = config.forget_bias_init
+    elif config.kind == "retention":
+        kw["w_qkv"] = np.concatenate([small(bank("w_qkv", 3), dp) for _ in range(3)], axis=1)
+    return AdapterParams(config=config, **kw)
 
 
 # -- stream state -------------------------------------------------------------
@@ -502,12 +507,14 @@ def retention_forward(
     power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
     An untaped call longer than ``CHUNK`` frames runs as ``CHUNK``-frame
     chunks, so its matrices stay ``[CHUNK, CHUNK]``. A taped call is one
-    chunk of any length from a fresh state, as ``adapter_forward`` allows
-    only, so it skips the summary's read-out and decay; its ``tape``
-    receives ``q``, ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
+    chunk of any length from a fresh state, or raises ConfigError, so it
+    skips the summary's read-out and decay; its ``tape`` receives ``q``,
+    ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
     _check_state(cfg, state)
+    if tape is not None and state.n:
+        raise ConfigError(f"a taped call starts from a fresh state, got one {state.n} frames on")
     dp, n = cfg.d_prime, x.shape[-2]
     if tape is None and n > CHUNK:
         out = np.empty((*x.shape[:-1], dp))
@@ -647,13 +654,20 @@ class BlockParams(_Arrays):
     w2: np.ndarray
 
 
+def block_shapes(d: int, d_mlp: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of each array ``make_block_params(d, d_mlp, seed)`` holds, in its order."""
+    return {"w_sp": (d, d), "w1": (d, d_mlp), "w2": (d_mlp, d)}
+
+
 def make_block_params(d: int, d_mlp: int, seed: int, scale: float = 0.1) -> BlockParams:
-    """Seeded frozen sublayers; small scales keep deep stacks well-conditioned."""
+    """Seeded frozen sublayers at ``block_shapes(d, d_mlp)``; small scales keep deep stacks
+    well-conditioned."""
     rng = np.random.default_rng(seed)
+    shapes = block_shapes(d, d_mlp)
     return BlockParams(
-        w_sp=scale * rng.normal(size=(d, d)) / math.sqrt(d),
-        w1=rng.normal(size=(d, d_mlp)) / math.sqrt(d),
-        w2=scale * rng.normal(size=(d_mlp, d)) / math.sqrt(d_mlp),
+        w_sp=scale * rng.normal(size=shapes["w_sp"]) / math.sqrt(d),
+        w1=rng.normal(size=shapes["w1"]) / math.sqrt(d),
+        w2=scale * rng.normal(size=shapes["w2"]) / math.sqrt(d_mlp),
     )
 
 

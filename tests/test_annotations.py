@@ -380,7 +380,7 @@ class TestStreamFiles:
     @pytest.mark.parametrize("damage, message", [
         (lambda raw: raw[:3], "is not a stream file"),
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "is stream version 2; this build reads version 1"),
-        (lambda raw: raw[:20], "is truncated: 20 bytes, its head needs at least"),
+        (lambda raw: raw[:20], "is truncated: 20 bytes, needs at least"),
         (lambda raw: raw[:8] + (10**6).to_bytes(4, "little") + raw[12:], "is truncated"),
         (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0'), "header is not JSON"),
         (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0}'), "KeyError: 'n_frames'"),

@@ -1166,59 +1166,75 @@ class TestBenchCommand:
 FUZZ_SEED, FUZZ_CASES = 20261019, 99
 
 
+def _set_bytes(raw, rng, spots):
+    """A damaged copy of ``raw`` per offset in ``spots``, with that byte set to a random value: (name,
+    offset, bytes)."""
+    values = rng.integers(0, 256, len(spots)).tolist()
+    return [(f"byte {i} = {value}", i, raw[:i] + bytes([value]) + raw[i + 1:]) for i, value in zip(spots, values)]
+
+
 def _fuzzed(raw, rng, fields):
-    """``FUZZ_CASES`` damaged copies of ``raw``, each named for its damage: a third cut short at a random
-    length, a third with one random byte set to a random value, and a third likewise at an offset drawn
-    from ``fields``."""
+    """``FUZZ_CASES`` damaged copies of ``raw`` as ``_set_bytes`` gives them, the offset of a cut being
+    its length: a third cut short at a random length, a third with one random byte set to a random
+    value, and a third likewise at an offset drawn from ``fields``."""
     n = FUZZ_CASES // 3
-    cases = [(f"cut at {i}", raw[:i]) for i in rng.integers(0, len(raw), n).tolist()]
+    cases = [(f"cut at {i}", i, raw[:i]) for i in rng.integers(0, len(raw), n).tolist()]
     spots = np.concatenate([rng.integers(0, len(raw), n), rng.choice(fields, n)]).tolist()
-    for i, value in zip(spots, rng.integers(0, 256, 2 * n).tolist()):
-        cases.append((f"byte {i} = {value}", raw[:i] + bytes([value]) + raw[i + 1:]))
-    return cases
+    return cases + _set_bytes(raw, rng, spots)
+
+
+def _stream_regions(raw):
+    """Each region of a stream file by the offsets it spans, with the exits a damage there may end in:
+    the framing (magic, version and header length) and the JSON header exit 2, or 4 where the header
+    then miscounts the values; the query exits 4 for a non-finite value or 5 for a norm that overflows;
+    the frames exit 4 for a non-finite value. A cut exits as its first missing byte's region does."""
+    end = _stream_head_end(raw)
+    query_end = end + 4 * json.loads(raw[12:end])["dim"]
+    head_exits = {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC}
+    return {"framing": (range(12), head_exits), "header": (range(12, end), head_exits),
+            "query": (range(end, query_end), {0, cli.EXIT_NUMERIC, cli.EXIT_CONFIG}),
+            "frames": (range(query_end, len(raw)), {0, cli.EXIT_NUMERIC})}
 
 
 STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
-# a damaged stream file: its head exits 2, its values' count or a non-finite value 4, a query whose
-# norm overflows 5; the random cuts and bytes of every slice land anywhere in the file
-STREAM_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC, cli.EXIT_CONFIG}
 
 
 @pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
                                                ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
                                                ("scores/index.json", STORE_EXITS),
                                                ("scores/scores.f64", STORE_EXITS),
-                                               ("stream framing", STREAM_EXITS),
-                                               ("stream header", STREAM_EXITS),
-                                               ("stream query", STREAM_EXITS),
-                                               ("stream frames", STREAM_EXITS)],
-                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream_framing",
-                              "stream_header", "stream_query", "stream_frames"])
+                                               ("stream", None),
+                                               ("stream framing", None),
+                                               ("stream header", None),
+                                               ("stream query", None),
+                                               ("stream frames", None)],
+                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream",
+                              "stream_framing", "stream_header", "stream_query", "stream_frames"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
     corpus, run, scores = pipeline
-    region = artifact.removeprefix("stream ") if artifact.startswith("stream ") else None
-    if region:  # one part of the first val stream's streams/<uid>.f32
+    region = artifact.removeprefix("stream").strip() if artifact.startswith("stream") else None
+    if region is not None:  # the first val stream's streams/<uid>.f32
         artifact = _split_files(corpus, "val")[1]
     top = artifact.split("/")[0]
     root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
     raw = (root / artifact).read_bytes()
+    rng = np.random.default_rng(FUZZ_SEED)
     if artifact == "checkpoint.sdqk":
-        fields = [4, 8]  # the low bytes of its version and its config length
+        cases = _fuzzed(raw, rng, [4, 8])  # the low bytes of its version and its config length
     elif artifact == "scores/scores.f64":
-        fields = range(7, len(raw), 8)  # each score's sign and high exponent bits
-    elif region:
-        end = _stream_head_end(raw)
-        query_end = end + 4 * json.loads(raw[12:end])["dim"]
-        fields = {"framing": range(12),  # magic, version and header length
-                  "header": range(12, end),
-                  # each float32's sign and high exponent bits
-                  "query": range(end + 3, query_end, 4), "frames": range(query_end + 3, len(raw), 4)}[region]
-    else:
-        fields = range(len(raw))
+        cases = _fuzzed(raw, rng, range(7, len(raw), 8))  # each score's sign and high exponent bits
+    elif region:  # bytes of one region only, a float32's sign and high exponent bits in the values
+        spots = _stream_regions(raw)[region][0]
+        if region in ("query", "frames"):
+            spots = spots[3::4]
+        cases = _set_bytes(raw, rng, rng.choice(spots, 2 * (FUZZ_CASES // 3)).tolist())
+    else:  # the whole stream file included: random cuts and bytes only
+        cases = _fuzzed(raw, rng, range(len(raw)))
+    regions = _stream_regions(raw) if region is not None else {}
     bad = []
-    for i, (name, data) in enumerate(_fuzzed(raw, np.random.default_rng(FUZZ_SEED), fields)):
+    for i, (name, offset, data) in enumerate(cases):
         out = tmp_path / f"out-{i}"
         if top == "scores":  # the damaged file in a copy of the whole store
             damaged = shutil.copytree(scores / "scores", tmp_path / f"{i}-scores") / Path(artifact).name
@@ -1242,6 +1258,7 @@ def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, art
         except Exception as exc:  # a traceback, which no input may cause
             rc = repr(exc)
         err = capsys.readouterr().err
-        if rc not in allowed or (rc and (err.count("\n") != 1 or out.exists())):
+        exits = allowed or next(e for spots, e in regions.values() if offset in spots)
+        if rc not in exits or (rc and (err.count("\n") != 1 or out.exists())):
             bad.append((name, rc, err))
     assert bad == []

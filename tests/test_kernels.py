@@ -485,6 +485,15 @@ class TestRetention:
         assert taped.tobytes() == untaped.tobytes()
         assert taped_state.s.tobytes() == untaped_state.s.tobytes() and taped_state.n == untaped_state.n == n
 
+    def test_taped_call_from_an_advanced_state_is_config_error(self):
+        # the taped call drops the summary's read-out, which only a fresh state's zeros allow
+        cfg = AdapterConfig(d=4, d_prime=4, kind="retention")
+        p = randomized(init_params(cfg, 0), 4)
+        x = np.random.default_rng(16).normal(size=(3, 4))
+        _, advanced = kernels.retention_forward(x, p, fresh_state(cfg))
+        with pytest.raises(ConfigError, match="a taped call starts from a fresh state, got one 3 frames on"):
+            kernels.retention_forward(x, p, advanced, tape={})
+
     def test_float32_longer_than_512_frames_runs(self):
         p = init_params(AdapterConfig(d=4, d_prime=4, kind="retention"), 0)
         x = np.random.default_rng(0).normal(size=(513, 4)).astype(np.float32)
