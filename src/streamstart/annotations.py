@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -325,12 +324,12 @@ def gen_synthetic(
     inside = (times >= spec.event_interval.lo) & (times <= spec.event_interval.hi)
     for t in spec.distractor_times:
         inside = inside | (np.abs(times - t) < 0.5 / spec.fps)
-    out_scale = math.sqrt(1.0 / spec.dim + spec.noise_scale**2)
-    latent = np.where(inside[:, None], q[None, :] + spec.noise_scale * noise, out_scale * noise)
-
+    out_scale = math.sqrt(1.0 / spec.dim + spec.noise_scale * spec.noise_scale)  # x * x is inf where x**2 raises
     if backbone is None:
         backbone = backbone_map(spec.dim)
-    frames = latent @ backbone
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing frames: refused by stream_arrays
+        latent = np.where(inside[:, None], q[None, :] + spec.noise_scale * noise, out_scale * noise)
+        frames = latent @ backbone
     query_emb = q @ backbone
 
     query_text = spec.query_text or f"synthetic event {spec.query_seed if spec.query_seed is not None else spec.seed}"
@@ -423,22 +422,29 @@ def make_corpus_specs(
 
 # -- embedding stream files ---------------------------------------------------
 #
-# One file per stream, framed as a checkpoint is (framing.py): magic "SDQS",
-# u32 version, u32 header length, the UTF-8 JSON header {dim, fps, n_frames},
-# then the query embedding [dim] and the frames [n_frames, dim], little-endian
-# float32. Layout details in docs/formats.md.
+# One file per stream, framed by framing.py: magic "SDQS", the header {dim, fps, n_frames}, then
+# the query [dim] and the frames [n_frames, dim] as little-endian float32 (docs/formats.md).
 
 STREAM_MAGIC = b"SDQS"
 STREAM_VERSION = 1
 
 
+def stream_arrays(name: str, frames: np.ndarray, query_emb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Frames and query as the contiguous little-endian float32 a stream file stores; a value that
+    is not finite as float32 (one beyond ±3.4e38 included) raises NumericError naming ``name``."""
+    with np.errstate(over="ignore"):  # an overflowing cast is reported below, not warned about
+        arr, query = (np.ascontiguousarray(values, dtype="<f4") for values in (frames, query_emb))
+    if not (np.isfinite(arr).all() and np.isfinite(query).all()):
+        raise NumericError(f"{name}: its frames or query are not finite as the float32 a stream file stores")
+    return arr, query
+
+
 def save_stream(path: str | Path, frames: np.ndarray, query_emb: np.ndarray, fps: float) -> None:
     path = Path(path)
+    arr, query = stream_arrays(str(path), frames, query_emb)
     path.parent.mkdir(parents=True, exist_ok=True)
-    arr = np.ascontiguousarray(frames, dtype="<f4")
     head = {"dim": arr.shape[1], "fps": float(fps), "n_frames": arr.shape[0]}
-    query = np.ascontiguousarray(query_emb, dtype="<f4")
-    path.write_bytes(framing.frame(STREAM_MAGIC, STREAM_VERSION, head, [query.tobytes(), arr.tobytes()]))
+    framing.write(path, STREAM_MAGIC, STREAM_VERSION, head, [query, arr])
 
 
 def load_stream(
@@ -450,17 +456,10 @@ def load_stream(
     raises SchemaError; a header key it does not read is ignored."""
     path = Path(path)
     raw = read(path)
-    version, blob, end = framing.unframe(
-        path, raw, STREAM_MAGIC, SchemaError, f"{path} is not a stream file (bad magic {raw[:4]!r}); a corpus "
-        "of three files per stream predates the one-file layout: re-run synth")
-    if version != STREAM_VERSION:
-        raise SchemaError(f"{path} is stream version {version}; this build reads version {STREAM_VERSION}")
-    try:
-        head = json.loads(blob.decode("utf-8"))
-        n, dim = head["n_frames"], head["dim"]
-    except (ValueError, KeyError, TypeError) as err:
-        raise SchemaError(f"{path}: its header is not JSON with integer n_frames and dim "
-                          f"({type(err).__name__}: {err})") from None
+    head, end = framing.unframe(
+        path, raw, STREAM_MAGIC, STREAM_VERSION, "stream", SchemaError, f"{path} is not a stream file (bad "
+        f"magic {raw[:4]!r}); a corpus of three files per stream predates the one-file layout: re-run synth")
+    n, dim = head.get("n_frames"), head.get("dim")
     if not all(type(v) is int and v >= 1 for v in (n, dim)):  # a bool is no count
         raise SchemaError(f"{path}: its header needs integers n_frames and dim of at least 1, "
                           f"got {n!r} and {dim!r}")

@@ -86,7 +86,6 @@ def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path], 
     manifest = {
         "command": args.command,
         "config": config | resolved,
-        "seed": getattr(args, "seed", None),
         "input_hashes": {str(p): _input_digest(p, digests) for p in inputs},
         "tool_version": __version__,
         "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
@@ -142,6 +141,7 @@ def _corpus_annotations(specs, n_train: int) -> list:
     anns = []
     for i, spec in enumerate(specs):
         frames, query, ann = annotations.gen_synthetic(spec, backbone)
+        frames, query = annotations.stream_arrays(f"stream {ann.video_uid}", frames, query)  # before any write
         ann = replace(ann, split="train" if i < n_train else "val")
         anns.append((spec, frames, query, ann))
     return anns
@@ -165,12 +165,9 @@ def cmd_synth(args) -> int:
     )
     rows = _corpus_annotations(specs, args.streams)
     out.mkdir(parents=True, exist_ok=True)  # an empty corpus saves no stream that would make it
-    streams_dir = out / "streams"
-    anns = []
     for spec, frames, query, ann in rows:
-        annotations.save_stream(streams_dir / f"{ann.video_uid}.f32", frames, query, spec.fps)
-        anns.append(ann)
-    (out / "annotations.csv").write_bytes(annotations.serialize_annotations(anns))
+        annotations.save_stream(out / "streams" / f"{ann.video_uid}.f32", frames, query, spec.fps)
+    (out / "annotations.csv").write_bytes(annotations.serialize_annotations([row[-1] for row in rows]))
     write_manifest(out, args, [], {})
     _emit({"out": str(out), "train_streams": args.streams, "val_streams": args.val_streams})
     return 0

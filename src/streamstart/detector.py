@@ -13,7 +13,6 @@ A checkpoint file holds every array of a model under the names
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Callable
@@ -411,34 +410,24 @@ def with_arrays(model: DetectorModel, named: dict[str, np.ndarray]) -> DetectorM
     return replace(model, blocks=blocks)
 
 
-# Single binary file, framed as framing.py frames it: magic "SDQK", u32
-# version, u32 config-JSON length, the config JSON (UTF-8), then every array's
-# little-endian float32 values end to end in the config's array_order, whose
-# arrays the config shapes. Layout details in docs/formats.md.
+# A checkpoint is one file framed by framing.py: magic "SDQK", the config as its header, then
+# every array's little-endian float32 values end to end in array_order (docs/formats.md).
 
 MAGIC = b"SDQK"
 CHECKPOINT_VERSION = 5
 
 
 def write_checkpoint(path, config: dict, arrays: list[np.ndarray]) -> None:
-    payload = [np.ascontiguousarray(arr, dtype="<f4").tobytes() for arr in arrays]
-    Path(path).write_bytes(framing.frame(MAGIC, CHECKPOINT_VERSION, config, payload))
+    framing.write(path, MAGIC, CHECKPOINT_VERSION, config, [np.ascontiguousarray(arr, dtype="<f4") for arr in arrays])
 
 
 def read_checkpoint(path, read: Callable[[Path], bytes] = Path.read_bytes) -> tuple[dict, np.ndarray]:
     """Config and float32 values (in float64, one flat array) of a checkpoint, whose file ``read``
     reads; a bad magic, another version, a file cut before its config ends, a config that is not
-    UTF-8 JSON or a payload that ends inside a float32 raises ConfigError."""
+    a UTF-8 JSON object or a payload that ends inside a float32 raises ConfigError."""
     raw = read(Path(path))
-    version, blob, end = framing.unframe(path, raw, MAGIC, ConfigError,
-                                         f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(f"{path} is checkpoint version {version}; "
-                          f"this build reads version {CHECKPOINT_VERSION}")
-    try:
-        config = json.loads(blob.decode("utf-8"))
-    except ValueError as err:  # UnicodeDecodeError and JSONDecodeError
-        raise ConfigError(f"{path}: the checkpoint config is not UTF-8 JSON ({err})") from None
+    config, end = framing.unframe(path, raw, MAGIC, CHECKPOINT_VERSION, "checkpoint", ConfigError,
+                                  f"{path} is not a parameter checkpoint (bad magic {raw[:4]!r})")
     if (len(raw) - end) % 4:
         raise ConfigError(f"{path}: its payload of {len(raw) - end} bytes ends inside a float32")
     return config, np.frombuffer(raw, dtype="<f4", offset=end).astype(float)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import framing
 from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
 
 MODES = ("rising_edge", "every_frame")
@@ -431,20 +431,20 @@ def sweep_thresholds(
 
 # -- score store --------------------------------------------------------------
 #
-# One run's series in one directory: `scores.f64`, every series' scores end to
-# end as little-endian float64, and `index.json`, the format version and per
-# series its ids, fps and frame count. Each series starts where the one before it ends.
+# One run's series in one file framed by framing.py: magic "SDQC", the header {"series":
+# [{video_uid, query_id, fps, frames}, ...]}, padded so that numpy reads the payload aligned, then
+# every series' scores end to end as little-endian float64, each starting where the last ends.
 
-STORE_VERSION = 2
-_ARRAY, _INDEX = "scores.f64", "index.json"
+STORE_MAGIC = b"SDQC"
+STORE_VERSION = 3
+STORE_FILE = "scores.sdqc"
 
 
 def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> None:
-    """Write ``series`` into ``directory`` as its score store. What the loader rejects, ids
-    that are not strings, a repeated ``(video_uid, query_id)``, a series without frames or
-    an fps that is not finite and positive, raises ConfigError before a byte is written.
-    The array goes first and the index last, under a temporary name then renamed, so an
-    interrupted write never leaves an index describing another array."""
+    """Write ``series`` into ``directory`` as its score store. What the loader rejects, ids that
+    are not strings, a repeated ``(video_uid, query_id)``, a series without frames or an fps that
+    is not finite and positive, raises ConfigError before a byte is written. A write cut short
+    leaves fewer bytes than the header promises, which the loader rejects."""
     entries, seen = [], set()
     for s in series:
         pair = f"({s.video_uid}, {s.query_id})"
@@ -461,66 +461,57 @@ def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> N
         entries.append({"video_uid": s.video_uid, "query_id": s.query_id, "fps": fps, "frames": s.scores.size})
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / _INDEX).unlink(missing_ok=True)
-    np.concatenate([s.scores for s in series] or [np.empty(0)]).astype("<f8", copy=False).tofile(directory / _ARRAY)
-    staged = directory / f"{_INDEX}.tmp"
-    staged.write_text(json.dumps({"version": STORE_VERSION, "series": entries}, indent=1), encoding="utf-8")
-    os.replace(staged, directory / _INDEX)
+    framing.write(directory / STORE_FILE, STORE_MAGIC, STORE_VERSION, {"series": entries},
+                  [np.ascontiguousarray(s.scores, dtype="<f8") for s in series], align=8)
 
 
 def load_score_series_dir(
     directory: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
 ) -> list[ScoreSeries]:
-    """The series of the score store in ``directory``, in index order, each file read
-    whole by ``read``. A directory without an index, an index that is not JSON or of
-    another version, an entry with a bad field, fps or frame count, a repeated pair,
-    frame counts that do not sum to the array's length, or a finite score outside [0, 1] raise
+    """The series of the score store in ``directory``, in header order, its file read whole by
+    ``read``. No store (one of an older layout included), a bad frame, header or entry, frame
+    counts that do not sum to the payload's length, or a finite score outside [0, 1] raise
     SchemaError naming the file; a non-finite score raises NumericError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
-    index_path, array_path = directory / _INDEX, directory / _ARRAY
-    for path in (index_path, array_path):
-        if not path.is_file():
-            raise SchemaError(f"score directory {directory} has no {path.name}: re-run score to write its store")
-    try:
-        index = json.loads(read(index_path))
-    except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
-        raise SchemaError(f"score index {index_path} is not UTF-8 JSON: {err}") from None
-    version = index.get("version") if isinstance(index, dict) else None
-    if version != STORE_VERSION or not isinstance(index.get("series"), list):
-        raise SchemaError(f"score index {index_path} must be version {STORE_VERSION} with a series list, "
-                          f"got version {version!r}")
-    data = read(array_path)
-    values = np.frombuffer(data, dtype="<f8", count=len(data) // 8)
-    tiles, seen, end = [], set(), 0
-    for i, entry in enumerate(index["series"]):
+    path = directory / STORE_FILE
+    if not path.is_file():
+        raise SchemaError(f"score directory {directory} has no {STORE_FILE}: re-run score to write its store")
+    raw = read(path)
+    header, end = framing.unframe(path, raw, STORE_MAGIC, STORE_VERSION, "score store", SchemaError,
+                                  f"{path} is not a score store (bad magic {raw[:4]!r})")
+    if not isinstance(header.get("series"), list):
+        raise SchemaError(f"score store {path}: its header needs a series list")
+    tiles, seen, total = [], set(), 0
+    for i, entry in enumerate(header["series"]):
         video_uid, query_id, fps, frames = (entry.get(key) if isinstance(entry, dict) else None
                                             for key in ("video_uid", "query_id", "fps", "frames"))
         if not (isinstance(video_uid, str) and isinstance(query_id, str) and type(fps) is float
                 and type(frames) is int):
-            raise SchemaError(f"score index {index_path}: series {i} needs string video_uid and query_id, "
+            raise SchemaError(f"score store {path}: series {i} needs string video_uid and query_id, "
                               "a float fps and integer frames")
         pair = f"series {i} ({video_uid}, {query_id})"
         if not (math.isfinite(fps) and fps > 0):
-            raise SchemaError(f"score index {index_path}: {pair} has fps {fps!r}, not finite and positive")
+            raise SchemaError(f"score store {path}: {pair} has fps {fps!r}, not finite and positive")
         if frames < 1:
-            raise SchemaError(f"score index {index_path}: {pair} has {frames} frames, not at least 1")
+            raise SchemaError(f"score store {path}: {pair} has {frames} frames, not at least 1")
         if (video_uid, query_id) in seen:
-            raise SchemaError(f"score index {index_path}: {pair} repeats an earlier pair")
+            raise SchemaError(f"score store {path}: {pair} repeats an earlier pair")
         seen.add((video_uid, query_id))
-        tiles.append((video_uid, query_id, fps, end, frames))
-        end += frames
-    if len(data) != 8 * end:
-        raise SchemaError(f"score array {array_path} holds {len(data)} bytes, its index "
-                          f"tiles {end} float64 values ({8 * end} bytes)")
+        tiles.append((video_uid, query_id, fps, total, frames))
+        total += frames
+    if len(raw) - end != 8 * total:
+        raise SchemaError(f"score store {path} holds {len(raw) - end} bytes after its header, which "
+                          f"tiles {total} float64 values ({8 * total} bytes)")
+    values = np.frombuffer(raw, dtype="<f8", offset=end)
     # NaN fails both comparisons, so finiteness is only diagnosed on failure
-    if end and not (values.min() >= 0.0 and values.max() <= 1.0):
+    if total and not (values.min() >= 0.0 and values.max() <= 1.0):
         non_finite = ~np.isfinite(values)
         bad = non_finite if non_finite.any() else (values < 0.0) | (values > 1.0)
         i = next(i for i, (*_, offset, frames) in enumerate(tiles) if bad[offset:offset + frames].any())
         video_uid, query_id, _, offset, frames = tiles[i]
-        where = f"score array {array_path}, series {i}: scores of ({video_uid}, {query_id})"
+        where = f"score store {path}, series {i}: scores of ({video_uid}, {query_id})"
         if bad is non_finite:
             raise NumericError(f"{where} must be finite, got {int(bad[offset:offset + frames].sum())} "
                                "non-finite value(s)")

@@ -362,11 +362,23 @@ class TestStreamFiles:
     def test_non_finite_value_is_numeric_error(self, tmp_path, where):
         # row 0 is the query, row 1 the first frame
         path = tmp_path / "v.f32"
-        values = np.ones((5, 3))
-        values[where, 1] = np.nan
-        ann.save_stream(path, values[1:], values[0], 1.0)
+        ann.save_stream(path, np.ones((4, 3)), np.ones(3), 1.0)  # save_stream writes no such value
+        raw = path.read_bytes()
+        at = 12 + int.from_bytes(raw[8:12], "little") + 4 * (3 * where + 1)
+        path.write_bytes(raw[:at] + np.float32(np.nan).tobytes() + raw[at + 4:])
         with pytest.raises(NumericError, match=f"^{path} holds 1 non-finite value"):
             ann.load_stream(path)
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, 1e39], ids=["nan", "inf", "beyond_float32"])
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_save_refuses_a_value_not_finite_as_float32(self, tmp_path, value, where):
+        # row 0 is the query, row 1 the first frame; nothing is written, the directory included
+        values = np.ones((5, 3))
+        values[where, 1] = value
+        path = tmp_path / "streams" / "v.f32"
+        with pytest.raises(NumericError, match=f"^{path}: its frames or query are not finite as the float32"):
+            ann.save_stream(path, values[1:], values[0], 1.0)
+        assert not path.parent.exists()
 
     def test_three_file_stream_is_schema_error(self, tmp_path):
         # the layout before one file per stream: raw frames, a JSON sidecar and a query file
@@ -382,9 +394,9 @@ class TestStreamFiles:
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:], "is stream version 2; this build reads version 1"),
         (lambda raw: raw[:20], "is truncated: 20 bytes, needs at least"),
         (lambda raw: raw[:8] + (10**6).to_bytes(4, "little") + raw[12:], "is truncated"),
-        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0'), "header is not JSON"),
-        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0}'), "KeyError: 'n_frames'"),
-        (lambda raw: _with_header(raw, b'[3, 1.0, 4]'), "TypeError"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0'), "header is not UTF-8 JSON"),
+        (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0}'), "of at least 1, got None and 3"),
+        (lambda raw: _with_header(raw, b'[3, 1.0, 4]'), "header is a JSON list, not an object"),
         (lambda raw: _with_header(raw, b'\xff'), "UnicodeDecodeError"),
         (lambda raw: _with_header(raw, b'{"dim": 3, "fps": 1.0, "n_frames": 0}'), "of at least 1, got 0 and 3"),
         (lambda raw: _with_header(raw, b'{"dim": true, "fps": 1.0, "n_frames": 4}'), "of at least 1, got 4 and True"),

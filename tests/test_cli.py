@@ -7,6 +7,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -177,6 +178,19 @@ class TestSynth:
         assert f"error: {name} must be" in err and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise", ["1e39", "1e200"])
+    def test_noise_beyond_float32_exit_numeric(self, tmp_path, capsys, noise):
+        # 1e39 overflows the streams' float32 and 1e200's square a float64: no stream is written,
+        # and no warning prints a second line
+        out = tmp_path / "c"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["synth", "--out", str(out), "--streams", "2", "--val-streams", "1", "--noise", noise])
+        assert rc == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "its frames or query are not finite as the float32 a stream file stores" in err
+        assert err.count("\n") == 1 and not out.exists()
+
     def test_empty_corpus(self, tmp_path, capsys, pipeline):
         # both counts 0: a header-only annotations.csv and the manifest, which train and score reject
         out = tmp_path / "empty"
@@ -222,15 +236,15 @@ def _documented_digest(root, rels):
     return hashlib.sha256(lines.encode("utf-8")).hexdigest()
 
 
-def _stream_head_end(raw):
-    """Where a stream file's JSON header ends: the query and the frames follow."""
+def _head_end(raw):
+    """Where a framed file's JSON header ends: its payload (a stream's query and frames) follows."""
     return 12 + int.from_bytes(raw[8:12], "little")
 
 
 def _edit_header(path, edit):
-    """Rewrite the stream file at ``path`` with ``edit`` applied to its JSON header's text."""
+    """Rewrite the framed file at ``path`` with ``edit`` applied to its JSON header's text."""
     raw = path.read_bytes()
-    end = _stream_head_end(raw)
+    end = _head_end(raw)
     header = edit(raw[12:end].decode("utf-8")).encode("utf-8")
     path.write_bytes(raw[:8] + len(header).to_bytes(4, "little") + header + raw[end:])
 
@@ -244,21 +258,26 @@ def _edit_fields(edit):
     return damage
 
 
-def _edit_index(directory, edit):
-    """Apply ``edit`` to the parsed ``index.json`` of the score store in ``directory``."""
-    path = directory / "index.json"
-    index = json.loads(path.read_text(encoding="utf-8"))
-    edit(index)
-    path.write_text(json.dumps(index), encoding="utf-8")
+def _edit_store(directory, edit):
+    """Apply ``edit`` to the parsed JSON header of the score store in ``directory``."""
+    _edit_header(directory / "scores.sdqc", _edit_fields(edit))
 
 
-def _version_1_index(index):
-    """Rewrite a parsed ``index.json`` as version 1 wrote it: each entry also held its offset in values."""
-    offset = 0
-    for entry in index["series"]:
-        entry["offset"] = offset
-        offset += entry["frames"]
-    index["version"] = 1
+def _edit_store_bytes(directory, edit):
+    """Replace the bytes of the score store in ``directory`` with ``edit`` of them."""
+    path = directory / "scores.sdqc"
+    path.write_bytes(edit(path.read_bytes()))
+
+
+def _two_file_store(directory):
+    """Replace the score store in ``directory`` with the ``index.json`` and ``scores.f64`` that
+    versions 1 and 2 wrote in its place."""
+    path = directory / "scores.sdqc"
+    raw = path.read_bytes()
+    end = _head_end(raw)
+    (directory / "index.json").write_text(json.dumps({"version": 2, **json.loads(raw[12:end])}))
+    (directory / "scores.f64").write_bytes(raw[end:])
+    path.unlink()
 
 
 def _run(command, corpus, run, out):
@@ -281,9 +300,9 @@ class TestTrainScoreEval:
         assert (run / "checkpoint.sdqk").exists()
         curve = (run / "curve.csv").read_text().splitlines()
         assert curve[0] == "step,total,pos_term,neg_term,w_pos" and len(curve) == 1 + 5
-        assert json.loads((run / "manifest.json").read_text())["seed"] == 0
+        assert json.loads((run / "manifest.json").read_text())["config"]["seed"] == 0
         assert not (run / "train_manifest.json").exists()  # the manifest is the run's one record
-        assert sorted(p.name for p in (scores / "scores").iterdir()) == ["index.json", "scores.f64"]
+        assert sorted(p.name for p in (scores / "scores").iterdir()) == ["scores.sdqc"]
         assert len(metrics.load_score_series_dir(scores / "scores")) == 8
         for d in (corpus, run, scores):
             assert (d / "manifest.json").exists()
@@ -336,7 +355,7 @@ class TestTrainScoreEval:
     @pytest.mark.parametrize("damage, message", [
         (lambda raw: raw[:-3], "bytes ends inside a float32"),
         (lambda raw: raw + b"\x00" * 8, "holds {n_more} values, its config's arrays need {n}"),
-        (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "config is not UTF-8 JSON"),
+        (lambda raw: raw[:12] + bytes([raw[12] ^ 0xFF]) + raw[13:], "header is not UTF-8 JSON"),
         (lambda raw: raw[:4] + (1).to_bytes(4, "little") + raw[8:],
          "is checkpoint version 1; this build reads version 5"),
         (lambda raw: raw[:4] + (2).to_bytes(4, "little") + raw[8:],
@@ -477,45 +496,49 @@ class TestTrainScoreEval:
         read = sorted(p.relative_to(corpus).as_posix() for p in opened if p.is_relative_to(corpus))
         assert read == sorted(_split_files(corpus, split))
 
-    @pytest.mark.parametrize("damage, name, message", [
-        (lambda d: _edit_index(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "frames")]),
-         "index.json",
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: _edit_store(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "frames")]),
          "series 3 needs string video_uid and query_id, a float fps and integer frames"),
-        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes() + b"\0"), "scores.f64",
-         "holds 3841 bytes, its index tiles 480 float64 values (3840 bytes)"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("inf"))), "index.json",
+        (lambda d: _edit_store_bytes(d, lambda raw: raw + b"\0"),
+         "holds 3841 bytes after its header, which tiles 480 float64 values (3840 bytes)"),
+        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=float("inf"))),
          "has fps inf, not finite and positive"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=float("nan"))), "index.json",
+        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=float("nan"))),
          "has fps nan, not finite and positive"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps=0.0)), "index.json",
-         "has fps 0.0, not finite and positive"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(fps="1.0")), "index.json",
+        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=0.0)), "has fps 0.0, not finite and positive"),
+        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps="1.0")),
          "series 3 needs string video_uid and query_id, a float fps and integer frames"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].pop("frames")), "index.json",
+        (lambda d: _edit_store(d, lambda x: x["series"][3].pop("frames")),
          "series 3 needs string video_uid and query_id, a float fps and integer frames"),
-        (lambda d: _edit_index(d, lambda x: x["series"][3].update(
-            video_uid=x["series"][2]["video_uid"], query_id=x["series"][2]["query_id"])), "index.json",
-         "repeats an earlier pair"),
-        (lambda d: _edit_index(d, lambda x: x["series"][-1].update(frames=0)), "index.json",
-         "has 0 frames, not at least 1"),
+        (lambda d: _edit_store(d, lambda x: x["series"][3].update(
+            video_uid=x["series"][2]["video_uid"], query_id=x["series"][2]["query_id"])), "repeats an earlier pair"),
+        (lambda d: _edit_store(d, lambda x: x["series"][-1].update(frames=0)), "has 0 frames, not at least 1"),
     ], ids=["two_fields", "non_numeric_score", "infinite_fps", "nan_fps", "zero_fps", "string_fps", "missing_key",
             "duplicate_pair", "zero_frames"])
-    def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
-        # a series' row is its entry in index.json and its values in scores.f64; a trailing byte is no float64
-        self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
+    def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, damage, message):
+        # a series' row is its entry in the store's header and its values in the payload; a trailing
+        # byte is no float64
+        self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, "scores.sdqc", message)
 
     @pytest.mark.parametrize("damage, name, message", [
-        (lambda d: (d / "index.json").write_text("{not json"), "index.json", "is not UTF-8 JSON"),
-        (lambda d: _edit_index(d, lambda x: x.update(version=3)), "index.json",
-         "must be version 2 with a series list, got version 3"),
-        (lambda d: _edit_index(d, _version_1_index), "index.json",
-         "must be version 2 with a series list, got version 1"),
-        (lambda d: (d / "scores.f64").write_bytes((d / "scores.f64").read_bytes()[:-8]), "scores.f64",
-         "holds 3832 bytes, its index tiles 480 float64 values (3840 bytes)"),
-        (lambda d: (d / "scores.f64").unlink(), "", "has no scores.f64: re-run score"),
-        (lambda d: [(d / f).unlink() for f in ("index.json", "scores.f64")] + [(d / "v__a-0.csv").write_text(
-            "frame_idx,t_sec,score\n0,0.0,0.5\n")], "", "has no index.json: re-run score to write its store"),
-    ], ids=["not_json", "other_version", "version_1", "short_array", "no_array", "old_csv_directory"])
+        (lambda d: _edit_header(d / "scores.sdqc", lambda text: "{not json"), "scores.sdqc",
+         "its header is not UTF-8 JSON (JSONDecodeError"),
+        (lambda d: _edit_header(d / "scores.sdqc", lambda text: "[]"), "scores.sdqc",
+         "its header is a JSON list, not an object"),
+        (lambda d: _edit_store(d, lambda x: x.update(series={})), "scores.sdqc", "its header needs a series list"),
+        (lambda d: _edit_store_bytes(d, lambda raw: raw[:4] + (4).to_bytes(4, "little") + raw[8:]), "scores.sdqc",
+         "is score store version 4; this build reads version 3"),
+        (lambda d: _edit_store_bytes(d, lambda raw: b"SDQK" + raw[4:]), "scores.sdqc",
+         "is not a score store (bad magic b'SDQK')"),
+        (lambda d: _edit_store_bytes(d, lambda raw: raw[:20]), "scores.sdqc", "is truncated: 20 bytes, needs at least"),
+        (lambda d: _edit_store_bytes(d, lambda raw: raw[:-8]), "scores.sdqc",
+         "holds 3832 bytes after its header, which tiles 480 float64 values (3840 bytes)"),
+        (_two_file_store, "", "has no scores.sdqc: re-run score to write its store"),
+        (lambda d: (d / "scores.sdqc").unlink(), "", "has no scores.sdqc: re-run score"),
+        (lambda d: [(d / "scores.sdqc").unlink(), (d / "v__a-0.csv").write_text("frame_idx,t_sec,score\n0,0.0,0.5\n")],
+         "", "has no scores.sdqc: re-run score to write its store"),
+    ], ids=["not_json", "not_object", "no_series_list", "other_version", "bad_magic", "cut_header", "short_payload",
+            "two_file_store", "no_store", "old_csv_directory"])
     def test_eval_damaged_score_store_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
         self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
 
@@ -534,25 +557,48 @@ class TestTrainScoreEval:
     def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, np.nan) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "scores.f64, series 0: scores of (" in err and "must be finite, got 1 non-finite value(s)" in err
+        assert "scores.sdqc, series 0: scores of (" in err and "must be finite, got 1 non-finite value(s)" in err
         assert err.count("\n") == 1
 
     def test_eval_score_above_one_exit_config(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
-        first = json.loads((pipeline[2] / "scores" / "index.json").read_text(encoding="utf-8"))["series"][0]
+        raw = (pipeline[2] / "scores" / "scores.sdqc").read_bytes()
+        first = json.loads(raw[12:_head_end(raw)])["series"][0]
         pair = f"({first['video_uid']}, {first['query_id']})"
-        assert f"scores.f64, series 0: scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
+        assert f"scores.sdqc, series 0: scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
 
     @staticmethod
     def _eval_with_first_score(pipeline, tmp_path, capsys, value):
         corpus, _, scores = pipeline
         copied = shutil.copytree(scores / "scores", tmp_path / "scores")
-        array = copied / "scores.f64"
-        array.write_bytes(np.array([value], "<f8").tobytes() + array.read_bytes()[8:])
+        store = copied / "scores.sdqc"
+        raw = store.read_bytes()
+        end = _head_end(raw)
+        store.write_bytes(raw[:end] + np.array([value], "<f8").tobytes() + raw[end + 8:])
         capsys.readouterr()
         return cli.main(["eval", "--scores", str(copied), "--annotations", str(corpus / "annotations.csv"),
                          "--split", "val"])
+
+    @pytest.mark.parametrize("target, code", [("checkpoint", cli.EXIT_CONFIG), ("stream", cli.EXIT_SCHEMA),
+                                              ("store", cli.EXIT_SCHEMA)])
+    def test_header_nested_past_the_recursion_limit_exits_as_documented(self, pipeline, tmp_path, capsys,
+                                                                         target, code):
+        # json's decoder recurses once per level, so such a header is damage like any other
+        corpus, run, scores = (shutil.copytree(d, tmp_path / d.name) for d in pipeline)
+        path = {"checkpoint": run / "checkpoint.sdqk", "stream": corpus / _split_files(corpus, "val")[1],
+                "store": scores / "scores" / "scores.sdqc"}[target]
+        _edit_header(path, lambda text: "[" * 200_000)
+        out = tmp_path / "out"
+        if target == "store":
+            argv = ["eval", "--scores", str(path.parent), "--annotations", str(corpus / "annotations.csv")]
+        else:
+            argv = ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(corpus)]
+        capsys.readouterr()
+        assert cli.main(argv + ["--split", "val", "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert f"{path}: its header is not UTF-8 JSON (RecursionError: " in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
     def test_eval_missing_scores_dir_exit_config(self, pipeline, tmp_path, capsys, sweep):
@@ -642,7 +688,7 @@ class TestTrainScoreEval:
                 if a.split == "val"][-1]
         bad = copied / "streams" / f"{last.video_uid}.f32"
         raw = bad.read_bytes()
-        end = _stream_head_end(raw)
+        end = _head_end(raw)
         bad.write_bytes(raw[:end] + edit(np.frombuffer(raw, dtype="<f4", offset=end)).astype("<f4").tobytes())
         out = tmp_path / "scored"
         capsys.readouterr()
@@ -656,9 +702,9 @@ class TestTrainScoreEval:
     @pytest.mark.parametrize("header, message", [
         (lambda text: text[:-1], "JSONDecodeError"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "n_frames"}),
-         "KeyError: 'n_frames'"),
+         "of at least 1, got None and 8"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "dim"}),
-         "KeyError: 'dim'"),
+         "of at least 1, got 60 and None"),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "fps"}),
          "finite positive number fps, got None"),
         (lambda text: json.dumps({**json.loads(text), "fps": 0}), "finite positive number fps, got 0"),
@@ -760,7 +806,7 @@ class TestTrainScoreEval:
         stream = copied / "streams" / f"{last.video_uid}.f32"
         _edit_header(stream, _edit_fields(lambda s: s.update(n_frames=0)))
         raw = stream.read_bytes()
-        stream.write_bytes(raw[:_stream_head_end(raw) + 4 * 8])  # the query alone
+        stream.write_bytes(raw[:_head_end(raw) + 4 * 8])  # the query alone
         capsys.readouterr()
         rc = cli.main(["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(copied),
                        "--split", "val", "--out", str(tmp_path / "scored")])
@@ -1188,7 +1234,7 @@ def _stream_regions(raw):
     the framing (magic, version and header length) and the JSON header exit 2, or 4 where the header
     then miscounts the values; the query exits 4 for a non-finite value or 5 for a norm that overflows;
     the frames exit 4 for a non-finite value. A cut exits as its first missing byte's region does."""
-    end = _stream_head_end(raw)
+    end = _head_end(raw)
     query_end = end + 4 * json.loads(raw[12:end])["dim"]
     head_exits = {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC}
     return {"framing": (range(12), head_exits), "header": (range(12, end), head_exits),
@@ -1196,43 +1242,53 @@ def _stream_regions(raw):
             "frames": (range(query_end, len(raw)), {0, cli.EXIT_NUMERIC})}
 
 
-STORE_EXITS = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH, cli.EXIT_NUMERIC}
+def _store_regions(raw):
+    """Each region of the score store by the offsets it spans, with the exits a damage there may end in:
+    the framing and the JSON header exit 2, or 3 where an id changes; the payload exits 2 for a finite
+    score outside [0, 1] or 4 for a non-finite one. A cut exits as its first missing byte's region does."""
+    end = _head_end(raw)
+    head_exits = {0, cli.EXIT_SCHEMA, cli.EXIT_ID_MISMATCH}
+    return {"framing": (range(12), head_exits), "header": (range(12, end), head_exits),
+            "payload": (range(end, len(raw)), {0, cli.EXIT_SCHEMA, cli.EXIT_NUMERIC})}
 
 
 @pytest.mark.parametrize("artifact, allowed", [("annotations.csv", {0, cli.EXIT_SCHEMA}),
                                                ("checkpoint.sdqk", {0, cli.EXIT_CONFIG}),
-                                               ("scores/index.json", STORE_EXITS),
-                                               ("scores/scores.f64", STORE_EXITS),
+                                               ("store", None),
+                                               ("store framing", None),
+                                               ("store header", None),
+                                               ("store payload", None),
                                                ("stream", None),
                                                ("stream framing", None),
                                                ("stream header", None),
                                                ("stream query", None),
                                                ("stream frames", None)],
-                         ids=["annotations", "checkpoint", "score_index", "score_array", "stream",
-                              "stream_framing", "stream_header", "stream_query", "stream_frames"])
+                         ids=["annotations", "checkpoint", "store", "store_framing", "store_header", "store_payload",
+                              "stream", "stream_framing", "stream_header", "stream_query", "stream_frames"])
 def test_damaged_input_ends_in_a_documented_exit(pipeline, tmp_path, capsys, artifact, allowed):
     # a seeded boundary fuzz: a damaged input exits 0 or with its documented code, and a failure
     # prints one line and writes no --out; a checkpoint has no checksum, so a changed payload may load
     corpus, run, scores = pipeline
-    region = artifact.removeprefix("stream").strip() if artifact.startswith("stream") else None
-    if region is not None:  # the first val stream's streams/<uid>.f32
+    kind, _, region = artifact.partition(" ")
+    if kind == "stream":  # the first val stream's streams/<uid>.f32
         artifact = _split_files(corpus, "val")[1]
+    elif kind == "store":
+        artifact = "scores/scores.sdqc"
     top = artifact.split("/")[0]
     root = {"annotations.csv": corpus, "checkpoint.sdqk": run, "scores": scores, "streams": corpus}[top]
     raw = (root / artifact).read_bytes()
     rng = np.random.default_rng(FUZZ_SEED)
+    regions = _stream_regions(raw) if kind == "stream" else _store_regions(raw) if kind == "store" else {}
     if artifact == "checkpoint.sdqk":
         cases = _fuzzed(raw, rng, [4, 8])  # the low bytes of its version and its config length
-    elif artifact == "scores/scores.f64":
-        cases = _fuzzed(raw, rng, range(7, len(raw), 8))  # each score's sign and high exponent bits
-    elif region:  # bytes of one region only, a float32's sign and high exponent bits in the values
-        spots = _stream_regions(raw)[region][0]
-        if region in ("query", "frames"):
-            spots = spots[3::4]
-        cases = _set_bytes(raw, rng, rng.choice(spots, 2 * (FUZZ_CASES // 3)).tolist())
-    else:  # the whole stream file included: random cuts and bytes only
+    elif region:  # bytes of one region only, each value's sign and high exponent bits in the values
+        spots = regions[region][0]
+        if region in ("query", "frames", "payload"):
+            width = 8 if kind == "store" else 4  # a float64 score, a float32 frame or query value
+            spots = spots[width - 1::width]
+        cases = _set_bytes(raw, rng, rng.choice(spots, FUZZ_CASES).tolist())
+    else:  # the whole file: random cuts and bytes only
         cases = _fuzzed(raw, rng, range(len(raw)))
-    regions = _stream_regions(raw) if region is not None else {}
     bad = []
     for i, (name, offset, data) in enumerate(cases):
         out = tmp_path / f"out-{i}"

@@ -88,7 +88,7 @@ def test_one_ulp_in_a_carried_retention_summary_breaks_the_record(pipeline, tmp_
 
     monkeypatch.setattr(kernels, "retention_forward", nudged)
     checkpoint = root / "train" / "retention" / "checkpoint.sdqk"
-    stored = "score/retention/scores/scores.f64"
+    stored = "score/retention/scores/scores.sdqc"
     for corpus, recorded, moves in ((root / "corpus", stored, False),
                                     (root / "untrimmed" / "corpus", f"untrimmed/{stored}", True)):
         out = tmp_path / corpus.parent.name

@@ -435,18 +435,22 @@ class TestScoreSeriesFiles:
         assert np.array_equal(got.scores, s.scores)
 
     def test_store_layout(self, tmp_path):
-        # the array is the scores end to end as little-endian float64; the index lists each series'
-        # frame count in series order, and each series starts where the one before it ends
+        # one file: magic, u32 version 3, u32 header length, the sorted-key JSON header listing each
+        # series' frame count in series order, padded with spaces to a multiple of 8 bytes with the
+        # frame, then the scores end to end as little-endian float64, each series starting where
+        # the one before it ends
         first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a_b", qid="x-0", fps=29.97)
         second = series([1.0 - 2.0**-53], uid="v", qid="q", fps=2.0)
         metrics.save_score_series(tmp_path, [first, second])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["index.json", "scores.f64"]
-        packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
-        assert (tmp_path / "scores.f64").read_bytes() == packed
-        assert json.loads((tmp_path / "index.json").read_text(encoding="utf-8")) == {"version": 2, "series": [
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.sdqc"]
+        header = json.dumps({"series": [
             {"video_uid": "a_b", "query_id": "x-0", "fps": 29.97, "frames": 7},
             {"video_uid": "v", "query_id": "q", "fps": 2.0, "frames": 1},
-        ]}
+        ]}, sort_keys=True).encode("utf-8")
+        header += b" " * (-(12 + len(header)) % 8)
+        packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
+        frame = struct.pack("<4sII", b"SDQC", 3, len(header))
+        assert (tmp_path / "scores.sdqc").read_bytes() == frame + header + packed
         loaded = metrics.load_score_series_dir(tmp_path)
         assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a_b", "x-0", 29.97), ("v", "q", 2.0)]
         assert struct.pack("<8d", *np.concatenate([s.scores for s in loaded]).tolist()) == packed
@@ -458,13 +462,15 @@ class TestScoreSeriesFiles:
     ], ids=["above_one", "below_zero", "nan"])
     def test_load_names_the_array_and_the_first_bad_series(self, tmp_path, value, error, message):
         metrics.save_score_series(tmp_path, [series(np.full(3, 0.5), uid=f"v{i}", qid="a-0") for i in range(3)])
-        values = np.fromfile(tmp_path / "scores.f64", "<f8")
+        path = tmp_path / "scores.sdqc"
+        raw = path.read_bytes()
+        values = np.frombuffer(raw, "<f8", offset=len(raw) - 72).copy()
         values[[0, 1]] = 0.0, 1.0  # series 0 holds both ends of [0, 1], which are in range
         values[[4, 5, 7]] = value  # two in series 1, one in series 2
-        values.tofile(tmp_path / "scores.f64")
+        path.write_bytes(raw[:-72] + values.tobytes())
         with pytest.raises(error) as err:
             metrics.load_score_series_dir(tmp_path)
-        assert str(err.value) == f"score array {tmp_path / 'scores.f64'}, {message}"
+        assert str(err.value) == f"score store {path}, {message}"
 
     @pytest.mark.parametrize("fps", [2.0, 29.97, 30000 / 1001, 59.94, 60000 / 1001])
     def test_fps_round_trips(self, fps, tmp_path):
@@ -502,25 +508,43 @@ class TestScoreSeriesFiles:
             metrics.save_score_series(tmp_path / "scores", [series([0.5], uid="v1", qid="a-0"), last])
         assert not (tmp_path / "scores").exists()
 
-    def test_interrupted_save_leaves_no_index(self, tmp_path, monkeypatch):
-        # the array goes in first and the old index is gone before it: no index outlives its array
+    @pytest.mark.parametrize("written", [1, 2], ids=["after_the_header", "after_one_series"])
+    def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch, written):
+        # a write cut after the header, over a complete store, leaves fewer bytes than the header
+        # promises: no staged rename is needed for the loader to refuse the file
         metrics.save_score_series(tmp_path, [series(np.full(60, 0.5))])
 
-        def interrupted(*args, **kwargs):
-            raise KeyboardInterrupt
+        class Interrupted:
+            def __init__(self, file):
+                self.file, self.writes = file, 0
 
-        monkeypatch.setattr(metrics.json, "dumps", interrupted)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, data):
+                if self.writes == written:
+                    raise KeyboardInterrupt
+                self.writes += 1
+                return self.file.write(data)
+
+        monkeypatch.setattr(metrics.framing, "open", lambda *args, **kwargs: Interrupted(open(*args, **kwargs)),
+                            raising=False)
         with pytest.raises(KeyboardInterrupt):
-            metrics.save_score_series(tmp_path, [series(np.full(30, 0.25))])
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.f64"]
-        assert (tmp_path / "scores.f64").stat().st_size == 30 * 8
+            metrics.save_score_series(tmp_path, [series(np.full(30, 0.25), uid="a"), series(np.full(20, 0.75))])
+        monkeypatch.undo()
+        held = 8 * 30 * (written - 1)
+        with pytest.raises(SchemaError, match=f"holds {held} bytes after its header, which tiles 50 float64 values"):
+            metrics.load_score_series_dir(tmp_path)
 
     def test_numpy_fps_writes_plain_numbers(self, tmp_path):
         metrics.save_score_series(tmp_path / "a", [series([0.5, 0.25], fps=np.float64(2.0))])
         metrics.save_score_series(tmp_path / "b", [series([0.5, 0.25], fps=2.0)])
-        text = (tmp_path / "a" / "index.json").read_text(encoding="utf-8")
-        assert text == (tmp_path / "b" / "index.json").read_text(encoding="utf-8")
-        assert "np." not in text and '"fps": 2.0' in text
+        raw = (tmp_path / "a" / "scores.sdqc").read_bytes()
+        assert raw == (tmp_path / "b" / "scores.sdqc").read_bytes()
+        assert b"np." not in raw and b'"fps": 2.0' in raw
 
     def test_report_json_round_trip(self):
         rep = metrics.MetricReport(

@@ -147,6 +147,21 @@ def test_only_annotations_knows_the_stream_header():
     assert found == []
 
 
+def test_only_framing_decodes_a_frame_or_header():
+    # one container for every binary file: framing.py alone packs or unpacks a frame's integers,
+    # decodes a JSON header and checks a version; each format checks only its own header and payload
+    found = []
+    for name, tree in _trees():
+        if name == "framing.py":
+            continue
+        for node in ast.walk(tree):
+            call = ast.unparse(node.func) if isinstance(node, ast.Call) else ""
+            if (call == "json.loads" or call.split(".")[-1] in ("from_bytes", "to_bytes")
+                    or isinstance(node, ast.Compare) and "VERSION" in ast.unparse(node)):
+                found.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
 def _callers() -> dict[str, set[str]]:
     """Each called name, the last part of a dotted call, mapped to the ``module.function``s that call it."""
     callers: dict[str, set[str]] = {}
