@@ -265,8 +265,9 @@ def cmd_score(args) -> int:
             p = detector.score_streams(model, np.stack([streams[uid][0] for uid in group]),
                                        np.stack([streams[uid][2] for uid in group]))
             probs.update(zip(group, p))
-    scored = [metrics.ScoreSeries(a.video_uid, metrics.default_query_id(a), streams[a.video_uid][1],
-                                  probs[a.video_uid]) for a in anns]
+    scored = metrics.ScoreTable([a.video_uid for a in anns], [metrics.default_query_id(a) for a in anns],
+                                [streams[a.video_uid][1] for a in anns], [len(probs[a.video_uid]) for a in anns],
+                                np.concatenate([probs[a.video_uid] for a in anns]))
     scores_dir = out / "scores"
     metrics.save_score_series(scores_dir, scored)
     write_manifest(out, args, [Path(args.checkpoint), data_dir], read.digests)

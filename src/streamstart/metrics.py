@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,11 +47,50 @@ class ToleranceWindow:
             raise ConfigError(f"tolerance window must be nonnegative and finite, got ({a}, {l})")
 
 
+def _series_error(rule: str, i: int, pair: str, detail) -> Exception:
+    """The library's error for row ``i``, ``pair``, of a score table (or a ScoreSeries) that breaks
+    ``rule``; ``detail`` is the row's fps, frame count or non-finite count, or the total frames."""
+    if rule == "finite":
+        return NumericError(f"scores of {pair} must be finite, got {detail} non-finite value(s)")
+    return ConfigError({"ids": f"score series {pair} needs string video_uid and query_id",
+                        "frames": f"score series {pair} has no frames",
+                        "twice": f"score series {pair} appears twice",
+                        "tiles": f"score series' frames sum to {detail}, not to their number of values",
+                        "fps": f"score series {pair}: fps must be finite and positive, got {detail}",
+                        "rank": f"scores must be 1-D, got shape {detail}",
+                        "range": f"scores of {pair} must lie in [0, 1]"}[rule])
+
+
+def _first(flags) -> int | None:
+    return next((i for i, flag in enumerate(flags) if flag), None)
+
+
+def _check_frames(frames: np.ndarray, pair: Callable[[int], str], fail) -> None:
+    if (short := np.flatnonzero(frames < 1)).size:
+        raise fail("frames", int(short[0]), pair(short[0]), frames[short[0]])
+
+
+def _check_scores(fps: list[float], offsets, values: np.ndarray, pair: Callable[[int], str], fail) -> None:
+    """``values`` is 1-D, each row's fps is finite and positive, and its scores,
+    ``values[offsets[i]:offsets[i + 1]]`` for row i, are finite and in [0, 1]."""
+    if values.ndim != 1:
+        raise fail("rank", None, "", values.shape)
+    if (i := _first(not (math.isfinite(f) and f > 0) for f in fps)) is not None:
+        raise fail("fps", i, pair(i), fps[i])
+    # NaN fails both comparisons, so finiteness is only diagnosed on failure
+    if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
+        non_finite = ~np.isfinite(values)
+        rule, bad = ("finite", non_finite) if non_finite.any() else ("range", (values < 0.0) | (values > 1.0))
+        i = int(np.searchsorted(offsets, np.argmax(bad), "right")) - 1
+        raise fail(rule, i, pair(i), int(bad[offsets[i]:offsets[i + 1]].sum()))
+
+
 @dataclass(frozen=True)
 class ScoreSeries:
     """Per-frame detection probabilities for one (video, query) pair.
 
-    ``scores[i]`` is the probability assigned to the frame at time ``i / fps``.
+    ``scores[i]`` is the probability assigned to the frame at time ``i / fps``. Its fps and
+    scores keep a ``ScoreTable`` row's rules; it may have no frames.
     """
 
     video_uid: str
@@ -61,19 +101,61 @@ class ScoreSeries:
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
-        if scores.ndim != 1:
-            raise ConfigError(f"scores must be 1-D, got shape {scores.shape}")
-        # NaN fails both comparisons, so finiteness is only diagnosed on failure
-        if scores.size and not (scores.min() >= 0.0 and scores.max() <= 1.0):
-            bad = int((~np.isfinite(scores)).sum())
-            if bad:
-                raise NumericError(
-                    f"scores of ({self.video_uid}, {self.query_id}) must be finite, "
-                    f"got {bad} non-finite value(s)"
-                )
-            raise ConfigError(f"scores of ({self.video_uid}, {self.query_id}) must lie in [0, 1]")
+        _check_scores([self.fps], [0, scores.size], scores, lambda i: f"({self.video_uid}, {self.query_id})",
+                      _series_error)
+
+
+ScoreRow = NamedTuple("ScoreRow", [("video_uid", str), ("query_id", str), ("fps", float), ("scores", np.ndarray)])
+
+
+@dataclass(frozen=True, eq=False)
+class ScoreTable:
+    """Per-frame detection probabilities of (video, query) pairs, as columns. Row i has ``frames[i]``
+    scores, ``values[offsets[i]:offsets[i + 1]]``, starting where row i - 1 ends; its frame j is at
+    ``j / fps[i]`` seconds. ``table[i]`` is row i as a ScoreRow, its scores a view of ``values``.
+
+    The constructor checks every rule, in this order: string ids, at least one frame, no
+    ``(video_uid, query_id)`` pair twice, frames that sum to the number of values, then
+    ``_check_scores``: values of rank 1, a finite positive fps and scores in [0, 1]. The
+    first row to break one raises ``fail(rule, i, pair, detail)``: a library error, or the loader's.
+    """
+
+    video_uid: list[str]
+    query_id: list[str]
+    fps: np.ndarray
+    frames: np.ndarray
+    values: np.ndarray
+    offsets: np.ndarray = field(init=False, repr=False)
+    index: dict[tuple[str, str], int] = field(init=False, repr=False)  # each (video_uid, query_id) pair's row
+    fail: InitVar[Callable[..., Exception]] = _series_error
+
+    def __post_init__(self, fail) -> None:
+        keys, frames = list(zip(self.video_uid, self.query_id)), np.asarray(self.frames)
+        values = np.asarray(self.values, dtype=float)
+        pair = lambda i: "({}, {})".format(*keys[i])  # noqa: E731
+        if (i := _first(not (isinstance(v, str) and isinstance(q, str)) for v, q in keys)) is not None:
+            raise fail("ids", i, pair(i), None)
+        _check_frames(frames, pair, fail)
+        if len(index := dict(zip(keys, range(len(keys))))) < len(keys):
+            seen = set()
+            i = _first(key in seen or seen.add(key) for key in keys)
+            raise fail("twice", i, pair(i), None)
+        offsets = np.cumsum([0, *frames.tolist()], dtype=object)  # exact, however large a stored count
+        if offsets[-1] != values.size:
+            raise fail("tiles", None, "", offsets[-1])
+        fps, offsets = np.asarray(self.fps, dtype=float), offsets.astype(np.intp)
+        columns = {"fps": fps, "frames": np.diff(offsets), "values": values, "offsets": offsets, "index": index}
+        for name, value in columns.items():
+            object.__setattr__(self, name, value)
+        _check_scores(fps.tolist(), offsets, values, pair, fail)
+
+    def __len__(self) -> int:
+        return len(self.video_uid)
+
+    def __getitem__(self, i: int) -> ScoreRow:
+        i = range(len(self))[i]
+        return ScoreRow(self.video_uid[i], self.query_id[i], float(self.fps[i]),
+                        self.values[self.offsets[i]:self.offsets[i + 1]])
 
 
 @dataclass(frozen=True)
@@ -180,40 +262,44 @@ def smd_at_k(preds, t_s, k: int, horizon):
 
 @dataclass(frozen=True)
 class _Queries:
-    """The evaluated queries in annotation order: each one's series, frame count, fps
-    and ground-truth start."""
+    """The evaluated queries in annotation order: each one's row of ``source`` (a ScoreTable,
+    or the list of paired ScoreSeries), its frame count, fps and ground-truth start."""
 
-    series: list[ScoreSeries]
+    source: ScoreTable | Sequence[ScoreSeries]
+    rows: np.ndarray
     lengths: np.ndarray
     fps: np.ndarray
     starts: np.ndarray
 
 
 def _pair(series, annotations, thresholds, mode: str, ks) -> _Queries:
-    """Pair every annotation with its series and validate the evaluation.
+    """Pair every annotation with its row of ``series``, a ScoreTable or a list of ScoreSeries,
+    and validate the evaluation.
 
     A missing ``(video_uid, default_query_id)`` raises IdMismatchError listing them
     all; then no annotations, a bad threshold, mode or k, and a series
-    without frames raise ConfigError, in that order.
+    without frames raise ConfigError, in that order. Rows are read where they lie: a
+    table's in its values, a list's in its series, which each pass copies block by block.
     """
-    by_key = {(s.video_uid, s.query_id): s for s in series}
+    is_table = isinstance(series, ScoreTable)
+    # each pair's row of a table, or its series in a list
+    index = series.index if is_table else {(s.video_uid, s.query_id): s for s in series}
     keys = [(a.video_uid, default_query_id(a)) for a in annotations]
-    missing = [key for key in keys if key not in by_key]
+    missing = [key for key in keys if key not in index]
     if missing:
         raise IdMismatchError(missing)
     if not annotations:
         raise ConfigError("no annotations to evaluate")
     _check_evaluation(thresholds, mode, ks)
-    paired = [by_key[key] for key in keys]
-    lengths = np.fromiter((s.scores.size for s in paired), dtype=np.intp, count=len(paired))
-    if not lengths.all():
-        ser = paired[int(np.argmin(lengths))]
-        raise ConfigError(f"score series ({ser.video_uid}, {ser.query_id}) has no frames")
-    return _Queries(
-        series=paired, lengths=lengths,
-        fps=np.fromiter((s.fps for s in paired), dtype=float, count=len(paired)),
-        starts=np.fromiter((a.start_sec for a in annotations), dtype=float, count=len(paired)),
-    )
+    starts = np.fromiter((a.start_sec for a in annotations), dtype=float, count=len(keys))
+    if is_table:
+        rows = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+        return _Queries(series, rows, series.frames[rows], series.fps[rows], starts)
+    paired = [index[key] for key in keys]
+    lengths = np.fromiter((s.scores.size for s in paired), dtype=np.intp, count=len(keys))
+    _check_frames(lengths, lambda i: "({}, {})".format(*keys[i]), _series_error)
+    return _Queries(paired, np.arange(len(keys)), lengths,
+                    np.fromiter((s.fps for s in paired), dtype=float, count=len(keys)), starts)
 
 
 def _blocks(lengths: np.ndarray, width: int):
@@ -234,11 +320,16 @@ def _blocks(lengths: np.ndarray, width: int):
 
 def _stack(queries: _Queries, block: np.ndarray, multiple: int = 1) -> np.ndarray:
     """``[b, T]`` scores of a block's queries, each row padded with -1 to T, the block's
-    longest length rounded up to a multiple of ``multiple``: one concatenate. Padding is
-    below every threshold, so it never fires."""
-    lengths = queries.lengths[block]
-    t = -(-int(lengths.max()) // multiple) * multiple
-    rows = [queries.series[q].scores for q in block.tolist()]
+    longest length rounded up to a multiple of ``multiple``. Padding is below every
+    threshold, so it never fires. A table's rows that lie end to end at one length are a
+    reshape view of its values, copied only to pad; other rows take one concatenate."""
+    lengths, rows, source = queries.lengths[block], queries.rows[block], queries.source
+    t, n = -(-int(lengths.max()) // multiple) * multiple, int(lengths[0])
+    if isinstance(source, ScoreTable) and (lengths == n).all() and (np.diff(source.offsets[rows]) == n).all():
+        start = source.offsets[rows[0]]
+        view = source.values[start:start + len(block) * n].reshape(len(block), n)
+        return view if n == t else np.pad(view, ((0, 0), (0, t - n)), constant_values=-1.0)
+    rows = [source[row].scores for row in rows.tolist()]
     if lengths.min() < t:  # each row, then a slice of one -1 row as long as its padding
         fill = np.full(t, -1.0)
         rows = [part for scores in rows for part in (scores, fill[scores.size:])]
@@ -254,7 +345,7 @@ def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: 
     set frame and clears it.
     """
     n_first = min(n_first, int(queries.lengths.max()))
-    first = np.full((len(queries.series), len(taus), n_first), np.inf)
+    first = np.full((len(queries.rows), len(taus), n_first), np.inf)
     for block in _blocks(queries.lengths, len(taus)):
         pad = _stack(queries, block)
         mask = _prediction_mask(pad, taus, mode).reshape(-1, pad.shape[1])
@@ -348,7 +439,7 @@ def _first_crossings(queries: _Queries, records: _Records, taus: np.ndarray) -> 
     crossed = np.arange(len(taus)) < np.searchsorted(taus, records.top, "right")[:, None]
     found = np.full(crossed.shape, np.inf)
     found[crossed] = np.repeat(records.frame, counts)
-    first = np.empty((len(queries.series), len(taus)))
+    first = np.empty((len(queries.rows), len(taus)))
     first[records.order] = found
     return first
 
@@ -363,12 +454,12 @@ def _report(queries: _Queries, ks, w: ToleranceWindow, mode: str, threshold: flo
         threshold=float(threshold), window=w,
         sr={k: float(np.mean(streaming_recall_at_k(times, queries.starts, k, w)) * 100.0) for k in ks},
         smd={k: float(np.mean(smd_at_k(times, queries.starts, k, span))) for k in ks},
-        n_queries=len(queries.series),
+        n_queries=len(queries.rows),
     )
 
 
 def evaluate_dataset(
-    series: list[ScoreSeries],
+    series: ScoreTable | list[ScoreSeries],
     annotations: list,
     ks: list[int],
     w: ToleranceWindow,
@@ -385,7 +476,7 @@ def evaluate_dataset(
 
 
 def sweep_thresholds(
-    series: list[ScoreSeries],
+    series: ScoreTable | list[ScoreSeries],
     annotations: list,
     w: ToleranceWindow,
     n: int = 20,
@@ -440,38 +531,29 @@ STORE_VERSION = 3
 STORE_FILE = "scores.sdqc"
 
 
-def save_score_series(directory: str | Path, series: Sequence[ScoreSeries]) -> None:
-    """Write ``series`` into ``directory`` as its score store. What the loader rejects, ids that
-    are not strings, a repeated ``(video_uid, query_id)``, a series without frames or an fps that
-    is not finite and positive, raises ConfigError before a byte is written. A write cut short
-    leaves fewer bytes than the header promises, which the loader rejects."""
-    entries, seen = [], set()
-    for s in series:
-        pair = f"({s.video_uid}, {s.query_id})"
-        fps = float(s.fps)
-        if not (isinstance(s.video_uid, str) and isinstance(s.query_id, str)):
-            raise ConfigError(f"score series {pair} needs string video_uid and query_id")
-        if (s.video_uid, s.query_id) in seen:
-            raise ConfigError(f"score series {pair} appears twice")
-        if not s.scores.size:
-            raise ConfigError(f"score series {pair} has no frames")
-        if not (math.isfinite(fps) and fps > 0):
-            raise ConfigError(f"score series {pair}: fps must be finite and positive, got {fps}")
-        seen.add((s.video_uid, s.query_id))
-        entries.append({"video_uid": s.video_uid, "query_id": s.query_id, "fps": fps, "frames": s.scores.size})
+def save_score_series(directory: str | Path, series: ScoreTable | Sequence[ScoreSeries]) -> None:
+    """Write ``series``, a table or a list of series, into ``directory`` as its score store. A list
+    becomes a table first, so a series that breaks a table rule raises before a byte is written.
+    A write cut short leaves fewer bytes than the header promises, which the loader rejects."""
+    if not isinstance(series, ScoreTable):
+        scores = [s.scores for s in series]
+        series = ScoreTable([s.video_uid for s in series], [s.query_id for s in series], [s.fps for s in series],
+                            [a.size for a in scores], np.concatenate([np.empty(0), *scores]))
+    entries = [{"video_uid": v, "query_id": q, "fps": fps, "frames": n} for v, q, fps, n
+               in zip(series.video_uid, series.query_id, series.fps.tolist(), series.frames.tolist())]
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     framing.write(directory / STORE_FILE, STORE_MAGIC, STORE_VERSION, {"series": entries},
-                  [np.ascontiguousarray(s.scores, dtype="<f8") for s in series], align=8)
+                  np.split(series.values.astype("<f8", copy=False), series.offsets[1:-1]), align=8)
 
 
 def load_score_series_dir(
     directory: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
-) -> list[ScoreSeries]:
-    """The series of the score store in ``directory``, in header order, its file read whole by
-    ``read``. No store (one of an older layout included), a bad frame, header or entry, frame
-    counts that do not sum to the payload's length, or a finite score outside [0, 1] raise
-    SchemaError naming the file; a non-finite score raises NumericError naming it."""
+) -> ScoreTable:
+    """The score store in ``directory``, its file read whole by ``read``, as a table on those bytes,
+    rows in header order. No store (one of an older layout included), a bad frame, header or entry,
+    frame counts that do not tile the payload, or a finite score outside [0, 1] raise SchemaError
+    naming the file; a non-finite score raises NumericError naming it."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
@@ -483,38 +565,27 @@ def load_score_series_dir(
                                   f"{path} is not a score store (bad magic {raw[:4]!r})")
     if not isinstance(header.get("series"), list):
         raise SchemaError(f"score store {path}: its header needs a series list")
-    tiles, seen, total = [], set(), 0
-    for i, entry in enumerate(header["series"]):
-        video_uid, query_id, fps, frames = (entry.get(key) if isinstance(entry, dict) else None
-                                            for key in ("video_uid", "query_id", "fps", "frames"))
-        if not (isinstance(video_uid, str) and isinstance(query_id, str) and type(fps) is float
-                and type(frames) is int):
-            raise SchemaError(f"score store {path}: series {i} needs string video_uid and query_id, "
-                              "a float fps and integer frames")
-        pair = f"series {i} ({video_uid}, {query_id})"
-        if not (math.isfinite(fps) and fps > 0):
-            raise SchemaError(f"score store {path}: {pair} has fps {fps!r}, not finite and positive")
-        if frames < 1:
-            raise SchemaError(f"score store {path}: {pair} has {frames} frames, not at least 1")
-        if (video_uid, query_id) in seen:
-            raise SchemaError(f"score store {path}: {pair} repeats an earlier pair")
-        seen.add((video_uid, query_id))
-        tiles.append((video_uid, query_id, fps, total, frames))
-        total += frames
-    if len(raw) - end != 8 * total:
-        raise SchemaError(f"score store {path} holds {len(raw) - end} bytes after its header, which "
-                          f"tiles {total} float64 values ({8 * total} bytes)")
-    values = np.frombuffer(raw, dtype="<f8", offset=end)
-    # NaN fails both comparisons, so finiteness is only diagnosed on failure
-    if total and not (values.min() >= 0.0 and values.max() <= 1.0):
-        non_finite = ~np.isfinite(values)
-        bad = non_finite if non_finite.any() else (values < 0.0) | (values > 1.0)
-        i = next(i for i, (*_, offset, frames) in enumerate(tiles) if bad[offset:offset + frames].any())
-        video_uid, query_id, _, offset, frames = tiles[i]
-        where = f"score store {path}, series {i}: scores of ({video_uid}, {query_id})"
-        if bad is non_finite:
-            raise NumericError(f"{where} must be finite, got {int(bad[offset:offset + frames].sum())} "
-                               "non-finite value(s)")
-        raise SchemaError(f"{where} must lie in [0, 1]")
-    return [ScoreSeries(video_uid, query_id, fps, values[offset:offset + frames])
-            for video_uid, query_id, fps, offset, frames in tiles]
+    rows = [[e.get(key) for key in ("video_uid", "query_id", "fps", "frames")] if isinstance(e, dict) else [None] * 4
+            for e in header["series"]]
+    video_uid, query_id, fps, frames = map(list, zip(*rows)) if rows else ([], [], [], [])
+
+    def fail(rule: str, i, pair: str, detail) -> Exception:
+        store, row = f"score store {path}", f"score store {path}: series {i} {pair}"
+        if rule in ("finite", "range"):  # the library's words, after the file and row
+            return (NumericError if rule == "finite" else SchemaError)(
+                f"{store}, series {i}: {_series_error(rule, i, pair, detail)}")
+        if rule == "tiles":
+            return SchemaError(f"{store} holds {len(raw) - end} bytes after its header, which tiles {detail} "
+                               f"float64 values ({8 * detail} bytes)")
+        return SchemaError({"ids": f"{store}: series {i} needs string video_uid and query_id, a float fps and "
+                                   "integer frames",
+                            "frames": f"{row} has {detail} frames, not at least 1",
+                            "twice": f"{row} repeats an earlier pair",
+                            "fps": f"{row} has fps {detail}, not finite and positive"}[rule])
+
+    # the columns' JSON types, which the table takes as given; string ids are its first rule
+    if (i := _first(type(f) is not float or type(n) is not int for f, n in zip(fps, frames))) is not None:
+        raise fail("ids", i, "", None)
+    if (len(raw) - end) % 8:  # a payload that ends inside a float64 tiles no frames
+        raise fail("tiles", None, "", sum(frames))
+    return ScoreTable(video_uid, query_id, fps, frames, np.frombuffer(raw, dtype="<f8", offset=end), fail=fail)

@@ -324,6 +324,22 @@ class TestTrainScoreEval:
         assert got["smd"] == {str(k): v for k, v in rep.smd.items()}
         assert got["n_queries"] == 8
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
+    def test_eval_builds_no_series_from_the_store(self, pipeline, capsys, monkeypatch, sweep):
+        # the loaded store is one table: neither pairing nor either pass makes a per-series object
+        corpus, _, scores = pipeline
+        argv = ["eval", "--scores", str(scores / "scores"), "--annotations", str(corpus / "annotations.csv"),
+                "--split", "val", *sweep]
+        assert cli.main(argv) == 0
+        want = capsys.readouterr().out
+
+        def refuse(self):
+            raise AssertionError(f"a ScoreSeries of ({self.video_uid}, {self.query_id}) was built")
+
+        monkeypatch.setattr(metrics.ScoreSeries, "__post_init__", refuse)
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == want
+
     def test_eval_id_mismatch_exit_3(self, pipeline, tmp_path):
         corpus, run, scores = pipeline
         other = tmp_path / "other.csv"

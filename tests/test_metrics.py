@@ -234,6 +234,60 @@ class TestEvaluateDataset:
         self.test_matches_brute_force_oracle()
 
 
+class TestLoadedTable:
+    """An evaluation of a loaded store reads each paired row where it lies in the payload."""
+
+    @staticmethod
+    def stored(tmp_path, layout):
+        """Series saved to a store and loaded back, and annotations for all but the last one.
+        ``end_to_end``: rows of one length, annotated in store order, so that each block is a
+        view of the payload. ``gathered``: mixed lengths and fps, annotated out of store order.
+        The unannotated last row holds a score above every paired one."""
+        rng = np.random.default_rng(21)
+        levels = [0.0, 0.25, 0.5, 0.75]
+        if layout == "end_to_end":
+            shapes = [(30, 1.0)] * 12
+        else:
+            shapes = [(int(rng.choice([1, 2, 3, W - 1, W, W + 1, 40])), float(rng.choice([0.5, 1.0, 2.0])))
+                      for _ in range(40)]
+        ser = [series(rng.choice(levels, n), uid=f"v{i}", qid="a-0", fps=fps) for i, (n, fps) in enumerate(shapes)]
+        ser.append(series(np.ones(3), uid="unpaired", qid="a-0"))
+        metrics.save_score_series(tmp_path, ser)
+        order = range(len(shapes)) if layout == "end_to_end" else rng.permutation(len(shapes))
+        anns = [FakeAnn(f"v{i}", "a", float(rng.uniform(0, shapes[i][0] / shapes[i][1]))) for i in order]
+        return ser, metrics.load_score_series_dir(tmp_path), anns
+
+    @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
+    @pytest.mark.parametrize("layout", ["end_to_end", "gathered"])
+    def test_reports_equal_the_list_and_the_oracle(self, tmp_path, monkeypatch, layout, budget):
+        ser, loaded, anns = self.stored(tmp_path, layout)
+        monkeypatch.setattr(metrics, "_BLOCK", budget)
+        stack, views = metrics._stack, []
+
+        def spy(queries, block, multiple=1):
+            out = stack(queries, block, multiple)
+            if queries.source is loaded:
+                views.append((multiple, np.shares_memory(out, loaded.values)))
+            return out
+
+        monkeypatch.setattr(metrics, "_stack", spy)
+        w = ToleranceWindow(5, 10)
+        for mode in metrics.MODES:
+            for threshold in (0.0, 0.25, 0.5, 1.0):
+                rep = metrics.evaluate_dataset(loaded, anns, [1, 2, 3], w, mode, threshold)
+                assert rep == metrics.evaluate_dataset(ser, anns, [1, 2, 3], w, mode, threshold)
+                want = oracles.brute_evaluate(loaded, anns, [1, 2, 3], 5, 10, mode, threshold, qid)
+                assert (rep.sr, rep.smd) == want
+            for objective_k in (1, 2):
+                got = metrics.sweep_thresholds(loaded, anns, w, 20, objective_k, [1, 2], mode)
+                assert got == metrics.sweep_thresholds(ser, anns, w, 20, objective_k, [1, 2], mode)
+                assert got == oracles.exhaustive_sweep(loaded, anns, w, 20, objective_k, [1, 2], mode)
+        # a block of rows end to end at one length is a view, unless padded to the record chunk;
+        # one block of every query, of mixed lengths, is a copy
+        plain = [view for multiple, view in views if multiple == 1]
+        assert all(plain) if layout == "end_to_end" else budget < 2**18 or not any(plain)
+
+
 class TestSweep:
     @pytest.mark.parametrize("n", [1, metrics.SWEEP_MAX + 1])
     def test_candidate_count_outside_its_bounds_rejected_first(self, n):

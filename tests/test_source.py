@@ -188,7 +188,9 @@ def test_sr_and_smd_are_written_once():
 
 
 def test_evaluations_read_series_only_through_pair():
-    # one pairing rule: a series that no annotation pairs plays no part in an evaluation
+    # one pairing rule: a row that no annotation pairs plays no part in an evaluation. Each
+    # evaluation hands its series, a table or a list, to _pair alone; only _pair looks a row up
+    # by its (video_uid, query_id) and builds the _Queries that every pass reads rows through
     tree = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     for name in ("evaluate_dataset", "sweep_thresholds"):
@@ -197,6 +199,21 @@ def test_evaluations_read_series_only_through_pair():
         reads = [node.lineno for node in ast.walk(functions[name])
                  if isinstance(node, ast.Name) and node.id == "series" and id(node) not in through_pair]
         assert len(through_pair) == 1 and reads == [], (name, reads)
+
+    def users(test) -> set[str]:
+        return {name for name, func in functions.items() if any(test(node) for node in ast.walk(func))}
+
+    assert users(lambda node: isinstance(node, ast.Call) and ast.unparse(node.func) == "_Queries") == {"_pair"}
+    assert users(lambda node: isinstance(node, ast.Attribute) and node.attr == "index") == {"_pair"}
+
+
+def test_only_the_detector_makes_score_series():
+    # scores live in a ScoreTable; a ScoreSeries is the one series that score_frames and
+    # infer_streaming return, so metrics, the store and the CLI build none
+    makers = {f"{name[:-3]}.{func.name}" for name, tree in _trees() for func in ast.walk(tree)
+              if isinstance(func, ast.FunctionDef) for node in ast.walk(func)
+              if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "ScoreSeries"}
+    assert makers == {"detector.score_frames", "detector.infer_streaming"}
 
 
 # public top-level names that no other code in src reaches, each kept for its reader outside src
