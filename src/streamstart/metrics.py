@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -47,42 +47,41 @@ class ToleranceWindow:
             raise ConfigError(f"tolerance window must be nonnegative and finite, got ({a}, {l})")
 
 
-def _series_error(rule: str, i: int, pair: str, detail) -> Exception:
-    """The library's error for row ``i``, ``pair``, of a score table (or a ScoreSeries) that breaks
-    ``rule``; ``detail`` is the row's fps, frame count or non-finite count, or the total frames."""
-    if rule == "finite":
-        return NumericError(f"scores of {pair} must be finite, got {detail} non-finite value(s)")
-    return ConfigError({"ids": f"score series {pair} needs string video_uid and query_id",
-                        "frames": f"score series {pair} has no frames",
-                        "twice": f"score series {pair} appears twice",
-                        "tiles": f"score series' frames sum to {detail}, not to their number of values",
-                        "fps": f"score series {pair}: fps must be finite and positive, got {detail}",
-                        "rank": f"scores must be 1-D, got shape {detail}",
-                        "range": f"scores of {pair} must lie in [0, 1]"}[rule])
-
-
 def _first(flags) -> int | None:
     return next((i for i, flag in enumerate(flags) if flag), None)
 
 
-def _check_frames(frames: np.ndarray, pair: Callable[[int], str], fail) -> None:
+def _check_frames(frames: np.ndarray, pair: Callable[[int], str]) -> None:
     if (short := np.flatnonzero(frames < 1)).size:
-        raise fail("frames", int(short[0]), pair(short[0]), frames[short[0]])
+        raise ConfigError(f"score series {pair(short[0])} has {frames[short[0]]} frames, not at least 1")
 
 
-def _check_scores(fps: list[float], offsets, values: np.ndarray, pair: Callable[[int], str], fail) -> None:
+def _index(keys: list) -> dict[tuple[str, str], int]:
+    """Each of ``keys``, rows' (video_uid, query_id) pairs, to its row. A pair that repeats an
+    earlier one raises ConfigError naming both rows."""
+    if len(index := dict(zip(keys, range(len(keys))))) == len(keys):
+        return index
+    first = {}  # each pair's first row
+    i = _first(first.setdefault(key, j) != j for j, key in enumerate(keys))
+    raise ConfigError("score series {} ({}, {}) repeats the pair of series {}".format(i, *keys[i], first[keys[i]]))
+
+
+def _check_scores(fps: list[float], offsets, values: np.ndarray, pair: Callable[[int], str]) -> None:
     """``values`` is 1-D, each row's fps is finite and positive, and its scores,
     ``values[offsets[i]:offsets[i + 1]]`` for row i, are finite and in [0, 1]."""
     if values.ndim != 1:
-        raise fail("rank", None, "", values.shape)
+        raise ConfigError(f"scores must be 1-D, got shape {values.shape}")
     if (i := _first(not (math.isfinite(f) and f > 0) for f in fps)) is not None:
-        raise fail("fps", i, pair(i), fps[i])
+        raise ConfigError(f"score series {pair(i)}: fps must be finite and positive, got {fps[i]}")
     # NaN fails both comparisons, so finiteness is only diagnosed on failure
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
         non_finite = ~np.isfinite(values)
-        rule, bad = ("finite", non_finite) if non_finite.any() else ("range", (values < 0.0) | (values > 1.0))
+        bad = non_finite if non_finite.any() else (values < 0.0) | (values > 1.0)
         i = int(np.searchsorted(offsets, np.argmax(bad), "right")) - 1
-        raise fail(rule, i, pair(i), int(bad[offsets[i]:offsets[i + 1]].sum()))
+        if bad is not non_finite:
+            raise ConfigError(f"score series {pair(i)}: scores must lie in [0, 1]")
+        raise NumericError(f"score series {pair(i)}: scores must be finite, got "
+                           f"{int(bad[offsets[i]:offsets[i + 1]].sum())} non-finite value(s)")
 
 
 @dataclass(frozen=True)
@@ -101,8 +100,7 @@ class ScoreSeries:
     def __post_init__(self) -> None:
         scores = np.asarray(self.scores, dtype=float)
         object.__setattr__(self, "scores", scores)
-        _check_scores([self.fps], [0, scores.size], scores, lambda i: f"({self.video_uid}, {self.query_id})",
-                      _series_error)
+        _check_scores([self.fps], [0, scores.size], scores, lambda i: f"({self.video_uid}, {self.query_id})")
 
 
 ScoreRow = NamedTuple("ScoreRow", [("video_uid", str), ("query_id", str), ("fps", float), ("scores", np.ndarray)])
@@ -114,10 +112,11 @@ class ScoreTable:
     scores, ``values[offsets[i]:offsets[i + 1]]``, starting where row i - 1 ends; its frame j is at
     ``j / fps[i]`` seconds. ``table[i]`` is row i as a ScoreRow, its scores a view of ``values``.
 
-    The constructor checks every rule, in this order: string ids, at least one frame, no
-    ``(video_uid, query_id)`` pair twice, frames that sum to the number of values, then
-    ``_check_scores``: values of rank 1, a finite positive fps and scores in [0, 1]. The
-    first row to break one raises ``fail(rule, i, pair, detail)``: a library error, or the loader's.
+    The constructor checks every rule, in this order: four columns of one length, string ids, at
+    least one frame, no ``(video_uid, query_id)`` pair twice, frames that sum to the number of values,
+    then ``_check_scores``: values of rank 1, a finite positive fps and scores in [0, 1]. The first
+    row to break one raises NumericError for a non-finite score, and ConfigError otherwise, naming
+    the row's index and pair.
     """
 
     video_uid: list[str]
@@ -127,27 +126,26 @@ class ScoreTable:
     values: np.ndarray
     offsets: np.ndarray = field(init=False, repr=False)
     index: dict[tuple[str, str], int] = field(init=False, repr=False)  # each (video_uid, query_id) pair's row
-    fail: InitVar[Callable[..., Exception]] = _series_error
 
-    def __post_init__(self, fail) -> None:
+    def __post_init__(self) -> None:
+        lengths = {name: len(getattr(self, name)) for name in ("video_uid", "query_id", "fps", "frames")}
+        if len(set(lengths.values())) > 1:
+            raise ConfigError(f"score table columns differ in length: {lengths}")
         keys, frames = list(zip(self.video_uid, self.query_id)), np.asarray(self.frames)
         values = np.asarray(self.values, dtype=float)
-        pair = lambda i: "({}, {})".format(*keys[i])  # noqa: E731
+        pair = lambda i: "{} ({}, {})".format(i, *keys[i])  # noqa: E731
         if (i := _first(not (isinstance(v, str) and isinstance(q, str)) for v, q in keys)) is not None:
-            raise fail("ids", i, pair(i), None)
-        _check_frames(frames, pair, fail)
-        if len(index := dict(zip(keys, range(len(keys))))) < len(keys):
-            seen = set()
-            i = _first(key in seen or seen.add(key) for key in keys)
-            raise fail("twice", i, pair(i), None)
+            raise ConfigError(f"score series {pair(i)} needs string video_uid and query_id")
+        _check_frames(frames, pair)
+        index = _index(keys)
         offsets = np.cumsum([0, *frames.tolist()], dtype=object)  # exact, however large a stored count
         if offsets[-1] != values.size:
-            raise fail("tiles", None, "", offsets[-1])
+            raise ConfigError(f"score series' frames sum to {offsets[-1]}, not to the {values.size} values")
         fps, offsets = np.asarray(self.fps, dtype=float), offsets.astype(np.intp)
         columns = {"fps": fps, "frames": np.diff(offsets), "values": values, "offsets": offsets, "index": index}
         for name, value in columns.items():
             object.__setattr__(self, name, value)
-        _check_scores(fps.tolist(), offsets, values, pair, fail)
+        _check_scores(fps.tolist(), offsets, values, pair)
 
     def __len__(self) -> int:
         return len(self.video_uid)
@@ -262,8 +260,8 @@ def smd_at_k(preds, t_s, k: int, horizon):
 
 @dataclass(frozen=True)
 class _Queries:
-    """The evaluated queries in annotation order: each one's row of ``source`` (a ScoreTable,
-    or the list of paired ScoreSeries), its frame count, fps and ground-truth start."""
+    """The evaluated queries in annotation order: each one's row of ``source``, a ScoreTable or
+    a list of ScoreSeries, its frame count, fps and ground-truth start."""
 
     source: ScoreTable | Sequence[ScoreSeries]
     rows: np.ndarray
@@ -276,14 +274,15 @@ def _pair(series, annotations, thresholds, mode: str, ks) -> _Queries:
     """Pair every annotation with its row of ``series``, a ScoreTable or a list of ScoreSeries,
     and validate the evaluation.
 
-    A missing ``(video_uid, default_query_id)`` raises IdMismatchError listing them
-    all; then no annotations, a bad threshold, mode or k, and a series
-    without frames raise ConfigError, in that order. Rows are read where they lie: a
-    table's in its values, a list's in its series, which each pass copies block by block.
+    A pair that the list repeats raises the table's ConfigError for it; then a missing
+    ``(video_uid, default_query_id)`` raises IdMismatchError listing them all; then no
+    annotations, a bad threshold, mode or k, and a series without frames raise ConfigError, in
+    that order. Rows are read where they lie: a table's in its values, a list's in its series,
+    which each pass copies block by block.
     """
     is_table = isinstance(series, ScoreTable)
-    # each pair's row of a table, or its series in a list
-    index = series.index if is_table else {(s.video_uid, s.query_id): s for s in series}
+    # each (video_uid, query_id) pair's row: a table's own index, or its position in a list
+    index = series.index if is_table else _index([(s.video_uid, s.query_id) for s in series])
     keys = [(a.video_uid, default_query_id(a)) for a in annotations]
     missing = [key for key in keys if key not in index]
     if missing:
@@ -292,14 +291,13 @@ def _pair(series, annotations, thresholds, mode: str, ks) -> _Queries:
         raise ConfigError("no annotations to evaluate")
     _check_evaluation(thresholds, mode, ks)
     starts = np.fromiter((a.start_sec for a in annotations), dtype=float, count=len(keys))
+    rows = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
     if is_table:
-        rows = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
         return _Queries(series, rows, series.frames[rows], series.fps[rows], starts)
-    paired = [index[key] for key in keys]
+    paired = [series[row] for row in rows.tolist()]
     lengths = np.fromiter((s.scores.size for s in paired), dtype=np.intp, count=len(keys))
-    _check_frames(lengths, lambda i: "({}, {})".format(*keys[i]), _series_error)
-    return _Queries(paired, np.arange(len(keys)), lengths,
-                    np.fromiter((s.fps for s in paired), dtype=float, count=len(keys)), starts)
+    _check_frames(lengths, lambda i: "{} ({}, {})".format(rows[i], *keys[i]))
+    return _Queries(series, rows, lengths, np.fromiter((s.fps for s in paired), dtype=float, count=len(keys)), starts)
 
 
 def _blocks(lengths: np.ndarray, width: int):
@@ -522,38 +520,33 @@ def sweep_thresholds(
 
 # -- score store --------------------------------------------------------------
 #
-# One run's series in one file framed by framing.py: magic "SDQC", the header {"series":
-# [{video_uid, query_id, fps, frames}, ...]}, padded so that numpy reads the payload aligned, then
-# every series' scores end to end as little-endian float64, each starting where the last ends.
+# One run's table in one file framed by framing.py: magic "SDQC", the header of the table's columns
+# {"video_uid": [...], "query_id": [...], "fps": [...], "frames": [...]}, padded so that numpy reads
+# the payload aligned, then the table's values as little-endian float64, each row where the last ends.
 
 STORE_MAGIC = b"SDQC"
-STORE_VERSION = 3
+STORE_VERSION = 4
 STORE_FILE = "scores.sdqc"
 
 
-def save_score_series(directory: str | Path, series: ScoreTable | Sequence[ScoreSeries]) -> None:
-    """Write ``series``, a table or a list of series, into ``directory`` as its score store. A list
-    becomes a table first, so a series that breaks a table rule raises before a byte is written.
-    A write cut short leaves fewer bytes than the header promises, which the loader rejects."""
-    if not isinstance(series, ScoreTable):
-        scores = [s.scores for s in series]
-        series = ScoreTable([s.video_uid for s in series], [s.query_id for s in series], [s.fps for s in series],
-                            [a.size for a in scores], np.concatenate([np.empty(0), *scores]))
-    entries = [{"video_uid": v, "query_id": q, "fps": fps, "frames": n} for v, q, fps, n
-               in zip(series.video_uid, series.query_id, series.fps.tolist(), series.frames.tolist())]
+def save_score_series(directory: str | Path, table: ScoreTable) -> None:
+    """Write ``table`` into ``directory`` as its score store. A write cut short leaves fewer bytes
+    than the header promises, which the loader rejects."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    framing.write(directory / STORE_FILE, STORE_MAGIC, STORE_VERSION, {"series": entries},
-                  np.split(series.values.astype("<f8", copy=False), series.offsets[1:-1]), align=8)
+    header = {"video_uid": table.video_uid, "query_id": table.query_id, "fps": table.fps.tolist(),
+              "frames": table.frames.tolist()}
+    framing.write(directory / STORE_FILE, STORE_MAGIC, STORE_VERSION, header,
+                  [np.ascontiguousarray(table.values, dtype="<f8")], align=8)
 
 
 def load_score_series_dir(
     directory: str | Path, read: Callable[[Path], bytes] = Path.read_bytes
 ) -> ScoreTable:
-    """The score store in ``directory``, its file read whole by ``read``, as a table on those bytes,
-    rows in header order. No store (one of an older layout included), a bad frame, header or entry,
-    frame counts that do not tile the payload, or a finite score outside [0, 1] raise SchemaError
-    naming the file; a non-finite score raises NumericError naming it."""
+    """The score store in ``directory``, its file read whole by ``read``, as a table on those bytes.
+    No store (one of an older layout included), a bad frame or header, or a payload that ends
+    inside a float64 raise SchemaError naming the file. So does a broken table rule, in the
+    table's words after ``score store <path>: ``, but a non-finite score raises NumericError."""
     directory = Path(directory)
     if not directory.is_dir():
         raise ConfigError(f"score directory {directory} does not exist")
@@ -563,29 +556,16 @@ def load_score_series_dir(
     raw = read(path)
     header, end = framing.unframe(path, raw, STORE_MAGIC, STORE_VERSION, "score store", SchemaError,
                                   f"{path} is not a score store (bad magic {raw[:4]!r})")
-    if not isinstance(header.get("series"), list):
-        raise SchemaError(f"score store {path}: its header needs a series list")
-    rows = [[e.get(key) for key in ("video_uid", "query_id", "fps", "frames")] if isinstance(e, dict) else [None] * 4
-            for e in header["series"]]
-    video_uid, query_id, fps, frames = map(list, zip(*rows)) if rows else ([], [], [], [])
-
-    def fail(rule: str, i, pair: str, detail) -> Exception:
-        store, row = f"score store {path}", f"score store {path}: series {i} {pair}"
-        if rule in ("finite", "range"):  # the library's words, after the file and row
-            return (NumericError if rule == "finite" else SchemaError)(
-                f"{store}, series {i}: {_series_error(rule, i, pair, detail)}")
-        if rule == "tiles":
-            return SchemaError(f"{store} holds {len(raw) - end} bytes after its header, which tiles {detail} "
-                               f"float64 values ({8 * detail} bytes)")
-        return SchemaError({"ids": f"{store}: series {i} needs string video_uid and query_id, a float fps and "
-                                   "integer frames",
-                            "frames": f"{row} has {detail} frames, not at least 1",
-                            "twice": f"{row} repeats an earlier pair",
-                            "fps": f"{row} has fps {detail}, not finite and positive"}[rule])
-
-    # the columns' JSON types, which the table takes as given; string ids are its first rule
+    video_uid, query_id, fps, frames = columns = [header.get(key) for key in ("video_uid", "query_id", "fps", "frames")]
+    if not all(isinstance(column, list) for column in columns):
+        raise SchemaError(f"score store {path}: its header needs video_uid, query_id, fps and frames lists")
+    # the columns' JSON types, which the table takes as given; string ids are its own rule
     if (i := _first(type(f) is not float or type(n) is not int for f, n in zip(fps, frames))) is not None:
-        raise fail("ids", i, "", None)
-    if (len(raw) - end) % 8:  # a payload that ends inside a float64 tiles no frames
-        raise fail("tiles", None, "", sum(frames))
-    return ScoreTable(video_uid, query_id, fps, frames, np.frombuffer(raw, dtype="<f8", offset=end), fail=fail)
+        raise SchemaError(f"score store {path}: series {i} needs a float fps and integer frames")
+    if (len(raw) - end) % 8:
+        raise SchemaError(f"score store {path} holds {len(raw) - end} bytes after its header, "
+                          "which end inside a float64")
+    try:
+        return ScoreTable(video_uid, query_id, fps, frames, np.frombuffer(raw, dtype="<f8", offset=end))
+    except (ConfigError, NumericError) as err:  # a broken rule of input from outside: a file error
+        raise (NumericError if isinstance(err, NumericError) else SchemaError)(f"score store {path}: {err}") from None

@@ -269,6 +269,16 @@ def _edit_store_bytes(directory, edit):
     path.write_bytes(edit(path.read_bytes()))
 
 
+def _version_3_store(directory):
+    """Rewrite the score store in ``directory`` in version 3's layout: a header of one entry per series."""
+    path = directory / "scores.sdqc"
+    raw = path.read_bytes()
+    end = _head_end(raw)
+    columns = json.loads(raw[12:end])
+    entries = [dict(zip(columns, row)) for row in zip(*columns.values())]
+    metrics.framing.write(path, b"SDQC", 3, {"series": entries}, [np.frombuffer(raw, "<f8", offset=end)], align=8)
+
+
 def _two_file_store(directory):
     """Replace the score store in ``directory`` with the ``index.json`` and ``scores.f64`` that
     versions 1 and 2 wrote in its place."""
@@ -513,27 +523,31 @@ class TestTrainScoreEval:
         assert read == sorted(_split_files(corpus, split))
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda d: _edit_store(d, lambda x: [x["series"][3].pop(key) for key in ("fps", "frames")]),
-         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
+        (lambda d: _edit_store(d, lambda x: [x[key].__setitem__(3, None) for key in ("fps", "frames")]),
+         ": series 3 needs a float fps and integer frames"),
         (lambda d: _edit_store_bytes(d, lambda raw: raw + b"\0"),
-         "holds 3841 bytes after its header, which tiles 480 float64 values (3840 bytes)"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=float("inf"))),
-         "has fps inf, not finite and positive"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=float("nan"))),
-         "has fps nan, not finite and positive"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps=0.0)), "has fps 0.0, not finite and positive"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].update(fps="1.0")),
-         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].pop("frames")),
-         "series 3 needs string video_uid and query_id, a float fps and integer frames"),
-        (lambda d: _edit_store(d, lambda x: x["series"][3].update(
-            video_uid=x["series"][2]["video_uid"], query_id=x["series"][2]["query_id"])), "repeats an earlier pair"),
-        (lambda d: _edit_store(d, lambda x: x["series"][-1].update(frames=0)), "has 0 frames, not at least 1"),
+         " holds 3841 bytes after its header, which end inside a float64"),
+        (lambda d: _edit_store(d, lambda x: x["fps"].__setitem__(3, float("inf"))),
+         "): fps must be finite and positive, got inf"),
+        (lambda d: _edit_store(d, lambda x: x["fps"].__setitem__(3, float("nan"))),
+         "): fps must be finite and positive, got nan"),
+        (lambda d: _edit_store(d, lambda x: x["fps"].__setitem__(3, 0.0)),
+         "): fps must be finite and positive, got 0.0"),
+        (lambda d: _edit_store(d, lambda x: x["fps"].__setitem__(3, "1.0")),
+         ": series 3 needs a float fps and integer frames"),
+        (lambda d: _edit_store(d, lambda x: x.pop("frames")),
+         ": its header needs video_uid, query_id, fps and frames lists"),
+        (lambda d: _edit_store(d, lambda x: x["frames"].pop()),
+         ": score table columns differ in length: {'video_uid': 8, 'query_id': 8, 'fps': 8, 'frames': 7}"),
+        (lambda d: _edit_store(d, lambda x: [x[key].__setitem__(3, x[key][2]) for key in ("video_uid", "query_id")]),
+         ") repeats the pair of series 2"),
+        (lambda d: _edit_store(d, lambda x: x["frames"].__setitem__(-1, 0)), ") has 0 frames, not at least 1"),
     ], ids=["two_fields", "non_numeric_score", "infinite_fps", "nan_fps", "zero_fps", "string_fps", "missing_key",
-            "duplicate_pair", "zero_frames"])
+            "unequal_columns", "duplicate_pair", "zero_frames"])
     def test_eval_malformed_score_row_exit_schema(self, pipeline, tmp_path, capsys, damage, message):
-        # a series' row is its entry in the store's header and its values in the payload; a trailing
-        # byte is no float64
+        # a series' row is its place in each of the header's columns and its values in the payload; a
+        # trailing byte is no float64. A broken table rule is worded as the library words it, after
+        # the store: ``score store <path>: score series <i> (<video_uid>, <query_id>)...``
         self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, "scores.sdqc", message)
 
     @pytest.mark.parametrize("damage, name, message", [
@@ -541,20 +555,22 @@ class TestTrainScoreEval:
          "its header is not UTF-8 JSON (JSONDecodeError"),
         (lambda d: _edit_header(d / "scores.sdqc", lambda text: "[]"), "scores.sdqc",
          "its header is a JSON list, not an object"),
-        (lambda d: _edit_store(d, lambda x: x.update(series={})), "scores.sdqc", "its header needs a series list"),
-        (lambda d: _edit_store_bytes(d, lambda raw: raw[:4] + (4).to_bytes(4, "little") + raw[8:]), "scores.sdqc",
-         "is score store version 4; this build reads version 3"),
+        (lambda d: _edit_store(d, lambda x: x.update(fps={})), "scores.sdqc",
+         "its header needs video_uid, query_id, fps and frames lists"),
+        (lambda d: _edit_store_bytes(d, lambda raw: raw[:4] + (5).to_bytes(4, "little") + raw[8:]), "scores.sdqc",
+         "is score store version 5; this build reads version 4"),
+        (_version_3_store, "scores.sdqc", "is score store version 3; this build reads version 4"),
         (lambda d: _edit_store_bytes(d, lambda raw: b"SDQK" + raw[4:]), "scores.sdqc",
          "is not a score store (bad magic b'SDQK')"),
         (lambda d: _edit_store_bytes(d, lambda raw: raw[:20]), "scores.sdqc", "is truncated: 20 bytes, needs at least"),
         (lambda d: _edit_store_bytes(d, lambda raw: raw[:-8]), "scores.sdqc",
-         "holds 3832 bytes after its header, which tiles 480 float64 values (3840 bytes)"),
+         ": score series' frames sum to 480, not to the 479 values"),
         (_two_file_store, "", "has no scores.sdqc: re-run score to write its store"),
         (lambda d: (d / "scores.sdqc").unlink(), "", "has no scores.sdqc: re-run score"),
         (lambda d: [(d / "scores.sdqc").unlink(), (d / "v__a-0.csv").write_text("frame_idx,t_sec,score\n0,0.0,0.5\n")],
          "", "has no scores.sdqc: re-run score to write its store"),
-    ], ids=["not_json", "not_object", "no_series_list", "other_version", "bad_magic", "cut_header", "short_payload",
-            "two_file_store", "no_store", "old_csv_directory"])
+    ], ids=["not_json", "not_object", "no_series_list", "other_version", "version_3_store", "bad_magic", "cut_header",
+            "short_payload", "two_file_store", "no_store", "old_csv_directory"])
     def test_eval_damaged_score_store_exit_schema(self, pipeline, tmp_path, capsys, damage, name, message):
         self._eval_damaged_store_exit_schema(pipeline, tmp_path, capsys, damage, name, message)
 
@@ -573,16 +589,16 @@ class TestTrainScoreEval:
     def test_eval_nan_score_exit_numeric(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, np.nan) == cli.EXIT_NUMERIC
         err = capsys.readouterr().err
-        assert "scores.sdqc, series 0: scores of (" in err and "must be finite, got 1 non-finite value(s)" in err
+        assert "scores.sdqc: score series 0 (" in err and "): scores must be finite, got 1 non-finite value(s)" in err
         assert err.count("\n") == 1
 
     def test_eval_score_above_one_exit_config(self, pipeline, tmp_path, capsys):
         assert self._eval_with_first_score(pipeline, tmp_path, capsys, 1.5) == cli.EXIT_SCHEMA
         err = capsys.readouterr().err
         raw = (pipeline[2] / "scores" / "scores.sdqc").read_bytes()
-        first = json.loads(raw[12:_head_end(raw)])["series"][0]
-        pair = f"({first['video_uid']}, {first['query_id']})"
-        assert f"scores.sdqc, series 0: scores of {pair} must lie in [0, 1]" in err and err.count("\n") == 1
+        columns = json.loads(raw[12:_head_end(raw)])
+        pair = f"({columns['video_uid'][0]}, {columns['query_id'][0]})"
+        assert f"scores.sdqc: score series 0 {pair}: scores must lie in [0, 1]" in err and err.count("\n") == 1
 
     @staticmethod
     def _eval_with_first_score(pipeline, tmp_path, capsys, value):
@@ -656,7 +672,7 @@ class TestTrainScoreEval:
     def test_eval_on_an_empty_store_exit_id_mismatch(self, pipeline, tmp_path, capsys, sweep):
         # the sweep pairs like a fixed threshold: every selected annotation misses its series
         corpus, _, _ = pipeline
-        metrics.save_score_series(tmp_path / "empty", [])
+        metrics.save_score_series(tmp_path / "empty", metrics.ScoreTable([], [], [], [], np.empty(0)))
         capsys.readouterr()
         assert cli.main(["eval", "--scores", str(tmp_path / "empty"), "--annotations", str(corpus / "annotations.csv"),
                          "--split", "val", *sweep]) == cli.EXIT_ID_MISMATCH

@@ -1,6 +1,5 @@
 import json
 import struct
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +13,12 @@ import oracles
 
 def series(scores, uid="v", qid="q", fps=1.0):
     return ScoreSeries(video_uid=uid, query_id=qid, fps=fps, scores=np.asarray(scores, float))
+
+
+def table(ser):
+    """The ScoreTable of ``ser``, a list of series, each row a series in list order."""
+    return metrics.ScoreTable([s.video_uid for s in ser], [s.query_id for s in ser], [s.fps for s in ser],
+                              [s.scores.size for s in ser], np.concatenate([np.empty(0), *(s.scores for s in ser)]))
 
 
 class FakeAnn:
@@ -252,7 +257,7 @@ class TestLoadedTable:
                       for _ in range(40)]
         ser = [series(rng.choice(levels, n), uid=f"v{i}", qid="a-0", fps=fps) for i, (n, fps) in enumerate(shapes)]
         ser.append(series(np.ones(3), uid="unpaired", qid="a-0"))
-        metrics.save_score_series(tmp_path, ser)
+        metrics.save_score_series(tmp_path, table(ser))
         order = range(len(shapes)) if layout == "end_to_end" else rng.permutation(len(shapes))
         anns = [FakeAnn(f"v{i}", "a", float(rng.uniform(0, shapes[i][0] / shapes[i][1]))) for i in order]
         return ser, metrics.load_score_series_dir(tmp_path), anns
@@ -473,14 +478,29 @@ class TestPairing:
 
         with pytest.raises(IdMismatchError, match="v2"):
             run([FakeAnn("v1", "a", 0.0), FakeAnn("v2", "a", 0.0)])
-        with pytest.raises(ConfigError, match=r"\(v1, a-0\) has no frames"):
+        with pytest.raises(ConfigError, match=r"^score series 0 \(v1, a-0\) has 0 frames, not at least 1$"):
             run([FakeAnn("v3", "a", 0.0), FakeAnn("v1", "a", 0.0)])
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["firing_first", "firing_last"])
+    @pytest.mark.parametrize("call", ["evaluate", "sweep"])
+    def test_repeated_pair_in_a_list_rejected_as_a_table_rejects_it(self, call, order):
+        # a list that holds one pair twice fails as the table of it does, before the missing id: the
+        # pairing dict would keep the last series, SR@1 100.0 in one order and 0.0 in the other
+        ser = [series([0.0, 0.9, 0.0], uid="v", qid="x-0"), series([0.0, 0.0, 0.0], uid="v", qid="x-0")][::order]
+        anns, w = [FakeAnn("v", "x", 1.0), FakeAnn("missing", "x", 0.0)], ToleranceWindow(5, 10)
+        with pytest.raises(ConfigError) as listed:
+            if call == "evaluate":
+                metrics.evaluate_dataset(ser, anns, [1], w)
+            metrics.sweep_thresholds(ser, anns, w)
+        with pytest.raises(ConfigError) as tabled:
+            table(ser)
+        assert str(listed.value) == str(tabled.value) == "score series 1 (v, x-0) repeats the pair of series 0"
 
 
 class TestScoreSeriesFiles:
     def test_round_trip(self, tmp_path):
         s = series(np.linspace(0, 1, 13), uid="vid", qid="a-3", fps=2.0)
-        metrics.save_score_series(tmp_path, [s])
+        metrics.save_score_series(tmp_path, table([s]))
         loaded = metrics.load_score_series_dir(tmp_path)
         assert len(loaded) == 1
         got = loaded[0]
@@ -489,33 +509,30 @@ class TestScoreSeriesFiles:
         assert np.array_equal(got.scores, s.scores)
 
     def test_store_layout(self, tmp_path):
-        # one file: magic, u32 version 3, u32 header length, the sorted-key JSON header listing each
-        # series' frame count in series order, padded with spaces to a multiple of 8 bytes with the
-        # frame, then the scores end to end as little-endian float64, each series starting where
-        # the one before it ends
+        # one file: magic, u32 version 4, u32 header length, the sorted-key JSON header of the
+        # table's four columns, padded with spaces to a multiple of 8 bytes with the frame, then the
+        # table's values as little-endian float64, each row starting where the one before it ends
         first = series([0.0, 1.0, 5e-324, 1.0 - 2.0**-53, 0.1, 1.0 / 3.0, 0.5], uid="a_b", qid="x-0", fps=29.97)
         second = series([1.0 - 2.0**-53], uid="v", qid="q", fps=2.0)
-        metrics.save_score_series(tmp_path, [first, second])
+        metrics.save_score_series(tmp_path, table([first, second]))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["scores.sdqc"]
-        header = json.dumps({"series": [
-            {"video_uid": "a_b", "query_id": "x-0", "fps": 29.97, "frames": 7},
-            {"video_uid": "v", "query_id": "q", "fps": 2.0, "frames": 1},
-        ]}, sort_keys=True).encode("utf-8")
+        header = json.dumps({"video_uid": ["a_b", "v"], "query_id": ["x-0", "q"], "fps": [29.97, 2.0],
+                             "frames": [7, 1]}, sort_keys=True).encode("utf-8")
         header += b" " * (-(12 + len(header)) % 8)
         packed = struct.pack("<8d", *first.scores.tolist(), *second.scores.tolist())
-        frame = struct.pack("<4sII", b"SDQC", 3, len(header))
+        frame = struct.pack("<4sII", b"SDQC", 4, len(header))
         assert (tmp_path / "scores.sdqc").read_bytes() == frame + header + packed
         loaded = metrics.load_score_series_dir(tmp_path)
         assert [(s.video_uid, s.query_id, s.fps) for s in loaded] == [("a_b", "x-0", 29.97), ("v", "q", 2.0)]
         assert struct.pack("<8d", *np.concatenate([s.scores for s in loaded]).tolist()) == packed
 
     @pytest.mark.parametrize("value, error, message", [
-        (1.5, SchemaError, "series 1: scores of (v1, a-0) must lie in [0, 1]"),
-        (-1e-300, SchemaError, "series 1: scores of (v1, a-0) must lie in [0, 1]"),
-        (np.nan, NumericError, "series 1: scores of (v1, a-0) must be finite, got 2 non-finite value(s)"),
+        (1.5, SchemaError, "score series 1 (v1, a-0): scores must lie in [0, 1]"),
+        (-1e-300, SchemaError, "score series 1 (v1, a-0): scores must lie in [0, 1]"),
+        (np.nan, NumericError, "score series 1 (v1, a-0): scores must be finite, got 2 non-finite value(s)"),
     ], ids=["above_one", "below_zero", "nan"])
     def test_load_names_the_array_and_the_first_bad_series(self, tmp_path, value, error, message):
-        metrics.save_score_series(tmp_path, [series(np.full(3, 0.5), uid=f"v{i}", qid="a-0") for i in range(3)])
+        metrics.save_score_series(tmp_path, table([series(np.full(3, 0.5), uid=f"v{i}", qid="a-0") for i in range(3)]))
         path = tmp_path / "scores.sdqc"
         raw = path.read_bytes()
         values = np.frombuffer(raw, "<f8", offset=len(raw) - 72).copy()
@@ -524,49 +541,85 @@ class TestScoreSeriesFiles:
         path.write_bytes(raw[:-72] + values.tobytes())
         with pytest.raises(error) as err:
             metrics.load_score_series_dir(tmp_path)
-        assert str(err.value) == f"score store {path}, {message}"
+        assert str(err.value) == f"score store {path}: {message}"
 
     @pytest.mark.parametrize("fps", [2.0, 29.97, 30000 / 1001, 59.94, 60000 / 1001])
     def test_fps_round_trips(self, fps, tmp_path):
         # fps is stored, so no frame count, one frame included, changes it by an ulp
         saved = [series(np.full(n, 0.5), uid=f"v{n}", qid="a-0", fps=fps) for n in (1, 2, 3, 600)]
-        metrics.save_score_series(tmp_path, saved)
+        metrics.save_score_series(tmp_path, table(saved))
         assert [s.fps for s in metrics.load_score_series_dir(tmp_path)] == [fps] * 4
 
     @pytest.mark.parametrize("uid,query", [("a__b", "x-0"), ("", "x-0"), (".", "x-0"), ("..", "x-0"),
                                            ("a/b", "x-0"), ("a\\b", "x-0"), ("v", "x/0"), ("v", "x\\0")])
     def test_save_keeps_any_string_ids(self, uid, query, tmp_path):
         # the store names no file after an id: its index holds them, and they read back exactly
-        metrics.save_score_series(tmp_path, [series([0.5], uid=uid, qid=query)])
+        metrics.save_score_series(tmp_path, table([series([0.5], uid=uid, qid=query)]))
         assert [(s.video_uid, s.query_id) for s in metrics.load_score_series_dir(tmp_path)] == [(uid, query)]
 
     @pytest.mark.parametrize("uid,query", [(1, "x-0"), ("v", None)])
     def test_save_rejects_ids_that_are_not_strings(self, uid, query, tmp_path):
-        with pytest.raises(ConfigError, match="needs string video_uid and query_id"):
-            metrics.save_score_series(tmp_path, [series([0.5], uid=uid, qid=query)])
+        message = rf"^score series 0 \({uid}, {query}\) needs string video_uid and query_id$"
+        with pytest.raises(ConfigError, match=message):
+            metrics.save_score_series(tmp_path, table([series([0.5], uid=uid, qid=query)]))
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("bad, message", [
-        ({"query_id": "a-0"}, r"\(v1, a-0\) appears twice"),
-        ({"scores": np.array([])}, r"\(v1, a-1\) has no frames"),
-        ({"fps": np.nan}, "fps must be finite and positive, got nan"),
-        ({"fps": np.inf}, "fps must be finite and positive, got inf"),
-        ({"fps": 0.0}, "fps must be finite and positive, got 0.0"),
-        ({"fps": -1.0}, "fps must be finite and positive, got -1.0"),
-    ], ids=["duplicate_pair", "no_frames", "nan_fps", "inf_fps", "zero_fps", "negative_fps"])
+        ({"query_id": ["a-0"]},
+         r"^score table columns differ in length: \{'video_uid': 2, 'query_id': 1, 'fps': 2, 'frames': 2\}$"),
+        ({"query_id": ["a-0", "a-0"]}, r"^score series 1 \(v1, a-0\) repeats the pair of series 0$"),
+        ({"frames": [1, 0], "values": [0.5]}, r"^score series 1 \(v1, a-1\) has 0 frames, not at least 1$"),
+        ({"fps": [1.0, np.nan]}, r"^score series 1 \(v1, a-1\): fps must be finite and positive, got nan$"),
+        ({"fps": [1.0, np.inf]}, r"^score series 1 \(v1, a-1\): fps must be finite and positive, got inf$"),
+        ({"fps": [1.0, 0.0]}, r"^score series 1 \(v1, a-1\): fps must be finite and positive, got 0.0$"),
+        ({"fps": [1.0, -1.0]}, r"^score series 1 \(v1, a-1\): fps must be finite and positive, got -1.0$"),
+    ], ids=["unequal_columns", "duplicate_pair", "no_frames", "nan_fps", "inf_fps", "zero_fps", "negative_fps"])
     def test_save_checks_every_series_before_writing(self, bad, message, tmp_path):
-        # ScoreSeries rejects a bad fps itself; the store's writer does not rely on that
-        last = SimpleNamespace(video_uid="v1", query_id="a-1", fps=1.0, scores=np.array([0.5]))
-        vars(last).update(bad)
+        # the table that save_score_series takes checks each row as it is built, a bad fps included,
+        # so a broken row leaves no store
+        columns = {"video_uid": ["v1", "v1"], "query_id": ["a-0", "a-1"], "fps": [1.0, 1.0], "frames": [1, 1],
+                   "values": [0.5, 0.5]} | bad
         with pytest.raises(ConfigError, match=message):
-            metrics.save_score_series(tmp_path / "scores", [series([0.5], uid="v1", qid="a-0"), last])
+            metrics.save_score_series(tmp_path / "scores", metrics.ScoreTable(**columns))
         assert not (tmp_path / "scores").exists()
 
-    @pytest.mark.parametrize("written", [1, 2], ids=["after_the_header", "after_one_series"])
-    def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch, written):
-        # a write cut after the header, over a complete store, leaves fewer bytes than the header
+    # a table of two rows that breaks one rule in each case, as columns; values of rank 1 are the
+    # one rule that a store cannot break, for its payload is one flat array
+    BROKEN = {
+        "unequal_columns": {"frames": [1]},
+        "ids": {"query_id": ["a-0", 1]},
+        "frames": {"frames": [2, 0]},
+        "repeated_pair": {"video_uid": ["v0", "v0"]},
+        "tiles": {"frames": [1, 2]},
+        "fps": {"fps": [1.0, float("nan")]},
+        "finite": {"values": [0.5, np.inf]},
+        "range": {"values": [0.5, -0.5]},
+    }
+
+    @pytest.mark.parametrize("rule", BROKEN)
+    def test_loader_words_each_rule_as_the_library_after_the_store(self, tmp_path, rule):
+        columns = {"video_uid": ["v0", "v1"], "query_id": ["a-0", "a-0"], "fps": [1.0, 1.0], "frames": [1, 1],
+                   "values": [0.5, 0.5]} | self.BROKEN[rule]
+        error = NumericError if rule == "finite" else ConfigError
+        with pytest.raises(error) as library:
+            metrics.ScoreTable(**columns)
+        path = tmp_path / "scores.sdqc"
+        header = {key: column for key, column in columns.items() if key != "values"}
+        metrics.framing.write(path, metrics.STORE_MAGIC, metrics.STORE_VERSION, header,
+                              [np.array(columns["values"], "<f8")], align=8)
+        with pytest.raises(NumericError if rule == "finite" else SchemaError) as loaded:
+            metrics.load_score_series_dir(tmp_path)
+        assert type(library.value) is error and str(loaded.value) == f"score store {path}: {library.value}"
+
+    @pytest.mark.parametrize("cut, message", [
+        (0, ": score series' frames sum to 50, not to the 0 values"),
+        (240, ": score series' frames sum to 50, not to the 30 values"),
+        (241, " holds 241 bytes after its header, which end inside a float64"),
+    ], ids=["after_the_header", "after_one_series", "inside_a_value"])
+    def test_interrupted_save_is_rejected(self, tmp_path, monkeypatch, cut, message):
+        # a write cut in the payload, over a complete store, leaves fewer bytes than the header
         # promises: no staged rename is needed for the loader to refuse the file
-        metrics.save_score_series(tmp_path, [series(np.full(60, 0.5))])
+        metrics.save_score_series(tmp_path, table([series(np.full(60, 0.5))]))
 
         class Interrupted:
             def __init__(self, file):
@@ -579,26 +632,27 @@ class TestScoreSeriesFiles:
                 self.file.close()
 
             def write(self, data):
-                if self.writes == written:
-                    raise KeyboardInterrupt
                 self.writes += 1
+                if self.writes == 2:  # the payload, after the framing and header
+                    self.file.write(memoryview(data).cast("B")[:cut])
+                    raise KeyboardInterrupt
                 return self.file.write(data)
 
         monkeypatch.setattr(metrics.framing, "open", lambda *args, **kwargs: Interrupted(open(*args, **kwargs)),
                             raising=False)
         with pytest.raises(KeyboardInterrupt):
-            metrics.save_score_series(tmp_path, [series(np.full(30, 0.25), uid="a"), series(np.full(20, 0.75))])
+            metrics.save_score_series(tmp_path, table([series(np.full(30, 0.25), uid="a"), series(np.full(20, 0.75))]))
         monkeypatch.undo()
-        held = 8 * 30 * (written - 1)
-        with pytest.raises(SchemaError, match=f"holds {held} bytes after its header, which tiles 50 float64 values"):
+        with pytest.raises(SchemaError) as err:
             metrics.load_score_series_dir(tmp_path)
+        assert str(err.value) == f"score store {tmp_path / 'scores.sdqc'}{message}"
 
     def test_numpy_fps_writes_plain_numbers(self, tmp_path):
-        metrics.save_score_series(tmp_path / "a", [series([0.5, 0.25], fps=np.float64(2.0))])
-        metrics.save_score_series(tmp_path / "b", [series([0.5, 0.25], fps=2.0)])
+        metrics.save_score_series(tmp_path / "a", table([series([0.5, 0.25], fps=np.float64(2.0))]))
+        metrics.save_score_series(tmp_path / "b", table([series([0.5, 0.25], fps=2.0)]))
         raw = (tmp_path / "a" / "scores.sdqc").read_bytes()
         assert raw == (tmp_path / "b" / "scores.sdqc").read_bytes()
-        assert b"np." not in raw and b'"fps": 2.0' in raw
+        assert b"np." not in raw and b'"fps": [2.0]' in raw
 
     def test_report_json_round_trip(self):
         rep = metrics.MetricReport(
@@ -620,7 +674,7 @@ class TestValidation:
     def test_non_finite_scores(self, bad):
         # both messages name the series; a finite score out of range is a configuration error
         error, rule = (ConfigError, r"must lie in \[0, 1\]") if np.isfinite(bad) else (NumericError, "must be finite")
-        with pytest.raises(error, match=r"scores of \(v, q\) " + rule):
+        with pytest.raises(error, match=r"^score series \(v, q\): scores " + rule):
             series([0.2, bad])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])

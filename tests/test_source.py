@@ -207,6 +207,26 @@ def test_evaluations_read_series_only_through_pair():
     assert users(lambda node: isinstance(node, ast.Attribute) and node.attr == "index") == {"_pair"}
 
 
+def test_one_wording_per_score_rule():
+    # ScoreTable raises each rule's library error itself: its constructor takes no callable, such as
+    # a factory of another wording. The loader alone words a store's message, putting
+    # "score store <path>: " before the table's own
+    tree = ast.parse((SRC / "metrics.py").read_text(encoding="utf-8"))
+    table = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "ScoreTable")
+    init = next(node for node in table.body if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    fields = [ast.unparse(node.annotation) for node in table.body if isinstance(node, ast.AnnAssign)]
+    assert [arg.arg for arg in init.args.args] == ["self"]
+    assert not any("Callable" in text or "InitVar" in text for text in fields), fields
+    trees = list(_trees())
+    docstrings = {id(node.body[0].value) for _, tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and ast.get_docstring(node)}
+    wording = {f"{name[:-3]}.{func.name}" for name, tree in trees for func in tree.body
+               if isinstance(func, (ast.FunctionDef, ast.ClassDef)) for node in ast.walk(func)
+               if isinstance(node, ast.Constant) and isinstance(node.value, str) and "score store" in node.value
+               and id(node) not in docstrings}
+    assert wording == {"metrics.load_score_series_dir"}
+
+
 def test_only_the_detector_makes_score_series():
     # scores live in a ScoreTable; a ScoreSeries is the one series that score_frames and
     # infer_streaming return, so metrics, the store and the CLI build none
