@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import framing
-from .errors import ConfigError, NumericError, RowError, SchemaError
+from .errors import ConfigError, NumericError, RowError, SchemaError, check_count, check_real
 from .metrics import ToleranceWindow
 
 COLUMNS = (
@@ -69,12 +69,11 @@ class EventAnnotation:
         if self.video_uid in ("", ".", "..") or any(c in self.video_uid for c in "/\\\0"):
             raise ConfigError(f"video_uid {self.video_uid!r} cannot name a file: it must not be empty, "
                               "'.' or '..', nor contain '/', '\\' or NUL")
-        if self.ann_idx < 0:
-            raise ConfigError(f"ann_idx must be nonnegative, got {self.ann_idx}")
-        for name in ("video_fps", "video_length"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        check_count("ann_idx", self.ann_idx)
+        check_real("start_sec", self.start_sec)
+        check_real("end_sec", self.end_sec)
+        check_real("video_fps", self.video_fps, "positive")
+        check_real("video_length", self.video_length, "positive")
         if not 0 <= self.start_sec <= self.end_sec <= self.video_length:
             raise ConfigError(
                 f"need 0 <= start_sec <= end_sec <= video_length, got "
@@ -88,6 +87,8 @@ class Interval:
     hi: float
 
     def __post_init__(self) -> None:
+        check_real("lo", self.lo)
+        check_real("hi", self.hi)
         if self.lo > self.hi:
             raise ConfigError(f"interval must have lo <= hi, got ({self.lo}, {self.hi})")
 
@@ -117,14 +118,12 @@ class SyntheticStreamSpec:
     query_text: str = ""
 
     def __post_init__(self) -> None:
-        if self.n_frames < 1:
-            raise ConfigError(f"n_frames must be >= 1, got {self.n_frames}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if not (math.isfinite(self.noise_scale) and self.noise_scale >= 0):
-            raise ConfigError(f"noise_scale must be finite and nonnegative, got {self.noise_scale}")
-        if not (math.isfinite(self.fps) and self.fps > 0):
-            raise ConfigError(f"fps must be finite and positive, got {self.fps}")
+        for name, minimum in (("n_frames", 1), ("dim", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
+        if self.query_seed is not None:
+            check_count("query_seed", self.query_seed)
+        check_real("noise_scale", self.noise_scale, "nonnegative")
+        check_real("fps", self.fps, "positive")
         span = self.n_frames / self.fps
         if not (0 <= self.event_interval.lo and self.event_interval.hi <= span):
             raise ConfigError(
@@ -212,14 +211,7 @@ def serialize_annotations(annotations: list[EventAnnotation]) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(COLUMNS)
-    for a in annotations:
-        writer.writerow(
-            [
-                a.split, a.source, a.video_uid, a.clip_uid, a.annotator_uid, a.ann_idx,
-                a.query, a.response, repr(a.start_sec), repr(a.end_sec),
-                repr(a.video_fps), repr(a.video_length),
-            ]
-        )
+    writer.writerows([getattr(a, name) for name in COLUMNS] for a in annotations)  # a float's str is its repr
     return buf.getvalue().encode("utf-8")
 
 
@@ -232,8 +224,8 @@ def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
     anticipation = floor(sigma * fps) / fps and latency = floor(2 sigma * fps) / fps,
     so one standard deviation of early slack and two of late slack.
     """
-    if not (math.isfinite(sigma_sq) and sigma_sq >= 0 and math.isfinite(fps) and fps > 0):
-        raise ConfigError(f"need finite sigma_sq >= 0 and finite fps > 0, got ({sigma_sq}, {fps})")
+    check_real("sigma_sq", sigma_sq, "nonnegative")
+    check_real("fps", fps, "positive")
     sigma = math.sqrt(sigma_sq)
     return ToleranceWindow(
         anticipation=math.floor(sigma * fps) / fps,
@@ -372,19 +364,15 @@ def make_corpus_specs(
     pairwise at least 4 s apart, so a hit on one is always a false positive.
     """
     # checked before any spec is built, so an empty corpus is checked too
-    if not (math.isfinite(fps) and fps > 0):
-        raise ConfigError(f"fps must be finite and positive, got {fps}")
-    if dim < 1:
-        raise ConfigError(f"dim must be >= 1, got {dim}")
-    if not (math.isfinite(noise_scale) and noise_scale >= 0):
-        raise ConfigError(f"noise_scale must be finite and nonnegative, got {noise_scale}")
+    check_real("fps", fps, "positive")
+    check_real("noise_scale", noise_scale, "nonnegative")
+    for name, value, minimum in (("n_streams", n_streams, 0), ("seed", seed, 0), ("dim", dim, 1),
+                                 ("n_frames", n_frames, 1), ("n_distractors", n_distractors, 0),
+                                 ("n_queries", n_queries, 1)):
+        check_count(name, value, minimum)
     span = n_frames / fps
     if span < 30.0:
         raise ConfigError(f"stream span {span}s too short for corpus event placement")
-    if n_queries < 1:
-        raise ConfigError(f"n_queries must be >= 1, got {n_queries}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     query_seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(n_queries)]
     lo_start, hi_start = 0.2 * span, span - 10.0 - 0.15 * span

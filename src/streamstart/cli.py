@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, annotations, costmodel, detector, kernels, metrics
-from .errors import ConfigError, IdMismatchError, NumericError, RowError, SchemaError
+from .errors import ConfigError, IdMismatchError, NumericError, RowError, SchemaError, check_count
 
 EXIT_SCHEMA = 2
 EXIT_ID_MISMATCH = 3
@@ -151,8 +151,7 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams),
                         ("--distractors", args.distractors)):
-        if count < 0:
-            raise ConfigError(f"{flag} must be nonnegative, got {count}")
+        check_count(flag, count)
     specs = annotations.make_corpus_specs(
         n_streams=args.streams + args.val_streams,
         seed=args.seed,
@@ -223,8 +222,7 @@ def cmd_train(args) -> int:
         weight_decay=args.weight_decay,
     )
 
-    if args.windows_per_annotation < 1:
-        raise ConfigError(f"--windows-per-annotation must be >= 1, got {args.windows_per_annotation}")
+    check_count("--windows-per-annotation", args.windows_per_annotation, 1)
     rng = np.random.default_rng(args.seed)
     windows, labels, queries = [], [], []
     for a in anns:
@@ -452,8 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     _pad_heap_top()  # the process's allocator is the entry point's to set, never a library's
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "seed", 0) < 0:  # every command's --seed, before it runs or writes
-            raise ConfigError(f"seed must be >= 0, got {args.seed}")
+        check_count("seed", getattr(args, "seed", 0))  # every command's --seed, before it runs or writes
         return args.func(args)
     except (SchemaError, RowError) as err:
         print(f"schema error: {err}", file=sys.stderr)

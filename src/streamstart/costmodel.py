@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detector import DetectorModel, StreamingScorer
-from .errors import ConfigError
+from .errors import ConfigError, check_count
 
 LAYER_KINDS = ("linear", "attention", "conv1d", "fo_pool", "retention_step", "layernorm", "pointwise")
 
@@ -45,10 +45,9 @@ class LayerSpec:
     def __post_init__(self) -> None:
         if self.kind not in LAYER_KINDS:
             raise ConfigError(f"layer kind must be one of {LAYER_KINDS}, got {self.kind!r}")
-        if self.count < 1 or self.k < 1:
-            raise ConfigError("count and k must be positive")
-        if self.kind != "pointwise" and (self.d_in < 1 or self.d_out < 1):
-            raise ConfigError(f"{self.kind} layer needs positive dimensions")
+        width = 0 if self.kind == "pointwise" else 1
+        for name, minimum in (("d_in", width), ("d_out", width), ("k", 1), ("count", 1)):
+            check_count(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,7 @@ def count_params(stack: list[LayerSpec]) -> int:
 
 def count_macs(stack: list[LayerSpec], tokens: int = 1) -> int:
     """Multiply-accumulates to process one new frame through the stack."""
-    if tokens < 1:
-        raise ConfigError(f"tokens must be >= 1, got {tokens}")
+    check_count("tokens", tokens, 1)
     return sum(_layer_macs(spec, tokens) * spec.count for spec in stack)
 
 
@@ -136,8 +134,7 @@ def sliding_window_overhead(window: int) -> float:
     """Extra MACs (percent) of re-running the backbone over the last `window`
     frames at every arrival, relative to one single-frame pass: ``window - 1``
     passes more, whatever a pass costs."""
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
+    check_count("window", window, 1)
     return (window - 1) * 100.0
 
 
@@ -235,12 +232,11 @@ def bench_latency(
 
     Benchmarks are single-worker: run them one at a time.
     """
-    if n_frames <= warmup:
-        raise ConfigError(f"need n_frames > warmup, got {n_frames} <= {warmup}")
-    if repetitions < 1:
-        raise ConfigError(f"need repetitions >= 1, got {repetitions}")
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    check_count("n_frames", n_frames, 1)
+    check_count("warmup", warmup, 0, n_frames - 1)
+    check_count("repetitions", repetitions, 1)
+    check_count("window", window, 1)
+    check_count("seed", seed)
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(n_frames, model.config.d))
     query = rng.normal(size=model.config.d)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import framing, kernels
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count, check_real
 from .kernels import AdapterConfig, AdapterParams, BlockParams, sigmoid
 from .metrics import ScoreSeries
 
@@ -46,17 +46,13 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        kernels.check_integers(self, ("d_in", "d", "n_blocks", "seed"))
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for name, minimum in (("d_in", 1), ("d", 1), ("n_blocks", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
         if self.adapter.d != self.d:
             raise ConfigError(f"adapter width {self.adapter.d} must equal model width {self.d}")
         if self.d_in != self.d:
             raise ConfigError(f"input width {self.d_in} must equal model width {self.d}")
-        if self.n_blocks < 1:
-            raise ConfigError(f"need at least one block, got {self.n_blocks}")
-        if not (math.isfinite(self.tau_sim) and self.tau_sim > 0):
-            raise ConfigError(f"tau_sim must be finite and positive, got {self.tau_sim}")
+        check_real("tau_sim", self.tau_sim, "positive")
 
 
 @dataclass(frozen=True)
@@ -78,17 +74,10 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("learning_rate", "pos_weight_cap"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise ConfigError(f"weight_decay must be finite and nonnegative, got {self.weight_decay}")
-        if self.steps < 0:
-            raise ConfigError(f"steps must be >= 0, got {self.steps}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            check_real(name, getattr(self, name), "positive")
+        check_real("weight_decay", self.weight_decay, "nonnegative")
+        for name, minimum in (("steps", 0), ("batch_size", 1), ("seed", 0)):
+            check_count(name, getattr(self, name), minimum)
 
 
 @dataclass(frozen=True)
@@ -128,14 +117,18 @@ def _stack(model: DetectorModel, frames: np.ndarray, states: list, tapes: list |
     return x
 
 
-def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Cosine of each frame output ``[..., T, d]`` with its query ``[..., d]``."""
-    # a dot product, as np.linalg.norm takes for one vector: batched and
-    # single-query norms agree bitwise
+def _unit_query(query: np.ndarray) -> np.ndarray:
+    """Each query ``[..., d]`` over its norm; a norm that is not finite and positive raises ConfigError."""
+    # a dot product, as np.linalg.norm takes for one vector: batched and single-query norms agree bitwise
     qnorm = np.sqrt(query[..., None, :] @ query[..., :, None])[..., 0]
     if not ((qnorm > 0) & (qnorm < np.inf)).all():  # a NaN, an inf or an overflowing square fails
         raise ConfigError("query embedding must have a finite, positive norm")
-    qn = query / qnorm
+    return query / qnorm
+
+
+def _cosine_scores(out: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Cosine of each frame output ``[..., T, d]`` with its query ``[..., d]``."""
+    qn = _unit_query(query)
     unorm = np.linalg.norm(out, axis=-1)
     zero = unorm < _NORM_EPS
     if zero.any():
@@ -338,10 +331,7 @@ class StreamingScorer:
         query = np.asarray(query, dtype=float)
         if query.shape != (model.config.d,):
             raise ConfigError(f"need a query [d={model.config.d}], got shape {query.shape}")
-        qnorm = float(np.linalg.norm(query))
-        if not 0 < qnorm < math.inf:
-            raise ConfigError("query embedding must have a finite, positive norm")
-        self._qn = query / qnorm
+        self._qn = _unit_query(query)
         self.states = [kernels.fresh_state(adapter.config) for adapter, _ in model.blocks]
 
     def push(self, frame: np.ndarray) -> float:

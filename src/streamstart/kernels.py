@@ -32,13 +32,12 @@ input's gradient and ``{array_name: gradient}``. No other module reads a tape.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, check_count, check_real
 
 KINDS = ("vanilla", "st_conv", "qrnn", "retention")
 
@@ -76,14 +75,6 @@ def _count(n: int) -> None:
 # -- configuration ------------------------------------------------------------
 
 
-def check_integers(config, names) -> None:
-    """Raise ConfigError unless each named field of ``config`` is an integer; a bool is none."""
-    for name in names:
-        value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class AdapterConfig:
     d: int
@@ -96,19 +87,15 @@ class AdapterConfig:
     depthwise: bool = False
 
     def __post_init__(self) -> None:
-        check_integers(self, ("d", "d_prime", "k"))
+        check_count("d", self.d, 1)
+        check_count("d_prime", self.d_prime, 1, self.d)
+        check_count("k", self.k, 1)
         if self.kind not in KINDS:
             raise ConfigError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not 1 <= self.d_prime <= self.d:
-            raise ConfigError(f"need 1 <= d_prime <= d, got d_prime={self.d_prime}, d={self.d}")
-        if self.k < 1:
-            raise ConfigError(f"kernel size must be >= 1, got {self.k}")
         if self.theta is None:
             object.__setattr__(self, "theta", 2.0 * math.pi / self.d_prime)
         for name in ("gamma", "theta", "forget_bias_init"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-                raise ConfigError(f"{name} must be a finite real number, got {value!r}")
+            check_real(name, getattr(self, name))
         if not 0.0 < self.gamma < 1.0:
             raise ConfigError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not isinstance(self.depthwise, bool):

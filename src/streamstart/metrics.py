@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import framing
-from .errors import ConfigError, IdMismatchError, NumericError, SchemaError
+from .errors import ConfigError, IdMismatchError, NumericError, SchemaError, check_count, check_real
 
 MODES = ("rising_edge", "every_frame")
 # Elements that one evaluation block's padded working arrays may hold: its [b, C, T]
@@ -42,9 +42,8 @@ class ToleranceWindow:
     latency: float
 
     def __post_init__(self) -> None:
-        a, l = float(self.anticipation), float(self.latency)
-        if not (math.isfinite(a) and math.isfinite(l)) or a < 0 or l < 0:
-            raise ConfigError(f"tolerance window must be nonnegative and finite, got ({a}, {l})")
+        check_real("anticipation", self.anticipation, "nonnegative")
+        check_real("latency", self.latency, "nonnegative")
 
 
 def _first(flags) -> int | None:
@@ -195,8 +194,7 @@ def _check_evaluation(thresholds, mode: str, ks) -> None:
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     for k in ks:
-        if k < 1:
-            raise ConfigError(f"k must be >= 1, got {k}")
+        check_count("k", k, 1)
 
 
 def _prediction_mask(scores: np.ndarray, thresholds: np.ndarray, mode: str) -> np.ndarray:
@@ -236,8 +234,7 @@ def streaming_recall_at_k(preds, t_s, k: int, w: ToleranceWindow):
     inf past each row's last prediction, ``t_s`` broadcasting over them; a 1-D
     ``preds`` gives a ``bool``.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     hit = np.any(is_hit(_first_k(preds, k), np.asarray(t_s)[..., None], w), axis=-1)
     return hit if hit.ndim else bool(hit)
 
@@ -249,8 +246,7 @@ def smd_at_k(preds, t_s, k: int, horizon):
     the evaluation span. Elementwise like ``streaming_recall_at_k``, ``horizon``
     broadcasting too; a 1-D ``preds`` gives a ``float``.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    check_count("k", k, 1)
     if np.any(np.asarray(horizon) <= 0):
         raise ConfigError(f"horizon must be positive, got {horizon}")
     nearest = np.abs(_first_k(preds, k) - np.asarray(t_s)[..., None]).min(axis=-1, initial=np.inf)
@@ -500,11 +496,11 @@ def sweep_thresholds(
     (``_first_predictions``). The report is then ``evaluate_dataset``'s at
     the chosen threshold alone.
     """
-    if not 2 <= n <= SWEEP_MAX:  # before anything is allocated
-        raise ConfigError(f"sweep needs 2 <= n <= {SWEEP_MAX} candidates, got {n}")
-    ks = sorted(set((ks or [1, 2, 3]) + [objective_k]))
+    check_count("n", n, 2, SWEEP_MAX)  # before anything is allocated
+    ks = [*(ks or [1, 2, 3]), objective_k]
     # the candidates lie between two scores, in [0, 1], so no threshold is checked
     queries = _pair(series, annotations, [], mode, ks)
+    ks = sorted(set(ks))
     lo, hi, records = _records(queries)
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
     taus = np.array(candidates, dtype=float)  # np.linspace's grid ascends

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -108,6 +109,11 @@ class TestParse:
         with pytest.raises(RowError, match="row 2"):
             ann.parse_annotations(make_csv(row(), bad))
 
+    @pytest.mark.parametrize("value", ["1.5", "x", ""])
+    def test_non_integer_ann_idx_is_row_error(self, value):
+        with pytest.raises(RowError, match=rf"^row 2: non-integer ann_idx '{value}'$"):
+            ann.parse_annotations(make_csv(row(), row(ann_idx=value)))
+
     def test_column_order_free(self):
         cols = list(ann.COLUMNS)[::-1]
         values = row().split(",")[::-1]
@@ -141,6 +147,40 @@ class TestParse:
         anns = ann.parse_annotations(make_csv(row(), row(ann_idx=1, start_sec=5.5, end_sec=9.25)))
         again = ann.parse_annotations(ann.serialize_annotations(anns))
         assert again == anns
+
+
+class TestRecordRules:
+    @pytest.mark.parametrize("fields, message", [
+        ({"split": "test"}, "split must be one of ('train', 'val'), got 'test'"),
+        ({"query": ""}, "query must be non-empty"),
+    ], ids=["split", "query"])
+    def test_annotation(self, fields, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_ann(1.0, 2.0, **fields)
+
+    def test_interval_runs_forward(self):
+        ann.Interval(2.0, 2.0)
+        with pytest.raises(ConfigError, match=r"^interval must have lo <= hi, got \(2.0, 1.0\)$"):
+            ann.Interval(2.0, 1.0)
+
+    @pytest.mark.parametrize("event, distractors, message", [
+        ((5.0, 12.0), (), "event_interval Interval(lo=5.0, hi=12.0) must lie inside [0, 10.0]"),
+        ((-1.0, 2.0), (), "event_interval Interval(lo=-1.0, hi=2.0) must lie inside [0, 10.0]"),
+        ((2.0, 5.0), (10.0,), "distractor time 10.0 outside [0, 10.0)"),
+        ((2.0, 5.0), (-0.5,), "distractor time -0.5 outside [0, 10.0)"),
+        ((2.0, 5.0), (3.0,), "distractor time 3.0 overlaps the event interval"),
+        ((2.0, 5.0), (5.0,), "distractor time 5.0 overlaps the event interval"),
+    ], ids=["event_late", "event_early", "distractor_late", "distractor_early", "distractor_inside",
+            "distractor_at_end"])
+    def test_stream_spec_places_its_times_on_the_stream(self, event, distractors, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ann.SyntheticStreamSpec(n_frames=10, dim=4, event_interval=ann.Interval(*event), noise_scale=0.1,
+                                    seed=0, distractor_times=distractors)
+
+    def test_corpus_span_under_30_s(self):
+        ann.make_corpus_specs(1, seed=0, n_frames=60, fps=2.0)
+        with pytest.raises(ConfigError, match=r"^stream span 29.5s too short for corpus event placement$"):
+            ann.make_corpus_specs(1, seed=0, n_frames=59, fps=2.0)
 
 
 class TestToleranceFromVariance:
@@ -178,6 +218,12 @@ class TestSampleWindows:
         w2, labels2 = ann.sample_windows(a, clock(30), 10, 1.0, 123)
         assert np.array_equal(w1, w2)
         assert np.array_equal(labels1, labels2)
+
+    @pytest.mark.parametrize("p_pos", [-0.1, 1.5, math.nan])
+    def test_p_pos_outside_0_1(self, p_pos):
+        a = make_ann(5, 8, video_length=30.0)
+        with pytest.raises(ConfigError, match=rf"^p_pos must be in \[0, 1\], got {p_pos}$"):
+            ann.sample_windows(a, clock(30), 10, 1.0, 0, p_pos=p_pos)
 
     def test_video_too_short(self):
         a = make_ann(1, 2, video_length=5.0)

@@ -59,6 +59,13 @@ class TestIngest:
         path.write_text(HEADER + "\n" + GOOD_ROW.replace("10.0,12.0", "12.0,10.0") + "\n")
         assert cli.main(["ingest", "--annotations", str(path)]) == cli.EXIT_SCHEMA
 
+    def test_non_integer_ann_idx_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(HEADER + "\n" + GOOD_ROW.replace(",a1,0,", ",a1,1.5,") + "\n")
+        assert cli.main(["ingest", "--annotations", str(path)]) == cli.EXIT_SCHEMA
+        err = capsys.readouterr().err
+        assert "row 1: non-integer ann_idx '1.5'" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("fps, length", [("nan", "100.0"), ("inf", "100.0"), ("30.0", "inf")],
                              ids=["fps_nan", "fps_inf", "length_inf"])
     def test_non_finite_fps_or_length_exit_2(self, tmp_path, capsys, fps, length):
@@ -642,6 +649,20 @@ class TestTrainScoreEval:
         err = capsys.readouterr().err
         assert f"score directory {tmp_path / 'nowhere'} does not exist" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
+    def test_eval_split_with_no_annotations_exit_config(self, pipeline, tmp_path, capsys, sweep):
+        corpus, _, scores = pipeline
+        anns = ann.parse_annotations((corpus / "annotations.csv").read_bytes())
+        val_only = tmp_path / "val.csv"
+        val_only.write_bytes(ann.serialize_annotations([a for a in anns if a.split == "val"]))
+        capsys.readouterr()
+        rc = cli.main(["eval", "--scores", str(scores / "scores"), "--annotations", str(val_only),
+                       "--split", "train", "--out", str(tmp_path / "eval"), *sweep])
+        assert rc == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "no annotations to evaluate" in err and err.count("\n") == 1
+        assert not (tmp_path / "eval").exists()
+
     def test_eval_sweep_above_its_maximum_exit_config(self, pipeline, tmp_path, capsys):
         corpus, _, scores = pipeline
         n = metrics.SWEEP_MAX + 1
@@ -649,7 +670,7 @@ class TestTrainScoreEval:
         assert cli.main(["eval", "--scores", str(scores / "scores"), "--annotations", str(corpus / "annotations.csv"),
                          "--split", "val", "--sweep", str(n), "--out", str(tmp_path / "eval")]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"sweep needs 2 <= n <= {metrics.SWEEP_MAX} candidates, got {n}" in err and err.count("\n") == 1
+        assert f"n must be <= {metrics.SWEEP_MAX}, got {n}" in err and err.count("\n") == 1
         assert not (tmp_path / "eval").exists()
 
     @pytest.mark.parametrize("sweep", [[], ["--sweep", "20"]])
@@ -1237,7 +1258,7 @@ class TestBenchCommand:
                        "--latency-d", "16", "--latency-blocks", "1", "--out", str(out)])
         assert rc == cli.EXIT_CONFIG
         err = capsys.readouterr().err
-        assert f"repetitions >= 1, got {reps}" in err and err.count("\n") == 1
+        assert f"repetitions must be >= 1, got {reps}" in err and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -37,6 +37,30 @@ class TestCountParams:
             got = cm.count_params(cm.adapter_stack(kind, d, dp, k))
             assert abs(got - target) / target < 0.01
 
+    def test_depthwise_conv_takes_one_weight_per_channel_and_tap(self):
+        depth = dict(kind="conv1d", d_in=8, d_out=8, k=3, depthwise=True)
+        assert cm.count_params([cm.LayerSpec(**depth)]) == 3 * 8 + 8
+        assert cm.count_params([cm.LayerSpec(**depth, bias=False)]) == 3 * 8
+
+    @pytest.mark.parametrize("kind", kernels.KINDS)
+    @pytest.mark.parametrize("depthwise", [False, True])
+    @pytest.mark.parametrize("d, d_prime, k", [(32, 16, 2), (64, 8, 3), (16, 16, 1)])
+    def test_adapter_stack_counts_the_kernels_arrays(self, kind, depthwise, d, d_prime, k):
+        # default_reduced_dim picks the trained width from the sheet's copy of the parameter rule
+        stack = cm.adapter_stack(kind, d, d_prime, k, depthwise=depthwise)
+        shapes = kernels.param_shapes(AdapterConfig(d=d, d_prime=d_prime, kind=kind, k=k, depthwise=depthwise))
+        assert cm.count_params(stack) == sum(int(np.prod(shape)) for shape in shapes.values())
+
+    def test_st_conv_takes_half_the_width(self):
+        assert cm.default_reduced_dim("st_conv", 768) == 384
+        assert cm.default_reduced_dim("st_conv", 1) == 1
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match=r"^layer kind must be one of \('linear', .*\), got 'conv2d'$"):
+            cm.LayerSpec(kind="conv2d", d_in=4, d_out=4)
+        with pytest.raises(ConfigError, match=r"^unknown adapter kind 'lstm'$"):
+            cm.adapter_stack("lstm", 8, 4)
+
     def test_additive_and_linear_in_count(self):
         a = [linear(16, 32), cm.LayerSpec(kind="layernorm", d_in=16, d_out=16)]
         b = [cm.LayerSpec(kind="conv1d", d_in=8, d_out=8, k=3)]
@@ -173,6 +197,11 @@ class TestBenchLatency:
         assert list(res["probe_times"]) == [10, 100]
         for times in res["probe_times"].values():
             assert len(times) == 2 * cm._PROBE_ROUNDS and min(times) > 0
+
+    @pytest.mark.parametrize("n_frames, warmup", [(5, 10), (10, 10)])
+    def test_warmup_that_leaves_no_frame(self, n_frames, warmup):
+        with pytest.raises(ConfigError, match=f"^warmup must be <= {n_frames - 1}, got {warmup}$"):
+            cm.bench_latency(small_model(), n_frames=n_frames, repetitions=1, warmup=warmup)
 
     def test_probe_restarts_the_stream_position(self):
         # every copy scores frame 100 exactly as the stream it was copied from

@@ -565,6 +565,11 @@ def test_negative_seed_is_config_error(make):
         make()
 
 
+def test_adapter_width_must_be_the_model_width():
+    with pytest.raises(ConfigError, match="^adapter width 4 must equal model width 8$"):
+        ModelConfig(d_in=8, d=8, n_blocks=1, adapter=AdapterConfig(d=4, d_prime=2, kind="qrnn"))
+
+
 def test_config_integer_fields_take_numpy_integers():
     adapter = AdapterConfig(d=np.int64(8), d_prime=np.int32(4), kind="qrnn", k=np.int64(2))
     assert build_model(ModelConfig(d_in=np.int64(8), d=8, n_blocks=np.int64(1), adapter=adapter)).config.n_blocks == 1

@@ -163,6 +163,10 @@ class TestFoPool:
         assert list(h.ravel()) == [0.5, 0.75, 0.875]
         assert last == pytest.approx([0.875])
 
+    def test_s_and_f_share_a_shape(self):
+        with pytest.raises(ConfigError, match=r"^s and f must share a shape, got \(3, 1\) vs \(2, 1\)$"):
+            fo_pool(np.ones((3, 1)), np.full((2, 1), 0.5), np.zeros(1))
+
     def test_gate_range_enforced(self):
         with pytest.raises(NumericError):
             fo_pool(np.ones((2, 1)), np.array([[0.5], [1.0]]), np.zeros(1))
@@ -908,6 +912,10 @@ class TestConfig:
     def test_d_prime_bounds(self):
         with pytest.raises(ConfigError):
             AdapterConfig(d=8, d_prime=9, kind="vanilla")
+
+    def test_unknown_kind(self):
+        with pytest.raises(ConfigError, match=r"^kind must be one of \('vanilla', .*\), got 'lstm'$"):
+            AdapterConfig(d=8, d_prime=4, kind="lstm")
 
 
 class TestCheckpoint:

@@ -297,7 +297,8 @@ class TestSweep:
     @pytest.mark.parametrize("n", [1, metrics.SWEEP_MAX + 1])
     def test_candidate_count_outside_its_bounds_rejected_first(self, n):
         # checked before the series are read or any [Q, n] array exists: empty inputs would fail later
-        with pytest.raises(ConfigError, match=rf"sweep needs 2 <= n <= {metrics.SWEEP_MAX} candidates, got {n}$"):
+        bound = ">= 2" if n < 2 else f"<= {metrics.SWEEP_MAX}"
+        with pytest.raises(ConfigError, match=rf"^n must be {bound}, got {n}$"):
             metrics.sweep_thresholds([], [], ToleranceWindow(5, 10), n=n)
 
     def test_candidate_count_at_its_maximum_sweeps(self):
@@ -681,6 +682,16 @@ class TestValidation:
     def test_fps_must_be_finite_and_positive(self, bad):
         with pytest.raises(ConfigError, match="finite and positive"):
             ScoreSeries("v", "q", bad, [0.5, 0.7])
+
+    def test_scores_must_be_1d(self):
+        with pytest.raises(ConfigError, match=r"^scores must be 1-D, got shape \(2, 2\)$"):
+            series([[0.5, 0.5], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("sweep", [False, True])
+    def test_no_annotations_to_evaluate(self, sweep):
+        ser, w = [series([0.5], uid="v", qid="a-0")], ToleranceWindow(5, 10)
+        with pytest.raises(ConfigError, match="^no annotations to evaluate$"):
+            metrics.sweep_thresholds(ser, [], w) if sweep else metrics.evaluate_dataset(ser, [], [1], w)
 
     def test_negative_window(self):
         with pytest.raises(ConfigError):

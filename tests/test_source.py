@@ -323,3 +323,20 @@ def test_package_init_holds_only_its_docstring_and_version():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
     assert [ast.unparse(node).split(" = ")[0] for node in tree.body[1:]] == ["__version__"]
+
+
+def test_one_wording_per_number_rule():
+    # errors.check_count and errors.check_real word the count and real rules once, so that every
+    # number of every config obeys one rule in one wording. Only the score table's row rules,
+    # metrics._check_scores, keep words of their own
+    rules = ("must be an integer", "must be >=", "must be finite")
+    found = []
+    for name, tree in _trees():
+        if name == "errors.py":
+            continue
+        own = {id(node) for func in tree.body if name == "metrics.py" and getattr(func, "name", "") == "_check_scores"
+               for node in ast.walk(func)}
+        found += [f"{name}:{node.lineno}: {node.value!r}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in own
+                  and any(rule in node.value for rule in rules)]
+    assert found == []
