@@ -250,11 +250,13 @@ def sample_windows(
     m is drawn among the starts whose window holds an in-event frame. A stream
     shorter than the annotation's frame grid raises SchemaError.
     """
+    check_count("w_s", w_s, 1)
+    check_count("seed", seed)
     n_grid = math.ceil(annotation.video_length * fps - 1e-9)  # frames m / fps in [0, video_length)
     if n_grid > len(frames):
         raise SchemaError(f"video {annotation.video_uid}: video_length {annotation.video_length}s at {fps} fps "
                           f"needs {n_grid} frames, its stream holds {len(frames)}")
-    if not 1 <= w_s <= n_grid:
+    if w_s > n_grid:
         raise ConfigError(f"need 1 <= w_s <= {n_grid}, the frames of a {annotation.video_length}s video "
                           f"at {fps} FPS; got w_s={w_s}")
     if not 0.0 <= p_pos <= 1.0:

@@ -95,12 +95,8 @@ def build_model(config: ModelConfig) -> DetectorModel:
     for _ in range(config.n_blocks):
         adapter_seed = int(rng.integers(0, 2**31 - 1))
         block_seed = int(rng.integers(0, 2**31 - 1))
-        blocks.append(
-            (
-                kernels.init_params(config.adapter, adapter_seed),
-                kernels.make_block_params(config.d, 2 * config.d, block_seed),
-            )
-        )
+        blocks.append((kernels.init_params(config.adapter, adapter_seed),
+                       kernels.make_block_params(config.d, 2 * config.d, block_seed)))
     return DetectorModel(config=config, blocks=blocks)
 
 
@@ -274,42 +270,43 @@ def train(
 ) -> tuple[DetectorModel, list[LossBreakdown]]:
     """Optimize adapter parameters; returns the trained model and loss curve.
 
-    The training set is N windows, shaped as ``backward`` takes a batch; each
-    step draws ``batch_size`` of them with replacement. Deterministic given
-    the seed. Adam with decoupled weight decay. Raises NumericError with the
-    partial history attached if the loss exceeds the divergence limit.
+    The training set is N windows, shaped as ``backward`` takes a batch; each step draws
+    ``batch_size`` of them with replacement. Deterministic given the seed. Adam with decoupled
+    weight decay, in place on one float64 vector that the trained model's adapter arrays view.
+    Raises NumericError with the partial history attached if the loss exceeds the divergence limit.
     """
     embeddings, labels, queries = _windows(model, embeddings, labels, queries)
     if config.steps == 0:
         return model, []
 
     rng = np.random.default_rng(config.seed)
-    work = {name: arr.astype(float) for name, arr in named_arrays(model, frozen=False).items()}
-    m1 = {name: np.zeros_like(arr) for name, arr in work.items()}
-    m2 = {name: np.zeros_like(arr) for name, arr in work.items()}
+    named = named_arrays(model, frozen=False)
+    theta = np.concatenate([arr.ravel() for arr in named.values()], dtype=float)
+    parts = np.split(theta, np.cumsum([arr.size for arr in named.values()])[:-1])
+    trained = with_arrays(model, {name: part.reshape(arr.shape) for (name, arr), part in zip(named.items(), parts)})
+    m1, m2 = np.zeros_like(theta), np.zeros_like(theta)
     beta1, beta2, eps = 0.9, 0.999, 1e-8
 
     history: list[LossBreakdown] = []
     for step in range(1, config.steps + 1):
         idx = rng.integers(0, len(embeddings), size=config.batch_size)
-        current = with_arrays(model, work)
         try:
-            grads, lb = backward(current, embeddings[idx], labels[idx], queries[idx], config.pos_weight_cap)
+            grads, lb = backward(trained, embeddings[idx], labels[idx], queries[idx], config.pos_weight_cap)
             history.append(lb)
             if not math.isfinite(lb.total) or lb.total > DIVERGENCE_LIMIT:
                 raise NumericError(f"training diverged at step {step} with loss {lb.total}")
         except NumericError as err:
             err.history = history
             raise
-        for name, g in grads.items():
-            m1[name] = beta1 * m1[name] + (1.0 - beta1) * g
-            m2[name] = beta2 * m2[name] + (1.0 - beta2) * g * g
-            mhat = m1[name] / (1.0 - beta1**step)
-            vhat = m2[name] / (1.0 - beta2**step)
-            work[name] = work[name] - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
-            if config.weight_decay:
-                work[name] = work[name] - config.learning_rate * config.weight_decay * work[name]
-    return with_arrays(model, work), history
+        g = np.concatenate([grads[name].ravel() for name in named])
+        m1 = beta1 * m1 + (1.0 - beta1) * g
+        m2 = beta2 * m2 + (1.0 - beta2) * g * g
+        mhat = m1 / (1.0 - beta1**step)
+        vhat = m2 / (1.0 - beta2**step)
+        theta -= config.learning_rate * mhat / (np.sqrt(vhat) + eps)  # in place: the trained arrays view theta
+        if config.weight_decay:
+            theta -= config.learning_rate * config.weight_decay * theta
+    return trained, history
 
 
 def loss_curve_csv(history: list[LossBreakdown]) -> str:

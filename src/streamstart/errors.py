@@ -4,7 +4,8 @@ The CLI maps these onto stable exit codes: schema/row problems -> 2,
 id mismatches -> 3, numeric failures -> 4, configuration errors -> 5.
 
 Every number a config, argument or flag takes is checked by ``check_count`` or ``check_real``,
-the one wording of each rule, which raise ConfigError naming the number.
+the one wording of each rule, which raise ConfigError naming the number. ``is_real`` is
+``check_real``'s type test, which a score row's fps rule shares.
 """
 
 from __future__ import annotations
@@ -59,11 +60,15 @@ def check_count(name: str, value, minimum: int = 0, maximum: int | None = None) 
         raise ConfigError(f"{name} must be <= {maximum}, got {value}")
 
 
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number, which a bool is not."""
+    return type(value) is float or type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 def check_real(name: str, value, sign: str = "") -> None:
     """Raise ConfigError unless ``value`` is a finite real number, which a bool is not; ``sign``
     "positive" also needs it above zero, "nonnegative" at least zero."""
-    real = type(value) is float or type(value) is int or not isinstance(value, bool) and isinstance(value, numbers.Real)
-    if not real or not sign and not -math.inf < value < math.inf:  # NaN fails too; an int of any size passes
+    if not is_real(value) or not sign and not -math.inf < value < math.inf:  # NaN fails too; an int of any size passes
         raise ConfigError(f"{name} must be a finite real number, got {value!r}")
     if sign and not (0 < value < math.inf or sign == "nonnegative" and value == 0):
         raise ConfigError(f"{name} must be finite and {sign}, got {value}")

@@ -494,14 +494,17 @@ def retention_forward(
     power of gamma lies in [0, n]; a one-frame chunk is the recurrent step.
     An untaped call longer than ``CHUNK`` frames runs as ``CHUNK``-frame
     chunks, so its matrices stay ``[CHUNK, CHUNK]``. A taped call is one
-    chunk of any length from a fresh state, or raises ConfigError, so it
-    skips the summary's read-out and decay; its ``tape`` receives ``q``,
-    ``k``, ``v``, ``decay``, ``scores`` and ``pos``.
+    chunk of any length from a fresh state (position 0, a zero summary), or
+    raises ConfigError, so it skips the summary's read-out and decay; only
+    a taped call checks the summary. Its ``tape`` receives ``q``, ``k``,
+    ``v``, ``decay``, ``scores`` and ``pos``.
     """
     cfg = params.config
     _check_state(cfg, state)
     if tape is not None and state.n:
         raise ConfigError(f"a taped call starts from a fresh state, got one {state.n} frames on")
+    if tape is not None and state.s.any():
+        raise ConfigError("a taped call starts from a fresh state, got one whose summary is not zero")
     dp, n = cfg.d_prime, x.shape[-2]
     if tape is None and n > CHUNK:
         out = np.empty((*x.shape[:-1], dp))

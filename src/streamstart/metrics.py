@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import framing
-from .errors import ConfigError, IdMismatchError, NumericError, SchemaError, check_count, check_real
+from .errors import ConfigError, IdMismatchError, NumericError, SchemaError, check_count, check_real, is_real
 
 MODES = ("rising_edge", "every_frame")
 # Elements that one evaluation block's padded working arrays may hold: its [b, C, T]
@@ -65,12 +65,12 @@ def _index(keys: list) -> dict[tuple[str, str], int]:
     raise ConfigError("score series {} ({}, {}) repeats the pair of series {}".format(i, *keys[i], first[keys[i]]))
 
 
-def _check_scores(fps: list[float], offsets, values: np.ndarray, pair: Callable[[int], str]) -> None:
-    """``values`` is 1-D, each row's fps is finite and positive, and its scores,
-    ``values[offsets[i]:offsets[i + 1]]`` for row i, are finite and in [0, 1]."""
+def _check_scores(fps: list, offsets, values: np.ndarray, pair: Callable[[int], str]) -> None:
+    """``values`` is 1-D, each row's fps, as given, is a finite and positive real number (not a bool),
+    and its scores, ``values[offsets[i]:offsets[i + 1]]`` for row i, are finite and in [0, 1]."""
     if values.ndim != 1:
         raise ConfigError(f"scores must be 1-D, got shape {values.shape}")
-    if (i := _first(not (math.isfinite(f) and f > 0) for f in fps)) is not None:
+    if (i := _first(not (is_real(f) and 0 < f < math.inf) for f in fps)) is not None:
         raise ConfigError(f"score series {pair(i)}: fps must be finite and positive, got {fps[i]}")
     # NaN fails both comparisons, so finiteness is only diagnosed on failure
     if values.size and not (values.min() >= 0.0 and values.max() <= 1.0):
@@ -113,9 +113,9 @@ class ScoreTable:
 
     The constructor checks every rule, in this order: four columns of one length, string ids, at
     least one frame, no ``(video_uid, query_id)`` pair twice, frames that sum to the number of values,
-    then ``_check_scores``: values of rank 1, a finite positive fps and scores in [0, 1]. The first
-    row to break one raises NumericError for a non-finite score, and ConfigError otherwise, naming
-    the row's index and pair.
+    then ``_check_scores``: values of rank 1, a real fps (checked before its float conversion),
+    finite and positive, and scores in [0, 1]. The first row to break one raises NumericError for
+    a non-finite score, and ConfigError otherwise, naming the row's index and pair.
     """
 
     video_uid: list[str]
@@ -140,11 +140,12 @@ class ScoreTable:
         offsets = np.cumsum([0, *frames.tolist()], dtype=object)  # exact, however large a stored count
         if offsets[-1] != values.size:
             raise ConfigError(f"score series' frames sum to {offsets[-1]}, not to the {values.size} values")
-        fps, offsets = np.asarray(self.fps, dtype=float), offsets.astype(np.intp)
+        offsets = offsets.astype(np.intp)
+        _check_scores(list(self.fps), offsets, values, pair)  # each fps as given, before its float conversion
+        fps = np.asarray(self.fps, dtype=float)
         columns = {"fps": fps, "frames": np.diff(offsets), "values": values, "offsets": offsets, "index": index}
         for name, value in columns.items():
             object.__setattr__(self, name, value)
-        _check_scores(fps.tolist(), offsets, values, pair)
 
     def __len__(self) -> int:
         return len(self.video_uid)
@@ -189,6 +190,7 @@ def default_query_id(annotation) -> str:
 
 def _check_evaluation(thresholds, mode: str, ks) -> None:
     for threshold in thresholds:
+        check_real("threshold", threshold)
         if not 0.0 <= threshold <= 1.0:
             raise ConfigError(f"threshold must be in [0, 1], got {threshold}")
     if mode not in MODES:
@@ -244,10 +246,12 @@ def smd_at_k(preds, t_s, k: int, horizon):
 
     No prediction falls back to ``horizon``, the worst error realizable over
     the evaluation span. Elementwise like ``streaming_recall_at_k``, ``horizon``
-    broadcasting too; a 1-D ``preds`` gives a ``float``.
+    broadcasting too; a 1-D ``preds`` gives a ``float``. A horizon that is not
+    numeric or not above 0 (NaN too) raises ConfigError.
     """
     check_count("k", k, 1)
-    if np.any(np.asarray(horizon) <= 0):
+    h = np.asarray(horizon)
+    if h.dtype.kind not in "iuf" or not (h > 0).all():
         raise ConfigError(f"horizon must be positive, got {horizon}")
     nearest = np.abs(_first_k(preds, k) - np.asarray(t_s)[..., None]).min(axis=-1, initial=np.inf)
     nearest = np.where(nearest == np.inf, horizon, nearest)

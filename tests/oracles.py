@@ -117,6 +117,33 @@ def finite_difference_grads(model, embeddings, labels, queries, cap, eps=1e-5):
     return grads
 
 
+def per_name_adam(model, embeddings, labels, queries, config):
+    """``detector.train`` as per-name Adam with decoupled weight decay: each trainable
+    array and its two moments kept apart by name, and the model rebuilt every step."""
+    from streamstart import detector
+
+    rng = np.random.default_rng(config.seed)
+    work = {name: arr.astype(float) for name, arr in detector.named_arrays(model, frozen=False).items()}
+    m1 = {name: np.zeros_like(arr) for name, arr in work.items()}
+    m2 = {name: np.zeros_like(arr) for name, arr in work.items()}
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    history = []
+    for step in range(1, config.steps + 1):
+        idx = rng.integers(0, len(embeddings), size=config.batch_size)
+        current = detector.with_arrays(model, work)
+        grads, lb = detector.backward(current, embeddings[idx], labels[idx], queries[idx], config.pos_weight_cap)
+        history.append(lb)
+        for name, g in grads.items():
+            m1[name] = beta1 * m1[name] + (1.0 - beta1) * g
+            m2[name] = beta2 * m2[name] + (1.0 - beta2) * g * g
+            mhat = m1[name] / (1.0 - beta1**step)
+            vhat = m2[name] / (1.0 - beta2**step)
+            work[name] = work[name] - config.learning_rate * mhat / (np.sqrt(vhat) + eps)
+            if config.weight_decay:
+                work[name] = work[name] - config.learning_rate * config.weight_decay * work[name]
+    return detector.with_arrays(model, work), history
+
+
 def _swap(model, block_idx, name, array):
     blocks = []
     for j, (adapter, frozen) in enumerate(model.blocks):

@@ -366,6 +366,26 @@ class TestTrain:
         for (a0, b0), (a1, b1) in zip(model.blocks, trained.blocks):
             assert b0 is b1
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_per_name_adam_bitwise(self, kind, weight_decay):
+        # one vector of weights and moments updates every element as the per-name
+        # reference does, in the same operation order, so every bit agrees
+        model = oracles.randomize_adapters(tiny_model(kind), seed=4)
+        before = {name: arr.tobytes() for name, arr in detector.named_arrays(model).items()}
+        config = TrainConfig(learning_rate=3e-2, steps=6, batch_size=3, seed=2, weight_decay=weight_decay)
+        batch = tiny_batch(14, count=5)
+        trained, history = train(model, *batch, config)
+        want, want_history = oracles.per_name_adam(model, *batch, config)
+        curve = lambda h: np.array([[lb.total, lb.pos_term, lb.neg_term, lb.pos_weight] for lb in h])  # noqa: E731
+        assert curve(history).tobytes() == curve(want_history).tobytes()
+        got, expected = detector.named_arrays(trained), detector.named_arrays(want)
+        assert list(got) == list(expected)
+        for name, arr in expected.items():
+            assert got[name].dtype == arr.dtype and got[name].shape == arr.shape, name
+            assert got[name].tobytes() == arr.tobytes(), name
+        assert {name: arr.tobytes() for name, arr in detector.named_arrays(model).items()} == before
+
     def test_divergence_aborts_with_history(self, monkeypatch):
         # the cosine head keeps the loss bounded near w_pos * |log sigmoid(-1/tau)|,
         # so trip the documented limit directly to exercise the abort path

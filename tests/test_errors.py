@@ -72,6 +72,8 @@ ANNOTATION = dict(split="val", source="synthetic", video_uid="v", clip_uid="v", 
 LATENCY = dict(model=detector.build_model(detector.ModelConfig(**MODEL)), n_frames=20, repetitions=1, warmup=2,
                window=2, seed=0)
 WINDOW = metrics.ToleranceWindow(5.0, 10.0)
+WINDOW_DRAW = dict(annotation=annotations.EventAnnotation(**ANNOTATION), frames=np.zeros((10, 4)), w_s=3, fps=1.0,
+                   seed=0)
 
 
 def _paired():
@@ -105,6 +107,7 @@ COUNTS = [
     ("sweep_thresholds.objective_k", "k", lambda value: _sweep(objective_k=value)),
     ("streaming_recall_at_k.k", "k", lambda value: metrics.streaming_recall_at_k(np.array([1.0]), 1.0, value, WINDOW)),
     ("smd_at_k.k", "k", lambda value: metrics.smd_at_k(np.array([1.0]), 1.0, value, 10.0)),
+    *_fields(annotations.sample_windows, WINDOW_DRAW, ("w_s", "seed")),
 ]
 
 REALS = [
@@ -117,6 +120,10 @@ REALS = [
     *_fields(metrics.ToleranceWindow, dict(anticipation=5.0, latency=10.0), ("anticipation", "latency")),
     *_fields(annotations.make_corpus_specs, dict(n_streams=2, seed=0), ("fps", "noise_scale")),
     *_fields(annotations.tolerance_from_variance, dict(sigma_sq=28.8, fps=1.0), ("sigma_sq", "fps")),
+    ("extract_predictions.threshold", "threshold",
+     lambda value: metrics.extract_predictions(metrics.ScoreSeries("v", "q", 1.0, [0.5]), value)),
+    ("evaluate_dataset.threshold", "threshold",
+     lambda value: metrics.evaluate_dataset(*_paired(), [1], WINDOW, threshold=value)),
 ]
 
 
@@ -132,3 +139,10 @@ def test_every_count_is_checked_by_the_count_rule(name, call, value):
 def test_every_real_is_checked_by_the_real_rule(name, call, value):
     with pytest.raises(ConfigError, match=rf"^{name} must be (a finite real number|finite and \w+), got "):
         call(value)
+
+
+@pytest.mark.parametrize("name, value, minimum", [("w_s", 0, 1), ("seed", -1, 0)])
+def test_sample_windows_counts_below_their_minimum(name, value, minimum):
+    # checked before the window is sliced or its generator seeded
+    with pytest.raises(ConfigError, match=rf"^{name} must be >= {minimum}, got {value}$"):
+        annotations.sample_windows(**WINDOW_DRAW | {name: value})

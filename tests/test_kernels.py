@@ -498,6 +498,19 @@ class TestRetention:
         with pytest.raises(ConfigError, match="a taped call starts from a fresh state, got one 3 frames on"):
             kernels.retention_forward(x, p, advanced, tape={})
 
+    def test_taped_call_from_a_nonzero_summary_is_config_error(self):
+        # a state at position 0 may still hold a summary (test_zero_kv_decays_state builds one), whose
+        # read-out and decay the taped call would drop; one stacked stream's summary is enough
+        cfg = AdapterConfig(d=2, d_prime=2, kind="retention")
+        p = randomized(init_params(cfg, 0), 4)
+        x = np.random.default_rng(17).normal(size=(2, 3, 2))
+        state = kernels.RetentionState(s=np.stack([np.zeros((2, 2)), np.eye(2)]), n=0)
+        message = "^a taped call starts from a fresh state, got one whose summary is not zero$"
+        with pytest.raises(ConfigError, match=message):
+            kernels.retention_forward(x, p, state, tape={})
+        out, _ = kernels.retention_forward(x, p, state)  # untaped, it reads the summary
+        assert not np.array_equal(out, kernels.retention_forward(x, p, fresh_state(cfg, (2,)))[0])
+
     def test_float32_longer_than_512_frames_runs(self):
         p = init_params(AdapterConfig(d=4, d_prime=4, kind="retention"), 0)
         x = np.random.default_rng(0).normal(size=(513, 4)).astype(np.float32)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -142,9 +144,12 @@ class TestSmd:
             values = [metrics.smd_at_k(preds, t_s, k, 120.0) for k in range(1, 9)]
             assert all(a >= b for a, b in zip(values, values[1:]))
 
-    @pytest.mark.parametrize("horizon", [0, -1, np.array([60.0, 0.0])], ids=["zero", "negative", "array_with_a_zero"])
+    @pytest.mark.parametrize("horizon", [0, -1, np.array([60.0, 0.0]), math.nan, np.array([60.0, np.nan]), "x",
+                                         None, True], ids=["zero", "negative", "array_with_a_zero", "nan",
+                                                           "array_with_a_nan", "string", "none", "bool"])
     def test_horizon_must_be_positive(self, horizon):
-        # 0 is no span at all: even a miss's fallback would read as an exact hit
+        # 0 is no span at all: even a miss's fallback would read as an exact hit; a horizon
+        # that is no number, or NaN, would be returned as a miss's distance
         with pytest.raises(ConfigError, match="^horizon must be positive"):
             metrics.smd_at_k(np.array([[10.0], [50.0]]), np.array([40.0, 45.0]), 1, horizon)
 
@@ -682,6 +687,15 @@ class TestValidation:
     def test_fps_must_be_finite_and_positive(self, bad):
         with pytest.raises(ConfigError, match="finite and positive"):
             ScoreSeries("v", "q", bad, [0.5, 0.7])
+
+    @pytest.mark.parametrize("bad", ["x", True, np.bool_(True), None], ids=repr)
+    def test_fps_must_be_a_real_number_in_a_series_and_a_table_row(self, bad):
+        # checked as given, before any float conversion: a bool is no fps of 1
+        message = r": fps must be finite and positive, got {}$".format(re.escape(str(bad)))
+        with pytest.raises(ConfigError, match=r"^score series \(v, q\)" + message):
+            ScoreSeries("v", "q", bad, [0.5])
+        with pytest.raises(ConfigError, match=r"^score series 1 \(w, q\)" + message):
+            metrics.ScoreTable(["v", "w"], ["q", "q"], [1.0, bad], [1, 1], [0.5, 0.5])
 
     def test_scores_must_be_1d(self):
         with pytest.raises(ConfigError, match=r"^scores must be 1-D, got shape \(2, 2\)$"):

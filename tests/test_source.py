@@ -318,6 +318,19 @@ def test_detector_chunk_loop_is_score_streams_alone():
     assert loops == ["score_streams"]
 
 
+def test_train_builds_its_model_once_before_the_step_loop():
+    # Adam updates one vector in place that the trained model's arrays view, so no step rebuilds the model
+    tree = ast.parse((SRC / "detector.py").read_text(encoding="utf-8"))
+    train = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "train")
+
+    def builds(node) -> int:
+        return sum(isinstance(call, ast.Call) and ast.unparse(call.func) == "with_arrays" for call in ast.walk(node))
+
+    loops = [node for node in ast.walk(train) if isinstance(node, (ast.For, ast.While))]
+    assert loops and [builds(loop) for loop in loops] == [0] * len(loops)
+    assert builds(train) == 1
+
+
 def test_package_init_holds_only_its_docstring_and_version():
     # each name has one import path, its module's: `from streamstart import metrics`
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
