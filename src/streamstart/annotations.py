@@ -252,6 +252,10 @@ def sample_windows(
     """
     check_count("w_s", w_s, 1)
     check_count("seed", seed)
+    check_real("fps", fps, "positive")
+    check_real("p_pos", p_pos)
+    if not 0.0 <= p_pos <= 1.0:
+        raise ConfigError(f"p_pos must be in [0, 1], got {p_pos}")
     n_grid = math.ceil(annotation.video_length * fps - 1e-9)  # frames m / fps in [0, video_length)
     if n_grid > len(frames):
         raise SchemaError(f"video {annotation.video_uid}: video_length {annotation.video_length}s at {fps} fps "
@@ -259,8 +263,6 @@ def sample_windows(
     if w_s > n_grid:
         raise ConfigError(f"need 1 <= w_s <= {n_grid}, the frames of a {annotation.video_length}s video "
                           f"at {fps} FPS; got w_s={w_s}")
-    if not 0.0 <= p_pos <= 1.0:
-        raise ConfigError(f"p_pos must be in [0, 1], got {p_pos}")
     m_max = n_grid - w_s
 
     lo_frame = math.ceil(annotation.start_sec * fps)

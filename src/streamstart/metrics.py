@@ -25,13 +25,9 @@ from .errors import ConfigError, IdMismatchError, NumericError, SchemaError, che
 
 MODES = ("rising_edge", "every_frame")
 # Elements that one evaluation block's padded working arrays may hold: its [b, C, T]
-# prediction mask, or the [b, T] scores of the record search.
+# prediction mask, or the [b, T] scores whose maxima the sweep's selection takes.
 _BLOCK = 2**18
-# Frames per chunk of the record search, a power of two: a pairwise tree of maxima
-# gives each chunk's maximum, and only a chunk whose maximum beats every frame
-# before it holds a record.
-_RECORD_CHUNK = 16
-SWEEP_MAX = 1000  # most sweep candidates: the selection's [Q, N] arrays take 8 KB per query each
+SWEEP_MAX = 1000  # most sweep candidates: the selection's [Q, N] stand-in frames take 8 KB per query
 
 
 @dataclass(frozen=True)
@@ -316,17 +312,16 @@ def _blocks(lengths: np.ndarray, width: int):
         yield block
 
 
-def _stack(queries: _Queries, block: np.ndarray, multiple: int = 1) -> np.ndarray:
+def _stack(queries: _Queries, block: np.ndarray) -> np.ndarray:
     """``[b, T]`` scores of a block's queries, each row padded with -1 to T, the block's
-    longest length rounded up to a multiple of ``multiple``. Padding is below every
-    threshold, so it never fires. A table's rows that lie end to end at one length are a
-    reshape view of its values, copied only to pad; other rows take one concatenate."""
+    longest length. Padding is below every threshold, so it never fires. A table's rows
+    that lie end to end at one length are a reshape view of its values; other rows take
+    one concatenate."""
     lengths, rows, source = queries.lengths[block], queries.rows[block], queries.source
-    t, n = -(-int(lengths.max()) // multiple) * multiple, int(lengths[0])
-    if isinstance(source, ScoreTable) and (lengths == n).all() and (np.diff(source.offsets[rows]) == n).all():
+    t = int(lengths.max())
+    if isinstance(source, ScoreTable) and (lengths == t).all() and (np.diff(source.offsets[rows]) == t).all():
         start = source.offsets[rows[0]]
-        view = source.values[start:start + len(block) * n].reshape(len(block), n)
-        return view if n == t else np.pad(view, ((0, 0), (0, t - n)), constant_values=-1.0)
+        return source.values[start:start + len(block) * t].reshape(len(block), t)
     rows = [source[row].scores for row in rows.tolist()]
     if lengths.min() < t:  # each row, then a slice of one -1 row as long as its padding
         fill = np.full(t, -1.0)
@@ -357,89 +352,70 @@ def _first_predictions(queries: _Queries, taus: np.ndarray, mode: str, n_first: 
     return first
 
 
-@dataclass(frozen=True)
-class _Records:
-    """The queries' running-maximum records, query by query (the query indices in
-    ``order``) and frame by frame: where a query's running maximum rises from ``old``
-    (-inf at frame 0) to ``new``, the score at ``frame``. A query's last record is its
-    maximum, ``top``."""
+def _window_frames(queries: _Queries, w: ToleranceWindow) -> tuple[np.ndarray, np.ndarray]:
+    """Each query's first and last frame f whose time ``f / fps`` is a hit, w0 and w1; a query
+    with no such frame gets w0 = n and w1 = n - 1, n being its frame count.
 
-    order: np.ndarray
-    frame: np.ndarray
-    old: np.ndarray
-    new: np.ndarray
-    top: np.ndarray
-
-
-def _record_chunks(top: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the chunks, of ``[b, n]`` chunk maxima ``top``, whose maximum beats
-    the maximum of every chunk before them in their row, and that maximum (-inf for a
-    row's first chunk). Only these chunks hold running-maximum records."""
-    before = np.empty_like(top)
-    before[:, 0] = -np.inf
-    np.maximum.accumulate(top[:, :-1], axis=1, out=before[:, 1:])
-    picked = np.flatnonzero(top > before)
-    return picked, before.ravel()[picked]
-
-
-def _records(queries: _Queries) -> tuple[float, float, _Records]:
-    """The lowest and the highest score of the queries, and their records: one pass over
-    the blocks of ``_blocks(lengths, 1)``.
-
-    Each row is cut into ``_RECORD_CHUNK``-frame chunks (padding is -1, below every
-    score), and a pairwise tree of maxima gives each chunk's maximum. The running
-    maximum then runs only over the chunks that ``_record_chunks`` picks, each seeded
-    with the maximum before it. A record is a strict rise, as in the running maximum
-    itself.
+    Frames ``ceil((t_s - anticipation) * fps)`` and ``floor((t_s + latency) * fps)``, each edge's
+    time clipped to the series before the product, so that it neither overflows nor leaves the
+    series, are within one frame of w0 and w1; ``streaming_recall_at_k`` on them and their
+    neighbours picks the exact ones, so ``is_hit`` stays the one hit rule. A frame's time grows
+    with the frame, so the hits are the frames w0..w1.
     """
-    lo, hi, kept = np.inf, -np.inf, []
+    last, fps, starts = queries.lengths - 1, queries.fps, queries.starts
+    span = last / fps  # the last frame's time
+    edges = [np.ceil(np.clip(starts - w.anticipation, 0.0, span) * fps),
+             np.floor(np.clip(starts + w.latency, 0.0, span) * fps)]
+    near = np.clip(np.stack(edges)[..., None] + [-1.0, 0.0, 1.0], 0, last[:, None])  # [2, Q, 3]
+    hit = streaming_recall_at_k((near / fps[:, None])[..., None], starts[:, None], 1, w)
+    rows = np.arange(len(starts))
+    found = hit[0].any(axis=1)
+    w0 = np.where(found, near[0, rows, hit[0].argmax(axis=1)], last + 1).astype(np.intp)
+    w1 = np.where(found, near[1, rows, 2 - hit[1, :, ::-1].argmax(axis=1)], last).astype(np.intp)
+    return w0, w1
+
+
+def _maxima(queries: _Queries, w0: np.ndarray, w1: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """The lowest and the highest score of the queries, and each query's highest score before
+    frame w0 and in frames w0..w1 (-inf where there are none): one pass over the blocks of
+    ``_blocks(lengths, 1)``.
+
+    One ``np.maximum.reduceat`` over a block's flat rows cuts each row at its start, at w0 and
+    after w1. reduceat takes no cut at the array's end and fills an empty segment with an
+    element, so those cuts are left out and those segments masked. The padding (-1, below
+    every score) lies only past w1, where it is never a row's maximum.
+    """
+    lo, hi = np.inf, -np.inf
+    before, inside = np.empty(len(w0)), np.empty(len(w0))
     for block in _blocks(queries.lengths, 1):
-        pad = _stack(queries, block, _RECORD_CHUNK)
-        chunks = pad.reshape(-1, _RECORD_CHUNK)
-        top = np.maximum(chunks[:, 0::2], chunks[:, 1::2])  # stride-2 halves, one flat loop each
-        while top.shape[1] > 1:
-            top = np.maximum(top[:, 0::2], top[:, 1::2])
-        top = top.reshape(len(block), -1)
-        picked, seed = _record_chunks(top)
-        # run[j] holds frame j of every picked chunk: one np.maximum per frame runs the
-        # seeded maximum faster than np.maximum.accumulate along 16-frame rows
-        run = np.ascontiguousarray(chunks[picked].T)
-        np.maximum(run[0], seed, out=run[0])
-        for j in range(1, _RECORD_CHUNK):
-            np.maximum(run[j], run[j - 1], out=run[j])
-        rise = np.empty(run.shape, dtype=bool)
-        np.greater(run[0], seed, out=rise[0])
-        np.greater(run[1:], run[:-1], out=rise[1:])
-        chunk, j = np.nonzero(rise.T)  # row-major: picked ascends, and frames ascend in a chunk
-        row_top = top.max(axis=1)
-        kept.append((block, picked[chunk] % top.shape[1] * _RECORD_CHUNK + j,
-                     np.where(j > 0, run[j - 1, chunk], seed[chunk]), run[j, chunk], row_top))
+        pad = _stack(queries, block)
+        flat = pad.reshape(-1)
+        row = np.arange(len(block)) * pad.shape[1]
+        cuts = np.stack([row, row + w0[block], row + w1[block] + 1], axis=1).ravel()
+        top = np.full(len(cuts), -np.inf)
+        inner = np.searchsorted(cuts, flat.size)  # the cuts ascend; the ones at the end begin empty segments
+        top[:inner] = np.maximum.reduceat(flat, cuts[:inner])
+        top[cuts == np.append(cuts[1:], flat.size)] = -np.inf
+        top = top.reshape(len(block), 3)
+        before[block], inside[block] = top[:, 0], top[:, 1]
         # every row is real up to the block's shortest length; past it, leave the padding out
         shortest = int(queries.lengths[block].min())
         tail = pad[:, shortest:]
         lo = min(lo, float(pad[:, :shortest].min()), float(np.min(tail, where=tail >= 0, initial=np.inf)))
-        hi = max(hi, float(row_top.max()))
-    return lo, hi, _Records(*map(np.concatenate, zip(*kept)))
+        hi = max(hi, float(top.max()))
+    return lo, hi, before, inside
 
 
-def _first_crossings(queries: _Queries, records: _Records, taus: np.ndarray) -> np.ndarray:
-    """``[Q, C]`` first frame whose score is at least each of the ascending thresholds
-    ``taus``; inf where the query never reaches one. In either mode that frame is the
-    query's first prediction.
+def _stand_ins(w0: np.ndarray, before: np.ndarray, inside: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """``[Q, C]`` frames whose hit is that of each query's first prediction at each of ``taus``.
 
-    It is the first frame at which the running maximum reaches the threshold, so only
-    the ``_records`` cross anything: each exactly the thresholds in ``(old, new]``. Per
-    row those ranges are consecutive and start at the lowest threshold, so the records'
-    frames, each repeated once per threshold of its range, fill the row's crossed
-    thresholds in order. The records do not depend on ``taus``.
+    In either mode that prediction is the query's first frame at or above the threshold, a hit
+    iff it lies in w0..w1 (``_window_frames``), that is iff the maximum ``before`` frame w0 is
+    below the threshold and the maximum ``inside`` w0..w1 reaches it (``_maxima``). The stand-in
+    is frame w0 - 1 (a miss) where ``before`` reaches the threshold, else w0 (a hit) where
+    ``inside`` does, else inf (no prediction to hit).
     """
-    counts = np.searchsorted(taus, records.new, "right") - np.searchsorted(taus, records.old, "right")
-    crossed = np.arange(len(taus)) < np.searchsorted(taus, records.top, "right")[:, None]
-    found = np.full(crossed.shape, np.inf)
-    found[crossed] = np.repeat(records.frame, counts)
-    first = np.empty((len(queries.rows), len(taus)))
-    first[records.order] = found
-    return first
+    return np.where(before[:, None] >= taus, w0[:, None] - 1.0, np.where(inside[:, None] >= taus, w0[:, None], np.inf))
 
 
 def _report(queries: _Queries, ks, w: ToleranceWindow, mode: str, threshold: float) -> MetricReport:
@@ -490,26 +466,29 @@ def sweep_thresholds(
     single candidate. The queries are paired and validated once, and a series
     that no annotation pairs plays no part, as in ``evaluate_dataset``.
 
-    One pass over the paired scores (``_records``) gives the grid's bounds and
-    each query's running-maximum records. Selection needs only each query's
-    first ``objective_k`` predictions at every candidate. With
+    One pass over the paired scores (``_maxima``) gives the grid's bounds and,
+    per query, its highest score before its tolerance window and its highest
+    inside it, which do not depend on the grid. Selection needs only each
+    query's first ``objective_k`` predictions at every candidate. With
     ``objective_k = 1`` that is the first frame whose score reaches the
-    candidate, in either mode, and the records give it for all candidates
-    (``_first_crossings``). A larger ``objective_k`` takes the first
-    ``objective_k`` frames of every candidate's prediction mask
-    (``_first_predictions``). The report is then ``evaluate_dataset``'s at
-    the chosen threshold alone.
+    candidate, in either mode, so it is a hit iff the maximum before the
+    window is below the candidate and the maximum inside reaches it; each
+    query and candidate then takes a stand-in frame with the same hit. A
+    larger ``objective_k`` takes the first ``objective_k`` frames of every
+    candidate's prediction mask (``_first_predictions``). The report is then
+    ``evaluate_dataset``'s at the chosen threshold alone.
     """
     check_count("n", n, 2, SWEEP_MAX)  # before anything is allocated
     ks = [*(ks or [1, 2, 3]), objective_k]
     # the candidates lie between two scores, in [0, 1], so no threshold is checked
     queries = _pair(series, annotations, [], mode, ks)
     ks = sorted(set(ks))
-    lo, hi, records = _records(queries)
+    w0, w1 = _window_frames(queries, w)
+    lo, hi, before, inside = _maxima(queries, w0, w1)
     candidates = [lo] if lo == hi else list(np.linspace(lo, hi, n))
-    taus = np.array(candidates, dtype=float)  # np.linspace's grid ascends
+    taus = np.array(candidates, dtype=float)
     if objective_k == 1:
-        first = _first_crossings(queries, records, taus)[:, :, None]
+        first = _stand_ins(w0, before, inside, taus)[:, :, None]
     else:
         first = _first_predictions(queries, taus, mode, objective_k)
     hit = streaming_recall_at_k(first / queries.fps[:, None, None], queries.starts[:, None], objective_k, w)

@@ -222,7 +222,8 @@ class TestSampleWindows:
     @pytest.mark.parametrize("p_pos", [-0.1, 1.5, math.nan])
     def test_p_pos_outside_0_1(self, p_pos):
         a = make_ann(5, 8, video_length=30.0)
-        with pytest.raises(ConfigError, match=rf"^p_pos must be in \[0, 1\], got {p_pos}$"):
+        rule = "a finite real number" if math.isnan(p_pos) else r"in \[0, 1\]"  # NaN is no real, checked first
+        with pytest.raises(ConfigError, match=rf"^p_pos must be {rule}, got {p_pos}$"):
             ann.sample_windows(a, clock(30), 10, 1.0, 0, p_pos=p_pos)
 
     def test_video_too_short(self):

@@ -120,6 +120,7 @@ REALS = [
     *_fields(metrics.ToleranceWindow, dict(anticipation=5.0, latency=10.0), ("anticipation", "latency")),
     *_fields(annotations.make_corpus_specs, dict(n_streams=2, seed=0), ("fps", "noise_scale")),
     *_fields(annotations.tolerance_from_variance, dict(sigma_sq=28.8, fps=1.0), ("sigma_sq", "fps")),
+    *_fields(annotations.sample_windows, WINDOW_DRAW, ("fps", "p_pos")),
     ("extract_predictions.threshold", "threshold",
      lambda value: metrics.extract_predictions(metrics.ScoreSeries("v", "q", 1.0, [0.5]), value)),
     ("evaluate_dataset.threshold", "threshold",
@@ -145,4 +146,14 @@ def test_every_real_is_checked_by_the_real_rule(name, call, value):
 def test_sample_windows_counts_below_their_minimum(name, value, minimum):
     # checked before the window is sliced or its generator seeded
     with pytest.raises(ConfigError, match=rf"^{name} must be >= {minimum}, got {value}$"):
+        annotations.sample_windows(**WINDOW_DRAW | {name: value})
+
+
+@pytest.mark.parametrize("name, value, message", [("fps", -1.0, "finite and positive, got -1.0"),
+                                                  ("fps", 0, "finite and positive, got 0"),
+                                                  ("p_pos", 1.5, r"in \[0, 1\], got 1.5"),
+                                                  ("p_pos", -0.5, r"in \[0, 1\], got -0.5")])
+def test_sample_windows_reals_outside_their_range(name, value, message):
+    # checked before the frame grid is sized from fps or a window drawn
+    with pytest.raises(ConfigError, match=rf"^{name} must be {message}$"):
         annotations.sample_windows(**WINDOW_DRAW | {name: value})

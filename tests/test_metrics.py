@@ -274,10 +274,10 @@ class TestLoadedTable:
         monkeypatch.setattr(metrics, "_BLOCK", budget)
         stack, views = metrics._stack, []
 
-        def spy(queries, block, multiple=1):
-            out = stack(queries, block, multiple)
+        def spy(queries, block):
+            out = stack(queries, block)
             if queries.source is loaded:
-                views.append((multiple, np.shares_memory(out, loaded.values)))
+                views.append(np.shares_memory(out, loaded.values))
             return out
 
         monkeypatch.setattr(metrics, "_stack", spy)
@@ -292,10 +292,9 @@ class TestLoadedTable:
                 got = metrics.sweep_thresholds(loaded, anns, w, 20, objective_k, [1, 2], mode)
                 assert got == metrics.sweep_thresholds(ser, anns, w, 20, objective_k, [1, 2], mode)
                 assert got == oracles.exhaustive_sweep(loaded, anns, w, 20, objective_k, [1, 2], mode)
-        # a block of rows end to end at one length is a view, unless padded to the record chunk;
-        # one block of every query, of mixed lengths, is a copy
-        plain = [view for multiple, view in views if multiple == 1]
-        assert all(plain) if layout == "end_to_end" else budget < 2**18 or not any(plain)
+        # a block of rows end to end at one length is a view, in the evaluations and in both
+        # passes of each sweep; one block of every query, of mixed lengths, is a copy
+        assert all(views) if layout == "end_to_end" else budget < 2**18 or not any(views)
 
 
 class TestSweep:
@@ -362,6 +361,23 @@ class TestSweep:
         monkeypatch.setattr(metrics, "_BLOCK", budget)
         self.test_equals_exhaustive_evaluation()
 
+    @pytest.mark.parametrize("mode", metrics.MODES)
+    def test_a_sweep_stacks_each_block_twice_and_an_evaluation_once(self, mode, monkeypatch):
+        # at objective_k 1 the selection's maxima and the report read the scores, each once
+        monkeypatch.setattr(metrics, "_BLOCK", 300)
+        rng = np.random.default_rng(8)
+        ser = [series(rng.random(int(n)), uid=f"v{i}", qid="a-0") for i, n in enumerate(rng.integers(1, 60, 30))]
+        anns = [FakeAnn(f"v{i}", "a", float(rng.uniform(0, s.scores.size))) for i, s in enumerate(ser)]
+        blocks = [b.tolist() for b in metrics._blocks(np.array([s.scores.size for s in ser]), 1)]
+        stack, stacked = metrics._stack, []
+        monkeypatch.setattr(metrics, "_stack", lambda queries, block: stacked.append(block.tolist()) or
+                            stack(queries, block))
+        metrics.sweep_thresholds(ser, anns, ToleranceWindow(5, 10), 20, 1, [1, 2, 3], mode)
+        assert len(blocks) > 1 and stacked == blocks + blocks
+        stacked.clear()
+        metrics.evaluate_dataset(ser, anns, [1, 2, 3], ToleranceWindow(5, 10), mode, 0.5)
+        assert stacked == blocks
+
     def test_ties_break_to_larger_threshold(self):
         # monotone scores: every candidate gives the same recall
         ser = [series([0.0, 1.0, 0.0], qid="a-0")]
@@ -370,27 +386,13 @@ class TestSweep:
         assert tau == 1.0
 
 
-def first_crossings(rows, taus):
-    """``metrics._first_crossings`` of one series per row against ascending ``taus``."""
-    ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
-    anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
-    queries = metrics._pair(ser, anns, taus, "rising_edge", [1])
-    return metrics._first_crossings(queries, metrics._records(queries)[2], np.array(taus, dtype=float))
+W = 16  # a row length; the edge rows are cut around it and its multiples
 
 
-def argmax_crossings(rows, taus):
-    """The first frame of each row at or above each threshold, one candidate at a time."""
-    return np.array([[float(np.argmax(np.asarray(r) >= tau)) if (np.asarray(r) >= tau).any() else np.inf
-                      for tau in taus] for r in rows])
-
-
-W = metrics._RECORD_CHUNK
-
-
-def record_rows():
-    """Rows of the record search's edge cases: lengths at and past the chunk edges, plateaus
-    that repeat a maximum across chunk edges, a maximum at frame 0, constant rows, and a
-    maximum that rises at a chunk's first frame after a chunk that only ties it."""
+def edge_rows():
+    """Rows of the selection's edge cases: lengths at and past multiples of W, plateaus that
+    repeat a maximum, a maximum at frame 0, constant rows, and a maximum that rises right
+    after a run that only ties it."""
     rng = np.random.default_rng(5)
     levels = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = [rng.choice(levels, n) for n in (1, W - 1, W, W + 1, 2 * W, 3 * W + 5)]
@@ -399,66 +401,124 @@ def record_rows():
     return rows
 
 
-def running_max_records(rows):
-    """Per row: the frames where its running maximum strictly rises (frame 0 always), the
-    maximum before each (-inf at frame 0), the maximum after it, and the row's maximum."""
-    out = []
-    for r in rows:
-        run = np.maximum.accumulate(np.asarray(r, dtype=float))
-        at = np.flatnonzero(np.r_[True, run[1:] > run[:-1]])
-        out.append((at.tolist(), np.r_[-np.inf, run][at].tolist(), run[at].tolist(), float(run[-1])))
-    return out
+def edge_starts(rows, fps=1.0):
+    """A start for each row: on a frame, so that with integer windows at 1 fps a frame lies
+    exactly on either window edge, or before frame 0, or past the row's last frame."""
+    rng = np.random.default_rng(6)
+    return [float(rng.choice([-20.0, int(rng.integers(0, len(r))) / fps, len(r) / fps + 20.0])) for r in rows]
 
 
-def records_by_row(rows):
-    """``metrics._records`` of one series per row: its bounds, and per row what ``running_max_records`` gives."""
-    ser = [series(r, uid=f"v{i}", qid="a-0") for i, r in enumerate(rows)]
-    anns = [FakeAnn(f"v{i}", "a", 0.0) for i in range(len(rows))]
-    lo, hi, rec = metrics._records(metrics._pair(ser, anns, [], "rising_edge", [1]))
-    starts = np.flatnonzero(rec.old == -np.inf)  # each query's records begin at its frame 0
-    assert sorted(rec.order.tolist()) == list(range(len(rows))) and len(starts) == len(rows) and starts[0] == 0
-    by_row = [None] * len(rows)
-    for q, frame, old, new, top in zip(rec.order.tolist(), np.split(rec.frame, starts[1:]),
-                                       np.split(rec.old, starts[1:]), np.split(rec.new, starts[1:]), rec.top):
-        by_row[q] = (frame.tolist(), old.tolist(), new.tolist(), float(top))
-    return lo, hi, by_row
+def selection(rows, starts, taus, w=ToleranceWindow(2.0, 3.0), fps=1.0):
+    """The sweep's selection pass over one series per row: ``_window_frames``, then ``_maxima``,
+    then the hits of ``_stand_ins`` at ``taus``, as ``sweep_thresholds`` composes them."""
+    fps = np.broadcast_to(fps, len(rows))
+    ser = [series(r, uid=f"v{i}", qid="a-0", fps=float(f)) for i, (r, f) in enumerate(zip(rows, fps))]
+    anns = [FakeAnn(f"v{i}", "a", t_s) for i, t_s in enumerate(starts)]
+    queries = metrics._pair(ser, anns, [], "rising_edge", [1])
+    w0, w1 = metrics._window_frames(queries, w)
+    lo, hi, before, inside = metrics._maxima(queries, w0, w1)
+    first = metrics._stand_ins(w0, before, inside, np.array(taus, dtype=float))
+    hits = metrics.streaming_recall_at_k(first[:, :, None] / queries.fps[:, None, None], queries.starts[:, None], 1, w)
+    return w0, w1, lo, hi, before, inside, hits
 
 
-class TestFirstCrossings:
-    def test_only_chunks_that_beat_every_chunk_before_are_searched(self):
-        # ties with the maximum before a chunk, padding (-1) and lower chunks hold no record
-        top = np.array([[0.5, 0.5, 0.7, 0.2, 0.7, 0.9], [0.0, 0.0, 0.0, -1.0, -1.0, -1.0]])
-        picked, seed = metrics._record_chunks(top)
-        assert picked.tolist() == [0, 2, 5, 6]
-        assert seed.tolist() == [-np.inf, 0.5, 0.7, -np.inf]
+def brute_window(n, fps, t_s, w):
+    """The first and last of the n frames whose time ``f / fps`` is a hit, by ``is_hit`` on every
+    frame; (n, n - 1) when none is. The hits must be consecutive frames."""
+    hits = np.flatnonzero(metrics.is_hit(np.arange(n) / fps, t_s, w))
+    if not hits.size:
+        return n, n - 1
+    assert np.array_equal(hits, np.arange(hits[0], hits[-1] + 1))
+    return int(hits[0]), int(hits[-1])
+
+
+def argmax_crossings(rows, taus):
+    """The first frame of each row at or above each threshold, one candidate at a time."""
+    return np.array([[float(np.argmax(np.asarray(r) >= tau)) if (np.asarray(r) >= tau).any() else np.inf
+                      for tau in taus] for r in rows])
+
+
+def crossing_hits(rows, starts, taus, w=ToleranceWindow(2.0, 3.0), fps=1.0):
+    """Whether each row's first crossing of each threshold is a hit: ``argmax_crossings`` composed with ``is_hit``."""
+    fps = np.broadcast_to(fps, len(rows))
+    return metrics.is_hit(argmax_crossings(rows, taus) / fps[:, None], np.asarray(starts)[:, None], w)
+
+
+class TestSelection:
+    @pytest.mark.parametrize("fps", [1.0, 2.5, 29.97, 30000 / 1001, 1 / 3], ids=repr)
+    def test_window_frames_are_the_first_and_last_hit(self, fps):
+        # edges on a frame, a frame's time plus or minus the window (rounded at non-integer fps),
+        # between frames, before frame 0 and past the last frame; zero anticipation or latency
+        for a, l in [(5.0, 10.0), (0.0, 0.0), (0.0, 3.0), (2.0, 0.0), (1.5, 0.25)]:
+            w, cases = ToleranceWindow(a, l), []
+            for n in (1, 2, 15, 16, 17, 60):
+                frames = sorted({0, 1, n // 2, n - 1})
+                starts = [f / fps + shift for f in frames for shift in (0.0, a, -l, a + 0.5 / fps, -l - 0.5 / fps)]
+                starts += [-l - 1.0, -l - 1 / fps, (n - 1) / fps + a + 1 / fps, (n - 1) / fps + a + 1.0]
+                cases += [(n, t_s) for t_s in starts]
+            rows = [np.zeros(n) for n, _ in cases]
+            w0, w1, *_ = selection(rows, [t_s for _, t_s in cases], [], w, fps)
+            assert list(zip(w0.tolist(), w1.tolist())) == [brute_window(n, fps, t_s, w) for n, t_s in cases]
+
+    @pytest.mark.parametrize("a, l", [(1e308, 0.0), (0.0, 1e308), (1e308, 1e308)])
+    def test_huge_windows_neither_overflow_nor_miscast(self, a, l):
+        w, fps = ToleranceWindow(a, l), 29.97
+        rows, taus = edge_rows(), [0.0, 0.25, 0.5, 0.75, 1.0]
+        starts = edge_starts(rows, fps)
+        with np.errstate(all="raise"):
+            w0, w1, *_, hits = selection(rows, starts, taus, w, fps)
+        assert list(zip(w0.tolist(), w1.tolist())) == [brute_window(len(r), fps, t_s, w) for r, t_s in zip(rows, starts)]
+        assert np.array_equal(hits, crossing_hits(rows, starts, taus, w, fps))
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
-    def test_records_are_the_running_maximums_strict_rises(self, budget, monkeypatch):
-        # one block holds rows of mixed lengths at 2**18; the bounds leave the padding out
+    def test_maxima_equal_brute_slices(self, budget, monkeypatch):
+        # one block holds rows of mixed lengths at 2**18; the bounds and maxima leave the padding out
         monkeypatch.setattr(metrics, "_BLOCK", budget)
-        rows = record_rows()
-        lo, hi, by_row = records_by_row(rows)
-        assert by_row == running_max_records(rows)
+        rows = edge_rows()
+        starts = edge_starts(rows)
+        w0, w1, lo, hi, before, inside, _ = selection(rows, starts, [])
         assert (lo, hi) == (min(r.min() for r in rows), max(r.max() for r in rows))
+        for r, f0, f1, got_before, got_inside in zip(rows, w0, w1, before, inside):
+            assert got_before == max(r[:f0], default=-np.inf)
+            assert got_inside == max(r[f0:f1 + 1], default=-np.inf)
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
-    def test_edge_cases_on_grid_values(self, budget, monkeypatch):
+    def test_hits_on_grid_values_are_the_first_crossings(self, budget, monkeypatch):
         monkeypatch.setattr(metrics, "_BLOCK", budget)
-        rows, taus = record_rows(), [0.0, 0.25, 0.5, 0.5, 0.75, 0.8, 1.0]
-        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+        rows, taus = edge_rows(), [0.0, 0.25, 0.5, 0.5, 0.75, 0.8, 1.0]
+        for starts in (edge_starts(rows), [float(len(r) // 2) for r in rows], [3.0] * len(rows)):
+            assert np.array_equal(selection(rows, starts, taus)[-1], crossing_hits(rows, starts, taus))
 
     def test_first_frame_is_the_rows_max(self):
-        rows, taus = [[0.9, 0.1, 0.5, 0.9]], [0.0, 0.5, 0.9, 0.95]
-        assert np.array_equal(first_crossings(rows, taus), [[0.0, 0.0, 0.0, np.inf]])
-        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+        rows, taus = [[0.9, 0.1, 0.5, 0.9]] * 3, [0.0, 0.5, 0.9, 0.95]
+        starts = [0.0, 3.0, 9.0]  # frame 0 inside, before and past the window
+        hits = selection(rows, starts, taus, ToleranceWindow(0.0, 1.0))[-1]
+        assert hits.tolist() == [[True, True, True, False], [False] * 4, [False] * 4]
+        assert np.array_equal(hits, crossing_hits(rows, starts, taus, ToleranceWindow(0.0, 1.0)))
 
     def test_row_that_never_crosses(self):
         rows, taus = [[0.1, 0.2, 0.2], [0.3, 0.8]], [0.25, 0.5, 0.75]
-        assert np.array_equal(first_crossings(rows, taus), [[np.inf] * 3, [0.0, 1.0, 1.0]])
+        w0, w1, _, _, before, inside, hits = selection(rows, [0.0, 1.0], taus, ToleranceWindow(0.0, 0.0))
+        assert (w0.tolist(), w1.tolist(), before.tolist(), inside.tolist()) == ([0, 1], [0, 1], [-np.inf, 0.3],
+                                                                                [0.1, 0.8])
+        assert hits.tolist() == [[False] * 3, [False, True, True]]
 
     def test_scores_on_thresholds_and_repeated_thresholds(self):
-        rows, taus = [[0.0, 0.25, 0.25, 0.5, 1.0, 0.5]], [0.0, 0.25, 0.25, 0.5, 0.75, 1.0]
-        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+        rows, taus = [[0.0, 0.25, 0.25, 0.5, 1.0, 0.5]] * 6, [0.0, 0.25, 0.25, 0.5, 0.75, 1.0]
+        starts = [float(t) for t in range(6)]
+        assert np.array_equal(selection(rows, starts, taus, ToleranceWindow(0.0, 0.0))[-1],
+                              crossing_hits(rows, starts, taus, ToleranceWindow(0.0, 0.0)))
+
+    def test_cuts_at_the_blocks_end(self):
+        # the last row's window ends at its last frame, or is empty past it: a cut at the
+        # array's end, which reduceat rejects, and empty segments, which it fills with an element
+        rows, taus = [np.array([0.2, 0.9, 0.4])] * 3, [0.2, 0.4, 0.9]
+        for starts in ([2.0, 2.0, 2.0], [9.0, 9.0, 9.0], [-9.0, 2.0, 9.0]):
+            w0, w1, lo, hi, before, inside, hits = selection(rows, starts, taus, ToleranceWindow(0.0, 0.0))
+            assert (lo, hi) == (0.2, 0.9)
+            assert before.tolist() == [{2.0: 0.9, 9.0: 0.9, -9.0: 0.9}[t] for t in starts]
+            assert inside.tolist() == [{2.0: 0.4, 9.0: -np.inf, -9.0: -np.inf}[t] for t in starts]
+            assert np.array_equal(hits, crossing_hits(rows, starts, taus, ToleranceWindow(0.0, 0.0)))
 
     @pytest.mark.parametrize("budget", BLOCK_BUDGETS + [2**18])
     def test_padding_in_mixed_length_blocks(self, budget, monkeypatch):
@@ -467,8 +527,9 @@ class TestFirstCrossings:
         rng = np.random.default_rng(11)
         rows = [rng.choice([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], int(n)) for n in rng.integers(1, 50, 120)]
         rows += [[0.0], [1.0], [0.3, 0.3]]
+        starts = [float(rng.uniform(-5, len(r) + 5)) for r in rows]
         taus = list(np.linspace(0.0, 1.0, 11))
-        assert np.array_equal(first_crossings(rows, taus), argmax_crossings(rows, taus))
+        assert np.array_equal(selection(rows, starts, taus)[-1], crossing_hits(rows, starts, taus))
 
 
 class TestPairing:

@@ -143,17 +143,16 @@ def test_blocked_evaluation_equals_brute_force(data, ks, budget):
 
 
 SWEEP_FPS = (0.5, 1.0, 2.5, 29.97, 30000 / 1001)
-W = metrics._RECORD_CHUNK
-# lengths at the record search's chunk edges, and over several chunks
-EDGE_LENGTHS = (1, W - 1, W, W + 1, 2 * W + 1, 4 * W - 1)
+# lengths around 16 and its multiples, from one frame up
+EDGE_LENGTHS = (1, 15, 16, 17, 33, 63)
 
 
 @st.composite
 def sweep_queries(draw):
     """Score series of 1-63 frames at mixed, mostly non-integer fps, and an annotation
-    for each. Lengths are drawn at and past the record search's chunk edges as well, so
-    a block mixes lengths and pads its rows. Scores are SCORE_LEVELS, so a grid of 2,
-    3, 5 or 9 candidates between two levels puts candidates exactly on scores. A series
+    for each. Lengths are drawn from EDGE_LENGTHS as well, so a block mixes lengths and
+    pads its rows. Scores are SCORE_LEVELS, so a grid of 2, 3, 5 or 9 candidates
+    between two levels puts candidates exactly on scores. A series
     may be constant, hold only the lowest level, so it crosses no higher candidate, put
     its maximum at frame 0, or climb in plateaus that repeat each maximum. Some starts
     put a frame exactly on a window edge, and a series without annotation, which the sweep
