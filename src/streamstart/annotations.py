@@ -218,6 +218,15 @@ def serialize_annotations(annotations: list[EventAnnotation]) -> bytes:
 # -- tolerance window ---------------------------------------------------------
 
 
+def _frame_grid(seconds: float, fps: float, least: int = 0) -> int:
+    """How many frames m / fps lie in [0, seconds); ConfigError, naming that grid, unless finite and >= ``least``."""
+    frames = seconds * fps
+    grid = math.ceil(frames - 1e-9) if frames < math.inf else frames
+    if not least <= grid < math.inf:
+        raise ConfigError(f"{seconds}s at {fps} FPS gives a frame grid of {grid} frames, not a finite count >= {least}")
+    return grid
+
+
 def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
     """Discretize a start-time variance onto the frame grid.
 
@@ -227,6 +236,7 @@ def tolerance_from_variance(sigma_sq: float, fps: float) -> ToleranceWindow:
     check_real("sigma_sq", sigma_sq, "nonnegative")
     check_real("fps", fps, "positive")
     sigma = math.sqrt(sigma_sq)
+    _frame_grid(2.0 * sigma, fps)  # the latency's span, the wider one, on a finite grid
     return ToleranceWindow(
         anticipation=math.floor(sigma * fps) / fps,
         latency=math.floor(2.0 * sigma * fps) / fps,
@@ -256,7 +266,7 @@ def sample_windows(
     check_real("p_pos", p_pos)
     if not 0.0 <= p_pos <= 1.0:
         raise ConfigError(f"p_pos must be in [0, 1], got {p_pos}")
-    n_grid = math.ceil(annotation.video_length * fps - 1e-9)  # frames m / fps in [0, video_length)
+    n_grid = _frame_grid(annotation.video_length, fps, 1)
     if n_grid > len(frames):
         raise SchemaError(f"video {annotation.video_uid}: video_length {annotation.video_length}s at {fps} fps "
                           f"needs {n_grid} frames, its stream holds {len(frames)}")

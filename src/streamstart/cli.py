@@ -1,19 +1,24 @@
 """Command-line entry point: ingest, synth, train, score, eval, bench.
 
-JSON results go to stdout, diagnostics to stderr, artifacts into ``--out``
-directories, each with exactly one run manifest. Exit codes: 0 success,
+JSON results go to stdout, diagnostics to stderr, artifacts into ``--out`` directories, each
+staged, given exactly one run manifest and renamed into place whole. Exit codes: 0 success,
 2 schema error, 3 id mismatch, 4 numeric failure, 5 configuration error.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import hashlib
 import json
+import os
+import shutil
 import sys
 import time
+from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -63,16 +68,59 @@ def _input_digest(root: Path, digests: dict[Path, str]) -> str:
     return hashlib.sha256("".join(f"{d}  {rel}\n" for rel, d in lines).encode("utf-8")).hexdigest()
 
 
-class _HashingReader:
-    """Reads whole files for one command and keeps the SHA-256 of each for its manifest."""
+_INPUT_FLAGS = {"ingest": ("annotations",), "train": ("data",), "score": ("checkpoint", "data"),
+                "eval": ("scores", "annotations")}
 
-    def __init__(self) -> None:
-        self.digests: dict[Path, str] = {}
 
-    def __call__(self, path: Path) -> bytes:
+class _Run(contextlib.AbstractContextManager):
+    """One command's run: it reads and hashes the inputs, and owns ``--out`` (docs/formats.md,
+    "Output directories"). The command writes into ``staged``; ``commit`` writes the manifest
+    last and renames ``staged`` to ``--out``. Leaving the ``with`` block removes the stage, so a
+    run that does not commit leaves ``--out`` as it was."""
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args, self.digests = args, {}
+        self.inputs = [Path(getattr(args, flag)) for flag in _INPUT_FLAGS.get(args.command, ())]
+        self.out = out = Path(args.out) if args.out else None
+        if out and out.exists() and not (out.is_dir() and ((out / "manifest.json").is_file()
+                                                           or not any(out.iterdir()))):
+            raise ConfigError(f"--out {out} exists and is not a run directory: it holds no manifest.json")
+        for path in self.inputs if out else ():
+            if path.resolve().is_relative_to(out.resolve()):
+                raise ConfigError(f"--out {out} holds the input {path}, which the run would replace")
+
+    def __exit__(self, *exc) -> None:
+        if "staged" in vars(self):  # the stage of a run that did not commit, or the directory a commit replaced
+            for path in (self.staged, Path(f"{self.staged}-old")):
+                shutil.rmtree(path, ignore_errors=True)
+
+    def read(self, path: Path) -> bytes:
+        """The bytes of ``path``, read whole; their SHA-256 goes into the manifest."""
         data = path.read_bytes()
         self.digests[path] = hashlib.sha256(data).hexdigest()
         return data
+
+    @functools.cached_property
+    def staged(self) -> Path:
+        """The directory the run writes into, ``.<name>.<random>`` beside ``--out`` (so on its filesystem),
+        made with any missing parent on first use."""
+        staged = self.out.parent / f".{self.out.name}.{os.urandom(6).hex()}"
+        staged.mkdir(parents=True)
+        return staged
+
+    def write(self, name: str, data: str | bytes) -> None:
+        """Stage ``data``, text as UTF-8, as the file ``name``; nothing without ``--out``."""
+        if self.out:
+            (self.staged / name).write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+
+    def commit(self, **resolved) -> None:
+        """Write the manifest, ``resolved`` laid over its config, and rename the staged directory to
+        ``--out``, moving a previous run's directory aside to ``<stage>-old``; nothing without ``--out``."""
+        if self.out:
+            write_manifest(self.staged, self.args, self.inputs, self.digests, **resolved)
+            if self.out.exists():
+                self.out.rename(f"{self.staged}-old")
+            self.staged.rename(self.out)
 
 
 def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path], digests: dict[Path, str],
@@ -81,7 +129,6 @@ def write_manifest(out_dir: Path, args: argparse.Namespace, inputs: list[Path], 
     that holds the record, with ``resolved``, the values used in place of a flag's "auto"
     value, laid over it. ``digests`` maps each file the command read to its SHA-256; each
     input gets one digest of them."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     manifest = {
         "command": args.command,
@@ -98,57 +145,30 @@ def _emit(payload: dict) -> None:
 
 
 def _histogram(values: list[float], edges: list[float]) -> dict[str, int]:
-    out = {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        label = f"[{lo:g},{hi:g})" if hi != float("inf") else f"[{lo:g},inf)"
-        out[label] = int(sum(1 for v in values if lo <= v < hi))
-    return out
+    return {f"[{lo:g},{hi:g})": sum(1 for v in values if lo <= v < hi) for lo, hi in zip(edges[:-1], edges[1:])}
 
 
 # -- commands -------------------------------------------------------------------
 
 
-def cmd_ingest(args) -> int:
-    path = Path(args.annotations)
-    read = _HashingReader()
-    anns = annotations.parse_annotations(read(path))
+def cmd_ingest(args, run: _Run) -> int:
+    anns = annotations.parse_annotations(run.read(Path(args.annotations)))
     payload: dict = {
         "annotations": len(anns),
         "videos": len({a.video_uid for a in anns}),
     }
     if args.stats:
-        by_split: dict[str, int] = {}
-        by_source: dict[str, int] = {}
-        for a in anns:
-            by_split[a.split] = by_split.get(a.split, 0) + 1
-            by_source[a.source] = by_source.get(a.source, 0) + 1
-        payload["by_split"] = by_split
-        payload["by_source"] = by_source
+        payload["by_split"] = dict(Counter(a.split for a in anns))
+        payload["by_source"] = dict(Counter(a.source for a in anns))
         payload["event_duration_bins"] = _histogram([a.end_sec - a.start_sec for a in anns], DURATION_BINS)
         payload["start_time_bins"] = _histogram([a.start_sec for a in anns], START_BINS)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "ingest_stats.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        write_manifest(out, args, [path], read.digests)
+    run.write("ingest_stats.json", json.dumps(payload, indent=2, sort_keys=True))
+    run.commit()
     _emit(payload)
     return 0
 
 
-def _corpus_annotations(specs, n_train: int) -> list:
-    # a corpus's streams share one dim, so they share one backbone map
-    backbone = annotations.backbone_map(specs[0].dim) if specs else None
-    anns = []
-    for i, spec in enumerate(specs):
-        frames, query, ann = annotations.gen_synthetic(spec, backbone)
-        frames, query = annotations.stream_arrays(f"stream {ann.video_uid}", frames, query)  # before any write
-        ann = replace(ann, split="train" if i < n_train else "val")
-        anns.append((spec, frames, query, ann))
-    return anns
-
-
-def cmd_synth(args) -> int:
-    out = Path(args.out)
+def cmd_synth(args, run: _Run) -> int:
     for flag, count in (("--streams", args.streams), ("--val-streams", args.val_streams),
                         ("--distractors", args.distractors)):
         check_count(flag, count)
@@ -162,17 +182,22 @@ def cmd_synth(args) -> int:
         n_distractors=args.distractors,
         n_queries=args.queries,
     )
-    rows = _corpus_annotations(specs, args.streams)
-    out.mkdir(parents=True, exist_ok=True)  # an empty corpus saves no stream that would make it
-    for spec, frames, query, ann in rows:
-        annotations.save_stream(out / "streams" / f"{ann.video_uid}.f32", frames, query, spec.fps)
-    (out / "annotations.csv").write_bytes(annotations.serialize_annotations([row[-1] for row in rows]))
-    write_manifest(out, args, [], {})
-    _emit({"out": str(out), "train_streams": args.streams, "val_streams": args.val_streams})
+    # the streams share one dim, so one backbone map; each is checked, named by its id, before any write
+    backbone = annotations.backbone_map(specs[0].dim) if specs else None
+    rows = []
+    for i, spec in enumerate(specs):
+        frames, query, ann = annotations.gen_synthetic(spec, backbone)
+        frames, query = annotations.stream_arrays(f"stream {ann.video_uid}", frames, query)
+        rows.append((spec.fps, frames, query, replace(ann, split="train" if i < args.streams else "val")))
+    for fps, frames, query, ann in rows:
+        annotations.save_stream(run.staged / "streams" / f"{ann.video_uid}.f32", frames, query, fps)
+    run.write("annotations.csv", annotations.serialize_annotations([row[-1] for row in rows]))
+    run.commit()
+    _emit({"out": str(run.out), "train_streams": args.streams, "val_streams": args.val_streams})
     return 0
 
 
-def _load_corpus(data_dir: Path, split: str, read: _HashingReader):
+def _load_corpus(data_dir: Path, split: str, read: Callable[[Path], bytes]):
     """The split's annotations, its streams and their one dim; ``read`` reads annotations.csv
     and the split's stream files, nothing else. An empty split, or streams of two dims (the
     training set stacks their windows, and one model scores them), raise ConfigError."""
@@ -202,11 +227,8 @@ def _adapter_config(kind: str, d: int, d_prime: int | None, k: int) -> kernels.A
     return kernels.AdapterConfig(d=d, d_prime=dp, kind=kind, k=k)
 
 
-def cmd_train(args) -> int:
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    read = _HashingReader()
-    anns, streams, dim = _load_corpus(data_dir, "train", read)
+def cmd_train(args, run: _Run) -> int:
+    anns, streams, dim = _load_corpus(Path(args.data), "train", run.read)
     adapter = _adapter_config(args.kind, dim, args.d_prime, args.k)
     w_s = args.ws if args.ws else (30 if args.kind == "retention" else 60)
     model_config = detector.ModelConfig(
@@ -235,24 +257,19 @@ def cmd_train(args) -> int:
 
     trained, history = detector.train(model, np.stack(windows), np.stack(labels), np.stack(queries), train_config)
 
-    detector.save_model(out / "checkpoint.sdqk", trained)
-    (out / "curve.csv").write_text(detector.loss_curve_csv(history), encoding="utf-8")
-    write_manifest(out, args, [data_dir], read.digests, ws=w_s, d_prime=adapter.d_prime)
-    _emit({"checkpoint": str(out / "checkpoint.sdqk"), "steps": len(history),
+    detector.save_model(run.staged / "checkpoint.sdqk", trained)
+    run.write("curve.csv", detector.loss_curve_csv(history))
+    run.commit(ws=w_s, d_prime=adapter.d_prime)
+    _emit({"checkpoint": str(run.out / "checkpoint.sdqk"), "steps": len(history),
            "final_loss": history[-1].total if history else None})
     return 0
 
 
-def cmd_score(args) -> int:
-    data_dir = Path(args.data)
-    out = Path(args.out)
-    read = _HashingReader()
-    model = detector.load_model(Path(args.checkpoint), read)
-    anns, streams, dim = _load_corpus(data_dir, args.split, read)
+def cmd_score(args, run: _Run) -> int:
+    model = detector.load_model(Path(args.checkpoint), run.read)
+    anns, streams, dim = _load_corpus(Path(args.data), args.split, run.read)
     if dim != model.config.d:
         raise ConfigError(f"stream {anns[0].video_uid} has dim {dim}, the checkpoint takes d={model.config.d}")
-    # score every stream once before writing any series, so a failure leaves no
-    # partial output; streams of one length share score_streams calls
     by_length: dict[int, list[str]] = {}
     for uid, (frames, _, _) in streams.items():
         by_length.setdefault(len(frames), []).append(uid)
@@ -266,10 +283,9 @@ def cmd_score(args) -> int:
     scored = metrics.ScoreTable([a.video_uid for a in anns], [metrics.default_query_id(a) for a in anns],
                                 [streams[a.video_uid][1] for a in anns], [len(probs[a.video_uid]) for a in anns],
                                 np.concatenate([probs[a.video_uid] for a in anns]))
-    scores_dir = out / "scores"
-    metrics.save_score_series(scores_dir, scored)
-    write_manifest(out, args, [Path(args.checkpoint), data_dir], read.digests)
-    _emit({"scores": str(scores_dir), "series": len(scored)})
+    metrics.save_score_series(run.staged / "scores", scored)
+    run.commit()
+    _emit({"scores": str(run.out / "scores"), "series": len(scored)})
     return 0
 
 
@@ -283,12 +299,9 @@ def _parse_ks(text: str) -> list[int]:
     return ks
 
 
-def cmd_eval(args) -> int:
-    scores_dir = Path(args.scores)
-    ann_path = Path(args.annotations)
-    read = _HashingReader()
-    series = metrics.load_score_series_dir(scores_dir, read)
-    anns = annotations.parse_annotations(read(ann_path))
+def cmd_eval(args, run: _Run) -> int:
+    series = metrics.load_score_series_dir(Path(args.scores), run.read)
+    anns = annotations.parse_annotations(run.read(Path(args.annotations)))
     if args.split:
         anns = [a for a in anns if a.split == args.split]
     window = metrics.ToleranceWindow(args.anticipation, args.latency)
@@ -302,16 +315,13 @@ def cmd_eval(args) -> int:
     else:
         threshold = args.threshold
         report = metrics.evaluate_dataset(series, anns, ks, window, mode, threshold)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report.to_json(), encoding="utf-8")
-        write_manifest(out, args, [scores_dir, ann_path], read.digests, threshold=threshold)
+    run.write("report.json", report.to_json())
+    run.commit(threshold=threshold)
     print(report.to_json())
     return 0
 
 
-def cmd_bench(args) -> int:
+def cmd_bench(args, run: _Run) -> int:
     backbone = costmodel.vit_backbone_stack(d=args.d, n_blocks=args.blocks)
     dp = _adapter_config(args.kind, args.d, args.d_prime, args.k).d_prime
     adapters = costmodel.adapter_stack(
@@ -340,11 +350,8 @@ def cmd_bench(args) -> int:
         }
         payload["latency"] = latency_out
 
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "bench.json").write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
-        write_manifest(out, args, [], {}, d_prime=dp)
+    run.write("bench.json", json.dumps(payload, indent=2, sort_keys=True))
+    run.commit(d_prime=dp)
     _emit(payload)
     return 0
 
@@ -451,7 +458,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         check_count("seed", getattr(args, "seed", 0))  # every command's --seed, before it runs or writes
-        return args.func(args)
+        with _Run(args) as run:
+            return args.func(args, run)
     except (SchemaError, RowError) as err:
         print(f"schema error: {err}", file=sys.stderr)
         return EXIT_SCHEMA
@@ -461,10 +469,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumericError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ConfigError as err:
-        print(f"configuration error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as err:  # a path that is missing, a directory, or an existing file where one is made
+    except (ConfigError, OSError) as err:  # OSError: a path the OS cannot use as given
         print(f"configuration error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -188,6 +188,16 @@ class TestToleranceFromVariance:
         w = ann.tolerance_from_variance(28.8, fps=1.0)
         assert w == ToleranceWindow(5.0, 10.0)
 
+    def test_fps_whose_frame_grid_is_unbounded(self):
+        # 2 sigma at 1e308 FPS is no finite frame count: a ConfigError, not math.floor's OverflowError
+        message = f"{2 * math.sqrt(28.8)}s at 1e+308 FPS gives a frame grid of inf frames, not a finite count >= 0"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ann.tolerance_from_variance(28.8, fps=1e308)
+
+    def test_tiny_fps_gives_the_empty_window(self):
+        # under one frame of slack either side floors to zero seconds
+        assert ann.tolerance_from_variance(28.8, fps=1e-300) == ToleranceWindow(0.0, 0.0)
+
 
 def clock(n, fps=1.0):
     """A stream of n frames whose one feature is the frame's time: a window shows where it was cut."""
@@ -238,6 +248,14 @@ class TestSampleWindows:
         with pytest.raises(SchemaError, match=f"video v9: video_length 60.0s at {fps} fps "
                                               f"needs {math.ceil(60 * fps)} frames, its stream holds {n}$"):
             ann.sample_windows(a, clock(n, fps), 1, fps, 0)
+
+    @pytest.mark.parametrize("fps, grid", [(1e308, "inf"), (1e-300, "0")])
+    def test_fps_whose_frame_grid_is_unbounded_or_empty(self, fps, grid):
+        # not math.ceil's OverflowError, nor "need 1 <= w_s <= 0": the grid the fps gives
+        a = make_ann(5, 8, video_length=60.0)
+        message = f"60.0s at {fps} FPS gives a frame grid of {grid} frames, not a finite count >= 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            ann.sample_windows(a, clock(60), 1, fps, 0)
 
     def test_window_fits_stream_grid(self):
         # frames past the annotation's video_length are never drawn

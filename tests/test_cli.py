@@ -80,10 +80,10 @@ class TestIngest:
 
     @pytest.mark.parametrize("args, message", [
         (["--annotations", "."], "Is a directory"),
-        (["--annotations", "ann.csv", "--out", "taken"], "File exists"),
+        (["--annotations", "ann.csv", "--out", "taken"], "taken exists and is not a run directory"),
     ], ids=["annotations_is_a_directory", "out_is_a_file"])
     def test_path_of_the_wrong_kind_exit_config(self, ann_file, tmp_path, capsys, args, message):
-        # any OSError on a path ends in one line, not a traceback
+        # a path the OS cannot use, or an --out the run would not replace, ends in one line, not a traceback
         (tmp_path / "taken").write_text("kept")
         argv = ["ingest"] + [arg if arg.startswith("--") else str(tmp_path / arg) for arg in args]
         assert cli.main(argv) == cli.EXIT_CONFIG
@@ -1260,6 +1260,127 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert f"repetitions must be >= 1, got {reps}" in err and err.count("\n") == 1
         assert not out.exists()
+
+
+# -- output directories: staged beside --out, the manifest last, renamed in whole -------------------
+
+WRITING = ("ingest", "synth", "train", "score", "eval", "bench")
+
+
+def _writing_argv(command, pipeline, out):
+    """A short run of ``command`` on the shared pipeline's files, into ``out``."""
+    corpus, run, scores = pipeline
+    return {
+        "ingest": ["ingest", "--annotations", str(corpus / "annotations.csv"), "--stats"],
+        "synth": ["synth", "--streams", "2", "--val-streams", "1", "--dim", "8"],
+        "train": ["train", "--data", str(corpus), "--kind", "vanilla", "--steps", "1", "--batch", "2",
+                  "--blocks", "1", "--d-prime", "4"],
+        "score": ["score", "--checkpoint", str(run / "checkpoint.sdqk"), "--data", str(corpus), "--split", "val"],
+        "eval": ["eval", "--scores", str(scores / "scores"), "--annotations", str(corpus / "annotations.csv"),
+                 "--split", "val", "--sweep", "5"],
+        "bench": ["bench", "--kind", "qrnn", "--d", "16", "--blocks", "1"],
+    }[command] + ["--out", str(out)]
+
+
+def _files(root):
+    """Every file under ``root`` by its relative path, with its bytes; none if there is no ``root``."""
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _fail_second_write(monkeypatch):
+    """Make the second file write of any kind (framing.write, Path.write_bytes, Path.write_text)
+    raise ENOSPC, as a full disk would."""
+    calls = []
+
+    def failing(write):
+        def wrapper(*args, **kwargs):
+            calls.append(write)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device")
+            return write(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((metrics.framing, "write"), (Path, "write_bytes"), (Path, "write_text")):
+        monkeypatch.setattr(owner, name, failing(getattr(owner, name)))
+    return calls
+
+
+@pytest.mark.parametrize("rerun", [False, True], ids=["new_out", "rerun"])
+@pytest.mark.parametrize("command", WRITING)
+def test_a_failed_write_leaves_no_out_and_no_stage(pipeline, tmp_path, capsys, monkeypatch, command, rerun):
+    # a write failing after the first one leaves neither a partial --out nor the staging directory,
+    # and a previous run's --out (another command's, so that no file of it is rewritten alike) as it was
+    out = tmp_path / "outs" / "out"
+    if rerun:
+        assert cli.main(_writing_argv("ingest" if command == "bench" else "bench", pipeline, out)) == 0
+    before = _files(out)
+    capsys.readouterr()
+    with monkeypatch.context() as patch:
+        calls = _fail_second_write(patch)
+        assert cli.main(_writing_argv(command, pipeline, out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert len(calls) == 2 and "No space left on device" in err and err.count("\n") == 1
+    assert sorted(os.listdir(out.parent)) == (["out"] if rerun else []) and _files(out) == before
+
+
+@pytest.mark.parametrize("command", WRITING)
+def test_a_rerun_replaces_its_out_whole(pipeline, tmp_path, capsys, command):
+    # a previous run's --out holds the new run's files and no other; an empty directory is taken
+    out = tmp_path / "outs" / "out"
+    out.mkdir(parents=True)
+    argv = _writing_argv(command, pipeline, out)
+    assert cli.main(argv) == 0
+    (out / "stale.txt").write_text("from another run")
+    first = _files(out)
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    again = _files(out)
+    assert sorted(again) == sorted(set(first) - {"stale.txt"}) and "manifest.json" in again
+    assert os.listdir(out.parent) == ["out"]
+
+
+def test_synth_into_a_used_out_holds_only_the_new_corpus(tmp_path, capsys):
+    # 4 + 1 streams, then 1 + 1 into the same --out: 2 stream files, not 7 beside a 2-row annotations.csv
+    out = tmp_path / "corpus"
+    assert cli.main(["synth", "--out", str(out), "--streams", "4", "--val-streams", "1"]) == 0
+    assert cli.main(["synth", "--out", str(out), "--streams", "1", "--val-streams", "1", "--seed", "3"]) == 0
+    capsys.readouterr()
+    anns = ann.parse_annotations((out / "annotations.csv").read_bytes())
+    assert sorted(p.name for p in (out / "streams").iterdir()) == sorted(f"{a.video_uid}.f32" for a in anns)
+    assert len(anns) == 2 and sorted(os.listdir(tmp_path)) == ["corpus"]
+
+
+@pytest.mark.parametrize("kind", ["file", "directory"])
+@pytest.mark.parametrize("command", WRITING)
+def test_out_that_is_no_run_directory_exit_config(pipeline, tmp_path, capsys, command, kind):
+    # a file, or a directory of files without a run manifest, is never replaced: nothing is written
+    out = tmp_path / "outs" / "taken"
+    out.parent.mkdir()
+    if kind == "file":
+        out.write_text("kept")
+    else:
+        out.mkdir()
+        (out / "notes.txt").write_text("kept")
+    before = _files(out.parent)
+    capsys.readouterr()
+    assert cli.main(_writing_argv(command, pipeline, out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--out {out} exists and is not a run directory: it holds no manifest.json" in err
+    assert err.count("\n") == 1 and _files(out.parent) == before and os.listdir(out.parent) == ["taken"]
+
+
+@pytest.mark.parametrize("command", ["eval", "score", "train", "ingest"])
+def test_out_that_holds_an_input_exit_config(pipeline, tmp_path, capsys, command):
+    # replacing such an --out whole would delete what the run reads
+    corpus, run, scores = (shutil.copytree(d, tmp_path / d.name) for d in pipeline)
+    out, held = {"eval": (scores, scores / "scores"), "score": (run, run / "checkpoint.sdqk"),
+                 "train": (corpus, corpus), "ingest": (corpus, corpus / "annotations.csv")}[command]
+    before = _files(tmp_path)
+    capsys.readouterr()
+    assert cli.main(_writing_argv(command, (corpus, run, scores), out)) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"--out {out} holds the input {held}, which the run would replace" in err and err.count("\n") == 1
+    assert _files(tmp_path) == before and sorted(os.listdir(tmp_path)) == ["corpus", "run", "scores"]
 
 
 FUZZ_SEED, FUZZ_CASES = 20261019, 99

@@ -29,8 +29,7 @@ def pipeline(tmp_path_factory):
     return root, golden.run_pipeline(root)
 
 
-def test_pipeline_matches_golden_record(pipeline):
-    _, (digests, reports, streamed) = pipeline
+def _check_record(digests, reports, streamed):
     if RECORDED_ENV:
         bad = golden.digest_mismatches(RECORD["digests"], digests)
         assert not bad, (f"{len(bad)} of {len(RECORD['digests'])} files differ from tests/golden.json: "
@@ -42,6 +41,17 @@ def test_pipeline_matches_golden_record(pipeline):
                       f"this is {golden.environment()}; compared the eval reports to {golden.REPORT_TOL}")
     bad = golden.report_mismatches(RECORD["reports"], reports)
     assert not bad, f"eval reports differ from tests/golden.json at {_first(bad)}"
+
+
+def test_pipeline_matches_golden_record(pipeline):
+    _check_record(*pipeline[1])
+
+
+def test_a_rerun_into_the_same_root_matches_golden_record(pipeline):
+    # every command's --out is a previous run's directory, which the rerun replaces whole
+    root, _ = pipeline
+    _check_record(*golden.run_pipeline(root))
+    assert not list(root.rglob(".*"))  # no staging directory is left
 
 
 def test_write_reports_what_moved():

@@ -353,3 +353,13 @@ def test_one_wording_per_number_rule():
                   if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in own
                   and any(rule in node.value for rule in rules)]
     assert found == []
+
+
+def test_commands_write_only_through_the_run():
+    # cli._Run stages each command's --out beside it, writes the manifest last and renames the
+    # directory in whole; a command body that made a directory or wrote a file would bypass it
+    text = (SRC / "cli.py").read_text(encoding="utf-8")
+    commands = [f for f in ast.parse(text).body if isinstance(f, ast.FunctionDef) and f.name.startswith("cmd_")]
+    writes = re.compile(r"\b(mkdir|write_text|write_bytes)\b|\b(_HashingReader|write_manifest)\(")
+    found = [f"{f.name}: {m.group()}" for f in commands for m in writes.finditer(ast.get_source_segment(text, f))]
+    assert len(commands) == 6 and found == []
